@@ -60,4 +60,14 @@ cargo run -q --release --offline -p crowdlearn-bench --bin adaptive
 echo "==> fault injection bench (emits BENCH_faults.json)"
 cargo run -q --release --offline -p crowdlearn-bench --bin faults
 
+# perfbench as a correctness smoke, with the command BENCHMARK.json declares:
+# its output checks (resume equals uninterrupted, tapped equals untapped,
+# stage replay equals Static(1), 1-shard fleet equals bare runtime) exit 1
+# on failure. Wall times are printed but not gated.
+for workload in paper_stream fleet_contended chaos_checkpoint; do
+    echo "==> perfbench correctness smoke (${workload})"
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "${workload}" --seconds 1 --trace 0
+done
+
 echo "CI green."

@@ -275,6 +275,36 @@ mod tests {
         assert_eq!(cqc.infer(&resp), cqc.infer(&resp));
     }
 
+    /// Golden pin: the paper CQC model exactly as the system boot fits it
+    /// (1 120 responses from the default dataset and platform seeds). The
+    /// digest is FNV-1a-64 over `GbdtClassifier::to_bytes()`.
+    #[test]
+    fn boot_cqc_model_bytes_match_the_pinned_digest() {
+        let config = crate::CrowdLearnConfig::paper();
+        let ds = Dataset::generate(&DatasetConfig::paper());
+        let mut platform = Platform::new(PlatformConfig::paper().with_seed(config.platform_seed));
+        let train = ds.train();
+        let examples: Vec<_> = (0..config.cqc_training_queries)
+            .map(|i| {
+                let img = &train[i % train.len()];
+                let context = TemporalContext::from_index(i % TemporalContext::COUNT);
+                let level = IncentiveLevel::from_index((i / 3) % IncentiveLevel::COUNT);
+                (platform.submit(img, level, context), img.truth())
+            })
+            .collect();
+        assert_eq!(examples.len(), 1120);
+        let mut cqc = QualityController::paper();
+        cqc.train(&examples);
+        let bytes = cqc.model.as_ref().expect("trained").to_bytes();
+        let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(
+            digest, 0x0533_2998_6ddb_0c10,
+            "CQC model digest {digest:#018x}"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "at least one training example")]
     fn empty_training_rejected() {

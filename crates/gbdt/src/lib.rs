@@ -15,8 +15,17 @@
 //! * gain-based feature importances.
 //!
 //! The datasets CQC sees are small (hundreds of rows, tens of features), so
-//! exact greedy splitting is the right engineering choice — no histograms
-//! needed.
+//! exact greedy splitting is the right engineering choice. It uses XGBoost's
+//! presorted column blocks (Chen & Guestrin, KDD 2016): each feature's
+//! values are ranked once per fit, each round's row sample is counting-sorted
+//! by rank once per feature, and every node is a segment of those sorted
+//! buffers that a split partitions in place — a linear scan per feature per
+//! node, with no per-node sorting or allocation. The scan visits rows in the
+//! same order a per-node stable sort would, so every gradient sum, gain and
+//! tie-break, and hence every tree, is bit-identical to sorting at each node.
+//! Histogram splitting (`SplitMode::Histogram`) is the approximate
+//! alternative for larger inputs; bucket sums add rows in a different order,
+//! so its trees differ.
 //!
 //! # Example
 //!
@@ -41,5 +50,5 @@
 mod model;
 mod tree;
 
-pub use model::{GbdtClassifier, GbdtConfig};
+pub use model::{GbdtClassifier, GbdtConfig, GbdtConfigError};
 pub use tree::{RegressionTree, SplitMode};

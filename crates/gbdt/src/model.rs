@@ -1,6 +1,6 @@
 //! The boosting loop: softmax objective over per-class regression trees.
 
-use crate::tree::{RegressionTree, SplitMode, TreeParams};
+use crate::tree::{Presorted, RegressionTree, SplitMode, TreeGrower, TreeParams, MAX_BINS};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -59,27 +59,75 @@ impl GbdtConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.rounds > 0, "need at least one boosting round");
-        assert!(self.learning_rate > 0.0, "learning rate must be positive");
-        assert!(
-            self.lambda >= 0.0 && self.gamma >= 0.0,
-            "regularizers must be >= 0"
-        );
-        assert!(
-            self.subsample > 0.0 && self.subsample <= 1.0,
-            "subsample must be in (0, 1]"
-        );
-        assert!(
-            self.colsample > 0.0 && self.colsample <= 1.0,
-            "colsample must be in (0, 1]"
-        );
-        assert!(
-            self.min_child_weight >= 0.0,
-            "min_child_weight must be >= 0"
-        );
+    /// Checks every hyperparameter: the one rule both
+    /// [`GbdtClassifier::fit`] (which panics with the error's message) and
+    /// the snapshot decoder (which reports `Invalid`) enforce.
+    ///
+    /// # Errors
+    ///
+    /// The first hyperparameter out of range, checked in field order.
+    pub fn check(&self) -> Result<(), GbdtConfigError> {
+        let non_negative = |x: f64| x.is_finite() && x >= 0.0;
+        let fraction = |x: f64| x > 0.0 && x <= 1.0;
+        let bins_ok = match self.split_mode {
+            SplitMode::Exact => true,
+            SplitMode::Histogram { bins } => (2..=MAX_BINS).contains(&bins),
+        };
+        if self.rounds == 0 {
+            Err(GbdtConfigError::NoRounds)
+        } else if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
+            Err(GbdtConfigError::LearningRate)
+        } else if !(non_negative(self.lambda) && non_negative(self.gamma)) {
+            Err(GbdtConfigError::Regularizer)
+        } else if !non_negative(self.min_child_weight) {
+            Err(GbdtConfigError::MinChildWeight)
+        } else if !fraction(self.subsample) {
+            Err(GbdtConfigError::Subsample)
+        } else if !fraction(self.colsample) {
+            Err(GbdtConfigError::Colsample)
+        } else if !bins_ok {
+            Err(GbdtConfigError::HistogramBins)
+        } else {
+            Ok(())
+        }
     }
 }
+
+/// Why a [`GbdtConfig`] is invalid (see [`GbdtConfig::check`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GbdtConfigError {
+    /// `rounds` is zero.
+    NoRounds,
+    /// `learning_rate` is not finite and positive.
+    LearningRate,
+    /// `lambda` or `gamma` is negative or not finite.
+    Regularizer,
+    /// `min_child_weight` is negative or not finite.
+    MinChildWeight,
+    /// `subsample` is outside `(0, 1]`.
+    Subsample,
+    /// `colsample` is outside `(0, 1]`.
+    Colsample,
+    /// [`SplitMode::Histogram`] asks for fewer than 2 or more than 65 536
+    /// bins.
+    HistogramBins,
+}
+
+impl std::fmt::Display for GbdtConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            GbdtConfigError::NoRounds => "need at least one boosting round",
+            GbdtConfigError::LearningRate => "learning rate must be positive and finite",
+            GbdtConfigError::Regularizer => "regularizers must be >= 0 and finite",
+            GbdtConfigError::MinChildWeight => "min_child_weight must be >= 0 and finite",
+            GbdtConfigError::Subsample => "subsample must be in (0, 1]",
+            GbdtConfigError::Colsample => "colsample must be in (0, 1]",
+            GbdtConfigError::HistogramBins => "histogram bins must be in 2..=65536",
+        })
+    }
+}
+
+impl std::error::Error for GbdtConfigError {}
 
 impl Default for GbdtConfig {
     fn default() -> Self {
@@ -149,6 +197,7 @@ impl GbdtClassifier {
             }
         }
         model.trees.truncate(best_round.max(1));
+        model.importance = importance(&model.trees, model.features);
         model
     }
 
@@ -171,9 +220,12 @@ impl GbdtClassifier {
     /// # Panics
     ///
     /// Panics if inputs are empty or ragged, a label is `>= classes`, a
-    /// feature is NaN, or the configuration is invalid.
+    /// feature is not finite, or [`GbdtConfig::check`] rejects the
+    /// configuration (the panic message is the error's).
     pub fn fit(rows: &[Vec<f64>], labels: &[usize], classes: usize, config: &GbdtConfig) -> Self {
-        config.validate();
+        if let Err(err) = config.check() {
+            panic!("{err}");
+        }
         assert!(!rows.is_empty(), "training set must be non-empty");
         assert_eq!(rows.len(), labels.len(), "one label per row");
         assert!(classes >= 2, "need at least two classes");
@@ -188,7 +240,25 @@ impl GbdtClassifier {
             "labels must be < classes"
         );
 
+        Self::boost(
+            rows,
+            labels,
+            classes,
+            config,
+            Presorted::new(rows, tree_params(config)),
+        )
+    }
+
+    /// The boosting loop over validated inputs; `grower` fits the trees.
+    fn boost(
+        rows: &[Vec<f64>],
+        labels: &[usize],
+        classes: usize,
+        config: &GbdtConfig,
+        mut grower: impl TreeGrower,
+    ) -> Self {
         let n = rows.len();
+        let n_features = rows[0].len();
         let mut rng = StdRng::seed_from_u64(config.seed);
 
         // Prior log-odds from class frequencies (Laplace smoothed).
@@ -202,16 +272,7 @@ impl GbdtClassifier {
         // Raw scores per (row, class).
         let mut scores: Vec<Vec<f64>> = vec![base_scores.clone(); n];
 
-        let params = TreeParams {
-            max_depth: config.max_depth,
-            lambda: config.lambda,
-            gamma: config.gamma,
-            min_child_weight: config.min_child_weight,
-            split_mode: config.split_mode,
-        };
-
         let mut trees = Vec::with_capacity(config.rounds);
-        let mut importance = vec![0.0; n_features];
         let all_rows: Vec<usize> = (0..n).collect();
         let all_cols: Vec<usize> = (0..n_features).collect();
 
@@ -226,6 +287,7 @@ impl GbdtClassifier {
             } else {
                 all_rows.clone()
             };
+            grower.start_round(&rows_used);
 
             // Softmax probabilities for the current scores.
             let probs: Vec<Vec<f64>> = scores.iter().map(|s| softmax(s)).collect();
@@ -250,8 +312,7 @@ impl GbdtClassifier {
                     all_cols.clone()
                 };
 
-                let tree = RegressionTree::fit(rows, &grad, &hess, &rows_used, &cols_used, &params);
-                tree.accumulate_importance(&mut importance);
+                let tree = grower.grow(&grad, &hess, &cols_used);
                 // Update scores for all rows (not just the subsample).
                 for (i, row) in rows.iter().enumerate() {
                     scores[i][class] += config.learning_rate * tree.predict(row);
@@ -262,12 +323,12 @@ impl GbdtClassifier {
         }
 
         Self {
+            importance: importance(&trees, n_features),
             trees,
             base_scores,
             classes,
             features: n_features,
             learning_rate: config.learning_rate,
-            importance,
         }
     }
 
@@ -375,22 +436,7 @@ impl Decode for GbdtConfig {
             split_mode: SplitMode::decode(r)?,
             seed: u64::decode(r)?,
         };
-        let valid = config.rounds > 0
-            && config.learning_rate.is_finite()
-            && config.learning_rate > 0.0
-            && config.lambda.is_finite()
-            && config.lambda >= 0.0
-            && config.gamma.is_finite()
-            && config.gamma >= 0.0
-            && config.min_child_weight.is_finite()
-            && config.min_child_weight >= 0.0
-            && config.subsample > 0.0
-            && config.subsample <= 1.0
-            && config.colsample > 0.0
-            && config.colsample <= 1.0;
-        if !valid {
-            return Err(DecodeError::Invalid);
-        }
+        config.check().map_err(|_| DecodeError::Invalid)?;
         Ok(config)
     }
 }
@@ -434,6 +480,27 @@ impl Decode for GbdtClassifier {
     }
 }
 
+/// The split-tree parameters of a boosting configuration.
+fn tree_params(config: &GbdtConfig) -> TreeParams {
+    TreeParams {
+        max_depth: config.max_depth,
+        lambda: config.lambda,
+        gamma: config.gamma,
+        min_child_weight: config.min_child_weight,
+        split_mode: config.split_mode,
+    }
+}
+
+/// Total split gain per feature over `trees`, accumulated round-major and
+/// class-minor (the order [`GbdtClassifier::fit`] grows them in).
+fn importance(trees: &[Vec<RegressionTree>], features: usize) -> Vec<f64> {
+    let mut importance = vec![0.0; features];
+    for tree in trees.iter().flatten() {
+        tree.accumulate_importance(&mut importance);
+    }
+    importance
+}
+
 fn log_loss_of_scores(scores: &[Vec<f64>], labels: &[usize]) -> f64 {
     let mut total = 0.0;
     for (score, &label) in scores.iter().zip(labels) {
@@ -453,6 +520,8 @@ fn softmax(scores: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::per_node_sort::{self, Stream};
+    use proptest::prelude::*;
 
     /// Three Gaussian-ish blobs on a line, deterministic construction.
     fn blobs(n_per_class: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
@@ -672,6 +741,111 @@ mod tests {
     }
 
     #[test]
+    fn early_stopped_model_equals_a_fit_of_its_kept_rounds() {
+        // The noisy set from `early_stopping_truncates_on_noise`: RNG draws
+        // are prefix-identical, so the truncated model, importances
+        // included, is exactly a shorter fit.
+        let rows: Vec<Vec<f64>> = (0..120)
+            .map(|i| vec![((i * 37) % 97) as f64, ((i * 61) % 89) as f64])
+            .collect();
+        let labels: Vec<usize> = (0..120).map(|i| (i * 7 + i / 13) % 3).collect();
+        let (train_r, val_r) = rows.split_at(80);
+        let (train_l, val_l) = labels.split_at(80);
+        let config = GbdtConfig {
+            rounds: 80,
+            ..GbdtConfig::small()
+        };
+        let model =
+            GbdtClassifier::fit_with_validation(train_r, train_l, val_r, val_l, 3, &config, 5);
+        assert!(model.rounds() < 80);
+        let short = GbdtConfig {
+            rounds: model.rounds(),
+            ..config
+        };
+        assert_eq!(model, GbdtClassifier::fit(train_r, train_l, 3, &short));
+    }
+
+    #[test]
+    fn check_agrees_with_the_snapshot_decoder() {
+        let cases = [
+            GbdtConfig {
+                rounds: 0,
+                ..GbdtConfig::small()
+            },
+            GbdtConfig {
+                learning_rate: f64::INFINITY,
+                ..GbdtConfig::small()
+            },
+            GbdtConfig {
+                lambda: f64::INFINITY,
+                ..GbdtConfig::small()
+            },
+            GbdtConfig {
+                gamma: f64::NAN,
+                ..GbdtConfig::small()
+            },
+            GbdtConfig {
+                min_child_weight: f64::INFINITY,
+                ..GbdtConfig::small()
+            },
+            GbdtConfig {
+                subsample: 1.5,
+                ..GbdtConfig::small()
+            },
+            GbdtConfig {
+                colsample: 0.0,
+                ..GbdtConfig::small()
+            },
+            GbdtConfig::histogram(0),
+            GbdtConfig::histogram(1),
+            GbdtConfig::histogram(MAX_BINS + 1),
+            GbdtConfig::histogram(usize::MAX),
+            GbdtConfig::histogram(2),
+            GbdtConfig::histogram(MAX_BINS),
+            GbdtConfig::small(),
+        ];
+        for config in cases {
+            let decoded = GbdtConfig::from_bytes(&config.to_bytes());
+            assert_eq!(
+                config.check().is_ok(),
+                decoded.is_ok(),
+                "{config:?}: check {:?}, decode {decoded:?}",
+                config.check()
+            );
+        }
+        assert_eq!(
+            GbdtConfig::histogram(usize::MAX).check(),
+            Err(GbdtConfigError::HistogramBins)
+        );
+        assert_eq!(
+            GbdtConfig {
+                min_child_weight: f64::INFINITY,
+                ..GbdtConfig::small()
+            }
+            .check(),
+            Err(GbdtConfigError::MinChildWeight)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "min_child_weight must be >= 0")]
+    fn fit_rejects_an_infinite_min_child_weight() {
+        let (rows, labels) = blobs(5);
+        let config = GbdtConfig {
+            min_child_weight: f64::INFINITY,
+            ..GbdtConfig::small()
+        };
+        GbdtClassifier::fit(&rows, &labels, 3, &config);
+    }
+
+    #[test]
+    #[should_panic(expected = "histogram bins must be in 2..=65536")]
+    fn fit_rejects_a_one_bin_histogram() {
+        let (rows, labels) = blobs(5);
+        GbdtClassifier::fit(&rows, &labels, 3, &GbdtConfig::histogram(1));
+    }
+
+    #[test]
     #[should_panic(expected = "patience must be positive")]
     fn zero_patience_rejected() {
         let (rows, labels) = blobs(5);
@@ -709,5 +883,45 @@ mod tests {
         let (rows, labels) = blobs(5);
         let model = GbdtClassifier::fit(&rows, &labels, 3, &GbdtConfig::small());
         model.predict(&[1.0, 2.0, 3.0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// `fit` is byte-identical to the boosting loop driven by the
+        /// per-node-sort oracle, across sizes, widths, class counts, depths,
+        /// subsampling, tie-heavy or continuous features and both split
+        /// modes.
+        #[test]
+        fn fit_matches_the_per_node_sort_oracle(
+            seed in 0u64..u64::MAX,
+            n in 5usize..600,
+            width in 1usize..13,
+            classes in 2usize..5,
+            levels in 0usize..10,
+            max_depth in 0usize..7,
+        ) {
+            let mut s = Stream(seed);
+            let rows = s.features(n, width, levels);
+            let labels: Vec<usize> = (0..n).map(|_| s.below(classes)).collect();
+            let config = GbdtConfig {
+                rounds: 1 + s.below(4),
+                max_depth,
+                min_child_weight: s.unit(),
+                subsample: 0.5 + 0.5 * s.unit(),
+                colsample: 0.3 + 0.7 * s.unit(),
+                seed: s.next(),
+                split_mode: if s.below(4) == 0 {
+                    SplitMode::Histogram { bins: 2 + s.below(40) }
+                } else {
+                    SplitMode::Exact
+                },
+                ..GbdtConfig::small()
+            };
+            let fitted = GbdtClassifier::fit(&rows, &labels, classes, &config);
+            let oracle = per_node_sort::Oracle::new(&rows, tree_params(&config));
+            let oracle = GbdtClassifier::boost(&rows, &labels, classes, &config, oracle);
+            prop_assert_eq!(fitted.to_bytes(), oracle.to_bytes());
+        }
     }
 }
