@@ -70,4 +70,17 @@ for workload in paper_stream fleet_contended chaos_checkpoint; do
         --workload "${workload}" --seconds 1 --trace 0
 done
 
+# Net line count, reported and never gated: every .rs line under crates/,
+# src/, tests/ and examples/, and the non-test share of it (files outside
+# tests/ and benches/ directories, up to their first `#[cfg(test)]`).
+echo "==> rust line count"
+rs_total=$(find crates src tests examples -name '*.rs' -not -path '*/vendor/*' \
+    -not -path '*/perfbench/*' -exec cat {} + | wc -l | tr -d ' ')
+rs_non_test=$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
+    -not -path '*/benches/*' -exec awk '
+        /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { nextfile }
+        { n++ }
+        END { print n }' {} + | awk '{ s += $1 } END { print s }')
+echo "rust lines: ${rs_total} (non-test: ${rs_non_test})"
+
 echo "CI green."

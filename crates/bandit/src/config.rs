@@ -20,24 +20,18 @@ impl BanditConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `contexts == 0`, `action_costs` is empty or contains a
-    /// non-positive cost, `total_budget < 0`, or `horizon == 0`.
+    /// Panics with the message of [`BanditConfig::check`] if it rejects the
+    /// description.
     pub fn new(contexts: usize, action_costs: Vec<f64>, total_budget: f64, horizon: u64) -> Self {
-        assert!(contexts > 0, "need at least one context");
-        assert!(!action_costs.is_empty(), "need at least one action");
-        assert!(
-            action_costs.iter().all(|c| *c > 0.0 && c.is_finite()),
-            "action costs must be positive and finite"
-        );
-        assert!(total_budget >= 0.0, "budget must be non-negative");
-        assert!(horizon > 0, "horizon must be positive");
-        Self {
+        let config = Self {
             contexts,
             action_costs,
             total_budget,
             horizon,
             context_distribution: None,
-        }
+        };
+        config.check().unwrap_or_else(|e| panic!("{e}"));
+        config
     }
 
     /// Declares the long-run context distribution when it is known a priori
@@ -48,22 +42,38 @@ impl BanditConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the length differs from `contexts`, any entry is negative,
-    /// or the entries do not sum to 1 (within 1e-6).
+    /// Panics with the message of [`BanditConfig::check`] if it rejects the
+    /// distribution.
     pub fn with_context_distribution(mut self, distribution: Vec<f64>) -> Self {
-        assert_eq!(
-            distribution.len(),
-            self.contexts,
-            "one probability per context"
-        );
-        assert!(
-            distribution.iter().all(|p| *p >= 0.0),
-            "probabilities must be non-negative"
-        );
-        let sum: f64 = distribution.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-6, "probabilities must sum to 1");
         self.context_distribution = Some(distribution);
+        self.check().unwrap_or_else(|e| panic!("{e}"));
         self
+    }
+
+    /// The one validity rule, returning the first one broken: the
+    /// constructors panic with its message, the snapshot decoder reports
+    /// `Invalid`.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let dist = self.context_distribution.as_deref();
+        if self.contexts == 0 {
+            Err("need at least one context")
+        } else if self.action_costs.is_empty() {
+            Err("need at least one action")
+        } else if !self.action_costs.iter().all(|c| *c > 0.0 && c.is_finite()) {
+            Err("action costs must be positive and finite")
+        } else if !(self.total_budget.is_finite() && self.total_budget >= 0.0) {
+            Err("budget must be non-negative and finite")
+        } else if self.horizon == 0 {
+            Err("horizon must be positive")
+        } else if dist.is_some_and(|d| d.len() != self.contexts) {
+            Err("one probability per context")
+        } else if dist.is_some_and(|d| !d.iter().all(|p| p.is_finite() && *p >= 0.0)) {
+            Err("probabilities must be non-negative and finite")
+        } else if dist.is_some_and(|d| (d.iter().sum::<f64>() - 1.0).abs() >= 1e-6) {
+            Err("probabilities must sum to 1")
+        } else {
+            Ok(())
+        }
     }
 
     /// The declared context distribution, if any.
@@ -184,8 +194,8 @@ pub trait CostedBandit: Send {
     }
 }
 
-// Snapshot codec: decoding re-checks the `new`/`with_context_distribution`
-// invariants and reports `Invalid` instead of panicking.
+// Snapshot codec: decoding runs `BanditConfig::check` and reports `Invalid`
+// instead of panicking.
 impl Encode for BanditConfig {
     fn encode(&self, out: &mut Vec<u8>) {
         self.contexts.encode(out);
@@ -205,24 +215,7 @@ impl Decode for BanditConfig {
             horizon: u64::decode(r)?,
             context_distribution: Option::<Vec<f64>>::decode(r)?,
         };
-        let mut valid = config.contexts > 0
-            && !config.action_costs.is_empty()
-            && config
-                .action_costs
-                .iter()
-                .all(|c| *c > 0.0 && c.is_finite())
-            && config.total_budget.is_finite()
-            && config.total_budget >= 0.0
-            && config.horizon > 0;
-        if let Some(dist) = &config.context_distribution {
-            valid = valid
-                && dist.len() == config.contexts
-                && dist.iter().all(|p| p.is_finite() && *p >= 0.0)
-                && (dist.iter().sum::<f64>() - 1.0).abs() < 1e-6;
-        }
-        if !valid {
-            return Err(DecodeError::Invalid);
-        }
+        config.check().map_err(|_| DecodeError::Invalid)?;
         Ok(config)
     }
 }
@@ -299,6 +292,69 @@ mod tests {
     #[should_panic(expected = "positive and finite")]
     fn zero_cost_rejected() {
         BanditConfig::new(1, vec![0.0], 1.0, 1);
+    }
+
+    #[test]
+    fn check_agrees_with_the_snapshot_decoder() {
+        let paper = BanditConfig::new(4, vec![1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0], 1000.0, 200);
+        let mut cases = vec![
+            paper.clone(),
+            BanditConfig {
+                contexts: 0,
+                ..paper.clone()
+            },
+            BanditConfig {
+                action_costs: Vec::new(),
+                ..paper.clone()
+            },
+            BanditConfig {
+                horizon: 0,
+                ..paper.clone()
+            },
+            BanditConfig {
+                context_distribution: Some(vec![0.5, 0.5]),
+                ..paper.clone()
+            },
+        ];
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0, 0.25] {
+            cases.push(BanditConfig {
+                total_budget: x,
+                ..paper.clone()
+            });
+            cases.push(BanditConfig {
+                action_costs: vec![1.0, x],
+                ..paper.clone()
+            });
+            cases.push(BanditConfig {
+                context_distribution: Some(vec![x, 0.25, 0.25, 0.5 - x]),
+                ..paper.clone()
+            });
+        }
+        for config in &cases {
+            let decoded = BanditConfig::from_bytes(&config.to_bytes());
+            assert_eq!(
+                config.check().is_ok(),
+                decoded.is_ok(),
+                "{config:?}: check {:?}, decode {decoded:?}",
+                config.check()
+            );
+        }
+        // The constructor used to accept an infinite budget the decoder
+        // rejected.
+        let infinite = BanditConfig {
+            total_budget: f64::INFINITY,
+            ..paper
+        };
+        assert_eq!(
+            infinite.check(),
+            Err("budget must be non-negative and finite")
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "budget must be non-negative and finite")]
+    fn infinite_budget_rejected() {
+        BanditConfig::new(1, vec![1.0], f64::INFINITY, 1);
     }
 
     #[test]

@@ -21,17 +21,27 @@ impl DelayProfile {
     ///
     /// # Panics
     ///
-    /// Panics if `per_image_secs` is not positive or `jitter_frac` is not in
-    /// `[0, 1)`.
+    /// Panics with the message of [`DelayProfile::check`] if it rejects the
+    /// profile.
     pub fn new(per_image_secs: f64, jitter_frac: f64) -> Self {
-        assert!(per_image_secs > 0.0, "delay must be positive");
-        assert!(
-            (0.0..1.0).contains(&jitter_frac),
-            "jitter must be in [0, 1)"
-        );
-        Self {
+        let profile = Self {
             per_image_secs,
             jitter_frac,
+        };
+        profile.check().unwrap_or_else(|e| panic!("{e}"));
+        profile
+    }
+
+    /// The one validity rule, shared by [`DelayProfile::new`],
+    /// [`SimulatedExpert::new`] and the snapshot decoder. The delay must be
+    /// finite: `+inf` would poison every downstream delay sum.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if !(self.per_image_secs.is_finite() && self.per_image_secs > 0.0) {
+            Err("delay must be positive and finite")
+        } else if !(0.0..1.0).contains(&self.jitter_frac) {
+            Err("jitter must be in [0, 1)")
+        } else {
+            Ok(())
         }
     }
 }
@@ -71,19 +81,29 @@ pub struct ExpertProfile {
 }
 
 impl ExpertProfile {
-    fn validate(&self) {
-        assert!(
-            self.family_weights.iter().all(|w| *w >= 0.0)
-                && self.family_weights.iter().sum::<f64>() > 0.0,
-            "family weights must be non-negative with positive sum"
-        );
-        assert!(self.confidence_gain > 0.0, "gain must be positive");
-        assert!(self.perception_noise >= 0.0, "noise must be >= 0");
-        assert!(
-            self.noise_floor > 0.0 && self.noise_ceiling >= self.noise_floor,
-            "noise factors must satisfy 0 < floor <= ceiling"
-        );
-        assert!(self.training_tau > 0.0, "training tau must be positive");
+    /// The one validity rule, the [`DelayProfile`]'s included:
+    /// [`SimulatedExpert::new`] panics with its message, the snapshot
+    /// decoder reports `Invalid`.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let weights = &self.family_weights;
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !(weights.iter().all(|w| w.is_finite() && *w >= 0.0)
+            && weights.iter().sum::<f64>() > 0.0)
+        {
+            Err("family weights must be non-negative and finite with positive sum")
+        } else if !positive(self.confidence_gain) {
+            Err("gain must be positive and finite")
+        } else if !(self.perception_noise.is_finite() && self.perception_noise >= 0.0) {
+            Err("noise must be >= 0 and finite")
+        } else if !(positive(self.noise_floor) && positive(self.noise_ceiling))
+            || self.noise_ceiling < self.noise_floor
+        {
+            Err("noise factors must be finite and satisfy 0 < floor <= ceiling")
+        } else if !positive(self.training_tau) {
+            Err("training tau must be positive and finite")
+        } else {
+            self.delay.check()
+        }
     }
 }
 
@@ -118,10 +138,10 @@ impl SimulatedExpert {
     ///
     /// # Panics
     ///
-    /// Panics if the profile is internally inconsistent (see
-    /// [`ExpertProfile`] field docs).
+    /// Panics with the message of [`ExpertProfile::check`] if it rejects the
+    /// profile.
     pub fn new(profile: ExpertProfile) -> Self {
-        profile.validate();
+        profile.check().unwrap_or_else(|e| panic!("{e}"));
         Self {
             profile,
             effective_samples: 0.0,
@@ -311,9 +331,9 @@ impl Classifier for SimulatedExpert {
 }
 
 // Snapshot codec: a simulated expert is its profile plus its mutable
-// training state, all of it plain data. Decoding re-validates the profile
-// through `SimulatedExpert::new`'s checks by construction order, but must
-// not panic — out-of-contract values surface as `DecodeError::Invalid`.
+// training state, all of it plain data. Decoding runs the same `check()`
+// as the constructors, but must not panic — out-of-contract values surface
+// as `DecodeError::Invalid`.
 impl Encode for DelayProfile {
     fn encode(&self, out: &mut Vec<u8>) {
         self.per_image_secs.encode(out);
@@ -323,20 +343,12 @@ impl Encode for DelayProfile {
 
 impl Decode for DelayProfile {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let per_image_secs = f64::decode(r)?;
-        let jitter_frac = f64::decode(r)?;
-        // `is_finite` (not just `is_nan`): a `+inf` per-image delay would
-        // pass a NaN/sign check and poison every downstream delay sum.
-        if !per_image_secs.is_finite()
-            || per_image_secs <= 0.0
-            || !(0.0..1.0).contains(&jitter_frac)
-        {
-            return Err(DecodeError::Invalid);
-        }
-        Ok(Self {
-            per_image_secs,
-            jitter_frac,
-        })
+        let profile = Self {
+            per_image_secs: f64::decode(r)?,
+            jitter_frac: f64::decode(r)?,
+        };
+        profile.check().map_err(|_| DecodeError::Invalid)?;
+        Ok(profile)
     }
 }
 
@@ -369,16 +381,7 @@ impl Decode for ExpertProfile {
             delay: DelayProfile::decode(r)?,
             seed: u64::decode(r)?,
         };
-        let valid = profile.family_weights.iter().all(|w| *w >= 0.0)
-            && profile.family_weights.iter().sum::<f64>() > 0.0
-            && profile.confidence_gain > 0.0
-            && profile.perception_noise >= 0.0
-            && profile.noise_floor > 0.0
-            && profile.noise_ceiling >= profile.noise_floor
-            && profile.training_tau > 0.0;
-        if !valid {
-            return Err(DecodeError::Invalid);
-        }
+        profile.check().map_err(|_| DecodeError::Invalid)?;
         Ok(profile)
     }
 }
@@ -723,6 +726,77 @@ mod tests {
         let mut bytes = Vec::new();
         profile.encode(&mut bytes);
         assert_eq!(DelayProfile::decode(&mut Reader::new(&bytes)), Ok(profile));
+    }
+
+    #[test]
+    fn check_agrees_with_the_snapshot_decoder() {
+        let paper = profiles::vgg16(1).profile().clone();
+        let mut profiles = vec![paper.clone()];
+        let mut delays = vec![paper.delay];
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0, 0.5] {
+            let with = |edit: fn(&mut ExpertProfile, f64)| {
+                let mut p = paper.clone();
+                edit(&mut p, x);
+                p
+            };
+            profiles.extend([
+                with(|p, x| p.family_weights[0] = x),
+                with(|p, x| p.family_weights = [x; FAMILIES]),
+                with(|p, x| p.confidence_gain = x),
+                with(|p, x| p.perception_noise = x),
+                with(|p, x| p.noise_floor = x),
+                with(|p, x| p.noise_ceiling = x),
+                with(|p, x| p.training_tau = x),
+                with(|p, x| p.delay.per_image_secs = x),
+                with(|p, x| p.delay.jitter_frac = x),
+            ]);
+            delays.extend([
+                DelayProfile {
+                    per_image_secs: x,
+                    ..paper.delay
+                },
+                DelayProfile {
+                    jitter_frac: x,
+                    ..paper.delay
+                },
+            ]);
+        }
+        for profile in &profiles {
+            let decoded = ExpertProfile::from_bytes(&profile.to_bytes());
+            assert_eq!(
+                profile.check().is_ok(),
+                decoded.is_ok(),
+                "{profile:?}: check {:?}, decode {decoded:?}",
+                profile.check()
+            );
+        }
+        for delay in &delays {
+            let decoded = DelayProfile::from_bytes(&delay.to_bytes());
+            assert_eq!(
+                delay.check().is_ok(),
+                decoded.is_ok(),
+                "{delay:?}: check {:?}, decode {decoded:?}",
+                delay.check()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "delay must be positive and finite")]
+    fn infinite_delay_profile_rejected() {
+        DelayProfile::new(f64::INFINITY, 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "delay must be positive and finite")]
+    fn expert_rejects_a_negative_delay_profile() {
+        // `ExpertProfile` used not to check its `delay` at construction.
+        let mut p = profiles::vgg16(1).profile().clone();
+        p.delay = DelayProfile {
+            per_image_secs: -1.0,
+            jitter_frac: 0.1,
+        };
+        SimulatedExpert::new(p);
     }
 
     #[test]

@@ -146,36 +146,25 @@ impl CrowdLearnConfig {
         self
     }
 
-    /// The non-panicking form of [`CrowdLearnConfig::validate`] — the
-    /// decode path re-checks the same invariants without asserting.
-    fn is_valid(&self) -> bool {
-        (0.0..=1.0).contains(&self.epsilon)
-            && self.hedge_eta.is_finite()
-            && self.hedge_eta > 0.0
-            && self.budget_cents.is_finite()
-            && self.budget_cents >= 0.0
-            && self.horizon_queries > 0
-            && self.module_overhead_secs.is_finite()
-            && self.module_overhead_secs >= 0.0
-            && self
-                .offload_deadline_secs
-                .is_none_or(|d| d.is_finite() && d > 0.0)
-    }
-
-    fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.epsilon),
-            "epsilon must be in [0, 1]"
-        );
-        assert!(self.hedge_eta > 0.0, "hedge eta must be positive");
-        assert!(self.budget_cents >= 0.0, "budget must be non-negative");
-        assert!(self.horizon_queries > 0, "horizon must be positive");
-        assert!(
-            self.module_overhead_secs >= 0.0,
-            "module overhead must be non-negative"
-        );
-        if let Some(d) = self.offload_deadline_secs {
-            assert!(d > 0.0, "offload deadline must be positive");
+    /// The one validity rule: [`CrowdLearnSystem::with_platform`] panics
+    /// with its message, the snapshot decoder reports `Invalid`.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let non_negative = |x: f64| x.is_finite() && x >= 0.0;
+        if !(0.0..=1.0).contains(&self.epsilon) {
+            Err("epsilon must be in [0, 1]")
+        } else if !positive(self.hedge_eta) {
+            Err("hedge eta must be positive and finite")
+        } else if !non_negative(self.budget_cents) {
+            Err("budget must be non-negative and finite")
+        } else if self.horizon_queries == 0 {
+            Err("horizon must be positive")
+        } else if !non_negative(self.module_overhead_secs) {
+            Err("module overhead must be non-negative and finite")
+        } else if !self.offload_deadline_secs.is_none_or(positive) {
+            Err("offload deadline must be positive and finite")
+        } else {
+            Ok(())
         }
     }
 }
@@ -245,9 +234,7 @@ impl Decode for CrowdLearnConfig {
             seed: u64::decode(r)?,
             platform_seed: u64::decode(r)?,
         };
-        if !config.is_valid() {
-            return Err(DecodeError::Invalid);
-        }
+        config.check().map_err(|_| DecodeError::Invalid)?;
         Ok(config)
     }
 }
@@ -422,8 +409,8 @@ impl CrowdLearnSystem {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid or the dataset's training
-    /// split is empty.
+    /// Panics with the message of [`CrowdLearnConfig::check`] if it rejects
+    /// the configuration, or if the dataset's training split is empty.
     pub fn new(dataset: &Dataset, config: CrowdLearnConfig) -> Self {
         let platform = PlatformConfig::paper().with_seed(config.platform_seed);
         Self::with_platform_config(dataset, config, platform)
@@ -437,8 +424,9 @@ impl CrowdLearnSystem {
     ///
     /// # Panics
     ///
-    /// Panics if either configuration is invalid or the dataset's training
-    /// split is empty.
+    /// Panics with the message of [`PlatformConfig::check`] or
+    /// [`CrowdLearnConfig::check`] if either rejects its configuration, or
+    /// if the dataset's training split is empty.
     pub fn with_platform_config(
         dataset: &Dataset,
         config: CrowdLearnConfig,
@@ -454,14 +442,14 @@ impl CrowdLearnSystem {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid or the dataset's training
-    /// split is empty.
+    /// Panics with the message of [`CrowdLearnConfig::check`] if it rejects
+    /// the configuration, or if the dataset's training split is empty.
     pub fn with_platform(
         dataset: &Dataset,
         config: CrowdLearnConfig,
         mut platform: Platform,
     ) -> Self {
-        config.validate();
+        config.check().unwrap_or_else(|e| panic!("{e}"));
         assert!(
             !dataset.train().is_empty(),
             "training split must be non-empty"
@@ -1251,6 +1239,41 @@ mod tests {
         system.encode_state(&mut bytes).expect("checkpointable");
         let truncated = &bytes[..bytes.len() / 2];
         assert!(CrowdLearnSystem::decode_state(&mut Reader::new(truncated)).is_err());
+    }
+
+    #[test]
+    fn check_agrees_with_the_snapshot_decoder() {
+        let paper = CrowdLearnConfig::paper();
+        let mut cases = vec![
+            paper.clone(),
+            CrowdLearnConfig {
+                horizon_queries: 0,
+                ..paper.clone()
+            },
+        ];
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0, 0.2] {
+            let with = |edit: fn(&mut CrowdLearnConfig, f64)| {
+                let mut c = paper.clone();
+                edit(&mut c, x);
+                c
+            };
+            cases.extend([
+                with(|c, x| c.epsilon = x),
+                with(|c, x| c.hedge_eta = x),
+                with(|c, x| c.budget_cents = x),
+                with(|c, x| c.module_overhead_secs = x),
+                with(|c, x| c.offload_deadline_secs = Some(x)),
+            ]);
+        }
+        for config in &cases {
+            let decoded = CrowdLearnConfig::from_bytes(&config.to_bytes());
+            assert_eq!(
+                config.check().is_ok(),
+                decoded.is_ok(),
+                "{config:?}: check {:?}, decode {decoded:?}",
+                config.check()
+            );
+        }
     }
 
     #[test]

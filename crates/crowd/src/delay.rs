@@ -49,19 +49,30 @@ impl DelayModel {
     ///
     /// # Panics
     ///
-    /// Panics if any mean is non-positive or `noise_sigma` is negative.
+    /// Panics with the message of [`DelayModel::check`] if it rejects the
+    /// surface.
     pub fn from_table(
         base_secs: [[f64; IncentiveLevel::COUNT]; TemporalContext::COUNT],
         noise_sigma: f64,
     ) -> Self {
-        assert!(
-            base_secs.iter().flatten().all(|d| *d > 0.0),
-            "mean delays must be positive"
-        );
-        assert!(noise_sigma >= 0.0, "noise sigma must be non-negative");
-        Self {
+        let model = Self {
             base_secs,
             noise_sigma,
+        };
+        model.check().unwrap_or_else(|e| panic!("{e}"));
+        model
+    }
+
+    /// The one validity rule: [`DelayModel::from_table`] panics with its
+    /// message, the snapshot decoder reports `Invalid`.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let positive = |d: &f64| d.is_finite() && *d > 0.0;
+        if !self.base_secs.iter().flatten().all(positive) {
+            Err("mean delays must be positive and finite")
+        } else if !(self.noise_sigma.is_finite() && self.noise_sigma >= 0.0) {
+            Err("noise sigma must be non-negative and finite")
+        } else {
+            Ok(())
         }
     }
 
@@ -96,8 +107,8 @@ impl Default for DelayModel {
     }
 }
 
-// Snapshot codec: decoding re-checks the `from_table` invariants and reports
-// `Invalid` instead of panicking.
+// Snapshot codec: decoding runs `DelayModel::check` and reports `Invalid`
+// instead of panicking.
 impl Encode for DelayModel {
     fn encode(&self, out: &mut Vec<u8>) {
         self.base_secs.encode(out);
@@ -107,21 +118,12 @@ impl Encode for DelayModel {
 
 impl Decode for DelayModel {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let base_secs = <[[f64; IncentiveLevel::COUNT]; TemporalContext::COUNT]>::decode(r)?;
-        let noise_sigma = f64::decode(r)?;
-        let valid = base_secs
-            .iter()
-            .flatten()
-            .all(|d| d.is_finite() && *d > 0.0)
-            && noise_sigma.is_finite()
-            && noise_sigma >= 0.0;
-        if !valid {
-            return Err(DecodeError::Invalid);
-        }
-        Ok(Self {
-            base_secs,
-            noise_sigma,
-        })
+        let model = Self {
+            base_secs: <[[f64; IncentiveLevel::COUNT]; TemporalContext::COUNT]>::decode(r)?,
+            noise_sigma: f64::decode(r)?,
+        };
+        model.check().map_err(|_| DecodeError::Invalid)?;
+        Ok(model)
     }
 }
 
@@ -203,6 +205,36 @@ mod tests {
         let slow = model.sample_secs(TemporalContext::Morning, IncentiveLevel::C4, 2.0, &mut rng);
         assert!(slow > fast);
         assert!((slow / fast - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn check_agrees_with_the_snapshot_decoder() {
+        let paper = DelayModel::paper();
+        let mut cases = vec![paper.clone()];
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0, 0.18] {
+            let mut model = paper.clone();
+            model.base_secs[2][3] = x;
+            cases.push(model);
+            cases.push(DelayModel {
+                noise_sigma: x,
+                ..paper.clone()
+            });
+        }
+        for model in &cases {
+            let decoded = DelayModel::from_bytes(&model.to_bytes());
+            assert_eq!(
+                model.check().is_ok(),
+                decoded.is_ok(),
+                "{model:?}: check {:?}, decode {decoded:?}",
+                model.check()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "noise sigma must be non-negative and finite")]
+    fn infinite_sigma_rejected() {
+        DelayModel::from_table(DelayModel::paper().base_secs, f64::INFINITY);
     }
 
     #[test]

@@ -72,22 +72,25 @@ impl PlatformConfig {
     ///
     /// # Panics
     ///
-    /// Panics (at [`Platform::new`]) if the rate is outside `[0, 1]`.
+    /// [`Platform::new`] panics if the rate is outside `[0, 1]` (see
+    /// [`PlatformConfig::check`]).
     pub fn with_churn_rate(mut self, rate: f64) -> Self {
         self.churn_rate = rate;
         self
     }
 
-    fn validate(&self) {
-        assert!(self.pool_size > 0, "pool must be non-empty");
-        assert!(
-            self.workers_per_query > 0 && self.workers_per_query <= self.pool_size,
-            "workers per query must be in 1..=pool_size"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.churn_rate),
-            "churn rate must be in [0, 1]"
-        );
+    /// The one validity rule: [`Platform::new`] panics with its message, the
+    /// snapshot decoder reports `Invalid`.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.pool_size == 0 {
+            Err("pool must be non-empty")
+        } else if !(1..=self.pool_size).contains(&self.workers_per_query) {
+            Err("workers per query must be in 1..=pool_size")
+        } else if !(0.0..=1.0).contains(&self.churn_rate) {
+            Err("churn rate must be in [0, 1]")
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -402,10 +405,10 @@ impl Platform {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (empty pool, more workers
-    /// per query than the pool holds).
+    /// Panics with the message of [`PlatformConfig::check`] if it rejects
+    /// the configuration.
     pub fn new(config: PlatformConfig) -> Self {
-        config.validate();
+        config.check().unwrap_or_else(|e| panic!("{e}"));
         let pool = WorkerPool::generate(config.pool_size, config.seed ^ 0x9e37_79b9);
         Self {
             next_worker_id: pool.len() as u32,
@@ -420,7 +423,13 @@ impl Platform {
     }
 
     /// Boots a platform over an explicit worker pool (failure injection).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the message of [`PlatformConfig::check`] if it rejects
+    /// the configuration, or if the pool is smaller than a query's fan-out.
     pub fn with_pool(config: PlatformConfig, pool: WorkerPool) -> Self {
+        config.check().unwrap_or_else(|e| panic!("{e}"));
         assert!(
             config.workers_per_query <= pool.len(),
             "workers per query must not exceed the pool"
@@ -667,8 +676,8 @@ impl Platform {
 // ---------------------------------------------------------------------------
 // Snapshot codecs (`serde::binary`): everything a resumed run needs to keep
 // serving byte-identical responses — the worker pool, the configuration, the
-// ledger, and the RNG mid-stream state. Decoding re-checks constructor
-// invariants and reports `Invalid` instead of panicking.
+// ledger, and the RNG mid-stream state. Decoding runs each config's
+// `check()` and reports `Invalid` instead of panicking.
 
 impl Encode for PlatformConfig {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -691,13 +700,7 @@ impl Decode for PlatformConfig {
             delay_model: DelayModel::decode(r)?,
             quality_model: QualityModel::decode(r)?,
         };
-        let valid = config.pool_size > 0
-            && config.workers_per_query > 0
-            && config.workers_per_query <= config.pool_size
-            && (0.0..=1.0).contains(&config.churn_rate);
-        if !valid {
-            return Err(DecodeError::Invalid);
-        }
+        config.check().map_err(|_| DecodeError::Invalid)?;
         Ok(config)
     }
 }
@@ -1169,9 +1172,50 @@ mod tests {
     }
 
     #[test]
+    fn check_agrees_with_the_snapshot_decoder() {
+        let paper = PlatformConfig::paper();
+        let mut cases = vec![
+            paper.clone(),
+            paper.clone().with_pool_size(0),
+            paper.clone().with_workers_per_query(0),
+            paper.clone().with_workers_per_query(81),
+            paper.clone().with_pool_size(5),
+            paper.clone().with_pool_size(4),
+        ];
+        for x in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -1.0,
+            1.0,
+            0.5,
+        ] {
+            cases.push(paper.clone().with_churn_rate(x));
+        }
+        for config in &cases {
+            let decoded = PlatformConfig::from_bytes(&config.to_bytes());
+            assert_eq!(
+                config.check().is_ok(),
+                decoded.is_ok(),
+                "{config:?}: check {:?}, decode {decoded:?}",
+                config.check()
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "churn rate must be in [0, 1]")]
     fn bad_churn_rate_rejected() {
         Platform::new(PlatformConfig::paper().with_churn_rate(1.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "churn rate must be in [0, 1]")]
+    fn explicit_pool_platform_checks_its_config() {
+        // `with_pool` used to skip the check its decoder applies.
+        let pool = WorkerPool::generate(10, 1);
+        Platform::with_pool(PlatformConfig::paper().with_churn_rate(2.0), pool);
     }
 
     #[test]

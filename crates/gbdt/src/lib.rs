@@ -50,5 +50,5 @@
 mod model;
 mod tree;
 
-pub use model::{GbdtClassifier, GbdtConfig, GbdtConfigError};
+pub use model::{GbdtClassifier, GbdtConfig};
 pub use tree::{RegressionTree, SplitMode};

@@ -59,14 +59,9 @@ impl GbdtConfig {
         }
     }
 
-    /// Checks every hyperparameter: the one rule both
-    /// [`GbdtClassifier::fit`] (which panics with the error's message) and
-    /// the snapshot decoder (which reports `Invalid`) enforce.
-    ///
-    /// # Errors
-    ///
-    /// The first hyperparameter out of range, checked in field order.
-    pub fn check(&self) -> Result<(), GbdtConfigError> {
+    /// The one validity rule, checked in field order: [`GbdtClassifier::fit`]
+    /// panics with its message, the snapshot decoder reports `Invalid`.
+    pub fn check(&self) -> Result<(), &'static str> {
         let non_negative = |x: f64| x.is_finite() && x >= 0.0;
         let fraction = |x: f64| x > 0.0 && x <= 1.0;
         let bins_ok = match self.split_mode {
@@ -74,60 +69,24 @@ impl GbdtConfig {
             SplitMode::Histogram { bins } => (2..=MAX_BINS).contains(&bins),
         };
         if self.rounds == 0 {
-            Err(GbdtConfigError::NoRounds)
+            Err("need at least one boosting round")
         } else if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
-            Err(GbdtConfigError::LearningRate)
+            Err("learning rate must be positive and finite")
         } else if !(non_negative(self.lambda) && non_negative(self.gamma)) {
-            Err(GbdtConfigError::Regularizer)
+            Err("regularizers must be >= 0 and finite")
         } else if !non_negative(self.min_child_weight) {
-            Err(GbdtConfigError::MinChildWeight)
+            Err("min_child_weight must be >= 0 and finite")
         } else if !fraction(self.subsample) {
-            Err(GbdtConfigError::Subsample)
+            Err("subsample must be in (0, 1]")
         } else if !fraction(self.colsample) {
-            Err(GbdtConfigError::Colsample)
+            Err("colsample must be in (0, 1]")
         } else if !bins_ok {
-            Err(GbdtConfigError::HistogramBins)
+            Err("histogram bins must be in 2..=65536")
         } else {
             Ok(())
         }
     }
 }
-
-/// Why a [`GbdtConfig`] is invalid (see [`GbdtConfig::check`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GbdtConfigError {
-    /// `rounds` is zero.
-    NoRounds,
-    /// `learning_rate` is not finite and positive.
-    LearningRate,
-    /// `lambda` or `gamma` is negative or not finite.
-    Regularizer,
-    /// `min_child_weight` is negative or not finite.
-    MinChildWeight,
-    /// `subsample` is outside `(0, 1]`.
-    Subsample,
-    /// `colsample` is outside `(0, 1]`.
-    Colsample,
-    /// [`SplitMode::Histogram`] asks for fewer than 2 or more than 65 536
-    /// bins.
-    HistogramBins,
-}
-
-impl std::fmt::Display for GbdtConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            GbdtConfigError::NoRounds => "need at least one boosting round",
-            GbdtConfigError::LearningRate => "learning rate must be positive and finite",
-            GbdtConfigError::Regularizer => "regularizers must be >= 0 and finite",
-            GbdtConfigError::MinChildWeight => "min_child_weight must be >= 0 and finite",
-            GbdtConfigError::Subsample => "subsample must be in (0, 1]",
-            GbdtConfigError::Colsample => "colsample must be in (0, 1]",
-            GbdtConfigError::HistogramBins => "histogram bins must be in 2..=65536",
-        })
-    }
-}
-
-impl std::error::Error for GbdtConfigError {}
 
 impl Default for GbdtConfig {
     fn default() -> Self {
@@ -221,11 +180,9 @@ impl GbdtClassifier {
     ///
     /// Panics if inputs are empty or ragged, a label is `>= classes`, a
     /// feature is not finite, or [`GbdtConfig::check`] rejects the
-    /// configuration (the panic message is the error's).
+    /// configuration (the panic message is the check's).
     pub fn fit(rows: &[Vec<f64>], labels: &[usize], classes: usize, config: &GbdtConfig) -> Self {
-        if let Err(err) = config.check() {
-            panic!("{err}");
-        }
+        config.check().unwrap_or_else(|e| panic!("{e}"));
         assert!(!rows.is_empty(), "training set must be non-empty");
         assert_eq!(rows.len(), labels.len(), "one label per row");
         assert!(classes >= 2, "need at least two classes");
@@ -815,7 +772,7 @@ mod tests {
         }
         assert_eq!(
             GbdtConfig::histogram(usize::MAX).check(),
-            Err(GbdtConfigError::HistogramBins)
+            Err("histogram bins must be in 2..=65536")
         );
         assert_eq!(
             GbdtConfig {
@@ -823,7 +780,7 @@ mod tests {
                 ..GbdtConfig::small()
             }
             .check(),
-            Err(GbdtConfigError::MinChildWeight)
+            Err("min_child_weight must be >= 0 and finite")
         );
     }
 

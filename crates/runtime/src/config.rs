@@ -82,55 +82,33 @@ impl WindowPolicy {
         matches!(self, WindowPolicy::Adaptive { .. })
     }
 
-    fn validate(&self) {
+    /// The one validity rule, shared by [`RuntimeConfig::check`] and the
+    /// snapshot decoder.
+    pub fn check(&self) -> Result<(), &'static str> {
         match *self {
-            WindowPolicy::Static(n) => {
-                assert!(n > 0, "window must admit at least one cycle");
+            WindowPolicy::Static(0) | WindowPolicy::Adaptive { min: 0, .. } => {
+                Err("window must admit at least one cycle")
             }
+            WindowPolicy::Static(_) => Ok(()),
             WindowPolicy::Adaptive {
                 min,
                 max,
                 percentile,
-                low_threshold,
-                high_threshold,
+                low_threshold: low,
+                high_threshold: high,
                 ..
             } => {
-                assert!(min > 0, "window must admit at least one cycle");
-                assert!(max >= min, "adaptive window range must satisfy min <= max");
-                assert!(
-                    (0.0..=1.0).contains(&percentile),
-                    "watched percentile must lie in [0, 1]"
-                );
-                assert!(
-                    low_threshold.is_finite() && low_threshold >= 0.0,
-                    "low threshold must be finite and non-negative"
-                );
-                assert!(
-                    high_threshold.is_finite() && high_threshold > low_threshold,
-                    "high threshold must be finite and above the low threshold"
-                );
-            }
-        }
-    }
-
-    fn is_valid(&self) -> bool {
-        match *self {
-            WindowPolicy::Static(n) => n > 0,
-            WindowPolicy::Adaptive {
-                min,
-                max,
-                percentile,
-                low_threshold,
-                high_threshold,
-                ..
-            } => {
-                min > 0
-                    && max >= min
-                    && (0.0..=1.0).contains(&percentile)
-                    && low_threshold.is_finite()
-                    && low_threshold >= 0.0
-                    && high_threshold.is_finite()
-                    && high_threshold > low_threshold
+                if max < min {
+                    Err("adaptive window range must satisfy min <= max")
+                } else if !(0.0..=1.0).contains(&percentile) {
+                    Err("watched percentile must lie in [0, 1]")
+                } else if !(low.is_finite() && low >= 0.0) {
+                    Err("low threshold must be finite and non-negative")
+                } else if !(high.is_finite() && high > low) {
+                    Err("high threshold must be finite and above the low threshold")
+                } else {
+                    Ok(())
+                }
             }
         }
     }
@@ -177,9 +155,7 @@ impl Decode for WindowPolicy {
             },
             _ => return Err(DecodeError::Invalid),
         };
-        if !policy.is_valid() {
-            return Err(DecodeError::Invalid);
-        }
+        policy.check().map_err(|_| DecodeError::Invalid)?;
         Ok(policy)
     }
 }
@@ -292,49 +268,28 @@ impl RuntimeConfig {
         self.window_policy.initial_window()
     }
 
-    pub(crate) fn validate(&self) {
-        assert!(
-            self.cycle_period_secs > 0.0,
-            "cycle period must be positive"
-        );
-        // An infinite (or NaN-producing) period validates as `> 0` but later
-        // NaN-panics deep inside `EventQueue::schedule` when arrival times
-        // are computed — reject it here, at the configuration boundary.
-        assert!(
-            self.cycle_period_secs.is_finite(),
-            "cycle period must be finite"
-        );
-        self.window_policy.validate();
-        assert!(
-            self.max_post_attempts >= 1,
-            "need at least one post attempt"
-        );
-        if let Some(t) = self.hit_timeout_secs {
-            assert!(t > 0.0, "HIT timeout must be positive");
-            assert!(t.is_finite(), "HIT timeout must be finite");
+    /// The one validity rule, the window policy's, fault plan's and
+    /// breaker's included: the runtime's constructors panic with its
+    /// message, the snapshot decoder reports `Invalid`.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        // An infinite period would NaN-panic inside `EventQueue::schedule`.
+        if !positive(self.cycle_period_secs) {
+            return Err("cycle period must be finite and positive");
         }
-        self.faults.validate();
-        // A lost answer never completes, so only the timeout path can
-        // retire it — loss plans without a timeout would deadlock.
-        assert!(
-            !self.faults.has_answer_loss() || self.hit_timeout_secs.is_some(),
-            "an AnswerLoss fault plan requires a HIT timeout"
-        );
-        self.breaker.validate();
-    }
-
-    /// Non-panicking mirror of [`RuntimeConfig::validate`] for decode paths.
-    pub(crate) fn is_valid(&self) -> bool {
-        self.cycle_period_secs.is_finite()
-            && self.cycle_period_secs > 0.0
-            && self.window_policy.is_valid()
-            && self.max_post_attempts >= 1
-            && self
-                .hit_timeout_secs
-                .is_none_or(|t| t.is_finite() && t > 0.0)
-            && self.faults.is_valid()
-            && (!self.faults.has_answer_loss() || self.hit_timeout_secs.is_some())
-            && self.breaker.is_valid()
+        self.window_policy.check()?;
+        if self.max_post_attempts == 0 {
+            return Err("need at least one post attempt");
+        }
+        if !self.hit_timeout_secs.is_none_or(positive) {
+            return Err("HIT timeout must be finite and positive");
+        }
+        self.faults.check()?;
+        // A lost answer can only be retired by the timeout path.
+        if self.faults.has_answer_loss() && self.hit_timeout_secs.is_none() {
+            return Err("an AnswerLoss fault plan requires a HIT timeout");
+        }
+        self.breaker.check()
     }
 }
 
@@ -361,9 +316,7 @@ impl Decode for RuntimeConfig {
             faults: FaultPlan::decode(r)?,
             breaker: BreakerConfig::decode(r)?,
         };
-        if !config.is_valid() {
-            return Err(DecodeError::Invalid);
-        }
+        config.check().map_err(|_| DecodeError::Invalid)?;
         Ok(config)
     }
 }
@@ -380,8 +333,8 @@ mod tests {
 
     #[test]
     fn paper_defaults_are_valid() {
-        RuntimeConfig::paper().validate();
-        RuntimeConfig::sequential().validate();
+        assert_eq!(RuntimeConfig::paper().check(), Ok(()));
+        assert_eq!(RuntimeConfig::sequential().check(), Ok(()));
         assert_eq!(
             RuntimeConfig::sequential().window_policy,
             WindowPolicy::Static(1)
@@ -392,7 +345,10 @@ mod tests {
     #[test]
     fn adaptive_defaults_are_valid_and_open_at_the_floor() {
         let policy = WindowPolicy::adaptive(2, 6);
-        RuntimeConfig::paper().with_window_policy(policy).validate();
+        assert_eq!(
+            RuntimeConfig::paper().with_window_policy(policy).check(),
+            Ok(())
+        );
         assert_eq!(policy.initial_window(), 2);
         assert!(policy.is_adaptive());
         assert!(!WindowPolicy::Static(3).is_adaptive());
@@ -401,7 +357,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one cycle")]
     fn zero_window_rejected() {
-        RuntimeConfig::paper().with_inflight_window(0).validate();
+        RuntimeConfig::paper()
+            .with_inflight_window(0)
+            .check()
+            .unwrap();
     }
 
     #[test]
@@ -409,7 +368,8 @@ mod tests {
     fn inverted_adaptive_range_rejected() {
         RuntimeConfig::paper()
             .with_window_policy(WindowPolicy::adaptive(4, 2))
-            .validate();
+            .check()
+            .unwrap();
     }
 
     #[test]
@@ -424,7 +384,8 @@ mod tests {
                 high_threshold: 0.5,
                 cooldown_cycles: 0,
             })
-            .validate();
+            .check()
+            .unwrap();
     }
 
     #[test]
@@ -432,7 +393,8 @@ mod tests {
     fn infinite_cycle_period_rejected() {
         RuntimeConfig::paper()
             .with_cycle_period_secs(f64::INFINITY)
-            .validate();
+            .check()
+            .unwrap();
     }
 
     #[test]
@@ -440,7 +402,8 @@ mod tests {
     fn infinite_hit_timeout_rejected() {
         RuntimeConfig::paper()
             .with_hit_timeout(Some(f64::INFINITY), 2)
-            .validate();
+            .check()
+            .unwrap();
     }
 
     #[test]
@@ -455,7 +418,8 @@ mod tests {
                     until_secs: 100.0,
                 }],
             ))
-            .validate();
+            .check()
+            .unwrap();
     }
 
     #[test]
@@ -469,7 +433,7 @@ mod tests {
                     until_secs: 1800.0,
                 }],
             ));
-        config.validate();
+        assert_eq!(config.check(), Ok(()));
         assert_eq!(
             RuntimeConfig::from_bytes(&config.to_bytes()),
             Ok(config.clone())
@@ -490,6 +454,127 @@ mod tests {
             RuntimeConfig::from_bytes(&bad.to_bytes()),
             Err(DecodeError::Invalid)
         );
+    }
+
+    /// Asserts that `value.check()` (passed as `check`) accepts exactly what
+    /// the snapshot decoder accepts.
+    fn assert_agrees<T: Encode + Decode + std::fmt::Debug>(value: &T, check: Result<(), &str>) {
+        let decoded = T::from_bytes(&value.to_bytes());
+        assert_eq!(
+            check.is_ok(),
+            decoded.is_ok(),
+            "{value:?}: check {check:?}, decode {decoded:?}"
+        );
+    }
+
+    #[test]
+    fn check_agrees_with_the_snapshot_decoder() {
+        use crate::{ArbitrationPolicy, FaultEpisode, FleetConfig, MetricsTapConfig};
+        let loss = |prob| FaultEpisode::AnswerLoss {
+            prob,
+            from_secs: 0.0,
+            until_secs: 100.0,
+        };
+        let paper = RuntimeConfig::paper();
+        let mut configs = vec![
+            paper.clone(),
+            paper.clone().with_inflight_window(0),
+            paper
+                .clone()
+                .with_window_policy(WindowPolicy::adaptive(0, 4)),
+            paper
+                .clone()
+                .with_window_policy(WindowPolicy::adaptive(4, 2)),
+            paper.clone().with_hit_timeout(Some(300.0), 0),
+            paper
+                .clone()
+                .with_faults(FaultPlan::new(1, vec![loss(0.5)])),
+            paper
+                .clone()
+                .with_hit_timeout(Some(300.0), 2)
+                .with_faults(FaultPlan::new(1, vec![loss(0.5)])),
+        ];
+        let mut episodes = Vec::new();
+        let mut breakers = Vec::new();
+        let mut fleets = vec![FleetConfig::new(1000.0).with_pool_capacity(0)];
+        let mut taps = vec![MetricsTapConfig {
+            delay_bins: 0,
+            ..MetricsTapConfig::paper()
+        }];
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0, 0.5] {
+            configs.push(paper.clone().with_cycle_period_secs(x));
+            configs.push(paper.clone().with_hit_timeout(Some(x), 2));
+            for i in 0..3 {
+                let mut policy = [0.9, 0.25, 0.5];
+                policy[i] = x;
+                configs.push(paper.clone().with_window_policy(WindowPolicy::Adaptive {
+                    min: 1,
+                    max: 8,
+                    percentile: policy[0],
+                    low_threshold: policy[1],
+                    high_threshold: policy[2],
+                    cooldown_cycles: 1,
+                }));
+            }
+            episodes.extend([
+                FaultEpisode::PlatformOutage {
+                    from_secs: x,
+                    until_secs: 600.0,
+                },
+                FaultEpisode::PlatformOutage {
+                    from_secs: 0.0,
+                    until_secs: x,
+                },
+                FaultEpisode::WorkerAttrition {
+                    fraction: x,
+                    from_secs: 0.0,
+                    until_secs: 600.0,
+                },
+                loss(x),
+                FaultEpisode::BudgetShock {
+                    at_secs: x,
+                    cents: 100.0,
+                },
+                FaultEpisode::BudgetShock {
+                    at_secs: 600.0,
+                    cents: x,
+                },
+            ]);
+            fleets.extend([
+                FleetConfig::new(x),
+                FleetConfig::new(1000.0).with_contention_alpha(x),
+                FleetConfig::new(1000.0)
+                    .with_arbitration(ArbitrationPolicy::Priority(vec![1.0, x])),
+            ]);
+            taps.push(MetricsTapConfig {
+                delay_ceiling_secs: x,
+                ..MetricsTapConfig::paper()
+            });
+        }
+        fleets.push(FleetConfig::new(1000.0).with_arbitration(ArbitrationPolicy::Priority(vec![])));
+        for (base, max) in [(1, 8), (0, 8), (4, 2), (3, 3)] {
+            breakers.push(BreakerConfig {
+                base_backoff_cycles: base,
+                max_backoff_cycles: max,
+            });
+        }
+        for config in &configs {
+            assert_agrees(config, config.check());
+            assert_agrees(&config.window_policy, config.window_policy.check());
+        }
+        for episode in &episodes {
+            assert_agrees(episode, episode.check());
+        }
+        for breaker in &breakers {
+            assert_agrees(breaker, breaker.check());
+        }
+        for fleet in &fleets {
+            assert_agrees(fleet, fleet.check());
+            assert_agrees(&fleet.arbitration, fleet.arbitration.check());
+        }
+        for tap in &taps {
+            assert_agrees(tap, tap.check());
+        }
     }
 
     #[test]

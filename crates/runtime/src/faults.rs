@@ -101,11 +101,13 @@ impl FaultEpisode {
         }
     }
 
-    fn is_valid(&self) -> bool {
+    /// The one validity rule: [`FaultPlan::new`] panics with its message,
+    /// the snapshot decoder reports `Invalid`.
+    pub fn check(&self) -> Result<(), &'static str> {
         let window_ok = |from: f64, until: f64| {
             from.is_finite() && from >= 0.0 && until.is_finite() && until > from
         };
-        match *self {
+        let ok = match *self {
             FaultEpisode::PlatformOutage {
                 from_secs,
                 until_secs,
@@ -123,13 +125,18 @@ impl FaultEpisode {
             FaultEpisode::BudgetShock { at_secs, cents } => {
                 at_secs.is_finite() && at_secs >= 0.0 && cents.is_finite() && cents >= 0.0
             }
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err("fault episode is malformed: bad time window, fraction, prob or cents")
         }
     }
 }
 
 // Snapshot codec: a stable u8 tag per episode kind, fields in declaration
-// order. Decode re-checks the `FaultPlan::new` invariants and reports
-// `Invalid` instead of panicking.
+// order. Decode runs `FaultEpisode::check` and reports `Invalid` instead of
+// panicking.
 impl Encode for FaultEpisode {
     fn encode(&self, out: &mut Vec<u8>) {
         match *self {
@@ -172,37 +179,30 @@ impl Encode for FaultEpisode {
 
 impl Decode for FaultEpisode {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => validated(FaultEpisode::PlatformOutage {
+        let tag = u8::decode(r)?;
+        let episode = match tag {
+            0 => FaultEpisode::PlatformOutage {
                 from_secs: f64::decode(r)?,
                 until_secs: f64::decode(r)?,
-            }),
-            1 => validated(FaultEpisode::WorkerAttrition {
+            },
+            1 => FaultEpisode::WorkerAttrition {
                 fraction: f64::decode(r)?,
                 from_secs: f64::decode(r)?,
                 until_secs: f64::decode(r)?,
-            }),
-            2 => validated(FaultEpisode::AnswerLoss {
+            },
+            2 => FaultEpisode::AnswerLoss {
                 prob: f64::decode(r)?,
                 from_secs: f64::decode(r)?,
                 until_secs: f64::decode(r)?,
-            }),
-            3 => validated(FaultEpisode::BudgetShock {
+            },
+            3 => FaultEpisode::BudgetShock {
                 at_secs: f64::decode(r)?,
                 cents: f64::decode(r)?,
-            }),
-            _ => Err(DecodeError::Invalid),
-        }
-    }
-}
-
-/// Maps a wire-read episode to `Invalid` when it breaks the `FaultPlan::new`
-/// invariants — the decode-side twin of the constructor's validation.
-fn validated(episode: FaultEpisode) -> Result<FaultEpisode, DecodeError> {
-    if episode.is_valid() {
+            },
+            _ => return Err(DecodeError::Invalid),
+        };
+        episode.check().map_err(|_| DecodeError::Invalid)?;
         Ok(episode)
-    } else {
-        Err(DecodeError::Invalid)
     }
 }
 
@@ -225,12 +225,11 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics if any episode is malformed (non-finite or negative times,
-    /// inverted windows, `fraction` outside `[0, 1)`, `prob` outside
-    /// `[0, 1]`, negative `cents`).
+    /// Panics with the message of [`FaultPlan::check`] if any episode is
+    /// malformed.
     pub fn new(seed: u64, episodes: Vec<FaultEpisode>) -> Self {
         let plan = Self { seed, episodes };
-        plan.validate();
+        plan.check().unwrap_or_else(|e| panic!("{e}"));
         plan
     }
 
@@ -257,17 +256,9 @@ impl FaultPlan {
             .any(|e| matches!(e, FaultEpisode::AnswerLoss { .. }))
     }
 
-    pub(crate) fn validate(&self) {
-        for (i, episode) in self.episodes.iter().enumerate() {
-            assert!(
-                episode.is_valid(),
-                "fault episode {i} is malformed: {episode:?}"
-            );
-        }
-    }
-
-    pub(crate) fn is_valid(&self) -> bool {
-        self.episodes.iter().all(FaultEpisode::is_valid)
+    /// The first malformed episode's [`FaultEpisode::check`] error.
+    pub fn check(&self) -> Result<(), &'static str> {
+        self.episodes.iter().try_for_each(FaultEpisode::check)
     }
 }
 
@@ -280,11 +271,12 @@ impl Encode for FaultPlan {
 
 impl Decode for FaultPlan {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        // Per-episode validity is re-checked by `FaultEpisode::decode`.
-        Ok(Self {
+        let plan = Self {
             seed: u64::decode(r)?,
             episodes: Vec::<FaultEpisode>::decode(r)?,
-        })
+        };
+        plan.check().map_err(|_| DecodeError::Invalid)?;
+        Ok(plan)
     }
 }
 
@@ -405,19 +397,16 @@ impl BreakerConfig {
         }
     }
 
-    pub(crate) fn validate(&self) {
-        assert!(
-            self.base_backoff_cycles >= 1,
-            "breaker backoff must be at least one cycle"
-        );
-        assert!(
-            self.max_backoff_cycles >= self.base_backoff_cycles,
-            "breaker backoff ceiling must be at least the base"
-        );
-    }
-
-    pub(crate) fn is_valid(&self) -> bool {
-        self.base_backoff_cycles >= 1 && self.max_backoff_cycles >= self.base_backoff_cycles
+    /// The one validity rule, shared by [`crate::RuntimeConfig::check`] and
+    /// the snapshot decoder.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.base_backoff_cycles == 0 {
+            Err("breaker backoff must be at least one cycle")
+        } else if self.max_backoff_cycles < self.base_backoff_cycles {
+            Err("breaker backoff ceiling must be at least the base")
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -440,9 +429,7 @@ impl Decode for BreakerConfig {
             base_backoff_cycles: u32::decode(r)?,
             max_backoff_cycles: u32::decode(r)?,
         };
-        if !config.is_valid() {
-            return Err(DecodeError::Invalid);
-        }
+        config.check().map_err(|_| DecodeError::Invalid)?;
         Ok(config)
     }
 }

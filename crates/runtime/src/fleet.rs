@@ -86,12 +86,16 @@ impl ArbitrationPolicy {
         }
     }
 
-    fn validate(&self) {
-        if let ArbitrationPolicy::Priority(weights) = self {
-            assert!(
-                !weights.is_empty() && weights.iter().all(|w| w.is_finite() && *w > 0.0),
-                "priority weights must be positive and finite"
-            );
+    /// The one validity rule, shared by [`FleetConfig::check`] and the
+    /// snapshot decoder.
+    pub fn check(&self) -> Result<(), &'static str> {
+        match self {
+            ArbitrationPolicy::Priority(weights)
+                if weights.is_empty() || !weights.iter().all(|w| w.is_finite() && *w > 0.0) =>
+            {
+                Err("priority weights must be positive and finite")
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -143,31 +147,20 @@ impl FleetConfig {
         self
     }
 
-    fn validate(&self) {
-        assert!(self.pool_capacity > 0, "pool capacity must be positive");
-        assert!(
-            self.contention_alpha.is_finite() && self.contention_alpha >= 0.0,
-            "contention alpha must be finite and non-negative"
-        );
-        assert!(
-            self.fleet_budget_cents.is_finite() && self.fleet_budget_cents >= 0.0,
-            "fleet budget must be finite and non-negative"
-        );
-        self.arbitration.validate();
-    }
-
-    fn is_valid(&self) -> bool {
-        self.pool_capacity > 0
-            && self.contention_alpha.is_finite()
-            && self.contention_alpha >= 0.0
-            && self.fleet_budget_cents.is_finite()
-            && self.fleet_budget_cents >= 0.0
-            && match &self.arbitration {
-                ArbitrationPolicy::FairShare => true,
-                ArbitrationPolicy::Priority(w) => {
-                    !w.is_empty() && w.iter().all(|x| x.is_finite() && *x > 0.0)
-                }
-            }
+    /// The one validity rule, the arbitration policy's included:
+    /// [`FleetOrchestrator::new`] panics with its message, the snapshot
+    /// decoder reports `Invalid`.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let non_negative = |x: f64| x.is_finite() && x >= 0.0;
+        if self.pool_capacity == 0 {
+            Err("pool capacity must be positive")
+        } else if !non_negative(self.contention_alpha) {
+            Err("contention alpha must be finite and non-negative")
+        } else if !non_negative(self.fleet_budget_cents) {
+            Err("fleet budget must be finite and non-negative")
+        } else {
+            self.arbitration.check()
+        }
     }
 }
 
@@ -454,11 +447,11 @@ impl FleetOrchestrator {
     ///
     /// # Panics
     ///
-    /// Panics when `specs` is empty, `specs`/`datasets` lengths differ, the
-    /// fleet config is inconsistent, or a priority arbitration has the
-    /// wrong number of weights.
+    /// Panics with the message of [`FleetConfig::check`] if it rejects the
+    /// fleet config, or when `specs` is empty, `specs`/`datasets` lengths
+    /// differ, or a priority arbitration has the wrong number of weights.
     pub fn new(specs: Vec<ShardSpec>, config: FleetConfig, datasets: &[Dataset]) -> Self {
-        config.validate();
+        config.check().unwrap_or_else(|e| panic!("{e}"));
         assert!(!specs.is_empty(), "a fleet needs at least one shard");
         assert_eq!(
             specs.len(),
@@ -1017,10 +1010,9 @@ impl Decode for ArbitrationPolicy {
             0 => Ok(ArbitrationPolicy::FairShare),
             1 => {
                 let weights = Vec::<f64>::decode(r)?;
-                if weights.is_empty() || weights.iter().any(|w| !w.is_finite() || *w <= 0.0) {
-                    return Err(DecodeError::Invalid);
-                }
-                Ok(ArbitrationPolicy::Priority(weights))
+                let policy = ArbitrationPolicy::Priority(weights);
+                policy.check().map_err(|_| DecodeError::Invalid)?;
+                Ok(policy)
             }
             _ => Err(DecodeError::Invalid),
         }
@@ -1044,9 +1036,7 @@ impl Decode for FleetConfig {
             fleet_budget_cents: f64::decode(r)?,
             arbitration: ArbitrationPolicy::decode(r)?,
         };
-        if !config.is_valid() {
-            return Err(DecodeError::Invalid);
-        }
+        config.check().map_err(|_| DecodeError::Invalid)?;
         Ok(config)
     }
 }

@@ -201,16 +201,22 @@ impl MetricsTapConfig {
         }
     }
 
-    fn is_valid(&self) -> bool {
-        self.delay_ceiling_secs.is_finite() && self.delay_ceiling_secs > 0.0 && self.delay_bins > 0
+    /// The one validity rule: [`MetricsTap::with_config`] panics with its
+    /// message, the snapshot decoder reports `Invalid`.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if !(self.delay_ceiling_secs.is_finite() && self.delay_ceiling_secs > 0.0) {
+            Err("delay ceiling must be positive and finite")
+        } else if self.delay_bins == 0 {
+            Err("delay sketch needs at least one bin")
+        } else {
+            Ok(())
+        }
     }
 
-    fn validate(&self) {
-        assert!(
-            self.delay_ceiling_secs > 0.0 && self.delay_ceiling_secs.is_finite(),
-            "delay ceiling must be positive and finite"
-        );
-        assert!(self.delay_bins > 0, "delay sketch needs at least one bin");
+    /// The `(lo, hi, bins)` grid every sketch of a tap with this config
+    /// is built over.
+    fn grid(&self) -> (f64, f64, usize) {
+        (0.0, self.delay_ceiling_secs, self.delay_bins)
     }
 }
 
@@ -233,9 +239,7 @@ impl Decode for MetricsTapConfig {
             delay_ceiling_secs: f64::decode(r)?,
             delay_bins: usize::decode(r)?,
         };
-        if !config.is_valid() {
-            return Err(DecodeError::Invalid);
-        }
+        config.check().map_err(|_| DecodeError::Invalid)?;
         Ok(config)
     }
 }
@@ -302,10 +306,12 @@ impl MetricsTap {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid.
+    /// Panics with the message of [`MetricsTapConfig::check`] if it rejects
+    /// the grid.
     pub fn with_config(config: MetricsTapConfig) -> Self {
-        config.validate();
-        let sketch = || QuantileSketch::new(0.0, config.delay_ceiling_secs, config.delay_bins);
+        config.check().unwrap_or_else(|e| panic!("{e}"));
+        let (lo, hi, bins) = config.grid();
+        let sketch = || QuantileSketch::new(lo, hi, bins);
         Self {
             config,
             records: 0,
@@ -611,7 +617,12 @@ impl Decode for MetricsTap {
             && tap
                 .remaining_budget_cents
                 .is_none_or(|b| b.is_finite() && b >= 0.0);
+        // Every sketch must sit on the config's grid (the `with_config`
+        // invariant), or `config()` would report a grid the tap does not use.
+        let grid = tap.config.grid();
         let sketches_ok = tap.delay_by_context.len() == TemporalContext::COUNT
+            && tap.delay_all.grid() == grid
+            && tap.delay_by_context.iter().all(|s| s.grid() == grid)
             && tap.delay_all.len() == tap.hits_answered + tap.late_answers
             && tap
                 .delay_by_context
@@ -782,6 +793,33 @@ mod tests {
         tampered.encode(&mut bytes);
         assert_eq!(
             MetricsTap::decode(&mut Reader::new(&bytes)),
+            Err(DecodeError::Invalid)
+        );
+    }
+
+    #[test]
+    fn decode_rejects_sketches_off_the_config_grid() {
+        let mut tap = MetricsTap::new();
+        tap.record(&answered(5.0, 100.0, TemporalContext::Morning));
+        let bytes = tap.to_bytes();
+        assert_eq!(MetricsTap::from_bytes(&bytes), Ok(tap.clone()));
+
+        // Crafted frame: a {3600 s, 512} config spliced over the
+        // {7200 s, 1024} tap's own, every sketch left on the old grid.
+        let small = MetricsTapConfig {
+            delay_ceiling_secs: 3600.0,
+            delay_bins: 512,
+        };
+        let header = MetricsTapConfig::paper().to_bytes().len();
+        let mut spliced = small.to_bytes();
+        spliced.extend_from_slice(&bytes[header..]);
+        assert_eq!(MetricsTap::from_bytes(&spliced), Err(DecodeError::Invalid));
+
+        // One per-context sketch off the grid is enough.
+        let mut tampered = tap;
+        tampered.delay_by_context[2] = QuantileSketch::new(0.0, 3600.0, 512);
+        assert_eq!(
+            MetricsTap::from_bytes(&tampered.to_bytes()),
             Err(DecodeError::Invalid)
         );
     }

@@ -149,8 +149,13 @@ impl PipelinedSystem {
     /// Boots the underlying [`CrowdLearnSystem`] (committee training, CQC
     /// fit, bandit warm-up — identical to the blocking constructor) under
     /// `runtime` scheduling.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the message of [`RuntimeConfig::check`] or
+    /// [`CrowdLearnConfig::check`] if either rejects its configuration.
     pub fn new(dataset: &Dataset, config: CrowdLearnConfig, runtime: RuntimeConfig) -> Self {
-        runtime.validate();
+        runtime.check().unwrap_or_else(|e| panic!("{e}"));
         Self {
             system: CrowdLearnSystem::new(dataset, config),
             config: runtime,
@@ -160,8 +165,13 @@ impl PipelinedSystem {
     }
 
     /// Wraps an already-booted system.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the message of [`RuntimeConfig::check`] if it rejects
+    /// `runtime`.
     pub fn from_system(system: CrowdLearnSystem, runtime: RuntimeConfig) -> Self {
-        runtime.validate();
+        runtime.check().unwrap_or_else(|e| panic!("{e}"));
         Self {
             system,
             config: runtime,

@@ -666,6 +666,20 @@ fn snapshots_reject_future_format_versions_with_typed_errors() {
     ));
 }
 
+/// A configuration the snapshot decoder would reject must not boot: an
+/// infinite budget used to construct, run and checkpoint, and only then
+/// fail its own resume with `Corrupt(Invalid)`.
+#[test]
+#[should_panic(expected = "budget must be non-negative and finite")]
+fn infinite_budget_is_rejected_at_construction_not_at_resume() {
+    let dataset = dataset(7);
+    PipelinedSystem::new(
+        &dataset,
+        CrowdLearnConfig::paper().with_budget_cents(f64::INFINITY),
+        runtime_config(),
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection: the empty-plan golden pin, faulted-run determinism, the
 // mid-outage checkpoint, per-shard fleet plans, and a seeded corruption
