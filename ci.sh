@@ -30,20 +30,14 @@ cargo build --release --offline
 echo "==> cargo test"
 cargo test -q --offline
 
-echo "==> checkpoint/resume roundtrip smoke"
-cargo run -q --release --offline --example checkpoint_resume
-
-echo "==> streaming metrics tap smoke"
-cargo run -q --release --offline --example metrics_tap
-
-echo "==> multi-stream fleet smoke"
-cargo run -q --release --offline --example multi_stream
-
-echo "==> adaptive window controller smoke"
-cargo run -q --release --offline --example adaptive_window
-
-echo "==> chaos (fault injection + mid-outage checkpoint) smoke"
-cargo run -q --release --offline --example chaos
+# Example smokes: every example runs the public API end to end, and those
+# with claims (byte-identical resume, tap-vs-report agreement, ...) assert
+# them, exiting non-zero on a violation.
+for example in quickstart earthquake_response drift_adaptation checkpoint_resume \
+    metrics_tap multi_stream adaptive_window chaos; do
+    echo "==> example smoke (${example})"
+    cargo run -q --release --offline --example "${example}"
+done
 
 echo "==> runtime makespan bench (emits BENCH_runtime.json)"
 cargo run -q --release --offline -p crowdlearn-bench --bin makespan

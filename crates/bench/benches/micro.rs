@@ -1,15 +1,14 @@
 //! Criterion micro-benchmarks for the hot paths of every substrate:
 //! committee voting + entropy, GBDT training/inference, Dawid-Skene EM,
-//! UCB-ALP steps, platform query simulation, and one full sensing cycle.
+//! UCB-ALP steps, and platform query simulation. Whole runs are measured
+//! end to end by `perfbench/` and the `makespan` bench.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use crowdlearn::{Committee, CrowdLearnConfig, CrowdLearnSystem, QualityController};
+use crowdlearn::{Committee, QualityController};
 use crowdlearn_bandit::{BanditConfig, CostedBandit, UcbAlp};
 use crowdlearn_classifiers::{profiles, Classifier};
 use crowdlearn_crowd::{IncentiveLevel, Platform, PlatformConfig};
-use crowdlearn_dataset::{
-    Dataset, DatasetConfig, LabeledImage, SensingCycleStream, TemporalContext,
-};
+use crowdlearn_dataset::{Dataset, DatasetConfig, LabeledImage, TemporalContext};
 use crowdlearn_gbdt::{GbdtClassifier, GbdtConfig};
 use crowdlearn_truth::{Aggregator, Annotation, DawidSkeneEm, WorkerId};
 use std::hint::black_box;
@@ -156,22 +155,10 @@ fn bench_cqc(c: &mut Criterion) {
     });
 }
 
-fn bench_full_cycle(c: &mut Criterion) {
-    let ds = dataset();
-    let stream = SensingCycleStream::paper(&ds);
-    c.bench_function("crowdlearn_full_cycle", |b| {
-        b.iter_batched(
-            || CrowdLearnSystem::new(&ds, CrowdLearnConfig::paper()),
-            |mut system| black_box(system.run_cycle(&stream.cycles()[0], &ds)),
-            BatchSize::LargeInput,
-        )
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_committee, bench_dataset_generation, bench_gbdt, bench_dawid_skene,
-              bench_bandit, bench_platform, bench_cqc, bench_full_cycle
+              bench_bandit, bench_platform, bench_cqc
 }
 criterion_main!(benches);

@@ -10,9 +10,10 @@
 
 #![forbid(unsafe_code)]
 
-use crowdlearn::{CalibratorConfig, CrowdLearnConfig, CrowdLearnSystem};
+use crowdlearn::{CalibratorConfig, CrowdLearnConfig};
 use crowdlearn_bench::banner;
 use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
+use crowdlearn_runtime::{PipelinedSystem, RuntimeConfig};
 
 fn main() {
     banner(
@@ -28,9 +29,9 @@ fn main() {
             update_weights,
             ..CalibratorConfig::paper()
         });
-        let mut system = CrowdLearnSystem::new(&drifted, config);
-        let report = system.run(&drifted, &stream);
-        (report, system.committee_weights().to_vec())
+        let mut system = PipelinedSystem::new(&drifted, config, RuntimeConfig::sequential());
+        let report = system.run(&drifted, &stream).report;
+        (report, system.system().committee_weights().to_vec())
     };
 
     let (with_hedge, final_weights) = run(true);

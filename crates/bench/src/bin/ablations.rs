@@ -15,13 +15,12 @@
 
 #![forbid(unsafe_code)]
 
-use crowdlearn::{
-    CalibratorConfig, CrowdLearnConfig, CrowdLearnSystem, IncentivePolicyKind, QueryFeatures,
-};
+use crowdlearn::{CalibratorConfig, CrowdLearnConfig, IncentivePolicyKind, QueryFeatures};
 use crowdlearn_bench::{banner, Fixture};
 use crowdlearn_crowd::{IncentiveLevel, Platform, PlatformConfig, QueryResponse};
 use crowdlearn_dataset::{DamageLabel, TemporalContext};
 use crowdlearn_gbdt::{GbdtClassifier, GbdtConfig};
+use crowdlearn_runtime::{PipelinedSystem, RuntimeConfig};
 
 fn main() {
     banner(
@@ -31,8 +30,9 @@ fn main() {
 
     let fixture = Fixture::paper_default();
     let run = |config: CrowdLearnConfig| {
-        let mut system = CrowdLearnSystem::new(&fixture.dataset, config);
-        system.run(&fixture.dataset, &fixture.stream)
+        let mut system =
+            PipelinedSystem::new(&fixture.dataset, config, RuntimeConfig::sequential());
+        system.run(&fixture.dataset, &fixture.stream).report
     };
 
     let full = run(CrowdLearnConfig::paper());

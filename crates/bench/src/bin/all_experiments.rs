@@ -5,10 +5,11 @@
 
 #![forbid(unsafe_code)]
 
-use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem};
+use crowdlearn::CrowdLearnConfig;
 use crowdlearn_bench::{banner, paper_reference, Fixture};
 use crowdlearn_crowd::{PilotConfig, PilotStudy, Platform, PlatformConfig};
 use crowdlearn_dataset::SyntheticImage;
+use crowdlearn_runtime::{PipelinedSystem, RuntimeConfig};
 
 fn main() {
     banner(
@@ -64,11 +65,12 @@ fn main() {
     println!();
     println!("Budget sweep endpoints (Figures 10-11):");
     for usd in [2.0, 10.0, 40.0] {
-        let mut system = CrowdLearnSystem::new(
+        let mut system = PipelinedSystem::new(
             &fixture.dataset,
             CrowdLearnConfig::paper().with_budget_cents(usd * 100.0),
+            RuntimeConfig::sequential(),
         );
-        let report = system.run(&fixture.dataset, &fixture.stream);
+        let report = system.run(&fixture.dataset, &fixture.stream).report;
         println!(
             "  ${usd:>4.0}: F1 {:.3}, crowd delay {:>5.0} s",
             report.macro_f1(),

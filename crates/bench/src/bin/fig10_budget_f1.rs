@@ -3,9 +3,9 @@
 
 #![forbid(unsafe_code)]
 
-use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem};
+use crowdlearn::CrowdLearnConfig;
 use crowdlearn_bench::{banner, Fixture};
-use crowdlearn_runtime::ParallelSweep;
+use crowdlearn_runtime::{ParallelSweep, PipelinedSystem, RuntimeConfig};
 
 fn main() {
     banner(
@@ -19,11 +19,12 @@ fn main() {
     // One independent seeded run per budget point, executed across the
     // available cores; results land in input order with the serial numbers.
     let rows = ParallelSweep::auto().run(&budgets_usd, |_, &usd| {
-        let mut system = CrowdLearnSystem::new(
+        let mut system = PipelinedSystem::new(
             &fixture.dataset,
             CrowdLearnConfig::paper().with_budget_cents(usd * 100.0),
+            RuntimeConfig::sequential(),
         );
-        let report = system.run(&fixture.dataset, &fixture.stream);
+        let report = system.run(&fixture.dataset, &fixture.stream).report;
         (report.macro_f1(), report.accuracy())
     });
 

@@ -3,9 +3,10 @@
 
 #![forbid(unsafe_code)]
 
-use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem, IncentivePolicyKind};
+use crowdlearn::{CrowdLearnConfig, IncentivePolicyKind};
 use crowdlearn_bench::{banner, Fixture};
 use crowdlearn_dataset::TemporalContext;
+use crowdlearn_runtime::{PipelinedSystem, RuntimeConfig};
 
 fn main() {
     banner(
@@ -22,11 +23,12 @@ fn main() {
 
     let mut rows = Vec::new();
     for (name, kind) in policies {
-        let mut system = CrowdLearnSystem::new(
+        let mut system = PipelinedSystem::new(
             &fixture.dataset,
             CrowdLearnConfig::paper().with_policy(kind),
+            RuntimeConfig::sequential(),
         );
-        let report = system.run(&fixture.dataset, &fixture.stream);
+        let report = system.run(&fixture.dataset, &fixture.stream).report;
         let per_ctx: Vec<f64> = TemporalContext::ALL
             .iter()
             .map(|&c| report.mean_crowd_delay_in(c).unwrap_or(f64::NAN))

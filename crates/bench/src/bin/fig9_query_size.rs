@@ -5,9 +5,9 @@
 #![forbid(unsafe_code)]
 
 use crowdlearn::baselines::{run_ai_only, HybridAl, HybridConfig, HybridPara};
-use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem};
+use crowdlearn::CrowdLearnConfig;
 use crowdlearn_bench::{banner, Fixture};
-use crowdlearn_runtime::ParallelSweep;
+use crowdlearn_runtime::{ParallelSweep, PipelinedSystem, RuntimeConfig};
 
 fn main() {
     banner(
@@ -26,21 +26,17 @@ fn main() {
     // (immutable) fixture, so the parallel sweep reproduces the serial
     // loop's numbers exactly, in input order.
     let rows = ParallelSweep::auto().run(&fractions, |_, &q| {
-        let crowdlearn_f1 = if q == 0 {
-            let mut system = CrowdLearnSystem::new(
-                &fixture.dataset,
-                CrowdLearnConfig::paper()
-                    .with_queries_per_cycle(0)
-                    .with_budget_cents(0.0),
-            );
-            system.run(&fixture.dataset, &fixture.stream).macro_f1()
-        } else {
-            let mut system = CrowdLearnSystem::new(
-                &fixture.dataset,
-                CrowdLearnConfig::paper().with_queries_per_cycle(q),
-            );
-            system.run(&fixture.dataset, &fixture.stream).macro_f1()
-        };
+        // At q = 0 the scaled budget is 0 too: CrowdLearn degrades to its
+        // committee.
+        let mut system = PipelinedSystem::new(
+            &fixture.dataset,
+            CrowdLearnConfig::paper().with_queries_per_cycle(q),
+            RuntimeConfig::sequential(),
+        );
+        let crowdlearn_f1 = system
+            .run(&fixture.dataset, &fixture.stream)
+            .report
+            .macro_f1();
 
         let hybrid_config = HybridConfig {
             queries_per_cycle: q,

@@ -27,9 +27,10 @@
 #![warn(missing_docs)]
 
 use crowdlearn::baselines::{run_ai_only, HybridAl, HybridConfig, HybridPara};
-use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem, SchemeReport};
+use crowdlearn::{CrowdLearnConfig, SchemeReport};
 use crowdlearn_classifiers::{profiles, BoostedEnsemble, Classifier, SimulatedExpert};
 use crowdlearn_dataset::{Dataset, DatasetConfig, LabeledImage, SensingCycleStream};
+use crowdlearn_runtime::{PipelinedSystem, RuntimeConfig};
 
 /// The shared experiment fixture: the paper-shaped dataset and stream.
 pub struct Fixture {
@@ -89,8 +90,12 @@ impl Fixture {
         let seed = 0;
         let mut reports = Vec::with_capacity(7);
 
-        let mut system = CrowdLearnSystem::new(&self.dataset, CrowdLearnConfig::paper());
-        reports.push(system.run(&self.dataset, &self.stream));
+        let mut system = PipelinedSystem::new(
+            &self.dataset,
+            CrowdLearnConfig::paper(),
+            RuntimeConfig::sequential(),
+        );
+        reports.push(system.run(&self.dataset, &self.stream).report);
 
         let mut vgg = self.trained_expert(profiles::vgg16, seed);
         reports.push(run_ai_only(&mut vgg, &self.dataset, &self.stream));

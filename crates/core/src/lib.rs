@@ -20,23 +20,13 @@
 //!    the symmetric-KL loss (Eq. 5), committee retraining, and crowd
 //!    offloading (human labels replace AI labels on the query set).
 //!
-//! [`CrowdLearnSystem`] wires the modules together; [`baselines`] holds the
+//! [`CrowdLearnSystem`] wires the modules together and exposes each cycle
+//! as four reentrant stages (start, post, absorb, finalize); the
+//! `crowdlearn-runtime` crate's `PipelinedSystem` drives them over a
+//! stream (its crate docs show a full run). [`baselines`] holds the
 //! evaluation's competitors (AI-only runners, `Hybrid-Para`, `Hybrid-AL`);
 //! [`SchemeReport`] is the common measurement output every experiment
 //! consumes.
-//!
-//! # Example
-//!
-//! ```no_run
-//! use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem};
-//! use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
-//!
-//! let dataset = Dataset::generate(&DatasetConfig::paper());
-//! let stream = SensingCycleStream::paper(&dataset);
-//! let mut system = CrowdLearnSystem::new(&dataset, CrowdLearnConfig::paper());
-//! let report = system.run(&dataset, &stream);
-//! println!("accuracy = {:.3}", report.confusion.accuracy());
-//! ```
 
 //! Determinism: a simulation crate under `detlint` rules D1-D6 (DESIGN.md
 //! "Determinism invariants"), including D4 — library code must surface
@@ -53,7 +43,6 @@ mod ipd;
 mod qss;
 mod report;
 mod system;
-mod trace;
 
 pub use calibration::{normalized_symmetric_kl, Calibrator, CalibratorConfig, QueriedImage};
 pub use committee::Committee;
@@ -64,4 +53,3 @@ pub use report::{CycleOutcome, SchemeReport};
 pub use system::{
     CrowdLearnConfig, CrowdLearnSystem, CycleWork, IncentivePolicyKind, PostedQuery, StateError,
 };
-pub use trace::{CycleTrace, RunTrace};

@@ -3,7 +3,7 @@
 use crate::report::{CycleOutcome, ImageOutcome};
 use crate::{
     Calibrator, CalibratorConfig, Committee, IncentivePolicy, PayoffNormalizer, QualityController,
-    QueriedImage, QuerySetSelector, SchemeReport,
+    QueriedImage, QuerySetSelector,
 };
 use crowdlearn_bandit::{
     BanditConfig, CostedBandit, EpsilonGreedy, ExpWeights, FixedPolicy, PolicyState, RandomPolicy,
@@ -13,9 +13,7 @@ use crowdlearn_classifiers::{profiles, ClassDistribution, Classifier, SimulatedE
 use crowdlearn_crowd::{
     IncentiveLevel, PendingHit, Platform, PlatformConfig, PlatformStats, QueryResponse, SubmitterId,
 };
-use crowdlearn_dataset::{
-    DamageLabel, Dataset, LabeledImage, SensingCycle, SensingCycleStream, TemporalContext,
-};
+use crowdlearn_dataset::{Dataset, LabeledImage, SensingCycle, TemporalContext};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 use serde::{Deserialize, Serialize};
 
@@ -241,9 +239,9 @@ impl Decode for CrowdLearnConfig {
 
 /// A crowd query posted by [`CrowdLearnSystem::post_next_query`] (or
 /// reposted by [`CrowdLearnSystem::repost_query`]) whose answer has not yet
-/// been absorbed. The caller decides *when* the answer is observed: the
-/// blocking loop awaits it immediately, an event-driven runtime schedules it
-/// at `now + pending.completion_delay_secs()`.
+/// been absorbed. The caller decides *when* the answer is observed: an
+/// event-driven runtime schedules it at
+/// `now + pending.completion_delay_secs()`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PostedQuery {
     /// Index of the queried image within its sensing cycle.
@@ -664,8 +662,9 @@ impl CrowdLearnSystem {
     /// [`CrowdLearnSystem::finalize_cycle`]) drive to completion.
     ///
     /// The staged API exists so an event-driven runtime can interleave
-    /// several cycles' crowd waits; [`CrowdLearnSystem::run_cycle`] is the
-    /// blocking composition of the same four stages.
+    /// several cycles' crowd waits; `crowdlearn_runtime::PipelinedSystem`
+    /// drives these four stages, and at an in-flight window of one it runs
+    /// them back to back, each query waiting out its answer.
     pub fn start_cycle(&mut self, cycle: &SensingCycle, dataset: &Dataset) -> CycleWork {
         let images = cycle.images(dataset);
 
@@ -964,62 +963,6 @@ impl CrowdLearnSystem {
             spent_cents,
         }
     }
-
-    /// Runs one sensing cycle through the full QSS → IPD → crowd → CQC →
-    /// MIC loop and returns the cycle's outcome.
-    ///
-    /// This is the blocking composition of the reentrant stages: each query
-    /// waits out its full crowd delay before the next is posted.
-    pub fn run_cycle(&mut self, cycle: &SensingCycle, dataset: &Dataset) -> CycleOutcome {
-        let mut work = self.start_cycle(cycle, dataset);
-        while let Some(posted) = self.post_next_query(&mut work, cycle, dataset) {
-            let response = posted.pending.into_response();
-            let timely = self.answer_is_timely(&response);
-            self.absorb_answer(&mut work, posted.image_index, &response, timely);
-        }
-        self.finalize_cycle(work, cycle, dataset)
-    }
-
-    /// Runs the full stream and accumulates a [`SchemeReport`].
-    pub fn run(&mut self, dataset: &Dataset, stream: &SensingCycleStream) -> SchemeReport {
-        self.run_traced(dataset, stream).0
-    }
-
-    /// Runs the full stream, additionally recording the per-cycle trajectory
-    /// (accuracy over time, weight evolution, spend pacing) as a
-    /// [`crate::RunTrace`].
-    pub fn run_traced(
-        &mut self,
-        dataset: &Dataset,
-        stream: &SensingCycleStream,
-    ) -> (SchemeReport, crate::RunTrace) {
-        let mut report = SchemeReport::new("CrowdLearn");
-        let mut trace = crate::RunTrace::new();
-        for cycle in stream {
-            let outcome = self.run_cycle(cycle, dataset);
-            let correct = outcome
-                .images
-                .iter()
-                .filter(|img| img.predicted == img.truth)
-                .count();
-            trace.push(crate::CycleTrace {
-                cycle: outcome.cycle,
-                context: outcome.context,
-                accuracy: correct as f64 / outcome.images.len().max(1) as f64,
-                queries: outcome.images.iter().filter(|img| img.queried).count(),
-                crowd_delay_secs: outcome.crowd_delay_secs,
-                spent_cents: outcome.spent_cents,
-                committee_weights: self.committee.weights().to_vec(),
-            });
-            report.record_cycle(&outcome);
-        }
-        (report, trace)
-    }
-
-    /// Convenience accessor for truth labels of a cycle (test support).
-    pub fn truth_of(dataset: &Dataset, cycle: &SensingCycle) -> Vec<DamageLabel> {
-        cycle.images(dataset).iter().map(|i| i.truth()).collect()
-    }
 }
 
 impl std::fmt::Debug for CrowdLearnSystem {
@@ -1035,97 +978,7 @@ impl std::fmt::Debug for CrowdLearnSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdlearn_dataset::DatasetConfig;
-
-    fn paper_run(config: CrowdLearnConfig) -> SchemeReport {
-        let dataset = Dataset::generate(&DatasetConfig::paper());
-        let stream = SensingCycleStream::paper(&dataset);
-        let mut system = CrowdLearnSystem::new(&dataset, config);
-        system.run(&dataset, &stream)
-    }
-
-    #[test]
-    fn paper_run_hits_table2_band() {
-        let report = paper_run(CrowdLearnConfig::paper());
-        // Paper Table II: CrowdLearn accuracy 0.877, F1 0.894. The
-        // multi-seed mean of this reproduction is 0.842 (see
-        // `crowdlearn-bench --bin calibrate`); the band below admits the
-        // per-seed spread around it.
-        assert!(
-            (report.accuracy() - 0.877).abs() < 0.062,
-            "accuracy {} outside Table II band",
-            report.accuracy()
-        );
-        assert!(
-            report.macro_f1() > 0.82,
-            "macro F1 {} too low",
-            report.macro_f1()
-        );
-        assert_eq!(report.cycles, 40);
-        assert_eq!(report.queries_issued, 200);
-    }
-
-    #[test]
-    fn budget_is_never_exceeded() {
-        let config = CrowdLearnConfig::paper().with_budget_cents(300.0);
-        let dataset = Dataset::generate(&DatasetConfig::paper());
-        let stream = SensingCycleStream::paper(&dataset);
-        let mut system = CrowdLearnSystem::new(&dataset, config);
-        let report = system.run(&dataset, &stream);
-        assert!(
-            report.spent_cents as f64 <= 300.0 + 1e-9,
-            "spent {} cents of 300",
-            report.spent_cents
-        );
-    }
-
-    #[test]
-    fn zero_queries_degrades_to_pure_committee() {
-        let report = paper_run(CrowdLearnConfig::paper().with_queries_per_cycle(0));
-        assert_eq!(report.queries_issued, 0);
-        assert_eq!(report.spent_cents, 0);
-        // Figure 9: at 0% query set CrowdLearn degrades to Ensemble-level
-        // accuracy (~0.815).
-        assert!(
-            (report.accuracy() - 0.815).abs() < 0.06,
-            "0-query accuracy {} should be ensemble-like",
-            report.accuracy()
-        );
-    }
-
-    #[test]
-    fn more_queries_help() {
-        let low = paper_run(CrowdLearnConfig::paper().with_queries_per_cycle(1));
-        let high = paper_run(CrowdLearnConfig::paper().with_queries_per_cycle(8));
-        assert!(
-            high.accuracy() > low.accuracy(),
-            "8 queries ({}) must beat 1 query ({})",
-            high.accuracy(),
-            low.accuracy()
-        );
-    }
-
-    #[test]
-    fn hedge_weights_favor_the_strongest_expert() {
-        let dataset = Dataset::generate(&DatasetConfig::paper());
-        let stream = SensingCycleStream::paper(&dataset);
-        let mut system = CrowdLearnSystem::new(&dataset, CrowdLearnConfig::paper());
-        system.run(&dataset, &stream);
-        let weights = system.committee_weights();
-        // Member order: VGG16, BoVW, DDM; DDM is the most accurate expert.
-        assert!(
-            weights[2] > weights[1],
-            "DDM must out-weigh BoVW after a full run: {weights:?}"
-        );
-    }
-
-    #[test]
-    fn runs_are_deterministic() {
-        let a = paper_run(CrowdLearnConfig::paper());
-        let b = paper_run(CrowdLearnConfig::paper());
-        assert_eq!(a.confusion, b.confusion);
-        assert_eq!(a.spent_cents, b.spent_cents);
-    }
+    use crowdlearn_dataset::{DatasetConfig, SensingCycleStream};
 
     #[test]
     fn start_cycle_caches_bit_exact_scalar_votes() {
@@ -1147,85 +1000,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn impossible_deadline_disables_offloading_but_not_learning() {
-        let strict = paper_run(CrowdLearnConfig::paper().with_offload_deadline_secs(Some(1.0)));
-        let relaxed = paper_run(CrowdLearnConfig::paper());
-        // With a 1-second deadline no crowd answer is actionable, so the
-        // output degrades toward committee-only accuracy...
-        assert!(strict.accuracy() < relaxed.accuracy());
-        // ...but queries are still issued, paid for, and learned from.
-        assert_eq!(strict.queries_issued, 200);
-        assert!(strict.spent_cents > 0);
-    }
-
-    #[test]
-    fn generous_deadline_changes_nothing() {
-        let generous = paper_run(CrowdLearnConfig::paper().with_offload_deadline_secs(Some(1e9)));
-        let unlimited = paper_run(CrowdLearnConfig::paper());
-        assert_eq!(generous.confusion, unlimited.confusion);
-    }
-
-    #[test]
-    fn traced_runs_expose_the_cycle_trajectory() {
-        let dataset = Dataset::generate(&DatasetConfig::paper());
-        let stream = SensingCycleStream::paper(&dataset);
-        let mut system = CrowdLearnSystem::new(&dataset, CrowdLearnConfig::paper());
-        let (report, trace) = system.run_traced(&dataset, &stream);
-        assert_eq!(trace.cycles().len(), 40);
-        // The trace's mean accuracy equals the report's overall accuracy
-        // (all cycles are the same size).
-        let mean: f64 = trace.cycles().iter().map(|c| c.accuracy).sum::<f64>() / 40.0;
-        assert!((mean - report.accuracy()).abs() < 1e-9);
-        // Spend pacing reconciles with the report.
-        assert_eq!(
-            *trace
-                .cumulative_spend_cents()
-                .last()
-                .expect("trace covers at least one cycle"),
-            report.spent_cents
-        );
-        assert_eq!(trace.windowed_accuracy(5).len(), 40);
-    }
-
-    #[test]
-    fn tiny_budget_still_produces_labels_for_every_image() {
-        let report = paper_run(CrowdLearnConfig::paper().with_budget_cents(20.0));
-        assert_eq!(report.confusion.total(), 400);
-        assert!(report.spent_cents <= 20);
-    }
-
-    #[test]
-    fn state_codec_resumes_mid_run_identically() {
-        let dataset = Dataset::generate(&DatasetConfig::paper());
-        let stream = SensingCycleStream::paper(&dataset);
-        let mut config = CrowdLearnConfig::paper();
-        config.cqc_training_queries = 200;
-        config.warmup_per_cell = 2;
-        let mut system = CrowdLearnSystem::new(&dataset, config);
-        let cycles: Vec<_> = stream.into_iter().collect();
-        for cycle in &cycles[..8] {
-            system.run_cycle(cycle, &dataset);
-        }
-
-        let mut bytes = Vec::new();
-        system.encode_state(&mut bytes).expect("checkpointable");
-        let mut resumed =
-            CrowdLearnSystem::decode_state(&mut Reader::new(&bytes)).expect("state round trip");
-
-        for cycle in &cycles[8..16] {
-            let a = system.run_cycle(cycle, &dataset);
-            let b = resumed.run_cycle(cycle, &dataset);
-            assert_eq!(a, b, "cycle {} diverged after resume", cycle.index);
-        }
-        assert_eq!(
-            system.remaining_budget_cents(),
-            resumed.remaining_budget_cents()
-        );
-        assert_eq!(system.delay_observations(), resumed.delay_observations());
-        assert_eq!(system.committee_weights(), resumed.committee_weights());
     }
 
     #[test]

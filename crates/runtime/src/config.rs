@@ -15,9 +15,10 @@ use serde::binary::{Decode, DecodeError, Encode, Reader};
 /// "Adaptive window control").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WindowPolicy {
-    /// A fixed window of `n` cycles. `Static(1)` reproduces the fully
-    /// sequential (blocking) system; this is byte-identical to the
-    /// pre-controller runtime at every window size.
+    /// A fixed window of `n` cycles. `Static(1)` runs cycles strictly one
+    /// at a time, every crowd answer waited out (the paper's blocking
+    /// loop); this is byte-identical to the pre-controller runtime at
+    /// every window size.
     Static(usize),
     /// Widen/narrow the *effective* window one step at a time within
     /// `[min, max]`, driven by the attached metrics tap (one is attached
@@ -212,8 +213,11 @@ impl RuntimeConfig {
         }
     }
 
-    /// A window-1 configuration: cycles never overlap, reproducing the
-    /// blocking system's module-call order exactly (the golden-test mode).
+    /// The paper's blocking loop: a window of one, so cycles never overlap
+    /// and each query waits out its answer before the next one posts. This
+    /// is how every experiment that does not study pipelining runs a
+    /// stream; `tests/golden.rs` pins it against a plain stage-by-stage
+    /// reference loop, outcome for outcome.
     pub fn sequential() -> Self {
         Self::paper().with_inflight_window(1)
     }

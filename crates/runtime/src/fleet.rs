@@ -35,7 +35,7 @@
 //! [`RuntimeSnapshot`] per shard plus the pool and ledger state; resume is
 //! byte-identical at any global event boundary.
 
-use crate::snapshot::fnv1a64;
+use crate::frame::{self, FrameError};
 use crate::{
     MetricsTap, MetricsTapConfig, PipelinedSystem, RunBound, RuntimeConfig, RuntimeReport,
     RuntimeSnapshot, SnapshotError,
@@ -755,6 +755,29 @@ impl FleetOrchestrator {
         if frames.len() != ledger.shards() || frames.is_empty() {
             return Err(FleetSnapshotError::Corrupt(DecodeError::Invalid));
         }
+        // The pool and ledger must be the ones `new` boots from this
+        // config, or the fleet would report settings it does not run on.
+        let n = frames.len();
+        let ledger_booted = match &config.arbitration {
+            ArbitrationPolicy::Priority(weights) if weights.len() != n => false,
+            arbitration => {
+                let booted = FleetLedger::new(config.fleet_budget_cents, arbitration, n);
+                let bits = |l: &FleetLedger| -> Vec<u64> {
+                    std::iter::once(l.fleet_budget_cents)
+                        .chain(l.quotas_cents.iter().copied())
+                        .map(f64::to_bits)
+                        .collect()
+                };
+                bits(&booted) == bits(&ledger)
+            }
+        };
+        if !ledger_booted
+            || pool.capacity != config.pool_capacity
+            || pool.alpha.to_bits() != config.contention_alpha.to_bits()
+            || pool.busy.iter().any(|b| b.shard >= n)
+        {
+            return Err(FleetSnapshotError::Corrupt(DecodeError::Invalid));
+        }
         if streams.len() != frames.len() {
             return Err(FleetSnapshotError::ShardCountMismatch {
                 expected: frames.len(),
@@ -907,9 +930,9 @@ impl std::error::Error for FleetSnapshotError {
     }
 }
 
-/// A sealed fleet snapshot: framing mirrors [`RuntimeSnapshot`] (own magic,
-/// version, payload length, FNV-1a-64 checksum) so a later process can
-/// validate the bytes before trusting them.
+/// A sealed fleet snapshot: the [`RuntimeSnapshot`] frame (payload length,
+/// FNV-1a-64 checksum) under its own magic and version, so a later process
+/// can validate the bytes before trusting them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetSnapshot {
     payload: Vec<u8>,
@@ -926,66 +949,34 @@ impl FleetSnapshot {
 
     /// The snapshot's serialized size in bytes, framing included.
     pub fn serialized_len(&self) -> usize {
-        FLEET_MAGIC.len() + 4 + 8 + 8 + self.payload.len()
+        frame::HEADER_LEN + self.payload.len()
     }
 
     /// Serializes the snapshot with its magic/version/length/checksum
     /// frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.serialized_len());
-        out.extend_from_slice(&FLEET_MAGIC);
-        out.extend_from_slice(&FLEET_SNAPSHOT_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&self.payload).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out
+        frame::seal(&FLEET_MAGIC, FLEET_SNAPSHOT_FORMAT_VERSION, &self.payload)
     }
 
     /// Validates the frame (magic, version, length, checksum) and returns
     /// the snapshot; payload *contents* are validated by
     /// [`FleetOrchestrator::resume`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FleetSnapshotError> {
-        let header = FLEET_MAGIC.len() + 4 + 8 + 8;
-        if bytes.len() < FLEET_MAGIC.len() || bytes[..FLEET_MAGIC.len()] != FLEET_MAGIC {
-            return Err(FleetSnapshotError::BadMagic);
-        }
-        if bytes.len() < header {
-            return Err(FleetSnapshotError::Corrupt(DecodeError::Truncated));
-        }
-        let version = u32::from_le_bytes(
-            bytes[8..12]
-                .try_into()
-                .expect("invariant: slice is 4 bytes"),
-        );
-        if version != FLEET_SNAPSHOT_FORMAT_VERSION {
-            return Err(FleetSnapshotError::VersionMismatch { found: version });
-        }
-        let len = u64::from_le_bytes(
-            bytes[12..20]
-                .try_into()
-                .expect("invariant: slice is 8 bytes"),
-        );
-        let checksum = u64::from_le_bytes(
-            bytes[20..28]
-                .try_into()
-                .expect("invariant: slice is 8 bytes"),
-        );
-        let payload = &bytes[header..];
-        if payload.len() as u64 != len {
-            return Err(FleetSnapshotError::Corrupt(
-                if (payload.len() as u64) < len {
-                    DecodeError::Truncated
-                } else {
-                    DecodeError::Invalid
-                },
-            ));
-        }
-        if fnv1a64(payload) != checksum {
-            return Err(FleetSnapshotError::ChecksumMismatch);
-        }
+        let payload = frame::open(&FLEET_MAGIC, FLEET_SNAPSHOT_FORMAT_VERSION, bytes)?;
         Ok(Self {
             payload: payload.to_vec(),
         })
+    }
+}
+
+impl From<FrameError> for FleetSnapshotError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::BadMagic => FleetSnapshotError::BadMagic,
+            FrameError::VersionMismatch { found } => FleetSnapshotError::VersionMismatch { found },
+            FrameError::ChecksumMismatch => FleetSnapshotError::ChecksumMismatch,
+            FrameError::Corrupt(e) => FleetSnapshotError::Corrupt(e),
+        }
     }
 }
 
@@ -1281,6 +1272,73 @@ mod tests {
             FleetSnapshot::from_bytes(&bytes[..bytes.len() - 3]),
             Err(FleetSnapshotError::Corrupt(DecodeError::Truncated))
         );
+    }
+
+    /// An edit to the pool and ledger inside a fleet snapshot payload.
+    type Splice = fn(&mut SharedWorkerPool, &mut FleetLedger);
+
+    /// Resumes a 1-shard fleet (capacity 80, α 1.0, 1000 ¢) paused after
+    /// 5 events, after `edit` rewrote the pool and ledger in its payload.
+    fn resume_respliced(edit: Splice) -> Result<FleetOrchestrator, FleetSnapshotError> {
+        use crate::{RunBound, RuntimeConfig};
+        use crowdlearn_dataset::DatasetConfig;
+        let dataset = Dataset::generate(&DatasetConfig::paper().with_seed(7));
+        let streams = [SensingCycleStream::new(&dataset, 6, 4)];
+        let mut config = CrowdLearnConfig::paper();
+        config.cqc_training_queries = 200;
+        config.warmup_per_cell = 2;
+        let datasets = [dataset];
+        let mut fleet = FleetOrchestrator::new(
+            vec![ShardSpec::new(config, RuntimeConfig::paper())],
+            FleetConfig::new(1000.0),
+            &datasets,
+        );
+        assert!(fleet
+            .run_until(&datasets, &streams, RunBound::Events(5))
+            .is_none());
+        let snapshot = fleet.snapshot().expect("checkpointable");
+        let mut r = Reader::new(snapshot.payload());
+        let config = FleetConfig::decode(&mut r).expect("config");
+        let mut ledger = FleetLedger::decode(&mut r).expect("ledger");
+        let mut pool = SharedWorkerPool::decode(&mut r).expect("pool");
+        let frames = Vec::<Vec<u8>>::decode(&mut r).expect("frames");
+        edit(&mut pool, &mut ledger);
+        let mut payload = Vec::new();
+        config.encode(&mut payload);
+        ledger.encode(&mut payload);
+        pool.encode(&mut payload);
+        frames.encode(&mut payload);
+        FleetOrchestrator::resume(&FleetSnapshot::seal(payload), &streams)
+    }
+
+    #[test]
+    fn resume_rejects_pool_and_ledger_state_its_config_never_booted() {
+        let resumed = resume_respliced(|_, _| {}).expect("untouched payload resumes");
+        assert_eq!(resumed.fleet_config(), &FleetConfig::new(1000.0));
+        let cases: [(&str, Splice); 6] = [
+            ("pool and ledger of another fleet", |pool, ledger| {
+                *pool = SharedWorkerPool::new(1, 9.0);
+                *ledger = FleetLedger::new(5.0, &ArbitrationPolicy::FairShare, 1);
+            }),
+            ("pool capacity", |pool, _| pool.capacity = 79),
+            ("pool alpha, last bit", |pool, _| {
+                pool.alpha = f64::from_bits(pool.alpha.to_bits() + 1);
+            }),
+            ("ledger budget", |_, ledger| {
+                ledger.fleet_budget_cents = 999.0
+            }),
+            ("ledger quota", |_, ledger| ledger.quotas_cents[0] = 5.0),
+            ("busy interval of a shard the fleet lacks", |pool, _| {
+                pool.occupy(1, 3, 1e6);
+            }),
+        ];
+        for (what, edit) in cases {
+            assert_eq!(
+                resume_respliced(edit).err(),
+                Some(FleetSnapshotError::Corrupt(DecodeError::Invalid)),
+                "{what}"
+            );
+        }
     }
 
     #[test]

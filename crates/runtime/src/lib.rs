@@ -2,13 +2,30 @@
 //!
 //! An event-driven, virtual-time runtime for the CrowdLearn closed loop.
 //!
-//! The blocking [`CrowdLearnSystem`](crowdlearn::CrowdLearnSystem) waits
-//! out every crowd answer before touching the next query, so a sensing
-//! cycle's wall time is dominated by serial crowd latency. In the paper's
-//! deployment those waits overlap: cycle `k`'s HITs are still out on the
-//! platform while cycle `k+1`'s imagery arrives and runs AI inference.
-//! This crate reproduces that overlap *deterministically* as a
-//! discrete-event simulation:
+//! The paper's closed loop waits out every crowd answer before touching
+//! the next query, so a sensing cycle's wall time is dominated by serial
+//! crowd latency. In the paper's deployment those waits overlap: cycle
+//! `k`'s HITs are still out on the platform while cycle `k+1`'s imagery
+//! arrives and runs AI inference. This crate runs the loop either way —
+//! blocking at an in-flight window of one, or overlapped — *deterministically*
+//! as a discrete-event simulation, and [`PipelinedSystem`] is the one way
+//! to run a stream:
+//!
+//! ```no_run
+//! use crowdlearn::CrowdLearnConfig;
+//! use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
+//! use crowdlearn_runtime::{PipelinedSystem, RuntimeConfig};
+//!
+//! let dataset = Dataset::generate(&DatasetConfig::paper());
+//! let stream = SensingCycleStream::paper(&dataset);
+//! let mut system =
+//!     PipelinedSystem::new(&dataset, CrowdLearnConfig::paper(), RuntimeConfig::sequential());
+//! let run = system.run(&dataset, &stream);
+//! println!("accuracy = {:.3}", run.report.confusion.accuracy());
+//! println!("weights  = {:?}", system.system().committee_weights());
+//! ```
+//!
+//! The pieces:
 //!
 //! - [`VirtualClock`] — monotone virtual seconds; wall time plays no role.
 //! - [`EventQueue`] — a binary-heap queue of typed [`Event`]s ordered by
@@ -58,15 +75,17 @@
 //!   metric stream ([`MetricsSink`] is the extension point for custom
 //!   consumers).
 //!
-//! ## Equivalence to the blocking system
+//! ## The blocking loop is a window of one
 //!
 //! With [`RuntimeConfig::sequential`] (an in-flight window of one, no HIT
-//! timeout), the event loop executes the *exact* module-call sequence of
-//! the blocking system and produces byte-identical per-image labels — the
-//! golden test in `tests/golden.rs` pins this. Wider windows change only
-//! *when* module calls interleave across cycles, never the per-call
-//! arithmetic, and cut the virtual-time makespan by overlapping crowd
-//! waits (`crowdlearn-bench --bin makespan` quantifies it).
+//! timeout) cycles never overlap and each query waits out its answer: the
+//! paper's blocking loop, which every experiment that does not study
+//! pipelining runs. `tests/golden.rs` pins it, outcome for outcome and
+//! committee weight for weight, against a private reference loop over the
+//! core crate's stage API. Wider windows change only *when* module calls
+//! interleave across cycles, never the per-call arithmetic, and cut the
+//! virtual-time makespan by overlapping crowd waits
+//! (`crowdlearn-bench --bin makespan` quantifies it).
 
 //! Determinism: a simulation crate under `detlint` rules D1-D6 (DESIGN.md
 //! "Determinism invariants"), including D4 — library code must surface
@@ -79,6 +98,7 @@ mod config;
 mod event;
 mod faults;
 mod fleet;
+mod frame;
 mod hit;
 mod metrics;
 mod pipeline;
@@ -96,9 +116,7 @@ pub use fleet::{
 };
 pub use hit::{HitBoard, HitId, InFlightHit};
 pub use metrics::{MetricKind, MetricRecord, MetricsSink, MetricsTap, MetricsTapConfig};
-pub use pipeline::{
-    blocking_makespan_secs, PipelinedSystem, RunBound, RuntimeReport, WindowDecision,
-};
+pub use pipeline::{PipelinedSystem, RunBound, RuntimeReport, WindowDecision};
 pub use queue::EventQueue;
 pub use snapshot::{RuntimeSnapshot, SnapshotError, SNAPSHOT_FORMAT_VERSION};
 pub use sweep::{ParallelSweep, SweepCheckpoints};

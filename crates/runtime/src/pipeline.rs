@@ -17,11 +17,11 @@ use std::collections::{BTreeMap, VecDeque};
 /// virtual-time makespan and the pipelining/repost telemetry.
 #[derive(Debug, Clone)]
 pub struct RuntimeReport {
-    /// The run's quality report (accuracy, F1, spend) — same shape the
-    /// blocking system produces.
+    /// The run's quality report (accuracy, F1, spend) — the same
+    /// [`SchemeReport`] every baseline produces.
     pub report: SchemeReport,
-    /// Per-cycle outcomes in cycle order, for label-level comparison
-    /// against the blocking system.
+    /// Per-cycle outcomes in cycle order: every per-image label and
+    /// distribution, the delays, and the cents spent.
     pub outcomes: Vec<CycleOutcome>,
     /// Virtual time at which the last cycle finalized.
     pub makespan_secs: f64,
@@ -89,25 +89,6 @@ impl Decode for WindowDecision {
     }
 }
 
-/// The virtual-time makespan of the *blocking* system on the same
-/// outcomes: each cycle starts at the later of its arrival and the previous
-/// cycle's completion, then serially waits out inference plus every crowd
-/// answer (the `run_cycle` loop's behaviour, timed).
-///
-/// The serial crowd wait is the *exact* sum of the cycle's per-query
-/// delays ([`CycleOutcome::query_delay_secs`]), not the mean-times-count
-/// reconstruction — `(Σdᵢ/n)·n` differs from `Σdᵢ` in the last float bits,
-/// which is enough to spoil byte-exact speedup comparisons.
-pub fn blocking_makespan_secs(outcomes: &[CycleOutcome], cycle_period_secs: f64) -> f64 {
-    let mut t = 0.0f64;
-    for (k, outcome) in outcomes.iter().enumerate() {
-        let arrival = k as f64 * cycle_period_secs;
-        let crowd_sum: f64 = outcome.query_delay_secs.iter().sum();
-        t = arrival.max(t) + outcome.algorithm_delay_secs + crowd_sum;
-    }
-    t
-}
-
 /// How far [`PipelinedSystem::run_until`] drives the event loop before
 /// yielding control back to the caller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,15 +101,15 @@ pub enum RunBound {
 
 /// The CrowdLearn closed loop driven by an event queue over virtual time.
 ///
-/// Within a cycle, queries chain exactly as the blocking system issues
-/// them — the next query posts only once the previous answer is absorbed,
-/// because IPD's choice for query *n+1* depends on the delay observed for
-/// query *n*. Pipelining comes from *cycles overlapping*: while cycle `k`'s
-/// crowd answers are pending, cycles `k+1..k+window-1` arrive, run
-/// inference, and post their own queries. With `WindowPolicy::Static(1)`
-/// the event loop degenerates to the blocking system's exact module-call
-/// order, which is what the golden test pins: identical per-image labels,
-/// cycle by cycle. Under [`WindowPolicy::Adaptive`] the effective window
+/// Within a cycle, queries chain: the next query posts only once the
+/// previous answer is absorbed, because IPD's choice for query *n+1*
+/// depends on the delay observed for query *n*. Pipelining comes from
+/// *cycles overlapping*: while cycle `k`'s crowd answers are pending,
+/// cycles `k+1..k+window-1` arrive, run inference, and post their own
+/// queries. With `WindowPolicy::Static(1)` ([`RuntimeConfig::sequential`])
+/// cycles run strictly one after another, every crowd answer waited out
+/// before the next query posts — the paper's blocking loop, and what the
+/// golden test pins against a plain stage-by-stage reference loop. Under [`WindowPolicy::Adaptive`] the effective window
 /// itself moves at `CycleClosed` boundaries, steered by the metrics tap
 /// (see [`RuntimeConfig`] and DESIGN.md "Adaptive window control").
 ///
@@ -147,8 +128,8 @@ pub struct PipelinedSystem {
 
 impl PipelinedSystem {
     /// Boots the underlying [`CrowdLearnSystem`] (committee training, CQC
-    /// fit, bandit warm-up — identical to the blocking constructor) under
-    /// `runtime` scheduling.
+    /// fit, bandit warm-up — [`CrowdLearnSystem::new`]) under `runtime`
+    /// scheduling.
     ///
     /// # Panics
     ///
@@ -436,7 +417,7 @@ impl PipelinedSystem {
                 o.expect("invariant: every admitted cycle is finalized before the queue drains")
             })
             .collect();
-        let mut report = SchemeReport::new("CrowdLearn (pipelined)");
+        let mut report = SchemeReport::new("CrowdLearn");
         for outcome in &outcomes {
             report.record_cycle(outcome);
         }

@@ -6,15 +6,9 @@
 //! replays the remaining events exactly as the original run would have, so
 //! the final [`crate::RuntimeReport`] is byte-identical.
 //!
-//! The wire format frames the payload against corruption and format drift:
-//!
-//! ```text
-//! magic  b"CLSNAP\x00\x01"          8 bytes
-//! format version                     u32 LE
-//! payload length                     u64 LE
-//! FNV-1a-64 checksum of the payload  u64 LE
-//! payload                            length bytes
-//! ```
+//! The wire format frames the payload against corruption and format drift
+//! (magic `b"CLSNAP\x00\x01"`, format version, payload length, FNV-1a-64
+//! checksum — the frame shared with [`crate::FleetSnapshot`]).
 //!
 //! The payload itself is the vendored binary codec's output:
 //! `RuntimeConfig`, then the core system state
@@ -24,6 +18,7 @@
 //! resumed run replays the identical metric stream). Floats travel as
 //! IEEE-754 bits, so round trips are bit-exact by construction.
 
+use crate::frame::{self, FrameError};
 use crowdlearn::StateError;
 use serde::binary::DecodeError;
 
@@ -117,76 +112,34 @@ impl RuntimeSnapshot {
 
     /// The snapshot's serialized size in bytes, framing included.
     pub fn serialized_len(&self) -> usize {
-        MAGIC.len() + 4 + 8 + 8 + self.payload.len()
+        frame::HEADER_LEN + self.payload.len()
     }
 
     /// Serializes the snapshot with its magic/version/length/checksum frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.serialized_len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&self.payload).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out
+        frame::seal(&MAGIC, SNAPSHOT_FORMAT_VERSION, &self.payload)
     }
 
     /// Validates the frame (magic, version, length, checksum) and returns
     /// the snapshot. The payload's *contents* are validated later, when
     /// [`crate::PipelinedSystem::resume`] decodes them.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let header = MAGIC.len() + 4 + 8 + 8;
-        if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        if bytes.len() < header {
-            return Err(SnapshotError::Corrupt(DecodeError::Truncated));
-        }
-        let version = u32::from_le_bytes(
-            bytes[8..12]
-                .try_into()
-                .expect("invariant: slice is 4 bytes"),
-        );
-        if version != SNAPSHOT_FORMAT_VERSION {
-            return Err(SnapshotError::VersionMismatch { found: version });
-        }
-        let len = u64::from_le_bytes(
-            bytes[12..20]
-                .try_into()
-                .expect("invariant: slice is 8 bytes"),
-        );
-        let checksum = u64::from_le_bytes(
-            bytes[20..28]
-                .try_into()
-                .expect("invariant: slice is 8 bytes"),
-        );
-        let payload = &bytes[header..];
-        if payload.len() as u64 != len {
-            return Err(SnapshotError::Corrupt(if (payload.len() as u64) < len {
-                DecodeError::Truncated
-            } else {
-                DecodeError::Invalid
-            }));
-        }
-        if fnv1a64(payload) != checksum {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
+        let payload = frame::open(&MAGIC, SNAPSHOT_FORMAT_VERSION, bytes)?;
         Ok(Self {
             payload: payload.to_vec(),
         })
     }
 }
 
-/// FNV-1a 64-bit over the payload — cheap, dependency-free, and plenty to
-/// catch torn writes and bit flips (this guards against accidents, not
-/// adversaries). Shared with the fleet snapshot frame (`crate::fleet`).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+impl From<FrameError> for SnapshotError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::BadMagic => SnapshotError::BadMagic,
+            FrameError::VersionMismatch { found } => SnapshotError::VersionMismatch { found },
+            FrameError::ChecksumMismatch => SnapshotError::ChecksumMismatch,
+            FrameError::Corrupt(e) => SnapshotError::Corrupt(e),
+        }
     }
-    hash
 }
 
 #[cfg(test)]

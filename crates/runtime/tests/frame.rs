@@ -1,0 +1,122 @@
+//! Wire pins for the snapshot frame: the exact bytes a fixed payload is
+//! framed into under the runtime and fleet magics, and the typed errors
+//! (with their `Display` texts) each frame defect decodes to. Both
+//! snapshot types share one frame codec; these pins hold it to the
+//! format already on disk.
+
+use crowdlearn_runtime::{FleetSnapshot, FleetSnapshotError, RuntimeSnapshot, SnapshotError};
+use serde::binary::DecodeError;
+
+const PAYLOAD: &[u8] = b"frame pin";
+/// FNV-1a-64 of `PAYLOAD`.
+const CHECKSUM: u64 = 0x581c_b88f_0c02_4f09;
+
+/// An in-place corruption of framed bytes.
+type Defect = fn(&mut Vec<u8>);
+
+fn framed(magic: &[u8; 8], version: u32) -> Vec<u8> {
+    [
+        magic.as_slice(),
+        &version.to_le_bytes(),
+        &(PAYLOAD.len() as u64).to_le_bytes(),
+        &CHECKSUM.to_le_bytes(),
+        PAYLOAD,
+    ]
+    .concat()
+}
+
+#[test]
+fn runtime_frame_bytes_are_pinned() {
+    let bytes = framed(b"CLSNAP\x00\x01", 5);
+    let snap = RuntimeSnapshot::from_bytes(&bytes).expect("pinned frame opens");
+    assert_eq!(snap.to_bytes(), bytes);
+    assert_eq!(snap.serialized_len(), bytes.len());
+}
+
+#[test]
+fn fleet_frame_bytes_are_pinned() {
+    let bytes = framed(b"CLFLEET\x00", 1);
+    let snap = FleetSnapshot::from_bytes(&bytes).expect("pinned frame opens");
+    assert_eq!(snap.to_bytes(), bytes);
+    assert_eq!(snap.serialized_len(), bytes.len());
+}
+
+#[test]
+fn frame_defects_decode_to_the_same_typed_errors() {
+    let runtime = framed(b"CLSNAP\x00\x01", 5);
+    let fleet = framed(b"CLFLEET\x00", 1);
+    let defects: [(&str, Defect); 5] = [
+        ("magic", |b| b[0] ^= 0xff),
+        ("version", |b| b[8] = 0xfe),
+        ("checksum", |b| *b.last_mut().expect("non-empty") ^= 1),
+        ("truncated", |b| b.truncate(b.len() - 3)),
+        ("trailing", |b| b.push(0)),
+    ];
+    let runtime_expected = [
+        (
+            SnapshotError::BadMagic,
+            "not a runtime snapshot (bad magic)",
+        ),
+        (
+            SnapshotError::VersionMismatch { found: 0xfe },
+            "snapshot format version 254 != supported 5",
+        ),
+        (
+            SnapshotError::ChecksumMismatch,
+            "snapshot payload checksum mismatch",
+        ),
+        (
+            SnapshotError::Corrupt(DecodeError::Truncated),
+            "snapshot payload corrupt: input truncated mid-value",
+        ),
+        (
+            SnapshotError::Corrupt(DecodeError::Invalid),
+            "snapshot payload corrupt: invalid tag or length",
+        ),
+    ];
+    let fleet_expected = [
+        (
+            FleetSnapshotError::BadMagic,
+            "not a fleet snapshot (bad magic)",
+        ),
+        (
+            FleetSnapshotError::VersionMismatch { found: 0xfe },
+            "fleet snapshot format version 254 != supported 1",
+        ),
+        (
+            FleetSnapshotError::ChecksumMismatch,
+            "fleet snapshot payload checksum mismatch",
+        ),
+        (
+            FleetSnapshotError::Corrupt(DecodeError::Truncated),
+            "fleet snapshot payload corrupt: input truncated mid-value",
+        ),
+        (
+            FleetSnapshotError::Corrupt(DecodeError::Invalid),
+            "fleet snapshot payload corrupt: invalid tag or length",
+        ),
+    ];
+    for (((defect, edit), (r_err, r_text)), (f_err, f_text)) in
+        defects.iter().zip(runtime_expected).zip(fleet_expected)
+    {
+        let mut r = runtime.clone();
+        edit(&mut r);
+        let err = RuntimeSnapshot::from_bytes(&r).expect_err(defect);
+        assert_eq!((err, err.to_string().as_str()), (r_err, r_text), "{defect}");
+        let mut f = fleet.clone();
+        edit(&mut f);
+        let err = FleetSnapshot::from_bytes(&f).expect_err(defect);
+        assert_eq!(err.to_string(), f_text, "{defect}");
+        assert_eq!(err, f_err, "{defect}");
+    }
+    // A header cut short of its fixed 28 bytes is truncation, not a bad
+    // length field.
+    assert_eq!(
+        RuntimeSnapshot::from_bytes(&runtime[..10]),
+        Err(SnapshotError::Corrupt(DecodeError::Truncated))
+    );
+    assert_eq!(
+        FleetSnapshot::from_bytes(&fleet[..10]),
+        Err(FleetSnapshotError::Corrupt(DecodeError::Truncated))
+    );
+}

@@ -14,21 +14,26 @@
 //! summarizes how many dispatch decisions the crowd fixed over the whole
 //! event.
 
-use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem};
+use crowdlearn::CrowdLearnConfig;
 use crowdlearn_dataset::DamageLabel;
+use crowdlearn_runtime::{PipelinedSystem, RuntimeConfig};
 use crowdlearn_suite::scenarios;
 
 fn main() {
     let (dataset, stream) = scenarios::paper();
-    let mut system = CrowdLearnSystem::new(&dataset, CrowdLearnConfig::paper());
+    let mut system = PipelinedSystem::new(
+        &dataset,
+        CrowdLearnConfig::paper(),
+        RuntimeConfig::sequential(),
+    );
+    let run = system.run(&dataset, &stream);
 
     let mut dispatched_correctly = 0usize;
     let mut dispatched_total = 0usize;
     let mut crowd_fixed = 0usize;
     let mut crowd_broke = 0usize;
 
-    for cycle in &stream {
-        let outcome = system.run_cycle(cycle, &dataset);
+    for (cycle, outcome) in stream.iter().zip(&run.outcomes) {
         let verbose = cycle.index < 3;
         if verbose {
             println!(
@@ -99,6 +104,6 @@ fn main() {
     );
     println!(
         "remaining crowd budget: {:.0} cents",
-        system.remaining_budget_cents()
+        system.system().remaining_budget_cents()
     );
 }

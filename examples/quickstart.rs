@@ -9,7 +9,8 @@
 //! IPD + CQC + MIC over the simulated crowdsourcing platform), stream the
 //! 40 sensing cycles, and print the headline numbers.
 
-use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem};
+use crowdlearn::CrowdLearnConfig;
+use crowdlearn_runtime::{PipelinedSystem, RuntimeConfig};
 use crowdlearn_suite::scenarios;
 
 fn main() {
@@ -26,9 +27,15 @@ fn main() {
 
     // 2. Boot CrowdLearn. This trains the committee on the training split,
     //    fits the CQC boosting model on training-split crowd responses, and
-    //    warms up the incentive bandit — then runs the closed loop.
-    let mut system = CrowdLearnSystem::new(&dataset, CrowdLearnConfig::paper());
-    let report = system.run(&dataset, &stream);
+    //    warms up the incentive bandit — then runs the closed loop one
+    //    cycle at a time, each crowd answer waited out (the sequential
+    //    runtime; wider windows overlap cycles, see `adaptive_window`).
+    let mut system = PipelinedSystem::new(
+        &dataset,
+        CrowdLearnConfig::paper(),
+        RuntimeConfig::sequential(),
+    );
+    let report = system.run(&dataset, &stream).report;
 
     println!();
     println!("=== CrowdLearn evaluation ===");
@@ -50,6 +57,7 @@ fn main() {
     println!(
         "expert weights:  {:?} (VGG16 / BoVW / DDM)",
         system
+            .system()
             .committee_weights()
             .iter()
             .map(|w| (w * 1000.0).round() / 1000.0)

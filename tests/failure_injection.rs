@@ -1,22 +1,27 @@
 //! Failure-injection integration tests: the system must degrade gracefully,
 //! never panic, under hostile or degenerate conditions.
 
-use crowdlearn::{CalibratorConfig, CrowdLearnConfig, CrowdLearnSystem};
+use crowdlearn::{CalibratorConfig, CrowdLearnConfig};
 use crowdlearn_classifiers::{profiles, Classifier};
 use crowdlearn_crowd::{IncentiveLevel, Platform, PlatformConfig, Worker, WorkerPool};
 use crowdlearn_dataset::{
     visual_layout, DamageLabel, Dataset, DatasetConfig, ImageAttribute, ImageId,
     SensingCycleStream, SyntheticImage, TemporalContext,
 };
+use crowdlearn_runtime::{PipelinedSystem, RuntimeConfig};
 use crowdlearn_truth::WorkerId;
+
+/// Boots the system under `config` for a sequential run.
+fn sequential(dataset: &Dataset, config: CrowdLearnConfig) -> PipelinedSystem {
+    PipelinedSystem::new(dataset, config, RuntimeConfig::sequential())
+}
 
 #[test]
 fn zero_budget_still_labels_everything() {
     let dataset = Dataset::generate(&DatasetConfig::paper());
     let stream = SensingCycleStream::paper(&dataset);
-    let mut system =
-        CrowdLearnSystem::new(&dataset, CrowdLearnConfig::paper().with_budget_cents(0.0));
-    let report = system.run(&dataset, &stream);
+    let mut system = sequential(&dataset, CrowdLearnConfig::paper().with_budget_cents(0.0));
+    let report = system.run(&dataset, &stream).report;
     assert_eq!(report.confusion.total(), 400);
     assert_eq!(report.spent_cents, 0);
     assert_eq!(report.queries_issued, 0);
@@ -28,15 +33,15 @@ fn zero_budget_still_labels_everything() {
 fn all_calibration_disabled_is_a_pure_committee() {
     let dataset = Dataset::generate(&DatasetConfig::paper());
     let stream = SensingCycleStream::paper(&dataset);
-    let mut system = CrowdLearnSystem::new(
+    let mut system = sequential(
         &dataset,
         CrowdLearnConfig::paper().with_calibration(CalibratorConfig::disabled()),
     );
-    let report = system.run(&dataset, &stream);
+    let report = system.run(&dataset, &stream).report;
     // Queries are still issued (and paid for) but nothing is used.
     assert!(report.spent_cents > 0);
     // Weights must remain uniform.
-    for &w in system.committee_weights() {
+    for &w in system.system().committee_weights() {
         assert!((w - 1.0 / 3.0).abs() < 1e-9);
     }
 }
@@ -144,7 +149,7 @@ fn tiny_stream_and_tiny_dataset_work() {
             .with_seed(5),
     );
     let stream = SensingCycleStream::new(&dataset, 4, 5);
-    let mut system = CrowdLearnSystem::new(
+    let mut system = sequential(
         &dataset,
         CrowdLearnConfig {
             horizon_queries: 8,
@@ -154,6 +159,6 @@ fn tiny_stream_and_tiny_dataset_work() {
             ..CrowdLearnConfig::paper()
         },
     );
-    let report = system.run(&dataset, &stream);
+    let report = system.run(&dataset, &stream).report;
     assert_eq!(report.confusion.total(), 20);
 }

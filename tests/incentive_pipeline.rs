@@ -2,11 +2,17 @@
 //! live platform, budget conservation across layers, and the Figure 8/11
 //! orderings at integration scope.
 
-use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem, IncentivePolicyKind};
+use crowdlearn::{CrowdLearnConfig, IncentivePolicyKind};
 use crowdlearn_bandit::{BanditConfig, CostedBandit, UcbAlp};
 use crowdlearn_crowd::{IncentiveLevel, Platform, PlatformConfig};
 use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream, TemporalContext};
 use crowdlearn_metrics::bootstrap_paired_diff_ci;
+use crowdlearn_runtime::{PipelinedSystem, RuntimeConfig};
+
+/// Boots the system under `config` for a sequential run.
+fn sequential(dataset: &Dataset, config: CrowdLearnConfig) -> PipelinedSystem {
+    PipelinedSystem::new(dataset, config, RuntimeConfig::sequential())
+}
 
 #[test]
 fn adaptive_policy_beats_fixed_with_statistical_confidence() {
@@ -14,9 +20,8 @@ fn adaptive_policy_beats_fixed_with_statistical_confidence() {
     let stream = SensingCycleStream::paper(&dataset);
 
     let run = |policy: IncentivePolicyKind| {
-        let mut system =
-            CrowdLearnSystem::new(&dataset, CrowdLearnConfig::paper().with_policy(policy));
-        let report = system.run(&dataset, &stream);
+        let mut system = sequential(&dataset, CrowdLearnConfig::paper().with_policy(policy));
+        let report = system.run(&dataset, &stream).report;
         report.crowd_delay.samples().to_vec()
     };
     let adaptive = run(IncentivePolicyKind::UcbAlp);
@@ -90,11 +95,12 @@ fn budget_flows_are_conserved_across_system_layers() {
     let dataset = Dataset::generate(&DatasetConfig::paper());
     let stream = SensingCycleStream::paper(&dataset);
     for budget in [150.0, 600.0, 1000.0] {
-        let mut system = CrowdLearnSystem::new(
+        let mut pipelined = sequential(
             &dataset,
             CrowdLearnConfig::paper().with_budget_cents(budget),
         );
-        let report = system.run(&dataset, &stream);
+        let report = pipelined.run(&dataset, &stream).report;
+        let system = pipelined.system();
         // The platform's eval-phase ledger, the report's tally, and the
         // bandit's remaining budget must reconcile exactly.
         assert_eq!(report.spent_cents, system.evaluation_spent_cents());
@@ -112,11 +118,11 @@ fn richer_budgets_never_slow_the_crowd_down() {
     let stream = SensingCycleStream::paper(&dataset);
     let mut last_delay = f64::INFINITY;
     for budget in [200.0, 1000.0, 4000.0] {
-        let mut system = CrowdLearnSystem::new(
+        let mut system = sequential(
             &dataset,
             CrowdLearnConfig::paper().with_budget_cents(budget),
         );
-        let report = system.run(&dataset, &stream);
+        let report = system.run(&dataset, &stream).report;
         let delay = report.mean_crowd_delay_secs().expect("queries issued");
         assert!(
             delay < last_delay * 1.08,

@@ -3,18 +3,15 @@
 //! MIC's learning paths — Hedge weight updates and committee retraining —
 //! while never overriding the AI label of its image.
 
-use crowdlearn::{CalibratorConfig, CrowdLearnConfig, CrowdLearnSystem, CycleOutcome};
+use crowdlearn::{CalibratorConfig, CrowdLearnConfig, CycleOutcome};
 use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
+use crowdlearn_runtime::{PipelinedSystem, RuntimeConfig};
 
 fn run_outcomes(dataset: &Dataset, config: CrowdLearnConfig) -> (Vec<CycleOutcome>, Vec<f64>) {
     let stream = SensingCycleStream::paper(dataset);
-    let mut system = CrowdLearnSystem::new(dataset, config);
-    let outcomes: Vec<CycleOutcome> = stream
-        .cycles()
-        .iter()
-        .map(|cycle| system.run_cycle(cycle, dataset))
-        .collect();
-    let weights = system.committee_weights().to_vec();
+    let mut system = PipelinedSystem::new(dataset, config, RuntimeConfig::sequential());
+    let outcomes = system.run(dataset, &stream).outcomes;
+    let weights = system.system().committee_weights().to_vec();
     (outcomes, weights)
 }
 
