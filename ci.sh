@@ -30,6 +30,21 @@ cargo build --release --offline
 echo "==> cargo test"
 cargo test -q --offline
 
+# The root package's tests above do not reach the member crates' own tests
+# (the runtime's window-1 golden pin, the GBDT golden digests, every crate's
+# check-vs-decoder agreement test, the experiments' reuse test).
+echo "==> cargo test (workspace crates, release)"
+cargo test --workspace --release --exclude crowdlearn-suite -q --offline
+
+# Every paper table and figure: the binary asserts each shape claim (exit
+# non-zero on a violation), and its deterministic output must match the
+# committed transcript byte for byte.
+echo "==> experiments (diff against crates/bench/experiments.txt)"
+experiments_out=$(mktemp)
+trap 'rm -f "${experiments_out}"' EXIT
+cargo run -q --release --offline -p crowdlearn-bench --bin experiments > "${experiments_out}"
+diff -u crates/bench/experiments.txt "${experiments_out}"
+
 # Example smokes: every example runs the public API end to end, and those
 # with claims (byte-identical resume, tap-vs-report agreement, ...) assert
 # them, exiting non-zero on a violation.

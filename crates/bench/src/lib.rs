@@ -1,22 +1,17 @@
-//! Shared harness for the experiment binaries that regenerate every table
-//! and figure of the paper's evaluation (Section V).
+//! Shared harness for the `experiments` binary, which regenerates every
+//! table and figure of the paper's evaluation (Section V), and for the five
+//! `BENCH_*.json` emitters (`makespan`, `fleet`, `inference`, `adaptive`,
+//! `faults`).
 //!
-//! Each binary prints the paper's reported values side by side with the
+//! `experiments` prints the paper's reported values side by side with the
 //! values measured on this reproduction. Absolute numbers are not expected
 //! to match (the substrate is a simulator, not the authors' MTurk testbed);
 //! the *shape* — who wins, by roughly what factor, where curves bend — is
-//! the reproduction target. `EXPERIMENTS.md` records the comparison.
-//!
-//! Run everything with:
+//! the reproduction target. `EXPERIMENTS.md` records the comparison and
+//! `crates/bench/experiments.txt` the exact output, which CI diffs against:
 //!
 //! ```text
-//! for b in table1_cqc_accuracy table2_classification table3_delay \
-//!          fig5_pilot_delay fig6_pilot_quality fig7_roc fig8_context_delay \
-//!          fig9_query_size fig10_budget_f1 fig11_budget_delay ablations \
-//!          ablation_drift ablation_churn ablation_policies calibrate; do
-//!     cargo run --release -p crowdlearn-bench --bin $b
-//! done
-//! cargo run --release -p crowdlearn-bench --bin all_experiments  # digest
+//! cargo run --release -p crowdlearn-bench --bin experiments
 //! ```
 
 //! Determinism: `detlint`-checked (DESIGN.md "Determinism invariants");
@@ -84,18 +79,20 @@ impl Fixture {
         e
     }
 
+    /// Runs CrowdLearn with `config` over the stream on the paper's
+    /// sequential runtime (one sensing cycle at a time).
+    pub fn run_crowdlearn(&self, config: CrowdLearnConfig) -> SchemeReport {
+        let mut system = PipelinedSystem::new(&self.dataset, config, RuntimeConfig::sequential());
+        system.run(&self.dataset, &self.stream).report
+    }
+
     /// Runs all seven Table II schemes with the canonical paper
     /// configurations and returns their reports in the table's row order.
     pub fn run_all_schemes(&self) -> Vec<SchemeReport> {
         let seed = 0;
         let mut reports = Vec::with_capacity(7);
 
-        let mut system = PipelinedSystem::new(
-            &self.dataset,
-            CrowdLearnConfig::paper(),
-            RuntimeConfig::sequential(),
-        );
-        reports.push(system.run(&self.dataset, &self.stream).report);
+        reports.push(self.run_crowdlearn(CrowdLearnConfig::paper()));
 
         let mut vgg = self.trained_expert(profiles::vgg16, seed);
         reports.push(run_ai_only(&mut vgg, &self.dataset, &self.stream));

@@ -1020,18 +1020,18 @@ pub fn collect_schema(root: &Path, cfg: &Config) -> io::Result<SchemaReport> {
     Ok(schema)
 }
 
+/// Whether `file` is a crate root of the package whose `src/` is `src_dir`:
+/// `lib.rs`, `main.rs`, a binary `bin/<name>.rs` or a multi-file binary's
+/// `bin/<name>/main.rs`.
 fn is_crate_root(src_dir: &Path, file: &Path) -> bool {
-    if file.parent() == Some(src_dir) {
-        matches!(
-            file.file_name().and_then(|n| n.to_str()),
-            Some("lib.rs") | Some("main.rs")
-        )
-    } else {
-        file.parent()
-            .and_then(|p| p.file_name())
-            .is_some_and(|n| n == "bin")
-            && file.parent().and_then(|p| p.parent()) == Some(src_dir)
-    }
+    let Ok(rel) = file.strip_prefix(src_dir) else {
+        return false;
+    };
+    let parts: Vec<&str> = rel.iter().filter_map(|c| c.to_str()).collect();
+    matches!(
+        parts.as_slice(),
+        ["lib.rs" | "main.rs"] | ["bin", _] | ["bin", _, "main.rs"]
+    )
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -1155,6 +1155,22 @@ mod tests {
 
     fn lint(src: &str, krate: &str, kind: FileKind) -> Vec<Finding> {
         lint_source(src, "x.rs", krate, kind, &sim_cfg()).0
+    }
+
+    #[test]
+    fn crate_roots_include_multi_file_binaries() {
+        let src = Path::new("c/src");
+        for (file, root) in [
+            ("c/src/lib.rs", true),
+            ("c/src/main.rs", true),
+            ("c/src/bin/a.rs", true),
+            ("c/src/bin/a/main.rs", true),
+            ("c/src/bin/a/tables.rs", false),
+            ("c/src/util.rs", false),
+            ("c/src/m/main.rs", false),
+        ] {
+            assert_eq!(is_crate_root(src, Path::new(file)), root, "{file}");
+        }
     }
 
     #[test]

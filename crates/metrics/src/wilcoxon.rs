@@ -2,9 +2,9 @@
 //!
 //! Section IV-B of the paper uses this test to show the label quality of
 //! adjacent incentive levels is not significantly different (p = 0.12, 0.45,
-//! 0.77, 0.25 between 2→4, 4→6, 6→8 and 8→10 cents). The pilot-study bench
-//! (`fig6_pilot_quality`) reruns exactly this analysis on the simulated
-//! platform.
+//! 0.77, 0.25 between 2→4, 4→6, 6→8 and 8→10 cents). The Figure 6 section
+//! of the `experiments` bench binary reruns exactly this analysis on the
+//! simulated platform.
 
 use serde::{Deserialize, Serialize};
 

@@ -151,9 +151,9 @@ fn full_runs_are_reproducible() {
 fn paper_run_hits_table2_band() {
     let report = paper_run(CrowdLearnConfig::paper());
     // Paper Table II: CrowdLearn accuracy 0.877, F1 0.894. The
-    // multi-seed mean of this reproduction is 0.842 (see
-    // `crowdlearn-bench --bin calibrate`); the band below admits the
-    // per-seed spread around it.
+    // four-seed mean of this reproduction is 0.871 (the calibration
+    // table of `crowdlearn-bench --bin experiments`); the band below
+    // admits the per-seed spread around it.
     assert!(
         (report.accuracy() - 0.877).abs() < 0.062,
         "accuracy {} outside Table II band",
