@@ -5,8 +5,10 @@
 //! The batch path's contract is *bit-identity* (DESIGN.md "Batched committee
 //! inference"), so the bench asserts equivalence before it times anything —
 //! a speedup that changes a single probability bit is a bug, not a win.
-//! Wall-clock numbers feed `BENCH_inference.json` so CI tracks the hot-loop
-//! throughput run over run; the hard gate is the paper-batch-size speedup.
+//! Each batch size is timed as scalar/batch pairs that alternate which side
+//! runs first, and the hard gate is the median per-pair speedup at the
+//! paper's batch size: load that drifts during the run slows both halves of
+//! a pair alike.
 
 #![forbid(unsafe_code)]
 
@@ -14,6 +16,7 @@ use crowdlearn::Committee;
 use crowdlearn_bench::{banner, Fixture};
 use crowdlearn_classifiers::{profiles, ClassDistribution, Classifier};
 use crowdlearn_dataset::SyntheticImage;
+use crowdlearn_metrics::SummaryStats;
 use std::time::Instant;
 
 /// The paper's sensing-cycle batch size (`SensingCycleStream::paper`: 10
@@ -27,6 +30,9 @@ const REQUIRED_SPEEDUP: f64 = 1.5;
 /// every measurement's duration comparable and long enough to be stable.
 const IMAGES_PER_MEASUREMENT: usize = 12_000;
 
+/// Alternating scalar/batch measurement pairs per batch size.
+const PAIRS: usize = 15;
+
 fn committee(fixture: &Fixture) -> Committee {
     let members: Vec<Box<dyn Classifier>> = [profiles::vgg16, profiles::bovw, profiles::ddm]
         .into_iter()
@@ -39,22 +45,16 @@ fn committee(fixture: &Fixture) -> Committee {
 // wall clock by design. clippy.toml mirrors D2 workspace-wide, so the
 // exemption is restated here.
 #[allow(clippy::disallowed_methods)]
-fn best_of<F: FnMut() -> f64>(mut run: F) -> f64 {
-    (0..3).map(|_| run()).fold(f64::INFINITY, f64::min)
-}
-
-#[allow(clippy::disallowed_methods)]
 fn timed<F: FnMut()>(mut body: F) -> f64 {
     let started = Instant::now();
     body();
     started.elapsed().as_secs_f64()
 }
 
-struct Measurement {
-    batch_size: usize,
-    scalar_ms: f64,
-    batch_ms: f64,
-    speedup: f64,
+/// First quartile, median and third quartile of `samples`.
+fn quartiles(samples: &SummaryStats) -> (f64, f64, f64) {
+    let q = |p| samples.quantile(p).expect("PAIRS > 0");
+    (q(0.25), q(0.5), q(0.75))
 }
 
 fn main() {
@@ -67,12 +67,13 @@ fn main() {
     let committee = committee(&fixture);
     let test = fixture.dataset.test();
 
+    println!("median of {PAIRS} alternating scalar/batch pairs per batch size");
     println!(
-        "{:<12} {:>6} {:>12} {:>12} {:>9}",
-        "batch size", "reps", "scalar(ms)", "batch(ms)", "speedup"
+        "{:<12} {:>6} {:>12} {:>12} {:>9} {:>17}",
+        "batch size", "reps", "scalar(ms)", "batch(ms)", "speedup", "speedup q1-q3"
     );
 
-    let mut measured: Vec<Measurement> = Vec::new();
+    let mut paper_speedup = None;
     for batch_size in [1usize, 5, PAPER_BATCH_SIZE, 25, 50, 100, 200, 400] {
         let batch: Vec<&SyntheticImage> = test[..batch_size].iter().collect();
 
@@ -96,7 +97,10 @@ fn main() {
         }
 
         let reps = (IMAGES_PER_MEASUREMENT / batch_size).max(1);
-        let scalar_secs = best_of(|| {
+        let mut scalar_ms = SummaryStats::new();
+        let mut batch_ms = SummaryStats::new();
+        let mut speedup = SummaryStats::new();
+        let time_scalar = || {
             timed(|| {
                 for _ in 0..reps {
                     for img in &batch {
@@ -104,67 +108,58 @@ fn main() {
                     }
                 }
             })
-        });
-        let batch_secs = best_of(|| {
+        };
+        let time_batch = || {
             timed(|| {
                 for _ in 0..reps {
                     std::hint::black_box(committee.votes_batch(&batch));
                 }
             })
-        });
-        let speedup = scalar_secs / batch_secs;
+        };
+        for pair in 0..PAIRS {
+            // Alternate which side runs first, so neither always inherits
+            // the state the other leaves behind.
+            let (scalar_secs, batch_secs) = if pair % 2 == 0 {
+                let scalar_secs = time_scalar();
+                (scalar_secs, time_batch())
+            } else {
+                let batch_secs = time_batch();
+                (time_scalar(), batch_secs)
+            };
+            scalar_ms.push(scalar_secs * 1e3);
+            batch_ms.push(batch_secs * 1e3);
+            speedup.push(scalar_secs / batch_secs);
+        }
+        let (q1, median, q3) = quartiles(&speedup);
         println!(
-            "{:<12} {:>6} {:>12.3} {:>12.3} {:>8.2}x",
+            "{:<12} {:>6} {:>12.3} {:>12.3} {:>8.2}x {:>8.2}x-{:.2}x",
             batch_size,
             reps,
-            scalar_secs * 1e3,
-            batch_secs * 1e3,
-            speedup
+            quartiles(&scalar_ms).1,
+            quartiles(&batch_ms).1,
+            median,
+            q1,
+            q3,
         );
-        measured.push(Measurement {
-            batch_size,
-            scalar_ms: scalar_secs * 1e3,
-            batch_ms: batch_secs * 1e3,
-            speedup,
-        });
+        if batch_size == PAPER_BATCH_SIZE {
+            paper_speedup = Some(speedup);
+        }
     }
-
-    // Machine-readable summary for CI trend tracking.
-    let paper = measured
-        .iter()
-        .find(|m| m.batch_size == PAPER_BATCH_SIZE)
-        .expect("paper batch size is in the sweep");
-    let mut json = String::from("{\n  \"bench\": \"inference\",\n");
-    json.push_str(&format!(
-        "  \"paper_batch_size\": {PAPER_BATCH_SIZE},\n  \"paper_speedup\": {:.4},\n  \"sizes\": [\n",
-        paper.speedup
-    ));
-    for (i, m) in measured.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"batch_size\": {}, \"scalar_ms\": {:.4}, \"batch_ms\": {:.4}, \
-             \"speedup\": {:.4}}}{}\n",
-            m.batch_size,
-            m.scalar_ms,
-            m.batch_ms,
-            m.speedup,
-            if i + 1 < measured.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_inference.json", &json).expect("write BENCH_inference.json");
-    println!("\nwrote BENCH_inference.json");
 
     // Acceptance: the batch path must clearly beat the per-image loop at
-    // the paper's batch size (ISSUE 8: >= 1.5x at 10 images per cycle).
+    // the paper's batch size (>= 1.5x at 10 images per cycle).
+    let paper = paper_speedup.expect("paper batch size is in the sweep");
+    let (q1, median, q3) = quartiles(&paper);
     assert!(
-        paper.speedup >= REQUIRED_SPEEDUP,
-        "batch path speedup {:.2}x at batch size {PAPER_BATCH_SIZE} is below the \
-         required {REQUIRED_SPEEDUP}x",
-        paper.speedup
+        median >= REQUIRED_SPEEDUP,
+        "batch path median speedup {median:.2}x (quartiles {q1:.2}x-{q3:.2}x, {} pairs) at \
+         batch size {PAPER_BATCH_SIZE} is below the required {REQUIRED_SPEEDUP}x",
+        paper.len()
     );
     println!(
-        "Shape check: {:.2}x at the paper's batch size ({PAPER_BATCH_SIZE}) — \
-         evidence gathered once per committee, noise chains share hoisted prefixes",
-        paper.speedup
+        "\nShape check: median {median:.2}x (quartiles {q1:.2}x-{q3:.2}x, {} pairs) at the \
+         paper's batch size ({PAPER_BATCH_SIZE}) — evidence gathered once per committee, \
+         noise chains share hoisted prefixes",
+        paper.len()
     );
 }

@@ -1,7 +1,7 @@
 //! Shared harness for the `experiments` binary, which regenerates every
-//! table and figure of the paper's evaluation (Section V), and for the five
-//! `BENCH_*.json` emitters (`makespan`, `fleet`, `inference`, `adaptive`,
-//! `faults`).
+//! table and figure of the paper's evaluation (Section V) plus the event
+//! runtime's sections (pipelining, fleet contention, adaptive window,
+//! outage degradation), and for the `inference` wall-clock gate.
 //!
 //! `experiments` prints the paper's reported values side by side with the
 //! values measured on this reproduction. Absolute numbers are not expected

@@ -50,8 +50,7 @@
 //!   boundary into a versioned, checksummed [`RuntimeSnapshot`] that
 //!   [`PipelinedSystem::resume`] restores to a byte-identical continuation.
 //! - [`ParallelSweep`] — scoped-thread executor running one independently
-//!   seeded experiment per sweep point, returning results in input order,
-//!   with [`SweepCheckpoints`] for periodic per-point snapshots.
+//!   seeded experiment per sweep point, returning results in input order.
 //! - [`FleetOrchestrator`] — N concurrent shards (one [`PipelinedSystem`]
 //!   per disaster stream) multiplexed into a single deterministic global
 //!   event order over a shared worker pool (cross-stream contention defers
@@ -85,7 +84,7 @@
 //! core crate's stage API. Wider windows change only *when* module calls
 //! interleave across cycles, never the per-call arithmetic, and cut the
 //! virtual-time makespan by overlapping crowd waits
-//! (`crowdlearn-bench --bin makespan` quantifies it).
+//! (the `experiments` binary's pipelined-runtime section quantifies it).
 
 //! Determinism: a simulation crate under `detlint` rules D1-D6 (DESIGN.md
 //! "Determinism invariants"), including D4 — library code must surface
@@ -119,4 +118,4 @@ pub use metrics::{MetricKind, MetricRecord, MetricsSink, MetricsTap, MetricsTapC
 pub use pipeline::{PipelinedSystem, RunBound, RuntimeReport, WindowDecision};
 pub use queue::EventQueue;
 pub use snapshot::{RuntimeSnapshot, SnapshotError, SNAPSHOT_FORMAT_VERSION};
-pub use sweep::{ParallelSweep, SweepCheckpoints};
+pub use sweep::ParallelSweep;

@@ -370,36 +370,6 @@ impl PipelinedSystem {
             .expect("invariant: an unbounded run drains the event queue")
     }
 
-    /// Runs the whole stream like [`PipelinedSystem::run`], but hands a
-    /// fresh [`RuntimeSnapshot`] to `store` every `interval_events` events —
-    /// cheap insurance for long runs (and long [`crate::ParallelSweep`]
-    /// points, via [`crate::SweepCheckpoints`]): if the process dies, the
-    /// run resumes from the latest stored checkpoint and, snapshots being
-    /// byte-identical continuations, finishes with exactly the report the
-    /// uninterrupted run would have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_events` is zero.
-    pub fn run_auto_snapshotted<F>(
-        &mut self,
-        dataset: &Dataset,
-        stream: &SensingCycleStream,
-        interval_events: u64,
-        mut store: F,
-    ) -> Result<RuntimeReport, SnapshotError>
-    where
-        F: FnMut(RuntimeSnapshot),
-    {
-        assert!(interval_events > 0, "snapshot interval must be positive");
-        loop {
-            match self.run_until(dataset, stream, RunBound::Events(interval_events)) {
-                Some(report) => return Ok(report),
-                None => store(self.snapshot()?),
-            }
-        }
-    }
-
     /// Closes out a drained execution into its report. Crate-visible so the
     /// fleet orchestrator can finalize its shards.
     pub(crate) fn finish(&mut self) -> RuntimeReport {
@@ -679,7 +649,7 @@ impl Driver<'_> {
     /// Feeds the attached tap one record: the transition plus the
     /// instantaneous gauges sampled *after* it took effect. A single
     /// branch-on-`None` when no tap is attached, so the untapped loop pays
-    /// nothing measurable (the makespan bench pins this).
+    /// nothing measurable (perfbench's `metrics.tap_overhead_s` measures it).
     fn emit(&mut self, kind: MetricKind) {
         let Some(tap) = self.tap.as_deref_mut() else {
             return;

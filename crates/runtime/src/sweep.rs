@@ -1,6 +1,5 @@
 //! Parallel experiment sweeps.
 
-use crate::RuntimeSnapshot;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -76,64 +75,6 @@ impl ParallelSweep {
                     .expect("invariant: the cursor hands every sweep point to exactly one worker")
             })
             .collect()
-    }
-}
-
-/// Shared store of the latest [`RuntimeSnapshot`] per sweep point.
-///
-/// Long sweep points lose all progress if a worker thread is killed
-/// mid-run. Workers that periodically execute
-/// [`crate::PipelinedSystem::run_auto_snapshotted`] can park each
-/// checkpoint here (the store is `Sync`, so the [`ParallelSweep`] closure
-/// can write into it from any worker), and a relaunched sweep resumes each
-/// point from its latest checkpoint instead of from scratch — snapshots
-/// restore byte-identical continuations, so the resumed result equals the
-/// uninterrupted one.
-#[derive(Debug, Default)]
-pub struct SweepCheckpoints {
-    slots: Vec<Mutex<Option<RuntimeSnapshot>>>,
-}
-
-impl SweepCheckpoints {
-    /// An empty store with one slot per sweep point.
-    pub fn new(points: usize) -> Self {
-        Self {
-            slots: (0..points).map(|_| Mutex::new(None)).collect(),
-        }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the store has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Replaces point `index`'s checkpoint with `snapshot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn store(&self, index: usize, snapshot: RuntimeSnapshot) {
-        *self.slots[index]
-            .lock()
-            .expect("invariant: checkpoint writers never panic while holding a slot") =
-            Some(snapshot);
-    }
-
-    /// The latest checkpoint stored for point `index`, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn latest(&self, index: usize) -> Option<RuntimeSnapshot> {
-        self.slots[index]
-            .lock()
-            .expect("invariant: checkpoint writers never panic while holding a slot")
-            .clone()
     }
 }
 
