@@ -275,11 +275,10 @@ mod tests {
         assert_eq!(cqc.infer(&resp), cqc.infer(&resp));
     }
 
-    /// Golden pin: the paper CQC model exactly as the system boot fits it
-    /// (1 120 responses from the default dataset and platform seeds). The
-    /// digest is FNV-1a-64 over `GbdtClassifier::to_bytes()`.
-    #[test]
-    fn boot_cqc_model_bytes_match_the_pinned_digest() {
+    /// The paper CQC model exactly as the system boot fits it (1 120
+    /// responses from the default dataset and platform seeds), with the
+    /// feature rows it was fit on.
+    fn boot_model() -> (GbdtClassifier, Vec<Vec<f64>>) {
         let config = crate::CrowdLearnConfig::paper();
         let ds = Dataset::generate(&DatasetConfig::paper());
         let mut platform = Platform::new(PlatformConfig::paper().with_seed(config.platform_seed));
@@ -295,13 +294,55 @@ mod tests {
         assert_eq!(examples.len(), 1120);
         let mut cqc = QualityController::paper();
         cqc.train(&examples);
-        let bytes = cqc.model.as_ref().expect("trained").to_bytes();
-        let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        let rows = examples
+            .iter()
+            .map(|(resp, _)| QueryFeatures::extract(resp))
+            .collect();
+        (cqc.model.expect("trained"), rows)
+    }
+
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+        })
+    }
+
+    /// Golden pin: FNV-1a-64 over the boot model's `to_bytes()`.
+    #[test]
+    fn boot_cqc_model_bytes_match_the_pinned_digest() {
+        let digest = fnv1a64(&boot_model().0.to_bytes());
         assert_eq!(
             digest, 0x0533_2998_6ddb_0c10,
             "CQC model digest {digest:#018x}"
+        );
+    }
+
+    /// Golden pin: FNV-1a-64 over the bits of the boot model's
+    /// `predict_proba` on its 1 120 training rows plus 400 rows spread over
+    /// `[-0.25, 1.25)` in every feature. Unlike the model bytes, this digest
+    /// does not move with the wire format.
+    #[test]
+    fn boot_cqc_predictions_match_the_pinned_digest() {
+        let (model, mut rows) = boot_model();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..400 {
+            let row = (0..QueryFeatures::DIM).map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 11) as f64 / (1u64 << 53) as f64 * 1.5 - 0.25
+            });
+            rows.push(row.collect());
+        }
+        let bits: Vec<u8> = rows
+            .iter()
+            .flat_map(|row| model.predict_proba(row))
+            .flat_map(|p| p.to_bits().to_le_bytes())
+            .collect();
+        let digest = fnv1a64(&bits);
+        assert_eq!(
+            digest, 0x87c8_81ab_d892_2494,
+            "CQC prediction digest {digest:#018x}"
         );
     }
 

@@ -1,9 +1,12 @@
-//! Golden pins: FNV-1a-64 digests of `GbdtClassifier::to_bytes()` for a
-//! spread of configurations on small synthetic sets.
+//! Golden pins: FNV-1a-64 digests of `GbdtClassifier::to_bytes()`, and of
+//! `predict_proba` over a fixed grid of rows, for a spread of configurations
+//! on small synthetic sets.
 //!
 //! A fitted model is a pure function of its inputs and configuration, so any
 //! change to split search, summation order, tie-breaking or node numbering
-//! shows up here as a changed digest. The cases cover tied and few distinct
+//! shows up here as a changed digest. The model-bytes digest also moves with
+//! the wire format; the prediction digest does not, so it pins what a model
+//! computes across any change of layout or encoding. The cases cover tied and few distinct
 //! values (including `-0.0` next to `0.0`), many distinct values, row and
 //! column subsampling, depth-0 trees, a binding `min_child_weight` and
 //! histogram splitting.
@@ -15,6 +18,16 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+/// FNV-1a-64 over the bits of `predict_proba` on every row of `rows`.
+fn prediction_digest(model: &GbdtClassifier, rows: &[Vec<f64>]) -> u64 {
+    let bits: Vec<u8> = rows
+        .iter()
+        .flat_map(|row| model.predict_proba(row))
+        .flat_map(|p| p.to_bits().to_le_bytes())
+        .collect();
+    fnv1a64(&bits)
 }
 
 /// A deterministic pseudo-random stream (SplitMix64), independent of the
@@ -68,19 +81,42 @@ fn synthetic(
     (rows, labels)
 }
 
-fn digest(rows: &[Vec<f64>], labels: &[usize], classes: usize, config: &GbdtConfig) -> u64 {
-    fnv1a64(&GbdtClassifier::fit(rows, labels, classes, config).to_bytes())
+/// The training rows plus 200 rows spread over `[-2.5, 2.5)` in every
+/// feature, a tenth of their values signed zeros: both sides of every
+/// threshold, inside and outside the training range.
+fn grid(rows: &[Vec<f64>], seed: u64) -> Vec<Vec<f64>> {
+    let mut s = Stream(seed);
+    let width = rows[0].len();
+    let spread = (0..200).map(|_| {
+        (0..width)
+            .map(|_| match s.next() % 10 {
+                0 => -0.0,
+                _ => s.unit() * 5.0 - 2.5,
+            })
+            .collect()
+    });
+    rows.iter().cloned().chain(spread).collect()
 }
 
-#[test]
-fn fitted_model_bytes_match_the_pinned_digests() {
-    let cases = [
+/// `(name, (rows, labels), classes, config, model-bytes pin, prediction pin)`.
+type Case = (
+    &'static str,
+    (Vec<Vec<f64>>, Vec<usize>),
+    usize,
+    GbdtConfig,
+    u64,
+    u64,
+);
+
+fn cases() -> [Case; 6] {
+    [
         (
             "ties and few distinct values, signed zeros",
             synthetic(1, 160, 4, 3, Some(3)),
             3,
             GbdtConfig::small(),
             0x2e1c_80c7_e498_7e41,
+            0x9a2b_fc44_addd_f9fc,
         ),
         (
             "many distinct values, no subsampling",
@@ -94,6 +130,7 @@ fn fitted_model_bytes_match_the_pinned_digests() {
                 ..GbdtConfig::small()
             },
             0x82b0_4dd6_72b9_3792,
+            0x7b45_2c11_b8e8_faba,
         ),
         (
             "row and column subsampling, four classes",
@@ -107,6 +144,7 @@ fn fitted_model_bytes_match_the_pinned_digests() {
                 ..GbdtConfig::small()
             },
             0x3a6f_49d5_494a_a869,
+            0x6a26_d0c2_1bfc_6a1a,
         ),
         (
             "depth-0 trees",
@@ -118,6 +156,7 @@ fn fitted_model_bytes_match_the_pinned_digests() {
                 ..GbdtConfig::small()
             },
             0x0490_b819_bda8_ab85,
+            0xa0fd_f341_51b0_106d,
         ),
         (
             "binding min_child_weight with gamma",
@@ -131,6 +170,7 @@ fn fitted_model_bytes_match_the_pinned_digests() {
                 ..GbdtConfig::small()
             },
             0x4574_e807_17d7_e3b8,
+            0xbe47_7af9_adf5_6ee3,
         ),
         (
             "histogram splitting",
@@ -142,11 +182,30 @@ fn fitted_model_bytes_match_the_pinned_digests() {
                 ..GbdtConfig::small()
             },
             0x6f97_c589_8d65_596e,
+            0xb91e_cba1_3960_0955,
         ),
-    ];
+    ]
+}
+
+#[test]
+fn fitted_model_bytes_match_the_pinned_digests() {
     let mut failures = Vec::new();
-    for (name, (rows, labels), classes, config, pinned) in &cases {
-        let got = digest(rows, labels, *classes, config);
+    for (name, (rows, labels), classes, config, pinned, _) in &cases() {
+        let model = GbdtClassifier::fit(rows, labels, *classes, config);
+        let got = fnv1a64(&model.to_bytes());
+        if got != *pinned {
+            failures.push(format!("{name}: digest {got:#018x}, pinned {pinned:#018x}"));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn fitted_model_predictions_match_the_pinned_digests() {
+    let mut failures = Vec::new();
+    for (seed, (name, (rows, labels), classes, config, _, pinned)) in (100..).zip(&cases()) {
+        let model = GbdtClassifier::fit(rows, labels, *classes, config);
+        let got = prediction_digest(&model, &grid(rows, seed));
         if got != *pinned {
             failures.push(format!("{name}: digest {got:#018x}, pinned {pinned:#018x}"));
         }
