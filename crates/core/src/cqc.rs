@@ -312,7 +312,7 @@ mod tests {
     fn boot_cqc_model_bytes_match_the_pinned_digest() {
         let digest = fnv1a64(&boot_model().0.to_bytes());
         assert_eq!(
-            digest, 0x0533_2998_6ddb_0c10,
+            digest, 0xd327_440d_5a29_bad8,
             "CQC model digest {digest:#018x}"
         );
     }

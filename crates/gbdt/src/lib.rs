@@ -27,6 +27,15 @@
 //! alternative for larger inputs; bucket sums add rows in a different order,
 //! so its trees differ.
 //!
+//! A fitted model is compiled once: its trees live in one flat preorder
+//! array of 16-byte nodes whose leaves loop onto themselves, and inference
+//! walks sixteen trees at a time a fixed number of steps with no
+//! data-dependent branch, adding the leaves in the order the trees were
+//! grown, so predictions are bit-identical to walking the fit-time trees.
+//! The snapshot codec writes each node as a `u16` feature id and one `f64`,
+//! with no split gains or child indices; the decoder rebuilds the layout
+//! and rejects malformed structure with `DecodeError::Invalid`.
+//!
 //! # Example
 //!
 //! ```
@@ -47,8 +56,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod compiled;
 mod model;
 mod tree;
 
 pub use model::{GbdtClassifier, GbdtConfig};
-pub use tree::{RegressionTree, SplitMode};
+pub use tree::SplitMode;

@@ -1,5 +1,6 @@
 //! The boosting loop: softmax objective over per-class regression trees.
 
+use crate::compiled::{Forest, LEAF};
 use crate::tree::{Presorted, RegressionTree, SplitMode, TreeGrower, TreeParams, MAX_BINS};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -98,17 +99,52 @@ impl Default for GbdtConfig {
 ///
 /// See the crate docs for the objective; use [`GbdtClassifier::fit`] to train
 /// and [`GbdtClassifier::predict_proba`] / [`GbdtClassifier::predict`] for
-/// inference.
+/// inference. The trees are held compiled, in one flat array (DESIGN.md §6
+/// "Compiled inference layout").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GbdtClassifier {
-    /// `trees[round][class]`.
-    trees: Vec<Vec<RegressionTree>>,
+    /// Tree `round * classes + class` adds to class `class`.
+    forest: Forest,
     /// Per-class prior log-odds (from class frequencies).
     base_scores: Vec<f64>,
     classes: usize,
     features: usize,
     learning_rate: f64,
     importance: Vec<f64>,
+}
+
+/// A model as boosting leaves it: the fit-time trees, gains included, which
+/// early stopping truncates and importances are summed from before the
+/// model compiles them.
+struct Boosted {
+    /// `trees[round][class]`.
+    trees: Vec<Vec<RegressionTree>>,
+    base_scores: Vec<f64>,
+    classes: usize,
+    features: usize,
+    learning_rate: f64,
+}
+
+impl Boosted {
+    /// Compiles the trees into the flat inference form.
+    fn compile(self) -> GbdtClassifier {
+        let preorder: Vec<(u16, f64)> = self
+            .trees
+            .iter()
+            .flatten()
+            .flat_map(RegressionTree::preorder)
+            .collect();
+        let count = self.trees.len() * self.classes;
+        GbdtClassifier {
+            forest: Forest::from_preorder(&preorder, count)
+                .expect("fitted trees are complete preorders with finite leaves"),
+            importance: importance(&self.trees, self.features),
+            base_scores: self.base_scores,
+            classes: self.classes,
+            features: self.features,
+            learning_rate: self.learning_rate,
+        }
+    }
 }
 
 impl GbdtClassifier {
@@ -135,15 +171,15 @@ impl GbdtClassifier {
             !val_rows.is_empty() && val_rows.len() == val_labels.len(),
             "validation set must be non-empty and consistent"
         );
-        let mut model = Self::fit(rows, labels, classes, config);
+        let mut model = Self::fit_trees(rows, labels, classes, config);
 
         // Score the validation set incrementally, one round at a time.
         let mut scores: Vec<Vec<f64>> = vec![model.base_scores.clone(); val_rows.len()];
         let mut best_loss = f64::INFINITY;
         let mut best_round = 0usize;
-        for round in 0..model.trees.len() {
+        for (round, trees) in model.trees.iter().enumerate() {
             for (score, row) in scores.iter_mut().zip(val_rows) {
-                for (class, tree) in model.trees[round].iter().enumerate() {
+                for (class, tree) in trees.iter().enumerate() {
                     score[class] += model.learning_rate * tree.predict(row);
                 }
             }
@@ -156,8 +192,7 @@ impl GbdtClassifier {
             }
         }
         model.trees.truncate(best_round.max(1));
-        model.importance = importance(&model.trees, model.features);
-        model
+        model.compile()
     }
 
     /// Multiclass log-loss of this model on a labeled set (lower is better).
@@ -178,16 +213,32 @@ impl GbdtClassifier {
     ///
     /// # Panics
     ///
-    /// Panics if inputs are empty or ragged, a label is `>= classes`, a
-    /// feature is not finite, or [`GbdtConfig::check`] rejects the
-    /// configuration (the panic message is the check's).
+    /// Panics if inputs are empty or ragged, rows have more than 65 535
+    /// features, a label is `>= classes`, a feature is not finite, or
+    /// [`GbdtConfig::check`] rejects the configuration (the panic message
+    /// is the check's).
     pub fn fit(rows: &[Vec<f64>], labels: &[usize], classes: usize, config: &GbdtConfig) -> Self {
+        Self::fit_trees(rows, labels, classes, config).compile()
+    }
+
+    /// [`GbdtClassifier::fit`] up to the fit-time trees.
+    fn fit_trees(
+        rows: &[Vec<f64>],
+        labels: &[usize],
+        classes: usize,
+        config: &GbdtConfig,
+    ) -> Boosted {
         config.check().unwrap_or_else(|e| panic!("{e}"));
         assert!(!rows.is_empty(), "training set must be non-empty");
         assert_eq!(rows.len(), labels.len(), "one label per row");
         assert!(classes >= 2, "need at least two classes");
         let n_features = rows[0].len();
         assert!(n_features > 0, "rows must have at least one feature");
+        // Feature ids travel as `u16`, with `u16::MAX` marking a leaf.
+        assert!(
+            n_features <= usize::from(LEAF),
+            "rows must have at most 65535 features"
+        );
         for row in rows {
             assert_eq!(row.len(), n_features, "ragged feature rows");
             assert!(row.iter().all(|v| v.is_finite()), "features must be finite");
@@ -213,7 +264,7 @@ impl GbdtClassifier {
         classes: usize,
         config: &GbdtConfig,
         mut grower: impl TreeGrower,
-    ) -> Self {
+    ) -> Boosted {
         let n = rows.len();
         let n_features = rows[0].len();
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -279,8 +330,7 @@ impl GbdtClassifier {
             trees.push(round_trees);
         }
 
-        Self {
-            importance: importance(&trees, n_features),
+        Boosted {
             trees,
             base_scores,
             classes,
@@ -301,7 +351,7 @@ impl GbdtClassifier {
 
     /// Boosting rounds actually trained.
     pub fn rounds(&self) -> usize {
-        self.trees.len()
+        self.forest.trees() / self.classes
     }
 
     /// Raw (pre-softmax) scores for one row.
@@ -312,11 +362,7 @@ impl GbdtClassifier {
     pub fn decision_scores(&self, row: &[f64]) -> Vec<f64> {
         assert_eq!(row.len(), self.features, "feature arity mismatch");
         let mut scores = self.base_scores.clone();
-        for round in &self.trees {
-            for (class, tree) in round.iter().enumerate() {
-                scores[class] += self.learning_rate * tree.predict(row);
-            }
-        }
+        self.forest.add_leaves(row, self.learning_rate, &mut scores);
         scores
     }
 
@@ -400,7 +446,7 @@ impl Decode for GbdtConfig {
 
 impl Encode for GbdtClassifier {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.trees.encode(out);
+        self.forest.encode(out);
         self.base_scores.encode(out);
         self.classes.encode(out);
         self.features.encode(out);
@@ -409,9 +455,13 @@ impl Encode for GbdtClassifier {
     }
 }
 
+/// Besides the shapes, the decoder bounds every class's score by its base
+/// score plus the learning rate times each tree's largest leaf: when that
+/// bound is finite, so is every score `predict_proba` sums, and so are the
+/// probabilities.
 impl Decode for GbdtClassifier {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let trees = Vec::<Vec<RegressionTree>>::decode(r)?;
+        let forest = Forest::decode(r)?;
         let base_scores = Vec::<f64>::decode(r)?;
         let classes = usize::decode(r)?;
         let features = usize::decode(r)?;
@@ -422,12 +472,21 @@ impl Decode for GbdtClassifier {
             && base_scores.len() == classes
             && importance.len() == features
             && learning_rate.is_finite()
-            && trees.iter().all(|round| round.len() == classes);
+            && learning_rate > 0.0
+            && forest.trees() % classes == 0
+            && forest.features_below(features);
         if !valid {
             return Err(DecodeError::Invalid);
         }
+        let mut bounds: Vec<f64> = base_scores.iter().map(|s| s.abs()).collect();
+        for (tree, leaf) in forest.leaf_bounds().enumerate() {
+            bounds[tree % classes] += learning_rate * leaf;
+        }
+        if !bounds.iter().all(|b| b.is_finite()) {
+            return Err(DecodeError::Invalid);
+        }
         Ok(Self {
-            trees,
+            forest,
             base_scores,
             classes,
             features,
@@ -478,7 +537,17 @@ fn softmax(scores: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::tree::per_node_sort::{self, Stream};
+    use crate::tree::NodeBits;
     use proptest::prelude::*;
+
+    impl Boosted {
+        /// Every tree's [`RegressionTree::bits`] and the base scores' bits.
+        fn bits(&self) -> (Vec<Vec<NodeBits>>, Vec<u64>) {
+            let trees = self.trees.iter().flatten().map(RegressionTree::bits);
+            let base = self.base_scores.iter().map(|b| b.to_bits());
+            (trees.collect(), base.collect())
+        }
+    }
 
     /// Three Gaussian-ish blobs on a line, deterministic construction.
     fn blobs(n_per_class: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
@@ -690,9 +759,17 @@ mod tests {
     #[test]
     fn snapshot_codec_round_trips_a_trained_model() {
         let (rows, labels) = blobs(15);
-        let model = GbdtClassifier::fit(&rows, &labels, 3, &GbdtConfig::small());
-        let restored = GbdtClassifier::from_bytes(&model.to_bytes()).expect("round trip");
-        assert_eq!(model, restored);
+        for config in [GbdtConfig::small(), GbdtConfig::histogram(8)] {
+            let model = GbdtClassifier::fit(&rows, &labels, 3, &config);
+            let restored = GbdtClassifier::from_bytes(&model.to_bytes()).expect("round trip");
+            assert_eq!(model, restored);
+            for row in &rows {
+                let bits = |m: &GbdtClassifier| -> Vec<u64> {
+                    m.predict_proba(row).into_iter().map(f64::to_bits).collect()
+                };
+                assert_eq!(bits(&model), bits(&restored));
+            }
+        }
         let config = GbdtConfig::histogram(32);
         assert_eq!(GbdtConfig::from_bytes(&config.to_bytes()), Ok(config));
     }
@@ -875,10 +952,62 @@ mod tests {
                 },
                 ..GbdtConfig::small()
             };
-            let fitted = GbdtClassifier::fit(&rows, &labels, classes, &config);
+            let fitted = GbdtClassifier::fit_trees(&rows, &labels, classes, &config);
             let oracle = per_node_sort::Oracle::new(&rows, tree_params(&config));
             let oracle = GbdtClassifier::boost(&rows, &labels, classes, &config, oracle);
-            prop_assert_eq!(fitted.to_bytes(), oracle.to_bytes());
+            prop_assert_eq!(fitted.bits(), oracle.bits());
+            prop_assert_eq!(fitted.compile().to_bytes(), oracle.compile().to_bytes());
+        }
+
+        /// The compiled walk scores every row bit for bit as the fit-time
+        /// trees do, summed in (round, class) order, on training rows,
+        /// rows with signed zeros, rows sitting on thresholds and rows
+        /// with NaN features.
+        #[test]
+        fn compiled_scores_match_the_fit_time_trees(
+            seed in 0u64..u64::MAX,
+            n in 5usize..200,
+            width in 1usize..8,
+            classes in 2usize..5,
+            levels in 0usize..6,
+            max_depth in 0usize..7,
+        ) {
+            let mut s = Stream(seed);
+            let rows = s.features(n, width, levels);
+            let labels: Vec<usize> = (0..n).map(|_| s.below(classes)).collect();
+            let config = GbdtConfig {
+                rounds: 1 + s.below(12),
+                max_depth,
+                ..GbdtConfig::small()
+            };
+            let boosted = GbdtClassifier::fit_trees(&rows, &labels, classes, &config);
+            let expected = |row: &[f64]| {
+                let mut scores = boosted.base_scores.clone();
+                for round in &boosted.trees {
+                    for (class, tree) in round.iter().enumerate() {
+                        scores[class] += boosted.learning_rate * tree.predict(row);
+                    }
+                }
+                scores
+            };
+            let mut probes = rows.clone();
+            probes.extend(s.features(n, width, levels + 2));
+            probes.extend(rows.iter().map(|row| {
+                row.iter()
+                    .map(|&v| match s.below(4) {
+                        0 => f64::NAN,
+                        1 => v + 0.5,
+                        _ => v,
+                    })
+                    .collect()
+            }));
+            let want: Vec<Vec<f64>> = probes.iter().map(|row| expected(row)).collect();
+            let model = boosted.compile();
+            for (row, want) in probes.iter().zip(want) {
+                let got = model.decision_scores(row);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got), bits(&want), "row {:?}", row);
+            }
         }
     }
 }

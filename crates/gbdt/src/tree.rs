@@ -1,5 +1,8 @@
-//! Regression trees on gradient/hessian pairs (the XGBoost tree booster).
+//! Regression trees on gradient/hessian pairs (the XGBoost tree booster):
+//! the fit-time form of a model's trees, which the model compiles into a
+//! [`crate::compiled::Forest`] once boosting ends.
 
+use crate::compiled::LEAF;
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 use serde::{Deserialize, Serialize};
 
@@ -189,7 +192,7 @@ impl TreeGrower for Presorted {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     Leaf {
         weight: f64,
@@ -211,8 +214,11 @@ enum Node {
 /// `1/2 [ G_L^2/(H_L+λ) + G_R^2/(H_R+λ) - G^2/(H+λ) ] - γ`.
 /// Splits are taken only when the gain is positive and both children carry
 /// at least `min_child_weight` hessian mass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RegressionTree {
+///
+/// `nodes` is in preorder: `build` reserves a split's slot, then builds its
+/// left subtree, then its right one.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RegressionTree {
     nodes: Vec<Node>,
 }
 
@@ -250,7 +256,7 @@ impl RegressionTree {
     /// # Panics
     ///
     /// Panics if `row` is shorter than a feature index used by the tree.
-    pub fn predict(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict(&self, row: &[f64]) -> f64 {
         let mut idx = 0;
         loop {
             match &self.nodes[idx] {
@@ -272,17 +278,24 @@ impl RegressionTree {
         }
     }
 
-    /// Total number of nodes (splits + leaves).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
-            .count()
+    /// The nodes in preorder as `(feature, threshold)` for a split and
+    /// `(LEAF, weight)` for a leaf: what [`crate::compiled::Forest`] is
+    /// built from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a split's feature does not fit a `u16` (`fit` caps the
+    /// feature count at [`LEAF`], so every feature id is below it).
+    pub(crate) fn preorder(&self) -> impl Iterator<Item = (u16, f64)> + '_ {
+        self.nodes.iter().map(|node| match *node {
+            Node::Leaf { weight } => (LEAF, weight),
+            Node::Split {
+                feature, threshold, ..
+            } => (
+                u16::try_from(feature).expect("fit caps the feature count at u16::MAX"),
+                threshold,
+            ),
+        })
     }
 
     /// Accumulates each split's gain into `importance[feature]`.
@@ -481,79 +494,39 @@ impl Decode for SplitMode {
     }
 }
 
-impl Encode for Node {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Node::Leaf { weight } => {
-                0u8.encode(out);
-                weight.encode(out);
-            }
+/// A node's fields as raw bits: see [`RegressionTree::bits`].
+#[cfg(test)]
+pub(crate) type NodeBits = (Option<usize>, u64, u64, usize, usize);
+
+#[cfg(test)]
+impl RegressionTree {
+    /// Every field of every node as raw bits, gains included, for bitwise
+    /// comparison (`==` on `f64` would equate `-0.0` and `0.0`): a split is
+    /// `(Some(feature), threshold, gain, left, right)`, a leaf `(None,
+    /// weight, 0, 0, 0)`.
+    pub(crate) fn bits(&self) -> Vec<NodeBits> {
+        let bits = |node: &Node| match *node {
+            Node::Leaf { weight } => (None, weight.to_bits(), 0, 0, 0),
             Node::Split {
                 feature,
                 threshold,
                 gain,
                 left,
                 right,
-            } => {
-                1u8.encode(out);
-                feature.encode(out);
-                threshold.encode(out);
-                gain.encode(out);
-                left.encode(out);
-                right.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for Node {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(Node::Leaf {
-                weight: f64::decode(r)?,
-            }),
-            1 => Ok(Node::Split {
-                feature: usize::decode(r)?,
-                threshold: f64::decode(r)?,
-                gain: f64::decode(r)?,
-                left: usize::decode(r)?,
-                right: usize::decode(r)?,
-            }),
-            _ => Err(DecodeError::Invalid),
-        }
-    }
-}
-
-impl Encode for RegressionTree {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.nodes.encode(out);
-    }
-}
-
-impl Decode for RegressionTree {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let nodes = Vec::<Node>::decode(r)?;
-        if nodes.is_empty() {
-            return Err(DecodeError::Invalid);
-        }
-        // `build` reserves a parent's slot before recursing, so children
-        // always carry strictly larger indices; enforcing that here makes
-        // `predict` provably terminating on decoded trees.
-        for (idx, node) in nodes.iter().enumerate() {
-            if let Node::Split { left, right, .. } = node {
-                let valid =
-                    *left > idx && *right > idx && *left < nodes.len() && *right < nodes.len();
-                if !valid {
-                    return Err(DecodeError::Invalid);
-                }
-            }
-        }
-        Ok(Self { nodes })
+            } => (
+                Some(feature),
+                threshold.to_bits(),
+                gain.to_bits(),
+                left,
+                right,
+            ),
+        };
+        self.nodes.iter().map(bits).collect()
     }
 }
 
 /// The per-node-sort builder this crate used before presorting, kept
-/// verbatim as a test oracle: presorted trees must match it byte for byte.
+/// verbatim as a test oracle: presorted trees must match it bit for bit.
 #[cfg(test)]
 pub(crate) mod per_node_sort {
     use super::{Node, RegressionTree, SplitMode, TreeGrower, TreeParams};
@@ -818,6 +791,11 @@ mod tests {
         fit_rows(features, &grad, &hess, &rows, &cols, params)
     }
 
+    fn leaves(tree: &RegressionTree) -> usize {
+        let is_leaf = |node: &&Node| matches!(node, Node::Leaf { .. });
+        tree.nodes.iter().filter(is_leaf).count()
+    }
+
     /// Presorts `features` and fits one tree on `rows`, as a boosting round
     /// would.
     fn fit_rows(
@@ -847,7 +825,7 @@ mod tests {
         let features: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64]).collect();
         let targets = vec![2.0; 6];
         let tree = fit_regression(&features, &targets, &PARAMS);
-        assert_eq!(tree.leaf_count(), 1);
+        assert_eq!(leaves(&tree), 1);
         // Leaf weight shrunk by lambda: -(-12)/(6+1).
         assert!((tree.predict(&[3.0]) - 12.0 / 7.0).abs() < 1e-9);
     }
@@ -861,7 +839,7 @@ mod tests {
             ..PARAMS
         };
         let tree = fit_regression(&features, &targets, &params);
-        assert_eq!(tree.node_count(), 1);
+        assert_eq!(tree.nodes.len(), 1);
     }
 
     #[test]
@@ -874,7 +852,7 @@ mod tests {
             ..PARAMS
         };
         let tree = fit_regression(&features, &targets, &strict);
-        assert_eq!(tree.leaf_count(), 1, "high gamma must prune everything");
+        assert_eq!(leaves(&tree), 1, "high gamma must prune everything");
     }
 
     #[test]
@@ -891,7 +869,7 @@ mod tests {
         ];
         let targets = vec![-1.0, 1.0, 1.0, -1.0];
         let tree = fit_regression(&features, &targets, &PARAMS);
-        assert_eq!(tree.leaf_count(), 1);
+        assert_eq!(leaves(&tree), 1);
     }
 
     #[test]
@@ -918,7 +896,7 @@ mod tests {
         let features = vec![vec![1.0], vec![1.0], vec![1.0]];
         let targets = vec![-1.0, 0.0, 1.0];
         let tree = fit_regression(&features, &targets, &PARAMS);
-        assert_eq!(tree.leaf_count(), 1, "identical features cannot be split");
+        assert_eq!(leaves(&tree), 1, "identical features cannot be split");
     }
 
     #[test]
@@ -969,7 +947,7 @@ mod tests {
             ..PARAMS
         };
         let tree = fit_regression(&features, &targets, &params);
-        assert!(tree.leaf_count() >= 1);
+        assert!(leaves(&tree) >= 1);
         assert!(tree.predict(&[1.0, 0.0]).is_finite());
     }
 
@@ -982,7 +960,7 @@ mod tests {
             ..PARAMS
         };
         let tree = fit_regression(&features, &targets, &params);
-        assert_eq!(tree.leaf_count(), 1);
+        assert_eq!(leaves(&tree), 1);
     }
 
     #[test]
@@ -1025,9 +1003,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
-        /// Presorted trees are byte-identical to the per-node-sort oracle
-        /// for random rows, row-sample orders, column subsets and
-        /// parameters, in both split modes.
+        /// Presorted trees are bit-identical, gains included, to the
+        /// per-node-sort oracle for random rows, row-sample orders, column
+        /// subsets and parameters, in both split modes.
         #[test]
         fn presorted_trees_match_the_per_node_sort_oracle(
             seed in 0u64..u64::MAX,
@@ -1059,7 +1037,7 @@ mod tests {
             };
             let new = fit_rows(&features, &grad, &hess, &rows, &columns, &params);
             let old = per_node_sort::fit(&features, &grad, &hess, &rows, &columns, &params);
-            prop_assert_eq!(new.to_bytes(), old.to_bytes());
+            prop_assert_eq!(new.bits(), old.bits());
         }
     }
 }

@@ -115,7 +115,7 @@ fn cases() -> [Case; 6] {
             synthetic(1, 160, 4, 3, Some(3)),
             3,
             GbdtConfig::small(),
-            0x2e1c_80c7_e498_7e41,
+            0xd17a_1664_9d65_8460,
             0x9a2b_fc44_addd_f9fc,
         ),
         (
@@ -129,7 +129,7 @@ fn cases() -> [Case; 6] {
                 colsample: 1.0,
                 ..GbdtConfig::small()
             },
-            0x82b0_4dd6_72b9_3792,
+            0x6cc8_2bd5_fa07_a85e,
             0x7b45_2c11_b8e8_faba,
         ),
         (
@@ -143,7 +143,7 @@ fn cases() -> [Case; 6] {
                 seed: 99,
                 ..GbdtConfig::small()
             },
-            0x3a6f_49d5_494a_a869,
+            0x58a8_fcbd_3d8a_9924,
             0x6a26_d0c2_1bfc_6a1a,
         ),
         (
@@ -155,7 +155,7 @@ fn cases() -> [Case; 6] {
                 rounds: 10,
                 ..GbdtConfig::small()
             },
-            0x0490_b819_bda8_ab85,
+            0xebc5_407c_a85e_ff37,
             0xa0fd_f341_51b0_106d,
         ),
         (
@@ -169,7 +169,7 @@ fn cases() -> [Case; 6] {
                 rounds: 20,
                 ..GbdtConfig::small()
             },
-            0x4574_e807_17d7_e3b8,
+            0x2c69_54a3_088d_cf47,
             0xbe47_7af9_adf5_6ee3,
         ),
         (
@@ -181,7 +181,7 @@ fn cases() -> [Case; 6] {
                 rounds: 20,
                 ..GbdtConfig::small()
             },
-            0x6f97_c589_8d65_596e,
+            0x33b6_2b86_ea77_0d82,
             0xb91e_cba1_3960_0955,
         ),
     ]

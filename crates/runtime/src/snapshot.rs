@@ -39,8 +39,12 @@ const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 /// `BreakerConfig`, the execution state carries the `FaultInjector`,
 /// breaker state/backoff, parked cycles, and rejection/degradation
 /// counters, each in-flight HIT carries its `lost` flag, and the metrics
-/// tap carries the abandonment/fault/breaker/degradation counters.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
+/// tap carries the abandonment/fault/breaker/degradation counters;
+/// 6 — the CQC model travels compiled: a tree count, then every node in
+/// preorder as a `u16` feature id (`u16::MAX` for a leaf) and its
+/// threshold or weight, with no split gains, child indices or per-tree
+/// lengths.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 6;
 
 /// Why a snapshot could not be produced or restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -596,10 +596,12 @@ fn snapshot_rejects_tampering_and_mismatched_streams() {
     ));
 }
 
-/// Forward compatibility: a frame stamped with a *future* format version —
-/// one written by a newer build whose payload layout this build cannot know —
-/// must come back as a typed `VersionMismatch` carrying the found version,
-/// never a panic or a silent misparse of the unknown payload.
+/// Forward and backward compatibility: a frame stamped with a *future*
+/// format version — one written by a newer build whose payload layout this
+/// build cannot know — or with the previous one (v5, whose CQC model
+/// carried per-node gains and child indices) must come back as a typed
+/// `VersionMismatch` carrying the found version, refused by the frame
+/// before any payload decoder runs: never a panic or a silent misparse.
 #[test]
 fn snapshots_reject_future_format_versions_with_typed_errors() {
     let dataset = dataset(7);
@@ -608,14 +610,19 @@ fn snapshots_reject_future_format_versions_with_typed_errors() {
     assert!(system
         .run_until(&dataset, &stream, RunBound::Events(40))
         .is_none());
-    let mut bytes = system.snapshot().expect("checkpointable").to_bytes();
-    // The u32 version field sits right after the 8-byte magic.
-    let future = SNAPSHOT_FORMAT_VERSION + 1;
-    bytes[8..12].copy_from_slice(&future.to_le_bytes());
-    assert_eq!(
-        RuntimeSnapshot::from_bytes(&bytes),
-        Err(SnapshotError::VersionMismatch { found: future })
-    );
+    let bytes = system.snapshot().expect("checkpointable").to_bytes();
+    for (found, stamped) in [
+        (SNAPSHOT_FORMAT_VERSION + 1, SNAPSHOT_FORMAT_VERSION + 1),
+        (5, SNAPSHOT_FORMAT_VERSION - 1),
+    ] {
+        let mut bytes = bytes.clone();
+        // The u32 version field sits right after the 8-byte magic.
+        bytes[8..12].copy_from_slice(&stamped.to_le_bytes());
+        assert_eq!(
+            RuntimeSnapshot::from_bytes(&bytes),
+            Err(SnapshotError::VersionMismatch { found })
+        );
+    }
 
     let (datasets, streams, mut fleet) = fleet_fixture(&[7, 8]);
     assert!(fleet
