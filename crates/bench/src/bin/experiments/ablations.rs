@@ -2,8 +2,8 @@
 //! beyond the paper: domain drift, worker churn and incentive-policy regret.
 
 use crowdlearn::{
-    CalibratorConfig, CrowdLearnConfig, IncentivePolicyKind, QualityController, QueryFeatures,
-    SchemeReport,
+    CalibratorConfig, CrowdLearnConfig, IncentivePolicyKind, Offload, QualityController,
+    QueryFeatures, Retrain, SchemeReport,
 };
 use crowdlearn_bandit::{
     BanditConfig, CostedBandit, EpsilonGreedy, Exp3, FixedPolicy, RandomPolicy, RegretTracker,
@@ -62,7 +62,7 @@ pub fn ablations(fixture: &Fixture, full: &SchemeReport) {
     fmt("epsilon = 0 (pure entropy QSS)", &no_epsilon);
 
     let no_offload = without(CalibratorConfig {
-        offload: false,
+        offload: Offload::Off,
         ..CalibratorConfig::paper()
     });
     fmt("no crowd offloading", &no_offload);
@@ -74,7 +74,7 @@ pub fn ablations(fixture: &Fixture, full: &SchemeReport) {
     fmt("no Hedge weight updates", &no_hedge);
 
     let no_retrain = without(CalibratorConfig {
-        retrain: false,
+        retrain: Retrain::Off,
         ..CalibratorConfig::paper()
     });
     fmt("no model retraining", &no_retrain);

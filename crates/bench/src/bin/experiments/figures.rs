@@ -1,6 +1,5 @@
 //! Figures 7-11: ROC, per-context delay, query-set size and budget sweeps.
 
-use crowdlearn::baselines::{HybridAl, HybridConfig, HybridPara};
 use crowdlearn::{CrowdLearnConfig, IncentivePolicyKind, SchemeReport};
 use crowdlearn_bench::{banner, paper_reference, Fixture};
 use crowdlearn_dataset::TemporalContext;
@@ -144,24 +143,17 @@ pub fn fig9(fixture: &Fixture, ensemble: &SchemeReport) {
             .run_crowdlearn(CrowdLearnConfig::paper().with_queries_per_cycle(q))
             .macro_f1();
 
-        let hybrid_config = HybridConfig {
-            queries_per_cycle: q,
-            budget_cents: (200 * q.max(1)) as f64,
-            horizon_queries: (40 * q.max(1)) as u64,
-            ..HybridConfig::paper()
+        let hybrid_f1 = |config: CrowdLearnConfig| {
+            if q == 0 {
+                ensemble_f1
+            } else {
+                fixture
+                    .run_crowdlearn(config.with_queries_per_cycle(q))
+                    .macro_f1()
+            }
         };
-        let al_f1 = if q == 0 {
-            ensemble_f1
-        } else {
-            let mut al = HybridAl::new(Box::new(fixture.trained_ensemble(0)), hybrid_config);
-            al.run(&fixture.dataset, &fixture.stream).macro_f1()
-        };
-        let para_f1 = if q == 0 {
-            ensemble_f1
-        } else {
-            let mut para = HybridPara::new(Box::new(fixture.trained_ensemble(0)), hybrid_config);
-            para.run(&fixture.dataset, &fixture.stream).macro_f1()
-        };
+        let al_f1 = hybrid_f1(CrowdLearnConfig::hybrid_al());
+        let para_f1 = hybrid_f1(CrowdLearnConfig::hybrid_para());
         (crowdlearn_f1, al_f1, para_f1)
     });
 

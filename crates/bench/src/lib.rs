@@ -21,9 +21,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use crowdlearn::baselines::{run_ai_only, HybridAl, HybridConfig, HybridPara};
-use crowdlearn::{CrowdLearnConfig, SchemeReport};
-use crowdlearn_classifiers::{profiles, BoostedEnsemble, Classifier, SimulatedExpert};
+use crowdlearn::{CrowdLearnConfig, Model, SchemeReport};
+use crowdlearn_classifiers::{Classifier, SimulatedExpert};
 use crowdlearn_dataset::{Dataset, DatasetConfig, LabeledImage, SensingCycleStream};
 use crowdlearn_runtime::{PipelinedSystem, RuntimeConfig};
 
@@ -72,13 +71,6 @@ impl Fixture {
         e
     }
 
-    /// The boosted Ensemble baseline, trained on the training split.
-    pub fn trained_ensemble(&self, seed: u64) -> BoostedEnsemble {
-        let mut e = BoostedEnsemble::new(profiles::paper_committee(seed));
-        e.retrain(&self.train_labels());
-        e
-    }
-
     /// Runs CrowdLearn with `config` over the stream on the paper's
     /// sequential runtime (one sensing cycle at a time).
     pub fn run_crowdlearn(&self, config: CrowdLearnConfig) -> SchemeReport {
@@ -87,30 +79,26 @@ impl Fixture {
     }
 
     /// Runs all seven Table II schemes with the canonical paper
-    /// configurations and returns their reports in the table's row order.
+    /// configurations and returns their reports in the table's row order,
+    /// each named after its row.
     pub fn run_all_schemes(&self) -> Vec<SchemeReport> {
-        let seed = 0;
-        let mut reports = Vec::with_capacity(7);
-
-        reports.push(self.run_crowdlearn(CrowdLearnConfig::paper()));
-
-        let mut vgg = self.trained_expert(profiles::vgg16, seed);
-        reports.push(run_ai_only(&mut vgg, &self.dataset, &self.stream));
-        let mut bovw = self.trained_expert(profiles::bovw, seed);
-        reports.push(run_ai_only(&mut bovw, &self.dataset, &self.stream));
-        let mut ddm = self.trained_expert(profiles::ddm, seed);
-        reports.push(run_ai_only(&mut ddm, &self.dataset, &self.stream));
-        let mut ensemble = self.trained_ensemble(seed);
-        reports.push(run_ai_only(&mut ensemble, &self.dataset, &self.stream));
-
-        let mut para =
-            HybridPara::new(Box::new(self.trained_ensemble(seed)), HybridConfig::paper());
-        reports.push(para.run(&self.dataset, &self.stream));
-
-        let mut al = HybridAl::new(Box::new(self.trained_ensemble(seed)), HybridConfig::paper());
-        reports.push(al.run(&self.dataset, &self.stream));
-
-        reports
+        let configs = [
+            CrowdLearnConfig::paper(),
+            CrowdLearnConfig::ai_only(Model::Vgg16),
+            CrowdLearnConfig::ai_only(Model::Bovw),
+            CrowdLearnConfig::ai_only(Model::Ddm),
+            CrowdLearnConfig::ai_only(Model::Ensemble),
+            CrowdLearnConfig::hybrid_para(),
+            CrowdLearnConfig::hybrid_al(),
+        ];
+        configs
+            .into_iter()
+            .zip(paper_reference::SCHEMES)
+            .map(|(config, name)| SchemeReport {
+                name: name.to_owned(),
+                ..self.run_crowdlearn(config)
+            })
+            .collect()
     }
 }
 

@@ -10,7 +10,7 @@
 //! the `scores` bits alone. A change to how a scheme is driven that keeps
 //! its labels, delays and spend shows up in neither.
 
-use crowdlearn::SchemeReport;
+use crowdlearn::{CrowdLearnConfig, SchemeReport};
 use crowdlearn_bench::Fixture;
 use crowdlearn_metrics::SummaryStats;
 
@@ -90,7 +90,6 @@ fn table2_scheme_reports_are_pinned() {
 
 #[test]
 fn fig9_hybrid_reports_are_pinned() {
-    use crowdlearn::baselines::{HybridAl, HybridConfig, HybridPara};
     const PINS: [(u64, u64); 10] = [
         (0x8136_fd75_7f9b_e5db, 0x2f17_ea98_33d2_05b9), // Hybrid-AL q=2
         (0x2ad8_9380_5c08_7758, 0xc663_05e7_b359_4bcf), // Hybrid-Para q=2
@@ -107,17 +106,12 @@ fn fig9_hybrid_reports_are_pinned() {
     let mut reports = Vec::new();
     let mut names = Vec::new();
     for q in [2, 4, 6, 8, 10] {
-        let config = HybridConfig {
-            queries_per_cycle: q,
-            budget_cents: (200 * q) as f64,
-            horizon_queries: (40 * q) as u64,
-            ..HybridConfig::paper()
-        };
-        let mut al = HybridAl::new(Box::new(fixture.trained_ensemble(0)), config);
-        reports.push(al.run(&fixture.dataset, &fixture.stream));
+        reports
+            .push(fixture.run_crowdlearn(CrowdLearnConfig::hybrid_al().with_queries_per_cycle(q)));
         names.push(format!("Hybrid-AL q={q}"));
-        let mut para = HybridPara::new(Box::new(fixture.trained_ensemble(0)), config);
-        reports.push(para.run(&fixture.dataset, &fixture.stream));
+        reports.push(
+            fixture.run_crowdlearn(CrowdLearnConfig::hybrid_para().with_queries_per_cycle(q)),
+        );
         names.push(format!("Hybrid-Para q={q}"));
     }
     assert_pins(&reports, &names, &PINS);

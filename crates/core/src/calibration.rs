@@ -19,15 +19,54 @@ pub fn normalized_symmetric_kl(kl: f64) -> f64 {
     1.0 - (-kl).exp()
 }
 
+/// When MIC retrains the committee on a cycle's crowd answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Retrain {
+    /// Never: the committee stays as booted.
+    Off,
+    /// On every answer, labelled with its truthful argmax (CrowdLearn).
+    Answers,
+    /// Only on answers whose top vote share is at least
+    /// [`Retrain::CONFIDENT_SHARE`] (Hybrid-AL's active-learning hygiene
+    /// against annotation noise). A cycle with none skips the retrain, as
+    /// every retrain reshuffles the simulated models' prediction noise.
+    ConfidentMajority,
+}
+
+impl Retrain {
+    /// The vote share a [`Retrain::ConfidentMajority`] answer needs: 4 of
+    /// 5 workers agreeing.
+    pub const CONFIDENT_SHARE: f64 = 0.8;
+}
+
+/// Which answered images MIC lets the crowd label instead of the AI.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Offload {
+    /// None: the AI's labels are always the output (Hybrid-AL).
+    Off,
+    /// Every timely answer replaces its image's AI label (CrowdLearn).
+    Answers,
+    /// Hybrid-Para's complexity index: a timely answer replaces the AI
+    /// label only when the committee vote's entropy exceeds
+    /// [`Offload::COMPLEX_ENTROPY`]; simple images keep the AI label.
+    Complex,
+}
+
+impl Offload {
+    /// The committee-vote entropy, in nats, above which an image counts as
+    /// complex.
+    pub const COMPLEX_ENTROPY: f64 = 0.35;
+}
+
 /// Which of MIC's three strategies are active — the ablation switchboard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CalibratorConfig {
     /// Dynamic expert-weight updates (Hedge over Eq. 5 losses).
     pub update_weights: bool,
     /// Model retraining with crowd labels.
-    pub retrain: bool,
+    pub retrain: Retrain,
     /// Crowd offloading: replace AI labels with CQC labels on the query set.
-    pub offload: bool,
+    pub offload: Offload,
 }
 
 impl CalibratorConfig {
@@ -35,8 +74,8 @@ impl CalibratorConfig {
     pub fn paper() -> Self {
         Self {
             update_weights: true,
-            retrain: true,
-            offload: true,
+            retrain: Retrain::Answers,
+            offload: Offload::Answers,
         }
     }
 
@@ -44,8 +83,8 @@ impl CalibratorConfig {
     pub fn disabled() -> Self {
         Self {
             update_weights: false,
-            retrain: false,
-            offload: false,
+            retrain: Retrain::Off,
+            offload: Offload::Off,
         }
     }
 }
@@ -53,6 +92,50 @@ impl CalibratorConfig {
 impl Default for CalibratorConfig {
     fn default() -> Self {
         Self::paper()
+    }
+}
+
+impl Encode for Retrain {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let tag: u8 = match self {
+            Retrain::Off => 0,
+            Retrain::Answers => 1,
+            Retrain::ConfidentMajority => 2,
+        };
+        tag.encode(out);
+    }
+}
+
+impl Decode for Retrain {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match u8::decode(r)? {
+            0 => Ok(Retrain::Off),
+            1 => Ok(Retrain::Answers),
+            2 => Ok(Retrain::ConfidentMajority),
+            _ => Err(DecodeError::Invalid),
+        }
+    }
+}
+
+impl Encode for Offload {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let tag: u8 = match self {
+            Offload::Off => 0,
+            Offload::Answers => 1,
+            Offload::Complex => 2,
+        };
+        tag.encode(out);
+    }
+}
+
+impl Decode for Offload {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match u8::decode(r)? {
+            0 => Ok(Offload::Off),
+            1 => Ok(Offload::Answers),
+            2 => Ok(Offload::Complex),
+            _ => Err(DecodeError::Invalid),
+        }
     }
 }
 
@@ -68,8 +151,8 @@ impl Decode for CalibratorConfig {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(Self {
             update_weights: bool::decode(r)?,
-            retrain: bool::decode(r)?,
-            offload: bool::decode(r)?,
+            retrain: Retrain::decode(r)?,
+            offload: Offload::decode(r)?,
         })
     }
 }
@@ -140,13 +223,41 @@ impl Calibrator {
         losses
     }
 
+    /// The retraining samples MIC draws from a cycle's answers under
+    /// [`CalibratorConfig::retrain`]: each qualifying image labelled with
+    /// its truthful argmax, in answer order. Empty means no retrain.
+    pub fn retrain_samples<'a, I>(&self, answers: I) -> Vec<LabeledImage>
+    where
+        I: IntoIterator<Item = (&'a SyntheticImage, &'a ClassDistribution)>,
+    {
+        answers
+            .into_iter()
+            .filter(|(_, truthful)| match self.config.retrain {
+                Retrain::Off => false,
+                Retrain::Answers => true,
+                Retrain::ConfidentMajority => truthful.max_prob() >= Retrain::CONFIDENT_SHARE,
+            })
+            .map(|(image, truthful)| LabeledImage::new(image.clone(), truthful.argmax()))
+            .collect()
+    }
+
+    /// Whether a timely crowd answer replaces the AI label of an image whose
+    /// committee vote is `ai_vote`, under [`CalibratorConfig::offload`].
+    pub fn offloads(&self, ai_vote: &ClassDistribution) -> bool {
+        match self.config.offload {
+            Offload::Off => false,
+            Offload::Answers => true,
+            Offload::Complex => ai_vote.entropy() > Offload::COMPLEX_ENTROPY,
+        }
+    }
+
     /// Runs one MIC round after CQC has produced truthful distributions for
     /// the cycle's query set: Hedge weight update, committee retraining, and
-    /// (if enabled) returns the set of overrides the caller should apply to
-    /// the cycle's output labels (crowd offloading).
+    /// the set of overrides the caller should apply to the cycle's output
+    /// labels (crowd offloading).
     ///
-    /// Returns `(offload_labels)`: for each queried image, `Some(truthful
-    /// distribution)` when offloading is enabled, `None` otherwise.
+    /// Returns, for each queried image, `Some(truthful distribution)` when
+    /// [`Calibrator::offloads`] lets the crowd label it, `None` otherwise.
     ///
     /// # Panics
     ///
@@ -165,18 +276,19 @@ impl Calibrator {
             committee.update_weights(&losses);
         }
 
-        if self.config.retrain {
-            let samples: Vec<LabeledImage> = queried
-                .iter()
-                .map(|q| LabeledImage::new(q.image.clone(), q.truthful.argmax()))
-                .collect();
+        let overrides = queried
+            .iter()
+            .map(|q| {
+                self.offloads(&committee.mix(q.member_votes))
+                    .then(|| q.truthful.clone())
+            })
+            .collect();
+
+        let samples = self.retrain_samples(queried.iter().map(|q| (q.image, &q.truthful)));
+        if !samples.is_empty() {
             committee.retrain(&samples);
         }
-
-        queried
-            .iter()
-            .map(|q| self.config.offload.then(|| q.truthful.clone()))
-            .collect()
+        overrides
     }
 }
 

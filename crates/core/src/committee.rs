@@ -120,21 +120,34 @@ impl Committee {
     /// Committee entropy (Eq. 3) for every image of a batch, bit-identical
     /// to mapping [`Committee::entropy`].
     pub fn entropies_batch(&self, images: &[&SyntheticImage]) -> Vec<f64> {
-        let weights = self.hedge.weights();
         self.votes_batch(images)
             .iter()
-            .map(|votes| {
-                ClassDistribution::weighted_mixture(weights.iter().copied().zip(votes.iter()))
-                    .entropy()
-            })
+            .map(|votes| self.mix(votes).entropy())
             .collect()
     }
 
-    /// The committee vote of Eq. 2: the weight-mixed, renormalized label
-    /// distribution.
+    /// The committee vote of Eq. 2 over already-cast member votes: the
+    /// weight-mixed, renormalized label distribution under the current
+    /// weights. A committee of one passes its member's vote through
+    /// unchanged, so a single classifier run as a committee keeps its bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `votes.len()` differs from the committee size.
+    pub fn mix(&self, votes: &[ClassDistribution]) -> ClassDistribution {
+        assert_eq!(votes.len(), self.len(), "one vote per committee member");
+        match votes {
+            [only] => only.clone(),
+            _ => {
+                ClassDistribution::weighted_mixture(self.hedge.weights().iter().copied().zip(votes))
+            }
+        }
+    }
+
+    /// The committee vote of Eq. 2 for one image ([`Committee::mix`] of its
+    /// fresh member votes).
     pub fn committee_vote(&self, image: &SyntheticImage) -> ClassDistribution {
-        let votes = self.votes(image);
-        ClassDistribution::weighted_mixture(self.hedge.weights().iter().copied().zip(votes.iter()))
+        self.mix(&self.votes(image))
     }
 
     /// Committee entropy of Eq. 3 — the uncertainty score QSS ranks by.

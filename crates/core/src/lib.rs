@@ -23,8 +23,9 @@
 //! [`CrowdLearnSystem`] wires the modules together and exposes each cycle
 //! as four reentrant stages (start, post, absorb, finalize); the
 //! `crowdlearn-runtime` crate's `PipelinedSystem` drives them over a
-//! stream (its crate docs show a full run). [`baselines`] holds the
-//! evaluation's competitors (AI-only runners, `Hybrid-Para`, `Hybrid-AL`);
+//! stream (its crate docs show a full run). The evaluation's competitors
+//! are configurations of the same system: [`CrowdLearnConfig::ai_only`],
+//! [`CrowdLearnConfig::hybrid_al`] and [`CrowdLearnConfig::hybrid_para`].
 //! [`SchemeReport`] is the common measurement output every experiment
 //! consumes.
 
@@ -35,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baselines;
 mod calibration;
 mod committee;
 mod cqc;
@@ -44,12 +44,15 @@ mod qss;
 mod report;
 mod system;
 
-pub use calibration::{normalized_symmetric_kl, Calibrator, CalibratorConfig, QueriedImage};
+pub use calibration::{
+    normalized_symmetric_kl, Calibrator, CalibratorConfig, Offload, QueriedImage, Retrain,
+};
 pub use committee::Committee;
 pub use cqc::{QualityController, QueryFeatures};
 pub use ipd::{IncentivePolicy, PayoffNormalizer};
-pub use qss::QuerySetSelector;
+pub use qss::{QuerySetSelector, Selection};
 pub use report::{CycleOutcome, SchemeReport};
 pub use system::{
-    CrowdLearnConfig, CrowdLearnSystem, CycleWork, IncentivePolicyKind, PostedQuery, StateError,
+    CrowdLearnConfig, CrowdLearnSystem, CycleWork, IncentivePolicyKind, Model, PostedQuery,
+    StateError,
 };

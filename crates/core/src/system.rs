@@ -2,14 +2,16 @@
 
 use crate::report::{CycleOutcome, ImageOutcome};
 use crate::{
-    Calibrator, CalibratorConfig, Committee, IncentivePolicy, PayoffNormalizer, QualityController,
-    QueriedImage, QuerySetSelector,
+    Calibrator, CalibratorConfig, Committee, IncentivePolicy, Offload, PayoffNormalizer,
+    QualityController, QueriedImage, QuerySetSelector, Retrain, Selection,
 };
 use crowdlearn_bandit::{
     BanditConfig, CostedBandit, EpsilonGreedy, ExpWeights, FixedPolicy, PolicyState, RandomPolicy,
     UcbAlp,
 };
-use crowdlearn_classifiers::{profiles, ClassDistribution, Classifier, SimulatedExpert};
+use crowdlearn_classifiers::{
+    profiles, BoostedEnsemble, ClassDistribution, Classifier, SimulatedExpert,
+};
 use crowdlearn_crowd::{
     IncentiveLevel, PendingHit, Platform, PlatformConfig, PlatformStats, QueryResponse, SubmitterId,
 };
@@ -33,13 +35,52 @@ pub enum IncentivePolicyKind {
     Random,
 }
 
+/// The AI a run boots: the paper's committee, or one of the §V-A
+/// competitors' models run as a committee of one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Model {
+    /// VGG16, BoVW and DDM under Hedge weights (CrowdLearn).
+    Committee,
+    /// VGG16 alone.
+    Vgg16,
+    /// BoVW alone.
+    Bovw,
+    /// DDM alone.
+    Ddm,
+    /// The three experts boosted into one classifier (the Ensemble row and
+    /// the hybrids' AI). It has no serialized form, so a run with it cannot
+    /// be checkpointed.
+    Ensemble,
+}
+
+impl Model {
+    /// The untrained members, built from `seed`.
+    fn members(self, seed: u64) -> Vec<Box<dyn Classifier>> {
+        let boxed = |e: SimulatedExpert| Box::new(e) as Box<dyn Classifier>;
+        match self {
+            Model::Committee => profiles::paper_committee(seed)
+                .into_iter()
+                .map(boxed)
+                .collect(),
+            Model::Vgg16 => vec![boxed(profiles::vgg16(seed))],
+            Model::Bovw => vec![boxed(profiles::bovw(seed))],
+            Model::Ddm => vec![boxed(profiles::ddm(seed))],
+            Model::Ensemble => vec![Box::new(BoostedEnsemble::new(profiles::paper_committee(
+                seed,
+            )))],
+        }
+    }
+}
+
 /// Full configuration of a CrowdLearn run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CrowdLearnConfig {
+    /// The AI model.
+    pub model: Model,
     /// Images sent to the crowd per sensing cycle (paper: 5 of 10).
     pub queries_per_cycle: usize,
-    /// QSS exploration rate ε.
-    pub epsilon: f64,
+    /// How QSS picks the query set (paper: ε-greedy entropy, ε = 0.2).
+    pub selection: Selection,
     /// Hedge learning rate for MIC's expert-weight updates.
     pub hedge_eta: f64,
     /// Total crowd budget for the evaluation run, in cents.
@@ -79,8 +120,9 @@ impl CrowdLearnConfig {
     /// strategies on.
     pub fn paper() -> Self {
         Self {
+            model: Model::Committee,
             queries_per_cycle: 5,
-            epsilon: 0.2,
+            selection: Selection::Entropy { epsilon: 0.2 },
             hedge_eta: 0.1,
             budget_cents: 1000.0,
             horizon_queries: 200,
@@ -92,6 +134,90 @@ impl CrowdLearnConfig {
             offload_deadline_secs: None,
             seed: 0xc0ffee,
             platform_seed: 0x5eed,
+        }
+    }
+
+    /// An AI-only competitor of Tables II–III: `model`, trained on the
+    /// training split, labels every image and nothing goes to the crowd.
+    pub fn ai_only(model: Model) -> Self {
+        Self {
+            queries_per_cycle: 0,
+            ..Self::baseline(
+                model,
+                Selection::Entropy { epsilon: 0.0 },
+                CalibratorConfig::disabled(),
+                0.0,
+            )
+        }
+    }
+
+    /// `Hybrid-AL` (Laws et al. 2011): active learning with crowd labels.
+    ///
+    /// Per cycle the boosted Ensemble's most uncertain images go to the
+    /// crowd at a fixed incentive, and majority-voted labels retrain the
+    /// model for later cycles (only confident majorities:
+    /// [`Retrain::ConfidentMajority`]). There is no offloading: the AI's
+    /// own, possibly innately flawed labels are always the output, which is
+    /// why its Figure 9 curve stays flat. Wrapped around the strongest AI,
+    /// it is the best-performing baseline, as in Table II.
+    pub fn hybrid_al() -> Self {
+        Self::baseline(
+            Model::Ensemble,
+            Selection::Entropy { epsilon: 0.0 },
+            CalibratorConfig {
+                update_weights: false,
+                retrain: Retrain::ConfidentMajority,
+                offload: Offload::Off,
+            },
+            1.0,
+        )
+    }
+
+    /// `Hybrid-Para` (Jarrett et al. 2014): humans and AI label
+    /// independently and a complexity index merges the two streams.
+    ///
+    /// A random sample of each cycle's images goes to the crowd
+    /// ([`Selection::Random`]: no uncertainty targeting), and for sampled
+    /// images the complexity index routes the decision
+    /// ([`Offload::Complex`]): complex images take the crowd's raw majority
+    /// label, simple images keep the AI label. Because genuinely complex
+    /// images are hard for the crowd too, and confidently wrong AI
+    /// (deceptive images) looks simple to the index, the integration buys
+    /// little, which is why Hybrid-Para trails the adaptive schemes in
+    /// Table II and stays flat in Figure 9.
+    pub fn hybrid_para() -> Self {
+        Self::baseline(
+            Model::Ensemble,
+            Selection::Random,
+            CalibratorConfig {
+                update_weights: false,
+                retrain: Retrain::Off,
+                offload: Offload::Complex,
+            },
+            8.5,
+        )
+    }
+
+    /// The competitors' shared set-up: seed 0, the paper's fixed incentive
+    /// ("the total budget divided by the number of queries"), and no CQC fit
+    /// or bandit warm-up, so CQC falls back to majority voting and the
+    /// platform's stream starts fresh at the evaluation.
+    fn baseline(
+        model: Model,
+        selection: Selection,
+        calibration: CalibratorConfig,
+        module_overhead_secs: f64,
+    ) -> Self {
+        Self {
+            model,
+            selection,
+            calibration,
+            module_overhead_secs,
+            policy: IncentivePolicyKind::FixedMax,
+            warmup_per_cell: 0,
+            cqc_training_queries: 0,
+            seed: 0,
+            ..Self::paper()
         }
     }
 
@@ -125,9 +251,9 @@ impl CrowdLearnConfig {
         self
     }
 
-    /// Sets the QSS exploration rate (ablation).
+    /// Sets entropy selection at exploration rate `epsilon` (ablation).
     pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon;
+        self.selection = Selection::Entropy { epsilon };
         self
     }
 
@@ -149,9 +275,8 @@ impl CrowdLearnConfig {
     pub fn check(&self) -> Result<(), &'static str> {
         let positive = |x: f64| x.is_finite() && x > 0.0;
         let non_negative = |x: f64| x.is_finite() && x >= 0.0;
-        if !(0.0..=1.0).contains(&self.epsilon) {
-            Err("epsilon must be in [0, 1]")
-        } else if !positive(self.hedge_eta) {
+        self.selection.check()?;
+        if !positive(self.hedge_eta) {
             Err("hedge eta must be positive and finite")
         } else if !non_negative(self.budget_cents) {
             Err("budget must be non-negative and finite")
@@ -197,10 +322,37 @@ impl Decode for IncentivePolicyKind {
     }
 }
 
+impl Encode for Model {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let tag: u8 = match self {
+            Model::Committee => 0,
+            Model::Vgg16 => 1,
+            Model::Bovw => 2,
+            Model::Ddm => 3,
+            Model::Ensemble => 4,
+        };
+        tag.encode(out);
+    }
+}
+
+impl Decode for Model {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match u8::decode(r)? {
+            0 => Ok(Model::Committee),
+            1 => Ok(Model::Vgg16),
+            2 => Ok(Model::Bovw),
+            3 => Ok(Model::Ddm),
+            4 => Ok(Model::Ensemble),
+            _ => Err(DecodeError::Invalid),
+        }
+    }
+}
+
 impl Encode for CrowdLearnConfig {
     fn encode(&self, out: &mut Vec<u8>) {
+        self.model.encode(out);
         self.queries_per_cycle.encode(out);
-        self.epsilon.encode(out);
+        self.selection.encode(out);
         self.hedge_eta.encode(out);
         self.budget_cents.encode(out);
         self.horizon_queries.encode(out);
@@ -218,8 +370,9 @@ impl Encode for CrowdLearnConfig {
 impl Decode for CrowdLearnConfig {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let config = Self {
+            model: Model::decode(r)?,
             queries_per_cycle: usize::decode(r)?,
-            epsilon: f64::decode(r)?,
+            selection: Selection::decode(r)?,
             hedge_eta: f64::decode(r)?,
             budget_cents: f64::decode(r)?,
             horizon_queries: u64::decode(r)?,
@@ -364,7 +517,7 @@ impl Decode for CycleWork {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StateError {
     /// A committee member is not a [`SimulatedExpert`] and has no
-    /// serialized form.
+    /// serialized form ([`Model::Ensemble`]).
     UnsupportedClassifier,
     /// The incentive bandit does not support checkpointing (e.g. the
     /// ablation-only Thompson/Exp3 policies).
@@ -400,7 +553,7 @@ pub struct CrowdLearnSystem {
 }
 
 impl CrowdLearnSystem {
-    /// Boots the system: trains the committee on the training split, fits
+    /// Boots the system: trains `config.model` on the training split, fits
     /// CQC on training-split crowd responses, and warms up the incentive
     /// bandit — exactly the three uses the paper assigns to its training
     /// set (§V-B).
@@ -453,18 +606,20 @@ impl CrowdLearnSystem {
             "training split must be non-empty"
         );
 
-        // 1. Train the committee experts on ground-truth labels.
+        // 1. Train the committee members on ground-truth labels.
         let train: Vec<LabeledImage> = dataset
             .train()
             .iter()
             .cloned()
             .map(LabeledImage::ground_truth)
             .collect();
-        let members: Vec<Box<dyn Classifier>> = profiles::paper_committee(config.seed)
+        let members: Vec<Box<dyn Classifier>> = config
+            .model
+            .members(config.seed)
             .into_iter()
-            .map(|mut e| {
-                e.retrain(&train);
-                Box::new(e) as Box<dyn Classifier>
+            .map(|mut m| {
+                m.retrain(&train);
+                m
             })
             .collect();
         let committee = Committee::new(members, config.hedge_eta);
@@ -523,7 +678,7 @@ impl CrowdLearnSystem {
 
         let bootstrap_spent_cents = platform.spent_cents();
         Self {
-            qss: QuerySetSelector::new(config.epsilon, config.seed ^ 0x9557),
+            qss: QuerySetSelector::new(config.seed ^ config.selection.seed_salt()),
             calibrator: Calibrator::new(config.calibration),
             committee,
             ipd,
@@ -675,17 +830,17 @@ impl CrowdLearnSystem {
         // cycle's visual evidence once and shares it across every member —
         // bit-identical to per-image `votes` (see `Committee::votes_batch`).
         let member_votes: Vec<Vec<ClassDistribution>> = self.committee.votes_batch(&images);
-        let weights_now = self.committee.weights().to_vec();
         let entropies: Vec<f64> = member_votes
             .iter()
-            .map(|votes| {
-                ClassDistribution::weighted_mixture(weights_now.iter().copied().zip(votes.iter()))
-                    .entropy()
-            })
+            .map(|votes| self.committee.mix(votes).entropy())
             .collect();
 
         // ① QSS selects the query set.
-        let picked = self.qss.select(&entropies, self.config.queries_per_cycle);
+        let picked = self.qss.select(
+            self.config.selection,
+            &entropies,
+            self.config.queries_per_cycle,
+        );
 
         CycleWork {
             cycle_index: cycle.index,
@@ -903,28 +1058,16 @@ impl CrowdLearnSystem {
 
         // Final labels: committee vote under updated weights, with crowd
         // offloading overriding the query set.
-        let weights_updated = self.committee.weights().to_vec();
         let mut outcomes = Vec::with_capacity(images.len());
         for (i, img) in images.iter().enumerate() {
-            let offloaded = self
-                .calibrator
-                .config()
-                .offload
-                .then(|| {
-                    truthful
-                        .iter()
-                        .zip(&in_time)
-                        .find(|((idx, _), _)| *idx == i)
-                        .filter(|(_, &timely)| timely)
-                        .map(|(t, _)| t)
-                })
-                .flatten();
-            let distribution = match offloaded {
-                Some((_, dist)) => dist.clone(),
-                None => ClassDistribution::weighted_mixture(
-                    weights_updated.iter().copied().zip(member_votes[i].iter()),
-                ),
-            };
+            let ai_vote = self.committee.mix(&member_votes[i]);
+            let offloaded = truthful
+                .iter()
+                .zip(&in_time)
+                .find(|((idx, _), _)| *idx == i)
+                .filter(|(_, &timely)| timely && self.calibrator.offloads(&ai_vote))
+                .map(|((_, dist), _)| dist);
+            let distribution = offloaded.cloned().unwrap_or(ai_vote);
             outcomes.push(ImageOutcome {
                 image: img.id(),
                 truth: img.truth(),
@@ -935,11 +1078,10 @@ impl CrowdLearnSystem {
         }
 
         // ④ (continued) MIC: retrain the committee for the next cycle.
-        if self.calibrator.config().retrain && !truthful.is_empty() {
-            let samples: Vec<LabeledImage> = truthful
-                .iter()
-                .map(|(idx, dist)| LabeledImage::new(images[*idx].clone(), dist.argmax()))
-                .collect();
+        let samples = self
+            .calibrator
+            .retrain_samples(truthful.iter().map(|(idx, dist)| (images[*idx], dist)));
+        if !samples.is_empty() {
             self.committee.retrain(&samples);
         }
 
@@ -1024,6 +1166,12 @@ mod tests {
                 horizon_queries: 0,
                 ..paper.clone()
             },
+            CrowdLearnConfig::ai_only(Model::Vgg16),
+            CrowdLearnConfig::ai_only(Model::Bovw),
+            CrowdLearnConfig::ai_only(Model::Ddm),
+            CrowdLearnConfig::ai_only(Model::Ensemble),
+            CrowdLearnConfig::hybrid_al(),
+            CrowdLearnConfig::hybrid_para(),
         ];
         for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0, 0.2] {
             let with = |edit: fn(&mut CrowdLearnConfig, f64)| {
@@ -1032,7 +1180,7 @@ mod tests {
                 c
             };
             cases.extend([
-                with(|c, x| c.epsilon = x),
+                with(|c, x| c.selection = Selection::Entropy { epsilon: x }),
                 with(|c, x| c.hedge_eta = x),
                 with(|c, x| c.budget_cents = x),
                 with(|c, x| c.module_overhead_secs = x),

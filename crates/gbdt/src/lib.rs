@@ -23,9 +23,6 @@
 //! node, with no per-node sorting or allocation. The scan visits rows in the
 //! same order a per-node stable sort would, so every gradient sum, gain and
 //! tie-break, and hence every tree, is bit-identical to sorting at each node.
-//! Histogram splitting (`SplitMode::Histogram`) is the approximate
-//! alternative for larger inputs; bucket sums add rows in a different order,
-//! so its trees differ.
 //!
 //! A fitted model is compiled once: its trees live in one flat preorder
 //! array of 16-byte nodes whose leaves loop onto themselves, and inference
@@ -61,4 +58,3 @@ mod model;
 mod tree;
 
 pub use model::{GbdtClassifier, GbdtConfig};
-pub use tree::SplitMode;

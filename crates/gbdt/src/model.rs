@@ -1,7 +1,7 @@
 //! The boosting loop: softmax objective over per-class regression trees.
 
 use crate::compiled::{Forest, LEAF};
-use crate::tree::{Presorted, RegressionTree, SplitMode, TreeGrower, TreeParams, MAX_BINS};
+use crate::tree::{Presorted, RegressionTree, TreeGrower, TreeParams};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -27,8 +27,6 @@ pub struct GbdtConfig {
     pub subsample: f64,
     /// Column-subsampling fraction per tree, in `(0, 1]`.
     pub colsample: f64,
-    /// How candidate split thresholds are enumerated.
-    pub split_mode: SplitMode,
     /// Seed for the subsampling RNG.
     pub seed: u64,
 }
@@ -47,16 +45,7 @@ impl GbdtConfig {
             min_child_weight: 0.1,
             subsample: 0.9,
             colsample: 0.9,
-            split_mode: SplitMode::Exact,
             seed: 17,
-        }
-    }
-
-    /// A histogram-split configuration for larger tabular inputs.
-    pub fn histogram(bins: usize) -> Self {
-        Self {
-            split_mode: SplitMode::Histogram { bins },
-            ..Self::small()
         }
     }
 
@@ -65,10 +54,6 @@ impl GbdtConfig {
     pub fn check(&self) -> Result<(), &'static str> {
         let non_negative = |x: f64| x.is_finite() && x >= 0.0;
         let fraction = |x: f64| x > 0.0 && x <= 1.0;
-        let bins_ok = match self.split_mode {
-            SplitMode::Exact => true,
-            SplitMode::Histogram { bins } => (2..=MAX_BINS).contains(&bins),
-        };
         if self.rounds == 0 {
             Err("need at least one boosting round")
         } else if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
@@ -81,8 +66,6 @@ impl GbdtConfig {
             Err("subsample must be in (0, 1]")
         } else if !fraction(self.colsample) {
             Err("colsample must be in (0, 1]")
-        } else if !bins_ok {
-            Err("histogram bins must be in 2..=65536")
         } else {
             Ok(())
         }
@@ -420,7 +403,6 @@ impl Encode for GbdtConfig {
         self.min_child_weight.encode(out);
         self.subsample.encode(out);
         self.colsample.encode(out);
-        self.split_mode.encode(out);
         self.seed.encode(out);
     }
 }
@@ -436,7 +418,6 @@ impl Decode for GbdtConfig {
             min_child_weight: f64::decode(r)?,
             subsample: f64::decode(r)?,
             colsample: f64::decode(r)?,
-            split_mode: SplitMode::decode(r)?,
             seed: u64::decode(r)?,
         };
         config.check().map_err(|_| DecodeError::Invalid)?;
@@ -503,7 +484,6 @@ fn tree_params(config: &GbdtConfig) -> TreeParams {
         lambda: config.lambda,
         gamma: config.gamma,
         min_child_weight: config.min_child_weight,
-        split_mode: config.split_mode,
     }
 }
 
@@ -671,19 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_mode_matches_exact_accuracy_on_blobs() {
-        let (rows, labels) = blobs(40);
-        let exact = GbdtClassifier::fit(&rows, &labels, 3, &GbdtConfig::small());
-        let hist = GbdtClassifier::fit(&rows, &labels, 3, &GbdtConfig::histogram(32));
-        let acc_exact = exact.accuracy(&rows, &labels);
-        let acc_hist = hist.accuracy(&rows, &labels);
-        assert!(
-            acc_hist >= acc_exact - 0.05,
-            "histogram {acc_hist} must track exact {acc_exact}"
-        );
-    }
-
-    #[test]
     fn early_stopping_truncates_on_noise() {
         // Random labels: beyond a few rounds the model only memorizes, so
         // validation loss stops improving and early stopping must kick in
@@ -759,18 +726,16 @@ mod tests {
     #[test]
     fn snapshot_codec_round_trips_a_trained_model() {
         let (rows, labels) = blobs(15);
-        for config in [GbdtConfig::small(), GbdtConfig::histogram(8)] {
-            let model = GbdtClassifier::fit(&rows, &labels, 3, &config);
-            let restored = GbdtClassifier::from_bytes(&model.to_bytes()).expect("round trip");
-            assert_eq!(model, restored);
-            for row in &rows {
-                let bits = |m: &GbdtClassifier| -> Vec<u64> {
-                    m.predict_proba(row).into_iter().map(f64::to_bits).collect()
-                };
-                assert_eq!(bits(&model), bits(&restored));
-            }
+        let config = GbdtConfig::small();
+        let model = GbdtClassifier::fit(&rows, &labels, 3, &config);
+        let restored = GbdtClassifier::from_bytes(&model.to_bytes()).expect("round trip");
+        assert_eq!(model, restored);
+        for row in &rows {
+            let bits = |m: &GbdtClassifier| -> Vec<u64> {
+                m.predict_proba(row).into_iter().map(f64::to_bits).collect()
+            };
+            assert_eq!(bits(&model), bits(&restored));
         }
-        let config = GbdtConfig::histogram(32);
         assert_eq!(GbdtConfig::from_bytes(&config.to_bytes()), Ok(config));
     }
 
@@ -830,12 +795,6 @@ mod tests {
                 colsample: 0.0,
                 ..GbdtConfig::small()
             },
-            GbdtConfig::histogram(0),
-            GbdtConfig::histogram(1),
-            GbdtConfig::histogram(MAX_BINS + 1),
-            GbdtConfig::histogram(usize::MAX),
-            GbdtConfig::histogram(2),
-            GbdtConfig::histogram(MAX_BINS),
             GbdtConfig::small(),
         ];
         for config in cases {
@@ -847,10 +806,6 @@ mod tests {
                 config.check()
             );
         }
-        assert_eq!(
-            GbdtConfig::histogram(usize::MAX).check(),
-            Err("histogram bins must be in 2..=65536")
-        );
         assert_eq!(
             GbdtConfig {
                 min_child_weight: f64::INFINITY,
@@ -870,13 +825,6 @@ mod tests {
             ..GbdtConfig::small()
         };
         GbdtClassifier::fit(&rows, &labels, 3, &config);
-    }
-
-    #[test]
-    #[should_panic(expected = "histogram bins must be in 2..=65536")]
-    fn fit_rejects_a_one_bin_histogram() {
-        let (rows, labels) = blobs(5);
-        GbdtClassifier::fit(&rows, &labels, 3, &GbdtConfig::histogram(1));
     }
 
     #[test]
@@ -924,8 +872,7 @@ mod tests {
 
         /// `fit` is byte-identical to the boosting loop driven by the
         /// per-node-sort oracle, across sizes, widths, class counts, depths,
-        /// subsampling, tie-heavy or continuous features and both split
-        /// modes.
+        /// subsampling and tie-heavy or continuous features.
         #[test]
         fn fit_matches_the_per_node_sort_oracle(
             seed in 0u64..u64::MAX,
@@ -945,11 +892,6 @@ mod tests {
                 subsample: 0.5 + 0.5 * s.unit(),
                 colsample: 0.3 + 0.7 * s.unit(),
                 seed: s.next(),
-                split_mode: if s.below(4) == 0 {
-                    SplitMode::Histogram { bins: 2 + s.below(40) }
-                } else {
-                    SplitMode::Exact
-                },
                 ..GbdtConfig::small()
             };
             let fitted = GbdtClassifier::fit_trees(&rows, &labels, classes, &config);

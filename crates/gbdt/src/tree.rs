@@ -3,30 +3,6 @@
 //! [`crate::compiled::Forest`] once boosting ends.
 
 use crate::compiled::LEAF;
-use serde::binary::{Decode, DecodeError, Encode, Reader};
-use serde::{Deserialize, Serialize};
-
-/// How candidate split thresholds are enumerated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SplitMode {
-    /// Consider every boundary between distinct values of each feature —
-    /// optimal. Rows are presorted: one counting sort per feature per
-    /// boosting round, after which each node scans and partitions its
-    /// features' sorted segments in `O(n)` per feature. The right choice
-    /// for CQC-sized data.
-    #[default]
-    Exact,
-    /// Bucket each feature into equal-width bins over the node's value range
-    /// and consider only bin edges — `O(n + bins)` per feature per node, the
-    /// standard approximation for larger datasets (LightGBM/XGBoost `hist`).
-    Histogram {
-        /// Number of buckets per feature (at least 2, at most 65 536).
-        bins: usize,
-    },
-}
-
-/// Most buckets [`SplitMode::Histogram`] may ask for.
-pub(crate) const MAX_BINS: usize = 1 << 16;
 
 /// Parameters a single tree needs from the boosting configuration.
 #[derive(Debug, Clone, Copy)]
@@ -35,7 +11,6 @@ pub(crate) struct TreeParams {
     pub lambda: f64,
     pub gamma: f64,
     pub min_child_weight: f64,
-    pub split_mode: SplitMode,
 }
 
 /// Grows a fit's trees round by round: `start_round` sets the row sample
@@ -50,22 +25,26 @@ pub(crate) trait TreeGrower {
     fn grow(&mut self, grad: &[f64], hess: &[f64], columns: &[usize]) -> RegressionTree;
 }
 
-/// The split search of one fit: the training features laid out once, plus
-/// buffers that every round and tree of the fit reuses.
+/// The exact split search of one fit: every boundary between distinct
+/// values of each feature is a candidate. Rows are presorted, one counting
+/// sort per feature per boosting round, after which each node scans and
+/// partitions its features' sorted segments in `O(n)` per feature. The
+/// training features are laid out once, plus buffers that every round and
+/// tree of the fit reuses.
 pub(crate) struct Presorted {
     params: TreeParams,
     /// `values[feature][row]`: a column-major copy of the features.
     values: Vec<Vec<f64>>,
     /// `ranks[feature][row]`: the value's dense rank among the feature's
     /// distinct values, where `==` values (so `-0.0` and `0.0`) share a
-    /// rank. Empty unless the split mode is [`SplitMode::Exact`].
+    /// rank.
     ranks: Vec<Vec<u32>>,
-    /// Distinct values per ranked feature.
+    /// Distinct values per feature.
     distinct: Vec<usize>,
     /// The round's row sample in subsample order.
     sample: Vec<u32>,
-    /// Per ranked feature, the round's sample in `(value, subsample
-    /// position)` order.
+    /// Per feature, the round's sample in `(value, subsample position)`
+    /// order.
     sample_sorted: Vec<Vec<u32>>,
     scratch: Scratch,
 }
@@ -77,22 +56,17 @@ pub(crate) struct Presorted {
 struct Scratch {
     /// The round's sample; each node's segment is in subsample order.
     rows: Vec<u32>,
-    /// One block of `rows.len()` per candidate column (exact mode only):
-    /// block `k` holds each node's rows in `(value of columns[k], subsample
-    /// position)` order.
+    /// One block of `rows.len()` per candidate column: block `k` holds each
+    /// node's rows in `(value of columns[k], subsample position)` order.
     sorted: Vec<u32>,
     /// Which side of the split being applied each row goes to, by row id.
     goes_left: Vec<bool>,
     /// The stable partition's holding area for right-side rows.
     spill: Vec<u32>,
-    /// Per-bucket gradient and hessian sums (histogram mode only).
-    g_bins: Vec<f64>,
-    h_bins: Vec<f64>,
 }
 
 impl Presorted {
-    /// Lays out `features` (row-major, rectangular, finite) for
-    /// `params.split_mode`.
+    /// Lays out and ranks `features` (row-major, rectangular, finite).
     pub(crate) fn new(features: &[Vec<f64>], params: TreeParams) -> Self {
         let n = features.len();
         assert!(u32::try_from(n).is_ok(), "too many rows");
@@ -100,25 +74,23 @@ impl Presorted {
             .map(|f| features.iter().map(|row| row[f]).collect())
             .collect();
         let (mut ranks, mut distinct) = (Vec::new(), Vec::new());
-        if params.split_mode == SplitMode::Exact {
-            let mut order: Vec<u32> = Vec::with_capacity(n);
-            for column in &values {
-                order.clear();
-                order.extend(0..n as u32);
-                order.sort_unstable_by(|&a, &b| {
-                    column[a as usize]
-                        .partial_cmp(&column[b as usize])
-                        .expect("finite features")
-                });
-                let mut rank = vec![0u32; n];
-                let mut next = 0u32;
-                for w in order.windows(2) {
-                    next += u32::from(column[w[0] as usize] != column[w[1] as usize]);
-                    rank[w[1] as usize] = next;
-                }
-                ranks.push(rank);
-                distinct.push(next as usize + 1);
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        for column in &values {
+            order.clear();
+            order.extend(0..n as u32);
+            order.sort_unstable_by(|&a, &b| {
+                column[a as usize]
+                    .partial_cmp(&column[b as usize])
+                    .expect("finite features")
+            });
+            let mut rank = vec![0u32; n];
+            let mut next = 0u32;
+            for w in order.windows(2) {
+                next += u32::from(column[w[0] as usize] != column[w[1] as usize]);
+                rank[w[1] as usize] = next;
             }
+            ranks.push(rank);
+            distinct.push(next as usize + 1);
         }
         Self {
             params,
@@ -163,16 +135,8 @@ impl TreeGrower for Presorted {
         scratch.rows.clear();
         scratch.rows.extend_from_slice(&self.sample);
         scratch.sorted.clear();
-        match self.params.split_mode {
-            SplitMode::Exact => {
-                for &f in columns {
-                    scratch.sorted.extend_from_slice(&self.sample_sorted[f]);
-                }
-            }
-            SplitMode::Histogram { bins } => {
-                scratch.g_bins.resize(bins, 0.0);
-                scratch.h_bins.resize(bins, 0.0);
-            }
+        for &f in columns {
+            scratch.sorted.extend_from_slice(&self.sample_sorted[f]);
         }
         scratch.goes_left.resize(self.values[0].len(), false);
         scratch.spill.resize(n, 0);
@@ -345,10 +309,7 @@ impl Builder<'_> {
             parent_score: g_sum * g_sum / (h_sum + lambda),
             best: None,
         };
-        match self.params.split_mode {
-            SplitMode::Exact => self.scan_sorted(lo, hi, &mut best),
-            SplitMode::Histogram { bins } => self.scan_bins(lo, hi, bins, &mut best),
-        }
+        self.scan_sorted(lo, hi, &mut best);
         let Some((feature, threshold, gain)) = best.best else {
             return leaf(&mut self.nodes);
         };
@@ -361,10 +322,8 @@ impl Builder<'_> {
             n_left += usize::from(left);
         }
         if n_left == 0 || n_left == hi - lo {
-            // Possible under histogram splitting when a bin edge separates
-            // no samples (e.g. empty leading bins), and under exact
-            // splitting when `0.5 * (va + vb)` rounds onto `va`: fall back
-            // to a leaf.
+            // Possible when `0.5 * (va + vb)` rounds onto `va`: fall back to
+            // a leaf.
             return leaf(&mut self.nodes);
         }
         partition(
@@ -417,38 +376,6 @@ impl Builder<'_> {
             }
         }
     }
-
-    /// Histogram search: buckets the segment's rows in subsample order.
-    fn scan_bins(&mut self, lo: usize, hi: usize, bins: usize, best: &mut BestSplit<'_>) {
-        for &f in self.columns {
-            let values = &self.values[f];
-            let segment = &self.scratch.rows[lo..hi];
-            let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-            for &r in segment {
-                min = min.min(values[r as usize]);
-                max = max.max(values[r as usize]);
-            }
-            if (max - min).abs() < f64::EPSILON {
-                continue; // constant feature at this node
-            }
-            let width = (max - min) / bins as f64;
-            self.scratch.g_bins.fill(0.0);
-            self.scratch.h_bins.fill(0.0);
-            for &r in segment {
-                let r = r as usize;
-                let b = (((values[r] - min) / width) as usize).min(bins - 1);
-                self.scratch.g_bins[b] += self.grad[r];
-                self.scratch.h_bins[b] += self.hess[r];
-            }
-            let mut gl = 0.0;
-            let mut hl = 0.0;
-            for b in 0..bins - 1 {
-                gl += self.scratch.g_bins[b];
-                hl += self.scratch.h_bins[b];
-                best.consider(f, min + width * (b + 1) as f64, gl, hl);
-            }
-        }
-    }
 }
 
 /// Stable in-place partition of `segment` by `goes_left[row]`, using `spill`
@@ -465,33 +392,6 @@ fn partition(segment: &mut [u32], goes_left: &[bool], spill: &mut [u32]) {
         right += usize::from(!l);
     }
     segment[left..].copy_from_slice(&spill[..right]);
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot codecs (`serde::binary`).
-
-impl Encode for SplitMode {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            SplitMode::Exact => 0u8.encode(out),
-            SplitMode::Histogram { bins } => {
-                1u8.encode(out);
-                bins.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for SplitMode {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(SplitMode::Exact),
-            1 => Ok(SplitMode::Histogram {
-                bins: usize::decode(r)?,
-            }),
-            _ => Err(DecodeError::Invalid),
-        }
-    }
 }
 
 /// A node's fields as raw bits: see [`RegressionTree::bits`].
@@ -529,7 +429,7 @@ impl RegressionTree {
 /// verbatim as a test oracle: presorted trees must match it bit for bit.
 #[cfg(test)]
 pub(crate) mod per_node_sort {
-    use super::{Node, RegressionTree, SplitMode, TreeGrower, TreeParams};
+    use super::{Node, RegressionTree, TreeGrower, TreeParams};
 
     /// The oracle as a [`TreeGrower`], to drive whole fits.
     pub(crate) struct Oracle<'a> {
@@ -618,53 +518,22 @@ pub(crate) mod per_node_sort {
             };
 
         for &f in columns {
-            match params.split_mode {
-                SplitMode::Exact => {
-                    let mut order: Vec<usize> = rows.to_vec();
-                    order.sort_by(|&a, &b| {
-                        features[a][f]
-                            .partial_cmp(&features[b][f])
-                            .expect("finite features")
-                    });
-                    let mut gl = 0.0;
-                    let mut hl = 0.0;
-                    for w in order.windows(2) {
-                        gl += grad[w[0]];
-                        hl += hess[w[0]];
-                        let (va, vb) = (features[w[0]][f], features[w[1]][f]);
-                        if va == vb {
-                            continue; // cannot split between equal values
-                        }
-                        consider(f, 0.5 * (va + vb), gl, hl, &mut best);
-                    }
+            let mut order: Vec<usize> = rows.to_vec();
+            order.sort_by(|&a, &b| {
+                features[a][f]
+                    .partial_cmp(&features[b][f])
+                    .expect("finite features")
+            });
+            let mut gl = 0.0;
+            let mut hl = 0.0;
+            for w in order.windows(2) {
+                gl += grad[w[0]];
+                hl += hess[w[0]];
+                let (va, vb) = (features[w[0]][f], features[w[1]][f]);
+                if va == vb {
+                    continue; // cannot split between equal values
                 }
-                SplitMode::Histogram { bins } => {
-                    let bins = bins.max(2);
-                    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                    for &r in rows {
-                        lo = lo.min(features[r][f]);
-                        hi = hi.max(features[r][f]);
-                    }
-                    if (hi - lo).abs() < f64::EPSILON {
-                        continue; // constant feature at this node
-                    }
-                    let width = (hi - lo) / bins as f64;
-                    let mut g_bins = vec![0.0f64; bins];
-                    let mut h_bins = vec![0.0f64; bins];
-                    for &r in rows {
-                        let b = (((features[r][f] - lo) / width) as usize).min(bins - 1);
-                        g_bins[b] += grad[r];
-                        h_bins[b] += hess[r];
-                    }
-                    let mut gl = 0.0;
-                    let mut hl = 0.0;
-                    for b in 0..bins - 1 {
-                        gl += g_bins[b];
-                        hl += h_bins[b];
-                        let threshold = lo + width * (b + 1) as f64;
-                        consider(f, threshold, gl, hl, &mut best);
-                    }
-                }
+                consider(f, 0.5 * (va + vb), gl, hl, &mut best);
             }
         }
 
@@ -774,7 +643,6 @@ mod tests {
         lambda: 1.0,
         gamma: 0.0,
         min_child_weight: 1e-6,
-        split_mode: SplitMode::Exact,
     };
 
     /// Squared-error fitting reduces to grad = pred - target with hess = 1
@@ -918,52 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_splitting_matches_exact_on_a_step_function() {
-        let features: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64]).collect();
-        let targets: Vec<f64> = (0..40).map(|i| if i < 20 { -1.0 } else { 1.0 }).collect();
-        let hist_params = TreeParams {
-            split_mode: SplitMode::Histogram { bins: 8 },
-            ..PARAMS
-        };
-        let exact = fit_regression(&features, &targets, &PARAMS);
-        let hist = fit_regression(&features, &targets, &hist_params);
-        for x in [3.0, 12.0, 27.0, 38.0] {
-            assert_eq!(
-                exact.predict(&[x]).signum(),
-                hist.predict(&[x]).signum(),
-                "disagreement at {x}"
-            );
-        }
-    }
-
-    #[test]
-    fn histogram_with_few_bins_still_produces_a_valid_tree() {
-        let features: Vec<Vec<f64>> = (0..30).map(|i| vec![(i % 7) as f64, i as f64]).collect();
-        let targets: Vec<f64> = (0..30)
-            .map(|i| if i % 7 < 3 { -1.0 } else { 1.0 })
-            .collect();
-        let params = TreeParams {
-            split_mode: SplitMode::Histogram { bins: 2 },
-            ..PARAMS
-        };
-        let tree = fit_regression(&features, &targets, &params);
-        assert!(leaves(&tree) >= 1);
-        assert!(tree.predict(&[1.0, 0.0]).is_finite());
-    }
-
-    #[test]
-    fn histogram_handles_constant_features() {
-        let features = vec![vec![5.0], vec![5.0], vec![5.0], vec![5.0]];
-        let targets = vec![-1.0, 1.0, -1.0, 1.0];
-        let params = TreeParams {
-            split_mode: SplitMode::Histogram { bins: 16 },
-            ..PARAMS
-        };
-        let tree = fit_regression(&features, &targets, &params);
-        assert_eq!(leaves(&tree), 1);
-    }
-
-    #[test]
     fn importance_prefers_the_informative_feature() {
         let features: Vec<Vec<f64>> = (0..20)
             .map(|i| vec![i as f64, (i % 3) as f64 * 0.01])
@@ -984,11 +806,6 @@ mod tests {
         // Ties keep their subsample order.
         grower.start_round(&[4, 3, 0, 1, 2]);
         assert_eq!(grower.sample_sorted, vec![vec![2, 3, 1, 4, 0]]);
-        let histogram = TreeParams {
-            split_mode: SplitMode::Histogram { bins: 4 },
-            ..PARAMS
-        };
-        assert!(Presorted::new(&features, histogram).ranks.is_empty());
     }
 
     #[test]
@@ -1005,7 +822,7 @@ mod tests {
 
         /// Presorted trees are bit-identical, gains included, to the
         /// per-node-sort oracle for random rows, row-sample orders, column
-        /// subsets and parameters, in both split modes.
+        /// subsets and parameters.
         #[test]
         fn presorted_trees_match_the_per_node_sort_oracle(
             seed in 0u64..u64::MAX,
@@ -1013,7 +830,6 @@ mod tests {
             width in 1usize..10,
             levels in 0usize..12,
             max_depth in 0usize..7,
-            histogram in 0usize..4,
         ) {
             let mut s = per_node_sort::Stream(seed);
             let features = s.features(n, width, levels);
@@ -1023,17 +839,11 @@ mod tests {
             let rows = s.sample(n, take);
             let take = 1 + s.below(width);
             let columns = s.sample(width, take);
-            let split_mode = if histogram == 0 {
-                SplitMode::Histogram { bins: 2 + s.below(30) }
-            } else {
-                SplitMode::Exact
-            };
             let params = TreeParams {
                 max_depth,
                 lambda: s.unit() * 2.0,
                 gamma: if s.below(3) == 0 { s.unit() * 0.05 } else { 0.0 },
                 min_child_weight: if s.below(2) == 0 { s.unit() * 3.0 } else { 1e-6 },
-                split_mode,
             };
             let new = fit_rows(&features, &grad, &hess, &rows, &columns, &params);
             let old = per_node_sort::fit(&features, &grad, &hess, &rows, &columns, &params);

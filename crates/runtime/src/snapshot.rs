@@ -43,8 +43,13 @@ const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 /// 6 — the CQC model travels compiled: a tree count, then every node in
 /// preorder as a `u16` feature id (`u16::MAX` for a leaf) and its
 /// threshold or weight, with no split gains, child indices or per-tree
-/// lengths.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 6;
+/// lengths;
+/// 7 — the competitor schemes are configurations: `CrowdLearnConfig`
+/// leads with a `Model` tag and encodes a tagged `Selection` where ε used
+/// to sit, `CalibratorConfig`'s retrain and offload switches are three-way
+/// tags, the query selector carries only its RNG, and `GbdtConfig` lost its
+/// split-mode tag.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 7;
 
 /// Why a snapshot could not be produced or restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -27,7 +27,7 @@ fn framed(magic: &[u8; 8], version: u32) -> Vec<u8> {
 
 #[test]
 fn runtime_frame_bytes_are_pinned() {
-    let bytes = framed(b"CLSNAP\x00\x01", 6);
+    let bytes = framed(b"CLSNAP\x00\x01", 7);
     let snap = RuntimeSnapshot::from_bytes(&bytes).expect("pinned frame opens");
     assert_eq!(snap.to_bytes(), bytes);
     assert_eq!(snap.serialized_len(), bytes.len());
@@ -43,7 +43,7 @@ fn fleet_frame_bytes_are_pinned() {
 
 #[test]
 fn frame_defects_decode_to_the_same_typed_errors() {
-    let runtime = framed(b"CLSNAP\x00\x01", 6);
+    let runtime = framed(b"CLSNAP\x00\x01", 7);
     let fleet = framed(b"CLFLEET\x00", 1);
     let defects: [(&str, Defect); 5] = [
         ("magic", |b| b[0] ^= 0xff),
@@ -59,7 +59,7 @@ fn frame_defects_decode_to_the_same_typed_errors() {
         ),
         (
             SnapshotError::VersionMismatch { found: 0xfe },
-            "snapshot format version 254 != supported 6",
+            "snapshot format version 254 != supported 7",
         ),
         (
             SnapshotError::ChecksumMismatch,

@@ -7,7 +7,7 @@
 //! stream.
 
 use crowdlearn::{
-    CalibratorConfig, CrowdLearnConfig, CrowdLearnSystem, CycleOutcome, IncentivePolicyKind,
+    CalibratorConfig, CrowdLearnConfig, CrowdLearnSystem, CycleOutcome, IncentivePolicyKind, Model,
 };
 use crowdlearn_crowd::{DelayModel, IncentiveLevel, PlatformConfig};
 use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
@@ -149,14 +149,23 @@ fn cases() -> Vec<Case> {
         platform: bursty_platform(&small),
         config: small,
     });
-    let config = CrowdLearnConfig::paper();
-    cases.push(Case {
-        name: "paper",
+    // The paper configuration and its six competitors, on the paper stream.
+    let paper_cases = [
+        ("paper", CrowdLearnConfig::paper()),
+        ("VGG16", CrowdLearnConfig::ai_only(Model::Vgg16)),
+        ("BoVW", CrowdLearnConfig::ai_only(Model::Bovw)),
+        ("DDM", CrowdLearnConfig::ai_only(Model::Ddm)),
+        ("Ensemble", CrowdLearnConfig::ai_only(Model::Ensemble)),
+        ("Hybrid-Para", CrowdLearnConfig::hybrid_para()),
+        ("Hybrid-AL", CrowdLearnConfig::hybrid_al()),
+    ];
+    cases.extend(paper_cases.into_iter().map(|(name, config)| Case {
+        name,
         stream: SensingCycleStream::paper(&paper),
         platform: PlatformConfig::paper().with_seed(config.platform_seed),
-        dataset: paper,
+        dataset: paper.clone(),
         config,
-    });
+    }));
     cases
 }
 

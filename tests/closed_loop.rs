@@ -2,10 +2,8 @@
 //! runtime at an in-flight window of one, reproduces the paper's headline
 //! orderings and keeps its books straight.
 
-use crowdlearn::baselines::{run_ai_only, HybridAl, HybridConfig, HybridPara};
-use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem, SchemeReport};
-use crowdlearn_classifiers::{profiles, BoostedEnsemble, Classifier};
-use crowdlearn_dataset::{Dataset, DatasetConfig, LabeledImage, SensingCycleStream};
+use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem, Model, SchemeReport};
+use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
 use crowdlearn_runtime::{
     MetricsTap, PipelinedSystem, RuntimeConfig, RuntimeReport, RuntimeSnapshot,
 };
@@ -14,15 +12,6 @@ fn fixture() -> (Dataset, SensingCycleStream) {
     let dataset = Dataset::generate(&DatasetConfig::paper());
     let stream = SensingCycleStream::paper(&dataset);
     (dataset, stream)
-}
-
-fn train_labels(dataset: &Dataset) -> Vec<LabeledImage> {
-    dataset
-        .train()
-        .iter()
-        .cloned()
-        .map(LabeledImage::ground_truth)
-        .collect()
 }
 
 /// One paper-stream run under `config`, returning the run and the system
@@ -38,28 +27,21 @@ fn paper_run(config: CrowdLearnConfig) -> SchemeReport {
     paper_run_with_system(config).0.report
 }
 
+/// Hybrid-AL around a DDM base model instead of the Ensemble.
+fn hybrid_al_on_ddm() -> CrowdLearnConfig {
+    CrowdLearnConfig {
+        model: Model::Ddm,
+        ..CrowdLearnConfig::hybrid_al()
+    }
+}
+
 #[test]
 fn table2_ordering_holds_end_to_end() {
-    let (dataset, stream) = fixture();
-    let train = train_labels(&dataset);
-
     let crowdlearn = paper_run(CrowdLearnConfig::paper());
-
-    let mut vgg = profiles::vgg16(0);
-    vgg.retrain(&train);
-    let vgg_report = run_ai_only(&mut vgg, &dataset, &stream);
-
-    let mut bovw = profiles::bovw(0);
-    bovw.retrain(&train);
-    let bovw_report = run_ai_only(&mut bovw, &dataset, &stream);
-
-    let mut ddm = profiles::ddm(0);
-    ddm.retrain(&train);
-    let ddm_report = run_ai_only(&mut ddm, &dataset, &stream);
-
-    let mut ensemble = BoostedEnsemble::new(profiles::paper_committee(0));
-    ensemble.retrain(&train);
-    let ensemble_report = run_ai_only(&mut ensemble, &dataset, &stream);
+    let vgg_report = paper_run(CrowdLearnConfig::ai_only(Model::Vgg16));
+    let bovw_report = paper_run(CrowdLearnConfig::ai_only(Model::Bovw));
+    let ddm_report = paper_run(CrowdLearnConfig::ai_only(Model::Ddm));
+    let ensemble_report = paper_run(CrowdLearnConfig::ai_only(Model::Ensemble));
 
     // The paper's central ordering: CrowdLearn leads everything; the AI-only
     // ladder is BoVW < VGG16 < DDM <= Ensemble.
@@ -76,20 +58,9 @@ fn table2_ordering_holds_end_to_end() {
 
 #[test]
 fn crowdlearn_beats_both_hybrids_on_accuracy_and_delay() {
-    let (dataset, stream) = fixture();
-    let train = train_labels(&dataset);
-
     let crowdlearn = paper_run(CrowdLearnConfig::paper());
-
-    let mut ensemble = BoostedEnsemble::new(profiles::paper_committee(0));
-    ensemble.retrain(&train);
-    let mut para = HybridPara::new(Box::new(ensemble), HybridConfig::paper());
-    let para_report = para.run(&dataset, &stream);
-
-    let mut ensemble2 = BoostedEnsemble::new(profiles::paper_committee(0));
-    ensemble2.retrain(&train);
-    let mut al = HybridAl::new(Box::new(ensemble2), HybridConfig::paper());
-    let al_report = al.run(&dataset, &stream);
+    let para_report = paper_run(CrowdLearnConfig::hybrid_para());
+    let al_report = paper_run(CrowdLearnConfig::hybrid_al());
 
     assert!(crowdlearn.accuracy() > para_report.accuracy());
     assert!(crowdlearn.accuracy() > al_report.accuracy());
@@ -107,6 +78,64 @@ fn crowdlearn_beats_both_hybrids_on_accuracy_and_delay() {
         cl_delay < 0.85 * al_delay,
         "CrowdLearn delay {cl_delay} vs Hybrid-AL {al_delay}"
     );
+}
+
+#[test]
+fn ai_only_reports_match_expert_accuracy_bands() {
+    let report = paper_run(CrowdLearnConfig::ai_only(Model::Ddm));
+    assert!(
+        (report.accuracy() - 0.807).abs() < 0.05,
+        "{}",
+        report.accuracy()
+    );
+    assert!(report.mean_crowd_delay_secs().is_none());
+    assert_eq!(report.spent_cents, 0);
+}
+
+#[test]
+fn hybrid_al_improves_slightly_over_its_base_model() {
+    let base_report = paper_run(CrowdLearnConfig::ai_only(Model::Ddm));
+    let al_report = paper_run(hybrid_al_on_ddm());
+    // Retraining with crowd labels buys a little accuracy, but cannot
+    // exceed the architecture's ceiling (Table II: 0.823 vs 0.807). The
+    // comparison carries realization variance: every retrain reshuffles
+    // the simulated model's prediction noise, so individual runs move a
+    // couple of points either way around the base model.
+    assert!(
+        al_report.accuracy() >= base_report.accuracy() - 0.045,
+        "Hybrid-AL {} must not collapse below DDM {}",
+        al_report.accuracy(),
+        base_report.accuracy()
+    );
+    assert!(al_report.mean_crowd_delay_secs().is_some());
+    assert_eq!(al_report.queries_issued, 200);
+}
+
+#[test]
+fn hybrid_al_respects_budget() {
+    let report = paper_run(hybrid_al_on_ddm().with_budget_cents(100.0));
+    assert!(report.spent_cents <= 100);
+}
+
+#[test]
+fn hybrid_para_lands_in_its_table2_band() {
+    let report = paper_run(CrowdLearnConfig::hybrid_para());
+    // Paper Table II: Hybrid-Para 0.797.
+    assert!(
+        (report.accuracy() - 0.797).abs() < 0.06,
+        "Hybrid-Para accuracy {}",
+        report.accuracy()
+    );
+}
+
+#[test]
+fn fixed_incentive_hybrids_are_slower_than_nothing_at_all() {
+    // Sanity: hybrids actually incur crowd delay while AI-only does not.
+    let report = paper_run(CrowdLearnConfig::hybrid_para());
+    let crowd = report
+        .mean_crowd_delay_secs()
+        .expect("para queries the crowd");
+    assert!(crowd > report.mean_algorithm_delay_secs());
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! wall-clock read, or entropy-seeded RNG that sneaks past review shows up
 //! as a hard test failure, label by label.
 
-use crowdlearn::CrowdLearnConfig;
+use crowdlearn::{CrowdLearnConfig, Model, StateError};
 use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
 use crowdlearn_runtime::{
     FleetConfig, FleetOrchestrator, FleetSnapshot, FleetSnapshotError, MetricsTap, PipelinedSystem,
@@ -108,6 +108,56 @@ fn checkpoint_resume_is_byte_identical_at_sampled_event_boundaries() {
             "resume from event boundary {cut}/{total} diverged"
         );
     }
+}
+
+/// An AI-only competitor is a configuration of the runtime, so it
+/// checkpoints and resumes like the paper's system.
+#[test]
+fn ai_only_checkpoint_resume_is_byte_identical() {
+    let dataset = dataset(7);
+    let stream = SensingCycleStream::new(&dataset, 8, 5);
+    let system = || {
+        PipelinedSystem::new(
+            &dataset,
+            CrowdLearnConfig::ai_only(Model::Ddm),
+            runtime_config(),
+        )
+    };
+    let baseline = system().run(&dataset, &stream);
+    let mut paused = system();
+    let cut = baseline.events_processed / 2;
+    assert!(paused
+        .run_until(&dataset, &stream, RunBound::Events(cut))
+        .is_none());
+    let bytes = paused.snapshot().expect("DDM is checkpointable").to_bytes();
+    let snapshot = RuntimeSnapshot::from_bytes(&bytes).expect("frame validates");
+    let mut resumed = PipelinedSystem::resume(&snapshot, &stream).expect("payload validates");
+    assert_eq!(
+        format!("{:?}", resumed.run(&dataset, &stream)),
+        format!("{baseline:?}")
+    );
+}
+
+/// The boosted Ensemble has no serialized form: a snapshot of a run with it
+/// is a typed error, not a panic.
+#[test]
+fn ensemble_snapshots_are_a_typed_unsupported_error() {
+    let dataset = dataset(7);
+    let stream = SensingCycleStream::new(&dataset, 8, 5);
+    let mut system = PipelinedSystem::new(
+        &dataset,
+        CrowdLearnConfig::ai_only(Model::Ensemble),
+        runtime_config(),
+    );
+    assert!(system
+        .run_until(&dataset, &stream, RunBound::Events(10))
+        .is_none());
+    assert_eq!(
+        system.snapshot().err(),
+        Some(SnapshotError::UnsupportedSystem(
+            StateError::UnsupportedClassifier
+        ))
+    );
 }
 
 #[test]
@@ -613,7 +663,7 @@ fn snapshots_reject_future_format_versions_with_typed_errors() {
     let bytes = system.snapshot().expect("checkpointable").to_bytes();
     for (found, stamped) in [
         (SNAPSHOT_FORMAT_VERSION + 1, SNAPSHOT_FORMAT_VERSION + 1),
-        (5, SNAPSHOT_FORMAT_VERSION - 1),
+        (6, SNAPSHOT_FORMAT_VERSION - 1),
     ] {
         let mut bytes = bytes.clone();
         // The u32 version field sits right after the 8-byte magic.
@@ -725,6 +775,43 @@ fn empty_fault_plan_is_byte_identical_to_the_default_config() {
     );
     assert_eq!(report.posts_rejected, 0);
     assert_eq!(report.degraded_cycles, 0);
+}
+
+/// The paper's hybrid competitors are configurations of the runtime, so
+/// they run pipelined (window 4) under a fault plan: every streamed image
+/// still receives exactly one final label, and the spend stays within the
+/// budget and reconciles with the platform's books.
+#[test]
+fn hybrid_schemes_run_pipelined_under_a_fault_plan() {
+    let dataset = dataset(7);
+    let stream = SensingCycleStream::new(&dataset, 8, 5);
+    let runtime = RuntimeConfig::paper()
+        .with_hit_timeout(Some(150.0), 2)
+        .with_faults(fault_plan());
+    for config in [
+        CrowdLearnConfig::hybrid_al(),
+        CrowdLearnConfig::hybrid_para(),
+    ] {
+        let budget = config.budget_cents;
+        let mut system = PipelinedSystem::new(&dataset, config, runtime.clone());
+        let run = system.run(&dataset, &stream);
+        assert!(run.posts_rejected > 0, "the outage must refuse posts");
+        let mut seen = std::collections::BTreeSet::new();
+        assert_eq!(run.outcomes.len(), stream.cycles().len());
+        for (cycle, outcome) in stream.cycles().iter().zip(&run.outcomes) {
+            assert_eq!(outcome.images.len(), cycle.image_ids.len());
+            for img in &outcome.images {
+                assert!(seen.insert(img.image), "duplicate label for {}", img.image);
+            }
+        }
+        let streamed: usize = stream.cycles().iter().map(|c| c.image_ids.len()).sum();
+        assert_eq!(seen.len(), streamed);
+        assert!(run.report.spent_cents as f64 <= budget);
+        assert_eq!(
+            run.report.spent_cents,
+            system.system().evaluation_spent_cents()
+        );
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! MIC's learning paths — Hedge weight updates and committee retraining —
 //! while never overriding the AI label of its image.
 
-use crowdlearn::{CalibratorConfig, CrowdLearnConfig, CycleOutcome};
+use crowdlearn::{CalibratorConfig, CrowdLearnConfig, CycleOutcome, Offload};
 use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
 use crowdlearn_runtime::{PipelinedSystem, RuntimeConfig};
 
@@ -29,7 +29,7 @@ fn late_answers_update_hedge_weights_but_never_override_ai_labels() {
     // Offloading disabled outright, no deadline: the label-path reference.
     let mut no_offload_config = CrowdLearnConfig::paper();
     no_offload_config.calibration = CalibratorConfig {
-        offload: false,
+        offload: Offload::Off,
         ..CalibratorConfig::paper()
     };
     let (no_offload, no_offload_weights) = run_outcomes(&dataset, no_offload_config);
