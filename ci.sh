@@ -24,6 +24,12 @@ if [ "${detlint_status}" -ne 0 ]; then
     exit "${detlint_status}"
 fi
 
+# Intra-doc links: a deleted type that a doc comment still links to fails
+# here. The vendored stand-ins under vendor/ are not held to it.
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline \
+    --exclude proptest --exclude rand --exclude serde --exclude serde_derive
+
 echo "==> cargo build --release"
 cargo build --release --offline
 

@@ -184,14 +184,6 @@ pub trait CostedBandit: Send {
 
     /// The problem description this policy was built for.
     fn config(&self) -> &BanditConfig;
-
-    /// The policy's full live state in serializable form, used by runtime
-    /// checkpoints. Policies without a serialized form return `None` (the
-    /// default), and a snapshot containing them fails with an explicit
-    /// error instead of panicking.
-    fn save_state(&self) -> Option<crate::PolicyState> {
-        None
-    }
 }
 
 // Snapshot codec: decoding runs `BanditConfig::check` and reports `Invalid`
@@ -218,6 +210,17 @@ impl Decode for BanditConfig {
         config.check().map_err(|_| DecodeError::Invalid)?;
         Ok(config)
     }
+}
+
+/// Per-(context, action) tables must match the configuration's dimensions,
+/// or indexing in `select`/`observe` would panic after resume.
+pub(crate) fn tables_match(config: &BanditConfig, counts: &[Vec<u64>], means: &[Vec<f64>]) -> bool {
+    counts.len() == config.contexts()
+        && means.len() == config.contexts()
+        && counts.iter().all(|row| row.len() == config.actions())
+        && means
+            .iter()
+            .all(|row| row.len() == config.actions() && row.iter().all(|m| m.is_finite()))
 }
 
 /// Shared budget ledger used by the policy implementations.
@@ -273,9 +276,29 @@ impl BudgetLedger {
     }
 }
 
+// Snapshot codec: the remaining budget; decoding rejects a negative or
+// non-finite one.
+impl Encode for BudgetLedger {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.remaining.encode(out);
+    }
+}
+
+impl Decode for BudgetLedger {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let remaining = f64::decode(r)?;
+        let budget_ok = remaining.is_finite() && remaining >= 0.0;
+        if !budget_ok {
+            return Err(DecodeError::Invalid);
+        }
+        Ok(Self { remaining })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EpsilonGreedy, FixedPolicy, RandomPolicy, UcbAlp};
 
     #[test]
     fn config_accessors_work() {
@@ -398,6 +421,84 @@ mod tests {
         assert!(
             ledger.try_charge(0.1),
             "0.3 - 0.1 - 0.1 must still afford 0.1"
+        );
+    }
+
+    fn resume_config() -> BanditConfig {
+        BanditConfig::new(2, vec![1.0, 2.0, 4.0], 300.0, 120)
+            .with_context_distribution(vec![0.5, 0.5])
+    }
+
+    /// Drives a policy `rounds` times, alternating contexts, with a fixed
+    /// payoff schedule; returns the picks.
+    fn drive(bandit: &mut dyn CostedBandit, rounds: u64) -> Vec<Option<usize>> {
+        (0..rounds)
+            .map(|r| {
+                let ctx = (r % 2) as usize;
+                let pick = bandit.select(ctx);
+                if let Some(a) = pick {
+                    bandit.observe(ctx, a, [0.2, 0.6, 0.9][a]);
+                }
+                pick
+            })
+            .collect()
+    }
+
+    /// A policy decoded mid-run re-encodes to the same bytes and then
+    /// picks exactly what the live one picks.
+    fn assert_resume_is_transparent<B: CostedBandit + Encode + Decode>(mut live: B) {
+        drive(&mut live, 37);
+        let bytes = live.to_bytes();
+        let mut resumed = B::from_bytes(&bytes).expect("round trip");
+        assert_eq!(resumed.to_bytes(), bytes);
+        assert_eq!(drive(&mut live, 40), drive(&mut resumed, 40));
+        assert_eq!(live.remaining_budget(), resumed.remaining_budget());
+    }
+
+    #[test]
+    fn ucb_alp_resumes_byte_identically() {
+        assert_resume_is_transparent(UcbAlp::new(resume_config(), 9));
+    }
+
+    #[test]
+    fn epsilon_greedy_resumes_byte_identically() {
+        assert_resume_is_transparent(EpsilonGreedy::new(resume_config(), 0.2, 9));
+    }
+
+    #[test]
+    fn fixed_resumes_byte_identically() {
+        assert_resume_is_transparent(FixedPolicy::new(resume_config(), 1));
+    }
+
+    #[test]
+    fn random_resumes_byte_identically() {
+        assert_resume_is_transparent(RandomPolicy::new(resume_config(), 9));
+    }
+
+    #[test]
+    fn mismatched_tables_are_invalid() {
+        // A 3-action config spliced over a 2-action policy's own: the
+        // statistics tables no longer fit the config.
+        let two = BanditConfig::new(2, vec![1.0, 2.0], 300.0, 120);
+        let bytes = EpsilonGreedy::new(two.clone(), 0.1, 9).to_bytes();
+        let mut spliced = resume_config().to_bytes();
+        spliced.extend_from_slice(&bytes[two.to_bytes().len()..]);
+        assert_eq!(
+            EpsilonGreedy::from_bytes(&spliced).map(|_| ()),
+            Err(DecodeError::Invalid)
+        );
+        // The same splice is also refused for UCB-ALP's tables, and a
+        // negative remaining budget for any policy.
+        let bytes = UcbAlp::new(two.clone(), 9).to_bytes();
+        let mut spliced = resume_config().to_bytes();
+        spliced.extend_from_slice(&bytes[two.to_bytes().len()..]);
+        assert!(UcbAlp::from_bytes(&spliced).is_err());
+        let mut broke = two.to_bytes();
+        broke.extend_from_slice(&(-1.0f64).to_bytes());
+        broke.extend_from_slice(&[0; 32]);
+        assert_eq!(
+            RandomPolicy::from_bytes(&broke).map(|_| ()),
+            Err(DecodeError::Invalid)
         );
     }
 }

@@ -1,10 +1,10 @@
 //! Budget-aware contextual ε-greedy — a simpler CCMB policy used in
 //! ablations against [`crate::UcbAlp`].
 
-use crate::config::{BanditConfig, BudgetLedger, CostedBandit};
-use crate::state::{EpsilonGreedyState, PolicyState};
+use crate::config::{tables_match, BanditConfig, BudgetLedger, CostedBandit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 /// Contextual ε-greedy with budget pacing.
 ///
@@ -51,20 +51,6 @@ impl EpsilonGreedy {
             rounds_elapsed: 0,
             rng: StdRng::seed_from_u64(seed),
             config,
-        }
-    }
-
-    /// Rebuilds a policy from a decoded snapshot state (validated at decode
-    /// time); the restore path of [`PolicyState::into_bandit`].
-    pub(crate) fn from_state(s: EpsilonGreedyState) -> Self {
-        Self {
-            ledger: BudgetLedger::new(s.remaining_budget),
-            epsilon: s.epsilon,
-            counts: s.counts,
-            means: s.means,
-            rounds_elapsed: s.rounds_elapsed,
-            rng: StdRng::from_state(s.rng),
-            config: s.config,
         }
     }
 }
@@ -149,17 +135,40 @@ impl CostedBandit for EpsilonGreedy {
     fn config(&self) -> &BanditConfig {
         &self.config
     }
+}
 
-    fn save_state(&self) -> Option<PolicyState> {
-        Some(PolicyState::EpsilonGreedy(EpsilonGreedyState {
-            config: self.config.clone(),
-            remaining_budget: self.ledger.remaining(),
-            epsilon: self.epsilon,
-            counts: self.counts.clone(),
-            means: self.means.clone(),
-            rounds_elapsed: self.rounds_elapsed,
-            rng: self.rng.state(),
-        }))
+// Snapshot codec: the policy's full live state, RNG words included.
+// Decoding rejects tables that do not fit the config and an ε outside
+// `[0, 1]`.
+impl Encode for EpsilonGreedy {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.config.encode(out);
+        self.ledger.encode(out);
+        self.epsilon.encode(out);
+        self.counts.encode(out);
+        self.means.encode(out);
+        self.rounds_elapsed.encode(out);
+        self.rng.state().encode(out);
+    }
+}
+
+impl Decode for EpsilonGreedy {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let policy = Self {
+            config: BanditConfig::decode(r)?,
+            ledger: BudgetLedger::decode(r)?,
+            epsilon: f64::decode(r)?,
+            counts: Vec::<Vec<u64>>::decode(r)?,
+            means: Vec::<Vec<f64>>::decode(r)?,
+            rounds_elapsed: u64::decode(r)?,
+            rng: StdRng::from_state(<[u64; 4]>::decode(r)?),
+        };
+        let valid = tables_match(&policy.config, &policy.counts, &policy.means)
+            && (0.0..=1.0).contains(&policy.epsilon);
+        if !valid {
+            return Err(DecodeError::Invalid);
+        }
+        Ok(policy)
     }
 }
 

@@ -23,6 +23,11 @@
 //!   Lugosi), used by MIC's dynamic expert-weight strategy,
 //! * the [`CostedBandit`] trait tying them together.
 //!
+//! [`UcbAlp`], [`EpsilonGreedy`], [`FixedPolicy`] and [`RandomPolicy`] — the
+//! policies CrowdLearn's IPD module can boot — carry binary snapshot codecs
+//! over their full live state, RNG words included; decoding rejects state
+//! that does not fit its [`BanditConfig`].
+//!
 //! # Example
 //!
 //! ```
@@ -48,7 +53,6 @@ mod exp3;
 mod hedge;
 mod regret;
 mod simple;
-mod state;
 mod thompson;
 mod ucb_alp;
 
@@ -58,6 +62,5 @@ pub use exp3::Exp3;
 pub use hedge::ExpWeights;
 pub use regret::RegretTracker;
 pub use simple::{FixedPolicy, RandomPolicy};
-pub use state::{EpsilonGreedyState, FixedState, PolicyState, RandomState, UcbAlpState};
 pub use thompson::ThompsonSampling;
 pub use ucb_alp::UcbAlp;

@@ -2,9 +2,9 @@
 //! for every query, and uniformly random incentive levels.
 
 use crate::config::{BanditConfig, BudgetLedger, CostedBandit};
-use crate::state::{FixedState, PolicyState, RandomState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 /// Always plays the same action (the paper's fixed-incentive baseline uses
 /// "the maximum incentive for each query, i.e. the total budget divided by
@@ -51,16 +51,6 @@ impl FixedPolicy {
     pub fn action(&self) -> usize {
         self.action
     }
-
-    /// Rebuilds a policy from a decoded snapshot state (validated at decode
-    /// time); the restore path of [`PolicyState::into_bandit`].
-    pub(crate) fn from_state(s: FixedState) -> Self {
-        Self {
-            ledger: BudgetLedger::new(s.remaining_budget),
-            action: s.action,
-            config: s.config,
-        }
-    }
 }
 
 impl CostedBandit for FixedPolicy {
@@ -103,14 +93,6 @@ impl CostedBandit for FixedPolicy {
     fn config(&self) -> &BanditConfig {
         &self.config
     }
-
-    fn save_state(&self) -> Option<PolicyState> {
-        Some(PolicyState::Fixed(FixedState {
-            config: self.config.clone(),
-            remaining_budget: self.ledger.remaining(),
-            action: self.action,
-        }))
-    }
 }
 
 /// Plays a uniformly random affordable action each round.
@@ -128,16 +110,6 @@ impl RandomPolicy {
             ledger: BudgetLedger::new(config.total_budget()),
             rng: StdRng::seed_from_u64(seed),
             config,
-        }
-    }
-
-    /// Rebuilds a policy from a decoded snapshot state (validated at decode
-    /// time); the restore path of [`PolicyState::into_bandit`].
-    pub(crate) fn from_state(s: RandomState) -> Self {
-        Self {
-            ledger: BudgetLedger::new(s.remaining_budget),
-            rng: StdRng::from_state(s.rng),
-            config: s.config,
         }
     }
 }
@@ -180,13 +152,47 @@ impl CostedBandit for RandomPolicy {
     fn config(&self) -> &BanditConfig {
         &self.config
     }
+}
 
-    fn save_state(&self) -> Option<PolicyState> {
-        Some(PolicyState::Random(RandomState {
-            config: self.config.clone(),
-            remaining_budget: self.ledger.remaining(),
-            rng: self.rng.state(),
-        }))
+// Snapshot codecs: each policy's full live state. Decoding rejects a
+// pinned action outside the config's action range.
+impl Encode for FixedPolicy {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.config.encode(out);
+        self.ledger.encode(out);
+        self.action.encode(out);
+    }
+}
+
+impl Decode for FixedPolicy {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let policy = Self {
+            config: BanditConfig::decode(r)?,
+            ledger: BudgetLedger::decode(r)?,
+            action: usize::decode(r)?,
+        };
+        if policy.action >= policy.config.actions() {
+            return Err(DecodeError::Invalid);
+        }
+        Ok(policy)
+    }
+}
+
+impl Encode for RandomPolicy {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.config.encode(out);
+        self.ledger.encode(out);
+        self.rng.state().encode(out);
+    }
+}
+
+impl Decode for RandomPolicy {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(Self {
+            config: BanditConfig::decode(r)?,
+            ledger: BudgetLedger::decode(r)?,
+            rng: StdRng::from_state(<[u64; 4]>::decode(r)?),
+        })
     }
 }
 

@@ -21,10 +21,10 @@
 //! frequencies (initialized uniform), as the paper's four temporal contexts
 //! are equally likely by construction.
 
-use crate::config::{BanditConfig, BudgetLedger, CostedBandit};
-use crate::state::{PolicyState, UcbAlpState};
+use crate::config::{tables_match, BanditConfig, BudgetLedger, CostedBandit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 /// The UCB-ALP policy. See the module docs for the algorithm.
 ///
@@ -90,21 +90,6 @@ impl UcbAlp {
         assert!(scale >= 0.0 && !scale.is_nan(), "scale must be >= 0");
         self.exploration_scale = scale;
         self
-    }
-
-    /// Rebuilds a policy from a decoded snapshot state (validated at decode
-    /// time); the restore path of [`PolicyState::into_bandit`].
-    pub(crate) fn from_state(s: UcbAlpState) -> Self {
-        Self {
-            ledger: BudgetLedger::new(s.remaining_budget),
-            counts: s.counts,
-            means: s.means,
-            context_counts: s.context_counts,
-            rounds_elapsed: s.rounds_elapsed,
-            exploration_scale: s.exploration_scale,
-            rng: StdRng::from_state(s.rng),
-            config: s.config,
-        }
     }
 
     /// UCB index of a (context, action) pair. Untried pairs get `+inf` so
@@ -303,18 +288,45 @@ impl CostedBandit for UcbAlp {
     fn config(&self) -> &BanditConfig {
         &self.config
     }
+}
 
-    fn save_state(&self) -> Option<PolicyState> {
-        Some(PolicyState::UcbAlp(UcbAlpState {
-            config: self.config.clone(),
-            remaining_budget: self.ledger.remaining(),
-            counts: self.counts.clone(),
-            means: self.means.clone(),
-            context_counts: self.context_counts.clone(),
-            rounds_elapsed: self.rounds_elapsed,
-            exploration_scale: self.exploration_scale,
-            rng: self.rng.state(),
-        }))
+// Snapshot codec: the policy's full live state, RNG words included, so a
+// decoded policy continues the live one's exact pick sequence. Decoding
+// rejects tables that do not fit the config and a negative or non-finite
+// exploration scale.
+impl Encode for UcbAlp {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.config.encode(out);
+        self.ledger.encode(out);
+        self.counts.encode(out);
+        self.means.encode(out);
+        self.context_counts.encode(out);
+        self.rounds_elapsed.encode(out);
+        self.exploration_scale.encode(out);
+        self.rng.state().encode(out);
+    }
+}
+
+impl Decode for UcbAlp {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let policy = Self {
+            config: BanditConfig::decode(r)?,
+            ledger: BudgetLedger::decode(r)?,
+            counts: Vec::<Vec<u64>>::decode(r)?,
+            means: Vec::<Vec<f64>>::decode(r)?,
+            context_counts: Vec::<u64>::decode(r)?,
+            rounds_elapsed: u64::decode(r)?,
+            exploration_scale: f64::decode(r)?,
+            rng: StdRng::from_state(<[u64; 4]>::decode(r)?),
+        };
+        let valid = tables_match(&policy.config, &policy.counts, &policy.means)
+            && policy.context_counts.len() == policy.config.contexts()
+            && policy.exploration_scale.is_finite()
+            && policy.exploration_scale >= 0.0;
+        if !valid {
+            return Err(DecodeError::Invalid);
+        }
+        Ok(policy)
     }
 }
 

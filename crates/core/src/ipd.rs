@@ -1,7 +1,10 @@
 //! Incentive Policy Design (paper §IV-B): the CCMB mapping between the
 //! crowdsourcing platform and the bandit substrate.
 
-use crowdlearn_bandit::{CostedBandit, PolicyState};
+use crate::IncentivePolicyKind;
+use crowdlearn_bandit::{
+    BanditConfig, CostedBandit, EpsilonGreedy, FixedPolicy, RandomPolicy, UcbAlp,
+};
 use crowdlearn_crowd::IncentiveLevel;
 use crowdlearn_dataset::TemporalContext;
 use serde::binary::{Decode, DecodeError, Encode, Reader};
@@ -12,33 +15,19 @@ use serde::binary::{Decode, DecodeError, Encode, Reader};
 /// the query answers" (Definition 12); normalizing by a delay ceiling keeps
 /// payoffs inside the `[0, 1]` range UCB-style confidence bounds expect.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PayoffNormalizer {
-    ceiling_secs: f64,
-}
+pub struct PayoffNormalizer;
 
 impl PayoffNormalizer {
-    /// Creates a normalizer; `ceiling_secs` should be an upper bound on
-    /// plausible query delays (delays above it clamp to payoff 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ceiling_secs` is not positive.
-    pub fn new(ceiling_secs: f64) -> Self {
-        assert!(ceiling_secs > 0.0, "ceiling must be positive");
-        Self { ceiling_secs }
-    }
+    /// The delay ceiling in seconds, comfortably above the slowest
+    /// pilot-study cell; delays above it clamp to payoff 0.
+    const CEILING_SECS: f64 = 1800.0;
 
-    /// A ceiling comfortably above the slowest pilot-study cell.
+    /// The normalizer IPD uses.
     pub fn paper() -> Self {
-        Self::new(1800.0)
+        Self
     }
 
-    /// The delay ceiling in seconds.
-    pub fn ceiling_secs(&self) -> f64 {
-        self.ceiling_secs
-    }
-
-    /// Payoff of a delay: `1 - delay / ceiling`, clamped to `[0, 1]`.
+    /// Payoff of a delay: `1 - delay / 1800 s`, clamped to `[0, 1]`.
     ///
     /// # Panics
     ///
@@ -48,73 +37,99 @@ impl PayoffNormalizer {
             delay_secs >= 0.0 && !delay_secs.is_nan(),
             "delay must be non-negative"
         );
-        (1.0 - delay_secs / self.ceiling_secs).clamp(0.0, 1.0)
+        (1.0 - delay_secs / Self::CEILING_SECS).clamp(0.0, 1.0)
     }
 }
 
 /// The IPD module: a budget-constrained contextual bandit choosing one
 /// [`IncentiveLevel`] per query, learning from observed delays.
 ///
-/// Any [`CostedBandit`] can drive it — `UcbAlp` for CrowdLearn proper,
-/// `FixedPolicy`/`RandomPolicy` for the Figure 8 baselines — which is also
-/// how the ablation benches swap policies.
+/// The learner is one of the four policies an [`IncentivePolicyKind`]
+/// names — `UcbAlp` for CrowdLearn proper, ε-greedy for the ablation,
+/// `FixedPolicy`/`RandomPolicy` for the Figure 8 baselines — held as a
+/// closed set, so every policy a system boots has a snapshot codec.
 pub struct IncentivePolicy {
-    bandit: Box<dyn CostedBandit>,
-    normalizer: PayoffNormalizer,
+    // Boxed, as the trait object it replaced was. Held inline, it grows
+    // every system by the largest learner's size, and the first checkpoint
+    // after a perfbench run measured 10-20% slower (glibc malloc, 2-vCPU
+    // x86-64 host) as the heap layout shifted.
+    learner: Box<Learner>,
     observations: u64,
 }
 
+/// The four learners, each carrying its own codec.
+enum Learner {
+    UcbAlp(UcbAlp),
+    EpsilonGreedy(EpsilonGreedy),
+    Fixed(FixedPolicy),
+    Random(RandomPolicy),
+}
+
 impl IncentivePolicy {
-    /// Wraps a bandit whose action space must equal the seven incentive
-    /// levels and whose context space must equal the four temporal contexts.
+    /// Builds the `kind` learner over `config`, its randomness seeded from
+    /// `seed`; the fixed policy pins the largest level affordable at
+    /// `budget / horizon` per query.
     ///
     /// # Panics
     ///
-    /// Panics if the bandit's action or context arity does not match.
-    pub fn new(bandit: Box<dyn CostedBandit>, normalizer: PayoffNormalizer) -> Self {
+    /// Panics if `config` does not have one action per incentive level and
+    /// one context per temporal context.
+    pub fn new(kind: IncentivePolicyKind, config: BanditConfig, seed: u64) -> Self {
         assert_eq!(
-            bandit.config().actions(),
+            config.actions(),
             IncentiveLevel::COUNT,
             "bandit must have one action per incentive level"
         );
         assert_eq!(
-            bandit.config().contexts(),
+            config.contexts(),
             TemporalContext::COUNT,
             "bandit must have one context per temporal context"
         );
+        let learner = match kind {
+            IncentivePolicyKind::UcbAlp => Learner::UcbAlp(UcbAlp::new(config, seed ^ 0xa1)),
+            IncentivePolicyKind::EpsilonGreedy => {
+                Learner::EpsilonGreedy(EpsilonGreedy::new(config, 0.1, seed ^ 0xa2))
+            }
+            IncentivePolicyKind::FixedMax => Learner::Fixed(FixedPolicy::max_affordable(config)),
+            IncentivePolicyKind::Random => Learner::Random(RandomPolicy::new(config, seed ^ 0xa3)),
+        };
         Self {
-            bandit,
-            normalizer,
+            learner: Box::new(learner),
             observations: 0,
         }
     }
 
-    /// Rebuilds a policy from checkpointed parts, restoring the delay
-    /// observation count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bandit's action or context arity does not match (same
-    /// contract as [`IncentivePolicy::new`]).
-    pub fn from_parts(
-        bandit: Box<dyn CostedBandit>,
-        normalizer: PayoffNormalizer,
-        observations: u64,
-    ) -> Self {
-        let mut ipd = Self::new(bandit, normalizer);
-        ipd.observations = observations;
-        ipd
+    fn bandit(&self) -> &dyn CostedBandit {
+        match &*self.learner {
+            Learner::UcbAlp(b) => b,
+            Learner::EpsilonGreedy(b) => b,
+            Learner::Fixed(b) => b,
+            Learner::Random(b) => b,
+        }
     }
 
-    /// The underlying policy's serializable state, or `None` when the
-    /// policy is not checkpointable.
-    pub fn save_state(&self) -> Option<PolicyState> {
-        self.bandit.save_state()
+    fn bandit_mut(&mut self) -> &mut dyn CostedBandit {
+        match &mut *self.learner {
+            Learner::UcbAlp(b) => b,
+            Learner::EpsilonGreedy(b) => b,
+            Learner::Fixed(b) => b,
+            Learner::Random(b) => b,
+        }
     }
 
-    /// The payoff normalizer.
-    pub fn normalizer(&self) -> PayoffNormalizer {
-        self.normalizer
+    /// Which policy drives the learner.
+    pub(crate) fn kind(&self) -> IncentivePolicyKind {
+        match *self.learner {
+            Learner::UcbAlp(_) => IncentivePolicyKind::UcbAlp,
+            Learner::EpsilonGreedy(_) => IncentivePolicyKind::EpsilonGreedy,
+            Learner::Fixed(_) => IncentivePolicyKind::FixedMax,
+            Learner::Random(_) => IncentivePolicyKind::Random,
+        }
+    }
+
+    /// The problem description the learner was built for.
+    pub(crate) fn bandit_config(&self) -> &BanditConfig {
+        self.bandit().config()
     }
 
     /// Total delay observations fed to the learner so far — both the
@@ -127,7 +142,7 @@ impl IncentivePolicy {
     /// Chooses an incentive for one query in `context`, charging the bandit
     /// budget. Returns `None` when the budget is exhausted.
     pub fn choose(&mut self, context: TemporalContext) -> Option<IncentiveLevel> {
-        self.bandit
+        self.bandit_mut()
             .select(context.index())
             .map(IncentiveLevel::from_index)
     }
@@ -139,9 +154,9 @@ impl IncentivePolicy {
         incentive: IncentiveLevel,
         delay_secs: f64,
     ) {
-        let payoff = self.normalizer.payoff(delay_secs);
+        let payoff = PayoffNormalizer::paper().payoff(delay_secs);
         self.observations += 1;
-        self.bandit
+        self.bandit_mut()
             .observe(context.index(), incentive.index(), payoff);
     }
 
@@ -150,7 +165,7 @@ impl IncentivePolicy {
     /// timed-out HIT at an escalated incentive. Returns `false` (charging
     /// nothing) when the remaining budget cannot afford it.
     pub fn try_charge(&mut self, incentive: IncentiveLevel) -> bool {
-        self.bandit.charge(incentive.index())
+        self.bandit_mut().charge(incentive.index())
     }
 
     /// Removes up to `cents` from the bandit's remaining budget (a mid-run
@@ -162,41 +177,62 @@ impl IncentivePolicy {
     ///
     /// Panics if `cents` is negative or not finite.
     pub fn clawback_cents(&mut self, cents: f64) -> f64 {
-        self.bandit.clawback(cents)
+        self.bandit_mut().clawback(cents)
     }
 
     /// Remaining budget in cents.
     pub fn remaining_budget_cents(&self) -> f64 {
-        self.bandit.remaining_budget()
+        self.bandit().remaining_budget()
     }
 
     /// The underlying policy's name (for reports).
     pub fn policy_name(&self) -> &str {
-        self.bandit.name()
+        self.bandit().name()
     }
 }
 
-impl Encode for PayoffNormalizer {
+// Snapshot codec: the policy kind's tag (0-3), the learner's own state,
+// then the observation count. Decoding re-checks the constructor's arity
+// rule.
+impl Encode for IncentivePolicy {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.ceiling_secs.encode(out);
+        self.kind().encode(out);
+        match &*self.learner {
+            Learner::UcbAlp(b) => b.encode(out),
+            Learner::EpsilonGreedy(b) => b.encode(out),
+            Learner::Fixed(b) => b.encode(out),
+            Learner::Random(b) => b.encode(out),
+        }
+        self.observations.encode(out);
     }
 }
 
-impl Decode for PayoffNormalizer {
+impl Decode for IncentivePolicy {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let ceiling_secs = f64::decode(r)?;
-        if !ceiling_secs.is_finite() || ceiling_secs <= 0.0 {
+        let learner = match IncentivePolicyKind::decode(r)? {
+            IncentivePolicyKind::UcbAlp => Learner::UcbAlp(UcbAlp::decode(r)?),
+            IncentivePolicyKind::EpsilonGreedy => Learner::EpsilonGreedy(EpsilonGreedy::decode(r)?),
+            IncentivePolicyKind::FixedMax => Learner::Fixed(FixedPolicy::decode(r)?),
+            IncentivePolicyKind::Random => Learner::Random(RandomPolicy::decode(r)?),
+        };
+        let policy = Self {
+            learner: Box::new(learner),
+            observations: u64::decode(r)?,
+        };
+        let config = policy.bandit_config();
+        if config.actions() != IncentiveLevel::COUNT || config.contexts() != TemporalContext::COUNT
+        {
             return Err(DecodeError::Invalid);
         }
-        Ok(Self { ceiling_secs })
+        Ok(policy)
     }
 }
 
 impl std::fmt::Debug for IncentivePolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IncentivePolicy")
-            .field("policy", &self.bandit.name())
-            .field("remaining_budget", &self.bandit.remaining_budget())
+            .field("policy", &self.policy_name())
+            .field("remaining_budget", &self.remaining_budget_cents())
             .finish()
     }
 }
@@ -204,7 +240,6 @@ impl std::fmt::Debug for IncentivePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdlearn_bandit::{BanditConfig, FixedPolicy, UcbAlp};
 
     fn config(budget: f64, horizon: u64) -> BanditConfig {
         BanditConfig::new(
@@ -215,18 +250,24 @@ mod tests {
         )
     }
 
+    const KINDS: [IncentivePolicyKind; 4] = [
+        IncentivePolicyKind::UcbAlp,
+        IncentivePolicyKind::EpsilonGreedy,
+        IncentivePolicyKind::FixedMax,
+        IncentivePolicyKind::Random,
+    ];
+
     #[test]
     fn payoff_maps_delay_inversely() {
-        let n = PayoffNormalizer::new(1000.0);
+        let n = PayoffNormalizer::paper();
         assert_eq!(n.payoff(0.0), 1.0);
-        assert!((n.payoff(500.0) - 0.5).abs() < 1e-12);
-        assert_eq!(n.payoff(2000.0), 0.0);
+        assert!((n.payoff(PayoffNormalizer::CEILING_SECS / 2.0) - 0.5).abs() < 1e-12);
+        assert_eq!(n.payoff(2.0 * PayoffNormalizer::CEILING_SECS), 0.0);
     }
 
     #[test]
     fn choose_and_report_round_trip() {
-        let bandit = UcbAlp::new(config(100.0, 20), 3);
-        let mut ipd = IncentivePolicy::new(Box::new(bandit), PayoffNormalizer::paper());
+        let mut ipd = IncentivePolicy::new(IncentivePolicyKind::UcbAlp, config(100.0, 20), 3);
         let level = ipd.choose(TemporalContext::Morning).expect("budget left");
         ipd.report_delay(TemporalContext::Morning, level, 300.0);
         assert!(ipd.remaining_budget_cents() < 100.0);
@@ -234,8 +275,8 @@ mod tests {
 
     #[test]
     fn fixed_policy_reports_its_level() {
-        let bandit = FixedPolicy::new(config(100.0, 20), IncentiveLevel::C10.index());
-        let mut ipd = IncentivePolicy::new(Box::new(bandit), PayoffNormalizer::paper());
+        // 200 cents over 20 queries: 10 cents per query.
+        let mut ipd = IncentivePolicy::new(IncentivePolicyKind::FixedMax, config(200.0, 20), 0);
         assert_eq!(
             ipd.choose(TemporalContext::Evening),
             Some(IncentiveLevel::C10)
@@ -245,8 +286,7 @@ mod tests {
 
     #[test]
     fn exhausts_budget_to_none() {
-        let bandit = FixedPolicy::new(config(2.0, 10), IncentiveLevel::C1.index());
-        let mut ipd = IncentivePolicy::new(Box::new(bandit), PayoffNormalizer::paper());
+        let mut ipd = IncentivePolicy::new(IncentivePolicyKind::FixedMax, config(2.0, 10), 0);
         assert!(ipd.choose(TemporalContext::Morning).is_some());
         assert!(ipd.choose(TemporalContext::Morning).is_some());
         assert!(ipd.choose(TemporalContext::Morning).is_none());
@@ -254,8 +294,7 @@ mod tests {
 
     #[test]
     fn clawback_shrinks_budget_and_clamps() {
-        let bandit = FixedPolicy::new(config(10.0, 10), IncentiveLevel::C1.index());
-        let mut ipd = IncentivePolicy::new(Box::new(bandit), PayoffNormalizer::paper());
+        let mut ipd = IncentivePolicy::new(IncentivePolicyKind::FixedMax, config(10.0, 10), 0);
         assert_eq!(ipd.clawback_cents(4.0), 4.0);
         assert_eq!(ipd.remaining_budget_cents(), 6.0);
         assert_eq!(ipd.clawback_cents(100.0), 6.0);
@@ -264,25 +303,45 @@ mod tests {
 
     #[test]
     fn counts_every_delay_observation() {
-        let bandit = UcbAlp::new(config(100.0, 20), 3);
-        let mut ipd = IncentivePolicy::new(Box::new(bandit), PayoffNormalizer::paper());
+        let mut ipd = IncentivePolicy::new(IncentivePolicyKind::UcbAlp, config(100.0, 20), 3);
         assert_eq!(ipd.observations(), 0);
         ipd.report_delay(TemporalContext::Morning, IncentiveLevel::C4, 120.0);
         ipd.report_delay(TemporalContext::Evening, IncentiveLevel::C8, 600.0);
         assert_eq!(ipd.observations(), 2);
-        let state = ipd.save_state().expect("UCB-ALP is checkpointable");
-        let resumed =
-            IncentivePolicy::from_parts(state.into_bandit(), ipd.normalizer(), ipd.observations());
+        let resumed = IncentivePolicy::from_bytes(&ipd.to_bytes()).expect("round trip");
         assert_eq!(resumed.observations(), 2);
     }
 
     #[test]
-    fn normalizer_codec_round_trips() {
-        let n = PayoffNormalizer::new(1234.5);
-        assert_eq!(PayoffNormalizer::from_bytes(&n.to_bytes()), Ok(n));
-        let bad = (-3.0f64).to_bytes();
+    fn every_kind_round_trips_under_its_own_tag() {
+        for (tag, kind) in KINDS.into_iter().enumerate() {
+            let mut ipd = IncentivePolicy::new(kind, config(100.0, 20), 7);
+            ipd.choose(TemporalContext::Midnight);
+            let bytes = ipd.to_bytes();
+            assert_eq!(usize::from(bytes[0]), tag, "{kind:?}");
+            let resumed = IncentivePolicy::from_bytes(&bytes).expect("round trip");
+            assert_eq!(resumed.kind(), kind);
+            assert_eq!(resumed.bandit_config(), ipd.bandit_config());
+            assert_eq!(resumed.to_bytes(), bytes, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_tag_is_invalid() {
         assert!(matches!(
-            PayoffNormalizer::from_bytes(&bad),
+            IncentivePolicy::from_bytes(&[9]),
+            Err(DecodeError::Invalid)
+        ));
+    }
+
+    #[test]
+    fn decode_rejects_wrong_arity() {
+        let wrong = BanditConfig::new(TemporalContext::COUNT, vec![1.0, 2.0], 10.0, 5);
+        let mut bytes = vec![0];
+        UcbAlp::new(wrong, 0).encode(&mut bytes);
+        0u64.encode(&mut bytes);
+        assert!(matches!(
+            IncentivePolicy::from_bytes(&bytes),
             Err(DecodeError::Invalid)
         ));
     }
@@ -290,11 +349,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "one action per incentive level")]
     fn rejects_wrong_action_arity() {
-        let bandit = UcbAlp::new(
+        IncentivePolicy::new(
+            IncentivePolicyKind::UcbAlp,
             BanditConfig::new(TemporalContext::COUNT, vec![1.0, 2.0], 10.0, 5),
             0,
         );
-        IncentivePolicy::new(Box::new(bandit), PayoffNormalizer::paper());
     }
 
     #[test]

@@ -2,13 +2,10 @@
 
 use crate::report::{CycleOutcome, ImageOutcome};
 use crate::{
-    Calibrator, CalibratorConfig, Committee, IncentivePolicy, Offload, PayoffNormalizer,
-    QualityController, QueriedImage, QuerySetSelector, Retrain, Selection,
+    Calibrator, CalibratorConfig, Committee, IncentivePolicy, Offload, QualityController,
+    QueriedImage, QuerySetSelector, Retrain, Selection,
 };
-use crowdlearn_bandit::{
-    BanditConfig, CostedBandit, EpsilonGreedy, ExpWeights, FixedPolicy, PolicyState, RandomPolicy,
-    UcbAlp,
-};
+use crowdlearn_bandit::{BanditConfig, ExpWeights};
 use crowdlearn_classifiers::{
     profiles, BoostedEnsemble, ClassDistribution, Classifier, SimulatedExpert,
 };
@@ -519,9 +516,6 @@ pub enum StateError {
     /// A committee member is not a [`SimulatedExpert`] and has no
     /// serialized form ([`Model::Ensemble`]).
     UnsupportedClassifier,
-    /// The incentive bandit does not support checkpointing (e.g. the
-    /// ablation-only Thompson/Exp3 policies).
-    UnsupportedPolicy,
 }
 
 impl std::fmt::Display for StateError {
@@ -529,9 +523,6 @@ impl std::fmt::Display for StateError {
         match self {
             StateError::UnsupportedClassifier => {
                 write!(f, "committee member has no serialized form")
-            }
-            StateError::UnsupportedPolicy => {
-                write!(f, "incentive bandit does not support checkpointing")
             }
         }
     }
@@ -640,30 +631,7 @@ impl CrowdLearnSystem {
 
         // 3. Build the incentive bandit and warm it up with observed delays
         //    from the training split (observations are free of budget).
-        // The paper's temporal contexts are uniform by construction (10
-        // cycles each), so the bandit is told so; otherwise the block
-        // ordering of contexts would poison its empirical estimate.
-        let bandit_config = BanditConfig::new(
-            TemporalContext::COUNT,
-            IncentiveLevel::costs(),
-            config.budget_cents,
-            config.horizon_queries,
-        )
-        .with_context_distribution(vec![
-            1.0 / TemporalContext::COUNT as f64;
-            TemporalContext::COUNT
-        ]);
-        let bandit: Box<dyn CostedBandit> = match config.policy {
-            IncentivePolicyKind::UcbAlp => Box::new(UcbAlp::new(bandit_config, config.seed ^ 0xa1)),
-            IncentivePolicyKind::EpsilonGreedy => {
-                Box::new(EpsilonGreedy::new(bandit_config, 0.1, config.seed ^ 0xa2))
-            }
-            IncentivePolicyKind::FixedMax => Box::new(FixedPolicy::max_affordable(bandit_config)),
-            IncentivePolicyKind::Random => {
-                Box::new(RandomPolicy::new(bandit_config, config.seed ^ 0xa3))
-            }
-        };
-        let mut ipd = IncentivePolicy::new(bandit, PayoffNormalizer::paper());
+        let mut ipd = IncentivePolicy::new(config.policy, bandit_config(&config), config.seed);
         let mut warm_i = 0usize;
         for _ in 0..config.warmup_per_cell {
             for &context in &TemporalContext::ALL {
@@ -757,14 +725,11 @@ impl CrowdLearnSystem {
             .committee
             .simulated_members()
             .ok_or(StateError::UnsupportedClassifier)?;
-        let policy = self.ipd.save_state().ok_or(StateError::UnsupportedPolicy)?;
         self.config.encode(out);
         members.encode(out);
         self.committee.hedge().encode(out);
         self.qss.encode(out);
-        policy.encode(out);
-        self.ipd.normalizer().encode(out);
-        self.ipd.observations().encode(out);
+        self.ipd.encode(out);
         self.cqc.encode(out);
         self.platform.encode(out);
         self.bootstrap_spent_cents.encode(out);
@@ -772,7 +737,8 @@ impl CrowdLearnSystem {
     }
 
     /// Rebuilds a system from [`CrowdLearnSystem::encode_state`] bytes. All
-    /// constructor invariants are re-checked; violations surface as
+    /// constructor invariants are re-checked — including that the incentive
+    /// policy is the one `config` boots — and violations surface as
     /// [`DecodeError::Invalid`] rather than panics.
     pub fn decode_state(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let config = CrowdLearnConfig::decode(r)?;
@@ -782,14 +748,10 @@ impl CrowdLearnSystem {
             return Err(DecodeError::Invalid);
         }
         let qss = QuerySetSelector::decode(r)?;
-        let policy = PolicyState::decode(r)?;
-        if policy.config().actions() != IncentiveLevel::COUNT
-            || policy.config().contexts() != TemporalContext::COUNT
-        {
+        let ipd = IncentivePolicy::decode(r)?;
+        if ipd.kind() != config.policy || *ipd.bandit_config() != bandit_config(&config) {
             return Err(DecodeError::Invalid);
         }
-        let normalizer = PayoffNormalizer::decode(r)?;
-        let observations = u64::decode(r)?;
         let cqc = QualityController::decode(r)?;
         let platform = Platform::decode(r)?;
         let bootstrap_spent_cents = u64::decode(r)?;
@@ -802,7 +764,7 @@ impl CrowdLearnSystem {
             calibrator: Calibrator::new(config.calibration),
             committee: Committee::from_parts(boxed, hedge),
             qss,
-            ipd: IncentivePolicy::from_parts(policy.into_bandit(), normalizer, observations),
+            ipd,
             cqc,
             platform,
             bootstrap_spent_cents,
@@ -1107,6 +1069,24 @@ impl CrowdLearnSystem {
     }
 }
 
+/// The incentive bandit's problem: one action per incentive level, one
+/// context per temporal context, the run's budget and query horizon. The
+/// paper's temporal contexts are uniform by construction (10 cycles each),
+/// so the bandit is told so; otherwise the block ordering of contexts would
+/// poison its empirical estimate.
+fn bandit_config(config: &CrowdLearnConfig) -> BanditConfig {
+    BanditConfig::new(
+        TemporalContext::COUNT,
+        IncentiveLevel::costs(),
+        config.budget_cents,
+        config.horizon_queries,
+    )
+    .with_context_distribution(vec![
+        1.0 / TemporalContext::COUNT as f64;
+        TemporalContext::COUNT
+    ])
+}
+
 impl std::fmt::Debug for CrowdLearnSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CrowdLearnSystem")
@@ -1155,6 +1135,40 @@ mod tests {
         system.encode_state(&mut bytes).expect("checkpointable");
         let truncated = &bytes[..bytes.len() / 2];
         assert!(CrowdLearnSystem::decode_state(&mut Reader::new(truncated)).is_err());
+    }
+
+    #[test]
+    fn decode_refuses_a_policy_its_config_does_not_boot() {
+        let dataset = Dataset::generate(&DatasetConfig::paper());
+        let boot = |edit: fn(&mut CrowdLearnConfig)| {
+            let mut config = CrowdLearnConfig::paper();
+            config.cqc_training_queries = 50;
+            config.warmup_per_cell = 1;
+            edit(&mut config);
+            let mut state = Vec::new();
+            CrowdLearnSystem::new(&dataset, config.clone())
+                .encode_state(&mut state)
+                .expect("checkpointable");
+            (config.to_bytes().len(), state)
+        };
+        let (prefix, state) = boot(|_| {});
+        assert!(CrowdLearnSystem::decode_state(&mut Reader::new(&state)).is_ok());
+        // The other system's config (the first field of its state) over
+        // this system's UCB-ALP bandit: a fixed-policy config, then a
+        // budget the bandit was not built for.
+        let edits: [fn(&mut CrowdLearnConfig); 2] = [
+            |c| c.policy = IncentivePolicyKind::FixedMax,
+            |c| c.budget_cents *= 2.0,
+        ];
+        for edit in edits {
+            let (other_prefix, other) = boot(edit);
+            let mut spliced = other[..other_prefix].to_vec();
+            spliced.extend_from_slice(&state[prefix..]);
+            assert!(matches!(
+                CrowdLearnSystem::decode_state(&mut Reader::new(&spliced)),
+                Err(DecodeError::Invalid)
+            ));
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! | D8   | `schema-lock`    | codec fingerprints + `*VERSION*` constants match the committed `SNAPSHOT_SCHEMA.lock` |
 //! | D9   | `lossy-cast`     | no `as` numeric casts inside codec fns (use `try_from` or justify) |
 //!
-//! D7–D9 form the **snapcheck** codec-drift pass (see [`mod@snapcheck`]'s
-//! module docs); D8 has no allow escape — the lockfile, regenerated only via
+//! D7–D9 form the **snapcheck** codec-drift pass (see the private
+//! `snapcheck` module's docs; [`SchemaLock`] is its lockfile model); D8
+//! has no allow escape — the lockfile, regenerated only via
 //! `--update-schema-lock` after a version-constant bump, is the escape hatch.
 //!
 //! A finding can be suppressed at the site with a justified allow comment on

@@ -58,6 +58,6 @@ pub use confusion::{ClassReport, ConfusionMatrix};
 pub use mcnemar::{mcnemar_test, McNemarOutcome};
 pub use probabilistic::{brier_score, CalibrationBin, CalibrationReport};
 pub use roc::{macro_average_roc, pooled_roc, RocCurve, RocPoint};
-pub use sketch::{QuantileSketch, SketchGridMismatch};
+pub use sketch::QuantileSketch;
 pub use stats::SummaryStats;
 pub use wilcoxon::{wilcoxon_signed_rank, WilcoxonOutcome};

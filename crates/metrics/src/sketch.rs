@@ -232,26 +232,16 @@ impl QuantileSketch {
     ///
     /// # Panics
     ///
-    /// Panics if the two sketches were built over different grids — use
-    /// [`QuantileSketch::try_merge`] when the grids are not statically
-    /// known to match.
+    /// Panics if the two sketches were built over different grids.
     pub fn merge(&mut self, other: &QuantileSketch) {
-        self.try_merge(other)
-            .expect("invariant: merged sketches share one grid (checked by the caller)");
-    }
-
-    /// Merges another sketch into this one, rejecting mismatched grids
-    /// with a typed error instead of aborting. On `Err` this sketch is
-    /// untouched.
-    pub fn try_merge(&mut self, other: &QuantileSketch) -> Result<(), SketchGridMismatch> {
-        if !self.same_grid(other) {
-            return Err(SketchGridMismatch {
-                expected: self.grid(),
-                found: other.grid(),
-            });
-        }
+        assert!(
+            self.same_grid(other),
+            "merged sketches must share one grid, got {:?} and {:?}",
+            self.grid(),
+            other.grid()
+        );
         if other.count == 0 {
-            return Ok(());
+            return;
         }
         for (a, b) in self.bins.iter_mut().zip(&other.bins) {
             *a += b;
@@ -263,32 +253,8 @@ impl QuantileSketch {
         self.clamped += other.clamped;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        Ok(())
     }
 }
-
-/// Two sketches could not merge: they were built over different grids, so
-/// their bins do not describe the same value ranges.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SketchGridMismatch {
-    /// The receiving sketch's grid, as `(lo, hi, bins)`.
-    pub expected: (f64, f64, usize),
-    /// The offered sketch's grid, as `(lo, hi, bins)`.
-    pub found: (f64, f64, usize),
-}
-
-impl fmt::Display for SketchGridMismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (elo, ehi, ebins) = self.expected;
-        let (flo, fhi, fbins) = self.found;
-        write!(
-            f,
-            "sketch grid mismatch: expected [{elo}, {ehi}) x {ebins} bins, found [{flo}, {fhi}) x {fbins} bins"
-        )
-    }
-}
-
-impl std::error::Error for SketchGridMismatch {}
 
 impl fmt::Display for QuantileSketch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -465,30 +431,21 @@ mod tests {
     }
 
     #[test]
-    fn try_merge_rejects_mismatched_grids_without_mutating() {
-        let mut a = QuantileSketch::new(0.0, 100.0, 50);
-        a.push(10.0);
-        let pristine = a.clone();
-        let mut b = QuantileSketch::new(0.0, 200.0, 50);
-        b.push(150.0);
-        let err = a.try_merge(&b).expect_err("different grids must reject");
-        assert_eq!(err.expected, (0.0, 100.0, 50));
-        assert_eq!(err.found, (0.0, 200.0, 50));
-        assert!(err.to_string().contains("grid mismatch"));
-        assert_eq!(a, pristine, "a failed merge must leave the sketch intact");
-        assert!(!a.same_grid(&b));
-
-        // A bin-count mismatch over the same edges also rejects.
-        let c = QuantileSketch::new(0.0, 100.0, 51);
-        assert!(a.try_merge(&c).is_err());
-        assert!(a.try_merge(&pristine).is_ok());
-    }
-
-    #[test]
     #[should_panic(expected = "share one grid")]
     fn merge_panics_on_mismatched_grids() {
         let mut a = QuantileSketch::new(0.0, 100.0, 50);
         a.merge(&QuantileSketch::new(0.0, 100.0, 49));
+    }
+
+    #[test]
+    #[should_panic(expected = "share one grid")]
+    fn merge_panics_on_mismatched_edges() {
+        let mut a = QuantileSketch::new(0.0, 100.0, 50);
+        a.push(10.0);
+        let mut b = QuantileSketch::new(0.0, 200.0, 50);
+        b.push(150.0);
+        assert!(!a.same_grid(&b));
+        a.merge(&b);
     }
 
     #[test]

@@ -473,7 +473,7 @@ mod tests {
 
     #[test]
     fn check_agrees_with_the_snapshot_decoder() {
-        use crate::{ArbitrationPolicy, FaultEpisode, FleetConfig, MetricsTapConfig};
+        use crate::{ArbitrationPolicy, FaultEpisode, FleetConfig};
         let loss = |prob| FaultEpisode::AnswerLoss {
             prob,
             from_secs: 0.0,
@@ -501,10 +501,6 @@ mod tests {
         let mut episodes = Vec::new();
         let mut breakers = Vec::new();
         let mut fleets = vec![FleetConfig::new(1000.0).with_pool_capacity(0)];
-        let mut taps = vec![MetricsTapConfig {
-            delay_bins: 0,
-            ..MetricsTapConfig::paper()
-        }];
         for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0, 0.5] {
             configs.push(paper.clone().with_cycle_period_secs(x));
             configs.push(paper.clone().with_hit_timeout(Some(x), 2));
@@ -550,10 +546,6 @@ mod tests {
                 FleetConfig::new(1000.0)
                     .with_arbitration(ArbitrationPolicy::Priority(vec![1.0, x])),
             ]);
-            taps.push(MetricsTapConfig {
-                delay_ceiling_secs: x,
-                ..MetricsTapConfig::paper()
-            });
         }
         fleets.push(FleetConfig::new(1000.0).with_arbitration(ArbitrationPolicy::Priority(vec![])));
         for (base, max) in [(1, 8), (0, 8), (4, 2), (3, 3)] {
@@ -575,9 +567,6 @@ mod tests {
         for fleet in &fleets {
             assert_agrees(fleet, fleet.check());
             assert_agrees(&fleet.arbitration, fleet.arbitration.check());
-        }
-        for tap in &taps {
-            assert_agrees(tap, tap.check());
         }
     }
 

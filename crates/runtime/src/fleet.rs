@@ -37,13 +37,13 @@
 
 use crate::frame::{self, FrameError};
 use crate::{
-    MetricsTap, MetricsTapConfig, PipelinedSystem, RunBound, RuntimeConfig, RuntimeReport,
-    RuntimeSnapshot, SnapshotError,
+    MetricsTap, PipelinedSystem, RunBound, RuntimeConfig, RuntimeReport, RuntimeSnapshot,
+    SnapshotError,
 };
 use crowdlearn::{CrowdLearnConfig, PostedQuery};
 use crowdlearn_crowd::{SubmitterId, SubmitterUsage};
 use crowdlearn_dataset::{Dataset, SensingCycleStream};
-use crowdlearn_metrics::{QuantileSketch, SketchGridMismatch};
+use crowdlearn_metrics::QuantileSketch;
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 // ---------------------------------------------------------------------------
@@ -549,48 +549,6 @@ impl FleetOrchestrator {
         }
     }
 
-    /// [`FleetOrchestrator::attach_metrics_taps`] with one explicit tap
-    /// configuration per shard. The per-shard delay grids must all match —
-    /// the fleet rollup merges the shards' sketches, and mismatched grids
-    /// have no meaningful merge — so a heterogeneous configuration is
-    /// rejected here, up front, with a typed error naming the offending
-    /// shard, rather than aborting a long run at report time. On `Err`, no
-    /// tap is attached or replaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `configs` does not hold exactly one configuration per
-    /// shard, or a configuration is invalid.
-    pub fn attach_metrics_tap_configs(
-        &mut self,
-        configs: &[MetricsTapConfig],
-    ) -> Result<(), TapGridMismatch> {
-        assert_eq!(
-            configs.len(),
-            self.shards.len(),
-            "one tap configuration per shard required"
-        );
-        let taps: Vec<MetricsTap> = configs
-            .iter()
-            .map(|&c| MetricsTap::with_config(c))
-            .collect();
-        for (shard, tap) in taps.iter().enumerate().skip(1) {
-            if !taps[0].crowd_delay().same_grid(tap.crowd_delay()) {
-                return Err(TapGridMismatch {
-                    shard,
-                    mismatch: SketchGridMismatch {
-                        expected: taps[0].crowd_delay().grid(),
-                        found: tap.crowd_delay().grid(),
-                    },
-                });
-            }
-        }
-        for (shard, tap) in self.shards.iter_mut().zip(taps) {
-            shard.attach_metrics_tap(tap);
-        }
-        Ok(())
-    }
-
     /// Begins every shard's execution if not already begun.
     pub fn start(&mut self, streams: &[SensingCycleStream]) {
         assert_eq!(
@@ -689,20 +647,18 @@ impl FleetOrchestrator {
         let reports: Vec<RuntimeReport> = self.shards.iter_mut().map(|s| s.finish()).collect();
         let makespan_secs = reports.iter().map(|r| r.makespan_secs).fold(0.0, f64::max);
         let events_processed = reports.iter().map(|r| r.events_processed).sum();
-        // Grids were validated when the taps were attached (or resumed),
-        // so the merges succeed; `try_merge` keeps even a violated
-        // invariant from aborting the run at report time — the rollup is
-        // dropped instead.
+        // Every tap sketches delays on `MetricsTap::DELAY_GRID` (the tap
+        // decoder refuses any other), so the merges line up.
         let rollup_crowd_delay = reports
             .iter()
             .map(|r| r.metrics.as_ref())
             .collect::<Option<Vec<&MetricsTap>>>()
-            .and_then(|taps| {
+            .map(|taps| {
                 let mut rollup = taps[0].crowd_delay().clone();
                 for tap in &taps[1..] {
-                    rollup.try_merge(tap.crowd_delay()).ok()?;
+                    rollup.merge(tap.crowd_delay());
                 }
-                Some(rollup)
+                rollup
             });
         FleetReport {
             shards: reports,
@@ -794,52 +750,12 @@ impl FleetOrchestrator {
                     .map_err(|error| FleetSnapshotError::Shard { shard, error })
             })
             .collect::<Result<_, _>>()?;
-        // Cross-shard tap grids must be mergeable for the report rollup;
-        // reject a heterogeneous (e.g. version-skewed or hand-assembled)
-        // snapshot here rather than letting it abort at report time.
-        let mut reference: Option<&QuantileSketch> = None;
-        for (shard, s) in shards.iter().enumerate() {
-            let Some(tap) = s.metrics_tap() else {
-                continue;
-            };
-            match reference {
-                None => reference = Some(tap.crowd_delay()),
-                Some(first) if !first.same_grid(tap.crowd_delay()) => {
-                    return Err(FleetSnapshotError::TapGridMismatch { shard });
-                }
-                Some(_) => {}
-            }
-        }
         Ok(Self {
             config,
             shards,
             pool,
             ledger,
         })
-    }
-}
-
-/// A heterogeneous per-shard tap configuration, rejected by
-/// [`FleetOrchestrator::attach_metrics_tap_configs`] before any tap is
-/// attached: the fleet's crowd-delay rollup merges per-shard sketches, and
-/// sketches over different grids have no meaningful merge.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TapGridMismatch {
-    /// The first shard whose tap grid disagrees with shard 0's.
-    pub shard: usize,
-    /// The underlying sketch-grid mismatch.
-    pub mismatch: SketchGridMismatch,
-}
-
-impl std::fmt::Display for TapGridMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shard {}: {}", self.shard, self.mismatch)
-    }
-}
-
-impl std::error::Error for TapGridMismatch {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.mismatch)
     }
 }
 
@@ -883,12 +799,6 @@ pub enum FleetSnapshotError {
         /// The underlying per-shard snapshot error.
         error: SnapshotError,
     },
-    /// A resumed shard carries a metrics tap whose delay grid differs from
-    /// the other shards' — the fleet rollup could never merge it.
-    TapGridMismatch {
-        /// The first shard whose tap grid disagrees.
-        shard: usize,
-    },
 }
 
 impl std::fmt::Display for FleetSnapshotError {
@@ -909,12 +819,6 @@ impl std::fmt::Display for FleetSnapshotError {
             ),
             FleetSnapshotError::Shard { shard, error } => {
                 write!(f, "shard {shard} snapshot: {error}")
-            }
-            FleetSnapshotError::TapGridMismatch { shard } => {
-                write!(
-                    f,
-                    "shard {shard}'s metrics-tap delay grid differs from the fleet's"
-                )
             }
         }
     }
@@ -1352,25 +1256,5 @@ mod tests {
         assert!(e.source().is_some(), "shard errors expose their source");
         let boxed: Box<dyn Error> = Box::new(e);
         assert!(boxed.to_string().contains("checksum"));
-
-        let e = FleetSnapshotError::TapGridMismatch { shard: 1 };
-        assert!(e.to_string().contains("shard 1"));
-        assert!(e.to_string().contains("delay grid"));
-    }
-
-    #[test]
-    fn tap_grid_mismatch_formats_and_chains_to_the_sketch_error() {
-        use std::error::Error;
-        let e = TapGridMismatch {
-            shard: 3,
-            mismatch: SketchGridMismatch {
-                expected: (0.0, 7200.0, 1024),
-                found: (0.0, 3600.0, 512),
-            },
-        };
-        assert!(e.to_string().contains("shard 3"));
-        assert!(e.to_string().contains("grid mismatch"));
-        let source = e.source().expect("wraps the sketch-level mismatch");
-        assert!(source.to_string().contains("7200"));
     }
 }

@@ -69,7 +69,9 @@
 //! - [`MetricsTap`] — a deterministic streaming-metrics sink fed by the
 //!   driver at every event boundary: rolling crowd-delay quantiles (overall
 //!   and per temporal context), spend pacing against the budget ledger,
-//!   window occupancy and queue depth with high-water marks. The tap rides
+//!   window occupancy and queue depth with high-water marks. Every tap
+//!   sketches delays on the one [`MetricsTap::DELAY_GRID`], so a fleet
+//!   merges its shards' sketches without a grid check. The tap rides
 //!   inside [`RuntimeSnapshot`], so a resumed run replays the identical
 //!   metric stream ([`MetricsSink`] is the extension point for custom
 //!   consumers).
@@ -111,10 +113,10 @@ pub use event::{Event, EventKind};
 pub use faults::{BreakerConfig, BreakerState, FaultEpisode, FaultInjector, FaultPlan};
 pub use fleet::{
     ArbitrationPolicy, ContentionStats, FleetConfig, FleetLedger, FleetOrchestrator, FleetReport,
-    FleetSnapshot, FleetSnapshotError, ShardSpec, TapGridMismatch, FLEET_SNAPSHOT_FORMAT_VERSION,
+    FleetSnapshot, FleetSnapshotError, ShardSpec, FLEET_SNAPSHOT_FORMAT_VERSION,
 };
 pub use hit::{HitBoard, HitId, InFlightHit};
-pub use metrics::{MetricKind, MetricRecord, MetricsSink, MetricsTap, MetricsTapConfig};
+pub use metrics::{MetricKind, MetricRecord, MetricsSink, MetricsTap};
 pub use pipeline::{PipelinedSystem, RunBound, RuntimeReport, WindowDecision};
 pub use queue::EventQueue;
 pub use snapshot::{RuntimeSnapshot, SnapshotError, SNAPSHOT_FORMAT_VERSION};

@@ -178,72 +178,6 @@ impl MetricsSink for Vec<MetricRecord> {
     }
 }
 
-/// Grid configuration for the tap's delay sketches.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetricsTapConfig {
-    /// Upper edge of the delay grid, in seconds. The paper's delay surface
-    /// tops out around 1400 s mean × worker-speed × log-normal noise, so
-    /// the default 7200 s ceiling leaves generous headroom before any
-    /// sample clamps.
-    pub delay_ceiling_secs: f64,
-    /// Number of uniform bins — the quantile error is one bin width,
-    /// `delay_ceiling_secs / delay_bins`.
-    pub delay_bins: usize,
-}
-
-impl MetricsTapConfig {
-    /// The default grid: `[0, 7200)` seconds over 1024 bins (≈ 7 s quantile
-    /// resolution).
-    pub fn paper() -> Self {
-        Self {
-            delay_ceiling_secs: 7200.0,
-            delay_bins: 1024,
-        }
-    }
-
-    /// The one validity rule: [`MetricsTap::with_config`] panics with its
-    /// message, the snapshot decoder reports `Invalid`.
-    pub fn check(&self) -> Result<(), &'static str> {
-        if !(self.delay_ceiling_secs.is_finite() && self.delay_ceiling_secs > 0.0) {
-            Err("delay ceiling must be positive and finite")
-        } else if self.delay_bins == 0 {
-            Err("delay sketch needs at least one bin")
-        } else {
-            Ok(())
-        }
-    }
-
-    /// The `(lo, hi, bins)` grid every sketch of a tap with this config
-    /// is built over.
-    fn grid(&self) -> (f64, f64, usize) {
-        (0.0, self.delay_ceiling_secs, self.delay_bins)
-    }
-}
-
-impl Default for MetricsTapConfig {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
-impl Encode for MetricsTapConfig {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.delay_ceiling_secs.encode(out);
-        self.delay_bins.encode(out);
-    }
-}
-
-impl Decode for MetricsTapConfig {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let config = Self {
-            delay_ceiling_secs: f64::decode(r)?,
-            delay_bins: usize::decode(r)?,
-        };
-        config.check().map_err(|_| DecodeError::Invalid)?;
-        Ok(config)
-    }
-}
-
 /// The deterministic streaming-metrics sink the runtime can carry across
 /// checkpoints.
 ///
@@ -267,7 +201,6 @@ impl Decode for MetricsTapConfig {
 /// round-trip every field bit-exactly (f64 as IEEE bits).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsTap {
-    config: MetricsTapConfig,
     records: u64,
     last_at_secs: f64,
     cycles_admitted: u64,
@@ -297,23 +230,19 @@ pub struct MetricsTap {
 }
 
 impl MetricsTap {
-    /// An empty tap over the [`MetricsTapConfig::paper`] grid.
-    pub fn new() -> Self {
-        Self::with_config(MetricsTapConfig::paper())
-    }
+    /// The `(lo, hi, bins)` grid every delay sketch is built over:
+    /// `[0, 7200)` seconds in 1024 bins, ≈ 7 s quantile resolution. The
+    /// paper's delay surface tops out around 1400 s mean × worker speed ×
+    /// log-normal noise, so the ceiling leaves generous headroom before any
+    /// sample clamps. One grid for every tap is what lets a fleet merge its
+    /// shards' sketches.
+    pub const DELAY_GRID: (f64, f64, usize) = (0.0, 7200.0, 1024);
 
-    /// An empty tap over a custom delay grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the message of [`MetricsTapConfig::check`] if it rejects
-    /// the grid.
-    pub fn with_config(config: MetricsTapConfig) -> Self {
-        config.check().unwrap_or_else(|e| panic!("{e}"));
-        let (lo, hi, bins) = config.grid();
+    /// An empty tap.
+    pub fn new() -> Self {
+        let (lo, hi, bins) = Self::DELAY_GRID;
         let sketch = || QuantileSketch::new(lo, hi, bins);
         Self {
-            config,
             records: 0,
             last_at_secs: 0.0,
             cycles_admitted: 0,
@@ -341,11 +270,6 @@ impl MetricsTap {
             breaker_transitions: 0,
             degraded_cycles: 0,
         }
-    }
-
-    /// The grid configuration.
-    pub fn config(&self) -> &MetricsTapConfig {
-        &self.config
     }
 
     /// Records absorbed so far.
@@ -548,7 +472,6 @@ impl MetricsSink for MetricsTap {
 // checkpointed run resumes its metric stream byte-identically.
 impl Encode for MetricsTap {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.config.encode(out);
         self.records.encode(out);
         self.last_at_secs.encode(out);
         self.cycles_admitted.encode(out);
@@ -581,7 +504,6 @@ impl Encode for MetricsTap {
 impl Decode for MetricsTap {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let tap = Self {
-            config: MetricsTapConfig::decode(r)?,
             records: u64::decode(r)?,
             last_at_secs: f64::decode(r)?,
             cycles_admitted: u64::decode(r)?,
@@ -617,9 +539,9 @@ impl Decode for MetricsTap {
             && tap
                 .remaining_budget_cents
                 .is_none_or(|b| b.is_finite() && b >= 0.0);
-        // Every sketch must sit on the config's grid (the `with_config`
-        // invariant), or `config()` would report a grid the tap does not use.
-        let grid = tap.config.grid();
+        // Every sketch must sit on the one delay grid (the `new`
+        // invariant), or a fleet rollup could not merge it.
+        let grid = Self::DELAY_GRID;
         let sketches_ok = tap.delay_by_context.len() == TemporalContext::COUNT
             && tap.delay_all.grid() == grid
             && tap.delay_by_context.iter().all(|s| s.grid() == grid)
@@ -801,19 +723,17 @@ mod tests {
     fn decode_rejects_sketches_off_the_config_grid() {
         let mut tap = MetricsTap::new();
         tap.record(&answered(5.0, 100.0, TemporalContext::Morning));
-        let bytes = tap.to_bytes();
-        assert_eq!(MetricsTap::from_bytes(&bytes), Ok(tap.clone()));
+        assert_eq!(tap.crowd_delay().grid(), MetricsTap::DELAY_GRID);
+        assert_eq!(MetricsTap::from_bytes(&tap.to_bytes()), Ok(tap.clone()));
 
-        // Crafted frame: a {3600 s, 512} config spliced over the
-        // {7200 s, 1024} tap's own, every sketch left on the old grid.
-        let small = MetricsTapConfig {
-            delay_ceiling_secs: 3600.0,
-            delay_bins: 512,
-        };
-        let header = MetricsTapConfig::paper().to_bytes().len();
-        let mut spliced = small.to_bytes();
-        spliced.extend_from_slice(&bytes[header..]);
-        assert_eq!(MetricsTap::from_bytes(&spliced), Err(DecodeError::Invalid));
+        // The overall sketch on a {3600 s, 512} grid, its sample kept.
+        let mut tampered = tap.clone();
+        tampered.delay_all = QuantileSketch::new(0.0, 3600.0, 512);
+        tampered.delay_all.push(100.0);
+        assert_eq!(
+            MetricsTap::from_bytes(&tampered.to_bytes()),
+            Err(DecodeError::Invalid)
+        );
 
         // One per-context sketch off the grid is enough.
         let mut tampered = tap;

@@ -7,7 +7,9 @@ use crate::{
     EventKind, EventQueue, HitBoard, HitId, MetricKind, MetricRecord, MetricsSink, MetricsTap,
     RuntimeConfig, RuntimeSnapshot, SnapshotError, VirtualClock, WindowPolicy,
 };
-use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem, CycleOutcome, CycleWork, SchemeReport};
+use crowdlearn::{
+    CrowdLearnConfig, CrowdLearnSystem, CycleOutcome, CycleWork, PostedQuery, SchemeReport,
+};
 use crowdlearn_crowd::{IncentiveLevel, SubmitterId};
 use crowdlearn_dataset::{Dataset, SensingCycle, SensingCycleStream};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
@@ -412,9 +414,8 @@ impl PipelinedSystem {
     /// Serializes the whole system — learned module state plus any
     /// in-progress execution — at the current event boundary.
     ///
-    /// Fails with [`SnapshotError::UnsupportedSystem`] when a component has
-    /// no serialized form (non-simulated classifiers, non-checkpointable
-    /// bandit policies).
+    /// Fails with [`SnapshotError::UnsupportedSystem`] when a committee
+    /// member has no serialized form (the boosted `Model::Ensemble`).
     pub fn snapshot(&self) -> Result<RuntimeSnapshot, SnapshotError> {
         let mut payload = Vec::new();
         self.config.encode(&mut payload);
@@ -903,37 +904,7 @@ impl Driver<'_> {
             .system
             .post_next_query(work, &self.cycles[k], self.dataset)
         {
-            Some(mut posted) => {
-                if let Some(hook) = self.fleet.as_mut() {
-                    hook.absorb_post(now, &mut posted);
-                }
-                let lost = self.exec.injector.answer_lost(now);
-                let factor = self.exec.injector.attrition_factor(now);
-                if factor > 1.0 {
-                    posted
-                        .pending
-                        .defer_by(posted.pending.completion_delay_secs() * (factor - 1.0));
-                }
-                let delay = posted.pending.completion_delay_secs();
-                let incentive = posted.incentive;
-                let hit = self.exec.board.post(
-                    k,
-                    posted.image_index,
-                    incentive,
-                    now,
-                    1,
-                    lost,
-                    posted.pending,
-                );
-                self.schedule_hit_events(k, hit, now, delay, lost);
-                self.emit(MetricKind::HitPosted {
-                    cycle: k,
-                    hit,
-                    incentive,
-                    attempt: 1,
-                });
-                self.emit_spend(k, incentive);
-            }
+            Some(posted) => self.launch(k, posted, 1),
             None => {
                 if work.outstanding() == 0 {
                     self.exec
@@ -942,6 +913,52 @@ impl Driver<'_> {
                 }
             }
         }
+    }
+
+    /// Puts a posted (`attempt` 1) or reposted query on the board at the
+    /// current instant: the fleet hook sees the post, fault injection draws
+    /// whether the answer is lost and defers it under attrition, the HIT's
+    /// resolution is scheduled, and the post and its spend are emitted.
+    fn launch(&mut self, k: usize, mut posted: PostedQuery, attempt: u32) {
+        let now = self.exec.clock.now_secs();
+        if let Some(hook) = self.fleet.as_mut() {
+            hook.absorb_post(now, &mut posted);
+        }
+        let lost = self.exec.injector.answer_lost(now);
+        let factor = self.exec.injector.attrition_factor(now);
+        if factor > 1.0 {
+            posted
+                .pending
+                .defer_by(posted.pending.completion_delay_secs() * (factor - 1.0));
+        }
+        let delay = posted.pending.completion_delay_secs();
+        let incentive = posted.incentive;
+        let hit = self.exec.board.post(
+            k,
+            posted.image_index,
+            incentive,
+            now,
+            attempt,
+            lost,
+            posted.pending,
+        );
+        self.schedule_hit_events(k, hit, now, delay, lost);
+        self.emit(if attempt == 1 {
+            MetricKind::HitPosted {
+                cycle: k,
+                hit,
+                incentive,
+                attempt,
+            }
+        } else {
+            MetricKind::HitReposted {
+                cycle: k,
+                hit,
+                incentive,
+                attempt,
+            }
+        });
+        self.emit_spend(k, incentive);
     }
 
     /// The degradation ladder at a would-post boundary while the crowd
@@ -1103,43 +1120,15 @@ impl Driver<'_> {
                     .active
                     .get_mut(&k)
                     .expect("invariant: HIT events only target active cycles");
-                if let Some(mut posted) = self.system.repost_query(
+                if let Some(posted) = self.system.repost_query(
                     work,
                     &self.cycles[k],
                     self.dataset,
                     inflight.image_index,
                     level,
                 ) {
-                    if let Some(hook) = self.fleet.as_mut() {
-                        hook.absorb_post(now, &mut posted);
-                    }
                     self.exec.reposts += 1;
-                    let lost = self.exec.injector.answer_lost(now);
-                    let factor = self.exec.injector.attrition_factor(now);
-                    if factor > 1.0 {
-                        posted
-                            .pending
-                            .defer_by(posted.pending.completion_delay_secs() * (factor - 1.0));
-                    }
-                    let delay = posted.pending.completion_delay_secs();
-                    let incentive = posted.incentive;
-                    let new_hit = self.exec.board.post(
-                        k,
-                        posted.image_index,
-                        incentive,
-                        now,
-                        inflight.attempt + 1,
-                        lost,
-                        posted.pending,
-                    );
-                    self.schedule_hit_events(k, new_hit, now, delay, lost);
-                    self.emit(MetricKind::HitReposted {
-                        cycle: k,
-                        hit: new_hit,
-                        incentive,
-                        attempt: inflight.attempt + 1,
-                    });
-                    self.emit_spend(k, incentive);
+                    self.launch(k, posted, inflight.attempt + 1);
                     return;
                 }
             } else {

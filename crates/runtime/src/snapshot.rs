@@ -48,14 +48,18 @@ const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 /// leads with a `Model` tag and encodes a tagged `Selection` where ε used
 /// to sit, `CalibratorConfig`'s retrain and offload switches are three-way
 /// tags, the query selector carries only its RNG, and `GbdtConfig` lost its
-/// split-mode tag.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 7;
+/// split-mode tag;
+/// 8 — the payoff normalizer's ceiling and the metrics tap's delay-grid
+/// configuration are constants and no longer travel: the incentive policy
+/// is its tag, the learner's own state and the observation count, and the
+/// tap starts at its record counter.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 8;
 
 /// Why a snapshot could not be produced or restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The system holds a component with no serialized form (a non-simulated
-    /// classifier or a non-checkpointable bandit policy).
+    /// The system holds a component with no serialized form (a committee
+    /// member that is not a simulated expert).
     UnsupportedSystem(StateError),
     /// The bytes do not start with the snapshot magic.
     BadMagic,

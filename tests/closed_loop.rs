@@ -2,7 +2,7 @@
 //! runtime at an in-flight window of one, reproduces the paper's headline
 //! orderings and keeps its books straight.
 
-use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem, Model, SchemeReport};
+use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem, IncentivePolicyKind, Model, SchemeReport};
 use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
 use crowdlearn_runtime::{
     MetricsTap, PipelinedSystem, RuntimeConfig, RuntimeReport, RuntimeSnapshot,
@@ -294,38 +294,54 @@ fn tiny_budget_still_produces_labels_for_every_image() {
 #[test]
 fn state_codec_resumes_mid_run_identically() {
     let (dataset, stream) = fixture();
-    let mut config = CrowdLearnConfig::paper();
-    config.cqc_training_queries = 200;
-    config.warmup_per_cell = 2;
-    let mut system = PipelinedSystem::new(&dataset, config, RuntimeConfig::sequential());
-    system.attach_metrics_tap(MetricsTap::new());
-    while system.metrics_tap().map_or(0, MetricsTap::cycles_closed) < 8 {
-        assert!(system.step(&dataset, &stream), "stream ended early");
-    }
-
-    let snapshot = system.snapshot().expect("checkpointable");
-    let snapshot = RuntimeSnapshot::from_bytes(&snapshot.to_bytes()).expect("frame round trip");
-    let mut resumed = PipelinedSystem::resume(&snapshot, &stream).expect("state round trip");
-    let state = |s: &CrowdLearnSystem| {
-        let mut bytes = Vec::new();
-        s.encode_state(&mut bytes).expect("checkpointable");
-        bytes
-    };
-    assert_eq!(state(system.system()), state(resumed.system()));
-
-    let a = system.run(&dataset, &stream);
-    let b = resumed.run(&dataset, &stream);
-    for k in 8..16 {
-        assert_eq!(
-            a.outcomes[k], b.outcomes[k],
-            "cycle {k} diverged after resume"
+    for policy in [
+        IncentivePolicyKind::UcbAlp,
+        IncentivePolicyKind::EpsilonGreedy,
+        IncentivePolicyKind::FixedMax,
+        IncentivePolicyKind::Random,
+    ] {
+        let mut config = CrowdLearnConfig::paper().with_policy(policy);
+        config.cqc_training_queries = 200;
+        config.warmup_per_cell = 2;
+        let mut system = PipelinedSystem::new(&dataset, config, RuntimeConfig::sequential());
+        system.attach_metrics_tap(MetricsTap::new());
+        while system.metrics_tap().map_or(0, MetricsTap::cycles_closed) < 8 {
+            assert!(system.step(&dataset, &stream), "stream ended early");
+        }
+        // The policy has chosen incentives before the checkpoint.
+        assert!(
+            system.metrics_tap().map_or(0, MetricsTap::hits_posted) > 0,
+            "{policy:?}"
         );
+
+        let snapshot = system.snapshot().expect("checkpointable");
+        let snapshot = RuntimeSnapshot::from_bytes(&snapshot.to_bytes()).expect("frame round trip");
+        let mut resumed = PipelinedSystem::resume(&snapshot, &stream).expect("state round trip");
+        let state = |s: &CrowdLearnSystem| {
+            let mut bytes = Vec::new();
+            s.encode_state(&mut bytes).expect("checkpointable");
+            bytes
+        };
+        assert_eq!(
+            state(system.system()),
+            state(resumed.system()),
+            "{policy:?}"
+        );
+
+        let a = system.run(&dataset, &stream);
+        let b = resumed.run(&dataset, &stream);
+        for k in 8..16 {
+            assert_eq!(
+                a.outcomes[k], b.outcomes[k],
+                "{policy:?}: cycle {k} diverged after resume"
+            );
+        }
+        let (system, resumed) = (system.system(), resumed.system());
+        assert_eq!(
+            system.remaining_budget_cents(),
+            resumed.remaining_budget_cents()
+        );
+        assert_eq!(system.delay_observations(), resumed.delay_observations());
+        assert_eq!(system.committee_weights(), resumed.committee_weights());
     }
-    let (system, resumed) = (system.system(), resumed.system());
-    assert_eq!(
-        system.remaining_budget_cents(),
-        resumed.remaining_budget_cents()
-    );
-    assert_eq!(system.delay_observations(), resumed.delay_observations());
-    assert_eq!(system.committee_weights(), resumed.committee_weights());
 }
