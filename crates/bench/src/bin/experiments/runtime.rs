@@ -405,7 +405,7 @@ pub fn faults(fixture: &Fixture, fault_free: &RuntimeReport, ai_only: &SchemeRep
     );
 
     let faulted_runtime = RuntimeConfig::paper().with_faults(outage_plan());
-    let cycle_period = faulted_runtime.cycle_period_secs;
+    let cycle_period = RuntimeConfig::CYCLE_PERIOD_SECS;
     let outage_len = OUTAGE_UNTIL_SECS - OUTAGE_FROM_SECS;
     println!(
         "\noutage: platform dark {OUTAGE_FROM_SECS:.0}-{OUTAGE_UNTIL_SECS:.0} s \

@@ -22,7 +22,10 @@ pub trait Classifier: Send {
     /// probability distribution over the damage classes.
     fn predict(&self, image: &SyntheticImage) -> ClassDistribution;
 
-    /// Produces one vote per image of a batch.
+    /// Produces one vote per image of a batch of image *references* —
+    /// sensing cycles hand out scattered references into the dataset, so
+    /// the runtime cannot form a contiguous `&[SyntheticImage]` without
+    /// cloning.
     ///
     /// Contract: the result must be **bit-identical** to mapping
     /// [`Classifier::predict`] over `images` in order — batching is a
@@ -34,14 +37,6 @@ pub trait Classifier: Send {
     ///
     /// [`SimulatedExpert`]: crate::SimulatedExpert
     /// [`EvidenceMatrix`]: crowdlearn_dataset::EvidenceMatrix
-    fn predict_batch(&self, images: &[SyntheticImage]) -> Vec<ClassDistribution> {
-        images.iter().map(|image| self.predict(image)).collect()
-    }
-
-    /// [`Classifier::predict_batch`] over a batch of image *references* —
-    /// sensing cycles hand out scattered references into the dataset, so the
-    /// runtime cannot form a contiguous `&[SyntheticImage]` without cloning.
-    /// Same bit-identity contract as `predict_batch`.
     fn predict_batch_refs(&self, images: &[&SyntheticImage]) -> Vec<ClassDistribution> {
         images.iter().map(|image| self.predict(image)).collect()
     }
@@ -130,7 +125,6 @@ mod tests {
             .collect();
         let c: Box<dyn Classifier> = Box::new(ConstantClassifier(0));
         let expected: Vec<ClassDistribution> = images.iter().map(|i| c.predict(i)).collect();
-        assert_eq!(c.predict_batch(&images), expected);
         let refs: Vec<&SyntheticImage> = images.iter().collect();
         assert_eq!(c.predict_batch_refs(&refs), expected);
     }

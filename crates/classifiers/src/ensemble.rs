@@ -34,8 +34,6 @@ const DEFAULT_OVERHEAD_SECS: f64 = 33.2;
 pub struct BoostedEnsemble {
     members: Vec<SimulatedExpert>,
     alphas: Vec<f64>,
-    overhead_secs: f64,
-    name: String,
     /// All labeled samples ever seen; weight refits use the whole history so
     /// a handful of noisy crowd labels cannot destroy the calibration.
     validation_buffer: Vec<LabeledImage>,
@@ -53,17 +51,8 @@ impl BoostedEnsemble {
         Self {
             members,
             alphas: vec![1.0; n],
-            overhead_secs: DEFAULT_OVERHEAD_SECS,
-            name: "Ensemble".to_owned(),
             validation_buffer: Vec::new(),
         }
-    }
-
-    /// Overrides the aggregation-overhead delay (seconds per batch).
-    pub fn with_overhead_secs(mut self, secs: f64) -> Self {
-        assert!(secs >= 0.0, "overhead must be non-negative");
-        self.overhead_secs = secs;
-        self
     }
 
     /// The current per-member boosting weights.
@@ -131,16 +120,12 @@ impl BoostedEnsemble {
 
 impl Classifier for BoostedEnsemble {
     fn name(&self) -> &str {
-        &self.name
+        "Ensemble"
     }
 
     fn predict(&self, image: &SyntheticImage) -> ClassDistribution {
         let votes: Vec<ClassDistribution> = self.members.iter().map(|m| m.predict(image)).collect();
         ClassDistribution::weighted_mixture(self.alphas.iter().copied().zip(votes.iter()))
-    }
-
-    fn predict_batch(&self, images: &[SyntheticImage]) -> Vec<ClassDistribution> {
-        self.predict_evidence(&EvidenceMatrix::from_images(images))
     }
 
     fn predict_batch_refs(&self, images: &[&SyntheticImage]) -> Vec<ClassDistribution> {
@@ -171,7 +156,7 @@ impl Classifier for BoostedEnsemble {
             .iter()
             .map(|m| m.execution_delay_secs(batch_size, cycle))
             .fold(0.0, f64::max);
-        slowest + self.overhead_secs
+        slowest + DEFAULT_OVERHEAD_SECS
     }
 
     fn training_samples(&self) -> usize {

@@ -32,9 +32,9 @@ impl DelayProfile {
         profile
     }
 
-    /// The one validity rule, shared by [`DelayProfile::new`],
-    /// [`SimulatedExpert::new`] and the snapshot decoder. The delay must be
-    /// finite: `+inf` would poison every downstream delay sum.
+    /// The one validity rule, shared by [`DelayProfile::new`] and
+    /// [`SimulatedExpert::new`]. The delay must be finite: `+inf` would
+    /// poison every downstream delay sum.
     pub fn check(&self) -> Result<(), &'static str> {
         if !(self.per_image_secs.is_finite() && self.per_image_secs > 0.0) {
             Err("delay must be positive and finite")
@@ -82,8 +82,7 @@ pub struct ExpertProfile {
 
 impl ExpertProfile {
     /// The one validity rule, the [`DelayProfile`]'s included:
-    /// [`SimulatedExpert::new`] panics with its message, the snapshot
-    /// decoder reports `Invalid`.
+    /// [`SimulatedExpert::new`] panics with its message.
     pub fn check(&self) -> Result<(), &'static str> {
         let weights = &self.family_weights;
         let positive = |x: f64| x.is_finite() && x > 0.0;
@@ -123,6 +122,14 @@ impl ExpertProfile {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimulatedExpert {
     profile: ExpertProfile,
+    learned: LearnedState,
+}
+
+/// What a [`SimulatedExpert`] has learned since it was built: everything
+/// `retrain` changes, and all a checkpoint carries of it — the profile is
+/// rebuilt from the configuration that chose it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct LearnedState {
     /// Effective training mass: correct labels add 1, wrong labels subtract
     /// 0.5 (noisy feedback hurts fine-tuning), floored at 0.
     effective_samples: f64,
@@ -144,15 +151,24 @@ impl SimulatedExpert {
         profile.check().unwrap_or_else(|e| panic!("{e}"));
         Self {
             profile,
-            effective_samples: 0.0,
-            seen_samples: 0,
-            version: 0,
+            learned: LearnedState::default(),
         }
     }
 
     /// The expert's static profile.
     pub fn profile(&self) -> &ExpertProfile {
         &self.profile
+    }
+
+    /// What the expert has learned since it was built.
+    pub fn learned_state(&self) -> LearnedState {
+        self.learned
+    }
+
+    /// Replaces what the expert has learned — a checkpoint's restore path,
+    /// onto an expert rebuilt from the same profile.
+    pub fn restore_learned_state(&mut self, learned: LearnedState) {
+        self.learned = learned;
     }
 
     /// Current noise multiplier given the training curve: decays
@@ -165,7 +181,8 @@ impl SimulatedExpert {
     pub fn noise_factor(&self) -> f64 {
         let p = &self.profile;
         p.noise_floor
-            + (p.noise_ceiling - p.noise_floor) * (-self.effective_samples / p.training_tau).exp()
+            + (p.noise_ceiling - p.noise_floor)
+                * (-self.learned.effective_samples / p.training_tau).exp()
     }
 
     fn evidence_scores(&self, image: &SyntheticImage) -> [f64; DamageLabel::COUNT] {
@@ -218,7 +235,7 @@ impl SimulatedExpert {
         const STABLE: u64 = 0x0057_ab1e;
         let head_main = splitmix64(self.profile.seed);
         let head_alt = splitmix64(self.profile.seed ^ ALT_CHAIN);
-        let versioned_key = self.version.wrapping_add(1);
+        let versioned_key = self.learned.version.wrapping_add(1);
 
         let mut votes = Vec::with_capacity(evidence.len());
         let means = evidence.block_means().chunks_exact(MEANS_ROW);
@@ -280,7 +297,7 @@ impl Classifier for SimulatedExpert {
             let versioned = hash_gaussian(
                 self.profile.seed,
                 image.id().0 as u64,
-                self.version.wrapping_add(1),
+                self.learned.version.wrapping_add(1),
                 class as u64,
             );
             let noise = (0.8 * stable + 0.6 * versioned) * noise_scale;
@@ -291,10 +308,6 @@ impl Classifier for SimulatedExpert {
         ClassDistribution::from_logits(logits)
     }
 
-    fn predict_batch(&self, images: &[SyntheticImage]) -> Vec<ClassDistribution> {
-        self.predict_evidence(&EvidenceMatrix::from_images(images))
-    }
-
     fn predict_batch_refs(&self, images: &[&SyntheticImage]) -> Vec<ClassDistribution> {
         self.predict_evidence(&EvidenceMatrix::from_refs(images.iter().copied()))
     }
@@ -303,15 +316,16 @@ impl Classifier for SimulatedExpert {
         if samples.is_empty() {
             return;
         }
+        let learned = &mut self.learned;
         for sample in samples {
             if sample.label == sample.image.truth() {
-                self.effective_samples += 1.0;
+                learned.effective_samples += 1.0;
             } else {
-                self.effective_samples = (self.effective_samples - 0.5).max(0.0);
+                learned.effective_samples = (learned.effective_samples - 0.5).max(0.0);
             }
         }
-        self.seen_samples += samples.len();
-        self.version += 1;
+        learned.seen_samples += samples.len();
+        learned.version += 1;
     }
 
     fn execution_delay_secs(&self, batch_size: usize, cycle: u64) -> f64 {
@@ -322,7 +336,7 @@ impl Classifier for SimulatedExpert {
     }
 
     fn training_samples(&self) -> usize {
-        self.seen_samples
+        self.learned.seen_samples
     }
 
     fn as_simulated(&self) -> Option<&SimulatedExpert> {
@@ -330,74 +344,18 @@ impl Classifier for SimulatedExpert {
     }
 }
 
-// Snapshot codec: a simulated expert is its profile plus its mutable
-// training state, all of it plain data. Decoding runs the same `check()`
-// as the constructors, but must not panic — out-of-contract values surface
-// as `DecodeError::Invalid`.
-impl Encode for DelayProfile {
+// Snapshot codec: only the learned state travels. Decoding must not panic —
+// out-of-contract values surface as `DecodeError::Invalid`.
+impl Encode for LearnedState {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.per_image_secs.encode(out);
-        self.jitter_frac.encode(out);
-    }
-}
-
-impl Decode for DelayProfile {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let profile = Self {
-            per_image_secs: f64::decode(r)?,
-            jitter_frac: f64::decode(r)?,
-        };
-        profile.check().map_err(|_| DecodeError::Invalid)?;
-        Ok(profile)
-    }
-}
-
-impl Encode for ExpertProfile {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.name.encode(out);
-        self.family_weights.encode(out);
-        self.confidence_gain.encode(out);
-        self.perception_noise.encode(out);
-        self.no_damage_bias.encode(out);
-        self.noise_floor.encode(out);
-        self.noise_ceiling.encode(out);
-        self.training_tau.encode(out);
-        self.delay.encode(out);
-        self.seed.encode(out);
-    }
-}
-
-impl Decode for ExpertProfile {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let profile = Self {
-            name: String::decode(r)?,
-            family_weights: <[f64; FAMILIES]>::decode(r)?,
-            confidence_gain: f64::decode(r)?,
-            perception_noise: f64::decode(r)?,
-            no_damage_bias: f64::decode(r)?,
-            noise_floor: f64::decode(r)?,
-            noise_ceiling: f64::decode(r)?,
-            training_tau: f64::decode(r)?,
-            delay: DelayProfile::decode(r)?,
-            seed: u64::decode(r)?,
-        };
-        profile.check().map_err(|_| DecodeError::Invalid)?;
-        Ok(profile)
-    }
-}
-
-impl Encode for SimulatedExpert {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.profile.encode(out);
         self.effective_samples.encode(out);
         self.seen_samples.encode(out);
         self.version.encode(out);
     }
 }
 
-impl Decode for SimulatedExpert {
+impl Decode for LearnedState {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let profile = ExpertProfile::decode(r)?;
         let effective_samples = f64::decode(r)?;
         // `is_finite`: `effective_samples = +inf` would freeze the training
         // curve at the noise floor forever and survive every re-encode.
@@ -405,7 +363,6 @@ impl Decode for SimulatedExpert {
             return Err(DecodeError::Invalid);
         }
         Ok(Self {
-            profile,
             effective_samples,
             seen_samples: usize::decode(r)?,
             version: u64::decode(r)?,
@@ -693,91 +650,15 @@ mod tests {
             trained(profiles::bovw(2), &ds),
             trained(profiles::ddm(3), &ds),
         ] {
-            let batch = &ds.test()[..25];
+            let batch: Vec<&SyntheticImage> = ds.test()[..25].iter().collect();
             let scalar: Vec<ClassDistribution> = batch.iter().map(|i| expert.predict(i)).collect();
-            let batched = expert.predict_batch(batch);
+            let batched = expert.predict_batch_refs(&batch);
             assert_eq!(batched.len(), scalar.len());
             for (b, s) in batched.iter().zip(&scalar) {
                 for (pb, ps) in b.probs().iter().zip(s.probs()) {
                     assert_eq!(pb.to_bits(), ps.to_bits(), "{}", expert.name());
                 }
             }
-            let refs: Vec<&SyntheticImage> = batch.iter().collect();
-            assert_eq!(expert.predict_batch_refs(&refs), batched);
-        }
-    }
-
-    #[test]
-    fn decode_rejects_non_finite_delay() {
-        // Crafted frame: +inf per_image_secs passes a NaN-only check but must
-        // be rejected as Invalid (it would poison every delay computation).
-        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -1.0] {
-            let mut bytes = Vec::new();
-            bad.encode(&mut bytes);
-            0.1f64.encode(&mut bytes);
-            let mut r = Reader::new(&bytes);
-            assert!(
-                matches!(DelayProfile::decode(&mut r), Err(DecodeError::Invalid)),
-                "per_image_secs = {bad} must be rejected"
-            );
-        }
-        // Sanity: a well-formed frame still round-trips.
-        let profile = DelayProfile::new(3.5, 0.1);
-        let mut bytes = Vec::new();
-        profile.encode(&mut bytes);
-        assert_eq!(DelayProfile::decode(&mut Reader::new(&bytes)), Ok(profile));
-    }
-
-    #[test]
-    fn check_agrees_with_the_snapshot_decoder() {
-        let paper = profiles::vgg16(1).profile().clone();
-        let mut profiles = vec![paper.clone()];
-        let mut delays = vec![paper.delay];
-        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0, 0.5] {
-            let with = |edit: fn(&mut ExpertProfile, f64)| {
-                let mut p = paper.clone();
-                edit(&mut p, x);
-                p
-            };
-            profiles.extend([
-                with(|p, x| p.family_weights[0] = x),
-                with(|p, x| p.family_weights = [x; FAMILIES]),
-                with(|p, x| p.confidence_gain = x),
-                with(|p, x| p.perception_noise = x),
-                with(|p, x| p.noise_floor = x),
-                with(|p, x| p.noise_ceiling = x),
-                with(|p, x| p.training_tau = x),
-                with(|p, x| p.delay.per_image_secs = x),
-                with(|p, x| p.delay.jitter_frac = x),
-            ]);
-            delays.extend([
-                DelayProfile {
-                    per_image_secs: x,
-                    ..paper.delay
-                },
-                DelayProfile {
-                    jitter_frac: x,
-                    ..paper.delay
-                },
-            ]);
-        }
-        for profile in &profiles {
-            let decoded = ExpertProfile::from_bytes(&profile.to_bytes());
-            assert_eq!(
-                profile.check().is_ok(),
-                decoded.is_ok(),
-                "{profile:?}: check {:?}, decode {decoded:?}",
-                profile.check()
-            );
-        }
-        for delay in &delays {
-            let decoded = DelayProfile::from_bytes(&delay.to_bytes());
-            assert_eq!(
-                delay.check().is_ok(),
-                decoded.is_ok(),
-                "{delay:?}: check {:?}, decode {decoded:?}",
-                delay.check()
-            );
         }
     }
 
@@ -801,28 +682,25 @@ mod tests {
 
     #[test]
     fn decode_rejects_non_finite_effective_samples() {
-        let expert = profiles::vgg16(1);
         for bad in [f64::INFINITY, f64::NAN, -1.0] {
-            // Crafted frame: valid profile, then an out-of-contract training
-            // mass, then well-formed trailing fields.
+            // Crafted frame: an out-of-contract training mass, then
+            // well-formed trailing fields.
             let mut bytes = Vec::new();
-            expert.profile().encode(&mut bytes);
             bad.encode(&mut bytes);
             0usize.encode(&mut bytes);
             0u64.encode(&mut bytes);
-            let mut r = Reader::new(&bytes);
-            assert!(
-                matches!(SimulatedExpert::decode(&mut r), Err(DecodeError::Invalid)),
+            assert_eq!(
+                LearnedState::from_bytes(&bytes),
+                Err(DecodeError::Invalid),
                 "effective_samples = {bad} must be rejected"
             );
         }
         let ds = dataset();
-        let trained_expert = trained(profiles::vgg16(1), &ds);
-        let mut bytes = Vec::new();
-        trained_expert.encode(&mut bytes);
-        assert_eq!(
-            SimulatedExpert::decode(&mut Reader::new(&bytes)),
-            Ok(trained_expert)
-        );
+        let learned = trained(profiles::vgg16(1), &ds).learned_state();
+        assert_eq!(LearnedState::from_bytes(&learned.to_bytes()), Ok(learned));
+        // Restored onto a rebuilt expert, it is the trained expert again.
+        let mut rebuilt = profiles::vgg16(1);
+        rebuilt.restore_learned_state(learned);
+        assert_eq!(rebuilt, trained(profiles::vgg16(1), &ds));
     }
 }

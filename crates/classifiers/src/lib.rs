@@ -52,4 +52,4 @@ pub mod synthetic;
 pub use classifier::Classifier;
 pub use distribution::ClassDistribution;
 pub use ensemble::BoostedEnsemble;
-pub use expert::{DelayProfile, ExpertProfile, SimulatedExpert};
+pub use expert::{DelayProfile, ExpertProfile, LearnedState, SimulatedExpert};

@@ -2,7 +2,7 @@
 //! (paper Definitions 4-8, Eq. 2-3).
 
 use crowdlearn_bandit::ExpWeights;
-use crowdlearn_classifiers::{ClassDistribution, Classifier, SimulatedExpert};
+use crowdlearn_classifiers::{ClassDistribution, Classifier, LearnedState, SimulatedExpert};
 use crowdlearn_dataset::{EvidenceMatrix, LabeledImage, SyntheticImage};
 
 /// A weighted committee of black-box classifiers.
@@ -49,13 +49,13 @@ impl Committee {
         &self.hedge
     }
 
-    /// Clones every member as a [`SimulatedExpert`], or `None` when any
-    /// member is not a simulated expert — snapshot callers surface that as
-    /// an explicit unsupported-classifier error.
-    pub fn simulated_members(&self) -> Option<Vec<SimulatedExpert>> {
+    /// What every member has learned, or `None` when any member is not a
+    /// [`SimulatedExpert`] — snapshot callers surface that as an explicit
+    /// unsupported-classifier error.
+    pub fn learned_states(&self) -> Option<Vec<LearnedState>> {
         self.members
             .iter()
-            .map(|m| m.as_simulated().cloned())
+            .map(|m| m.as_simulated().map(SimulatedExpert::learned_state))
             .collect()
     }
 

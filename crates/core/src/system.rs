@@ -7,7 +7,7 @@ use crate::{
 };
 use crowdlearn_bandit::{BanditConfig, ExpWeights};
 use crowdlearn_classifiers::{
-    profiles, BoostedEnsemble, ClassDistribution, Classifier, SimulatedExpert,
+    profiles, BoostedEnsemble, ClassDistribution, Classifier, LearnedState, SimulatedExpert,
 };
 use crowdlearn_crowd::{
     IncentiveLevel, PendingHit, Platform, PlatformConfig, PlatformStats, QueryResponse, SubmitterId,
@@ -53,18 +53,26 @@ pub enum Model {
 impl Model {
     /// The untrained members, built from `seed`.
     fn members(self, seed: u64) -> Vec<Box<dyn Classifier>> {
-        let boxed = |e: SimulatedExpert| Box::new(e) as Box<dyn Classifier>;
-        match self {
-            Model::Committee => profiles::paper_committee(seed)
+        match self.experts(seed) {
+            Some(experts) => experts
                 .into_iter()
-                .map(boxed)
+                .map(|e| Box::new(e) as Box<dyn Classifier>)
                 .collect(),
-            Model::Vgg16 => vec![boxed(profiles::vgg16(seed))],
-            Model::Bovw => vec![boxed(profiles::bovw(seed))],
-            Model::Ddm => vec![boxed(profiles::ddm(seed))],
-            Model::Ensemble => vec![Box::new(BoostedEnsemble::new(profiles::paper_committee(
+            None => vec![Box::new(BoostedEnsemble::new(profiles::paper_committee(
                 seed,
             )))],
+        }
+    }
+
+    /// The untrained members as simulated experts, built from `seed`, or
+    /// `None` for the Ensemble (one boosted classifier, no serialized form).
+    fn experts(self, seed: u64) -> Option<Vec<SimulatedExpert>> {
+        match self {
+            Model::Committee => Some(profiles::paper_committee(seed)),
+            Model::Vgg16 => Some(vec![profiles::vgg16(seed)]),
+            Model::Bovw => Some(vec![profiles::bovw(seed)]),
+            Model::Ddm => Some(vec![profiles::ddm(seed)]),
+            Model::Ensemble => None,
         }
     }
 }
@@ -560,7 +568,7 @@ impl CrowdLearnSystem {
 
     /// [`CrowdLearnSystem::new`] under an explicit crowd-platform
     /// configuration — a custom delay surface (e.g. the adaptive-window
-    /// bench's stable/bursty profiles), pool size, or churn rate. `new`
+    /// bench's stable/bursty profiles) or churn rate. `new`
     /// delegates here with `PlatformConfig::paper().with_seed(config.platform_seed)`,
     /// so the two are byte-identical on the paper platform.
     ///
@@ -714,19 +722,20 @@ impl CrowdLearnSystem {
         self.platform.stats()
     }
 
-    /// Appends the system's complete learning state to `out`: the committee
-    /// members and Hedge weights, the QSS and platform RNGs, the incentive
-    /// bandit with its budget ledger, CQC's trained model, and the bootstrap
-    /// spending baseline. [`CrowdLearnSystem::decode_state`] rebuilds an
-    /// equivalent system that continues byte-identically — no dataset or
-    /// re-bootstrapping needed.
+    /// Appends the system's complete learning state to `out`: the config,
+    /// what each committee member has learned and the Hedge weights, the QSS
+    /// and platform RNGs, the incentive bandit with its budget ledger, CQC's
+    /// trained model, and the bootstrap spending baseline. The members'
+    /// profiles do not travel: `config` fixes them.
+    /// [`CrowdLearnSystem::decode_state`] rebuilds an equivalent system that
+    /// continues byte-identically — no dataset or re-bootstrapping needed.
     pub fn encode_state(&self, out: &mut Vec<u8>) -> Result<(), StateError> {
-        let members = self
+        let learned = self
             .committee
-            .simulated_members()
+            .learned_states()
             .ok_or(StateError::UnsupportedClassifier)?;
         self.config.encode(out);
-        members.encode(out);
+        learned.encode(out);
         self.committee.hedge().encode(out);
         self.qss.encode(out);
         self.ipd.encode(out);
@@ -736,16 +745,25 @@ impl CrowdLearnSystem {
         Ok(())
     }
 
-    /// Rebuilds a system from [`CrowdLearnSystem::encode_state`] bytes. All
-    /// constructor invariants are re-checked — including that the incentive
-    /// policy is the one `config` boots — and violations surface as
-    /// [`DecodeError::Invalid`] rather than panics.
+    /// Rebuilds a system from [`CrowdLearnSystem::encode_state`] bytes: the
+    /// committee members `config.model` boots from `config.seed`, with their
+    /// learned state restored. All constructor invariants are re-checked —
+    /// including that the committee and the incentive policy are the ones
+    /// `config` boots — and violations surface as [`DecodeError::Invalid`]
+    /// rather than panics.
     pub fn decode_state(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let config = CrowdLearnConfig::decode(r)?;
-        let members = Vec::<SimulatedExpert>::decode(r)?;
+        let learned = Vec::<LearnedState>::decode(r)?;
         let hedge = ExpWeights::decode(r)?;
-        if members.is_empty() || members.len() != hedge.len() {
+        let mut members = config
+            .model
+            .experts(config.seed)
+            .ok_or(DecodeError::Invalid)?;
+        if members.len() != learned.len() || members.len() != hedge.len() {
             return Err(DecodeError::Invalid);
+        }
+        for (member, learned) in members.iter_mut().zip(learned) {
+            member.restore_learned_state(learned);
         }
         let qss = QuerySetSelector::decode(r)?;
         let ipd = IncentivePolicy::decode(r)?;
@@ -1138,7 +1156,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_refuses_a_policy_its_config_does_not_boot() {
+    fn decode_refuses_a_committee_or_policy_its_config_does_not_boot() {
         let dataset = Dataset::generate(&DatasetConfig::paper());
         let boot = |edit: fn(&mut CrowdLearnConfig)| {
             let mut config = CrowdLearnConfig::paper();
@@ -1154,11 +1172,13 @@ mod tests {
         let (prefix, state) = boot(|_| {});
         assert!(CrowdLearnSystem::decode_state(&mut Reader::new(&state)).is_ok());
         // The other system's config (the first field of its state) over
-        // this system's UCB-ALP bandit: a fixed-policy config, then a
-        // budget the bandit was not built for.
-        let edits: [fn(&mut CrowdLearnConfig); 2] = [
+        // this system's three-expert committee and UCB-ALP bandit: a
+        // fixed-policy config, a budget the bandit was not built for, then
+        // a single-model config.
+        let edits: [fn(&mut CrowdLearnConfig); 3] = [
             |c| c.policy = IncentivePolicyKind::FixedMax,
             |c| c.budget_cents *= 2.0,
+            |c| c.model = Model::Ddm,
         ];
         for edit in edits {
             let (other_prefix, other) = boot(edit);

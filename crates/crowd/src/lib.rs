@@ -21,7 +21,8 @@
 //!
 //! The entry point is [`Platform::submit`], which takes one image query at
 //! an [`IncentiveLevel`] under a [`TemporalContext`] and returns the
-//! responses of `workers_per_query` sampled workers. Costs are tracked in a
+//! responses of [`PlatformConfig::WORKERS_PER_QUERY`] (5) workers sampled
+//! from an 80-worker pool. Costs are tracked in a
 //! built-in ledger. [`PilotStudy`] reruns the paper's 7-incentive x
 //! 4-context characterization grid.
 //!

@@ -8,29 +8,31 @@ use rand::{Rng, SeedableRng};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 use serde::{Deserialize, Serialize};
 
+/// Workers in the pool [`Platform::new`] generates.
+const PAPER_POOL_SIZE: usize = 80;
+const _: () = assert!(PlatformConfig::WORKERS_PER_QUERY <= PAPER_POOL_SIZE);
+
 /// Configuration of the simulated platform.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlatformConfig {
-    pool_size: usize,
-    workers_per_query: usize,
     seed: u64,
     churn_rate: f64,
     delay_model: DelayModel,
-    quality_model: QualityModel,
 }
 
 impl PlatformConfig {
-    /// The paper's setup: a large anonymous pool, 5 workers per query
-    /// ("each query is allowed to be answered by 5 workers"), and the
-    /// pilot-calibrated delay/quality surfaces.
+    /// Workers answering each query ("each query is allowed to be answered
+    /// by 5 workers").
+    pub const WORKERS_PER_QUERY: usize = 5;
+
+    /// The paper's setup: an 80-worker anonymous pool, 5 workers per query,
+    /// and the pilot-calibrated delay surface; the quality surface is
+    /// always [`QualityModel::PAPER`].
     pub fn paper() -> Self {
         Self {
-            pool_size: 80,
-            workers_per_query: 5,
             seed: 0x7c0_4d5,
             churn_rate: 0.0,
             delay_model: DelayModel::paper(),
-            quality_model: QualityModel::paper(),
         }
     }
 
@@ -40,27 +42,9 @@ impl PlatformConfig {
         self
     }
 
-    /// Sets the number of workers answering each query.
-    pub fn with_workers_per_query(mut self, n: usize) -> Self {
-        self.workers_per_query = n;
-        self
-    }
-
-    /// Sets the worker-pool size.
-    pub fn with_pool_size(mut self, n: usize) -> Self {
-        self.pool_size = n;
-        self
-    }
-
     /// Replaces the delay model (for ablations).
     pub fn with_delay_model(mut self, model: DelayModel) -> Self {
         self.delay_model = model;
-        self
-    }
-
-    /// Replaces the quality model (for ablations).
-    pub fn with_quality_model(mut self, model: QualityModel) -> Self {
-        self.quality_model = model;
         self
     }
 
@@ -82,14 +66,10 @@ impl PlatformConfig {
     /// The one validity rule: [`Platform::new`] panics with its message, the
     /// snapshot decoder reports `Invalid`.
     pub fn check(&self) -> Result<(), &'static str> {
-        if self.pool_size == 0 {
-            Err("pool must be non-empty")
-        } else if !(1..=self.pool_size).contains(&self.workers_per_query) {
-            Err("workers per query must be in 1..=pool_size")
-        } else if !(0.0..=1.0).contains(&self.churn_rate) {
-            Err("churn rate must be in [0, 1]")
-        } else {
+        if (0.0..=1.0).contains(&self.churn_rate) {
             Ok(())
+        } else {
+            Err("churn rate must be in [0, 1]")
         }
     }
 }
@@ -401,25 +381,16 @@ pub struct Platform {
 }
 
 impl Platform {
-    /// Boots a platform with a freshly generated worker population.
+    /// Boots a platform with a freshly generated population of the paper's
+    /// 80 workers.
     ///
     /// # Panics
     ///
     /// Panics with the message of [`PlatformConfig::check`] if it rejects
     /// the configuration.
     pub fn new(config: PlatformConfig) -> Self {
-        config.check().unwrap_or_else(|e| panic!("{e}"));
-        let pool = WorkerPool::generate(config.pool_size, config.seed ^ 0x9e37_79b9);
-        Self {
-            next_worker_id: pool.len() as u32,
-            pool,
-            rng: StdRng::seed_from_u64(config.seed),
-            spent_cents: 0,
-            queries_served: 0,
-            submitter: SubmitterId::DEFAULT,
-            stats: PlatformStats::default(),
-            config,
-        }
+        let pool = WorkerPool::generate(PAPER_POOL_SIZE, config.seed ^ 0x9e37_79b9);
+        Self::with_pool(config, pool)
     }
 
     /// Boots a platform over an explicit worker pool (failure injection).
@@ -427,12 +398,13 @@ impl Platform {
     /// # Panics
     ///
     /// Panics with the message of [`PlatformConfig::check`] if it rejects
-    /// the configuration, or if the pool is smaller than a query's fan-out.
+    /// the configuration, or if the pool has fewer than
+    /// [`PlatformConfig::WORKERS_PER_QUERY`] workers.
     pub fn with_pool(config: PlatformConfig, pool: WorkerPool) -> Self {
         config.check().unwrap_or_else(|e| panic!("{e}"));
         assert!(
-            config.workers_per_query <= pool.len(),
-            "workers per query must not exceed the pool"
+            pool.len() >= PlatformConfig::WORKERS_PER_QUERY,
+            "the pool must hold a query's fan-out of workers"
         );
         Self {
             next_worker_id: pool.len() as u32,
@@ -546,7 +518,7 @@ impl Platform {
 
         let workers = self
             .pool
-            .sample(self.config.workers_per_query, context, &mut self.rng);
+            .sample(PlatformConfig::WORKERS_PER_QUERY, context, &mut self.rng);
         // Collect worker traits first so we can reborrow the RNG mutably.
         let traits: Vec<(WorkerId, f64, f64)> = workers
             .iter()
@@ -565,9 +537,7 @@ impl Platform {
             worker_seconds += delay;
 
             let p_correct =
-                self.config
-                    .quality_model
-                    .correct_probability(reliability, incentive, context);
+                QualityModel::PAPER.correct_probability(reliability, incentive, context);
             let label = self.sample_label(image, p_correct);
             let questionnaire = self.sample_questionnaire(image, p_correct);
             responses.push(WorkerResponse {
@@ -681,24 +651,18 @@ impl Platform {
 
 impl Encode for PlatformConfig {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.pool_size.encode(out);
-        self.workers_per_query.encode(out);
         self.seed.encode(out);
         self.churn_rate.encode(out);
         self.delay_model.encode(out);
-        self.quality_model.encode(out);
     }
 }
 
 impl Decode for PlatformConfig {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let config = Self {
-            pool_size: usize::decode(r)?,
-            workers_per_query: usize::decode(r)?,
             seed: u64::decode(r)?,
             churn_rate: f64::decode(r)?,
             delay_model: DelayModel::decode(r)?,
-            quality_model: QualityModel::decode(r)?,
         };
         config.check().map_err(|_| DecodeError::Invalid)?;
         Ok(config)
@@ -840,7 +804,7 @@ impl Decode for Platform {
         let next_worker_id = u32::decode(r)?;
         let submitter = SubmitterId(u32::decode(r)?);
         let stats = PlatformStats::decode(r)?;
-        if config.workers_per_query > pool.len() {
+        if pool.len() < PlatformConfig::WORKERS_PER_QUERY {
             return Err(DecodeError::Invalid);
         }
         Ok(Self {
@@ -1008,7 +972,7 @@ mod tests {
             .map(|i| Worker::from_traits(WorkerId(i), 0.05, 1.0, [1.0; 4]))
             .collect();
         let mut p = Platform::with_pool(
-            PlatformConfig::paper().with_pool_size(10).with_seed(8),
+            PlatformConfig::paper().with_seed(8),
             WorkerPool::from_workers(adversaries),
         );
         let mut correct = 0usize;
@@ -1174,14 +1138,7 @@ mod tests {
     #[test]
     fn check_agrees_with_the_snapshot_decoder() {
         let paper = PlatformConfig::paper();
-        let mut cases = vec![
-            paper.clone(),
-            paper.clone().with_pool_size(0),
-            paper.clone().with_workers_per_query(0),
-            paper.clone().with_workers_per_query(81),
-            paper.clone().with_pool_size(5),
-            paper.clone().with_pool_size(4),
-        ];
+        let mut cases = vec![paper.clone()];
         for x in [
             f64::NAN,
             f64::INFINITY,
@@ -1219,13 +1176,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "workers per query")]
-    fn rejects_oversized_query_fanout() {
-        Platform::new(
-            PlatformConfig::paper()
-                .with_pool_size(3)
-                .with_workers_per_query(5),
-        );
+    #[should_panic(expected = "a query's fan-out of workers")]
+    fn rejects_a_pool_smaller_than_the_query_fanout() {
+        let pool = WorkerPool::generate(PlatformConfig::WORKERS_PER_QUERY - 1, 1);
+        Platform::with_pool(PlatformConfig::paper(), pool);
     }
 
     #[test]
@@ -1249,12 +1203,22 @@ mod tests {
 
     #[test]
     fn snapshot_codec_rejects_corrupt_payloads() {
-        use serde::binary::{Decode, DecodeError};
+        use serde::binary::{Decode, DecodeError, Encode};
         let p = platform(22);
         let bytes = serde::binary::Encode::to_bytes(&p);
         assert!(matches!(
             Platform::from_bytes(&bytes[..bytes.len() - 1]),
             Err(DecodeError::Truncated)
+        ));
+
+        // A pool smaller than a query's fan-out, spliced in on the wire.
+        let fanout = WorkerPool::generate(PlatformConfig::WORKERS_PER_QUERY, 1);
+        let bytes = Platform::with_pool(PlatformConfig::paper(), fanout.clone()).to_bytes();
+        let mut short = WorkerPool::generate(PlatformConfig::WORKERS_PER_QUERY - 1, 1).to_bytes();
+        short.extend_from_slice(&bytes[fanout.to_bytes().len()..]);
+        assert!(matches!(
+            Platform::from_bytes(&short),
+            Err(DecodeError::Invalid)
         ));
     }
 }

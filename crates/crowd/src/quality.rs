@@ -3,8 +3,6 @@
 
 use crate::IncentiveLevel;
 use crowdlearn_dataset::TemporalContext;
-use serde::binary::{Decode, DecodeError, Encode, Reader};
-use serde::{Deserialize, Serialize};
 
 /// Adjusts a worker's base reliability for the incentive paid and the
 /// temporal context.
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// "workers often do not need to exert much effort … to accurately label the
 /// images notwithstanding the incentives". The context adjustment reproduces
 /// Table I's mild evening/midnight quality edge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QualityModel {
     /// Additive reliability adjustment per incentive level.
     incentive_boost: [f64; IncentiveLevel::COUNT],
@@ -24,25 +22,15 @@ pub struct QualityModel {
 }
 
 impl QualityModel {
-    /// The paper-calibrated model (see type docs).
-    pub fn paper() -> Self {
-        Self {
-            // 1c depresses quality noticeably, 2c slightly; 4c+ flat
-            // (statistically indistinguishable), tiny bump at 20c.
-            incentive_boost: [-0.18, -0.04, 0.0, 0.0, 0.0, 0.002, 0.01],
-            // Night workers are marginally more accurate (Table I trend).
-            context_boost: [-0.015, -0.005, 0.005, 0.015],
-        }
-    }
-
-    /// A flat model (quality independent of incentive and context), used by
-    /// ablation benches.
-    pub fn flat() -> Self {
-        Self {
-            incentive_boost: [0.0; IncentiveLevel::COUNT],
-            context_boost: [0.0; TemporalContext::COUNT],
-        }
-    }
+    /// The pilot-calibrated curve (see type docs), the one every platform
+    /// answers with.
+    pub const PAPER: Self = Self {
+        // 1c depresses quality noticeably, 2c slightly; 4c+ flat
+        // (statistically indistinguishable), tiny bump at 20c.
+        incentive_boost: [-0.18, -0.04, 0.0, 0.0, 0.0, 0.002, 0.01],
+        // Night workers are marginally more accurate (Table I trend).
+        context_boost: [-0.015, -0.005, 0.005, 0.015],
+    };
 
     /// The probability that a worker with `reliability` answers correctly at
     /// this incentive and context, clamped to `[0.02, 0.99]`.
@@ -67,45 +55,13 @@ impl QualityModel {
     }
 }
 
-impl Default for QualityModel {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
-// Snapshot codec: boosts may legitimately be negative, but must be finite.
-impl Encode for QualityModel {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.incentive_boost.encode(out);
-        self.context_boost.encode(out);
-    }
-}
-
-impl Decode for QualityModel {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let incentive_boost = <[f64; IncentiveLevel::COUNT]>::decode(r)?;
-        let context_boost = <[f64; TemporalContext::COUNT]>::decode(r)?;
-        let finite = incentive_boost
-            .iter()
-            .chain(&context_boost)
-            .all(|b| b.is_finite());
-        if !finite {
-            return Err(DecodeError::Invalid);
-        }
-        Ok(Self {
-            incentive_boost,
-            context_boost,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn low_incentives_depress_quality() {
-        let m = QualityModel::paper();
+        let m = QualityModel::PAPER;
         let at = |l| m.correct_probability(0.8, l, TemporalContext::Afternoon);
         assert!(at(IncentiveLevel::C1) < at(IncentiveLevel::C2));
         assert!(at(IncentiveLevel::C2) < at(IncentiveLevel::C4));
@@ -113,7 +69,7 @@ mod tests {
 
     #[test]
     fn mid_range_incentives_are_flat() {
-        let m = QualityModel::paper();
+        let m = QualityModel::PAPER;
         let at = |l| m.correct_probability(0.8, l, TemporalContext::Afternoon);
         assert_eq!(at(IncentiveLevel::C4), at(IncentiveLevel::C6));
         assert_eq!(at(IncentiveLevel::C6), at(IncentiveLevel::C8));
@@ -123,14 +79,14 @@ mod tests {
 
     #[test]
     fn night_contexts_are_slightly_better() {
-        let m = QualityModel::paper();
+        let m = QualityModel::PAPER;
         let at = |c| m.correct_probability(0.8, IncentiveLevel::C4, c);
         assert!(at(TemporalContext::Midnight) > at(TemporalContext::Morning));
     }
 
     #[test]
     fn probabilities_are_clamped() {
-        let m = QualityModel::paper();
+        let m = QualityModel::PAPER;
         let p = m.correct_probability(0.05, IncentiveLevel::C1, TemporalContext::Morning);
         assert!(p >= 0.02);
         let p = m.correct_probability(1.0, IncentiveLevel::C20, TemporalContext::Midnight);
@@ -138,22 +94,8 @@ mod tests {
     }
 
     #[test]
-    fn flat_model_ignores_everything() {
-        let m = QualityModel::flat();
-        for level in IncentiveLevel::ALL {
-            for ctx in TemporalContext::ALL {
-                assert_eq!(m.correct_probability(0.7, level, ctx), 0.7);
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "reliability must be in [0, 1]")]
     fn bad_reliability_rejected() {
-        QualityModel::paper().correct_probability(
-            -0.1,
-            IncentiveLevel::C4,
-            TemporalContext::Morning,
-        );
+        QualityModel::PAPER.correct_probability(-0.1, IncentiveLevel::C4, TemporalContext::Morning);
     }
 }

@@ -16,19 +16,17 @@ fn small_dataset(seed: u64) -> Dataset {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every response has the configured fan-out, positive delays, and a
+    /// Every response has the paper's fan-out of 5, positive delays, and a
     /// completion time equal to the slowest worker.
     #[test]
     fn responses_are_well_formed(
         seed in 0u64..2_000,
-        fanout in 1usize..9,
         level_idx in 0usize..IncentiveLevel::COUNT,
         ctx_idx in 0usize..TemporalContext::COUNT,
     ) {
         let ds = small_dataset(seed);
-        let mut platform = Platform::new(
-            PlatformConfig::paper().with_seed(seed).with_workers_per_query(fanout),
-        );
+        let fanout = PlatformConfig::WORKERS_PER_QUERY;
+        let mut platform = Platform::new(PlatformConfig::paper().with_seed(seed));
         let response = platform.submit(
             &ds.test()[0],
             IncentiveLevel::from_index(level_idx),

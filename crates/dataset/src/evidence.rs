@@ -43,7 +43,7 @@ pub const MEANS_ROW: usize = FAMILIES * DamageLabel::COUNT;
 ///
 /// let ds = Dataset::generate(&DatasetConfig::paper());
 /// let batch = &ds.test()[..10];
-/// let matrix = EvidenceMatrix::from_images(batch);
+/// let matrix = EvidenceMatrix::from_refs(batch);
 /// assert_eq!(matrix.len(), 10);
 /// // Every value is the same bit pattern as the per-image accessor's.
 /// for family in 0..FAMILIES {
@@ -114,15 +114,6 @@ impl EvidenceMatrix {
             data,
             means,
         }
-    }
-
-    /// Gathers a batch from a contiguous image slice.
-    ///
-    /// # Panics
-    ///
-    /// See [`EvidenceMatrix::from_refs`].
-    pub fn from_images(images: &[SyntheticImage]) -> Self {
-        Self::from_refs(images.iter())
     }
 
     /// Number of images in the batch.
@@ -202,20 +193,10 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_ref_builders_agree() {
-        let ds = Dataset::generate(&DatasetConfig::paper());
-        let batch = &ds.test()[..5];
-        assert_eq!(
-            EvidenceMatrix::from_images(batch),
-            EvidenceMatrix::from_refs(batch.iter())
-        );
-    }
-
-    #[test]
     fn block_means_match_per_image_sums_bit_for_bit() {
         let ds = Dataset::generate(&DatasetConfig::paper());
         let batch = &ds.test()[..9];
-        let matrix = EvidenceMatrix::from_images(batch);
+        let matrix = EvidenceMatrix::from_refs(batch);
         let means = matrix.block_means();
         assert_eq!(means.len(), batch.len() * MEANS_ROW);
         for (i, img) in batch.iter().enumerate() {
@@ -241,7 +222,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let matrix = EvidenceMatrix::from_images(&[]);
+        let matrix = EvidenceMatrix::from_refs(&[]);
         assert!(matrix.is_empty());
         assert_eq!(matrix.len(), 0);
         assert!(matrix.family(0).is_empty());
@@ -259,6 +240,6 @@ mod tests {
             vec![0.0; VISUAL_DIM - 1],
             vec![0.0; SyntheticImage::CONTEXTUAL_DIM],
         );
-        EvidenceMatrix::from_images(&[img]);
+        EvidenceMatrix::from_refs(&[img]);
     }
 }

@@ -1,6 +1,6 @@
 //! Runtime configuration.
 
-use crate::faults::{BreakerConfig, FaultPlan};
+use crate::faults::FaultPlan;
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 /// How the pipeline's in-flight cycle window is governed.
@@ -38,11 +38,11 @@ pub enum WindowPolicy {
         /// in `[0, 1]` (the paper's tail-latency lens is 0.9).
         percentile: f64,
         /// Narrow when the watched delay percentile drops below
-        /// `low_threshold × cycle_period_secs` (and the window is above
+        /// `low_threshold ×` [`RuntimeConfig::CYCLE_PERIOD_SECS`] (and the window is above
         /// `min`): the crowd is beating the cadence, overlap is unneeded.
         low_threshold: f64,
         /// Widen when the watched delay percentile exceeds
-        /// `high_threshold × cycle_period_secs` *and* arrivals are queued
+        /// `high_threshold ×` [`RuntimeConfig::CYCLE_PERIOD_SECS`] *and* arrivals are queued
         /// behind the window (and the window is below `max`): cycles
         /// outlast the cadence and admission is the bottleneck. Must be
         /// strictly above `low_threshold` — the band between the two is
@@ -161,15 +161,12 @@ impl Decode for WindowPolicy {
     }
 }
 
-/// Configuration of the event-driven runtime: the sensing cadence, how the
-/// in-flight cycle window is governed, the per-HIT timeout/repost policy,
+/// Configuration of the event-driven runtime: how the in-flight cycle
+/// window is governed, the per-HIT timeout/repost policy,
 /// and the fault scenario to inject (empty by default — carrying a
 /// [`FaultPlan`] is what cost this struct its `Copy`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeConfig {
-    /// Seconds between sensing-cycle arrivals (paper Definition 1: a cycle
-    /// every 10 minutes).
-    pub cycle_period_secs: f64,
     /// How the in-flight cycle window (backpressure) is governed:
     /// arrivals beyond the effective window queue up and are admitted as
     /// earlier cycles retire. `Static(1)` reproduces the fully sequential
@@ -193,23 +190,22 @@ pub struct RuntimeConfig {
     /// empty plan — the default — schedules no events and draws nothing:
     /// byte-identical to a runtime without fault injection.
     pub faults: FaultPlan,
-    /// Crowd-path circuit-breaker backoff tuning (only consulted once a
-    /// fault actually rejects a post).
-    pub breaker: BreakerConfig,
 }
 
 impl RuntimeConfig {
-    /// The paper deployment's cadence: 600 s cycles, a static four-cycle
-    /// pipeline window, no per-HIT timeout.
+    /// Seconds between sensing-cycle arrivals (paper Definition 1: a cycle
+    /// every 10 minutes).
+    pub const CYCLE_PERIOD_SECS: f64 = 600.0;
+
+    /// The paper deployment: a static four-cycle pipeline window, no
+    /// per-HIT timeout.
     pub fn paper() -> Self {
         Self {
-            cycle_period_secs: 600.0,
             window_policy: WindowPolicy::Static(4),
             hit_timeout_secs: None,
             max_post_attempts: 1,
             escalate_on_repost: true,
             faults: FaultPlan::none(),
-            breaker: BreakerConfig::paper(),
         }
     }
 
@@ -235,12 +231,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the sensing-cycle period.
-    pub fn with_cycle_period_secs(mut self, secs: f64) -> Self {
-        self.cycle_period_secs = secs;
-        self
-    }
-
     /// Sets the per-HIT timeout and the total posting attempts allowed.
     pub fn with_hit_timeout(mut self, timeout_secs: Option<f64>, max_attempts: u32) -> Self {
         self.hit_timeout_secs = timeout_secs;
@@ -260,27 +250,17 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the circuit-breaker backoff tuning.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
     /// The effective window an execution opens with (see
     /// [`WindowPolicy::initial_window`]).
     pub fn initial_window(&self) -> usize {
         self.window_policy.initial_window()
     }
 
-    /// The one validity rule, the window policy's, fault plan's and
-    /// breaker's included: the runtime's constructors panic with its
-    /// message, the snapshot decoder reports `Invalid`.
+    /// The one validity rule, the window policy's and fault plan's
+    /// included: the runtime's constructors panic with its message, the
+    /// snapshot decoder reports `Invalid`.
     pub fn check(&self) -> Result<(), &'static str> {
         let positive = |x: f64| x.is_finite() && x > 0.0;
-        // An infinite period would NaN-panic inside `EventQueue::schedule`.
-        if !positive(self.cycle_period_secs) {
-            return Err("cycle period must be finite and positive");
-        }
         self.window_policy.check()?;
         if self.max_post_attempts == 0 {
             return Err("need at least one post attempt");
@@ -293,32 +273,28 @@ impl RuntimeConfig {
         if self.faults.has_answer_loss() && self.hit_timeout_secs.is_none() {
             return Err("an AnswerLoss fault plan requires a HIT timeout");
         }
-        self.breaker.check()
+        Ok(())
     }
 }
 
 impl Encode for RuntimeConfig {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.cycle_period_secs.encode(out);
         self.window_policy.encode(out);
         self.hit_timeout_secs.encode(out);
         self.max_post_attempts.encode(out);
         self.escalate_on_repost.encode(out);
         self.faults.encode(out);
-        self.breaker.encode(out);
     }
 }
 
 impl Decode for RuntimeConfig {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let config = Self {
-            cycle_period_secs: f64::decode(r)?,
             window_policy: WindowPolicy::decode(r)?,
             hit_timeout_secs: Option::<f64>::decode(r)?,
             max_post_attempts: u32::decode(r)?,
             escalate_on_repost: bool::decode(r)?,
             faults: FaultPlan::decode(r)?,
-            breaker: BreakerConfig::decode(r)?,
         };
         config.check().map_err(|_| DecodeError::Invalid)?;
         Ok(config)
@@ -388,15 +364,6 @@ mod tests {
                 high_threshold: 0.5,
                 cooldown_cycles: 0,
             })
-            .check()
-            .unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "cycle period must be finite")]
-    fn infinite_cycle_period_rejected() {
-        RuntimeConfig::paper()
-            .with_cycle_period_secs(f64::INFINITY)
             .check()
             .unwrap();
     }
@@ -499,10 +466,8 @@ mod tests {
                 .with_faults(FaultPlan::new(1, vec![loss(0.5)])),
         ];
         let mut episodes = Vec::new();
-        let mut breakers = Vec::new();
         let mut fleets = vec![FleetConfig::new(1000.0).with_pool_capacity(0)];
         for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0, 0.5] {
-            configs.push(paper.clone().with_cycle_period_secs(x));
             configs.push(paper.clone().with_hit_timeout(Some(x), 2));
             for i in 0..3 {
                 let mut policy = [0.9, 0.25, 0.5];
@@ -542,27 +507,17 @@ mod tests {
             ]);
             fleets.extend([
                 FleetConfig::new(x),
-                FleetConfig::new(1000.0).with_contention_alpha(x),
                 FleetConfig::new(1000.0)
                     .with_arbitration(ArbitrationPolicy::Priority(vec![1.0, x])),
             ]);
         }
         fleets.push(FleetConfig::new(1000.0).with_arbitration(ArbitrationPolicy::Priority(vec![])));
-        for (base, max) in [(1, 8), (0, 8), (4, 2), (3, 3)] {
-            breakers.push(BreakerConfig {
-                base_backoff_cycles: base,
-                max_backoff_cycles: max,
-            });
-        }
         for config in &configs {
             assert_agrees(config, config.check());
             assert_agrees(&config.window_policy, config.window_policy.check());
         }
         for episode in &episodes {
             assert_agrees(episode, episode.check());
-        }
-        for breaker in &breakers {
-            assert_agrees(breaker, breaker.check());
         }
         for fleet in &fleets {
             assert_agrees(fleet, fleet.check());
@@ -585,7 +540,7 @@ mod tests {
         );
 
         let mut bad = RuntimeConfig::paper();
-        bad.cycle_period_secs = f64::INFINITY;
+        bad.hit_timeout_secs = Some(f64::INFINITY);
         assert_eq!(
             RuntimeConfig::from_bytes(&bad.to_bytes()),
             Err(DecodeError::Invalid)

@@ -377,63 +377,6 @@ impl Decode for FaultInjector {
     }
 }
 
-/// Circuit-breaker tuning for the crowd path: how long (in sensing cycles)
-/// the driver backs off after tripping before probing the platform again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Backoff before the first probe, in cycle periods. At least 1.
-    pub base_backoff_cycles: u32,
-    /// Backoff ceiling: the doubling stops here. At least
-    /// `base_backoff_cycles`.
-    pub max_backoff_cycles: u32,
-}
-
-impl BreakerConfig {
-    /// Probe after one cycle, doubling up to eight.
-    pub fn paper() -> Self {
-        Self {
-            base_backoff_cycles: 1,
-            max_backoff_cycles: 8,
-        }
-    }
-
-    /// The one validity rule, shared by [`crate::RuntimeConfig::check`] and
-    /// the snapshot decoder.
-    pub fn check(&self) -> Result<(), &'static str> {
-        if self.base_backoff_cycles == 0 {
-            Err("breaker backoff must be at least one cycle")
-        } else if self.max_backoff_cycles < self.base_backoff_cycles {
-            Err("breaker backoff ceiling must be at least the base")
-        } else {
-            Ok(())
-        }
-    }
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
-impl Encode for BreakerConfig {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.base_backoff_cycles.encode(out);
-        self.max_backoff_cycles.encode(out);
-    }
-}
-
-impl Decode for BreakerConfig {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let config = Self {
-            base_backoff_cycles: u32::decode(r)?,
-            max_backoff_cycles: u32::decode(r)?,
-        };
-        config.check().map_err(|_| DecodeError::Invalid)?;
-        Ok(config)
-    }
-}
-
 /// The crowd-path circuit breaker's state (DESIGN.md "Fault model &
 /// degradation ladder"). `Closed` posts normally; a rejected post trips to
 /// `Open`, where cycles degrade to AI-only labeling and mid-flight cycles
@@ -450,6 +393,15 @@ pub enum BreakerState {
     Open,
     /// A probe is testing the platform right now.
     HalfProbe,
+}
+
+impl BreakerState {
+    /// Backoff before the first probe after a trip, in cycle periods; a
+    /// recovery resets the backoff to it.
+    pub(crate) const FIRST_BACKOFF_CYCLES: u32 = 1;
+    /// Backoff ceiling in cycle periods: every failed probe doubles the
+    /// backoff up to here.
+    pub(crate) const MAX_BACKOFF_CYCLES: u32 = 8;
 }
 
 // Snapshot codec: a stable u8 tag per state.
@@ -666,16 +618,6 @@ mod tests {
         ] {
             assert_eq!(BreakerState::from_bytes(&state.to_bytes()), Ok(state));
         }
-        let config = BreakerConfig::paper();
-        assert_eq!(BreakerConfig::from_bytes(&config.to_bytes()), Ok(config));
-        let inverted = BreakerConfig {
-            base_backoff_cycles: 4,
-            max_backoff_cycles: 2,
-        };
-        assert_eq!(
-            BreakerConfig::from_bytes(&inverted.to_bytes()),
-            Err(DecodeError::Invalid)
-        );
     }
 
     #[test]

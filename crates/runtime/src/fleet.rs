@@ -100,17 +100,13 @@ impl ArbitrationPolicy {
     }
 }
 
-/// Fleet-level configuration: the shared pool's capacity, the contention
-/// response, and the budget arbitration.
+/// Fleet-level configuration: the shared pool's capacity and the budget
+/// arbitration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Workers the shared pool holds. Contention kicks in as other shards'
     /// busy workers approach this capacity.
     pub pool_capacity: usize,
-    /// Contention strength α: a posted HIT whose competitors have
-    /// utilization `u` of the pool waits `α · base_completion · u/(1−u)`
-    /// extra seconds (u clamped at 0.95). Zero disables contention.
-    pub contention_alpha: f64,
     /// Total crowd budget across the fleet, in cents.
     pub fleet_budget_cents: f64,
     /// How the budget splits into per-shard quotas.
@@ -118,12 +114,16 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A fleet sharing the paper platform's 80-worker pool at unit
-    /// contention strength, fair-share budget split.
+    /// Contention strength α: a posted HIT whose competitors have
+    /// utilization `u` of the pool waits `α · base_completion · u/(1−u)`
+    /// extra seconds (u clamped at 0.95).
+    pub(crate) const CONTENTION_ALPHA: f64 = 1.0;
+
+    /// A fleet sharing the paper platform's 80-worker pool, fair-share
+    /// budget split.
     pub fn new(fleet_budget_cents: f64) -> Self {
         Self {
             pool_capacity: 80,
-            contention_alpha: 1.0,
             fleet_budget_cents,
             arbitration: ArbitrationPolicy::FairShare,
         }
@@ -132,12 +132,6 @@ impl FleetConfig {
     /// Sets the shared pool capacity.
     pub fn with_pool_capacity(mut self, workers: usize) -> Self {
         self.pool_capacity = workers;
-        self
-    }
-
-    /// Sets the contention strength α (zero disables contention).
-    pub fn with_contention_alpha(mut self, alpha: f64) -> Self {
-        self.contention_alpha = alpha;
         self
     }
 
@@ -151,12 +145,9 @@ impl FleetConfig {
     /// [`FleetOrchestrator::new`] panics with its message, the snapshot
     /// decoder reports `Invalid`.
     pub fn check(&self) -> Result<(), &'static str> {
-        let non_negative = |x: f64| x.is_finite() && x >= 0.0;
         if self.pool_capacity == 0 {
             Err("pool capacity must be positive")
-        } else if !non_negative(self.contention_alpha) {
-            Err("contention alpha must be finite and non-negative")
-        } else if !non_negative(self.fleet_budget_cents) {
+        } else if !(self.fleet_budget_cents.is_finite() && self.fleet_budget_cents >= 0.0) {
             Err("fleet budget must be finite and non-negative")
         } else {
             self.arbitration.check()
@@ -204,7 +195,6 @@ struct BusyInterval {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SharedWorkerPool {
     capacity: usize,
-    alpha: f64,
     busy: Vec<BusyInterval>,
     total_wait_secs: f64,
     waits_applied: u64,
@@ -213,10 +203,9 @@ pub(crate) struct SharedWorkerPool {
 }
 
 impl SharedWorkerPool {
-    fn new(capacity: usize, alpha: f64) -> Self {
+    fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            alpha,
             busy: Vec::new(),
             total_wait_secs: 0.0,
             waits_applied: 0,
@@ -245,7 +234,7 @@ impl SharedWorkerPool {
             .map(|b| b.workers)
             .sum();
         let u = (others as f64 / self.capacity as f64).min(0.95);
-        let wait = self.alpha * base_completion_secs * (u / (1.0 - u));
+        let wait = FleetConfig::CONTENTION_ALPHA * base_completion_secs * (u / (1.0 - u));
         if wait > 0.0 {
             self.total_wait_secs += wait;
             self.waits_applied += 1;
@@ -473,7 +462,7 @@ impl FleetOrchestrator {
                 shard
             })
             .collect();
-        let pool = SharedWorkerPool::new(config.pool_capacity, config.contention_alpha);
+        let pool = SharedWorkerPool::new(config.pool_capacity);
         Self {
             config,
             shards,
@@ -729,7 +718,6 @@ impl FleetOrchestrator {
         };
         if !ledger_booted
             || pool.capacity != config.pool_capacity
-            || pool.alpha.to_bits() != config.contention_alpha.to_bits()
             || pool.busy.iter().any(|b| b.shard >= n)
         {
             return Err(FleetSnapshotError::Corrupt(DecodeError::Invalid));
@@ -768,7 +756,11 @@ const FLEET_MAGIC: [u8; 8] = *b"CLFLEET\x00";
 /// Current fleet snapshot format version. Bump on any payload layout
 /// change (per-shard payloads are additionally versioned by
 /// [`crate::SNAPSHOT_FORMAT_VERSION`] inside their embedded frames).
-pub const FLEET_SNAPSHOT_FORMAT_VERSION: u32 = 1;
+///
+/// Version history: 1 — initial format; 2 — the contention strength α is a
+/// constant (1.0) and no longer travels in the fleet config or the shared
+/// pool.
+pub const FLEET_SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 /// Why a fleet snapshot could not be produced or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -917,7 +909,6 @@ impl Decode for ArbitrationPolicy {
 impl Encode for FleetConfig {
     fn encode(&self, out: &mut Vec<u8>) {
         self.pool_capacity.encode(out);
-        self.contention_alpha.encode(out);
         self.fleet_budget_cents.encode(out);
         self.arbitration.encode(out);
     }
@@ -927,7 +918,6 @@ impl Decode for FleetConfig {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let config = Self {
             pool_capacity: usize::decode(r)?,
-            contention_alpha: f64::decode(r)?,
             fleet_budget_cents: f64::decode(r)?,
             arbitration: ArbitrationPolicy::decode(r)?,
         };
@@ -991,7 +981,6 @@ impl Decode for BusyInterval {
 impl Encode for SharedWorkerPool {
     fn encode(&self, out: &mut Vec<u8>) {
         self.capacity.encode(out);
-        self.alpha.encode(out);
         self.busy.encode(out);
         self.total_wait_secs.encode(out);
         self.waits_applied.encode(out);
@@ -1004,7 +993,6 @@ impl Decode for SharedWorkerPool {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let pool = Self {
             capacity: usize::decode(r)?,
-            alpha: f64::decode(r)?,
             busy: Vec::<BusyInterval>::decode(r)?,
             total_wait_secs: f64::decode(r)?,
             waits_applied: u64::decode(r)?,
@@ -1012,8 +1000,6 @@ impl Decode for SharedWorkerPool {
             peak_busy_workers: usize::decode(r)?,
         };
         let valid = pool.capacity > 0
-            && pool.alpha.is_finite()
-            && pool.alpha >= 0.0
             && pool.total_wait_secs.is_finite()
             && pool.total_wait_secs >= 0.0
             && pool.waits_applied <= pool.posts;
@@ -1030,7 +1016,7 @@ mod tests {
 
     #[test]
     fn lone_shard_never_waits() {
-        let mut pool = SharedWorkerPool::new(80, 1.0);
+        let mut pool = SharedWorkerPool::new(80);
         let w1 = pool.queue_wait_secs(0, 100.0, 0.0);
         pool.occupy(0, 5, 100.0);
         // Own busy workers never count against the same shard.
@@ -1042,7 +1028,7 @@ mod tests {
 
     #[test]
     fn waits_grow_with_other_shards_utilization() {
-        let mut pool = SharedWorkerPool::new(80, 1.0);
+        let mut pool = SharedWorkerPool::new(80);
         pool.occupy(1, 20, 1_000.0);
         let light = pool.queue_wait_secs(0, 100.0, 0.0);
         pool.occupy(2, 40, 1_000.0);
@@ -1055,7 +1041,7 @@ mod tests {
 
     #[test]
     fn saturated_pool_clamps_at_the_utilization_cap() {
-        let mut pool = SharedWorkerPool::new(10, 1.0);
+        let mut pool = SharedWorkerPool::new(10);
         pool.occupy(1, 500, 1_000.0);
         let wait = pool.queue_wait_secs(0, 100.0, 0.0);
         // Clamped at u = 0.95 → ×19 multiplier.
@@ -1064,18 +1050,11 @@ mod tests {
 
     #[test]
     fn expired_claims_release_their_workers() {
-        let mut pool = SharedWorkerPool::new(80, 1.0);
+        let mut pool = SharedWorkerPool::new(80);
         pool.occupy(1, 40, 50.0);
         assert!(pool.queue_wait_secs(0, 100.0, 0.0) > 0.0);
         // At t=50 the claim has lapsed (strict `until > now`).
         assert_eq!(pool.queue_wait_secs(0, 100.0, 50.0), 0.0);
-    }
-
-    #[test]
-    fn zero_alpha_disables_contention() {
-        let mut pool = SharedWorkerPool::new(10, 0.0);
-        pool.occupy(1, 9, 1_000.0);
-        assert_eq!(pool.queue_wait_secs(0, 100.0, 0.0), 0.0);
     }
 
     #[test]
@@ -1123,7 +1102,7 @@ mod tests {
 
     #[test]
     fn pool_and_ledger_codecs_round_trip() {
-        let mut pool = SharedWorkerPool::new(80, 0.5);
+        let mut pool = SharedWorkerPool::new(80);
         pool.occupy(1, 20, 700.0);
         let _ = pool.queue_wait_secs(0, 100.0, 10.0);
         let decoded =
@@ -1137,7 +1116,6 @@ mod tests {
 
         let config = FleetConfig::new(900.0)
             .with_pool_capacity(40)
-            .with_contention_alpha(0.25)
             .with_arbitration(ArbitrationPolicy::Priority(vec![2.0, 1.0]));
         let decoded = FleetConfig::from_bytes(&config.to_bytes()).expect("config codec");
         assert_eq!(config, decoded);
@@ -1181,7 +1159,7 @@ mod tests {
     /// An edit to the pool and ledger inside a fleet snapshot payload.
     type Splice = fn(&mut SharedWorkerPool, &mut FleetLedger);
 
-    /// Resumes a 1-shard fleet (capacity 80, α 1.0, 1000 ¢) paused after
+    /// Resumes a 1-shard fleet (capacity 80, 1000 ¢) paused after
     /// 5 events, after `edit` rewrote the pool and ledger in its payload.
     fn resume_respliced(edit: Splice) -> Result<FleetOrchestrator, FleetSnapshotError> {
         use crate::{RunBound, RuntimeConfig};
@@ -1219,15 +1197,12 @@ mod tests {
     fn resume_rejects_pool_and_ledger_state_its_config_never_booted() {
         let resumed = resume_respliced(|_, _| {}).expect("untouched payload resumes");
         assert_eq!(resumed.fleet_config(), &FleetConfig::new(1000.0));
-        let cases: [(&str, Splice); 6] = [
+        let cases: [(&str, Splice); 5] = [
             ("pool and ledger of another fleet", |pool, ledger| {
-                *pool = SharedWorkerPool::new(1, 9.0);
+                *pool = SharedWorkerPool::new(1);
                 *ledger = FleetLedger::new(5.0, &ArbitrationPolicy::FairShare, 1);
             }),
             ("pool capacity", |pool, _| pool.capacity = 79),
-            ("pool alpha, last bit", |pool, _| {
-                pool.alpha = f64::from_bits(pool.alpha.to_bits() + 1);
-            }),
             ("ledger budget", |_, ledger| {
                 ledger.fleet_budget_cents = 999.0
             }),

@@ -62,7 +62,8 @@
 //!   seeded, virtual-time schedule of typed [`FaultEpisode`]s (platform
 //!   outages, worker attrition, answer loss, budget shocks) consulted by
 //!   the driver at event boundaries, answered with a crowd-path circuit
-//!   breaker ([`BreakerState`], tuned by [`BreakerConfig`]) and a
+//!   breaker ([`BreakerState`], probing after one cycle and doubling its
+//!   backoff up to eight) and a
 //!   degradation ladder down to AI-only labeling — an empty plan is
 //!   byte-identical to a run with no fault machinery at all (DESIGN.md
 //!   "Fault model & degradation ladder").
@@ -110,7 +111,7 @@ mod sweep;
 pub use clock::VirtualClock;
 pub use config::{RuntimeConfig, WindowPolicy};
 pub use event::{Event, EventKind};
-pub use faults::{BreakerConfig, BreakerState, FaultEpisode, FaultInjector, FaultPlan};
+pub use faults::{BreakerState, FaultEpisode, FaultInjector, FaultPlan};
 pub use fleet::{
     ArbitrationPolicy, ContentionStats, FleetConfig, FleetLedger, FleetOrchestrator, FleetReport,
     FleetSnapshot, FleetSnapshotError, ShardSpec, FLEET_SNAPSHOT_FORMAT_VERSION,

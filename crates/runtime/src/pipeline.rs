@@ -417,7 +417,10 @@ impl PipelinedSystem {
     /// Fails with [`SnapshotError::UnsupportedSystem`] when a committee
     /// member has no serialized form (the boosted `Model::Ensemble`).
     pub fn snapshot(&self) -> Result<RuntimeSnapshot, SnapshotError> {
-        let mut payload = Vec::new();
+        // A paper-sized checkpoint is about 240 KB: reserving it up front
+        // spares the payload some 18 doubling reallocations, which copy up
+        // to twice its final size and fragment the heap.
+        let mut payload = Vec::with_capacity(256 * 1024);
         self.config.encode(&mut payload);
         self.system
             .encode_state(&mut payload)
@@ -493,9 +496,9 @@ struct ExecState {
     /// The crowd-path circuit breaker (see DESIGN.md "Fault model &
     /// degradation ladder"). `Closed` for the whole of a fault-free run.
     breaker: BreakerState,
-    /// The breaker's current probe backoff, in cycle periods: reset to the
-    /// configured base on recovery, doubled (up to the ceiling) on every
-    /// failed probe.
+    /// The breaker's current probe backoff, in cycle periods: reset to
+    /// [`BreakerState::FIRST_BACKOFF_CYCLES`] on recovery, doubled (up to
+    /// [`BreakerState::MAX_BACKOFF_CYCLES`]) on every failed probe.
     breaker_backoff_cycles: u32,
     /// Cycles parked mid-crowd behind an open breaker, in park order; the
     /// probe that closes the breaker re-enters them into posting.
@@ -515,7 +518,7 @@ impl ExecState {
         let mut queue = EventQueue::new();
         for k in 0..n_cycles {
             queue.schedule(
-                k as f64 * config.cycle_period_secs,
+                k as f64 * RuntimeConfig::CYCLE_PERIOD_SECS,
                 EventKind::CycleArrival { cycle: k },
             );
         }
@@ -544,7 +547,7 @@ impl ExecState {
             reposts: 0,
             injector: FaultInjector::new(config.faults.clone()),
             breaker: BreakerState::Closed,
-            breaker_backoff_cycles: config.breaker.base_backoff_cycles,
+            breaker_backoff_cycles: BreakerState::FIRST_BACKOFF_CYCLES,
             parked: VecDeque::new(),
             posts_rejected: 0,
             degraded_cycles: 0,
@@ -613,7 +616,8 @@ impl Decode for ExecState {
         let window_ok = state.window >= 1
             && state.window_trajectory.len() <= n
             && state.window_trajectory.iter().all(|&w| w >= 1);
-        let breaker_ok = state.breaker_backoff_cycles >= 1
+        let breaker_ok = (BreakerState::FIRST_BACKOFF_CYCLES..=BreakerState::MAX_BACKOFF_CYCLES)
+            .contains(&state.breaker_backoff_cycles)
             && (state.breaker == BreakerState::Closed || state.parked.len() <= n)
             && (state.breaker != BreakerState::Closed || state.parked.is_empty());
         if !cycle_indices_in_range
@@ -758,7 +762,8 @@ impl Driver<'_> {
     }
 
     fn schedule_probe(&mut self, now: f64) {
-        let backoff = f64::from(self.exec.breaker_backoff_cycles) * self.config.cycle_period_secs;
+        let backoff =
+            f64::from(self.exec.breaker_backoff_cycles) * RuntimeConfig::CYCLE_PERIOD_SECS;
         self.exec
             .queue
             .schedule(now + backoff, EventKind::BreakerProbe);
@@ -787,7 +792,7 @@ impl Driver<'_> {
                 .exec
                 .breaker_backoff_cycles
                 .saturating_mul(2)
-                .min(self.config.breaker.max_backoff_cycles);
+                .min(BreakerState::MAX_BACKOFF_CYCLES);
             self.schedule_probe(now);
             return;
         }
@@ -796,7 +801,7 @@ impl Driver<'_> {
             from: BreakerState::HalfProbe,
             to: BreakerState::Closed,
         });
-        self.exec.breaker_backoff_cycles = self.config.breaker.base_backoff_cycles;
+        self.exec.breaker_backoff_cycles = BreakerState::FIRST_BACKOFF_CYCLES;
         while let Some(k) = self.exec.parked.pop_front() {
             self.post_or_finalize(k);
         }
@@ -848,7 +853,7 @@ impl Driver<'_> {
             self.exec.last_window_decision = WindowDecision::Held;
             return;
         };
-        let period = self.config.cycle_period_secs;
+        let period = RuntimeConfig::CYCLE_PERIOD_SECS;
         let backlog = !self.exec.waiting.is_empty();
         if delay_p > high_threshold * period && backlog && self.exec.window < max {
             self.exec.window += 1;
@@ -1206,4 +1211,19 @@ impl Driver<'_> {
 /// One incentive level up, saturating at the most generous.
 fn escalate(level: IncentiveLevel) -> IncentiveLevel {
     IncentiveLevel::from_index((level.index() + 1).min(IncentiveLevel::COUNT - 1))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn exec_state_decoder_holds_the_breaker_backoff_to_its_constants() {
+        let mut exec = ExecState::start(&RuntimeConfig::paper(), 2);
+        for (backoff, valid) in [(0, false), (1, true), (8, true), (9, false)] {
+            exec.breaker_backoff_cycles = backoff;
+            let decoded = ExecState::from_bytes(&exec.to_bytes());
+            assert_eq!(decoded.is_ok(), valid, "backoff {backoff} cycles");
+        }
+    }
 }

@@ -52,8 +52,13 @@ const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 /// 8 — the payoff normalizer's ceiling and the metrics tap's delay-grid
 /// configuration are constants and no longer travel: the incentive policy
 /// is its tag, the learner's own state and the observation count, and the
-/// tap starts at its record counter.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 8;
+/// tap starts at its record counter;
+/// 9 — settings with one value in use are constants and no longer travel:
+/// `RuntimeConfig` lost the cycle period and `BreakerConfig`,
+/// `PlatformConfig` lost the fan-out, the pool size and the
+/// incentive→quality table, and each committee member carries only its
+/// learned state (its profile is rebuilt from the system's config).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 9;
 
 /// Why a snapshot could not be produced or restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -27,29 +27,33 @@ fn framed(magic: &[u8; 8], version: u32) -> Vec<u8> {
 
 #[test]
 fn runtime_frame_bytes_are_pinned() {
-    let bytes = framed(b"CLSNAP\x00\x01", 8);
+    let bytes = framed(b"CLSNAP\x00\x01", 9);
     let snap = RuntimeSnapshot::from_bytes(&bytes).expect("pinned frame opens");
     assert_eq!(snap.to_bytes(), bytes);
     assert_eq!(snap.serialized_len(), bytes.len());
     // A frame of the previous format is refused by version, not misread.
     assert_eq!(
-        RuntimeSnapshot::from_bytes(&framed(b"CLSNAP\x00\x01", 7)),
-        Err(SnapshotError::VersionMismatch { found: 7 })
+        RuntimeSnapshot::from_bytes(&framed(b"CLSNAP\x00\x01", 8)),
+        Err(SnapshotError::VersionMismatch { found: 8 })
     );
 }
 
 #[test]
 fn fleet_frame_bytes_are_pinned() {
-    let bytes = framed(b"CLFLEET\x00", 1);
+    let bytes = framed(b"CLFLEET\x00", 2);
     let snap = FleetSnapshot::from_bytes(&bytes).expect("pinned frame opens");
     assert_eq!(snap.to_bytes(), bytes);
     assert_eq!(snap.serialized_len(), bytes.len());
+    assert_eq!(
+        FleetSnapshot::from_bytes(&framed(b"CLFLEET\x00", 1)),
+        Err(FleetSnapshotError::VersionMismatch { found: 1 })
+    );
 }
 
 #[test]
 fn frame_defects_decode_to_the_same_typed_errors() {
-    let runtime = framed(b"CLSNAP\x00\x01", 8);
-    let fleet = framed(b"CLFLEET\x00", 1);
+    let runtime = framed(b"CLSNAP\x00\x01", 9);
+    let fleet = framed(b"CLFLEET\x00", 2);
     let defects: [(&str, Defect); 5] = [
         ("magic", |b| b[0] ^= 0xff),
         ("version", |b| b[8] = 0xfe),
@@ -64,7 +68,7 @@ fn frame_defects_decode_to_the_same_typed_errors() {
         ),
         (
             SnapshotError::VersionMismatch { found: 0xfe },
-            "snapshot format version 254 != supported 8",
+            "snapshot format version 254 != supported 9",
         ),
         (
             SnapshotError::ChecksumMismatch,
@@ -86,7 +90,7 @@ fn frame_defects_decode_to_the_same_typed_errors() {
         ),
         (
             FleetSnapshotError::VersionMismatch { found: 0xfe },
-            "fleet snapshot format version 254 != supported 1",
+            "fleet snapshot format version 254 != supported 2",
         ),
         (
             FleetSnapshotError::ChecksumMismatch,

@@ -208,7 +208,7 @@ fn window_one_reproduces_the_reference_loop_byte_for_byte() {
 
         // The runtime sums a cycle's waits as they happen, the reference
         // per cycle: equal up to the last bits.
-        let expected = reference_makespan_secs(&outcomes, RuntimeConfig::paper().cycle_period_secs);
+        let expected = reference_makespan_secs(&outcomes, RuntimeConfig::CYCLE_PERIOD_SECS);
         assert!(
             (run.makespan_secs - expected).abs() < 1e-6 * expected.max(1.0),
             "{name}: window-1 makespan {} vs reference {expected}",
@@ -235,8 +235,7 @@ fn pipelining_beats_the_reference_makespan() {
         &dataset,
         &stream,
     );
-    let blocking_makespan =
-        reference_makespan_secs(&outcomes, RuntimeConfig::paper().cycle_period_secs);
+    let blocking_makespan = reference_makespan_secs(&outcomes, RuntimeConfig::CYCLE_PERIOD_SECS);
 
     assert!(
         run.makespan_secs < blocking_makespan,

@@ -104,7 +104,7 @@ proptest! {
             run.outcomes.iter().zip(&run.completed_at_secs).enumerate()
         {
             prop_assert_eq!(outcome.cycle, k);
-            prop_assert!(done >= k as f64 * runtime.cycle_period_secs);
+            prop_assert!(done >= k as f64 * RuntimeConfig::CYCLE_PERIOD_SECS);
         }
 
         // Budget safety: every charge (selections *and* escalated reposts)

@@ -39,7 +39,7 @@ fn main() {
         }
     }
     let mut hostile = Platform::with_pool(
-        PlatformConfig::paper().with_pool_size(200).with_seed(10),
+        PlatformConfig::paper().with_seed(10),
         WorkerPool::from_workers(workers),
     );
     compare(&dataset, &mut hostile);

@@ -632,7 +632,7 @@ fn snapshots_reject_future_format_versions_with_typed_errors() {
     let bytes = system.snapshot().expect("checkpointable").to_bytes();
     for (found, stamped) in [
         (SNAPSHOT_FORMAT_VERSION + 1, SNAPSHOT_FORMAT_VERSION + 1),
-        (7, SNAPSHOT_FORMAT_VERSION - 1),
+        (8, SNAPSHOT_FORMAT_VERSION - 1),
     ] {
         let mut bytes = bytes.clone();
         // The u32 version field sits right after the 8-byte magic.
@@ -676,7 +676,7 @@ fn infinite_budget_is_rejected_at_construction_not_at_resume() {
 // sweep over both snapshot codecs.
 // ---------------------------------------------------------------------------
 
-use crowdlearn_runtime::{BreakerConfig, BreakerState, FaultEpisode, FaultPlan};
+use crowdlearn_runtime::{BreakerState, FaultEpisode, FaultPlan};
 
 /// A mid-run fault scenario for the 8-cycle fixture (period 600 s): a
 /// platform outage across cycles 2-3, worker attrition through the
@@ -723,18 +723,12 @@ fn faulted_run(seed: u64) -> RuntimeReport {
 #[test]
 fn empty_fault_plan_is_byte_identical_to_the_default_config() {
     // The golden pin for the fault machinery's zero-cost claim: a config
-    // that *names* a fault plan — nonzero seed, custom breaker tuning, but
-    // zero episodes — schedules no fault events and draws nothing, so the
+    // that *names* a fault plan — nonzero seed but zero episodes — schedules no fault events and draws nothing, so the
     // whole run renders byte-identically to the default config's.
     let baseline = short_run(7);
     let dataset = dataset(7);
     let stream = SensingCycleStream::new(&dataset, 8, 5);
-    let runtime = runtime_config()
-        .with_faults(FaultPlan::new(0xDEAD_BEEF, Vec::new()))
-        .with_breaker(BreakerConfig {
-            base_backoff_cycles: 2,
-            max_backoff_cycles: 32,
-        });
+    let runtime = runtime_config().with_faults(FaultPlan::new(0xDEAD_BEEF, Vec::new()));
     let mut system = PipelinedSystem::new(&dataset, CrowdLearnConfig::paper(), runtime);
     let report = system.run(&dataset, &stream);
     assert_eq!(
@@ -811,6 +805,62 @@ fn faulted_same_seed_twice_is_byte_identical_and_the_ladder_engages() {
     assert!(tap.breaker_transitions() >= 3);
     assert_eq!(tap.degraded_cycles(), a.degraded_cycles);
     assert!(tap.hits_abandoned() <= tap.hits_timed_out());
+}
+
+#[test]
+fn breaker_probes_back_off_one_two_four_eight_eight_cycles_then_recover() {
+    // A 20-cycle outage from the second arrival on: the first refused post
+    // trips the breaker, and every probe is one event that moves it
+    // Open -> HalfProbe -> (Open | Closed) — two transitions at once.
+    let dataset = dataset(7);
+    let stream = SensingCycleStream::new(&dataset, 4, 5);
+    let period = RuntimeConfig::CYCLE_PERIOD_SECS;
+    let outage_end = 21.0 * period;
+    let runtime = RuntimeConfig::sequential().with_faults(FaultPlan::new(
+        1,
+        vec![FaultEpisode::PlatformOutage {
+            from_secs: period,
+            until_secs: outage_end,
+        }],
+    ));
+    let mut system = PipelinedSystem::new(&dataset, CrowdLearnConfig::paper(), runtime);
+    system.attach_metrics_tap(MetricsTap::new());
+    let transitions = |s: &PipelinedSystem| s.metrics_tap().expect("tap").breaker_transitions();
+    let mut trip = None;
+    let mut probes = Vec::new();
+    loop {
+        let before = transitions(&system);
+        if !system.step(&dataset, &stream) {
+            break;
+        }
+        let now = system.virtual_now_secs().expect("running");
+        match transitions(&system) - before {
+            0 => {}
+            1 => {
+                assert_eq!(trip, None, "the breaker trips once");
+                trip = Some(now);
+            }
+            2 => probes.push((now, system.breaker_state().expect("running"))),
+            n => panic!("{n} breaker transitions in one event"),
+        }
+    }
+
+    let mut last = trip.expect("the outage must trip the breaker");
+    let gaps: Vec<f64> = probes
+        .iter()
+        .map(|&(at, _)| (at - std::mem::replace(&mut last, at)) / period)
+        .collect();
+    assert_eq!(gaps.len(), 5, "probe gaps {gaps:?}");
+    for (gap, expected) in gaps.iter().zip([1.0, 2.0, 4.0, 8.0, 8.0]) {
+        assert!((gap - expected).abs() < 1e-9, "probe gaps {gaps:?}");
+    }
+    let (recovered_at, recovered) = probes[4];
+    assert!(probes[..4]
+        .iter()
+        .all(|&(at, state)| at < outage_end && state == BreakerState::Open));
+    assert!(recovered_at >= outage_end && recovered == BreakerState::Closed);
+    let report = system.run(&dataset, &stream);
+    assert!(report.posts_rejected > 0, "the outage must refuse posts");
 }
 
 #[test]

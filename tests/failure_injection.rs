@@ -53,7 +53,7 @@ fn adversarial_worker_pool_degrades_but_does_not_crash() {
         .map(|i| Worker::from_traits(WorkerId(i), 0.05, 1.0, [1.0; 4]))
         .collect();
     let mut platform = Platform::with_pool(
-        PlatformConfig::paper().with_pool_size(40).with_seed(3),
+        PlatformConfig::paper().with_seed(3),
         WorkerPool::from_workers(adversaries),
     );
     // Labels from a hostile crowd are mostly wrong.
