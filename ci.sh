@@ -34,13 +34,22 @@ echo "==> cargo build --release"
 cargo build --release --offline
 
 echo "==> cargo test"
+test_started=$(date +%s)
 cargo test -q --offline
+test_secs=$(( $(date +%s) - test_started ))
 
 # The root package's tests above do not reach the member crates' own tests
 # (the runtime's window-1 golden pin, the GBDT golden digests, every crate's
 # check-vs-decoder agreement test, the experiments' reuse test).
 echo "==> cargo test (workspace crates, release)"
 cargo test --workspace --release --exclude crowdlearn-suite -q --offline
+
+# The GBDT fit grows each round's class trees on up to one thread per
+# class. Pinned to one CPU (an affinity for this process only), the fit
+# takes its one-worker path, which must meet the same digests.
+echo "==> CQC boot pins and GBDT goldens on one CPU"
+taskset -c 0 cargo test --release -q --offline -p crowdlearn --lib cqc::tests::boot_cqc
+taskset -c 0 cargo test --release -q --offline -p crowdlearn-gbdt --test golden
 
 # Every paper table and figure and the runtime sections (pipelining, fleet
 # contention, adaptive window, outage degradation): the binary asserts each
@@ -71,9 +80,10 @@ for workload in paper_stream fleet_contended chaos_checkpoint; do
         --workload "${workload}" --seconds 1 --trace 0
 done
 
-# Net line count, reported and never gated: every .rs line under crates/,
-# src/, tests/ and examples/, and the non-test share of it (files outside
-# tests/ and benches/ directories, up to their first `#[cfg(test)]`).
+# Net line count and the debug `cargo test` step's wall seconds, reported
+# and never gated: every .rs line under crates/, src/, tests/ and
+# examples/, and the non-test share of it (files outside tests/ and
+# benches/ directories, up to their first `#[cfg(test)]`).
 echo "==> rust line count"
 rs_total=$(find crates src tests examples -name '*.rs' -not -path '*/vendor/*' \
     -not -path '*/perfbench/*' -exec cat {} + | wc -l | tr -d ' ')
@@ -82,7 +92,7 @@ rs_non_test=$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
         /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { nextfile }
         { n++ }
         END { print n }' {} + | awk '{ s += $1 } END { print s }')
-echo "rust lines: ${rs_total} (non-test: ${rs_non_test})"
+echo "rust lines: ${rs_total} (non-test: ${rs_non_test}); debug cargo test: ${test_secs} s"
 
 # The one wall-clock gate, run last so host noise cannot hide the steps
 # above: batched committee inference must beat the per-image loop by the

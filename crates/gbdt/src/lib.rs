@@ -24,6 +24,15 @@
 //! same order a per-node stable sort would, so every gradient sum, gain and
 //! tie-break, and hence every tree, is bit-identical to sorting at each node.
 //!
+//! A round's per-class trees depend only on the scores the earlier rounds
+//! left, so `fit` grows them concurrently: the calling thread and up to one
+//! scoped helper per further class (capped by the available parallelism)
+//! take classes from a cursor, each tree in a scratch of its own. The
+//! calling thread draws every row and column sample up front in the serial
+//! order and sizes every buffer, so helpers neither draw nor allocate, and
+//! the trees are kept in class order: the model is the same bytes whatever
+//! the thread count.
+//!
 //! A fitted model is compiled once: its trees live in one flat preorder
 //! array of 16-byte nodes whose leaves loop onto themselves, and inference
 //! walks sixteen trees at a time a fixed number of steps with no

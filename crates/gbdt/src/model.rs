@@ -7,6 +7,8 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroUsize;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Hyperparameters of [`GbdtClassifier::fit`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -97,11 +99,10 @@ pub struct GbdtClassifier {
 }
 
 /// A model as boosting leaves it: the fit-time trees, gains included, which
-/// early stopping truncates and importances are summed from before the
-/// model compiles them.
+/// importances are summed from before the model compiles them.
 struct Boosted {
-    /// `trees[round][class]`.
-    trees: Vec<Vec<RegressionTree>>,
+    /// Tree `round * classes + class` adds to class `class`.
+    trees: Vec<RegressionTree>,
     base_scores: Vec<f64>,
     classes: usize,
     features: usize,
@@ -114,12 +115,10 @@ impl Boosted {
         let preorder: Vec<(u16, f64)> = self
             .trees
             .iter()
-            .flatten()
             .flat_map(RegressionTree::preorder)
             .collect();
-        let count = self.trees.len() * self.classes;
         GbdtClassifier {
-            forest: Forest::from_preorder(&preorder, count)
+            forest: Forest::from_preorder(&preorder, self.trees.len())
                 .expect("fitted trees are complete preorders with finite leaves"),
             importance: importance(&self.trees, self.features),
             base_scores: self.base_scores,
@@ -131,68 +130,10 @@ impl Boosted {
 }
 
 impl GbdtClassifier {
-    /// Trains with early stopping: after each boosting round the model is
-    /// scored on the held-out `(val_rows, val_labels)` by multiclass
-    /// log-loss, and training stops once `patience` rounds pass without an
-    /// improvement; the returned model is truncated to the best round.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`GbdtClassifier::fit`], plus if
-    /// the validation set is empty/ragged or `patience == 0`.
-    pub fn fit_with_validation(
-        rows: &[Vec<f64>],
-        labels: &[usize],
-        val_rows: &[Vec<f64>],
-        val_labels: &[usize],
-        classes: usize,
-        config: &GbdtConfig,
-        patience: usize,
-    ) -> Self {
-        assert!(patience > 0, "patience must be positive");
-        assert!(
-            !val_rows.is_empty() && val_rows.len() == val_labels.len(),
-            "validation set must be non-empty and consistent"
-        );
-        let mut model = Self::fit_trees(rows, labels, classes, config);
-
-        // Score the validation set incrementally, one round at a time.
-        let mut scores: Vec<Vec<f64>> = vec![model.base_scores.clone(); val_rows.len()];
-        let mut best_loss = f64::INFINITY;
-        let mut best_round = 0usize;
-        for (round, trees) in model.trees.iter().enumerate() {
-            for (score, row) in scores.iter_mut().zip(val_rows) {
-                for (class, tree) in trees.iter().enumerate() {
-                    score[class] += model.learning_rate * tree.predict(row);
-                }
-            }
-            let loss = log_loss_of_scores(&scores, val_labels);
-            if loss < best_loss - 1e-9 {
-                best_loss = loss;
-                best_round = round + 1;
-            } else if round + 1 - best_round >= patience {
-                break;
-            }
-        }
-        model.trees.truncate(best_round.max(1));
-        model.compile()
-    }
-
-    /// Multiclass log-loss of this model on a labeled set (lower is better).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set is empty or inconsistent.
-    pub fn log_loss(&self, rows: &[Vec<f64>], labels: &[usize]) -> f64 {
-        assert!(
-            !rows.is_empty() && rows.len() == labels.len(),
-            "bad eval set"
-        );
-        let scores: Vec<Vec<f64>> = rows.iter().map(|r| self.decision_scores(r)).collect();
-        log_loss_of_scores(&scores, labels)
-    }
-
-    /// Trains a model on dense rows.
+    /// Trains a model on dense rows. Each round's per-class trees grow
+    /// concurrently on up to one thread per class; the model is the same,
+    /// bit for bit, whatever the thread count (DESIGN.md §6 "Parallel
+    /// class trees").
     ///
     /// # Panics
     ///
@@ -201,15 +142,18 @@ impl GbdtClassifier {
     /// [`GbdtConfig::check`] rejects the configuration (the panic message
     /// is the check's).
     pub fn fit(rows: &[Vec<f64>], labels: &[usize], classes: usize, config: &GbdtConfig) -> Self {
-        Self::fit_trees(rows, labels, classes, config).compile()
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        Self::fit_trees(rows, labels, classes, config, workers.min(classes)).compile()
     }
 
-    /// [`GbdtClassifier::fit`] up to the fit-time trees.
+    /// [`GbdtClassifier::fit`] up to the fit-time trees, on `workers`
+    /// threads.
     fn fit_trees(
         rows: &[Vec<f64>],
         labels: &[usize],
         classes: usize,
         config: &GbdtConfig,
+        workers: usize,
     ) -> Boosted {
         config.check().unwrap_or_else(|e| panic!("{e}"));
         assert!(!rows.is_empty(), "training set must be non-empty");
@@ -237,17 +181,28 @@ impl GbdtClassifier {
             classes,
             config,
             Presorted::new(rows, tree_params(config)),
+            workers,
         )
     }
 
-    /// The boosting loop over validated inputs; `grower` fits the trees.
-    fn boost(
+    /// The boosting loop over validated inputs: `grower` fits the trees,
+    /// and each round's per-class trees are shared out among `workers`
+    /// threads, the calling one and `workers - 1` scoped helpers.
+    ///
+    /// The calling thread draws the round's row sample and then every
+    /// class's columns, in the order of growing the trees one by one, and
+    /// allocates every buffer the workers fill; trees are kept in class
+    /// order. So the model does not depend on `workers` or on which thread
+    /// grows which tree.
+    fn boost<G: TreeGrower>(
         rows: &[Vec<f64>],
         labels: &[usize],
         classes: usize,
         config: &GbdtConfig,
-        mut grower: impl TreeGrower,
+        grower: G,
+        workers: usize,
     ) -> Boosted {
+        assert!(workers > 0, "need at least one worker");
         let n = rows.len();
         let n_features = rows[0].len();
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -260,58 +215,50 @@ impl GbdtClassifier {
         let total: f64 = counts.iter().sum();
         let base_scores: Vec<f64> = counts.iter().map(|c| (c / total).ln()).collect();
 
-        // Raw scores per (row, class).
-        let mut scores: Vec<Vec<f64>> = vec![base_scores.clone(); n];
+        let take_rows = ((n as f64 * config.subsample).round() as usize).clamp(1, n);
+        let take_cols =
+            ((n_features as f64 * config.colsample).round() as usize).clamp(1, n_features);
+        // One scratch per worker: a tree's buffers are free again once the
+        // tree is credited.
+        let mut scratches: Vec<G::Scratch> = (0..workers).map(|_| grower.scratch()).collect();
+        let fits = base_scores.iter().map(|&base| ClassFit {
+            columns: Vec::with_capacity(n_features),
+            grad: vec![0.0; n],
+            hess: vec![0.0; n],
+            scores: vec![base; n],
+            tree: RegressionTree::default(),
+        });
+        let pool = &Pool::new(grower, fits.collect(), config);
 
-        let mut trees = Vec::with_capacity(config.rounds);
-        let all_rows: Vec<usize> = (0..n).collect();
-        let all_cols: Vec<usize> = (0..n_features).collect();
-
-        for _ in 0..config.rounds {
-            // Row subsample for this round.
-            let rows_used: Vec<usize> = if config.subsample < 1.0 {
-                let take = ((n as f64 * config.subsample).round() as usize).clamp(1, n);
-                let mut shuffled = all_rows.clone();
-                shuffled.shuffle(&mut rng);
-                shuffled.truncate(take);
-                shuffled
-            } else {
-                all_rows.clone()
-            };
-            grower.start_round(&rows_used);
-
-            // Softmax probabilities for the current scores.
-            let probs: Vec<Vec<f64>> = scores.iter().map(|s| softmax(s)).collect();
-
-            let mut round_trees = Vec::with_capacity(classes);
-            for class in 0..classes {
-                let grad: Vec<f64> = (0..n)
-                    .map(|i| probs[i][class] - if labels[i] == class { 1.0 } else { 0.0 })
-                    .collect();
-                let hess: Vec<f64> = (0..n)
-                    .map(|i| (probs[i][class] * (1.0 - probs[i][class])).max(1e-6))
-                    .collect();
-
-                let cols_used: Vec<usize> = if config.colsample < 1.0 {
-                    let take = ((n_features as f64 * config.colsample).round() as usize)
-                        .clamp(1, n_features);
-                    let mut shuffled = all_cols.clone();
-                    shuffled.shuffle(&mut rng);
-                    shuffled.truncate(take);
-                    shuffled
-                } else {
-                    all_cols.clone()
-                };
-
-                let tree = grower.grow(&grad, &hess, &cols_used);
-                // Update scores for all rows (not just the subsample).
-                for (i, row) in rows.iter().enumerate() {
-                    scores[i][class] += config.learning_rate * tree.predict(row);
-                }
-                round_trees.push(tree);
+        let mut trees = Vec::with_capacity(config.rounds * classes);
+        let mut rows_used: Vec<usize> = Vec::with_capacity(n);
+        std::thread::scope(|scope| {
+            let _close = Close(pool);
+            let mut scratch = scratches.pop().expect("at least one worker");
+            for helper in scratches {
+                scope.spawn(move || pool.help(helper));
             }
-            trees.push(round_trees);
-        }
+            for _ in 0..config.rounds {
+                // The row sample, then each class's columns in class order:
+                // the draws of growing the trees one by one.
+                rows_used.clear();
+                rows_used.extend(0..n);
+                if config.subsample < 1.0 {
+                    rows_used.shuffle(&mut rng);
+                    rows_used.truncate(take_rows);
+                }
+                pool.open(&rows_used, labels, |columns| {
+                    columns.clear();
+                    columns.extend(0..n_features);
+                    if config.colsample < 1.0 {
+                        columns.shuffle(&mut rng);
+                        columns.truncate(take_cols);
+                    }
+                });
+                pool.work(&mut scratch);
+                pool.finish(&mut trees);
+            }
+        });
 
         Boosted {
             trees,
@@ -332,7 +279,7 @@ impl GbdtClassifier {
         self.features
     }
 
-    /// Boosting rounds actually trained.
+    /// Boosting rounds trained.
     pub fn rounds(&self) -> usize {
         self.forest.trees() / self.classes
     }
@@ -477,6 +424,202 @@ impl Decode for GbdtClassifier {
     }
 }
 
+/// What the threads of one fit share.
+struct Pool<G: TreeGrower> {
+    /// Written by the calling thread between rounds, read by the workers
+    /// during one.
+    grower: RwLock<G>,
+    round: Mutex<Round>,
+    /// Helpers wait here for a round to open or the fit to close.
+    opened: Condvar,
+    /// The calling thread waits here for a round's last tree.
+    finished: Condvar,
+    learning_rate: f64,
+    max_depth: usize,
+}
+
+/// The round in progress.
+struct Round {
+    /// One per class, `None` while a worker has it out.
+    classes: Vec<Option<ClassFit>>,
+    /// The cursor: the next class to hand out.
+    next: usize,
+    /// Classes whose round is grown and credited.
+    done: usize,
+    /// Rounds opened so far.
+    opened: usize,
+    /// Set when the fit ends, or when a helper panics.
+    closed: bool,
+}
+
+/// One class's share of the fit: its score on every training row and, for
+/// the round in progress, its columns, gradients and tree.
+struct ClassFit {
+    columns: Vec<usize>,
+    grad: Vec<f64>,
+    hess: Vec<f64>,
+    scores: Vec<f64>,
+    tree: RegressionTree,
+}
+
+impl<G: TreeGrower> Pool<G> {
+    fn new(grower: G, classes: Vec<ClassFit>, config: &GbdtConfig) -> Self {
+        let (next, done) = (classes.len(), classes.len());
+        Self {
+            grower: RwLock::new(grower),
+            round: Mutex::new(Round {
+                classes: classes.into_iter().map(Some).collect(),
+                next,
+                done,
+                opened: 0,
+                closed: false,
+            }),
+            opened: Condvar::new(),
+            finished: Condvar::new(),
+            learning_rate: config.learning_rate,
+            max_depth: config.max_depth,
+        }
+    }
+
+    /// A panicking worker leaves `closed` set; the lock's poison adds
+    /// nothing to that.
+    fn lock(&self) -> MutexGuard<'_, Round> {
+        self.round.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Opens a round on the row sample `rows_used`, on the calling thread:
+    /// presorts it, draws each class's columns with `draw_columns` in class
+    /// order, reserves each class's tree, takes the softmax gradients of
+    /// the scores the earlier rounds left, and wakes the helpers.
+    fn open(
+        &self,
+        rows_used: &[usize],
+        labels: &[usize],
+        mut draw_columns: impl FnMut(&mut Vec<usize>),
+    ) {
+        let mut round = self.lock();
+        self.grower
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .start_round(rows_used);
+        let mut fits: Vec<&mut ClassFit> = round
+            .classes
+            .iter_mut()
+            .map(|fit| {
+                fit.as_mut()
+                    .expect("invariant: every class is in between rounds")
+            })
+            .collect();
+        for fit in &mut fits {
+            draw_columns(&mut fit.columns);
+            fit.tree = RegressionTree::with_room(self.max_depth, rows_used.len());
+        }
+        let mut probs = vec![0.0; fits.len()];
+        for (i, &label) in labels.iter().enumerate() {
+            for (p, fit) in probs.iter_mut().zip(&fits) {
+                *p = fit.scores[i];
+            }
+            softmax_in_place(&mut probs);
+            for (class, (&p, fit)) in probs.iter().zip(&mut fits).enumerate() {
+                fit.grad[i] = p - if label == class { 1.0 } else { 0.0 };
+                fit.hess[i] = (p * (1.0 - p)).max(1e-6);
+            }
+        }
+        round.next = 0;
+        round.done = 0;
+        round.opened += 1;
+        drop(round);
+        self.opened.notify_all();
+    }
+
+    /// Grows and credits classes' trees in `scratch`, taking them from the
+    /// cursor until the round has none left. Allocates nothing: the calling
+    /// thread sized every buffer.
+    fn work(&self, scratch: &mut G::Scratch) {
+        loop {
+            let mut round = self.lock();
+            if round.next == round.classes.len() {
+                return;
+            }
+            let class = round.next;
+            round.next += 1;
+            let mut fit = round.classes[class]
+                .take()
+                .expect("invariant: the cursor hands out each class once a round");
+            drop(round);
+
+            let grower = self.grower.read().unwrap_or_else(PoisonError::into_inner);
+            grower.grow(scratch, &mut fit.tree, &fit.grad, &fit.hess, &fit.columns);
+            grower.credit(scratch, &fit.tree, self.learning_rate, &mut fit.scores);
+            drop(grower);
+
+            let mut round = self.lock();
+            round.classes[class] = Some(fit);
+            round.done += 1;
+            if round.done == round.classes.len() {
+                self.finished.notify_one();
+            }
+        }
+    }
+
+    /// A helper thread's life: it blocks until a round opens, works it,
+    /// and returns once the fit closes.
+    fn help(&self, mut scratch: G::Scratch) {
+        let _close = Close(self);
+        let mut seen = 0;
+        loop {
+            let mut round = self.lock();
+            while round.opened == seen && !round.closed {
+                round = self
+                    .opened
+                    .wait(round)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            if round.closed {
+                return;
+            }
+            seen = round.opened;
+            drop(round);
+            self.work(&mut scratch);
+        }
+    }
+
+    /// Waits until every class of the round is grown and credited, then
+    /// moves the round's trees to `trees` in class order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a helper panicked.
+    fn finish(&self, trees: &mut Vec<RegressionTree>) {
+        let mut round = self.lock();
+        while round.done < round.classes.len() {
+            assert!(!round.closed, "a tree-growing helper panicked");
+            round = self
+                .finished
+                .wait(round)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        trees.extend(round.classes.iter_mut().map(|fit| {
+            let fit = fit
+                .as_mut()
+                .expect("invariant: every class is in after a round");
+            std::mem::take(&mut fit.tree)
+        }));
+    }
+}
+
+/// Closes the fit when dropped, on return or on a panic, and wakes every
+/// waiting thread, so that none waits forever for one that is gone.
+struct Close<'a, G: TreeGrower>(&'a Pool<G>);
+
+impl<G: TreeGrower> Drop for Close<'_, G> {
+    fn drop(&mut self) {
+        self.0.lock().closed = true;
+        self.0.opened.notify_all();
+        self.0.finished.notify_all();
+    }
+}
+
 /// The split-tree parameters of a boosting configuration.
 fn tree_params(config: &GbdtConfig) -> TreeParams {
     TreeParams {
@@ -488,29 +631,30 @@ fn tree_params(config: &GbdtConfig) -> TreeParams {
 }
 
 /// Total split gain per feature over `trees`, accumulated round-major and
-/// class-minor (the order [`GbdtClassifier::fit`] grows them in).
-fn importance(trees: &[Vec<RegressionTree>], features: usize) -> Vec<f64> {
+/// class-minor (the order [`GbdtClassifier::fit`] keeps them in).
+fn importance(trees: &[RegressionTree], features: usize) -> Vec<f64> {
     let mut importance = vec![0.0; features];
-    for tree in trees.iter().flatten() {
+    for tree in trees {
         tree.accumulate_importance(&mut importance);
     }
     importance
 }
 
-fn log_loss_of_scores(scores: &[Vec<f64>], labels: &[usize]) -> f64 {
-    let mut total = 0.0;
-    for (score, &label) in scores.iter().zip(labels) {
-        let probs = softmax(score);
-        total -= probs[label].max(1e-12).ln();
-    }
-    total / scores.len() as f64
+fn softmax(scores: &[f64]) -> Vec<f64> {
+    let mut probs = scores.to_vec();
+    softmax_in_place(&mut probs);
+    probs
 }
 
-fn softmax(scores: &[f64]) -> Vec<f64> {
+fn softmax_in_place(scores: &mut [f64]) {
     let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = scores.iter().map(|s| (s - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.iter().map(|e| e / sum).collect()
+    for s in scores.iter_mut() {
+        *s = (*s - max).exp();
+    }
+    let sum: f64 = scores.iter().sum();
+    for s in scores {
+        *s /= sum;
+    }
 }
 
 #[cfg(test)]
@@ -523,7 +667,7 @@ mod tests {
     impl Boosted {
         /// Every tree's [`RegressionTree::bits`] and the base scores' bits.
         fn bits(&self) -> (Vec<Vec<NodeBits>>, Vec<u64>) {
-            let trees = self.trees.iter().flatten().map(RegressionTree::bits);
+            let trees = self.trees.iter().map(RegressionTree::bits);
             let base = self.base_scores.iter().map(|b| b.to_bits());
             (trees.collect(), base.collect())
         }
@@ -651,65 +795,61 @@ mod tests {
     }
 
     #[test]
-    fn early_stopping_truncates_on_noise() {
-        // Random labels: beyond a few rounds the model only memorizes, so
-        // validation loss stops improving and early stopping must kick in
-        // well before the configured 80 rounds.
-        let rows: Vec<Vec<f64>> = (0..120)
-            .map(|i| vec![((i * 37) % 97) as f64, ((i * 61) % 89) as f64])
-            .collect();
-        let labels: Vec<usize> = (0..120).map(|i| (i * 7 + i / 13) % 3).collect();
-        let (train_r, val_r) = rows.split_at(80);
-        let (train_l, val_l) = labels.split_at(80);
-        let config = GbdtConfig {
-            rounds: 80,
-            ..GbdtConfig::small()
-        };
-        let model =
-            GbdtClassifier::fit_with_validation(train_r, train_l, val_r, val_l, 3, &config, 5);
-        assert!(model.rounds() < 80, "stopped at {} rounds", model.rounds());
-        // And the truncated model's validation loss must be no worse than
-        // the fully boosted one.
-        let full = GbdtClassifier::fit(train_r, train_l, 3, &config);
-        assert!(model.log_loss(val_r, val_l) <= full.log_loss(val_r, val_l) + 1e-9);
+    fn every_worker_count_fits_the_same_bytes() {
+        let mut s = Stream(0x5eed);
+        for classes in 2..=4 {
+            let rows = s.features(240, 6, 5);
+            let labels: Vec<usize> = (0..240).map(|_| s.below(classes)).collect();
+            let config = GbdtConfig {
+                rounds: 12,
+                subsample: 0.7,
+                colsample: 0.6,
+                ..GbdtConfig::small()
+            };
+            let bytes = |workers| {
+                GbdtClassifier::fit_trees(&rows, &labels, classes, &config, workers)
+                    .compile()
+                    .to_bytes()
+            };
+            let one = bytes(1);
+            for workers in 2..=4 {
+                assert_eq!(bytes(workers), one, "{classes} classes, {workers} workers");
+            }
+        }
+    }
+
+    /// Grows no tree: a helper thread panics, and the calling thread
+    /// waits in `grow` until one has.
+    struct PanickingHelper(std::sync::atomic::AtomicBool);
+
+    impl TreeGrower for PanickingHelper {
+        type Scratch = ();
+
+        fn scratch(&self) {}
+
+        fn start_round(&mut self, _: &[usize]) {}
+
+        fn grow(&self, _: &mut (), _: &mut RegressionTree, _: &[f64], _: &[f64], _: &[usize]) {
+            use std::sync::atomic::Ordering;
+            // Scoped helpers are unnamed; the test thread is not.
+            if std::thread::current().name().is_none() {
+                self.0.store(true, Ordering::SeqCst);
+                panic!("helper fails");
+            }
+            while !self.0.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        }
+
+        fn credit(&self, _: &(), _: &RegressionTree, _: f64, _: &mut [f64]) {}
     }
 
     #[test]
-    fn early_stopping_keeps_training_on_clean_data() {
-        let (rows, labels) = blobs(40);
-        let (train_r, val_r) = rows.split_at(90);
-        let (train_l, val_l) = labels.split_at(90);
-        let config = GbdtConfig {
-            rounds: 30,
-            ..GbdtConfig::small()
-        };
-        let model =
-            GbdtClassifier::fit_with_validation(train_r, train_l, val_r, val_l, 3, &config, 10);
-        assert!(model.accuracy(val_r, val_l) > 0.9);
-    }
-
-    #[test]
-    fn log_loss_orders_models_sensibly() {
-        let (rows, labels) = blobs(20);
-        let short = GbdtClassifier::fit(
-            &rows,
-            &labels,
-            3,
-            &GbdtConfig {
-                rounds: 1,
-                ..GbdtConfig::small()
-            },
-        );
-        let long = GbdtClassifier::fit(
-            &rows,
-            &labels,
-            3,
-            &GbdtConfig {
-                rounds: 40,
-                ..GbdtConfig::small()
-            },
-        );
-        assert!(long.log_loss(&rows, &labels) < short.log_loss(&rows, &labels));
+    #[should_panic(expected = "a tree-growing helper panicked")]
+    fn a_panicking_helper_fails_the_fit_instead_of_hanging() {
+        let (rows, labels) = blobs(5);
+        let grower = PanickingHelper(false.into());
+        GbdtClassifier::boost(&rows, &labels, 3, &GbdtConfig::small(), grower, 2);
     }
 
     #[test]
@@ -737,31 +877,6 @@ mod tests {
             assert_eq!(bits(&model), bits(&restored));
         }
         assert_eq!(GbdtConfig::from_bytes(&config.to_bytes()), Ok(config));
-    }
-
-    #[test]
-    fn early_stopped_model_equals_a_fit_of_its_kept_rounds() {
-        // The noisy set from `early_stopping_truncates_on_noise`: RNG draws
-        // are prefix-identical, so the truncated model, importances
-        // included, is exactly a shorter fit.
-        let rows: Vec<Vec<f64>> = (0..120)
-            .map(|i| vec![((i * 37) % 97) as f64, ((i * 61) % 89) as f64])
-            .collect();
-        let labels: Vec<usize> = (0..120).map(|i| (i * 7 + i / 13) % 3).collect();
-        let (train_r, val_r) = rows.split_at(80);
-        let (train_l, val_l) = labels.split_at(80);
-        let config = GbdtConfig {
-            rounds: 80,
-            ..GbdtConfig::small()
-        };
-        let model =
-            GbdtClassifier::fit_with_validation(train_r, train_l, val_r, val_l, 3, &config, 5);
-        assert!(model.rounds() < 80);
-        let short = GbdtConfig {
-            rounds: model.rounds(),
-            ..config
-        };
-        assert_eq!(model, GbdtClassifier::fit(train_r, train_l, 3, &short));
     }
 
     #[test]
@@ -828,21 +943,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "patience must be positive")]
-    fn zero_patience_rejected() {
-        let (rows, labels) = blobs(5);
-        GbdtClassifier::fit_with_validation(
-            &rows,
-            &labels,
-            &rows,
-            &labels,
-            3,
-            &GbdtConfig::small(),
-            0,
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "labels must be < classes")]
     fn rejects_out_of_range_labels() {
         GbdtClassifier::fit(&[vec![0.0]], &[5], 3, &GbdtConfig::small());
@@ -872,7 +972,7 @@ mod tests {
 
         /// `fit` is byte-identical to the boosting loop driven by the
         /// per-node-sort oracle, across sizes, widths, class counts, depths,
-        /// subsampling and tie-heavy or continuous features.
+        /// worker counts, subsampling and tie-heavy or continuous features.
         #[test]
         fn fit_matches_the_per_node_sort_oracle(
             seed in 0u64..u64::MAX,
@@ -894,9 +994,10 @@ mod tests {
                 seed: s.next(),
                 ..GbdtConfig::small()
             };
-            let fitted = GbdtClassifier::fit_trees(&rows, &labels, classes, &config);
+            let fitted = GbdtClassifier::fit_trees(&rows, &labels, classes, &config, 1 + s.below(4));
             let oracle = per_node_sort::Oracle::new(&rows, tree_params(&config));
-            let oracle = GbdtClassifier::boost(&rows, &labels, classes, &config, oracle);
+            let oracle =
+                GbdtClassifier::boost(&rows, &labels, classes, &config, oracle, 1 + s.below(4));
             prop_assert_eq!(fitted.bits(), oracle.bits());
             prop_assert_eq!(fitted.compile().to_bytes(), oracle.compile().to_bytes());
         }
@@ -922,10 +1023,10 @@ mod tests {
                 max_depth,
                 ..GbdtConfig::small()
             };
-            let boosted = GbdtClassifier::fit_trees(&rows, &labels, classes, &config);
+            let boosted = GbdtClassifier::fit_trees(&rows, &labels, classes, &config, 1);
             let expected = |row: &[f64]| {
                 let mut scores = boosted.base_scores.clone();
-                for round in &boosted.trees {
+                for round in boosted.trees.chunks(classes) {
                     for (class, tree) in round.iter().enumerate() {
                         scores[class] += boosted.learning_rate * tree.predict(row);
                     }

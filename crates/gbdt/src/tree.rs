@@ -14,23 +14,47 @@ pub(crate) struct TreeParams {
 }
 
 /// Grows a fit's trees round by round: `start_round` sets the row sample
-/// that the round's per-class trees share, then `grow` fits one tree on it.
-pub(crate) trait TreeGrower {
+/// that the round's per-class trees share, then `grow` fits each class's
+/// tree on it and `credit` adds that tree to the class's scores. `grow`
+/// and `credit` take `&self` and a scratch of their own, so one round's
+/// trees can grow on several threads at once.
+pub(crate) trait TreeGrower: Send + Sync {
+    /// One tree's working buffers.
+    type Scratch: Send;
+
+    /// Buffers for one tree, sized for any round's sample, so that `grow`
+    /// and `credit` allocate nothing.
+    fn scratch(&self) -> Self::Scratch;
+
     /// Sets the round's row sample: indices into the training rows, in
     /// subsample order.
     fn start_round(&mut self, rows_used: &[usize]);
 
-    /// Fits one tree to `(grad, hess)` on the round's sample. `columns`
-    /// restricts the candidate split features (column subsampling).
-    fn grow(&mut self, grad: &[f64], hess: &[f64], columns: &[usize]) -> RegressionTree;
+    /// Fits one tree to `(grad, hess)` on the round's sample into `tree`
+    /// (empty, its room reserved by [`RegressionTree::with_room`]).
+    /// `columns` restricts the candidate split features (column
+    /// subsampling).
+    fn grow(
+        &self,
+        scratch: &mut Self::Scratch,
+        tree: &mut RegressionTree,
+        grad: &[f64],
+        hess: &[f64],
+        columns: &[usize],
+    );
+
+    /// Adds `rate` times `tree`'s prediction to every training row's entry
+    /// of `scores`; `tree` is the one `grow` just fit in `scratch`.
+    fn credit(&self, scratch: &Self::Scratch, tree: &RegressionTree, rate: f64, scores: &mut [f64]);
 }
 
 /// The exact split search of one fit: every boundary between distinct
 /// values of each feature is a candidate. Rows are presorted, one counting
 /// sort per feature per boosting round, after which each node scans and
 /// partitions its features' sorted segments in `O(n)` per feature. The
-/// training features are laid out once, plus buffers that every round and
-/// tree of the fit reuses.
+/// training features are laid out once per fit, the round's presort once
+/// per round; both are read-only while the round's trees grow, each in its
+/// own [`Scratch`].
 pub(crate) struct Presorted {
     params: TreeParams,
     /// `values[feature][row]`: a column-major copy of the features.
@@ -46,14 +70,14 @@ pub(crate) struct Presorted {
     /// Per feature, the round's sample in `(value, subsample position)`
     /// order.
     sample_sorted: Vec<Vec<u32>>,
-    scratch: Scratch,
+    /// The rows outside the round's sample, ascending.
+    unsampled: Vec<u32>,
 }
 
 /// One tree's working buffers. Every node is a segment `[lo, hi)` of `rows`
 /// and of each block of `sorted`; a split partitions all of them in place,
 /// stably, so no node allocates or sorts.
-#[derive(Default)]
-struct Scratch {
+pub(crate) struct Scratch {
     /// The round's sample; each node's segment is in subsample order.
     rows: Vec<u32>,
     /// One block of `rows.len()` per candidate column: block `k` holds each
@@ -63,6 +87,8 @@ struct Scratch {
     goes_left: Vec<bool>,
     /// The stable partition's holding area for right-side rows.
     spill: Vec<u32>,
+    /// Each leaf of the tree last grown: its segment of `rows` and weight.
+    leaves: Vec<(usize, usize, f64)>,
 }
 
 impl Presorted {
@@ -99,12 +125,25 @@ impl Presorted {
             ranks,
             distinct,
             sample: Vec::new(),
-            scratch: Scratch::default(),
+            unsampled: Vec::new(),
         }
     }
 }
 
 impl TreeGrower for Presorted {
+    type Scratch = Scratch;
+
+    fn scratch(&self) -> Scratch {
+        let n = self.values[0].len();
+        Scratch {
+            rows: Vec::with_capacity(n),
+            sorted: Vec::with_capacity(n * self.values.len()),
+            goes_left: vec![false; n],
+            spill: vec![0; n],
+            leaves: Vec::with_capacity(RegressionTree::room(self.params.max_depth, n)),
+        }
+    }
+
     /// Counting-sorts the sample by rank, once per feature. The sort is
     /// stable, so rows with equal values keep their subsample order.
     fn start_round(&mut self, rows_used: &[usize]) {
@@ -126,20 +165,32 @@ impl TreeGrower for Presorted {
                 *slot += 1;
             }
         }
+        let mut sampled = vec![false; self.values[0].len()];
+        for &r in &self.sample {
+            sampled[r as usize] = true;
+        }
+        self.unsampled.clear();
+        self.unsampled
+            .extend((0..sampled.len() as u32).filter(|&r| !sampled[r as usize]));
     }
 
-    fn grow(&mut self, grad: &[f64], hess: &[f64], columns: &[usize]) -> RegressionTree {
+    fn grow(
+        &self,
+        scratch: &mut Scratch,
+        tree: &mut RegressionTree,
+        grad: &[f64],
+        hess: &[f64],
+        columns: &[usize],
+    ) {
         let n = self.sample.len();
         assert!(n > 0, "tree needs at least one row");
-        let scratch = &mut self.scratch;
         scratch.rows.clear();
         scratch.rows.extend_from_slice(&self.sample);
         scratch.sorted.clear();
         for &f in columns {
             scratch.sorted.extend_from_slice(&self.sample_sorted[f]);
         }
-        scratch.goes_left.resize(self.values[0].len(), false);
-        scratch.spill.resize(n, 0);
+        scratch.leaves.clear();
         let mut builder = Builder {
             values: &self.values,
             grad,
@@ -147,11 +198,22 @@ impl TreeGrower for Presorted {
             columns,
             params: &self.params,
             scratch,
-            nodes: Vec::new(),
+            nodes: &mut tree.nodes,
         };
         builder.build(0, n, 0);
-        RegressionTree {
-            nodes: builder.nodes,
+    }
+
+    /// A sampled row's leaf is the segment it was partitioned into; only
+    /// the rows outside the sample walk the tree.
+    fn credit(&self, scratch: &Scratch, tree: &RegressionTree, rate: f64, scores: &mut [f64]) {
+        for &(lo, hi, weight) in &scratch.leaves {
+            for &r in &scratch.rows[lo..hi] {
+                scores[r as usize] += rate * weight;
+            }
+        }
+        for &r in &self.unsampled {
+            let r = r as usize;
+            scores[r] += rate * tree.walk(|f| self.values[f][r]);
         }
     }
 }
@@ -181,7 +243,7 @@ enum Node {
 ///
 /// `nodes` is in preorder: `build` reserves a split's slot, then builds its
 /// left subtree, then its right one.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct RegressionTree {
     nodes: Vec<Node>,
 }
@@ -215,12 +277,29 @@ impl BestSplit<'_> {
 }
 
 impl RegressionTree {
-    /// The tree's raw prediction for one feature row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is shorter than a feature index used by the tree.
-    pub(crate) fn predict(&self, row: &[f64]) -> f64 {
+    /// An empty tree with room for every node a tree of at most
+    /// `max_depth` grown on `rows` rows can have, so growing it never
+    /// reallocates.
+    pub(crate) fn with_room(max_depth: usize, rows: usize) -> Self {
+        Self {
+            nodes: Vec::with_capacity(Self::room(max_depth, rows)),
+        }
+    }
+
+    /// The most nodes such a tree has: a full binary tree of depth
+    /// `max_depth` has `2^(max_depth+1) - 1`, and every leaf holds at least
+    /// one row, so there are at most `2 * rows - 1`.
+    pub(crate) fn room(max_depth: usize, rows: usize) -> usize {
+        let full = u32::try_from(max_depth.saturating_add(1))
+            .ok()
+            .and_then(|shift| 1usize.checked_shl(shift))
+            .map_or(usize::MAX, |nodes| nodes - 1);
+        full.min(rows.saturating_mul(2).saturating_sub(1))
+    }
+
+    /// The weight of the leaf a row reaches, reading its features through
+    /// `value`.
+    fn walk(&self, value: impl Fn(usize) -> f64) -> f64 {
         let mut idx = 0;
         loop {
             match &self.nodes[idx] {
@@ -232,7 +311,7 @@ impl RegressionTree {
                     right,
                     ..
                 } => {
-                    idx = if row[*feature] < *threshold {
+                    idx = if value(*feature) < *threshold {
                         *left
                     } else {
                         *right
@@ -280,7 +359,7 @@ struct Builder<'a> {
     columns: &'a [usize],
     params: &'a TreeParams,
     scratch: &'a mut Scratch,
-    nodes: Vec<Node>,
+    nodes: &'a mut Vec<Node>,
 }
 
 impl Builder<'_> {
@@ -291,15 +370,15 @@ impl Builder<'_> {
         let g_sum: f64 = segment.iter().map(|&r| grad[r as usize]).sum();
         let h_sum: f64 = segment.iter().map(|&r| hess[r as usize]).sum();
         let lambda = self.params.lambda;
-        let leaf = |nodes: &mut Vec<Node>| {
-            nodes.push(Node::Leaf {
-                weight: -g_sum / (h_sum + lambda),
-            });
-            nodes.len() - 1
+        let leaf = |builder: &mut Self| {
+            let weight = -g_sum / (h_sum + lambda);
+            builder.scratch.leaves.push((lo, hi, weight));
+            builder.nodes.push(Node::Leaf { weight });
+            builder.nodes.len() - 1
         };
 
         if depth >= self.params.max_depth || hi - lo < 2 {
-            return leaf(&mut self.nodes);
+            return leaf(self);
         }
 
         let mut best = BestSplit {
@@ -311,7 +390,7 @@ impl Builder<'_> {
         };
         self.scan_sorted(lo, hi, &mut best);
         let Some((feature, threshold, gain)) = best.best else {
-            return leaf(&mut self.nodes);
+            return leaf(self);
         };
 
         let values = &self.values[feature];
@@ -324,20 +403,23 @@ impl Builder<'_> {
         if n_left == 0 || n_left == hi - lo {
             // Possible when `0.5 * (va + vb)` rounds onto `va`: fall back to
             // a leaf.
-            return leaf(&mut self.nodes);
+            return leaf(self);
         }
         partition(
             &mut self.scratch.rows[lo..hi],
             &self.scratch.goes_left,
             &mut self.scratch.spill,
         );
-        let n = self.scratch.rows.len();
-        for block in self.scratch.sorted.chunks_exact_mut(n) {
-            partition(
-                &mut block[lo..hi],
-                &self.scratch.goes_left,
-                &mut self.scratch.spill,
-            );
+        // Children at the depth limit are leaves and never scan.
+        if depth + 1 < self.params.max_depth {
+            let n = self.scratch.rows.len();
+            for block in self.scratch.sorted.chunks_exact_mut(n) {
+                partition(
+                    &mut block[lo..hi],
+                    &self.scratch.goes_left,
+                    &mut self.scratch.spill,
+                );
+            }
         }
 
         // Reserve this node's slot before recursing so child indices are
@@ -400,6 +482,11 @@ pub(crate) type NodeBits = (Option<usize>, u64, u64, usize, usize);
 
 #[cfg(test)]
 impl RegressionTree {
+    /// The tree's raw prediction for one feature row.
+    pub(crate) fn predict(&self, row: &[f64]) -> f64 {
+        self.walk(|feature| row[feature])
+    }
+
     /// Every field of every node as raw bits, gains included, for bitwise
     /// comparison (`==` on `f64` would equate `-0.0` and `0.0`): a split is
     /// `(Some(feature), threshold, gain, left, right)`, a leaf `(None,
@@ -448,13 +535,31 @@ pub(crate) mod per_node_sort {
         }
     }
 
+    /// Grows with no scratch and credits by walking every row.
     impl TreeGrower for Oracle<'_> {
+        type Scratch = ();
+
+        fn scratch(&self) {}
+
         fn start_round(&mut self, rows_used: &[usize]) {
             self.rows = rows_used.to_vec();
         }
 
-        fn grow(&mut self, grad: &[f64], hess: &[f64], columns: &[usize]) -> RegressionTree {
-            fit(self.features, grad, hess, &self.rows, columns, &self.params)
+        fn grow(
+            &self,
+            _: &mut (),
+            tree: &mut RegressionTree,
+            grad: &[f64],
+            hess: &[f64],
+            columns: &[usize],
+        ) {
+            *tree = fit(self.features, grad, hess, &self.rows, columns, &self.params);
+        }
+
+        fn credit(&self, _: &(), tree: &RegressionTree, rate: f64, scores: &mut [f64]) {
+            for (score, row) in scores.iter_mut().zip(self.features) {
+                *score += rate * tree.predict(row);
+            }
         }
     }
 
@@ -676,7 +781,11 @@ mod tests {
     ) -> RegressionTree {
         let mut grower = Presorted::new(features, *params);
         grower.start_round(rows);
-        grower.grow(grad, hess, columns)
+        let mut tree = RegressionTree::with_room(params.max_depth, rows.len());
+        let room = tree.nodes.capacity();
+        grower.grow(&mut grower.scratch(), &mut tree, grad, hess, columns);
+        assert_eq!(tree.nodes.capacity(), room, "grow reallocated the nodes");
+        tree
     }
 
     #[test]
@@ -806,6 +915,18 @@ mod tests {
         // Ties keep their subsample order.
         grower.start_round(&[4, 3, 0, 1, 2]);
         assert_eq!(grower.sample_sorted, vec![vec![2, 3, 1, 4, 0]]);
+        grower.start_round(&[3, 0]);
+        assert_eq!(grower.unsampled, vec![1, 2, 4]);
+    }
+
+    #[test]
+    fn room_bounds_the_nodes_and_saturates() {
+        assert_eq!(RegressionTree::room(0, 10), 1);
+        assert_eq!(RegressionTree::room(5, 1_120), 63);
+        assert_eq!(RegressionTree::room(5, 3), 5);
+        assert_eq!(RegressionTree::room(63, 1 << 40), (1 << 41) - 1);
+        assert_eq!(RegressionTree::room(64, 7), 13);
+        assert_eq!(RegressionTree::room(usize::MAX, 7), 13);
     }
 
     #[test]
@@ -822,7 +943,8 @@ mod tests {
 
         /// Presorted trees are bit-identical, gains included, to the
         /// per-node-sort oracle for random rows, row-sample orders, column
-        /// subsets and parameters.
+        /// subsets and parameters, and crediting sampled rows by leaf
+        /// segment adds the bits walking the tree would.
         #[test]
         fn presorted_trees_match_the_per_node_sort_oracle(
             seed in 0u64..u64::MAX,
@@ -845,9 +967,25 @@ mod tests {
                 gamma: if s.below(3) == 0 { s.unit() * 0.05 } else { 0.0 },
                 min_child_weight: if s.below(2) == 0 { s.unit() * 3.0 } else { 1e-6 },
             };
-            let new = fit_rows(&features, &grad, &hess, &rows, &columns, &params);
+            let mut grower = Presorted::new(&features, params);
+            grower.start_round(&rows);
+            let mut scratch = grower.scratch();
+            let mut new = RegressionTree::with_room(max_depth, rows.len());
+            let room = new.nodes.capacity();
+            grower.grow(&mut scratch, &mut new, &grad, &hess, &columns);
+            prop_assert_eq!(new.nodes.capacity(), room);
             let old = per_node_sort::fit(&features, &grad, &hess, &rows, &columns, &params);
             prop_assert_eq!(new.bits(), old.bits());
+
+            let mut credited = grad.clone();
+            grower.credit(&scratch, &new, 0.3, &mut credited);
+            let credited: Vec<u64> = credited.iter().map(|x| x.to_bits()).collect();
+            let walked: Vec<u64> = grad
+                .iter()
+                .zip(&features)
+                .map(|(g, row)| (g + 0.3 * new.predict(row)).to_bits())
+                .collect();
+            prop_assert_eq!(credited, walked);
         }
     }
 }
