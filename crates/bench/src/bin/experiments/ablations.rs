@@ -14,7 +14,7 @@ use crowdlearn_crowd::{IncentiveLevel, Platform, PlatformConfig, QueryResponse};
 use crowdlearn_dataset::{
     DamageLabel, Dataset, DatasetConfig, SensingCycleStream, SyntheticImage, TemporalContext,
 };
-use crowdlearn_gbdt::{GbdtClassifier, GbdtConfig};
+use crowdlearn_gbdt::GbdtClassifier;
 use crowdlearn_runtime::{PipelinedSystem, RuntimeConfig};
 use crowdlearn_truth::{Aggregator, Annotation, MajorityVoting, OneCoinEm, WorkerFiltering};
 
@@ -131,14 +131,9 @@ fn cqc_feature_ablation(fixture: &Fixture) {
     };
     let stripped_rows: Vec<Vec<f64>> = full_rows.iter().map(|f| strip(f)).collect();
 
-    let config = GbdtConfig {
-        rounds: 150,
-        max_depth: 5,
-        learning_rate: 0.12,
-        ..GbdtConfig::small()
-    };
-    let full_model = GbdtClassifier::fit(&full_rows, &labels, DamageLabel::COUNT, &config);
-    let stripped_model = GbdtClassifier::fit(&stripped_rows, &labels, DamageLabel::COUNT, &config);
+    let config = &QualityController::CONFIG;
+    let full_model = GbdtClassifier::fit(&full_rows, &labels, DamageLabel::COUNT, config);
+    let stripped_model = GbdtClassifier::fit(&stripped_rows, &labels, DamageLabel::COUNT, config);
 
     let mut full_ok = 0usize;
     let mut stripped_ok = 0usize;

@@ -81,30 +81,25 @@ impl QueryFeatures {
 /// `D(TL_i^t)` that MIC consumes.
 #[derive(Debug, Clone)]
 pub struct QualityController {
-    config: GbdtConfig,
     model: Option<GbdtClassifier>,
 }
 
 impl QualityController {
-    /// Creates an untrained controller.
-    pub fn new(config: GbdtConfig) -> Self {
-        Self {
-            config,
-            model: None,
-        }
-    }
+    /// The boosting configuration [`QualityController::train`] fits with
+    /// (XGBoost-like defaults on small tabular data). Deeper and longer than
+    /// `GbdtConfig::small()` because the decisive signal on ambiguous images
+    /// is an interaction between the vote split and the questionnaire bits.
+    pub const CONFIG: GbdtConfig = GbdtConfig {
+        rounds: 150,
+        max_depth: 5,
+        learning_rate: 0.12,
+        ..GbdtConfig::small()
+    };
 
-    /// The paper's configuration (XGBoost-like defaults on small tabular
-    /// data). Deeper and longer than `GbdtConfig::small()` because the
-    /// decisive signal on ambiguous images is an interaction between the
-    /// vote split and the questionnaire bits.
+    /// An untrained controller: majority voting until
+    /// [`QualityController::train`] fits it.
     pub fn paper() -> Self {
-        Self::new(GbdtConfig {
-            rounds: 150,
-            max_depth: 5,
-            learning_rate: 0.12,
-            ..GbdtConfig::small()
-        })
+        Self { model: None }
     }
 
     /// Whether [`QualityController::train`] has been called.
@@ -131,7 +126,7 @@ impl QualityController {
             &rows,
             &labels,
             DamageLabel::COUNT,
-            &self.config,
+            &Self::CONFIG,
         ));
     }
 
@@ -164,11 +159,10 @@ impl QualityController {
     }
 }
 
-// Snapshot codec: the boosting configuration plus the (optionally trained)
-// model, both already validated by their own decoders.
+// Snapshot codec: the (optionally trained) model, already validated by its
+// own decoder. The boosting configuration is the constant.
 impl Encode for QualityController {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.config.encode(out);
         self.model.encode(out);
     }
 }
@@ -176,7 +170,6 @@ impl Encode for QualityController {
 impl Decode for QualityController {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(Self {
-            config: GbdtConfig::decode(r)?,
             model: Option::<GbdtClassifier>::decode(r)?,
         })
     }
@@ -245,7 +238,7 @@ mod tests {
 
         let mut cqc_correct = 0usize;
         let mut voting_correct = 0usize;
-        let voting = QualityController::new(GbdtConfig::small()); // untrained = voting
+        let voting = QualityController::paper(); // untrained = voting
         for (resp, truth) in &test_examples {
             cqc_correct += usize::from(cqc.truthful_label(resp) == *truth);
             voting_correct += usize::from(voting.truthful_label(resp) == *truth);

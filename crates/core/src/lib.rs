@@ -14,7 +14,8 @@
 //!    under a global budget (Eq. 4).
 //! 3. [`QualityController`] (**CQC**, §IV-C) — a gradient-boosting model
 //!    over worker labels *and* questionnaire evidence distills truthful
-//!    labels from noisy crowd responses.
+//!    labels from noisy crowd responses. It is fit once, with the one
+//!    [`QualityController::CONFIG`].
 //! 4. [`Calibrator`] (**MIC**, §IV-D) — the truthful labels drive three
 //!    simultaneous calibration strategies: Hedge expert-weight updates from
 //!    the symmetric-KL loss (Eq. 5), committee retraining, and crowd

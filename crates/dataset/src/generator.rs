@@ -57,22 +57,36 @@ pub struct DatasetConfig {
     total: usize,
     train_count: usize,
     fake_rate: f64,
-    close_up_rate: f64,
     low_resolution_rate: f64,
     implicit_rate: f64,
-    signal: f64,
-    noise: f64,
-    deceptive_boost: f64,
-    low_resolution_attenuation: f64,
-    ambiguity_rate: f64,
-    ambiguity_attenuation: f64,
     family_drift: bool,
-    context_fidelity: f64,
-    context_noise: f64,
     seed: u64,
 }
 
 impl DatasetConfig {
+    /// Fraction of images that are misleading close-ups.
+    pub const CLOSE_UP_RATE: f64 = 0.025;
+    /// Mean of the visual evidence in the depicted class's dimensions.
+    pub const SIGNAL: f64 = 1.0;
+    /// Standard deviation of the visual evidence (higher = harder for AI).
+    pub const NOISE: f64 = 0.55;
+    /// Visual-signal multiplier on deceptive images (fake, close-up,
+    /// implicit): they look *more* convincing than average.
+    pub const DECEPTIVE_BOOST: f64 = 1.5;
+    /// Visual-signal multiplier on low-resolution images.
+    pub const LOW_RESOLUTION_ATTENUATION: f64 = 0.3;
+    /// Fraction of *plain* images lying on an ambiguous severity boundary —
+    /// hard for AI (attenuated visual evidence) and for humans (correlated
+    /// confusion with the adjacent class) alike.
+    pub const AMBIGUITY_RATE: f64 = 0.25;
+    /// Visual-signal multiplier on ambiguous images.
+    pub const AMBIGUITY_ATTENUATION: f64 = 0.55;
+    /// Mean contextual score of the true class and the true attribute
+    /// (higher = easier for humans).
+    pub const CONTEXT_FIDELITY: f64 = 0.92;
+    /// Standard deviation of the contextual scores.
+    pub const CONTEXT_NOISE: f64 = 0.08;
+
     /// The paper's dataset shape: 960 images, 560 train / 400 test, balanced
     /// classes, with failure-mode rates chosen so that AI-only accuracy lands
     /// in the high-0.7s/low-0.8s band of Table II.
@@ -81,18 +95,9 @@ impl DatasetConfig {
             total: 960,
             train_count: 560,
             fake_rate: 0.035,
-            close_up_rate: 0.025,
             low_resolution_rate: 0.08,
             implicit_rate: 0.03,
-            signal: 1.0,
-            noise: 0.55,
-            deceptive_boost: 1.5,
-            low_resolution_attenuation: 0.3,
-            ambiguity_rate: 0.25,
-            ambiguity_attenuation: 0.55,
             family_drift: false,
-            context_fidelity: 0.92,
-            context_noise: 0.08,
             seed: 0x0ec0ada,
         }
     }
@@ -117,11 +122,6 @@ impl DatasetConfig {
         self.fake_rate
     }
 
-    /// Fraction of images that are misleading close-ups.
-    pub fn close_up_rate(&self) -> f64 {
-        self.close_up_rate
-    }
-
     /// Fraction of images that are low-resolution.
     pub fn low_resolution_rate(&self) -> f64 {
         self.low_resolution_rate
@@ -130,18 +130,6 @@ impl DatasetConfig {
     /// Fraction of images with implicit (context-only) damage.
     pub fn implicit_rate(&self) -> f64 {
         self.implicit_rate
-    }
-
-    /// Fraction of *plain* images lying on an ambiguous severity boundary —
-    /// hard for AI (attenuated visual evidence) and for humans (correlated
-    /// confusion with the adjacent class) alike.
-    pub fn ambiguity_rate(&self) -> f64 {
-        self.ambiguity_rate
-    }
-
-    /// Visual-signal multiplier applied to ambiguous images.
-    pub fn ambiguity_attenuation(&self) -> f64 {
-        self.ambiguity_attenuation
     }
 
     /// Whether feature-family drift is enabled (see
@@ -161,12 +149,6 @@ impl DatasetConfig {
     /// early regime.
     pub fn with_family_drift(mut self, enabled: bool) -> Self {
         self.family_drift = enabled;
-        self
-    }
-
-    /// Sets the ambiguous-plain-image rate.
-    pub fn with_ambiguity_rate(mut self, rate: f64) -> Self {
-        self.ambiguity_rate = rate;
         self
     }
 
@@ -194,12 +176,6 @@ impl DatasetConfig {
         self
     }
 
-    /// Sets the close-up rate.
-    pub fn with_close_up_rate(mut self, rate: f64) -> Self {
-        self.close_up_rate = rate;
-        self
-    }
-
     /// Sets the low-resolution rate.
     pub fn with_low_resolution_rate(mut self, rate: f64) -> Self {
         self.low_resolution_rate = rate;
@@ -212,18 +188,6 @@ impl DatasetConfig {
         self
     }
 
-    /// Sets the visual feature noise level (higher = harder for AI).
-    pub fn with_noise(mut self, noise: f64) -> Self {
-        self.noise = noise;
-        self
-    }
-
-    /// Sets the contextual-evidence fidelity (higher = easier for humans).
-    pub fn with_context_fidelity(mut self, fidelity: f64) -> Self {
-        self.context_fidelity = fidelity;
-        self
-    }
-
     fn validate(&self) {
         assert!(self.total >= DamageLabel::COUNT, "dataset too small");
         assert!(
@@ -232,7 +196,7 @@ impl DatasetConfig {
         );
         let rates = [
             self.fake_rate,
-            self.close_up_rate,
+            Self::CLOSE_UP_RATE,
             self.low_resolution_rate,
             self.implicit_rate,
         ];
@@ -243,22 +207,6 @@ impl DatasetConfig {
         assert!(
             rates.iter().sum::<f64>() <= 1.0,
             "attribute rates must sum to at most 1"
-        );
-        assert!(
-            self.noise >= 0.0 && self.signal > 0.0,
-            "invalid evidence scales"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.context_fidelity),
-            "context fidelity must be in [0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.ambiguity_rate),
-            "ambiguity rate must be in [0, 1]"
-        );
-        assert!(
-            self.ambiguity_attenuation > 0.0 && self.ambiguity_attenuation <= 1.0,
-            "ambiguity attenuation must be in (0, 1]"
         );
     }
 }
@@ -322,7 +270,7 @@ impl Dataset {
         for _ in 0..count_for(config.fake_rate).min(no_damage_pool.len()) {
             attributes[no_damage_pool.pop().expect("pool checked")] = ImageAttribute::Fake;
         }
-        for _ in 0..count_for(config.close_up_rate).min(no_damage_pool.len()) {
+        for _ in 0..count_for(DatasetConfig::CLOSE_UP_RATE).min(no_damage_pool.len()) {
             attributes[no_damage_pool.pop().expect("pool checked")] = ImageAttribute::CloseUp;
         }
         for _ in 0..count_for(config.low_resolution_rate).min(damaged_pool.len()) {
@@ -370,7 +318,6 @@ impl Dataset {
                     truths[old_idx],
                     attributes[old_idx],
                     phase,
-                    config,
                     &mut rng,
                 )
             })
@@ -446,7 +393,6 @@ fn generate_image(
     truth: DamageLabel,
     attribute: ImageAttribute,
     drift_phase: f64,
-    config: &DatasetConfig,
     rng: &mut StdRng,
 ) -> SyntheticImage {
     // What do the low-level features depict?
@@ -458,17 +404,18 @@ fn generate_image(
 
     // A fraction of ordinary images sits on an ambiguous severity boundary:
     // weak visual signal for AI, correlated confusion for humans.
-    let ambiguous = attribute == ImageAttribute::Plain && rng.gen::<f64>() < config.ambiguity_rate;
+    let ambiguous =
+        attribute == ImageAttribute::Plain && rng.gen::<f64>() < DatasetConfig::AMBIGUITY_RATE;
 
     let (signal_scale, noise_scale) = match attribute {
-        ImageAttribute::Plain if ambiguous => (config.ambiguity_attenuation, 1.2),
+        ImageAttribute::Plain if ambiguous => (DatasetConfig::AMBIGUITY_ATTENUATION, 1.2),
         ImageAttribute::Plain => (1.0, 1.0),
         // Deceptive images look *more* convincing than average, which is why
         // every committee member confidently agrees on the wrong answer.
         ImageAttribute::Fake | ImageAttribute::CloseUp | ImageAttribute::Implicit => {
-            (config.deceptive_boost, 0.8)
+            (DatasetConfig::DECEPTIVE_BOOST, 0.8)
         }
-        ImageAttribute::LowResolution => (config.low_resolution_attenuation, 1.6),
+        ImageAttribute::LowResolution => (DatasetConfig::LOW_RESOLUTION_ATTENUATION, 1.6),
     };
 
     // Family-drift scaling: the deep family fades while the handcrafted
@@ -492,11 +439,11 @@ fn generate_image(
             for k in 0..BLOCK {
                 let dim = family * DamageLabel::COUNT * BLOCK + class * BLOCK + k;
                 let mean = if class == visual_label.index() {
-                    config.signal * signal_scale * family_scale(family)
+                    DatasetConfig::SIGNAL * signal_scale * family_scale(family)
                 } else {
                     0.0
                 };
-                visual[dim] = mean + gaussian(rng) * config.noise * noise_scale;
+                visual[dim] = mean + gaussian(rng) * DatasetConfig::NOISE * noise_scale;
             }
         }
     }
@@ -505,20 +452,20 @@ fn generate_image(
     let mut contextual = vec![0.0f64; SyntheticImage::CONTEXTUAL_DIM];
     for (class, slot) in contextual.iter_mut().enumerate().take(DamageLabel::COUNT) {
         let mean = if class == truth.index() {
-            config.context_fidelity
+            DatasetConfig::CONTEXT_FIDELITY
         } else {
-            (1.0 - config.context_fidelity) / (DamageLabel::COUNT - 1) as f64
+            (1.0 - DatasetConfig::CONTEXT_FIDELITY) / (DamageLabel::COUNT - 1) as f64
         };
-        *slot = (mean + gaussian(rng) * config.context_noise).clamp(0.0, 1.0);
+        *slot = (mean + gaussian(rng) * DatasetConfig::CONTEXT_NOISE).clamp(0.0, 1.0);
     }
     for (slot, attr) in ImageAttribute::ALL.iter().enumerate() {
         let mean = if *attr == attribute {
-            config.context_fidelity
+            DatasetConfig::CONTEXT_FIDELITY
         } else {
-            1.0 - config.context_fidelity
+            1.0 - DatasetConfig::CONTEXT_FIDELITY
         };
         contextual[DamageLabel::COUNT + slot] =
-            (mean + gaussian(rng) * config.context_noise).clamp(0.0, 1.0);
+            (mean + gaussian(rng) * DatasetConfig::CONTEXT_NOISE).clamp(0.0, 1.0);
     }
 
     SyntheticImage::from_latents(
@@ -589,7 +536,7 @@ mod tests {
         );
         assert_eq!(
             get(ImageAttribute::CloseUp),
-            (cfg.close_up_rate() * 960.0).round() as usize
+            (DatasetConfig::CLOSE_UP_RATE * 960.0).round() as usize
         );
         assert_eq!(
             get(ImageAttribute::LowResolution),

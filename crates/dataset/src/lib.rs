@@ -20,6 +20,12 @@
 //!   scenes. For deceptive attributes the visual evidence points at a *wrong*
 //!   class, which is exactly the failure AI-only pipelines cannot escape.
 //!
+//! [`DatasetConfig`] sets the split, the seed, family drift and three of the
+//! four failure-mode rates; the close-up rate, the evidence scales and the
+//! ambiguity band are its associated constants (for example
+//! [`DatasetConfig::NOISE`] and [`DatasetConfig::AMBIGUITY_RATE`]), the one
+//! tuning every experiment runs.
+//!
 //! # Example
 //!
 //! ```

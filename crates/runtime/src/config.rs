@@ -24,49 +24,40 @@ pub enum WindowPolicy {
     /// `[min, max]`, driven by the attached metrics tap (one is attached
     /// automatically at start when missing). At each `CycleClosed`
     /// boundary the controller compares the tap's rolling crowd-delay
-    /// `percentile` against two thresholds expressed as multiples of the
-    /// cycle period — the gap between them plus the cooldown is the
-    /// hysteresis that keeps the controller from thrashing. The decision
-    /// is a pure function of streamed metrics: no wall clock, no RNG, so
-    /// same-seed runs stay byte-identical.
+    /// [`WindowPolicy::PERCENTILE`] against two thresholds expressed as
+    /// multiples of the cycle period — the gap between them plus the
+    /// cooldown is the hysteresis that keeps the controller from
+    /// thrashing. The decision is a pure function of streamed metrics: no
+    /// wall clock, no RNG, so same-seed runs stay byte-identical.
     Adaptive {
         /// Smallest effective window (also the starting window). At least 1.
         min: usize,
         /// Largest effective window. At least `min`.
         max: usize,
-        /// Which rolling crowd-delay quantile the controller watches,
-        /// in `[0, 1]` (the paper's tail-latency lens is 0.9).
-        percentile: f64,
-        /// Narrow when the watched delay percentile drops below
-        /// `low_threshold ×` [`RuntimeConfig::CYCLE_PERIOD_SECS`] (and the window is above
-        /// `min`): the crowd is beating the cadence, overlap is unneeded.
-        low_threshold: f64,
-        /// Widen when the watched delay percentile exceeds
-        /// `high_threshold ×` [`RuntimeConfig::CYCLE_PERIOD_SECS`] *and* arrivals are queued
-        /// behind the window (and the window is below `max`): cycles
-        /// outlast the cadence and admission is the bottleneck. Must be
-        /// strictly above `low_threshold` — the band between the two is
-        /// the hysteresis dead zone.
-        high_threshold: f64,
-        /// `CycleClosed` boundaries to hold after a change before the
-        /// controller may move again.
-        cooldown_cycles: u32,
     },
 }
 
 impl WindowPolicy {
-    /// An adaptive policy over `[min, max]` with the default controller
-    /// tuning: watch the 0.9 delay quantile, narrow below 0.25 cycle
-    /// periods, widen above 0.5, one-cycle cooldown.
+    /// The rolling crowd-delay quantile the adaptive controller watches
+    /// (the paper's tail-latency lens).
+    pub const PERCENTILE: f64 = 0.9;
+    /// Narrow when the watched delay quantile drops below this many
+    /// [`RuntimeConfig::CYCLE_PERIOD_SECS`] (and the window is above `min`):
+    /// the crowd is beating the cadence, overlap is unneeded.
+    pub const LOW_THRESHOLD: f64 = 0.25;
+    /// Widen when the watched delay quantile exceeds this many
+    /// [`RuntimeConfig::CYCLE_PERIOD_SECS`] *and* arrivals are queued behind
+    /// the window (and the window is below `max`): cycles outlast the
+    /// cadence and admission is the bottleneck. The band between the two
+    /// thresholds is the hysteresis dead zone.
+    pub const HIGH_THRESHOLD: f64 = 0.5;
+    /// `CycleClosed` boundaries the controller holds after a move before it
+    /// may move again.
+    pub const COOLDOWN_CYCLES: u32 = 1;
+
+    /// An adaptive policy over `[min, max]`.
     pub fn adaptive(min: usize, max: usize) -> Self {
-        WindowPolicy::Adaptive {
-            min,
-            max,
-            percentile: 0.9,
-            low_threshold: 0.25,
-            high_threshold: 0.5,
-            cooldown_cycles: 1,
-        }
+        WindowPolicy::Adaptive { min, max }
     }
 
     /// The window an execution opens with: the static size, or the
@@ -83,6 +74,16 @@ impl WindowPolicy {
         matches!(self, WindowPolicy::Adaptive { .. })
     }
 
+    /// The effective windows this policy can run at: `n..=n` under
+    /// `Static(n)`, `min..=max` under `Adaptive`. Resume refuses an
+    /// execution whose window or trajectory leaves it.
+    pub(crate) fn window_range(&self) -> std::ops::RangeInclusive<usize> {
+        match *self {
+            WindowPolicy::Static(n) => n..=n,
+            WindowPolicy::Adaptive { min, max } => min..=max,
+        }
+    }
+
     /// The one validity rule, shared by [`RuntimeConfig::check`] and the
     /// snapshot decoder.
     pub fn check(&self) -> Result<(), &'static str> {
@@ -90,27 +91,10 @@ impl WindowPolicy {
             WindowPolicy::Static(0) | WindowPolicy::Adaptive { min: 0, .. } => {
                 Err("window must admit at least one cycle")
             }
-            WindowPolicy::Static(_) => Ok(()),
-            WindowPolicy::Adaptive {
-                min,
-                max,
-                percentile,
-                low_threshold: low,
-                high_threshold: high,
-                ..
-            } => {
-                if max < min {
-                    Err("adaptive window range must satisfy min <= max")
-                } else if !(0.0..=1.0).contains(&percentile) {
-                    Err("watched percentile must lie in [0, 1]")
-                } else if !(low.is_finite() && low >= 0.0) {
-                    Err("low threshold must be finite and non-negative")
-                } else if !(high.is_finite() && high > low) {
-                    Err("high threshold must be finite and above the low threshold")
-                } else {
-                    Ok(())
-                }
+            WindowPolicy::Adaptive { min, max } if max < min => {
+                Err("adaptive window range must satisfy min <= max")
             }
+            _ => Ok(()),
         }
     }
 }
@@ -122,21 +106,10 @@ impl Encode for WindowPolicy {
                 0u8.encode(out);
                 n.encode(out);
             }
-            WindowPolicy::Adaptive {
-                min,
-                max,
-                percentile,
-                low_threshold,
-                high_threshold,
-                cooldown_cycles,
-            } => {
+            WindowPolicy::Adaptive { min, max } => {
                 1u8.encode(out);
                 min.encode(out);
                 max.encode(out);
-                percentile.encode(out);
-                low_threshold.encode(out);
-                high_threshold.encode(out);
-                cooldown_cycles.encode(out);
             }
         }
     }
@@ -149,10 +122,6 @@ impl Decode for WindowPolicy {
             1 => WindowPolicy::Adaptive {
                 min: usize::decode(r)?,
                 max: usize::decode(r)?,
-                percentile: f64::decode(r)?,
-                low_threshold: f64::decode(r)?,
-                high_threshold: f64::decode(r)?,
-                cooldown_cycles: u32::decode(r)?,
             },
             _ => return Err(DecodeError::Invalid),
         };
@@ -353,22 +322,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "above the low threshold")]
-    fn collapsed_hysteresis_band_rejected() {
-        RuntimeConfig::paper()
-            .with_window_policy(WindowPolicy::Adaptive {
-                min: 1,
-                max: 4,
-                percentile: 0.9,
-                low_threshold: 0.5,
-                high_threshold: 0.5,
-                cooldown_cycles: 0,
-            })
-            .check()
-            .unwrap();
-    }
-
-    #[test]
     #[should_panic(expected = "HIT timeout must be finite")]
     fn infinite_hit_timeout_rejected() {
         RuntimeConfig::paper()
@@ -469,18 +422,6 @@ mod tests {
         let mut fleets = vec![FleetConfig::new(1000.0).with_pool_capacity(0)];
         for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0, 0.5] {
             configs.push(paper.clone().with_hit_timeout(Some(x), 2));
-            for i in 0..3 {
-                let mut policy = [0.9, 0.25, 0.5];
-                policy[i] = x;
-                configs.push(paper.clone().with_window_policy(WindowPolicy::Adaptive {
-                    min: 1,
-                    max: 8,
-                    percentile: policy[0],
-                    low_threshold: policy[1],
-                    high_threshold: policy[2],
-                    cooldown_cycles: 1,
-                }));
-            }
             episodes.extend([
                 FaultEpisode::PlatformOutage {
                     from_secs: x,
@@ -538,6 +479,9 @@ mod tests {
             RuntimeConfig::from_bytes(&adaptive.to_bytes()),
             Ok(adaptive)
         );
+        // The controller's tuning is constant: the policy is its tag and
+        // two `usize` bounds, 17 bytes.
+        assert_eq!(WindowPolicy::adaptive(1, 8).to_bytes().len(), 17);
 
         let mut bad = RuntimeConfig::paper();
         bad.hit_timeout_secs = Some(f64::INFINITY);
@@ -546,14 +490,10 @@ mod tests {
             Err(DecodeError::Invalid)
         );
 
-        // An adaptive policy whose hysteresis band is inverted on the wire
-        // is rejected at decode.
-        let mut bad = RuntimeConfig::paper().with_window_policy(WindowPolicy::adaptive(1, 8));
-        if let WindowPolicy::Adaptive { low_threshold, .. } = &mut bad.window_policy {
-            *low_threshold = 9.0;
-        }
+        // An adaptive range inverted on the wire is rejected at decode.
+        let bad = WindowPolicy::Adaptive { min: 8, max: 1 };
         assert_eq!(
-            RuntimeConfig::from_bytes(&bad.to_bytes()),
+            WindowPolicy::from_bytes(&bad.to_bytes()),
             Err(DecodeError::Invalid)
         );
     }

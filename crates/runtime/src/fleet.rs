@@ -1156,11 +1156,13 @@ mod tests {
         );
     }
 
-    /// An edit to the pool and ledger inside a fleet snapshot payload.
-    type Splice = fn(&mut SharedWorkerPool, &mut FleetLedger);
+    /// An edit to the pool, ledger and shard frames inside a fleet snapshot
+    /// payload.
+    type Splice = fn(&mut SharedWorkerPool, &mut FleetLedger, &mut Vec<Vec<u8>>);
 
     /// Resumes a 1-shard fleet (capacity 80, 1000 ¢) paused after
-    /// 5 events, after `edit` rewrote the pool and ledger in its payload.
+    /// 5 events, after `edit` rewrote the pool, ledger and shard frames in
+    /// its payload.
     fn resume_respliced(edit: Splice) -> Result<FleetOrchestrator, FleetSnapshotError> {
         use crate::{RunBound, RuntimeConfig};
         use crowdlearn_dataset::DatasetConfig;
@@ -1183,8 +1185,8 @@ mod tests {
         let config = FleetConfig::decode(&mut r).expect("config");
         let mut ledger = FleetLedger::decode(&mut r).expect("ledger");
         let mut pool = SharedWorkerPool::decode(&mut r).expect("pool");
-        let frames = Vec::<Vec<u8>>::decode(&mut r).expect("frames");
-        edit(&mut pool, &mut ledger);
+        let mut frames = Vec::<Vec<u8>>::decode(&mut r).expect("frames");
+        edit(&mut pool, &mut ledger, &mut frames);
         let mut payload = Vec::new();
         config.encode(&mut payload);
         ledger.encode(&mut payload);
@@ -1195,19 +1197,19 @@ mod tests {
 
     #[test]
     fn resume_rejects_pool_and_ledger_state_its_config_never_booted() {
-        let resumed = resume_respliced(|_, _| {}).expect("untouched payload resumes");
+        let resumed = resume_respliced(|_, _, _| {}).expect("untouched payload resumes");
         assert_eq!(resumed.fleet_config(), &FleetConfig::new(1000.0));
         let cases: [(&str, Splice); 5] = [
-            ("pool and ledger of another fleet", |pool, ledger| {
+            ("pool and ledger of another fleet", |pool, ledger, _| {
                 *pool = SharedWorkerPool::new(1);
                 *ledger = FleetLedger::new(5.0, &ArbitrationPolicy::FairShare, 1);
             }),
-            ("pool capacity", |pool, _| pool.capacity = 79),
-            ("ledger budget", |_, ledger| {
+            ("pool capacity", |pool, _, _| pool.capacity = 79),
+            ("ledger budget", |_, ledger, _| {
                 ledger.fleet_budget_cents = 999.0
             }),
-            ("ledger quota", |_, ledger| ledger.quotas_cents[0] = 5.0),
-            ("busy interval of a shard the fleet lacks", |pool, _| {
+            ("ledger quota", |_, ledger, _| ledger.quotas_cents[0] = 5.0),
+            ("busy interval of a shard the fleet lacks", |pool, _, _| {
                 pool.occupy(1, 3, 1e6);
             }),
         ];
@@ -1218,6 +1220,22 @@ mod tests {
                 "{what}"
             );
         }
+    }
+
+    #[test]
+    fn resume_holds_each_shard_to_its_window_policy() {
+        // The shard runs the paper's `Static(4)` window.
+        let resumed = resume_respliced(|_, _, frames| {
+            let shard = RuntimeSnapshot::from_bytes(&frames[0]).expect("shard frame");
+            frames[0] = crate::pipeline::splice_window(&shard, 50).to_bytes();
+        });
+        assert_eq!(
+            resumed.err(),
+            Some(FleetSnapshotError::Shard {
+                shard: 0,
+                error: SnapshotError::Corrupt(DecodeError::Invalid),
+            })
+        );
     }
 
     #[test]

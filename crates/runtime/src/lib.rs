@@ -41,14 +41,17 @@
 //!   crate exposes, with bounded cycle overlap (backpressure), per-HIT
 //!   timeouts, and incentive-escalated reposts charged to the same budget.
 //!   The overlap bound is governed by a [`WindowPolicy`]: a static window,
-//!   or an adaptive one whose deterministic controller widens/narrows the
-//!   effective window at `CycleClosed` boundaries from the metrics tap's
-//!   rolling crowd-delay quantiles ([`WindowDecision`] is its vocabulary;
-//!   [`RuntimeReport::window_trajectory`] its audit trail).
+//!   or an adaptive one over `[min, max]` whose deterministic controller
+//!   widens/narrows the effective window at `CycleClosed` boundaries from
+//!   the metrics tap's rolling p90 crowd delay, at one constant tuning
+//!   ([`WindowPolicy::PERCENTILE`] and its siblings; [`WindowDecision`] is
+//!   its vocabulary, [`RuntimeReport::window_trajectory`] its audit trail).
 //!   Execution is reentrant ([`PipelinedSystem::step`] /
 //!   [`PipelinedSystem::run_until`]) and checkpointable at any event
 //!   boundary into a versioned, checksummed [`RuntimeSnapshot`] that
-//!   [`PipelinedSystem::resume`] restores to a byte-identical continuation.
+//!   [`PipelinedSystem::resume`] restores to a byte-identical continuation,
+//!   after checking the controller's window and cooldown against the
+//!   policy.
 //! - [`ParallelSweep`] — scoped-thread executor running one independently
 //!   seeded experiment per sweep point, returning results in input order.
 //! - [`FleetOrchestrator`] — N concurrent shards (one [`PipelinedSystem`]

@@ -447,6 +447,14 @@ impl PipelinedSystem {
             return Err(SnapshotError::Corrupt(DecodeError::Invalid));
         }
         if let Some(exec) = &exec {
+            // The controller's state must be one its policy can reach.
+            let windows = config.window_policy.window_range();
+            if !windows.contains(&exec.window)
+                || !exec.window_trajectory.iter().all(|w| windows.contains(w))
+                || exec.window_cooldown > WindowPolicy::COOLDOWN_CYCLES
+            {
+                return Err(SnapshotError::Corrupt(DecodeError::Invalid));
+            }
             if exec.outcomes.len() != stream.cycles().len() {
                 return Err(SnapshotError::CycleCountMismatch {
                     expected: exec.outcomes.len(),
@@ -613,9 +621,8 @@ impl Decode for ExecState {
             && state.waiting.iter().all(|&k| k < n)
             && state.parked.iter().all(|&k| k < n)
             && state.completed_at_secs.len() == n;
-        let window_ok = state.window >= 1
-            && state.window_trajectory.len() <= n
-            && state.window_trajectory.iter().all(|&w| w >= 1);
+        // The window itself is checked against the policy on resume.
+        let window_ok = state.window_trajectory.len() <= n;
         let breaker_ok = (BreakerState::FIRST_BACKOFF_CYCLES..=BreakerState::MAX_BACKOFF_CYCLES)
             .contains(&state.breaker_backoff_cycles)
             && (state.breaker == BreakerState::Closed || state.parked.len() <= n)
@@ -810,32 +817,28 @@ impl Driver<'_> {
     /// The adaptive window controller, consulted at every `CycleClosed`
     /// boundary (after the close was emitted, before admission). Under
     /// [`WindowPolicy::Adaptive`] it compares the tap's rolling crowd-delay
-    /// percentile against the low/high thresholds (multiples of the cycle
-    /// period) and moves the effective window one step within `[min, max]`:
+    /// [`WindowPolicy::PERCENTILE`] against the low/high thresholds
+    /// (multiples of the cycle period) and moves the effective window one
+    /// step within `[min, max]`:
     ///
-    /// * **widen** when the watched percentile exceeds the high threshold
-    ///   *and* arrivals are queued behind the window — crowd waits outlast
-    ///   the cadence and admission is the bottleneck;
-    /// * **narrow** when the percentile is below the low threshold and no
-    ///   backlog is queued — the crowd beats the cadence, so overlap only
-    ///   inflates HIT-board and budget exposure;
+    /// * **widen** when the watched percentile exceeds
+    ///   [`WindowPolicy::HIGH_THRESHOLD`] *and* arrivals are queued behind
+    ///   the window — crowd waits outlast the cadence and admission is the
+    ///   bottleneck;
+    /// * **narrow** when the percentile is below
+    ///   [`WindowPolicy::LOW_THRESHOLD`] and no backlog is queued — the crowd
+    ///   beats the cadence, so overlap only inflates HIT-board and budget
+    ///   exposure;
     /// * **hold** otherwise (the hysteresis dead zone between the
-    ///   thresholds), and always for `cooldown_cycles` closes after a move.
+    ///   thresholds), and always for [`WindowPolicy::COOLDOWN_CYCLES`] closes
+    ///   after a move.
     ///
     /// The decision is a pure function of the streamed metrics and the
     /// execution state — no wall clock, no RNG — so it preserves the
     /// runtime's same-seed byte-identity, and its state (window, cooldown,
     /// last decision) rides inside the snapshot for identical resume.
     fn control_window(&mut self) {
-        let WindowPolicy::Adaptive {
-            min,
-            max,
-            percentile,
-            low_threshold,
-            high_threshold,
-            cooldown_cycles,
-        } = self.config.window_policy
-        else {
+        let WindowPolicy::Adaptive { min, max } = self.config.window_policy else {
             return;
         };
         if self.exec.window_cooldown > 0 {
@@ -848,22 +851,25 @@ impl Driver<'_> {
         let Some(delay_p) = self
             .tap
             .as_deref()
-            .and_then(|tap| tap.crowd_delay().quantile(percentile))
+            .and_then(|tap| tap.crowd_delay().quantile(WindowPolicy::PERCENTILE))
         else {
             self.exec.last_window_decision = WindowDecision::Held;
             return;
         };
         let period = RuntimeConfig::CYCLE_PERIOD_SECS;
         let backlog = !self.exec.waiting.is_empty();
-        if delay_p > high_threshold * period && backlog && self.exec.window < max {
+        if delay_p > WindowPolicy::HIGH_THRESHOLD * period && backlog && self.exec.window < max {
             self.exec.window += 1;
-            self.exec.window_cooldown = cooldown_cycles;
+            self.exec.window_cooldown = WindowPolicy::COOLDOWN_CYCLES;
             self.exec.last_window_decision = WindowDecision::Widened;
-        } else if delay_p < low_threshold * period && !backlog && self.exec.window > min {
+        } else if delay_p < WindowPolicy::LOW_THRESHOLD * period
+            && !backlog
+            && self.exec.window > min
+        {
             // No eviction on narrow: admission simply stops until
             // occupancy drops below the new window.
             self.exec.window -= 1;
-            self.exec.window_cooldown = cooldown_cycles;
+            self.exec.window_cooldown = WindowPolicy::COOLDOWN_CYCLES;
             self.exec.last_window_decision = WindowDecision::Narrowed;
         } else {
             self.exec.last_window_decision = WindowDecision::Held;
@@ -1213,9 +1219,114 @@ fn escalate(level: IncentiveLevel) -> IncentiveLevel {
     IncentiveLevel::from_index((level.index() + 1).min(IncentiveLevel::COUNT - 1))
 }
 
+/// Re-seals `snapshot` with its execution state rewritten by `edit`.
+#[cfg(test)]
+fn splice_exec(snapshot: &RuntimeSnapshot, edit: impl FnOnce(&mut ExecState)) -> RuntimeSnapshot {
+    let payload = snapshot.payload();
+    let mut r = Reader::new(payload);
+    RuntimeConfig::decode(&mut r).expect("config");
+    CrowdLearnSystem::decode_state(&mut r).expect("system");
+    let head = &payload[..payload.len() - r.remaining()];
+    let mut exec = Option::<ExecState>::decode(&mut r)
+        .expect("execution")
+        .expect("a running execution");
+    let tail = &payload[payload.len() - r.remaining()..];
+    edit(&mut exec);
+    let mut spliced = head.to_vec();
+    Some(exec).encode(&mut spliced);
+    spliced.extend_from_slice(tail);
+    RuntimeSnapshot::seal(spliced)
+}
+
+/// Re-seals `snapshot` with its effective window set to `window`.
+#[cfg(test)]
+pub(crate) fn splice_window(snapshot: &RuntimeSnapshot, window: usize) -> RuntimeSnapshot {
+    splice_exec(snapshot, |exec| exec.window = window)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crowdlearn_dataset::DatasetConfig;
+
+    /// An edit to the execution state inside a runtime snapshot payload.
+    type Splice = fn(&mut ExecState);
+
+    /// Resumes a 6-cycle run under `policy`, paused after 5 events, after
+    /// `edit` rewrote the execution state in its payload.
+    fn resume_respliced(
+        policy: WindowPolicy,
+        edit: Splice,
+    ) -> Result<PipelinedSystem, SnapshotError> {
+        let dataset = Dataset::generate(&DatasetConfig::paper().with_seed(7));
+        let stream = SensingCycleStream::new(&dataset, 6, 4);
+        let mut config = CrowdLearnConfig::paper();
+        config.cqc_training_queries = 200;
+        config.warmup_per_cell = 2;
+        let runtime = RuntimeConfig::paper().with_window_policy(policy);
+        let mut system = PipelinedSystem::new(&dataset, config, runtime);
+        assert!(system
+            .run_until(&dataset, &stream, RunBound::Events(5))
+            .is_none());
+        let snapshot = system.snapshot().expect("checkpointable");
+        PipelinedSystem::resume(&splice_exec(&snapshot, edit), &stream)
+    }
+
+    #[test]
+    fn resume_holds_the_window_controller_to_its_policy() {
+        let adaptive = WindowPolicy::adaptive(1, 8);
+        let cases: [(&str, WindowPolicy, Splice, bool); 10] = [
+            ("untouched", adaptive, |_| {}, true),
+            ("window at max", adaptive, |e| e.window = 8, true),
+            (
+                "cooldown at the constant",
+                adaptive,
+                |e| e.window_cooldown = 1,
+                true,
+            ),
+            ("window above max", adaptive, |e| e.window = 50, false),
+            ("window below min", adaptive, |e| e.window = 0, false),
+            (
+                "trajectory above max",
+                adaptive,
+                |e| e.window_trajectory = vec![1, 9],
+                false,
+            ),
+            (
+                "cooldown above the constant",
+                adaptive,
+                |e| e.window_cooldown = 2,
+                false,
+            ),
+            (
+                "frozen controller",
+                adaptive,
+                |e| e.window_cooldown = u32::MAX,
+                false,
+            ),
+            (
+                "static window moved",
+                WindowPolicy::Static(4),
+                |e| e.window = 3,
+                false,
+            ),
+            (
+                "static trajectory moved",
+                WindowPolicy::Static(4),
+                |e| e.window_trajectory = vec![4, 5],
+                false,
+            ),
+        ];
+        for (what, policy, edit, valid) in cases {
+            match resume_respliced(policy, edit) {
+                Ok(_) => assert!(valid, "{what}: resumed"),
+                Err(e) => {
+                    assert!(!valid, "{what}: refused with {e:?}");
+                    assert_eq!(e, SnapshotError::Corrupt(DecodeError::Invalid), "{what}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn exec_state_decoder_holds_the_breaker_backoff_to_its_constants() {

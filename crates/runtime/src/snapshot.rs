@@ -57,8 +57,12 @@ const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 /// `RuntimeConfig` lost the cycle period and `BreakerConfig`,
 /// `PlatformConfig` lost the fan-out, the pool size and the
 /// incentive→quality table, and each committee member carries only its
-/// learned state (its profile is rebuilt from the system's config).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 9;
+/// learned state (its profile is rebuilt from the system's config);
+/// 10 — the adaptive window controller's tuning and CQC's boosting
+/// configuration are constants and no longer travel: an adaptive
+/// `WindowPolicy` is its tag, `min` and `max`, and `QualityController` is
+/// its optional model.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 10;
 
 /// Why a snapshot could not be produced or restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

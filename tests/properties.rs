@@ -326,16 +326,13 @@ proptest! {
     #[test]
     fn collapsed_adaptive_policy_is_byte_identical_to_static(
         seed in 0u64..1000,
-        n in 1usize..4,
-        percentile in 0.0f64..1.0,
-        cooldown in 0u32..3
+        n in 1usize..4
     ) {
         // An `Adaptive` policy pinned to `min == max == n` can never move,
         // so the whole run — controller consultations included — must
-        // reproduce `Static(n)` byte for byte, whatever thresholds the
-        // controller watches. The static run gets the same explicitly
-        // attached tap the adaptive run auto-attaches, so the reports'
-        // metrics fields compare too.
+        // reproduce `Static(n)` byte for byte. The static run gets the
+        // same explicitly attached tap the adaptive run auto-attaches, so
+        // the reports' metrics fields compare too.
         let run = |policy: WindowPolicy| {
             let dataset = Dataset::generate(&DatasetConfig::paper().with_seed(seed));
             let stream = SensingCycleStream::new(&dataset, 6, 4);
@@ -349,14 +346,7 @@ proptest! {
             system.attach_metrics_tap(MetricsTap::new());
             system.run(&dataset, &stream)
         };
-        let adaptive = run(WindowPolicy::Adaptive {
-            min: n,
-            max: n,
-            percentile,
-            low_threshold: 0.25,
-            high_threshold: 0.5,
-            cooldown_cycles: cooldown,
-        });
+        let adaptive = run(WindowPolicy::adaptive(n, n));
         let static_run = run(WindowPolicy::Static(n));
         prop_assert_eq!(&adaptive.window_trajectory, &static_run.window_trajectory);
         prop_assert_eq!(
