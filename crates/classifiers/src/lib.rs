@@ -47,7 +47,6 @@ mod distribution;
 mod ensemble;
 mod expert;
 pub mod profiles;
-pub mod synthetic;
 
 pub use classifier::Classifier;
 pub use distribution::ClassDistribution;

@@ -998,15 +998,37 @@ pub(crate) fn schema_findings(report: &SchemaReport, lock_text: Option<&str>) ->
     findings
 }
 
-/// Computes the new lockfile text, refusing when a codec fingerprint changed
-/// or disappeared while every `*VERSION*` constant kept its old value — the
-/// rule that makes a silent schema change impossible to land.
+/// Computes the new lockfile text, refusing when a `*VERSION*` constant
+/// present in both locks went down, or when a codec fingerprint changed or
+/// disappeared without one such constant going up — the rule that makes a
+/// silent schema change impossible to land. Deleting or renaming a
+/// constant bumps nothing.
 pub fn plan_schema_update(
     report: &SchemaReport,
     old: Option<&SchemaLock>,
 ) -> Result<String, String> {
     let new = report.to_lock();
     if let Some(old) = old {
+        let moved = |up: bool| -> Vec<&str> {
+            new.version_consts
+                .iter()
+                .filter(|(k, v)| {
+                    old.version_consts
+                        .get(*k)
+                        .is_some_and(|o| if up { *v > o } else { *v < o })
+                })
+                .map(|(k, _)| k.as_str())
+                .collect()
+        };
+        let lowered = moved(false);
+        if !lowered.is_empty() {
+            return Err(format!(
+                "refusing to regenerate {SCHEMA_LOCK_FILE}: version constant(s) lowered \
+                 ({}); a format version only goes up, or frames of the old one would be \
+                 misparsed",
+                lowered.join(", ")
+            ));
+        }
         let changed: Vec<&(String, String)> = new
             .codecs
             .iter()
@@ -1018,8 +1040,7 @@ pub fn plan_schema_update(
             .keys()
             .filter(|k| !new.codecs.contains_key(*k))
             .collect();
-        if (!changed.is_empty() || !removed.is_empty()) && new.version_consts == old.version_consts
-        {
+        if (!changed.is_empty() || !removed.is_empty()) && moved(true).is_empty() {
             let mut names: Vec<&str> = changed
                 .iter()
                 .chain(removed.iter())
@@ -1029,8 +1050,9 @@ pub fn plan_schema_update(
             names.dedup();
             return Err(format!(
                 "refusing to regenerate {SCHEMA_LOCK_FILE}: codec schema changed \
-                 ({}) but no *VERSION* constant was bumped; bump the snapshot format \
-                 version first so old frames are rejected instead of misparsed",
+                 ({}) but no *VERSION* constant in the old lock was bumped; bump the \
+                 snapshot format version first so old frames are rejected instead of \
+                 misparsed",
                 names.join(", ")
             ));
         }
@@ -1171,6 +1193,75 @@ mod tests {
         // Pure additions never need a bump.
         let fresh = plan_schema_update(&report, None).expect("first generation");
         assert!(fresh.contains("version-const a/FORMAT_VERSION = 1"));
+    }
+
+    /// Version constants as `(key, value)` pairs.
+    type Consts = &'static [(&'static str, u64)];
+
+    /// A report with one codec `W` (fingerprint 2) and the version
+    /// constants `consts`, and an old lock where `W` was 1 and the version
+    /// constants were `old_consts`.
+    fn changed_codec_with(consts: Consts, old_consts: Consts) -> (SchemaReport, SchemaLock) {
+        let mut report = SchemaReport::default();
+        report.fingerprints.push(CodecFingerprint {
+            path: "crates/a/src/lib.rs".to_string(),
+            name: "W".to_string(),
+            fingerprint: 2,
+            line: 1,
+            column: 1,
+            span: 6,
+            snippet: String::new(),
+        });
+        for &(key, value) in consts {
+            report.version_consts.push(VersionConst {
+                key: key.to_string(),
+                value,
+                path: "crates/a/src/lib.rs".to_string(),
+                line: 1,
+                column: 1,
+                span: 14,
+                snippet: String::new(),
+            });
+        }
+        let mut old = SchemaLock::default();
+        old.codecs
+            .insert(("crates/a/src/lib.rs".to_string(), "W".to_string()), 1);
+        for &(key, value) in old_consts {
+            old.version_consts.insert(key.to_string(), value);
+        }
+        (report, old)
+    }
+
+    #[test]
+    fn update_counts_only_an_increase_of_a_kept_constant_as_a_bump() {
+        let cases: [(&str, Consts, Consts, bool); 6] = [
+            ("bumped", &[("a/V", 2)], &[("a/V", 1)], true),
+            (
+                "bumped one, deleted another",
+                &[("a/V", 2)],
+                &[("a/V", 1), ("a/FLEET_V", 5)],
+                true,
+            ),
+            ("removed", &[], &[("a/V", 1)], false),
+            ("lowered", &[("a/V", 1)], &[("a/V", 2)], false),
+            ("renamed", &[("a/W_V", 2)], &[("a/V", 1)], false),
+            (
+                "bumped one, lowered another",
+                &[("a/V", 2), ("a/U", 0)],
+                &[("a/V", 1), ("a/U", 1)],
+                false,
+            ),
+        ];
+        for (what, consts, old_consts, accepted) in cases {
+            let (report, old) = changed_codec_with(consts, old_consts);
+            let planned = plan_schema_update(&report, Some(&old));
+            assert_eq!(planned.is_ok(), accepted, "{what}: {planned:?}");
+        }
+        // A lowered constant is refused even when no codec changed.
+        let (mut report, old) = changed_codec_with(&[("a/V", 1)], &[("a/V", 2)]);
+        report.fingerprints[0].fingerprint = 1;
+        let err = plan_schema_update(&report, Some(&old)).unwrap_err();
+        assert!(err.contains("lowered (a/V)"), "{err}");
     }
 
     #[test]

@@ -30,15 +30,16 @@
 //! pure function of the shard set — same seeds, same shards, byte-identical
 //! fleet report.
 //!
-//! The whole fleet checkpoints into a [`FleetSnapshot`] (own magic,
-//! version, FNV-1a-64 checksum) embedding one framed
-//! [`RuntimeSnapshot`] per shard plus the pool and ledger state; resume is
-//! byte-identical at any global event boundary.
+//! The whole fleet checkpoints into a [`FleetSnapshot`]: one frame (own
+//! magic, the shared [`crate::SNAPSHOT_FORMAT_VERSION`], one FNV-1a-64
+//! checksum) over the fleet config, the ledger's spend, the pool's live
+//! state and every shard's runtime payload inline; resume rebuilds the rest
+//! from the config and is byte-identical at any global event boundary.
 
 use crate::frame::{self, FrameError};
 use crate::{
-    MetricsTap, PipelinedSystem, RunBound, RuntimeConfig, RuntimeReport, RuntimeSnapshot,
-    SnapshotError,
+    MetricsTap, PipelinedSystem, RunBound, RuntimeConfig, RuntimeReport, SnapshotError,
+    SNAPSHOT_FORMAT_VERSION,
 };
 use crowdlearn::{CrowdLearnConfig, PostedQuery};
 use crowdlearn_crowd::{SubmitterId, SubmitterUsage};
@@ -659,85 +660,82 @@ impl FleetOrchestrator {
         }
     }
 
-    /// Serializes the whole fleet — every shard's system and execution
-    /// state, the shared pool, the ledger — at the current global event
-    /// boundary.
+    /// Serializes the whole fleet at the current global event boundary:
+    /// `FleetConfig ‖ per-shard spend ‖ pool live state ‖ shard payloads`,
+    /// each shard payload exactly the bytes its own
+    /// [`PipelinedSystem::snapshot`] would seal.
     pub fn snapshot(&self) -> Result<FleetSnapshot, FleetSnapshotError> {
-        let mut payload = Vec::new();
+        let mut payload = Vec::with_capacity(self.shards.len() * PipelinedSystem::PAYLOAD_RESERVE);
         self.config.encode(&mut payload);
-        self.ledger.encode(&mut payload);
-        self.pool.encode(&mut payload);
-        let frames: Vec<Vec<u8>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(shard, s)| {
-                s.snapshot()
-                    .map(|snap| snap.to_bytes())
-                    .map_err(|error| FleetSnapshotError::Shard { shard, error })
-            })
-            .collect::<Result<_, _>>()?;
-        frames.encode(&mut payload);
+        self.ledger.spent_cents.encode(&mut payload);
+        self.pool.encode_live(&mut payload);
+        for (shard, system) in self.shards.iter().enumerate() {
+            system
+                .encode_payload(&mut payload)
+                .map_err(|error| FleetSnapshotError::Shard { shard, error })?;
+        }
         Ok(FleetSnapshot::seal(payload))
     }
 
     /// Rebuilds a fleet from a snapshot, against the same per-shard streams
     /// the snapshotted fleet was processing (streams regenerate
     /// deterministically from dataset + seed; resume cross-checks shard and
-    /// cycle counts).
+    /// cycle counts). The ledger and pool are the ones [`Self::new`] boots
+    /// from the decoded config, with the spend and live pool state restored
+    /// onto them.
     pub fn resume(
         snapshot: &FleetSnapshot,
         streams: &[SensingCycleStream],
     ) -> Result<Self, FleetSnapshotError> {
+        let corrupt = FleetSnapshotError::Corrupt;
         let mut r = Reader::new(snapshot.payload());
-        let config = FleetConfig::decode(&mut r).map_err(FleetSnapshotError::Corrupt)?;
-        let ledger = FleetLedger::decode(&mut r).map_err(FleetSnapshotError::Corrupt)?;
-        let pool = SharedWorkerPool::decode(&mut r).map_err(FleetSnapshotError::Corrupt)?;
-        let frames = Vec::<Vec<u8>>::decode(&mut r).map_err(FleetSnapshotError::Corrupt)?;
-        if !r.is_empty() {
-            return Err(FleetSnapshotError::Corrupt(DecodeError::Invalid));
-        }
-        if frames.len() != ledger.shards() || frames.is_empty() {
-            return Err(FleetSnapshotError::Corrupt(DecodeError::Invalid));
-        }
-        // The pool and ledger must be the ones `new` boots from this
-        // config, or the fleet would report settings it does not run on.
-        let n = frames.len();
-        let ledger_booted = match &config.arbitration {
-            ArbitrationPolicy::Priority(weights) if weights.len() != n => false,
-            arbitration => {
-                let booted = FleetLedger::new(config.fleet_budget_cents, arbitration, n);
-                let bits = |l: &FleetLedger| -> Vec<u64> {
-                    std::iter::once(l.fleet_budget_cents)
-                        .chain(l.quotas_cents.iter().copied())
-                        .map(f64::to_bits)
-                        .collect()
-                };
-                bits(&booted) == bits(&ledger)
-            }
+        let config = FleetConfig::decode(&mut r).map_err(corrupt)?;
+        let spent_cents = Vec::<u64>::decode(&mut r).map_err(corrupt)?;
+        let n = spent_cents.len();
+        let weights_fit = match &config.arbitration {
+            ArbitrationPolicy::Priority(weights) => weights.len() == n,
+            ArbitrationPolicy::FairShare => true,
         };
-        if !ledger_booted
-            || pool.capacity != config.pool_capacity
-            || pool.busy.iter().any(|b| b.shard >= n)
-        {
-            return Err(FleetSnapshotError::Corrupt(DecodeError::Invalid));
+        if n == 0 || !weights_fit {
+            return Err(corrupt(DecodeError::Invalid));
         }
-        if streams.len() != frames.len() {
+        let mut ledger = FleetLedger::new(config.fleet_budget_cents, &config.arbitration, n);
+        // `charge` holds every shard to its quota.
+        let over_quota = spent_cents
+            .iter()
+            .zip(&ledger.quotas_cents)
+            .any(|(&spent, &quota)| spent as f64 > quota + 1e-9);
+        if over_quota {
+            return Err(corrupt(DecodeError::Invalid));
+        }
+        ledger.spent_cents = spent_cents;
+        let pool = SharedWorkerPool::new(config.pool_capacity)
+            .decode_live(&mut r)
+            .map_err(corrupt)?;
+        if pool.busy.iter().any(|b| b.shard >= n) {
+            return Err(corrupt(DecodeError::Invalid));
+        }
+        if streams.len() != n {
             return Err(FleetSnapshotError::ShardCountMismatch {
-                expected: frames.len(),
+                expected: n,
                 found: streams.len(),
             });
         }
-        let shards: Vec<PipelinedSystem> = frames
-            .iter()
-            .enumerate()
-            .map(|(shard, bytes)| {
-                let snap = RuntimeSnapshot::from_bytes(bytes)
-                    .map_err(|error| FleetSnapshotError::Shard { shard, error })?;
-                PipelinedSystem::resume(&snap, &streams[shard])
-                    .map_err(|error| FleetSnapshotError::Shard { shard, error })
-            })
-            .collect::<Result<_, _>>()?;
+        let mut shards = Vec::with_capacity(n);
+        for (shard, stream) in streams.iter().enumerate() {
+            let system = PipelinedSystem::decode_payload(&mut r, stream)
+                .map_err(|error| FleetSnapshotError::Shard { shard, error })?;
+            // `new` boots every shard at its quota.
+            if system.system().config().budget_cents.to_bits()
+                != ledger.quota_cents(shard).to_bits()
+            {
+                return Err(corrupt(DecodeError::Invalid));
+            }
+            shards.push(system);
+        }
+        if !r.is_empty() {
+            return Err(corrupt(DecodeError::Invalid));
+        }
         Ok(Self {
             config,
             shards,
@@ -753,21 +751,12 @@ impl FleetOrchestrator {
 /// Leading bytes of every fleet snapshot.
 const FLEET_MAGIC: [u8; 8] = *b"CLFLEET\x00";
 
-/// Current fleet snapshot format version. Bump on any payload layout
-/// change (per-shard payloads are additionally versioned by
-/// [`crate::SNAPSHOT_FORMAT_VERSION`] inside their embedded frames).
-///
-/// Version history: 1 — initial format; 2 — the contention strength α is a
-/// constant (1.0) and no longer travels in the fleet config or the shared
-/// pool.
-pub const FLEET_SNAPSHOT_FORMAT_VERSION: u32 = 2;
-
 /// Why a fleet snapshot could not be produced or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetSnapshotError {
     /// The bytes do not start with the fleet snapshot magic.
     BadMagic,
-    /// The snapshot was written by a different fleet format version.
+    /// The snapshot was written by a different format version.
     VersionMismatch {
         /// The version recorded in the snapshot.
         found: u32,
@@ -784,11 +773,11 @@ pub enum FleetSnapshotError {
         /// Streams provided.
         found: usize,
     },
-    /// One shard's embedded snapshot failed to validate or restore.
+    /// One shard's payload failed to decode or restore.
     Shard {
         /// The failing shard's index.
         shard: usize,
-        /// The underlying per-shard snapshot error.
+        /// The underlying per-shard payload error.
         error: SnapshotError,
     },
 }
@@ -799,7 +788,7 @@ impl std::fmt::Display for FleetSnapshotError {
             FleetSnapshotError::BadMagic => write!(f, "not a fleet snapshot (bad magic)"),
             FleetSnapshotError::VersionMismatch { found } => write!(
                 f,
-                "fleet snapshot format version {found} != supported {FLEET_SNAPSHOT_FORMAT_VERSION}"
+                "fleet snapshot format version {found} != supported {SNAPSHOT_FORMAT_VERSION}"
             ),
             FleetSnapshotError::ChecksumMismatch => {
                 write!(f, "fleet snapshot payload checksum mismatch")
@@ -826,9 +815,9 @@ impl std::error::Error for FleetSnapshotError {
     }
 }
 
-/// A sealed fleet snapshot: the [`RuntimeSnapshot`] frame (payload length,
-/// FNV-1a-64 checksum) under its own magic and version, so a later process
-/// can validate the bytes before trusting them.
+/// A sealed fleet snapshot: the [`crate::RuntimeSnapshot`] frame (format
+/// version, payload length, FNV-1a-64 checksum) under its own magic, so a
+/// later process can validate the bytes before trusting them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetSnapshot {
     payload: Vec<u8>,
@@ -851,14 +840,14 @@ impl FleetSnapshot {
     /// Serializes the snapshot with its magic/version/length/checksum
     /// frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        frame::seal(&FLEET_MAGIC, FLEET_SNAPSHOT_FORMAT_VERSION, &self.payload)
+        frame::seal(&FLEET_MAGIC, &self.payload)
     }
 
     /// Validates the frame (magic, version, length, checksum) and returns
     /// the snapshot; payload *contents* are validated by
     /// [`FleetOrchestrator::resume`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FleetSnapshotError> {
-        let payload = frame::open(&FLEET_MAGIC, FLEET_SNAPSHOT_FORMAT_VERSION, bytes)?;
+        let payload = frame::open(&FLEET_MAGIC, bytes)?;
         Ok(Self {
             payload: payload.to_vec(),
         })
@@ -926,36 +915,6 @@ impl Decode for FleetConfig {
     }
 }
 
-impl Encode for FleetLedger {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.fleet_budget_cents.encode(out);
-        self.quotas_cents.encode(out);
-        self.spent_cents.encode(out);
-    }
-}
-
-impl Decode for FleetLedger {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let ledger = Self {
-            fleet_budget_cents: f64::decode(r)?,
-            quotas_cents: Vec::<f64>::decode(r)?,
-            spent_cents: Vec::<u64>::decode(r)?,
-        };
-        let valid = ledger.fleet_budget_cents.is_finite()
-            && ledger.fleet_budget_cents >= 0.0
-            && ledger.quotas_cents.len() == ledger.spent_cents.len()
-            && !ledger.quotas_cents.is_empty()
-            && ledger
-                .quotas_cents
-                .iter()
-                .all(|q| q.is_finite() && *q >= 0.0);
-        if !valid {
-            return Err(DecodeError::Invalid);
-        }
-        Ok(ledger)
-    }
-}
-
 impl Encode for BusyInterval {
     fn encode(&self, out: &mut Vec<u8>) {
         self.shard.encode(out);
@@ -978,29 +937,29 @@ impl Decode for BusyInterval {
     }
 }
 
-impl Encode for SharedWorkerPool {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.capacity.encode(out);
+impl SharedWorkerPool {
+    /// Writes the pool's live state — busy claims and contention counters;
+    /// the capacity is the `FleetConfig`'s.
+    fn encode_live(&self, out: &mut Vec<u8>) {
         self.busy.encode(out);
         self.total_wait_secs.encode(out);
         self.waits_applied.encode(out);
         self.posts.encode(out);
         self.peak_busy_workers.encode(out);
     }
-}
 
-impl Decode for SharedWorkerPool {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+    /// Restores the live state [`Self::encode_live`] wrote onto a pool
+    /// freshly booted by [`Self::new`].
+    fn decode_live(self, r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let pool = Self {
-            capacity: usize::decode(r)?,
             busy: Vec::<BusyInterval>::decode(r)?,
             total_wait_secs: f64::decode(r)?,
             waits_applied: u64::decode(r)?,
             posts: u64::decode(r)?,
             peak_busy_workers: usize::decode(r)?,
+            ..self
         };
-        let valid = pool.capacity > 0
-            && pool.total_wait_secs.is_finite()
+        let valid = pool.total_wait_secs.is_finite()
             && pool.total_wait_secs >= 0.0
             && pool.waits_applied <= pool.posts;
         if !valid {
@@ -1101,18 +1060,16 @@ mod tests {
     }
 
     #[test]
-    fn pool_and_ledger_codecs_round_trip() {
+    fn pool_and_config_codecs_round_trip() {
         let mut pool = SharedWorkerPool::new(80);
         pool.occupy(1, 20, 700.0);
         let _ = pool.queue_wait_secs(0, 100.0, 10.0);
-        let decoded =
-            SharedWorkerPool::from_bytes(&pool.to_bytes()).expect("pool codec round trips");
+        let mut bytes = Vec::new();
+        pool.encode_live(&mut bytes);
+        let decoded = SharedWorkerPool::new(80)
+            .decode_live(&mut Reader::new(&bytes))
+            .expect("pool codec round trips");
         assert_eq!(pool, decoded);
-
-        let mut ledger = FleetLedger::new(900.0, &ArbitrationPolicy::Priority(vec![2.0, 1.0]), 2);
-        ledger.charge(0, 12);
-        let decoded = FleetLedger::from_bytes(&ledger.to_bytes()).expect("ledger codec");
-        assert_eq!(ledger, decoded);
 
         let config = FleetConfig::new(900.0)
             .with_pool_capacity(40)
@@ -1156,15 +1113,9 @@ mod tests {
         );
     }
 
-    /// An edit to the pool, ledger and shard frames inside a fleet snapshot
-    /// payload.
-    type Splice = fn(&mut SharedWorkerPool, &mut FleetLedger, &mut Vec<Vec<u8>>);
-
-    /// Resumes a 1-shard fleet (capacity 80, 1000 ¢) paused after
-    /// 5 events, after `edit` rewrote the pool, ledger and shard frames in
-    /// its payload.
-    fn resume_respliced(edit: Splice) -> Result<FleetOrchestrator, FleetSnapshotError> {
-        use crate::{RunBound, RuntimeConfig};
+    /// A 1-shard fleet (capacity 80, `budget_cents`) paused after 5
+    /// events, and its stream.
+    fn paused_fleet(budget_cents: f64) -> (FleetOrchestrator, [SensingCycleStream; 1]) {
         use crowdlearn_dataset::DatasetConfig;
         let dataset = Dataset::generate(&DatasetConfig::paper().with_seed(7));
         let streams = [SensingCycleStream::new(&dataset, 6, 4)];
@@ -1174,43 +1125,113 @@ mod tests {
         let datasets = [dataset];
         let mut fleet = FleetOrchestrator::new(
             vec![ShardSpec::new(config, RuntimeConfig::paper())],
-            FleetConfig::new(1000.0),
+            FleetConfig::new(budget_cents),
             &datasets,
         );
         assert!(fleet
             .run_until(&datasets, &streams, RunBound::Events(5))
             .is_none());
-        let snapshot = fleet.snapshot().expect("checkpointable");
-        let mut r = Reader::new(snapshot.payload());
-        let config = FleetConfig::decode(&mut r).expect("config");
-        let mut ledger = FleetLedger::decode(&mut r).expect("ledger");
-        let mut pool = SharedWorkerPool::decode(&mut r).expect("pool");
-        let mut frames = Vec::<Vec<u8>>::decode(&mut r).expect("frames");
-        edit(&mut pool, &mut ledger, &mut frames);
-        let mut payload = Vec::new();
-        config.encode(&mut payload);
-        ledger.encode(&mut payload);
-        pool.encode(&mut payload);
-        frames.encode(&mut payload);
-        FleetOrchestrator::resume(&FleetSnapshot::seal(payload), &streams)
+        (fleet, streams)
+    }
+
+    /// A fleet snapshot payload taken apart: config, per-shard spend, pool
+    /// live state, and each shard's runtime payload.
+    struct Parts {
+        config: FleetConfig,
+        spent: Vec<u64>,
+        pool: SharedWorkerPool,
+        shards: Vec<Vec<u8>>,
+    }
+
+    impl Parts {
+        fn split(snapshot: &FleetSnapshot, streams: &[SensingCycleStream]) -> Self {
+            let payload = snapshot.payload();
+            let mut r = Reader::new(payload);
+            let config = FleetConfig::decode(&mut r).expect("config");
+            let spent = Vec::<u64>::decode(&mut r).expect("spend");
+            let pool = SharedWorkerPool::new(config.pool_capacity)
+                .decode_live(&mut r)
+                .expect("pool");
+            let shards = streams
+                .iter()
+                .map(|stream| {
+                    let start = payload.len() - r.remaining();
+                    PipelinedSystem::decode_payload(&mut r, stream).expect("shard payload");
+                    payload[start..payload.len() - r.remaining()].to_vec()
+                })
+                .collect();
+            assert!(r.is_empty(), "the shard payloads end the fleet payload");
+            Self {
+                config,
+                spent,
+                pool,
+                shards,
+            }
+        }
+
+        fn seal(&self) -> FleetSnapshot {
+            let mut payload = Vec::new();
+            self.config.encode(&mut payload);
+            self.spent.encode(&mut payload);
+            self.pool.encode_live(&mut payload);
+            for shard in &self.shards {
+                payload.extend_from_slice(shard);
+            }
+            FleetSnapshot::seal(payload)
+        }
+    }
+
+    /// The payload parts of a [`paused_fleet`] of `budget_cents`.
+    fn paused_parts(budget_cents: f64) -> Parts {
+        let (fleet, streams) = paused_fleet(budget_cents);
+        Parts::split(&fleet.snapshot().expect("checkpointable"), &streams)
+    }
+
+    /// An edit to the parts of a fleet snapshot payload.
+    type Splice = fn(&mut Parts);
+
+    /// Resumes a 1000 ¢ [`paused_fleet`] after `edit` rewrote the parts of
+    /// its payload.
+    fn resume_respliced(edit: Splice) -> Result<FleetOrchestrator, FleetSnapshotError> {
+        let (fleet, streams) = paused_fleet(1000.0);
+        let mut parts = Parts::split(&fleet.snapshot().expect("checkpointable"), &streams);
+        edit(&mut parts);
+        FleetOrchestrator::resume(&parts.seal(), &streams)
+    }
+
+    #[test]
+    fn fleet_payload_inlines_each_shards_own_snapshot_payload() {
+        let (fleet, streams) = paused_fleet(1000.0);
+        let parts = Parts::split(&fleet.snapshot().expect("checkpointable"), &streams);
+        let own = fleet.shard(0).snapshot().expect("checkpointable");
+        assert_eq!(parts.shards, [own.payload().to_vec()]);
+        assert_eq!(parts.spent, [fleet.ledger().spent_cents(0)]);
     }
 
     #[test]
     fn resume_rejects_pool_and_ledger_state_its_config_never_booted() {
-        let resumed = resume_respliced(|_, _, _| {}).expect("untouched payload resumes");
+        let resumed = resume_respliced(|_| {}).expect("untouched payload resumes");
         assert_eq!(resumed.fleet_config(), &FleetConfig::new(1000.0));
-        let cases: [(&str, Splice); 5] = [
-            ("pool and ledger of another fleet", |pool, ledger, _| {
-                *pool = SharedWorkerPool::new(1);
-                *ledger = FleetLedger::new(5.0, &ArbitrationPolicy::FairShare, 1);
+        let cases: [(&str, Splice); 6] = [
+            ("busy interval of a shard the fleet lacks", |parts| {
+                parts.pool.occupy(1, 3, 1e6);
             }),
-            ("pool capacity", |pool, _, _| pool.capacity = 79),
-            ("ledger budget", |_, ledger, _| {
-                ledger.fleet_budget_cents = 999.0
+            ("spend above the shard's quota", |parts| {
+                parts.spent[0] = 1001;
             }),
-            ("ledger quota", |_, ledger, _| ledger.quotas_cents[0] = 5.0),
-            ("busy interval of a shard the fleet lacks", |pool, _, _| {
-                pool.occupy(1, 3, 1e6);
+            ("no shards", |parts| {
+                parts.spent.clear();
+                parts.shards.clear();
+            }),
+            ("priority weights for two shards", |parts| {
+                parts.config.arbitration = ArbitrationPolicy::Priority(vec![1.0, 1.0]);
+            }),
+            // `new` boots each shard at its quota: 1000 ¢ here.
+            ("shard booted with another budget", |parts| {
+                parts.shards = paused_parts(999.0).shards;
+            }),
+            ("fleet budget its shard was not booted at", |parts| {
+                parts.config.fleet_budget_cents = 999.0;
             }),
         ];
         for (what, edit) in cases {
@@ -1225,9 +1246,11 @@ mod tests {
     #[test]
     fn resume_holds_each_shard_to_its_window_policy() {
         // The shard runs the paper's `Static(4)` window.
-        let resumed = resume_respliced(|_, _, frames| {
-            let shard = RuntimeSnapshot::from_bytes(&frames[0]).expect("shard frame");
-            frames[0] = crate::pipeline::splice_window(&shard, 50).to_bytes();
+        let resumed = resume_respliced(|parts| {
+            let shard = crate::RuntimeSnapshot::seal(parts.shards[0].clone());
+            parts.shards[0] = crate::pipeline::splice_window(&shard, 50)
+                .payload()
+                .to_vec();
         });
         assert_eq!(
             resumed.err(),

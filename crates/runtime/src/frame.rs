@@ -9,9 +9,10 @@
 //! ```
 //!
 //! [`crate::RuntimeSnapshot`] and [`crate::FleetSnapshot`] differ only in
-//! their magic and version; each maps [`FrameError`] onto its own public
-//! error enum.
+//! their magic: both stamp the one [`SNAPSHOT_FORMAT_VERSION`], and each
+//! maps [`FrameError`] onto its own public error enum.
 
+use crate::SNAPSHOT_FORMAT_VERSION;
 use serde::binary::DecodeError;
 
 /// Bytes of framing in front of the payload.
@@ -30,11 +31,11 @@ pub(crate) enum FrameError {
     Corrupt(DecodeError),
 }
 
-/// Frames `payload` under `magic` and `version`.
-pub(crate) fn seal(magic: &[u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
+/// Frames `payload` under `magic` and the current format version.
+pub(crate) fn seal(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(magic);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
     out.extend_from_slice(payload);
@@ -44,11 +45,7 @@ pub(crate) fn seal(magic: &[u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
 /// Validates the frame (magic, version, length, checksum) and returns the
 /// payload it carries. The payload's *contents* are the caller's to
 /// validate.
-pub(crate) fn open<'a>(
-    magic: &[u8; 8],
-    version: u32,
-    bytes: &'a [u8],
-) -> Result<&'a [u8], FrameError> {
+pub(crate) fn open<'a>(magic: &[u8; 8], bytes: &'a [u8]) -> Result<&'a [u8], FrameError> {
     if !bytes.starts_with(magic) {
         return Err(FrameError::BadMagic);
     }
@@ -65,7 +62,7 @@ pub(crate) fn open<'a>(
             .try_into()
             .expect("invariant: the version field is 4 bytes"),
     );
-    if found != version {
+    if found != SNAPSHOT_FORMAT_VERSION {
         return Err(FrameError::VersionMismatch { found });
     }
     let len = u64::from_le_bytes(field(12));

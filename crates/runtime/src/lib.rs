@@ -59,8 +59,10 @@
 //!   event order over a shared worker pool (cross-stream contention defers
 //!   HIT completions) and a shared budget ledger ([`FleetLedger`], split
 //!   into per-shard quotas by an [`ArbitrationPolicy`]). The whole fleet
-//!   checkpoints into a [`FleetSnapshot`]; a 1-shard fleet is
-//!   byte-identical to the bare pipelined runtime (`tests/determinism.rs`).
+//!   checkpoints into a [`FleetSnapshot`]: one frame under the same
+//!   [`SNAPSHOT_FORMAT_VERSION`], carrying each shard's runtime payload
+//!   inline; a 1-shard fleet is byte-identical to the bare pipelined
+//!   runtime (`tests/determinism.rs`).
 //! - [`FaultPlan`] / [`FaultInjector`] — deterministic fault injection: a
 //!   seeded, virtual-time schedule of typed [`FaultEpisode`]s (platform
 //!   outages, worker attrition, answer loss, budget shocks) consulted by
@@ -117,7 +119,7 @@ pub use event::{Event, EventKind};
 pub use faults::{BreakerState, FaultEpisode, FaultInjector, FaultPlan};
 pub use fleet::{
     ArbitrationPolicy, ContentionStats, FleetConfig, FleetLedger, FleetOrchestrator, FleetReport,
-    FleetSnapshot, FleetSnapshotError, ShardSpec, FLEET_SNAPSHOT_FORMAT_VERSION,
+    FleetSnapshot, FleetSnapshotError, ShardSpec,
 };
 pub use hit::{HitBoard, HitId, InFlightHit};
 pub use metrics::{MetricKind, MetricRecord, MetricsSink, MetricsTap};

@@ -417,16 +417,8 @@ impl PipelinedSystem {
     /// Fails with [`SnapshotError::UnsupportedSystem`] when a committee
     /// member has no serialized form (the boosted `Model::Ensemble`).
     pub fn snapshot(&self) -> Result<RuntimeSnapshot, SnapshotError> {
-        // A paper-sized checkpoint is about 240 KB: reserving it up front
-        // spares the payload some 18 doubling reallocations, which copy up
-        // to twice its final size and fragment the heap.
-        let mut payload = Vec::with_capacity(256 * 1024);
-        self.config.encode(&mut payload);
-        self.system
-            .encode_state(&mut payload)
-            .map_err(SnapshotError::UnsupportedSystem)?;
-        self.exec.encode(&mut payload);
-        self.tap.encode(&mut payload);
+        let mut payload = Vec::with_capacity(Self::PAYLOAD_RESERVE);
+        self.encode_payload(&mut payload)?;
         Ok(RuntimeSnapshot::seal(payload))
     }
 
@@ -439,13 +431,42 @@ impl PipelinedSystem {
         stream: &SensingCycleStream,
     ) -> Result<Self, SnapshotError> {
         let mut r = Reader::new(snapshot.payload());
-        let config = RuntimeConfig::decode(&mut r).map_err(SnapshotError::Corrupt)?;
-        let system = CrowdLearnSystem::decode_state(&mut r).map_err(SnapshotError::Corrupt)?;
-        let exec = Option::<ExecState>::decode(&mut r).map_err(SnapshotError::Corrupt)?;
-        let tap = Option::<MetricsTap>::decode(&mut r).map_err(SnapshotError::Corrupt)?;
+        let system = Self::decode_payload(&mut r, stream)?;
         if !r.is_empty() {
             return Err(SnapshotError::Corrupt(DecodeError::Invalid));
         }
+        Ok(system)
+    }
+
+    /// Bytes a checkpoint payload reserves per system. A paper-sized
+    /// payload is about 240 KB: reserving it up front spares it some 18
+    /// doubling reallocations, which copy up to twice its final size and
+    /// fragment the heap.
+    pub(crate) const PAYLOAD_RESERVE: usize = 256 * 1024;
+
+    /// Appends the checkpoint payload — `RuntimeConfig ‖ system state ‖
+    /// execution ‖ tap` — that a [`RuntimeSnapshot`] seals and a fleet
+    /// checkpoint carries inline per shard.
+    pub(crate) fn encode_payload(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        self.config.encode(out);
+        self.system
+            .encode_state(out)
+            .map_err(SnapshotError::UnsupportedSystem)?;
+        self.exec.encode(out);
+        self.tap.encode(out);
+        Ok(())
+    }
+
+    /// Reads one [`PipelinedSystem::encode_payload`] payload off `r` and
+    /// holds it to every resume check; the caller checks what follows it.
+    pub(crate) fn decode_payload(
+        r: &mut Reader<'_>,
+        stream: &SensingCycleStream,
+    ) -> Result<Self, SnapshotError> {
+        let config = RuntimeConfig::decode(r).map_err(SnapshotError::Corrupt)?;
+        let system = CrowdLearnSystem::decode_state(r).map_err(SnapshotError::Corrupt)?;
+        let exec = Option::<ExecState>::decode(r).map_err(SnapshotError::Corrupt)?;
+        let tap = Option::<MetricsTap>::decode(r).map_err(SnapshotError::Corrupt)?;
         if let Some(exec) = &exec {
             // The controller's state must be one its policy can reach.
             let windows = config.window_policy.window_range();

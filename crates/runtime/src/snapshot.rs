@@ -16,7 +16,9 @@
 //! execution state, then the optional streaming metrics tap
 //! ([`crate::MetricsTap`] — version 2; it rides in the snapshot so a
 //! resumed run replays the identical metric stream). Floats travel as
-//! IEEE-754 bits, so round trips are bit-exact by construction.
+//! IEEE-754 bits, so round trips are bit-exact by construction. A
+//! [`crate::FleetSnapshot`] carries the same payload inline for each of
+//! its shards, under its own single frame.
 
 use crate::frame::{self, FrameError};
 use crowdlearn::StateError;
@@ -25,7 +27,8 @@ use serde::binary::DecodeError;
 /// Leading bytes of every snapshot.
 const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 
-/// Current snapshot format version. Bump on any payload layout change.
+/// Current snapshot format version, stamped by both frames (runtime and
+/// fleet). Bump on any payload layout change of either.
 ///
 /// Version history: 1 — initial format; 2 — `CycleOutcome` gained exact
 /// per-query delays and the payload gained the optional metrics tap;
@@ -61,8 +64,14 @@ const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 /// 10 — the adaptive window controller's tuning and CQC's boosting
 /// configuration are constants and no longer travel: an adaptive
 /// `WindowPolicy` is its tag, `min` and `max`, and `QualityController` is
-/// its optional model.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 10;
+/// its optional model;
+/// 11 — the fleet frame stamps this version too (its own counter, last at
+/// 2, is gone), and a fleet payload carries each shard's runtime payload
+/// inline instead of a framed snapshot per shard, the ledger as per-shard
+/// spend alone and the pool as its live state alone (budget, quotas and
+/// capacity are rebuilt from the `FleetConfig`). A runtime payload is
+/// unchanged.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 11;
 
 /// Why a snapshot could not be produced or restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,14 +148,14 @@ impl RuntimeSnapshot {
 
     /// Serializes the snapshot with its magic/version/length/checksum frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        frame::seal(&MAGIC, SNAPSHOT_FORMAT_VERSION, &self.payload)
+        frame::seal(&MAGIC, &self.payload)
     }
 
     /// Validates the frame (magic, version, length, checksum) and returns
     /// the snapshot. The payload's *contents* are validated later, when
     /// [`crate::PipelinedSystem::resume`] decodes them.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let payload = frame::open(&MAGIC, SNAPSHOT_FORMAT_VERSION, bytes)?;
+        let payload = frame::open(&MAGIC, bytes)?;
         Ok(Self {
             payload: payload.to_vec(),
         })

@@ -1,8 +1,8 @@
 //! Wire pins for the snapshot frame: the exact bytes a fixed payload is
 //! framed into under the runtime and fleet magics, and the typed errors
 //! (with their `Display` texts) each frame defect decodes to. Both
-//! snapshot types share one frame codec; these pins hold it to the
-//! format already on disk.
+//! snapshot types share one frame codec and one format version; these pins
+//! hold it to the format already on disk.
 
 use crowdlearn_runtime::{FleetSnapshot, FleetSnapshotError, RuntimeSnapshot, SnapshotError};
 use serde::binary::DecodeError;
@@ -27,33 +27,35 @@ fn framed(magic: &[u8; 8], version: u32) -> Vec<u8> {
 
 #[test]
 fn runtime_frame_bytes_are_pinned() {
-    let bytes = framed(b"CLSNAP\x00\x01", 10);
+    let bytes = framed(b"CLSNAP\x00\x01", 11);
     let snap = RuntimeSnapshot::from_bytes(&bytes).expect("pinned frame opens");
     assert_eq!(snap.to_bytes(), bytes);
     assert_eq!(snap.serialized_len(), bytes.len());
     // A frame of the previous format is refused by version, not misread.
     assert_eq!(
-        RuntimeSnapshot::from_bytes(&framed(b"CLSNAP\x00\x01", 9)),
-        Err(SnapshotError::VersionMismatch { found: 9 })
+        RuntimeSnapshot::from_bytes(&framed(b"CLSNAP\x00\x01", 10)),
+        Err(SnapshotError::VersionMismatch { found: 10 })
     );
 }
 
 #[test]
 fn fleet_frame_bytes_are_pinned() {
-    let bytes = framed(b"CLFLEET\x00", 2);
+    let bytes = framed(b"CLFLEET\x00", 11);
     let snap = FleetSnapshot::from_bytes(&bytes).expect("pinned frame opens");
     assert_eq!(snap.to_bytes(), bytes);
     assert_eq!(snap.serialized_len(), bytes.len());
+    // The fleet frame's own counter ended at 2; such a frame nests framed
+    // shard snapshots and is refused by version.
     assert_eq!(
-        FleetSnapshot::from_bytes(&framed(b"CLFLEET\x00", 1)),
-        Err(FleetSnapshotError::VersionMismatch { found: 1 })
+        FleetSnapshot::from_bytes(&framed(b"CLFLEET\x00", 2)),
+        Err(FleetSnapshotError::VersionMismatch { found: 2 })
     );
 }
 
 #[test]
 fn frame_defects_decode_to_the_same_typed_errors() {
-    let runtime = framed(b"CLSNAP\x00\x01", 10);
-    let fleet = framed(b"CLFLEET\x00", 2);
+    let runtime = framed(b"CLSNAP\x00\x01", 11);
+    let fleet = framed(b"CLFLEET\x00", 11);
     let defects: [(&str, Defect); 5] = [
         ("magic", |b| b[0] ^= 0xff),
         ("version", |b| b[8] = 0xfe),
@@ -68,7 +70,7 @@ fn frame_defects_decode_to_the_same_typed_errors() {
         ),
         (
             SnapshotError::VersionMismatch { found: 0xfe },
-            "snapshot format version 254 != supported 10",
+            "snapshot format version 254 != supported 11",
         ),
         (
             SnapshotError::ChecksumMismatch,
@@ -90,7 +92,7 @@ fn frame_defects_decode_to_the_same_typed_errors() {
         ),
         (
             FleetSnapshotError::VersionMismatch { found: 0xfe },
-            "fleet snapshot format version 254 != supported 2",
+            "fleet snapshot format version 254 != supported 11",
         ),
         (
             FleetSnapshotError::ChecksumMismatch,

@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .is_none());
     let bytes = fleet.snapshot()?.to_bytes();
     println!(
-        "\ncheckpoint at event {half}: {} bytes (3 shard frames + pool + ledger)",
+        "\ncheckpoint at event {half}: {} bytes (one frame: config, spend, pool, 3 shard payloads)",
         bytes.len()
     );
     drop(fleet);

@@ -10,7 +10,7 @@ use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
 use crowdlearn_runtime::{
     FleetConfig, FleetOrchestrator, FleetSnapshot, FleetSnapshotError, MetricsTap, PipelinedSystem,
     RunBound, RuntimeConfig, RuntimeReport, RuntimeSnapshot, ShardSpec, SnapshotError,
-    WindowPolicy, FLEET_SNAPSHOT_FORMAT_VERSION, SNAPSHOT_FORMAT_VERSION,
+    WindowPolicy, SNAPSHOT_FORMAT_VERSION,
 };
 
 fn dataset(seed: u64) -> Dataset {
@@ -609,11 +609,11 @@ fn snapshot_rejects_tampering_and_mismatched_streams() {
 
 /// Forward and backward compatibility: a frame stamped with a *future*
 /// format version — one written by a newer build whose payload layout this
-/// build cannot know — or with the previous one (v7, whose payload carried
-/// the payoff normalizer's ceiling and the tap's delay grid) must come
-/// back as a typed `VersionMismatch` carrying the found version, refused
-/// by the frame before any payload decoder runs: never a panic or a
-/// silent misparse.
+/// build cannot know — or with the previous one (v10, whose fleet frames
+/// nested a framed snapshot per shard) must come back as a typed
+/// `VersionMismatch` carrying the found version, refused by the frame
+/// before any payload decoder runs: never a panic or a silent misparse.
+/// Both frames stamp the one `SNAPSHOT_FORMAT_VERSION`.
 #[test]
 fn snapshots_reject_future_format_versions_with_typed_errors() {
     let dataset = dataset(7);
@@ -625,7 +625,7 @@ fn snapshots_reject_future_format_versions_with_typed_errors() {
     let bytes = system.snapshot().expect("checkpointable").to_bytes();
     for (found, stamped) in [
         (SNAPSHOT_FORMAT_VERSION + 1, SNAPSHOT_FORMAT_VERSION + 1),
-        (9, SNAPSHOT_FORMAT_VERSION - 1),
+        (10, SNAPSHOT_FORMAT_VERSION - 1),
     ] {
         let mut bytes = bytes.clone();
         // The u32 version field sits right after the 8-byte magic.
@@ -641,7 +641,7 @@ fn snapshots_reject_future_format_versions_with_typed_errors() {
         .run_until(&datasets, &streams, RunBound::Events(60))
         .is_none());
     let mut bytes = fleet.snapshot().expect("checkpointable").to_bytes();
-    let future = FLEET_SNAPSHOT_FORMAT_VERSION + 1;
+    let future = SNAPSHOT_FORMAT_VERSION + 1;
     bytes[8..12].copy_from_slice(&future.to_le_bytes());
     assert!(matches!(
         FleetSnapshot::from_bytes(&bytes),
@@ -1059,7 +1059,9 @@ fn fleet_snapshot_decode_survives_a_seeded_corruption_sweep() {
             "truncation to {cut} bytes slipped through the fleet frame checks"
         );
     }
-    let mut rejected = 0u32;
+    // The fleet payload holds each shard's payload inline, under the one
+    // checksum repaired here, so nearly every flip lands in shard bytes.
+    let mut shard_rejected = 0u32;
     for _ in 0..256 {
         let pos = HEADER + (splitmix64(&mut rng) as usize) % (bytes.len() - HEADER);
         let bit = (splitmix64(&mut rng) % 8) as u32;
@@ -1068,12 +1070,16 @@ fn fleet_snapshot_decode_survives_a_seeded_corruption_sweep() {
         let sum = fnv1a64(&evil[HEADER..]);
         evil[20..28].copy_from_slice(&sum.to_le_bytes());
         let snapshot = FleetSnapshot::from_bytes(&evil).expect("repaired frame validates");
-        if FleetOrchestrator::resume(&snapshot, &streams).is_err() {
-            rejected += 1;
+        if let Err(FleetSnapshotError::Shard {
+            error: SnapshotError::Corrupt(_),
+            ..
+        }) = FleetOrchestrator::resume(&snapshot, &streams)
+        {
+            shard_rejected += 1;
         }
     }
     assert!(
-        rejected > 0,
-        "the sweep must actually reach the fleet payload validators"
+        shard_rejected > 0,
+        "the sweep must actually reach the shard payload decoders"
     );
 }
