@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 /// Per-(context, action) Gaussian Thompson sampling with budget pacing.
 ///
 /// Each arm keeps a running mean and count; at selection time a payoff is
-/// sampled from `N(mean, sigma0 / sqrt(n + 1))` for every arm the pacing
+/// sampled from `N(mean, DEFAULT_SIGMA / sqrt(n + 1))` for every arm the pacing
 /// allows (cost at most twice the per-round budget share), and the largest
 /// sample wins. Unexplored arms have a prior mean of 0.5 over the `[0, 1]`
 /// payoff scale, so everything gets tried early.
@@ -19,15 +19,14 @@ pub struct ThompsonSampling {
     counts: Vec<Vec<u64>>,
     means: Vec<Vec<f64>>,
     rounds_elapsed: u64,
-    sigma0: f64,
     rng: StdRng,
 }
 
 impl ThompsonSampling {
-    /// Prior/posterior scale suited to `[0, 1]` payoffs.
+    /// The prior/posterior scale, suited to `[0, 1]` payoffs.
     pub const DEFAULT_SIGMA: f64 = 0.25;
 
-    /// Creates a sampler with the default posterior scale.
+    /// Creates a sampler.
     pub fn new(config: BanditConfig, seed: u64) -> Self {
         let z = config.contexts();
         let k = config.actions();
@@ -36,21 +35,9 @@ impl ThompsonSampling {
             counts: vec![vec![0; k]; z],
             means: vec![vec![0.5; k]; z],
             rounds_elapsed: 0,
-            sigma0: Self::DEFAULT_SIGMA,
             rng: StdRng::seed_from_u64(seed),
             config,
         }
-    }
-
-    /// Overrides the posterior scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is not positive.
-    pub fn with_sigma(mut self, sigma: f64) -> Self {
-        assert!(sigma > 0.0, "sigma must be positive");
-        self.sigma0 = sigma;
-        self
     }
 
     fn gaussian(&mut self) -> f64 {
@@ -92,7 +79,7 @@ impl CostedBandit for ThompsonSampling {
         for &a in &pool {
             let n = self.counts[context][a] as f64;
             let noise = self.gaussian();
-            let sample = self.means[context][a] + noise * self.sigma0 / (n + 1.0).sqrt();
+            let sample = self.means[context][a] + noise * Self::DEFAULT_SIGMA / (n + 1.0).sqrt();
             if sample > best_sample {
                 best_sample = sample;
                 best = a;
@@ -175,12 +162,5 @@ mod tests {
         }
         assert!(ts.means[0][0] > ts.means[0][1]);
         assert!(ts.means[1][1] > ts.means[1][0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "sigma must be positive")]
-    fn rejects_bad_sigma() {
-        let config = BanditConfig::new(1, vec![1.0], 1.0, 1);
-        let _ = ThompsonSampling::new(config, 0).with_sigma(0.0);
     }
 }

@@ -54,12 +54,11 @@ pub struct UcbAlp {
     /// Observed context frequencies (for the pi estimate).
     context_counts: Vec<u64>,
     rounds_elapsed: u64,
-    exploration_scale: f64,
     rng: StdRng,
 }
 
 impl UcbAlp {
-    /// Default exploration coefficient; tuned for payoffs normalized to
+    /// The exploration coefficient; tuned for payoffs normalized to
     /// `[0, 1]` and the paper's short (hundreds of pulls) horizons — the
     /// textbook `sqrt(2 ln t / n)` bonus would dwarf the payoff gaps and
     /// turn the LP into a pure cheapest-arm race.
@@ -75,21 +74,9 @@ impl UcbAlp {
             means: vec![vec![0.0; k]; z],
             context_counts: vec![0; z],
             rounds_elapsed: 0,
-            exploration_scale: Self::DEFAULT_EXPLORATION_SCALE,
             rng: StdRng::seed_from_u64(seed),
             config,
         }
-    }
-
-    /// Overrides the exploration coefficient (`0.0` disables optimism).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is negative or NaN.
-    pub fn with_exploration_scale(mut self, scale: f64) -> Self {
-        assert!(scale >= 0.0 && !scale.is_nan(), "scale must be >= 0");
-        self.exploration_scale = scale;
-        self
     }
 
     /// UCB index of a (context, action) pair. Untried pairs get `+inf` so
@@ -100,7 +87,7 @@ impl UcbAlp {
             return f64::INFINITY;
         }
         let t = self.rounds_elapsed.max(2) as f64;
-        self.means[z][a] + self.exploration_scale * (t.ln() / n as f64).sqrt()
+        self.means[z][a] + Self::DEFAULT_EXPLORATION_SCALE * (t.ln() / n as f64).sqrt()
     }
 
     /// Context distribution for the LP: the declared one when known,
@@ -292,8 +279,7 @@ impl CostedBandit for UcbAlp {
 
 // Snapshot codec: the policy's full live state, RNG words included, so a
 // decoded policy continues the live one's exact pick sequence. Decoding
-// rejects tables that do not fit the config and a negative or non-finite
-// exploration scale.
+// rejects tables that do not fit the config.
 impl Encode for UcbAlp {
     fn encode(&self, out: &mut Vec<u8>) {
         self.config.encode(out);
@@ -302,7 +288,6 @@ impl Encode for UcbAlp {
         self.means.encode(out);
         self.context_counts.encode(out);
         self.rounds_elapsed.encode(out);
-        self.exploration_scale.encode(out);
         self.rng.state().encode(out);
     }
 }
@@ -316,13 +301,10 @@ impl Decode for UcbAlp {
             means: Vec::<Vec<f64>>::decode(r)?,
             context_counts: Vec::<u64>::decode(r)?,
             rounds_elapsed: u64::decode(r)?,
-            exploration_scale: f64::decode(r)?,
             rng: StdRng::from_state(<[u64; 4]>::decode(r)?),
         };
         let valid = tables_match(&policy.config, &policy.counts, &policy.means)
-            && policy.context_counts.len() == policy.config.contexts()
-            && policy.exploration_scale.is_finite()
-            && policy.exploration_scale >= 0.0;
+            && policy.context_counts.len() == policy.config.contexts();
         if !valid {
             return Err(DecodeError::Invalid);
         }

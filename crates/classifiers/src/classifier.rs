@@ -1,14 +1,16 @@
 //! The interface CrowdLearn uses to talk to black-box DDA algorithms.
 
 use crate::ClassDistribution;
-use crowdlearn_dataset::{LabeledImage, SyntheticImage};
+use crowdlearn_dataset::{EvidenceMatrix, LabeledImage, SyntheticImage};
+use serde::binary::{DecodeError, Reader};
 
 /// A black-box damage-assessment classifier.
 ///
 /// This is the full surface the CrowdLearn framework is allowed to touch: it
 /// may ask for a probabilistic vote, feed back labeled samples for
-/// retraining, and account for execution delay. It may *not* inspect the
-/// model internals — that is the "black-box AI" premise of the paper.
+/// retraining, account for execution delay, and checkpoint what retraining
+/// changed. It may *not* inspect the model internals — that is the
+/// "black-box AI" premise of the paper.
 ///
 /// Implementations must be deterministic: calling [`Classifier::predict`]
 /// twice on the same image without an intervening retrain must return the
@@ -22,24 +24,15 @@ pub trait Classifier: Send {
     /// probability distribution over the damage classes.
     fn predict(&self, image: &SyntheticImage) -> ClassDistribution;
 
-    /// Produces one vote per image of a batch of image *references* —
-    /// sensing cycles hand out scattered references into the dataset, so
-    /// the runtime cannot form a contiguous `&[SyntheticImage]` without
-    /// cloning.
+    /// Produces one vote per image of a batch, read off the batch's
+    /// [`EvidenceMatrix`] — the one batch method. A committee builds the
+    /// matrix once per sensing cycle and every member shares it.
     ///
     /// Contract: the result must be **bit-identical** to mapping
-    /// [`Classifier::predict`] over `images` in order — batching is a
-    /// performance hint, never a semantic one (DESIGN.md "Batched committee
-    /// inference"). The default per-image loop satisfies this trivially, so
-    /// external implementations keep working; implementations with a cheaper
-    /// whole-batch formulation (e.g. [`SimulatedExpert`] over an
-    /// [`EvidenceMatrix`]) override it.
-    ///
-    /// [`SimulatedExpert`]: crate::SimulatedExpert
-    /// [`EvidenceMatrix`]: crowdlearn_dataset::EvidenceMatrix
-    fn predict_batch_refs(&self, images: &[&SyntheticImage]) -> Vec<ClassDistribution> {
-        images.iter().map(|image| self.predict(image)).collect()
-    }
+    /// [`Classifier::predict`] over the images the matrix was built from,
+    /// in order — batching is a performance hint, never a semantic one
+    /// (DESIGN.md "Batched committee inference").
+    fn predict_evidence(&self, evidence: &EvidenceMatrix) -> Vec<ClassDistribution>;
 
     /// Fine-tunes the model on additional labeled samples. Labels may come
     /// from ground truth (initial training) or from the crowd (MIC's model
@@ -56,23 +49,24 @@ pub trait Classifier: Send {
     /// Number of labeled samples this classifier has been trained on so far.
     fn training_samples(&self) -> usize;
 
-    /// The concrete [`SimulatedExpert`](crate::SimulatedExpert) behind this
-    /// classifier, if it is one. This is the (object-safe) hook runtime
-    /// snapshots use to serialize committee members; classifiers without a
-    /// serialized form return `None` (the default), and a snapshot
-    /// containing them fails with an explicit error instead of panicking.
-    fn as_simulated(&self) -> Option<&crate::SimulatedExpert> {
-        None
-    }
+    /// Appends what the classifier has learned since it was built — all a
+    /// checkpoint carries of it; whatever built it (its profile, its
+    /// members) is rebuilt from the configuration that chose it.
+    fn encode_learned(&self, out: &mut Vec<u8>);
+
+    /// Restores [`Classifier::encode_learned`] bytes onto a classifier
+    /// built the same way, refusing out-of-contract values with
+    /// [`DecodeError::Invalid`] rather than panicking.
+    fn decode_learned(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError>;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crowdlearn_dataset::DamageLabel;
+    use serde::binary::{Decode, Encode};
 
-    /// A trivial in-test implementation to pin down object safety and the
-    /// default behavior contract.
+    /// A trivial in-test implementation to pin down object safety.
     struct ConstantClassifier(usize);
 
     impl Classifier for ConstantClassifier {
@@ -82,6 +76,9 @@ mod tests {
         fn predict(&self, _image: &SyntheticImage) -> ClassDistribution {
             ClassDistribution::delta(DamageLabel::NoDamage)
         }
+        fn predict_evidence(&self, evidence: &EvidenceMatrix) -> Vec<ClassDistribution> {
+            vec![ClassDistribution::delta(DamageLabel::NoDamage); evidence.len()]
+        }
         fn retrain(&mut self, samples: &[LabeledImage]) {
             self.0 += samples.len();
         }
@@ -90,6 +87,13 @@ mod tests {
         }
         fn training_samples(&self) -> usize {
             self.0
+        }
+        fn encode_learned(&self, out: &mut Vec<u8>) {
+            self.0.encode(out);
+        }
+        fn decode_learned(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+            self.0 = usize::decode(r)?;
+            Ok(())
         }
     }
 
@@ -108,24 +112,14 @@ mod tests {
     }
 
     #[test]
-    fn default_batch_methods_map_predict() {
-        use crowdlearn_dataset::{visual_layout, ImageAttribute, ImageId};
-        let images: Vec<SyntheticImage> = (0..4)
-            .map(|i| {
-                SyntheticImage::from_latents(
-                    ImageId(i),
-                    DamageLabel::NoDamage,
-                    ImageAttribute::Plain,
-                    DamageLabel::NoDamage,
-                    false,
-                    vec![0.0; visual_layout::VISUAL_DIM],
-                    vec![0.0; SyntheticImage::CONTEXTUAL_DIM],
-                )
-            })
-            .collect();
-        let c: Box<dyn Classifier> = Box::new(ConstantClassifier(0));
-        let expected: Vec<ClassDistribution> = images.iter().map(|i| c.predict(i)).collect();
-        let refs: Vec<&SyntheticImage> = images.iter().collect();
-        assert_eq!(c.predict_batch_refs(&refs), expected);
+    fn learned_state_round_trips_through_the_trait_object() {
+        let trained: Box<dyn Classifier> = Box::new(ConstantClassifier(7));
+        let mut bytes = Vec::new();
+        trained.encode_learned(&mut bytes);
+        let mut rebuilt: Box<dyn Classifier> = Box::new(ConstantClassifier(0));
+        let mut r = Reader::new(&bytes);
+        assert_eq!(rebuilt.decode_learned(&mut r), Ok(()));
+        assert!(r.is_empty());
+        assert_eq!(rebuilt.training_samples(), 7);
     }
 }

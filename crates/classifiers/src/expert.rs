@@ -165,12 +165,6 @@ impl SimulatedExpert {
         self.learned
     }
 
-    /// Replaces what the expert has learned — a checkpoint's restore path,
-    /// onto an expert rebuilt from the same profile.
-    pub fn restore_learned_state(&mut self, learned: LearnedState) {
-        self.learned = learned;
-    }
-
     /// Current noise multiplier given the training curve: decays
     /// exponentially from `noise_ceiling` to `noise_floor` as effective
     /// training samples accumulate. This is the only thing retraining can
@@ -201,10 +195,43 @@ impl SimulatedExpert {
         }
         scores
     }
+}
 
-    /// Predicts a whole batch from a pre-gathered [`EvidenceMatrix`],
-    /// bit-identical to mapping [`Classifier::predict`] over the same images.
-    ///
+impl Classifier for SimulatedExpert {
+    fn name(&self) -> &str {
+        &self.profile.name
+    }
+
+    fn predict(&self, image: &SyntheticImage) -> ClassDistribution {
+        let scores = self.evidence_scores(image);
+        let noise_scale = self.profile.perception_noise * self.noise_factor();
+        let mut logits = [0.0; DamageLabel::COUNT];
+        for (class, logit) in logits.iter_mut().enumerate() {
+            // Fine-tuning shifts a model's individual predictions, but most
+            // of its per-image idiosyncrasy persists: blend a version-stable
+            // component with a version-dependent one (coefficients keep unit
+            // variance). This keeps retraining gains visible instead of
+            // burying them under full prediction reshuffles.
+            let stable = hash_gaussian(
+                self.profile.seed,
+                image.id().0 as u64,
+                0x0057_ab1e,
+                class as u64,
+            );
+            let versioned = hash_gaussian(
+                self.profile.seed,
+                image.id().0 as u64,
+                self.learned.version.wrapping_add(1),
+                class as u64,
+            );
+            let noise = (0.8 * stable + 0.6 * versioned) * noise_scale;
+            *logit = self.profile.confidence_gain * (scores[class] + noise);
+        }
+        logits[DamageLabel::NoDamage.index()] +=
+            self.profile.confidence_gain * self.profile.no_damage_bias;
+        ClassDistribution::from_logits(logits)
+    }
+
     /// This is the committee hot path: the matrix is built once per sensing
     /// cycle and shared by every member, so each expert only pays for the
     /// sums and its own noise draws. Three ingredients make it fast without
@@ -222,7 +249,7 @@ impl SimulatedExpert {
     /// * the splitmix64 noise chains share hoisted prefixes (see `mix_b`/
     ///   `mix_c`/`mix_d`): 4 chain heads per image instead of 4 full chains
     ///   per class, cutting the per-image hash steps from 48 to 18.
-    pub fn predict_evidence(&self, evidence: &EvidenceMatrix) -> Vec<ClassDistribution> {
+    fn predict_evidence(&self, evidence: &EvidenceMatrix) -> Vec<ClassDistribution> {
         let weights = normalized(self.profile.family_weights);
         let noise_scale = self.profile.perception_noise * self.noise_factor();
         let gain = self.profile.confidence_gain;
@@ -271,46 +298,6 @@ impl SimulatedExpert {
         }
         votes
     }
-}
-
-impl Classifier for SimulatedExpert {
-    fn name(&self) -> &str {
-        &self.profile.name
-    }
-
-    fn predict(&self, image: &SyntheticImage) -> ClassDistribution {
-        let scores = self.evidence_scores(image);
-        let noise_scale = self.profile.perception_noise * self.noise_factor();
-        let mut logits = [0.0; DamageLabel::COUNT];
-        for (class, logit) in logits.iter_mut().enumerate() {
-            // Fine-tuning shifts a model's individual predictions, but most
-            // of its per-image idiosyncrasy persists: blend a version-stable
-            // component with a version-dependent one (coefficients keep unit
-            // variance). This keeps retraining gains visible instead of
-            // burying them under full prediction reshuffles.
-            let stable = hash_gaussian(
-                self.profile.seed,
-                image.id().0 as u64,
-                0x0057_ab1e,
-                class as u64,
-            );
-            let versioned = hash_gaussian(
-                self.profile.seed,
-                image.id().0 as u64,
-                self.learned.version.wrapping_add(1),
-                class as u64,
-            );
-            let noise = (0.8 * stable + 0.6 * versioned) * noise_scale;
-            *logit = self.profile.confidence_gain * (scores[class] + noise);
-        }
-        logits[DamageLabel::NoDamage.index()] +=
-            self.profile.confidence_gain * self.profile.no_damage_bias;
-        ClassDistribution::from_logits(logits)
-    }
-
-    fn predict_batch_refs(&self, images: &[&SyntheticImage]) -> Vec<ClassDistribution> {
-        self.predict_evidence(&EvidenceMatrix::from_refs(images.iter().copied()))
-    }
 
     fn retrain(&mut self, samples: &[LabeledImage]) {
         if samples.is_empty() {
@@ -339,8 +326,13 @@ impl Classifier for SimulatedExpert {
         self.learned.seen_samples
     }
 
-    fn as_simulated(&self) -> Option<&SimulatedExpert> {
-        Some(self)
+    fn encode_learned(&self, out: &mut Vec<u8>) {
+        self.learned.encode(out);
+    }
+
+    fn decode_learned(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        self.learned = LearnedState::decode(r)?;
+        Ok(())
     }
 }
 
@@ -650,9 +642,9 @@ mod tests {
             trained(profiles::bovw(2), &ds),
             trained(profiles::ddm(3), &ds),
         ] {
-            let batch: Vec<&SyntheticImage> = ds.test()[..25].iter().collect();
+            let batch = &ds.test()[..25];
             let scalar: Vec<ClassDistribution> = batch.iter().map(|i| expert.predict(i)).collect();
-            let batched = expert.predict_batch_refs(&batch);
+            let batched = expert.predict_evidence(&EvidenceMatrix::from_refs(batch));
             assert_eq!(batched.len(), scalar.len());
             for (b, s) in batched.iter().zip(&scalar) {
                 for (pb, ps) in b.probs().iter().zip(s.probs()) {
@@ -700,7 +692,8 @@ mod tests {
         assert_eq!(LearnedState::from_bytes(&learned.to_bytes()), Ok(learned));
         // Restored onto a rebuilt expert, it is the trained expert again.
         let mut rebuilt = profiles::vgg16(1);
-        rebuilt.restore_learned_state(learned);
+        let bytes = learned.to_bytes();
+        assert_eq!(rebuilt.decode_learned(&mut Reader::new(&bytes)), Ok(()));
         assert_eq!(rebuilt, trained(profiles::vgg16(1), &ds));
     }
 }

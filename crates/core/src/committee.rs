@@ -2,8 +2,9 @@
 //! (paper Definitions 4-8, Eq. 2-3).
 
 use crowdlearn_bandit::ExpWeights;
-use crowdlearn_classifiers::{ClassDistribution, Classifier, LearnedState, SimulatedExpert};
+use crowdlearn_classifiers::{ClassDistribution, Classifier};
 use crowdlearn_dataset::{EvidenceMatrix, LabeledImage, SyntheticImage};
+use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 /// A weighted committee of black-box classifiers.
 ///
@@ -31,32 +32,46 @@ impl Committee {
         Self { members, hedge }
     }
 
-    /// Rebuilds a committee from checkpointed parts: the members plus a
-    /// Hedge learner carrying the saved weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` is empty or its length differs from the weight
-    /// count.
-    pub fn from_parts(members: Vec<Box<dyn Classifier>>, hedge: ExpWeights) -> Self {
-        assert!(!members.is_empty(), "committee needs at least one expert");
-        assert_eq!(members.len(), hedge.len(), "one Hedge weight per member");
-        Self { members, hedge }
+    /// Appends what the committee has learned: the member count, each
+    /// member's [`Classifier::encode_learned`] state, then the Hedge
+    /// learner.
+    pub fn encode_learned(&self, out: &mut Vec<u8>) {
+        self.members.len().encode(out);
+        for m in &self.members {
+            m.encode_learned(out);
+        }
+        self.hedge.encode(out);
     }
 
-    /// The Hedge learner's full state (for checkpoints).
-    pub fn hedge(&self) -> &ExpWeights {
-        &self.hedge
+    /// Rebuilds a committee from [`Committee::encode_learned`] bytes over
+    /// `members`, built from the configuration that booted it: each member
+    /// restores its learned state and the Hedge learner is the decoded one.
+    /// Refuses a member or weight count other than `members.len()`.
+    pub fn decode_learned(
+        mut members: Vec<Box<dyn Classifier>>,
+        r: &mut Reader<'_>,
+    ) -> Result<Self, DecodeError> {
+        if members.is_empty() || usize::decode(r)? != members.len() {
+            return Err(DecodeError::Invalid);
+        }
+        for m in &mut members {
+            m.decode_learned(r)?;
+        }
+        let hedge = ExpWeights::decode(r)?;
+        if hedge.len() != members.len() {
+            return Err(DecodeError::Invalid);
+        }
+        Ok(Self { members, hedge })
     }
 
-    /// What every member has learned, or `None` when any member is not a
-    /// [`SimulatedExpert`] — snapshot callers surface that as an explicit
-    /// unsupported-classifier error.
-    pub fn learned_states(&self) -> Option<Vec<LearnedState>> {
+    /// Labeled samples the members have been trained on so far (they all
+    /// retrain on the same ones).
+    pub fn training_samples(&self) -> usize {
         self.members
             .iter()
-            .map(|m| m.as_simulated().map(SimulatedExpert::learned_state))
-            .collect()
+            .map(|m| m.training_samples())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Number of experts.
@@ -89,20 +104,15 @@ impl Committee {
     /// to `votes(images[i])`.
     ///
     /// This is the sensing-cycle hot path: the batch's visual evidence is
-    /// gathered once into an [`EvidenceMatrix`] and shared by every simulated
-    /// member, so the per-member cost drops to sequential sums plus its own
-    /// noise draws (see [`SimulatedExpert::predict_evidence`]). Members that
-    /// are not simulated experts fall back to the per-image loop, which
-    /// satisfies the same equivalence contract trivially.
+    /// gathered once into an [`EvidenceMatrix`] and shared by every member
+    /// ([`Classifier::predict_evidence`]), so the per-member cost drops to
+    /// its weighted sums plus its own noise draws.
     pub fn votes_batch(&self, images: &[&SyntheticImage]) -> Vec<Vec<ClassDistribution>> {
         let evidence = EvidenceMatrix::from_refs(images.iter().copied());
         let member_votes: Vec<Vec<ClassDistribution>> = self
             .members
             .iter()
-            .map(|m| match m.as_simulated() {
-                Some(expert) => expert.predict_evidence(&evidence),
-                None => m.predict_batch_refs(images),
-            })
+            .map(|m| m.predict_evidence(&evidence))
             .collect();
         // `vec![...; n]` clones, and a clone of an empty Vec drops its
         // capacity — build each row explicitly so no push reallocates.

@@ -55,5 +55,4 @@ pub use qss::{QuerySetSelector, Selection};
 pub use report::{CycleOutcome, SchemeReport};
 pub use system::{
     CrowdLearnConfig, CrowdLearnSystem, CycleWork, IncentivePolicyKind, Model, PostedQuery,
-    StateError,
 };

@@ -5,9 +5,9 @@ use crate::{
     Calibrator, CalibratorConfig, Committee, IncentivePolicy, Offload, QualityController,
     QueriedImage, QuerySetSelector, Retrain, Selection,
 };
-use crowdlearn_bandit::{BanditConfig, ExpWeights};
+use crowdlearn_bandit::BanditConfig;
 use crowdlearn_classifiers::{
-    profiles, BoostedEnsemble, ClassDistribution, Classifier, LearnedState, SimulatedExpert,
+    profiles, BoostedEnsemble, ClassDistribution, Classifier, SimulatedExpert,
 };
 use crowdlearn_crowd::{
     IncentiveLevel, PendingHit, Platform, PlatformConfig, PlatformStats, QueryResponse, SubmitterId,
@@ -15,6 +15,7 @@ use crowdlearn_crowd::{
 use crowdlearn_dataset::{Dataset, LabeledImage, SensingCycle, TemporalContext};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 
 /// Which incentive policy drives IPD — CrowdLearn proper uses
 /// [`IncentivePolicyKind::UcbAlp`]; the others are the Figure 8 comparisons
@@ -45,34 +46,28 @@ pub enum Model {
     /// DDM alone.
     Ddm,
     /// The three experts boosted into one classifier (the Ensemble row and
-    /// the hybrids' AI). It has no serialized form, so a run with it cannot
-    /// be checkpointed.
+    /// the hybrids' AI).
     Ensemble,
 }
 
 impl Model {
-    /// The untrained members, built from `seed`.
+    /// The untrained members, built from `seed` — at boot and, before their
+    /// learned state is restored, at resume.
     fn members(self, seed: u64) -> Vec<Box<dyn Classifier>> {
-        match self.experts(seed) {
-            Some(experts) => experts
+        fn boxed(expert: SimulatedExpert) -> Box<dyn Classifier> {
+            Box::new(expert)
+        }
+        match self {
+            Model::Committee => profiles::paper_committee(seed)
                 .into_iter()
-                .map(|e| Box::new(e) as Box<dyn Classifier>)
+                .map(boxed)
                 .collect(),
-            None => vec![Box::new(BoostedEnsemble::new(profiles::paper_committee(
+            Model::Vgg16 => vec![boxed(profiles::vgg16(seed))],
+            Model::Bovw => vec![boxed(profiles::bovw(seed))],
+            Model::Ddm => vec![boxed(profiles::ddm(seed))],
+            Model::Ensemble => vec![Box::new(BoostedEnsemble::new(profiles::paper_committee(
                 seed,
             )))],
-        }
-    }
-
-    /// The untrained members as simulated experts, built from `seed`, or
-    /// `None` for the Ensemble (one boosted classifier, no serialized form).
-    fn experts(self, seed: u64) -> Option<Vec<SimulatedExpert>> {
-        match self {
-            Model::Committee => Some(profiles::paper_committee(seed)),
-            Model::Vgg16 => Some(vec![profiles::vgg16(seed)]),
-            Model::Bovw => Some(vec![profiles::bovw(seed)]),
-            Model::Ddm => Some(vec![profiles::ddm(seed)]),
-            Model::Ensemble => None,
         }
     }
 }
@@ -454,12 +449,6 @@ impl CycleWork {
         self.budget_exhausted || self.next_pick >= self.picked.len()
     }
 
-    /// Whether the cycle is ready for [`CrowdLearnSystem::finalize_cycle`]:
-    /// nothing left to post and every posted query absorbed.
-    pub fn is_drained(&self) -> bool {
-        self.posting_done() && self.outstanding == 0
-    }
-
     /// Crowd answers absorbed so far.
     pub fn answers_absorbed(&self) -> usize {
         self.truthful.len()
@@ -517,26 +506,6 @@ impl Decode for CycleWork {
         Ok(work)
     }
 }
-
-/// Why a [`CrowdLearnSystem`] could not be serialized for a checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StateError {
-    /// A committee member is not a [`SimulatedExpert`] and has no
-    /// serialized form ([`Model::Ensemble`]).
-    UnsupportedClassifier,
-}
-
-impl std::fmt::Display for StateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StateError::UnsupportedClassifier => {
-                write!(f, "committee member has no serialized form")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StateError {}
 
 /// The assembled CrowdLearn system: committee + QSS + IPD + CQC + MIC over a
 /// simulated platform. See the crate docs for the per-cycle workflow.
@@ -612,16 +581,8 @@ impl CrowdLearnSystem {
             .cloned()
             .map(LabeledImage::ground_truth)
             .collect();
-        let members: Vec<Box<dyn Classifier>> = config
-            .model
-            .members(config.seed)
-            .into_iter()
-            .map(|mut m| {
-                m.retrain(&train);
-                m
-            })
-            .collect();
-        let committee = Committee::new(members, config.hedge_eta);
+        let mut committee = Committee::new(config.model.members(config.seed), config.hedge_eta);
+        committee.retrain(&train);
 
         // 2. Fit CQC on crowd responses over training images (truth known).
         let mut cqc = QualityController::paper();
@@ -663,6 +624,12 @@ impl CrowdLearnSystem {
             bootstrap_spent_cents,
             config,
         }
+    }
+
+    /// Labeled samples the AI has been trained on so far: the training
+    /// split at boot, plus every crowd-labeled sample MIC retrained it on.
+    pub fn training_samples(&self) -> usize {
+        self.committee.training_samples()
     }
 
     /// The committee's current Hedge weights.
@@ -716,6 +683,11 @@ impl CrowdLearnSystem {
         self.platform.set_submitter(submitter);
     }
 
+    /// The [`SubmitterId`] the platform books posts against.
+    pub fn platform_submitter(&self) -> SubmitterId {
+        self.platform.submitter()
+    }
+
     /// The platform's accounting breakdown (queries vs reposts per
     /// context/incentive cell, per-submitter worker-seconds and spend).
     pub fn platform_stats(&self) -> &PlatformStats {
@@ -725,18 +697,15 @@ impl CrowdLearnSystem {
     /// Appends the system's complete learning state to `out`: the config,
     /// what each committee member has learned and the Hedge weights, the QSS
     /// and platform RNGs, the incentive bandit with its budget ledger, CQC's
-    /// trained model, and the bootstrap spending baseline. The members'
-    /// profiles do not travel: `config` fixes them.
+    /// trained model, and the bootstrap spending baseline. What built the
+    /// members does not travel: `config` fixes it.
     /// [`CrowdLearnSystem::decode_state`] rebuilds an equivalent system that
     /// continues byte-identically — no dataset or re-bootstrapping needed.
-    pub fn encode_state(&self, out: &mut Vec<u8>) -> Result<(), StateError> {
-        let learned = self
-            .committee
-            .learned_states()
-            .ok_or(StateError::UnsupportedClassifier)?;
+    ///
+    /// Every system encodes; the `Result` never holds an error.
+    pub fn encode_state(&self, out: &mut Vec<u8>) -> Result<(), Infallible> {
         self.config.encode(out);
-        learned.encode(out);
-        self.committee.hedge().encode(out);
+        self.committee.encode_learned(out);
         self.qss.encode(out);
         self.ipd.encode(out);
         self.cqc.encode(out);
@@ -753,18 +722,7 @@ impl CrowdLearnSystem {
     /// rather than panics.
     pub fn decode_state(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let config = CrowdLearnConfig::decode(r)?;
-        let learned = Vec::<LearnedState>::decode(r)?;
-        let hedge = ExpWeights::decode(r)?;
-        let mut members = config
-            .model
-            .experts(config.seed)
-            .ok_or(DecodeError::Invalid)?;
-        if members.len() != learned.len() || members.len() != hedge.len() {
-            return Err(DecodeError::Invalid);
-        }
-        for (member, learned) in members.iter_mut().zip(learned) {
-            member.restore_learned_state(learned);
-        }
+        let committee = Committee::decode_learned(config.model.members(config.seed), r)?;
         let qss = QuerySetSelector::decode(r)?;
         let ipd = IncentivePolicy::decode(r)?;
         if ipd.kind() != config.policy || *ipd.bandit_config() != bandit_config(&config) {
@@ -773,14 +731,9 @@ impl CrowdLearnSystem {
         let cqc = QualityController::decode(r)?;
         let platform = Platform::decode(r)?;
         let bootstrap_spent_cents = u64::decode(r)?;
-
-        let boxed: Vec<Box<dyn Classifier>> = members
-            .into_iter()
-            .map(|e| Box::new(e) as Box<dyn Classifier>)
-            .collect();
         Ok(Self {
             calibrator: Calibrator::new(config.calibration),
-            committee: Committee::from_parts(boxed, hedge),
+            committee,
             qss,
             ipd,
             cqc,
@@ -1174,11 +1127,12 @@ mod tests {
         // The other system's config (the first field of its state) over
         // this system's three-expert committee and UCB-ALP bandit: a
         // fixed-policy config, a budget the bandit was not built for, then
-        // a single-model config.
-        let edits: [fn(&mut CrowdLearnConfig); 3] = [
+        // a single-model and a boosted-Ensemble config.
+        let edits: [fn(&mut CrowdLearnConfig); 4] = [
             |c| c.policy = IncentivePolicyKind::FixedMax,
             |c| c.budget_cents *= 2.0,
             |c| c.model = Model::Ddm,
+            |c| c.model = Model::Ensemble,
         ];
         for edit in edits {
             let (other_prefix, other) = boot(edit);

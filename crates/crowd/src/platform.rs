@@ -162,12 +162,6 @@ impl PendingHit {
         self.response.completion_delay_secs
     }
 
-    /// Whether every worker will have answered within `deadline_secs` of
-    /// posting.
-    pub fn is_complete_by(&self, deadline_secs: f64) -> bool {
-        self.response.completion_delay_secs <= deadline_secs
-    }
-
     /// The worker responses that have arrived within `deadline_secs` of
     /// posting (a partial view of an expired or still-running HIT).
     pub fn responses_by(&self, deadline_secs: f64) -> Vec<&WorkerResponse> {

@@ -1,67 +1,43 @@
-//! Contiguous structure-of-arrays layout of a batch's visual evidence.
+//! A batch's visual evidence, reduced to what a committee member reads.
 //!
 //! [`EvidenceMatrix`] is the batch-inference companion of
-//! [`SyntheticImage::visual_evidence`]: it gathers the evidence vectors of a
-//! whole sensing-cycle batch into family-major contiguous blocks, so a
-//! classifier that weights feature families (the simulated DDA experts) can
-//! compute every `dim(family, class, k)` block mean with sequential slice
-//! sums instead of per-image strided gathers through [`visual_layout::dim`].
-//!
-//! The raw segments are a pure re-layout of the images' evidence, so summing
-//! over them is bit-identical to indexing the per-image vectors in the same
-//! arithmetic order. The one derived payload is [`EvidenceMatrix::block_means`]:
-//! per-image `(family, class)` block means precomputed with the scalar path's
-//! exact float-op order, shared by every committee member instead of being
-//! recomputed per member.
-//!
-//! [`visual_layout::dim`]: crate::visual_layout::dim
+//! [`SyntheticImage::visual_evidence`]: per image of a batch it keeps the id
+//! and the `(family, class)` block means of the evidence vector
+//! ([`EvidenceMatrix::block_means`]), precomputed with the scalar path's
+//! exact float-op order and shared by every committee member instead of
+//! being recomputed per member. A simulated expert's vote reads nothing
+//! else of an image, so the matrix is also the compact, serializable form
+//! of a labeled-sample history (the boosted Ensemble's validation buffer).
 
 use crate::generator::visual_layout::{BLOCK, FAMILIES, VISUAL_DIM};
 use crate::{DamageLabel, ImageId, SyntheticImage};
-
-/// Per-image, per-family row length: one `BLOCK`-dimensional sub-block per
-/// damage class.
-pub const FAMILY_ROW: usize = DamageLabel::COUNT * BLOCK;
+use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 /// Per-image row length of [`EvidenceMatrix::block_means`]: one mean per
 /// `(family, class)` block, family-major.
 pub const MEANS_ROW: usize = FAMILIES * DamageLabel::COUNT;
 
-/// A batch of images' visual evidence in family-major SoA layout.
-///
-/// Layout: `FAMILIES` segments; segment `f` holds, for each image in batch
-/// order, the image's contiguous family-`f` row (`FAMILY_ROW` values, classes
-/// in index order, `BLOCK` dimensions per class). The image ids ride along so
-/// deterministic per-image noise models can be evaluated without re-touching
-/// the images.
+/// A batch of images' ids and visual-evidence block means.
 ///
 /// # Example
 ///
 /// ```
-/// use crowdlearn_dataset::{Dataset, DatasetConfig, EvidenceMatrix};
-/// use crowdlearn_dataset::visual_layout::{dim, FAMILIES};
+/// use crowdlearn_dataset::{Dataset, DatasetConfig, EvidenceMatrix, MEANS_ROW};
+/// use crowdlearn_dataset::visual_layout::{dim, BLOCK};
 ///
 /// let ds = Dataset::generate(&DatasetConfig::paper());
 /// let batch = &ds.test()[..10];
 /// let matrix = EvidenceMatrix::from_refs(batch);
 /// assert_eq!(matrix.len(), 10);
-/// // Every value is the same bit pattern as the per-image accessor's.
-/// for family in 0..FAMILIES {
-///     let row = matrix.family_row(family, 3);
-///     assert_eq!(row[0], batch[3].visual_evidence()[dim(family, 0, 0)]);
-/// }
+/// // Image 3's first block mean: family 0, class 0, summed `k` ascending.
+/// let evidence = batch[3].visual_evidence();
+/// let mean = (0..BLOCK).map(|k| evidence[dim(0, 0, k)]).sum::<f64>() / BLOCK as f64;
+/// assert_eq!(matrix.block_means()[3 * MEANS_ROW], mean);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvidenceMatrix {
-    count: usize,
     ids: Vec<ImageId>,
-    /// `FAMILIES` contiguous segments of `count * FAMILY_ROW` values each.
-    data: Vec<f64>,
-    /// Per-image `(family, class)` block means, image-major ([`MEANS_ROW`]
-    /// values per image). Means are member-independent — every classifier
-    /// weighting feature families consumes the same sums — so they are
-    /// computed once here and shared across the whole committee, with the
-    /// scalar path's exact float-op order (`k` ascending, one divide).
+    /// [`MEANS_ROW`] means per image, image-major.
     means: Vec<f64>,
 }
 
@@ -72,85 +48,58 @@ impl EvidenceMatrix {
     /// # Panics
     ///
     /// Panics if any image's visual evidence is shorter than
-    /// [`visual_layout::VISUAL_DIM`](crate::visual_layout::VISUAL_DIM) — the
-    /// same out-of-range failure a strided per-image gather would hit.
+    /// [`visual_layout::VISUAL_DIM`](crate::visual_layout::VISUAL_DIM).
     pub fn from_refs<'a, I>(images: I) -> Self
     where
         I: IntoIterator<Item = &'a SyntheticImage>,
-        I::IntoIter: Clone,
     {
-        let iter = images.into_iter();
-        let ids: Vec<ImageId> = iter.clone().map(SyntheticImage::id).collect();
-        let count = ids.len();
-        let mut data = Vec::with_capacity(FAMILIES * count * FAMILY_ROW);
-        for family in 0..FAMILIES {
-            let offset = family * FAMILY_ROW;
-            for image in iter.clone() {
-                let visual = image.visual_evidence();
-                assert!(
-                    visual.len() >= VISUAL_DIM,
-                    "visual evidence must cover the full layout"
-                );
-                data.extend_from_slice(&visual[offset..offset + FAMILY_ROW]);
-            }
+        let images = images.into_iter();
+        let count = images.size_hint().0;
+        let mut matrix = Self {
+            ids: Vec::with_capacity(count),
+            means: Vec::with_capacity(count * MEANS_ROW),
+        };
+        for image in images {
+            matrix.push(image);
         }
-        let mut means = Vec::with_capacity(count * MEANS_ROW);
-        for image in iter {
-            let visual = image.visual_evidence();
-            for family in 0..FAMILIES {
-                for class in 0..DamageLabel::COUNT {
-                    let block = &visual[family * FAMILY_ROW + class * BLOCK..];
-                    let mut mean = 0.0;
-                    for v in &block[..BLOCK] {
-                        mean += v;
-                    }
-                    means.push(mean / BLOCK as f64);
-                }
+        matrix
+    }
+
+    /// Appends one image to the batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image's visual evidence is shorter than
+    /// [`visual_layout::VISUAL_DIM`](crate::visual_layout::VISUAL_DIM).
+    pub fn push(&mut self, image: &SyntheticImage) {
+        let visual = image.visual_evidence();
+        assert!(
+            visual.len() >= VISUAL_DIM,
+            "visual evidence must cover the full layout"
+        );
+        self.ids.push(image.id());
+        for block in visual[..VISUAL_DIM].chunks_exact(BLOCK) {
+            let mut mean = 0.0;
+            for v in block {
+                mean += v;
             }
-        }
-        Self {
-            count,
-            ids,
-            data,
-            means,
+            self.means.push(mean / BLOCK as f64);
         }
     }
 
     /// Number of images in the batch.
     pub fn len(&self) -> usize {
-        self.count
+        self.ids.len()
     }
 
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.ids.is_empty()
     }
 
     /// The batch's image ids, in batch order.
     pub fn ids(&self) -> &[ImageId] {
         &self.ids
-    }
-
-    /// The whole family segment: `len() * FAMILY_ROW` values, one contiguous
-    /// `FAMILY_ROW` row per image in batch order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `family` is out of range.
-    pub fn family(&self, family: usize) -> &[f64] {
-        assert!(family < FAMILIES, "family out of range");
-        let span = self.count * FAMILY_ROW;
-        &self.data[family * span..(family + 1) * span]
-    }
-
-    /// One image's row within a family segment (`FAMILY_ROW` values).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `family` or `image` is out of range.
-    pub fn family_row(&self, family: usize, image: usize) -> &[f64] {
-        assert!(image < self.count, "image out of range");
-        &self.family(family)[image * FAMILY_ROW..(image + 1) * FAMILY_ROW]
     }
 
     /// Every image's `(family, class)` block means, image-major: one
@@ -163,34 +112,35 @@ impl EvidenceMatrix {
     }
 }
 
+// Snapshot codec: the ids, then the means. Decoding refuses a means vector
+// that is not one finite row per id.
+impl Encode for EvidenceMatrix {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.ids.encode(out);
+        self.means.encode(out);
+    }
+}
+
+impl Decode for EvidenceMatrix {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let matrix = Self {
+            ids: Vec::<ImageId>::decode(r)?,
+            means: Vec::<f64>::decode(r)?,
+        };
+        if matrix.means.len() != matrix.ids.len() * MEANS_ROW
+            || !matrix.means.iter().all(|m| m.is_finite())
+        {
+            return Err(DecodeError::Invalid);
+        }
+        Ok(matrix)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::visual_layout::dim;
     use crate::{Dataset, DatasetConfig};
-
-    #[test]
-    fn matrix_is_a_bit_exact_relayout_of_the_per_image_vectors() {
-        let ds = Dataset::generate(&DatasetConfig::paper());
-        let batch: Vec<&SyntheticImage> = ds.test().iter().take(7).collect();
-        let matrix = EvidenceMatrix::from_refs(batch.iter().copied());
-        assert_eq!(matrix.len(), 7);
-        for (i, img) in batch.iter().enumerate() {
-            assert_eq!(matrix.ids()[i], img.id());
-            for family in 0..FAMILIES {
-                let row = matrix.family_row(family, i);
-                for class in 0..DamageLabel::COUNT {
-                    for k in 0..BLOCK {
-                        assert_eq!(
-                            row[class * BLOCK + k].to_bits(),
-                            img.visual_evidence()[dim(family, class, k)].to_bits(),
-                            "image {i} family {family} class {class} k {k}"
-                        );
-                    }
-                }
-            }
-        }
-    }
 
     #[test]
     fn block_means_match_per_image_sums_bit_for_bit() {
@@ -200,6 +150,7 @@ mod tests {
         let means = matrix.block_means();
         assert_eq!(means.len(), batch.len() * MEANS_ROW);
         for (i, img) in batch.iter().enumerate() {
+            assert_eq!(matrix.ids()[i], img.id());
             let row = &means[i * MEANS_ROW..(i + 1) * MEANS_ROW];
             for family in 0..FAMILIES {
                 for class in 0..DamageLabel::COUNT {
@@ -221,11 +172,56 @@ mod tests {
     }
 
     #[test]
+    fn pushing_images_one_by_one_builds_the_same_matrix() {
+        let ds = Dataset::generate(&DatasetConfig::paper());
+        let mut matrix = EvidenceMatrix::default();
+        for image in &ds.train()[..12] {
+            matrix.push(image);
+        }
+        assert_eq!(matrix, EvidenceMatrix::from_refs(&ds.train()[..12]));
+    }
+
+    #[test]
+    fn codec_round_trips_and_rejects_rows_that_do_not_fit() {
+        let ds = Dataset::generate(&DatasetConfig::paper());
+        let matrix = EvidenceMatrix::from_refs(&ds.test()[..5]);
+        assert_eq!(EvidenceMatrix::from_bytes(&matrix.to_bytes()), Ok(matrix));
+        assert_eq!(
+            EvidenceMatrix::from_bytes(&EvidenceMatrix::default().to_bytes()),
+            Ok(EvidenceMatrix::default())
+        );
+
+        let ids = vec![ImageId(1), ImageId(2)];
+        for (what, means) in [
+            ("one row short", vec![0.5; MEANS_ROW]),
+            ("a NaN mean", {
+                let mut means = vec![0.5; 2 * MEANS_ROW];
+                means[4] = f64::NAN;
+                means
+            }),
+            ("an infinite mean", {
+                let mut means = vec![0.5; 2 * MEANS_ROW];
+                means[MEANS_ROW] = f64::INFINITY;
+                means
+            }),
+        ] {
+            let mut bytes = Vec::new();
+            ids.encode(&mut bytes);
+            means.encode(&mut bytes);
+            assert_eq!(
+                EvidenceMatrix::from_bytes(&bytes),
+                Err(DecodeError::Invalid),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
     fn empty_batch_is_fine() {
         let matrix = EvidenceMatrix::from_refs(&[]);
         assert!(matrix.is_empty());
         assert_eq!(matrix.len(), 0);
-        assert!(matrix.family(0).is_empty());
+        assert!(matrix.block_means().is_empty());
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod image;
 mod label;
 mod stream;
 
-pub use evidence::{EvidenceMatrix, FAMILY_ROW, MEANS_ROW};
+pub use evidence::{EvidenceMatrix, MEANS_ROW};
 pub use generator::{gaussian, visual_layout, Dataset, DatasetConfig};
 pub use image::{ImageAttribute, ImageId, LabeledImage, SyntheticImage};
 pub use label::DamageLabel;

@@ -46,6 +46,7 @@ use crowdlearn_crowd::{SubmitterId, SubmitterUsage};
 use crowdlearn_dataset::{Dataset, SensingCycleStream};
 use crowdlearn_metrics::QuantileSketch;
 use serde::binary::{Decode, DecodeError, Encode, Reader};
+use std::convert::Infallible;
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -663,16 +664,15 @@ impl FleetOrchestrator {
     /// Serializes the whole fleet at the current global event boundary:
     /// `FleetConfig ‖ per-shard spend ‖ pool live state ‖ shard payloads`,
     /// each shard payload exactly the bytes its own
-    /// [`PipelinedSystem::snapshot`] would seal.
-    pub fn snapshot(&self) -> Result<FleetSnapshot, FleetSnapshotError> {
+    /// [`PipelinedSystem::snapshot`] would seal. Every fleet checkpoints;
+    /// the `Result` never holds an error.
+    pub fn snapshot(&self) -> Result<FleetSnapshot, Infallible> {
         let mut payload = Vec::with_capacity(self.shards.len() * PipelinedSystem::PAYLOAD_RESERVE);
         self.config.encode(&mut payload);
         self.ledger.spent_cents.encode(&mut payload);
         self.pool.encode_live(&mut payload);
-        for (shard, system) in self.shards.iter().enumerate() {
-            system
-                .encode_payload(&mut payload)
-                .map_err(|error| FleetSnapshotError::Shard { shard, error })?;
+        for system in &self.shards {
+            system.encode_payload(&mut payload);
         }
         Ok(FleetSnapshot::seal(payload))
     }
@@ -725,10 +725,12 @@ impl FleetOrchestrator {
         for (shard, stream) in streams.iter().enumerate() {
             let system = PipelinedSystem::decode_payload(&mut r, stream)
                 .map_err(|error| FleetSnapshotError::Shard { shard, error })?;
-            // `new` boots every shard at its quota.
-            if system.system().config().budget_cents.to_bits()
-                != ledger.quota_cents(shard).to_bits()
-            {
+            // `new` boots every shard at its quota, posting under its own
+            // submitter.
+            let booted = system.system().config().budget_cents.to_bits()
+                == ledger.quota_cents(shard).to_bits()
+                && system.system().platform_submitter() == Self::submitter_for(shard);
+            if !booted {
                 return Err(corrupt(DecodeError::Invalid));
             }
             shards.push(system);
@@ -751,7 +753,7 @@ impl FleetOrchestrator {
 /// Leading bytes of every fleet snapshot.
 const FLEET_MAGIC: [u8; 8] = *b"CLFLEET\x00";
 
-/// Why a fleet snapshot could not be produced or restored.
+/// Why a fleet snapshot could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetSnapshotError {
     /// The bytes do not start with the fleet snapshot magic.
@@ -1113,21 +1115,21 @@ mod tests {
         );
     }
 
-    /// A 1-shard fleet (capacity 80, `budget_cents`) paused after 5
-    /// events, and its stream.
-    fn paused_fleet(budget_cents: f64) -> (FleetOrchestrator, [SensingCycleStream; 1]) {
+    /// A fleet of `shards` identical shards over one dataset (capacity 80,
+    /// `budget_cents`) paused after 5 events, and its streams.
+    fn paused_fleet(
+        budget_cents: f64,
+        shards: usize,
+    ) -> (FleetOrchestrator, Vec<SensingCycleStream>) {
         use crowdlearn_dataset::DatasetConfig;
         let dataset = Dataset::generate(&DatasetConfig::paper().with_seed(7));
-        let streams = [SensingCycleStream::new(&dataset, 6, 4)];
+        let streams = vec![SensingCycleStream::new(&dataset, 6, 4); shards];
         let mut config = CrowdLearnConfig::paper();
         config.cqc_training_queries = 200;
         config.warmup_per_cell = 2;
-        let datasets = [dataset];
-        let mut fleet = FleetOrchestrator::new(
-            vec![ShardSpec::new(config, RuntimeConfig::paper())],
-            FleetConfig::new(budget_cents),
-            &datasets,
-        );
+        let datasets = vec![dataset; shards];
+        let specs = vec![ShardSpec::new(config, RuntimeConfig::paper()); shards];
+        let mut fleet = FleetOrchestrator::new(specs, FleetConfig::new(budget_cents), &datasets);
         assert!(fleet
             .run_until(&datasets, &streams, RunBound::Events(5))
             .is_none());
@@ -1181,19 +1183,22 @@ mod tests {
         }
     }
 
-    /// The payload parts of a [`paused_fleet`] of `budget_cents`.
+    /// The payload parts of a 1-shard [`paused_fleet`] of `budget_cents`.
     fn paused_parts(budget_cents: f64) -> Parts {
-        let (fleet, streams) = paused_fleet(budget_cents);
+        let (fleet, streams) = paused_fleet(budget_cents, 1);
         Parts::split(&fleet.snapshot().expect("checkpointable"), &streams)
     }
 
     /// An edit to the parts of a fleet snapshot payload.
     type Splice = fn(&mut Parts);
 
-    /// Resumes a 1000 ¢ [`paused_fleet`] after `edit` rewrote the parts of
-    /// its payload.
-    fn resume_respliced(edit: Splice) -> Result<FleetOrchestrator, FleetSnapshotError> {
-        let (fleet, streams) = paused_fleet(1000.0);
+    /// Resumes a 1000 ¢ [`paused_fleet`] of `shards` after `edit` rewrote
+    /// the parts of its payload.
+    fn resume_respliced(
+        shards: usize,
+        edit: Splice,
+    ) -> Result<FleetOrchestrator, FleetSnapshotError> {
+        let (fleet, streams) = paused_fleet(1000.0, shards);
         let mut parts = Parts::split(&fleet.snapshot().expect("checkpointable"), &streams);
         edit(&mut parts);
         FleetOrchestrator::resume(&parts.seal(), &streams)
@@ -1201,7 +1206,7 @@ mod tests {
 
     #[test]
     fn fleet_payload_inlines_each_shards_own_snapshot_payload() {
-        let (fleet, streams) = paused_fleet(1000.0);
+        let (fleet, streams) = paused_fleet(1000.0, 1);
         let parts = Parts::split(&fleet.snapshot().expect("checkpointable"), &streams);
         let own = fleet.shard(0).snapshot().expect("checkpointable");
         assert_eq!(parts.shards, [own.payload().to_vec()]);
@@ -1210,7 +1215,7 @@ mod tests {
 
     #[test]
     fn resume_rejects_pool_and_ledger_state_its_config_never_booted() {
-        let resumed = resume_respliced(|_| {}).expect("untouched payload resumes");
+        let resumed = resume_respliced(1, |_| {}).expect("untouched payload resumes");
         assert_eq!(resumed.fleet_config(), &FleetConfig::new(1000.0));
         let cases: [(&str, Splice); 6] = [
             ("busy interval of a shard the fleet lacks", |parts| {
@@ -1236,7 +1241,7 @@ mod tests {
         ];
         for (what, edit) in cases {
             assert_eq!(
-                resume_respliced(edit).err(),
+                resume_respliced(1, edit).err(),
                 Some(FleetSnapshotError::Corrupt(DecodeError::Invalid)),
                 "{what}"
             );
@@ -1246,7 +1251,7 @@ mod tests {
     #[test]
     fn resume_holds_each_shard_to_its_window_policy() {
         // The shard runs the paper's `Static(4)` window.
-        let resumed = resume_respliced(|parts| {
+        let resumed = resume_respliced(1, |parts| {
             let shard = crate::RuntimeSnapshot::seal(parts.shards[0].clone());
             parts.shards[0] = crate::pipeline::splice_window(&shard, 50)
                 .payload()
@@ -1258,6 +1263,17 @@ mod tests {
                 shard: 0,
                 error: SnapshotError::Corrupt(DecodeError::Invalid),
             })
+        );
+    }
+
+    #[test]
+    fn resume_refuses_shard_payloads_in_each_others_slots() {
+        // Same config, same fair-share quota: only the submitter each
+        // shard's platform books under tells the two payloads apart.
+        resume_respliced(2, |_| {}).expect("untouched payload resumes");
+        assert_eq!(
+            resume_respliced(2, |parts| parts.shards.swap(0, 1)).err(),
+            Some(FleetSnapshotError::Corrupt(DecodeError::Invalid))
         );
     }
 

@@ -14,6 +14,7 @@ use crowdlearn_crowd::{IncentiveLevel, SubmitterId};
 use crowdlearn_dataset::{Dataset, SensingCycle, SensingCycleStream};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 use std::collections::{BTreeMap, VecDeque};
+use std::convert::Infallible;
 
 /// What a pipelined run produced, beyond the usual quality report: the
 /// virtual-time makespan and the pipelining/repost telemetry.
@@ -192,12 +193,6 @@ impl PipelinedSystem {
     /// The underlying system.
     pub fn system(&self) -> &CrowdLearnSystem {
         &self.system
-    }
-
-    /// Whether an execution is in progress (started and not yet drained
-    /// into a report).
-    pub fn is_running(&self) -> bool {
-        self.exec.is_some()
     }
 
     /// Events processed so far in the current execution, or `None` when no
@@ -412,13 +407,11 @@ impl PipelinedSystem {
     }
 
     /// Serializes the whole system — learned module state plus any
-    /// in-progress execution — at the current event boundary.
-    ///
-    /// Fails with [`SnapshotError::UnsupportedSystem`] when a committee
-    /// member has no serialized form (the boosted `Model::Ensemble`).
-    pub fn snapshot(&self) -> Result<RuntimeSnapshot, SnapshotError> {
+    /// in-progress execution — at the current event boundary. Every
+    /// configuration checkpoints; the `Result` never holds an error.
+    pub fn snapshot(&self) -> Result<RuntimeSnapshot, Infallible> {
         let mut payload = Vec::with_capacity(Self::PAYLOAD_RESERVE);
-        self.encode_payload(&mut payload)?;
+        self.encode_payload(&mut payload);
         Ok(RuntimeSnapshot::seal(payload))
     }
 
@@ -447,14 +440,11 @@ impl PipelinedSystem {
     /// Appends the checkpoint payload — `RuntimeConfig ‖ system state ‖
     /// execution ‖ tap` — that a [`RuntimeSnapshot`] seals and a fleet
     /// checkpoint carries inline per shard.
-    pub(crate) fn encode_payload(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
+    pub(crate) fn encode_payload(&self, out: &mut Vec<u8>) {
         self.config.encode(out);
-        self.system
-            .encode_state(out)
-            .map_err(SnapshotError::UnsupportedSystem)?;
+        let Ok(()) = self.system.encode_state(out);
         self.exec.encode(out);
         self.tap.encode(out);
-        Ok(())
     }
 
     /// Reads one [`PipelinedSystem::encode_payload`] payload off `r` and

@@ -21,7 +21,6 @@
 //! its shards, under its own single frame.
 
 use crate::frame::{self, FrameError};
-use crowdlearn::StateError;
 use serde::binary::DecodeError;
 
 /// Leading bytes of every snapshot.
@@ -70,15 +69,18 @@ const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 /// inline instead of a framed snapshot per shard, the ledger as per-shard
 /// spend alone and the pool as its live state alone (budget, quotas and
 /// capacity are rebuilt from the `FleetConfig`). A runtime payload is
-/// unchanged.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 11;
+/// unchanged;
+/// 12 — every committee member travels as its `Classifier::encode_learned`
+/// state, so `Model::Ensemble` checkpoints too: the boosted classifier
+/// carries its members' learned states, the SAMME alphas and its
+/// validation buffer (each sample's image id and visual block means, then
+/// the labels). `UcbAlp` lost its exploration scale, now a constant; the
+/// other members' bytes are unchanged.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 12;
 
-/// Why a snapshot could not be produced or restored.
+/// Why a snapshot could not be restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The system holds a component with no serialized form (a committee
-    /// member that is not a simulated expert).
-    UnsupportedSystem(StateError),
     /// The bytes do not start with the snapshot magic.
     BadMagic,
     /// The snapshot was written by a different format version.
@@ -103,7 +105,6 @@ pub enum SnapshotError {
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapshotError::UnsupportedSystem(e) => write!(f, "system is not checkpointable: {e}"),
             SnapshotError::BadMagic => write!(f, "not a runtime snapshot (bad magic)"),
             SnapshotError::VersionMismatch { found } => write!(
                 f,

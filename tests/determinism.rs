@@ -5,7 +5,7 @@
 //! wall-clock read, or entropy-seeded RNG that sneaks past review shows up
 //! as a hard test failure, label by label.
 
-use crowdlearn::{CrowdLearnConfig, Model, StateError};
+use crowdlearn::{CrowdLearnConfig, Model};
 use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
 use crowdlearn_runtime::{
     FleetConfig, FleetOrchestrator, FleetSnapshot, FleetSnapshotError, MetricsTap, PipelinedSystem,
@@ -135,28 +135,6 @@ fn ai_only_checkpoint_resume_is_byte_identical() {
     assert_eq!(
         format!("{:?}", resumed.run(&dataset, &stream)),
         format!("{baseline:?}")
-    );
-}
-
-/// The boosted Ensemble has no serialized form: a snapshot of a run with it
-/// is a typed error, not a panic.
-#[test]
-fn ensemble_snapshots_are_a_typed_unsupported_error() {
-    let dataset = dataset(7);
-    let stream = SensingCycleStream::new(&dataset, 8, 5);
-    let mut system = PipelinedSystem::new(
-        &dataset,
-        CrowdLearnConfig::ai_only(Model::Ensemble),
-        runtime_config(),
-    );
-    assert!(system
-        .run_until(&dataset, &stream, RunBound::Events(10))
-        .is_none());
-    assert_eq!(
-        system.snapshot().err(),
-        Some(SnapshotError::UnsupportedSystem(
-            StateError::UnsupportedClassifier
-        ))
     );
 }
 
@@ -609,8 +587,8 @@ fn snapshot_rejects_tampering_and_mismatched_streams() {
 
 /// Forward and backward compatibility: a frame stamped with a *future*
 /// format version — one written by a newer build whose payload layout this
-/// build cannot know — or with the previous one (v10, whose fleet frames
-/// nested a framed snapshot per shard) must come back as a typed
+/// build cannot know — or with the previous one (v11, whose incentive
+/// learner carried its exploration scale) must come back as a typed
 /// `VersionMismatch` carrying the found version, refused by the frame
 /// before any payload decoder runs: never a panic or a silent misparse.
 /// Both frames stamp the one `SNAPSHOT_FORMAT_VERSION`.
@@ -625,7 +603,7 @@ fn snapshots_reject_future_format_versions_with_typed_errors() {
     let bytes = system.snapshot().expect("checkpointable").to_bytes();
     for (found, stamped) in [
         (SNAPSHOT_FORMAT_VERSION + 1, SNAPSHOT_FORMAT_VERSION + 1),
-        (10, SNAPSHOT_FORMAT_VERSION - 1),
+        (11, SNAPSHOT_FORMAT_VERSION - 1),
     ] {
         let mut bytes = bytes.clone();
         // The u32 version field sits right after the 8-byte magic.
@@ -884,6 +862,108 @@ fn mid_outage_checkpoint_resume_is_byte_identical() {
         format!("{report:?}"),
         format!("{baseline:?}"),
         "mid-outage resume diverged"
+    );
+}
+
+/// The seven Table II schemes, in the table's row order.
+fn every_scheme() -> [CrowdLearnConfig; 7] {
+    [
+        CrowdLearnConfig::paper(),
+        CrowdLearnConfig::ai_only(Model::Vgg16),
+        CrowdLearnConfig::ai_only(Model::Bovw),
+        CrowdLearnConfig::ai_only(Model::Ddm),
+        CrowdLearnConfig::ai_only(Model::Ensemble),
+        CrowdLearnConfig::hybrid_para(),
+        CrowdLearnConfig::hybrid_al(),
+    ]
+}
+
+/// Every scheme checkpoints through the one path: each preset, run under
+/// the fault plan with a HIT timeout, pauses at event boundaries across the
+/// run (the same live run, checkpointed at each) and resumes from bytes to
+/// the uninterrupted run's byte-identical report.
+#[test]
+fn every_scheme_resumes_byte_identically_under_a_fault_plan() {
+    let dataset = dataset(7);
+    let stream = SensingCycleStream::new(&dataset, 8, 5);
+    let trained_at_boot = dataset.train().len();
+    for config in every_scheme() {
+        let retrains = config == CrowdLearnConfig::hybrid_al();
+        let baseline =
+            PipelinedSystem::new(&dataset, config.clone(), faulted_config()).run(&dataset, &stream);
+        assert!(
+            baseline.posts_rejected > 0 || config.queries_per_cycle == 0,
+            "the outage must refuse a crowd scheme's posts"
+        );
+        let total = baseline.events_processed;
+        let mut live = PipelinedSystem::new(&dataset, config, faulted_config());
+        let mut retrained_cuts = 0;
+        for _ in 0..3 {
+            // Pauses at a quarter, a half and three quarters of the run.
+            assert!(live
+                .run_until(&dataset, &stream, RunBound::Events(total / 4))
+                .is_none());
+            let cut = live.events_processed().expect("running");
+            if live.system().training_samples() > trained_at_boot {
+                retrained_cuts += 1;
+            }
+            let bytes = live.snapshot().expect("infallible").to_bytes();
+            let snapshot = RuntimeSnapshot::from_bytes(&bytes).expect("frame validates");
+            let mut resumed =
+                PipelinedSystem::resume(&snapshot, &stream).expect("payload validates");
+            assert_eq!(
+                format!("{:?}", resumed.run(&dataset, &stream)),
+                format!("{baseline:?}"),
+                "{:?} resume from event boundary {cut}/{total} diverged",
+                live.system().config().model
+            );
+        }
+        assert!(
+            !retrains || retrained_cuts > 0,
+            "Hybrid-AL must checkpoint after its first retrain"
+        );
+    }
+}
+
+/// A fleet whose second shard runs Hybrid-AL — the boosted Ensemble, its
+/// validation buffer grown by crowd retraining — resumes byte-identically.
+#[test]
+fn fleet_with_a_hybrid_al_shard_resumes_byte_identically() {
+    let datasets = vec![dataset(7), dataset(8)];
+    let streams: Vec<SensingCycleStream> = datasets
+        .iter()
+        .map(|d| SensingCycleStream::new(d, 8, 5))
+        .collect();
+    let fleet = || {
+        let specs = vec![
+            ShardSpec::new(CrowdLearnConfig::paper(), faulted_config()),
+            ShardSpec::new(CrowdLearnConfig::hybrid_al(), faulted_config()),
+        ];
+        let budget = CrowdLearnConfig::paper().budget_cents * 2.0;
+        FleetOrchestrator::new(specs, FleetConfig::new(budget), &datasets)
+    };
+    let baseline = fleet().run(&datasets, &streams);
+    let total = baseline.events_processed;
+    let mut live = fleet();
+    // Pauses half way and at seven eighths of the run, the second after
+    // the Hybrid-AL shard's first retrain.
+    for step in [total / 2, (3 * total) / 8] {
+        assert!(live
+            .run_until(&datasets, &streams, RunBound::Events(step))
+            .is_none());
+        let bytes = live.snapshot().expect("infallible").to_bytes();
+        let snapshot = FleetSnapshot::from_bytes(&bytes).expect("frame validates");
+        let mut resumed =
+            FleetOrchestrator::resume(&snapshot, &streams).expect("payload validates");
+        assert_eq!(
+            format!("{:?}", resumed.run(&datasets, &streams)),
+            format!("{baseline:?}"),
+            "fleet resume diverged"
+        );
+    }
+    assert!(
+        live.shard(1).system().training_samples() > datasets[1].train().len(),
+        "the last checkpoint must land after the Hybrid-AL shard's first retrain"
     );
 }
 

@@ -6,7 +6,8 @@ use crowdlearn_bandit::{
 };
 use crowdlearn_classifiers::{profiles, BoostedEnsemble, ClassDistribution, Classifier};
 use crowdlearn_dataset::{
-    DamageLabel, Dataset, DatasetConfig, LabeledImage, SensingCycleStream, SyntheticImage,
+    DamageLabel, Dataset, DatasetConfig, EvidenceMatrix, LabeledImage, SensingCycleStream,
+    SyntheticImage,
 };
 use crowdlearn_metrics::{wilcoxon_signed_rank, ConfusionMatrix, RocCurve, SummaryStats};
 use crowdlearn_runtime::{MetricsTap, PipelinedSystem, RuntimeConfig, WindowPolicy};
@@ -189,7 +190,7 @@ fn assert_distributions_bit_identical(
 }
 
 // The batch-inference contract (DESIGN.md "Batched committee inference"):
-// `predict_batch_refs` / `votes_batch` / `entropies_batch`
+// `predict_evidence` / `votes_batch` / `entropies_batch`
 // are performance paths, never semantic ones — every shipped classifier
 // profile, trained or untrained, must reproduce the scalar path bit for bit.
 proptest! {
@@ -207,7 +208,7 @@ proptest! {
         let start = start % test.len();
         let len = len.min(test.len() - start);
         let batch = &test[start..start + len];
-        let refs: Vec<&SyntheticImage> = batch.iter().collect();
+        let evidence = EvidenceMatrix::from_refs(batch);
         let classifiers: Vec<Box<dyn Classifier>> = vec![
             Box::new(profiles::vgg16(seed)),
             Box::new(profiles::bovw(seed)),
@@ -226,7 +227,7 @@ proptest! {
             }
             let scalar: Vec<ClassDistribution> =
                 batch.iter().map(|img| classifier.predict(img)).collect();
-            assert_distributions_bit_identical(&classifier.predict_batch_refs(&refs), &scalar)?;
+            assert_distributions_bit_identical(&classifier.predict_evidence(&evidence), &scalar)?;
         }
     }
 
