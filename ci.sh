@@ -73,10 +73,11 @@ done
 # perfbench as a correctness smoke, with the command BENCHMARK.json declares:
 # its output checks (resume equals uninterrupted, tapped equals untapped,
 # stage replay equals Static(1), 1-shard fleet equals bare runtime) exit 1
-# on failure. Wall times are printed but not gated.
+# on failure. Wall times are printed but not gated. `--locked` fails the
+# step when a dependency change would rewrite perfbench/Cargo.lock.
 for workload in paper_stream fleet_contended chaos_checkpoint; do
     echo "==> perfbench correctness smoke (${workload})"
-    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "${workload}" --seconds 1 --trace 0
 done
 

@@ -181,35 +181,6 @@ pub trait CostedBandit: Send {
 
     /// Budget still available.
     fn remaining_budget(&self) -> f64;
-
-    /// The problem description this policy was built for.
-    fn config(&self) -> &BanditConfig;
-}
-
-// Snapshot codec: decoding runs `BanditConfig::check` and reports `Invalid`
-// instead of panicking.
-impl Encode for BanditConfig {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.contexts.encode(out);
-        self.action_costs.encode(out);
-        self.total_budget.encode(out);
-        self.horizon.encode(out);
-        self.context_distribution.encode(out);
-    }
-}
-
-impl Decode for BanditConfig {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let config = Self {
-            contexts: usize::decode(r)?,
-            action_costs: Vec::<f64>::decode(r)?,
-            total_budget: f64::decode(r)?,
-            horizon: u64::decode(r)?,
-            context_distribution: Option::<Vec<f64>>::decode(r)?,
-        };
-        config.check().map_err(|_| DecodeError::Invalid)?;
-        Ok(config)
-    }
 }
 
 /// Per-(context, action) tables must match the configuration's dimensions,
@@ -276,22 +247,21 @@ impl BudgetLedger {
     }
 }
 
-// Snapshot codec: the remaining budget; decoding rejects a negative or
-// non-finite one.
-impl Encode for BudgetLedger {
-    fn encode(&self, out: &mut Vec<u8>) {
+// Snapshot codec: the remaining budget, restored onto the ledger a policy
+// rebuilt from its config holds. Spend only ever shrinks it, so decoding
+// rejects a negative, non-finite or larger remaining budget.
+impl BudgetLedger {
+    pub(crate) fn encode_learned(&self, out: &mut Vec<u8>) {
         self.remaining.encode(out);
     }
-}
 
-impl Decode for BudgetLedger {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+    pub(crate) fn decode_learned(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
         let remaining = f64::decode(r)?;
-        let budget_ok = remaining.is_finite() && remaining >= 0.0;
-        if !budget_ok {
+        if !(0.0..=self.remaining).contains(&remaining) {
             return Err(DecodeError::Invalid);
         }
-        Ok(Self { remaining })
+        self.remaining = remaining;
+        Ok(())
     }
 }
 
@@ -318,52 +288,68 @@ mod tests {
     }
 
     #[test]
-    fn check_agrees_with_the_snapshot_decoder() {
+    fn check_holds_every_field_to_its_rule() {
         let paper = BanditConfig::new(4, vec![1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0], 1000.0, 200);
         let mut cases = vec![
-            paper.clone(),
-            BanditConfig {
-                contexts: 0,
-                ..paper.clone()
-            },
-            BanditConfig {
-                action_costs: Vec::new(),
-                ..paper.clone()
-            },
-            BanditConfig {
-                horizon: 0,
-                ..paper.clone()
-            },
-            BanditConfig {
-                context_distribution: Some(vec![0.5, 0.5]),
-                ..paper.clone()
-            },
+            (paper.clone(), true),
+            (
+                BanditConfig {
+                    contexts: 0,
+                    ..paper.clone()
+                },
+                false,
+            ),
+            (
+                BanditConfig {
+                    action_costs: Vec::new(),
+                    ..paper.clone()
+                },
+                false,
+            ),
+            (
+                BanditConfig {
+                    horizon: 0,
+                    ..paper.clone()
+                },
+                false,
+            ),
+            (
+                BanditConfig {
+                    context_distribution: Some(vec![0.5, 0.5]),
+                    ..paper.clone()
+                },
+                false,
+            ),
         ];
         for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0, 0.25] {
-            cases.push(BanditConfig {
-                total_budget: x,
-                ..paper.clone()
-            });
-            cases.push(BanditConfig {
-                action_costs: vec![1.0, x],
-                ..paper.clone()
-            });
-            cases.push(BanditConfig {
-                context_distribution: Some(vec![x, 0.25, 0.25, 0.5 - x]),
-                ..paper.clone()
-            });
+            let probability = x == 0.0 || x == 0.25;
+            cases.push((
+                BanditConfig {
+                    total_budget: x,
+                    ..paper.clone()
+                },
+                probability,
+            ));
+            cases.push((
+                BanditConfig {
+                    action_costs: vec![1.0, x],
+                    ..paper.clone()
+                },
+                x == 0.25,
+            ));
+            cases.push((
+                BanditConfig {
+                    context_distribution: Some(vec![x, 0.25, 0.25, 0.5 - x]),
+                    ..paper.clone()
+                },
+                probability,
+            ));
         }
-        for config in &cases {
-            let decoded = BanditConfig::from_bytes(&config.to_bytes());
-            assert_eq!(
-                config.check().is_ok(),
-                decoded.is_ok(),
-                "{config:?}: check {:?}, decode {decoded:?}",
-                config.check()
-            );
+        for (config, valid) in &cases {
+            assert_eq!(config.check().is_ok(), *valid, "{config:?}");
         }
-        // The constructor used to accept an infinite budget the decoder
-        // rejected.
+        // The constructor once accepted an infinite budget that resume
+        // then rejected.
         let infinite = BanditConfig {
             total_budget: f64::INFINITY,
             ..paper
@@ -444,61 +430,101 @@ mod tests {
             .collect()
     }
 
-    /// A policy decoded mid-run re-encodes to the same bytes and then
-    /// picks exactly what the live one picks.
-    fn assert_resume_is_transparent<B: CostedBandit + Encode + Decode>(mut live: B) {
+    /// A learned-state pair: what a policy writes, and how a policy rebuilt
+    /// from the same config restores it.
+    type Learned<B> = (
+        fn(&B, &mut Vec<u8>),
+        fn(&mut B, &mut Reader<'_>) -> Result<(), DecodeError>,
+    );
+
+    /// A policy's learned state, decoded mid-run onto `rebuilt` (built from
+    /// the same config under another seed), re-encodes to the same bytes,
+    /// and the rebuilt policy then picks exactly what the live one picks.
+    fn assert_resume_is_transparent<B: CostedBandit>(
+        mut live: B,
+        mut rebuilt: B,
+        codec: Learned<B>,
+    ) {
+        let (encode, decode) = codec;
         drive(&mut live, 37);
-        let bytes = live.to_bytes();
-        let mut resumed = B::from_bytes(&bytes).expect("round trip");
-        assert_eq!(resumed.to_bytes(), bytes);
-        assert_eq!(drive(&mut live, 40), drive(&mut resumed, 40));
-        assert_eq!(live.remaining_budget(), resumed.remaining_budget());
+        let mut bytes = Vec::new();
+        encode(&live, &mut bytes);
+        let mut r = Reader::new(&bytes);
+        decode(&mut rebuilt, &mut r).expect("round trip");
+        assert!(r.is_empty());
+        let mut again = Vec::new();
+        encode(&rebuilt, &mut again);
+        assert_eq!(again, bytes);
+        assert_eq!(drive(&mut live, 40), drive(&mut rebuilt, 40));
+        assert_eq!(live.remaining_budget(), rebuilt.remaining_budget());
     }
 
     #[test]
     fn ucb_alp_resumes_byte_identically() {
-        assert_resume_is_transparent(UcbAlp::new(resume_config(), 9));
+        assert_resume_is_transparent(
+            UcbAlp::new(resume_config(), 9),
+            UcbAlp::new(resume_config(), 1),
+            (UcbAlp::encode_learned, UcbAlp::decode_learned),
+        );
     }
 
     #[test]
     fn epsilon_greedy_resumes_byte_identically() {
-        assert_resume_is_transparent(EpsilonGreedy::new(resume_config(), 0.2, 9));
+        assert_resume_is_transparent(
+            EpsilonGreedy::new(resume_config(), 0.2, 9),
+            EpsilonGreedy::new(resume_config(), 0.2, 1),
+            (EpsilonGreedy::encode_learned, EpsilonGreedy::decode_learned),
+        );
     }
 
     #[test]
     fn fixed_resumes_byte_identically() {
-        assert_resume_is_transparent(FixedPolicy::new(resume_config(), 1));
+        assert_resume_is_transparent(
+            FixedPolicy::new(resume_config(), 1),
+            FixedPolicy::new(resume_config(), 1),
+            (FixedPolicy::encode_learned, FixedPolicy::decode_learned),
+        );
     }
 
     #[test]
     fn random_resumes_byte_identically() {
-        assert_resume_is_transparent(RandomPolicy::new(resume_config(), 9));
+        assert_resume_is_transparent(
+            RandomPolicy::new(resume_config(), 9),
+            RandomPolicy::new(resume_config(), 1),
+            (RandomPolicy::encode_learned, RandomPolicy::decode_learned),
+        );
     }
 
     #[test]
-    fn mismatched_tables_are_invalid() {
-        // A 3-action config spliced over a 2-action policy's own: the
-        // statistics tables no longer fit the config.
+    fn learned_state_the_rebuilt_policy_cannot_hold_is_invalid() {
+        // A 2-action policy's statistics restored onto a 3-action policy:
+        // the tables no longer fit the rebuilt policy's.
         let two = BanditConfig::new(2, vec![1.0, 2.0], 300.0, 120);
-        let bytes = EpsilonGreedy::new(two.clone(), 0.1, 9).to_bytes();
-        let mut spliced = resume_config().to_bytes();
-        spliced.extend_from_slice(&bytes[two.to_bytes().len()..]);
+        let mut bytes = Vec::new();
+        EpsilonGreedy::new(two.clone(), 0.1, 9).encode_learned(&mut bytes);
+        let mut rebuilt = EpsilonGreedy::new(resume_config(), 0.1, 9);
         assert_eq!(
-            EpsilonGreedy::from_bytes(&spliced).map(|_| ()),
+            rebuilt.decode_learned(&mut Reader::new(&bytes)),
             Err(DecodeError::Invalid)
         );
-        // The same splice is also refused for UCB-ALP's tables, and a
-        // negative remaining budget for any policy.
-        let bytes = UcbAlp::new(two.clone(), 9).to_bytes();
-        let mut spliced = resume_config().to_bytes();
-        spliced.extend_from_slice(&bytes[two.to_bytes().len()..]);
-        assert!(UcbAlp::from_bytes(&spliced).is_err());
-        let mut broke = two.to_bytes();
-        broke.extend_from_slice(&(-1.0f64).to_bytes());
-        broke.extend_from_slice(&[0; 32]);
+        let mut bytes = Vec::new();
+        UcbAlp::new(two, 9).encode_learned(&mut bytes);
+        let mut rebuilt = UcbAlp::new(resume_config(), 9);
         assert_eq!(
-            RandomPolicy::from_bytes(&broke).map(|_| ()),
+            rebuilt.decode_learned(&mut Reader::new(&bytes)),
             Err(DecodeError::Invalid)
         );
+        // A remaining budget that is negative, not a number, or above the
+        // config's total (spend only ever shrinks it), for any policy.
+        for remaining in [-1.0, f64::NAN, 300.5] {
+            let mut bytes = remaining.to_bytes();
+            bytes.extend_from_slice(&[0; 32]);
+            let mut rebuilt = RandomPolicy::new(resume_config(), 9);
+            assert_eq!(
+                rebuilt.decode_learned(&mut Reader::new(&bytes)),
+                Err(DecodeError::Invalid),
+                "remaining budget {remaining}"
+            );
+        }
     }
 }

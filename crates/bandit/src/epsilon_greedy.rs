@@ -131,44 +131,43 @@ impl CostedBandit for EpsilonGreedy {
     fn remaining_budget(&self) -> f64 {
         self.ledger.remaining()
     }
-
-    fn config(&self) -> &BanditConfig {
-        &self.config
-    }
 }
 
-// Snapshot codec: the policy's full live state, RNG words included.
-// Decoding rejects tables that do not fit the config and an ε outside
-// `[0, 1]`.
-impl Encode for EpsilonGreedy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.config.encode(out);
-        self.ledger.encode(out);
-        self.epsilon.encode(out);
+// Snapshot codec: what the policy learned and spent, RNG words included.
+// The config and ε are the rebuilt policy's; decoding rejects tables that do
+// not fit the config.
+impl EpsilonGreedy {
+    /// Appends the learned state: the budget ledger, the statistics tables,
+    /// the round counter and the RNG words.
+    pub fn encode_learned(&self, out: &mut Vec<u8>) {
+        self.ledger.encode_learned(out);
         self.counts.encode(out);
         self.means.encode(out);
         self.rounds_elapsed.encode(out);
         self.rng.state().encode(out);
     }
-}
 
-impl Decode for EpsilonGreedy {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let policy = Self {
-            config: BanditConfig::decode(r)?,
-            ledger: BudgetLedger::decode(r)?,
-            epsilon: f64::decode(r)?,
-            counts: Vec::<Vec<u64>>::decode(r)?,
-            means: Vec::<Vec<f64>>::decode(r)?,
-            rounds_elapsed: u64::decode(r)?,
-            rng: StdRng::from_state(<[u64; 4]>::decode(r)?),
-        };
-        let valid = tables_match(&policy.config, &policy.counts, &policy.means)
-            && (0.0..=1.0).contains(&policy.epsilon);
-        if !valid {
+    /// Restores [`EpsilonGreedy::encode_learned`] bytes onto a policy built
+    /// from the same config and ε.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::Invalid`] for tables that do not fit the config, or a
+    /// negative remaining budget or one above the rebuilt policy's.
+    pub fn decode_learned(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        self.ledger.decode_learned(r)?;
+        let counts = Vec::<Vec<u64>>::decode(r)?;
+        let means = Vec::<Vec<f64>>::decode(r)?;
+        let rounds_elapsed = u64::decode(r)?;
+        let rng = <[u64; 4]>::decode(r)?;
+        if !tables_match(&self.config, &counts, &means) {
             return Err(DecodeError::Invalid);
         }
-        Ok(policy)
+        self.counts = counts;
+        self.means = means;
+        self.rounds_elapsed = rounds_elapsed;
+        self.rng = StdRng::from_state(rng);
+        Ok(())
     }
 }
 

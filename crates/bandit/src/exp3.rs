@@ -147,10 +147,6 @@ impl CostedBandit for Exp3 {
     fn remaining_budget(&self) -> f64 {
         self.ledger.remaining()
     }
-
-    fn config(&self) -> &BanditConfig {
-        &self.config
-    }
 }
 
 #[cfg(test)]

@@ -92,33 +92,34 @@ impl ExpWeights {
 }
 
 // Snapshot codec: the normalized weight vector travels bit-exactly (no
-// re-normalization on decode); the invariant is only checked.
-impl Encode for ExpWeights {
-    fn encode(&self, out: &mut Vec<u8>) {
+// re-normalization on decode) with the round counter; the learning rate is
+// the rebuilt learner's. The simplex invariant is only checked.
+impl ExpWeights {
+    /// Appends the learned state: the weights and the round counter.
+    pub fn encode_learned(&self, out: &mut Vec<u8>) {
         self.weights.encode(out);
-        self.eta.encode(out);
         self.rounds.encode(out);
     }
-}
 
-impl Decode for ExpWeights {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+    /// Restores [`ExpWeights::encode_learned`] bytes onto a learner built
+    /// over the same experts and learning rate.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::Invalid`] for a weight count other than the
+    /// learner's, or weights that are not a probability vector.
+    pub fn decode_learned(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
         let weights = Vec::<f64>::decode(r)?;
-        let eta = f64::decode(r)?;
         let rounds = u64::decode(r)?;
-        let valid = !weights.is_empty()
+        let valid = weights.len() == self.weights.len()
             && weights.iter().all(|w| w.is_finite() && *w >= 0.0)
-            && (weights.iter().sum::<f64>() - 1.0).abs() < 1e-6
-            && eta.is_finite()
-            && eta > 0.0;
+            && (weights.iter().sum::<f64>() - 1.0).abs() < 1e-6;
         if !valid {
             return Err(DecodeError::Invalid);
         }
-        Ok(Self {
-            weights,
-            eta,
-            rounds,
-        })
+        self.weights = weights;
+        self.rounds = rounds;
+        Ok(())
     }
 }
 
@@ -183,6 +184,24 @@ mod tests {
         let sum: f64 = h.weights().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
         assert!(h.weights().iter().all(|w| w.is_finite()));
+    }
+
+    #[test]
+    fn learned_state_restores_onto_a_rebuilt_learner_of_its_size() {
+        let mut h = ExpWeights::new(3, 0.5);
+        h.update(&[0.9, 0.1, 0.5]);
+        let mut bytes = Vec::new();
+        h.encode_learned(&mut bytes);
+        let mut rebuilt = ExpWeights::new(3, 0.5);
+        rebuilt
+            .decode_learned(&mut Reader::new(&bytes))
+            .expect("same experts");
+        assert_eq!(rebuilt, h);
+        let mut two = ExpWeights::new(2, 0.5);
+        assert_eq!(
+            two.decode_learned(&mut Reader::new(&bytes)),
+            Err(DecodeError::Invalid)
+        );
     }
 
     #[test]

@@ -24,9 +24,11 @@
 //! * the [`CostedBandit`] trait tying them together.
 //!
 //! [`UcbAlp`], [`EpsilonGreedy`], [`FixedPolicy`] and [`RandomPolicy`] — the
-//! policies CrowdLearn's IPD module can boot — carry binary snapshot codecs
-//! over their full live state, RNG words included; decoding rejects state
-//! that does not fit its [`BanditConfig`].
+//! policies CrowdLearn's IPD module can boot — and [`ExpWeights`] carry
+//! learned-state codecs (`encode_learned`/`decode_learned`): what they
+//! learned and spent, RNG words included, restored onto a learner rebuilt
+//! from the same settings, which refuses state that does not fit it. The
+//! settings themselves ([`BanditConfig`], ε, η) never travel.
 //!
 //! # Example
 //!

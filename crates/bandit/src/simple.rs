@@ -89,10 +89,6 @@ impl CostedBandit for FixedPolicy {
     fn remaining_budget(&self) -> f64 {
         self.ledger.remaining()
     }
-
-    fn config(&self) -> &BanditConfig {
-        &self.config
-    }
 }
 
 /// Plays a uniformly random affordable action each round.
@@ -148,51 +144,47 @@ impl CostedBandit for RandomPolicy {
     fn remaining_budget(&self) -> f64 {
         self.ledger.remaining()
     }
+}
 
-    fn config(&self) -> &BanditConfig {
-        &self.config
+// Snapshot codecs: what each policy spent (and the random policy's RNG
+// words). The config and the pinned action are the rebuilt policy's.
+impl FixedPolicy {
+    /// Appends the learned state: the budget ledger.
+    pub fn encode_learned(&self, out: &mut Vec<u8>) {
+        self.ledger.encode_learned(out);
+    }
+
+    /// Restores [`FixedPolicy::encode_learned`] bytes onto a policy built
+    /// from the same config and action.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::Invalid`] for a negative remaining budget, or one
+    /// above the rebuilt policy's.
+    pub fn decode_learned(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        self.ledger.decode_learned(r)
     }
 }
 
-// Snapshot codecs: each policy's full live state. Decoding rejects a
-// pinned action outside the config's action range.
-impl Encode for FixedPolicy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.config.encode(out);
-        self.ledger.encode(out);
-        self.action.encode(out);
-    }
-}
-
-impl Decode for FixedPolicy {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let policy = Self {
-            config: BanditConfig::decode(r)?,
-            ledger: BudgetLedger::decode(r)?,
-            action: usize::decode(r)?,
-        };
-        if policy.action >= policy.config.actions() {
-            return Err(DecodeError::Invalid);
-        }
-        Ok(policy)
-    }
-}
-
-impl Encode for RandomPolicy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.config.encode(out);
-        self.ledger.encode(out);
+impl RandomPolicy {
+    /// Appends the learned state: the budget ledger and the RNG words.
+    pub fn encode_learned(&self, out: &mut Vec<u8>) {
+        self.ledger.encode_learned(out);
         self.rng.state().encode(out);
     }
-}
 
-impl Decode for RandomPolicy {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Self {
-            config: BanditConfig::decode(r)?,
-            ledger: BudgetLedger::decode(r)?,
-            rng: StdRng::from_state(<[u64; 4]>::decode(r)?),
-        })
+    /// Restores [`RandomPolicy::encode_learned`] bytes onto a policy built
+    /// from the same config.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::Invalid`] for a negative remaining budget, or one
+    /// above the rebuilt policy's.
+    pub fn decode_learned(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        self.ledger.decode_learned(r)?;
+        let rng = <[u64; 4]>::decode(r)?;
+        self.rng = StdRng::from_state(rng);
+        Ok(())
     }
 }
 

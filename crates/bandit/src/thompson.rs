@@ -111,10 +111,6 @@ impl CostedBandit for ThompsonSampling {
     fn remaining_budget(&self) -> f64 {
         self.ledger.remaining()
     }
-
-    fn config(&self) -> &BanditConfig {
-        &self.config
-    }
 }
 
 #[cfg(test)]

@@ -271,44 +271,49 @@ impl CostedBandit for UcbAlp {
     fn remaining_budget(&self) -> f64 {
         self.ledger.remaining()
     }
-
-    fn config(&self) -> &BanditConfig {
-        &self.config
-    }
 }
 
-// Snapshot codec: the policy's full live state, RNG words included, so a
-// decoded policy continues the live one's exact pick sequence. Decoding
-// rejects tables that do not fit the config.
-impl Encode for UcbAlp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.config.encode(out);
-        self.ledger.encode(out);
+// Snapshot codec: what the policy learned and spent, RNG words included, so
+// a policy rebuilt from the same config continues the live one's exact pick
+// sequence. The config itself does not travel; decoding rejects tables that
+// do not fit it.
+impl UcbAlp {
+    /// Appends the learned state: the budget ledger, the statistics tables,
+    /// the context counts, the round counter and the RNG words.
+    pub fn encode_learned(&self, out: &mut Vec<u8>) {
+        self.ledger.encode_learned(out);
         self.counts.encode(out);
         self.means.encode(out);
         self.context_counts.encode(out);
         self.rounds_elapsed.encode(out);
         self.rng.state().encode(out);
     }
-}
 
-impl Decode for UcbAlp {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let policy = Self {
-            config: BanditConfig::decode(r)?,
-            ledger: BudgetLedger::decode(r)?,
-            counts: Vec::<Vec<u64>>::decode(r)?,
-            means: Vec::<Vec<f64>>::decode(r)?,
-            context_counts: Vec::<u64>::decode(r)?,
-            rounds_elapsed: u64::decode(r)?,
-            rng: StdRng::from_state(<[u64; 4]>::decode(r)?),
-        };
-        let valid = tables_match(&policy.config, &policy.counts, &policy.means)
-            && policy.context_counts.len() == policy.config.contexts();
+    /// Restores [`UcbAlp::encode_learned`] bytes onto a policy built from
+    /// the same config.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::Invalid`] for tables that do not fit the config, or a
+    /// negative remaining budget or one above the rebuilt policy's.
+    pub fn decode_learned(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        self.ledger.decode_learned(r)?;
+        let counts = Vec::<Vec<u64>>::decode(r)?;
+        let means = Vec::<Vec<f64>>::decode(r)?;
+        let context_counts = Vec::<u64>::decode(r)?;
+        let rounds_elapsed = u64::decode(r)?;
+        let rng = <[u64; 4]>::decode(r)?;
+        let valid = tables_match(&self.config, &counts, &means)
+            && context_counts.len() == self.config.contexts();
         if !valid {
             return Err(DecodeError::Invalid);
         }
-        Ok(policy)
+        self.counts = counts;
+        self.means = means;
+        self.context_counts = context_counts;
+        self.rounds_elapsed = rounds_elapsed;
+        self.rng = StdRng::from_state(rng);
+        Ok(())
     }
 }
 

@@ -9,7 +9,7 @@
 
 use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem, SchemeReport};
 use crowdlearn_bench::{banner, Fixture};
-use crowdlearn_crowd::{DelayModel, IncentiveLevel, PlatformConfig};
+use crowdlearn_crowd::{DelayModel, IncentiveLevel, Platform, PlatformConfig};
 use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream, TemporalContext};
 use crowdlearn_runtime::{
     ArbitrationPolicy, BreakerState, FaultEpisode, FaultPlan, FleetConfig, FleetOrchestrator,
@@ -268,10 +268,10 @@ fn window_sweep(
     );
     let runs = ParallelSweep::auto().run(policies, |_, (_, policy)| {
         let platform = PlatformConfig::paper().with_delay_model(delays.clone());
-        let system = CrowdLearnSystem::with_platform_config(
+        let system = CrowdLearnSystem::with_platform(
             &fixture.dataset,
             CrowdLearnConfig::paper(),
-            platform,
+            Platform::new(platform),
         );
         PipelinedSystem::from_system(system, RuntimeConfig::paper().with_window_policy(*policy))
             .run(&fixture.dataset, &fixture.stream)

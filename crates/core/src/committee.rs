@@ -34,34 +34,28 @@ impl Committee {
 
     /// Appends what the committee has learned: the member count, each
     /// member's [`Classifier::encode_learned`] state, then the Hedge
-    /// learner.
+    /// weights ([`ExpWeights::encode_learned`]).
     pub fn encode_learned(&self, out: &mut Vec<u8>) {
         self.members.len().encode(out);
         for m in &self.members {
             m.encode_learned(out);
         }
-        self.hedge.encode(out);
+        self.hedge.encode_learned(out);
     }
 
-    /// Rebuilds a committee from [`Committee::encode_learned`] bytes over
-    /// `members`, built from the configuration that booted it: each member
-    /// restores its learned state and the Hedge learner is the decoded one.
-    /// Refuses a member or weight count other than `members.len()`.
-    pub fn decode_learned(
-        mut members: Vec<Box<dyn Classifier>>,
-        r: &mut Reader<'_>,
-    ) -> Result<Self, DecodeError> {
-        if members.is_empty() || usize::decode(r)? != members.len() {
+    /// Restores [`Committee::encode_learned`] bytes onto a committee built
+    /// by [`Committee::new`] from the configuration that booted it: each
+    /// member restores its learned state, and the Hedge learner its
+    /// weights. Refuses a member or weight count other than this
+    /// committee's.
+    pub fn decode_learned(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        if usize::decode(r)? != self.members.len() {
             return Err(DecodeError::Invalid);
         }
-        for m in &mut members {
+        for m in &mut self.members {
             m.decode_learned(r)?;
         }
-        let hedge = ExpWeights::decode(r)?;
-        if hedge.len() != members.len() {
-            return Err(DecodeError::Invalid);
-        }
-        Ok(Self { members, hedge })
+        self.hedge.decode_learned(r)
     }
 
     /// Labeled samples the members have been trained on so far (they all

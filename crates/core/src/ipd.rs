@@ -117,21 +117,6 @@ impl IncentivePolicy {
         }
     }
 
-    /// Which policy drives the learner.
-    pub(crate) fn kind(&self) -> IncentivePolicyKind {
-        match *self.learner {
-            Learner::UcbAlp(_) => IncentivePolicyKind::UcbAlp,
-            Learner::EpsilonGreedy(_) => IncentivePolicyKind::EpsilonGreedy,
-            Learner::Fixed(_) => IncentivePolicyKind::FixedMax,
-            Learner::Random(_) => IncentivePolicyKind::Random,
-        }
-    }
-
-    /// The problem description the learner was built for.
-    pub(crate) fn bandit_config(&self) -> &BanditConfig {
-        self.bandit().config()
-    }
-
     /// Total delay observations fed to the learner so far — both the
     /// absorb path and the censored timeout path count, so runtimes can
     /// assert "exactly one observation per posted attempt".
@@ -191,40 +176,39 @@ impl IncentivePolicy {
     }
 }
 
-// Snapshot codec: the policy kind's tag (0-3), the learner's own state,
-// then the observation count. Decoding re-checks the constructor's arity
-// rule.
-impl Encode for IncentivePolicy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.kind().encode(out);
+// Snapshot codec: the learner's learned state, then the observation count.
+// Which learner it is and the problem it was built for are the config's:
+// decoding restores onto the policy `IncentivePolicy::new` rebuilt from it.
+impl IncentivePolicy {
+    /// Appends what the learner has learned and spent, then the
+    /// observation count.
+    pub fn encode_learned(&self, out: &mut Vec<u8>) {
         match &*self.learner {
-            Learner::UcbAlp(b) => b.encode(out),
-            Learner::EpsilonGreedy(b) => b.encode(out),
-            Learner::Fixed(b) => b.encode(out),
-            Learner::Random(b) => b.encode(out),
+            Learner::UcbAlp(b) => b.encode_learned(out),
+            Learner::EpsilonGreedy(b) => b.encode_learned(out),
+            Learner::Fixed(b) => b.encode_learned(out),
+            Learner::Random(b) => b.encode_learned(out),
         }
         self.observations.encode(out);
     }
-}
 
-impl Decode for IncentivePolicy {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let learner = match IncentivePolicyKind::decode(r)? {
-            IncentivePolicyKind::UcbAlp => Learner::UcbAlp(UcbAlp::decode(r)?),
-            IncentivePolicyKind::EpsilonGreedy => Learner::EpsilonGreedy(EpsilonGreedy::decode(r)?),
-            IncentivePolicyKind::FixedMax => Learner::Fixed(FixedPolicy::decode(r)?),
-            IncentivePolicyKind::Random => Learner::Random(RandomPolicy::decode(r)?),
-        };
-        let policy = Self {
-            learner: Box::new(learner),
-            observations: u64::decode(r)?,
-        };
-        let config = policy.bandit_config();
-        if config.actions() != IncentiveLevel::COUNT || config.contexts() != TemporalContext::COUNT
-        {
-            return Err(DecodeError::Invalid);
+    /// Restores [`IncentivePolicy::encode_learned`] bytes onto a policy
+    /// [`IncentivePolicy::new`] built from the same kind and config.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::Invalid`] for state the rebuilt learner cannot hold:
+    /// tables of another shape, or a remaining budget that is negative or
+    /// above the config's.
+    pub fn decode_learned(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        match &mut *self.learner {
+            Learner::UcbAlp(b) => b.decode_learned(r)?,
+            Learner::EpsilonGreedy(b) => b.decode_learned(r)?,
+            Learner::Fixed(b) => b.decode_learned(r)?,
+            Learner::Random(b) => b.decode_learned(r)?,
         }
-        Ok(policy)
+        self.observations = u64::decode(r)?;
+        Ok(())
     }
 }
 
@@ -301,6 +285,24 @@ mod tests {
         assert_eq!(ipd.remaining_budget_cents(), 0.0);
     }
 
+    /// `ipd`'s learned state restored onto a policy rebuilt as `kind`
+    /// over `config`.
+    fn restored(
+        ipd: &IncentivePolicy,
+        kind: IncentivePolicyKind,
+        config: BanditConfig,
+    ) -> Result<IncentivePolicy, DecodeError> {
+        let mut bytes = Vec::new();
+        ipd.encode_learned(&mut bytes);
+        let mut rebuilt = IncentivePolicy::new(kind, config, 0);
+        let mut r = Reader::new(&bytes);
+        rebuilt.decode_learned(&mut r)?;
+        if !r.is_empty() {
+            return Err(DecodeError::Invalid);
+        }
+        Ok(rebuilt)
+    }
+
     #[test]
     fn counts_every_delay_observation() {
         let mut ipd = IncentivePolicy::new(IncentivePolicyKind::UcbAlp, config(100.0, 20), 3);
@@ -308,42 +310,58 @@ mod tests {
         ipd.report_delay(TemporalContext::Morning, IncentiveLevel::C4, 120.0);
         ipd.report_delay(TemporalContext::Evening, IncentiveLevel::C8, 600.0);
         assert_eq!(ipd.observations(), 2);
-        let resumed = IncentivePolicy::from_bytes(&ipd.to_bytes()).expect("round trip");
+        let resumed =
+            restored(&ipd, IncentivePolicyKind::UcbAlp, config(100.0, 20)).expect("round trip");
         assert_eq!(resumed.observations(), 2);
     }
 
     #[test]
-    fn every_kind_round_trips_under_its_own_tag() {
-        for (tag, kind) in KINDS.into_iter().enumerate() {
+    fn every_kind_round_trips_onto_its_rebuilt_learner() {
+        for kind in KINDS {
             let mut ipd = IncentivePolicy::new(kind, config(100.0, 20), 7);
             ipd.choose(TemporalContext::Midnight);
-            let bytes = ipd.to_bytes();
-            assert_eq!(usize::from(bytes[0]), tag, "{kind:?}");
-            let resumed = IncentivePolicy::from_bytes(&bytes).expect("round trip");
-            assert_eq!(resumed.kind(), kind);
-            assert_eq!(resumed.bandit_config(), ipd.bandit_config());
-            assert_eq!(resumed.to_bytes(), bytes, "{kind:?}");
+            ipd.report_delay(TemporalContext::Midnight, IncentiveLevel::C4, 300.0);
+            let resumed = restored(&ipd, kind, config(100.0, 20)).expect("round trip");
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            ipd.encode_learned(&mut a);
+            resumed.encode_learned(&mut b);
+            assert_eq!(a, b, "{kind:?}");
+            assert_eq!(
+                resumed.remaining_budget_cents(),
+                ipd.remaining_budget_cents()
+            );
         }
     }
 
     #[test]
-    fn unknown_tag_is_invalid() {
-        assert!(matches!(
-            IncentivePolicy::from_bytes(&[9]),
-            Err(DecodeError::Invalid)
-        ));
-    }
-
-    #[test]
-    fn decode_rejects_wrong_arity() {
-        let wrong = BanditConfig::new(TemporalContext::COUNT, vec![1.0, 2.0], 10.0, 5);
-        let mut bytes = vec![0];
-        UcbAlp::new(wrong, 0).encode(&mut bytes);
+    fn decode_refuses_state_the_rebuilt_learner_cannot_hold() {
+        let mut ucb = IncentivePolicy::new(IncentivePolicyKind::UcbAlp, config(100.0, 20), 3);
+        ucb.choose(TemporalContext::Morning);
+        // The statistics of a two-action bandit: tables of another shape.
+        let two = BanditConfig::new(TemporalContext::COUNT, vec![1.0, 2.0], 100.0, 20);
+        let mut bytes = Vec::new();
+        UcbAlp::new(two, 3).encode_learned(&mut bytes);
         0u64.encode(&mut bytes);
-        assert!(matches!(
-            IncentivePolicy::from_bytes(&bytes),
+        let mut rebuilt = IncentivePolicy::new(IncentivePolicyKind::UcbAlp, config(100.0, 20), 3);
+        assert_eq!(
+            rebuilt.decode_learned(&mut Reader::new(&bytes)),
             Err(DecodeError::Invalid)
-        ));
+        );
+        // A remaining budget above the rebuilt learner's total.
+        for kind in KINDS {
+            let rich = IncentivePolicy::new(kind, config(200.0, 20), 3);
+            assert_eq!(
+                restored(&rich, kind, config(100.0, 20)).err(),
+                Some(DecodeError::Invalid),
+                "{kind:?}"
+            );
+        }
+        // Truncated state.
+        let mut rebuilt = IncentivePolicy::new(IncentivePolicyKind::Random, config(100.0, 20), 3);
+        assert_eq!(
+            rebuilt.decode_learned(&mut Reader::new(&[1])),
+            Err(DecodeError::Truncated)
+        );
     }
 
     #[test]

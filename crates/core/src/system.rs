@@ -531,33 +531,17 @@ impl CrowdLearnSystem {
     /// Panics with the message of [`CrowdLearnConfig::check`] if it rejects
     /// the configuration, or if the dataset's training split is empty.
     pub fn new(dataset: &Dataset, config: CrowdLearnConfig) -> Self {
-        let platform = PlatformConfig::paper().with_seed(config.platform_seed);
-        Self::with_platform_config(dataset, config, platform)
+        let platform = Platform::new(PlatformConfig::paper().with_seed(config.platform_seed));
+        Self::with_platform(dataset, config, platform)
     }
 
-    /// [`CrowdLearnSystem::new`] under an explicit crowd-platform
-    /// configuration — a custom delay surface (e.g. the adaptive-window
-    /// bench's stable/bursty profiles) or churn rate. `new`
-    /// delegates here with `PlatformConfig::paper().with_seed(config.platform_seed)`,
-    /// so the two are byte-identical on the paper platform.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the message of [`PlatformConfig::check`] or
-    /// [`CrowdLearnConfig::check`] if either rejects its configuration, or
-    /// if the dataset's training split is empty.
-    pub fn with_platform_config(
-        dataset: &Dataset,
-        config: CrowdLearnConfig,
-        platform: PlatformConfig,
-    ) -> Self {
-        Self::with_platform(dataset, config, Platform::new(platform))
-    }
-
-    /// [`CrowdLearnSystem::new`] over an already-booted [`Platform`] —
-    /// the hook for explicit worker pools ([`Platform::with_pool`]), e.g.
-    /// uniform-speed populations that make crowd delays exactly equal to
-    /// the delay-table means in boundary tests.
+    /// [`CrowdLearnSystem::new`] over an already-booted [`Platform`] — a
+    /// custom delay surface or churn rate (`Platform::new` of a
+    /// [`PlatformConfig`]; `new` passes the paper platform seeded with
+    /// `config.platform_seed`), or an explicit worker pool
+    /// ([`Platform::with_pool`]), e.g. uniform-speed populations that make
+    /// crowd delays exactly equal to the delay-table means in boundary
+    /// tests.
     ///
     /// # Panics
     ///
@@ -696,9 +680,10 @@ impl CrowdLearnSystem {
 
     /// Appends the system's complete learning state to `out`: the config,
     /// what each committee member has learned and the Hedge weights, the QSS
-    /// and platform RNGs, the incentive bandit with its budget ledger, CQC's
-    /// trained model, and the bootstrap spending baseline. What built the
-    /// members does not travel: `config` fixes it.
+    /// and platform RNGs, what the incentive bandit has learned with its
+    /// budget ledger, CQC's trained model, and the bootstrap spending
+    /// baseline. What `config` fixes does not travel: the members' profiles,
+    /// the Hedge learning rate, the bandit's kind and problem.
     /// [`CrowdLearnSystem::decode_state`] rebuilds an equivalent system that
     /// continues byte-identically — no dataset or re-bootstrapping needed.
     ///
@@ -707,27 +692,27 @@ impl CrowdLearnSystem {
         self.config.encode(out);
         self.committee.encode_learned(out);
         self.qss.encode(out);
-        self.ipd.encode(out);
+        self.ipd.encode_learned(out);
         self.cqc.encode(out);
         self.platform.encode(out);
         self.bootstrap_spent_cents.encode(out);
         Ok(())
     }
 
-    /// Rebuilds a system from [`CrowdLearnSystem::encode_state`] bytes: the
-    /// committee members `config.model` boots from `config.seed`, with their
-    /// learned state restored. All constructor invariants are re-checked —
-    /// including that the committee and the incentive policy are the ones
-    /// `config` boots — and violations surface as [`DecodeError::Invalid`]
-    /// rather than panics.
+    /// Rebuilds a system from [`CrowdLearnSystem::encode_state`] bytes. What
+    /// `config` fixes is built exactly as boot builds it — the committee
+    /// `config.model` boots from `config.seed` under `config.hedge_eta`, the
+    /// incentive policy `config.policy` over the config's budget and horizon
+    /// — and only the learned state is restored onto it. All constructor
+    /// invariants are re-checked, and state the rebuilt modules cannot hold
+    /// surfaces as [`DecodeError::Invalid`] rather than a panic.
     pub fn decode_state(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let config = CrowdLearnConfig::decode(r)?;
-        let committee = Committee::decode_learned(config.model.members(config.seed), r)?;
+        let mut committee = Committee::new(config.model.members(config.seed), config.hedge_eta);
+        committee.decode_learned(r)?;
         let qss = QuerySetSelector::decode(r)?;
-        let ipd = IncentivePolicy::decode(r)?;
-        if ipd.kind() != config.policy || *ipd.bandit_config() != bandit_config(&config) {
-            return Err(DecodeError::Invalid);
-        }
+        let mut ipd = IncentivePolicy::new(config.policy, bandit_config(&config), config.seed);
+        ipd.decode_learned(r)?;
         let cqc = QualityController::decode(r)?;
         let platform = Platform::decode(r)?;
         let bootstrap_spent_cents = u64::decode(r)?;
@@ -1071,6 +1056,7 @@ impl std::fmt::Debug for CrowdLearnSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crowdlearn_bandit::{ExpWeights, UcbAlp};
     use crowdlearn_dataset::{DatasetConfig, SensingCycleStream};
 
     #[test]
@@ -1109,39 +1095,95 @@ mod tests {
     }
 
     #[test]
-    fn decode_refuses_a_committee_or_policy_its_config_does_not_boot() {
+    fn decode_refuses_a_committee_or_learned_state_its_config_does_not_boot() {
         let dataset = Dataset::generate(&DatasetConfig::paper());
-        let boot = |edit: fn(&mut CrowdLearnConfig)| {
+        let config = |edit: fn(&mut CrowdLearnConfig)| {
             let mut config = CrowdLearnConfig::paper();
             config.cqc_training_queries = 50;
             config.warmup_per_cell = 1;
             edit(&mut config);
+            config
+        };
+        let boot = |edit: fn(&mut CrowdLearnConfig)| {
+            let config = config(edit);
             let mut state = Vec::new();
             CrowdLearnSystem::new(&dataset, config.clone())
                 .encode_state(&mut state)
                 .expect("checkpointable");
             (config.to_bytes().len(), state)
         };
+        let decodes = |state: &[u8]| CrowdLearnSystem::decode_state(&mut Reader::new(state));
         let (prefix, state) = boot(|_| {});
-        assert!(CrowdLearnSystem::decode_state(&mut Reader::new(&state)).is_ok());
+        assert!(decodes(&state).is_ok());
         // The other system's config (the first field of its state) over
-        // this system's three-expert committee and UCB-ALP bandit: a
-        // fixed-policy config, a budget the bandit was not built for, then
-        // a single-model and a boosted-Ensemble config.
-        let edits: [fn(&mut CrowdLearnConfig); 4] = [
-            |c| c.policy = IncentivePolicyKind::FixedMax,
-            |c| c.budget_cents *= 2.0,
-            |c| c.model = Model::Ddm,
-            |c| c.model = Model::Ensemble,
-        ];
+        // this system's three-expert committee: a single-model and a
+        // boosted-Ensemble config.
+        let edits: [fn(&mut CrowdLearnConfig); 2] =
+            [|c| c.model = Model::Ddm, |c| c.model = Model::Ensemble];
         for edit in edits {
             let (other_prefix, other) = boot(edit);
             let mut spliced = other[..other_prefix].to_vec();
             spliced.extend_from_slice(&state[prefix..]);
-            assert!(matches!(
-                CrowdLearnSystem::decode_state(&mut Reader::new(&spliced)),
-                Err(DecodeError::Invalid)
-            ));
+            assert!(matches!(decodes(&spliced), Err(DecodeError::Invalid)));
+        }
+
+        // Learned state the modules rebuilt from the config cannot hold,
+        // written in place of the booted system's own.
+        let system = CrowdLearnSystem::new(&dataset, config(|_| {}));
+        type Writer<'a> = &'a dyn Fn(&mut Vec<u8>);
+        let state_with = |committee: Writer<'_>, ipd: Writer<'_>| {
+            let mut out = Vec::new();
+            system.config.encode(&mut out);
+            committee(&mut out);
+            system.qss.encode(&mut out);
+            ipd(&mut out);
+            system.cqc.encode(&mut out);
+            system.platform.encode(&mut out);
+            system.bootstrap_spent_cents.encode(&mut out);
+            out
+        };
+        let own_committee = |out: &mut Vec<u8>| system.committee.encode_learned(out);
+        let own_ipd = |out: &mut Vec<u8>| system.ipd.encode_learned(out);
+        assert!(decodes(&state_with(&own_committee, &own_ipd)).is_ok());
+        let two_weights = |out: &mut Vec<u8>| {
+            // The Hedge state ends the committee's: three weights (a length
+            // and 3 × 8 B) and the round counter.
+            let start = out.len();
+            system.committee.encode_learned(out);
+            out.truncate(out.len() - (8 + 3 * 8 + 8));
+            assert!(out.len() > start);
+            ExpWeights::new(2, 0.1).encode_learned(out);
+        };
+        let two_actions = |out: &mut Vec<u8>| {
+            let two = BanditConfig::new(TemporalContext::COUNT, vec![1.0, 2.0], 1000.0, 200);
+            UcbAlp::new(two, 0).encode_learned(out);
+            0u64.encode(out);
+        };
+        let twice_the_budget = |out: &mut Vec<u8>| {
+            let rich = config(|c| c.budget_cents *= 2.0);
+            IncentivePolicy::new(rich.policy, bandit_config(&rich), rich.seed).encode_learned(out);
+        };
+        let cases: [(&str, Writer<'_>, Writer<'_>); 3] = [
+            ("Hedge weights for two experts", &two_weights, &own_ipd),
+            (
+                "bandit tables for two incentives",
+                &own_committee,
+                &two_actions,
+            ),
+            (
+                "a remaining budget above the config's",
+                &own_committee,
+                &twice_the_budget,
+            ),
+        ];
+        for (what, committee, ipd) in cases {
+            assert!(
+                matches!(
+                    decodes(&state_with(committee, ipd)),
+                    Err(DecodeError::Invalid)
+                ),
+                "{what}"
+            );
         }
     }
 

@@ -30,23 +30,17 @@ pub enum EventKind {
     },
     /// A HIT went up on the platform.
     HitPosted {
-        /// Cycle the query belongs to.
-        cycle: usize,
         /// The posted HIT.
         hit: HitId,
     },
     /// Every worker on a HIT has answered; the response is observable.
     HitAnswered {
-        /// Cycle the query belongs to.
-        cycle: usize,
         /// The answered HIT.
         hit: HitId,
     },
     /// A HIT reached its timeout with workers still pending; the runtime
     /// may repost it at an escalated incentive.
     HitTimedOut {
-        /// Cycle the query belongs to.
-        cycle: usize,
         /// The expired HIT.
         hit: HitId,
     },
@@ -54,8 +48,6 @@ pub enum EventKind {
     /// finally been answered by its workers; the late answer is absorbed at
     /// its true completion time, not the timeout instant.
     LateAnswer {
-        /// Cycle the query belongs to.
-        cycle: usize,
         /// The waited-out HIT.
         hit: HitId,
     },
@@ -82,20 +74,26 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// The sensing cycle this event belongs to, or `None` for the
+    /// The sensing cycle this event names, or `None` for the HIT events
+    /// (their cycle is the HIT's, on the HIT board) and the
     /// fault-injection events, which belong to the run rather than a cycle.
     pub fn cycle(&self) -> Option<usize> {
         match *self {
             EventKind::CycleArrival { cycle }
             | EventKind::InferenceDone { cycle }
-            | EventKind::HitPosted { cycle, .. }
-            | EventKind::HitAnswered { cycle, .. }
-            | EventKind::HitTimedOut { cycle, .. }
-            | EventKind::LateAnswer { cycle, .. }
             | EventKind::RetrainDone { cycle } => Some(cycle),
-            EventKind::FaultStart { .. } | EventKind::FaultEnd { .. } | EventKind::BreakerProbe => {
-                None
-            }
+            _ => None,
+        }
+    }
+
+    /// The HIT a HIT event resolves or announces.
+    pub fn hit(&self) -> Option<HitId> {
+        match *self {
+            EventKind::HitPosted { hit }
+            | EventKind::HitAnswered { hit }
+            | EventKind::HitTimedOut { hit }
+            | EventKind::LateAnswer { hit } => Some(hit),
+            _ => None,
         }
     }
 }
@@ -147,28 +145,24 @@ impl Encode for EventKind {
                 1u8.encode(out);
                 cycle.encode(out);
             }
-            EventKind::HitPosted { cycle, hit } => {
+            EventKind::HitPosted { hit } => {
                 2u8.encode(out);
-                cycle.encode(out);
                 hit.encode(out);
             }
-            EventKind::HitAnswered { cycle, hit } => {
+            EventKind::HitAnswered { hit } => {
                 3u8.encode(out);
-                cycle.encode(out);
                 hit.encode(out);
             }
-            EventKind::HitTimedOut { cycle, hit } => {
+            EventKind::HitTimedOut { hit } => {
                 4u8.encode(out);
-                cycle.encode(out);
                 hit.encode(out);
             }
             EventKind::RetrainDone { cycle } => {
                 5u8.encode(out);
                 cycle.encode(out);
             }
-            EventKind::LateAnswer { cycle, hit } => {
+            EventKind::LateAnswer { hit } => {
                 6u8.encode(out);
-                cycle.encode(out);
                 hit.encode(out);
             }
             EventKind::FaultStart { episode } => {
@@ -194,22 +188,18 @@ impl Decode for EventKind {
                 cycle: usize::decode(r)?,
             }),
             2 => Ok(EventKind::HitPosted {
-                cycle: usize::decode(r)?,
                 hit: HitId::decode(r)?,
             }),
             3 => Ok(EventKind::HitAnswered {
-                cycle: usize::decode(r)?,
                 hit: HitId::decode(r)?,
             }),
             4 => Ok(EventKind::HitTimedOut {
-                cycle: usize::decode(r)?,
                 hit: HitId::decode(r)?,
             }),
             5 => Ok(EventKind::RetrainDone {
                 cycle: usize::decode(r)?,
             }),
             6 => Ok(EventKind::LateAnswer {
-                cycle: usize::decode(r)?,
                 hit: HitId::decode(r)?,
             }),
             7 => Ok(EventKind::FaultStart {
@@ -269,24 +259,14 @@ mod tests {
     }
 
     #[test]
-    fn kind_reports_cycle() {
+    fn kind_reports_cycle_and_hit() {
         assert_eq!(EventKind::RetrainDone { cycle: 7 }.cycle(), Some(7));
+        assert_eq!(EventKind::HitAnswered { hit: HitId(9) }.cycle(), None);
         assert_eq!(
-            EventKind::HitAnswered {
-                cycle: 3,
-                hit: HitId(9)
-            }
-            .cycle(),
-            Some(3)
+            EventKind::LateAnswer { hit: HitId(2) }.hit(),
+            Some(HitId(2))
         );
-        assert_eq!(
-            EventKind::LateAnswer {
-                cycle: 4,
-                hit: HitId(2)
-            }
-            .cycle(),
-            Some(4)
-        );
+        assert_eq!(EventKind::RetrainDone { cycle: 7 }.hit(), None);
         assert_eq!(EventKind::FaultStart { episode: 0 }.cycle(), None);
         assert_eq!(EventKind::FaultEnd { episode: 1 }.cycle(), None);
         assert_eq!(EventKind::BreakerProbe.cycle(), None);
@@ -297,23 +277,11 @@ mod tests {
         let kinds = [
             EventKind::CycleArrival { cycle: 1 },
             EventKind::InferenceDone { cycle: 2 },
-            EventKind::HitPosted {
-                cycle: 3,
-                hit: HitId(10),
-            },
-            EventKind::HitAnswered {
-                cycle: 4,
-                hit: HitId(11),
-            },
-            EventKind::HitTimedOut {
-                cycle: 5,
-                hit: HitId(12),
-            },
+            EventKind::HitPosted { hit: HitId(10) },
+            EventKind::HitAnswered { hit: HitId(11) },
+            EventKind::HitTimedOut { hit: HitId(12) },
             EventKind::RetrainDone { cycle: 6 },
-            EventKind::LateAnswer {
-                cycle: 7,
-                hit: HitId(13),
-            },
+            EventKind::LateAnswer { hit: HitId(13) },
             EventKind::FaultStart { episode: 0 },
             EventKind::FaultEnd { episode: 1 },
             EventKind::BreakerProbe,

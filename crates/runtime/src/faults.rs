@@ -4,12 +4,13 @@
 //!
 //! A [`FaultPlan`] is a list of typed [`FaultEpisode`]s pinned to virtual
 //! time. The driver turns the plan into [`crate::EventKind::FaultStart`] /
-//! [`crate::EventKind::FaultEnd`] events at boot, and consults a
-//! [`FaultInjector`] at event boundaries. Every injector answer is a pure
-//! function of virtual time plus a dedicated SplitMix64 stream seeded from
-//! the plan — no wall clock, no shared RNG — so a faulted run is exactly as
-//! replayable as a clean one, and an **empty plan draws nothing at all**:
-//! the run is byte-identical to one that never heard of faults.
+//! [`crate::EventKind::FaultEnd`] events at boot, and consults the plan at
+//! event boundaries. Every answer is a pure function of virtual time plus,
+//! for answer loss, a dedicated SplitMix64 stream seeded from the plan (the
+//! execution's one piece of fault state) — no wall clock, no shared RNG —
+//! so a faulted run is exactly as replayable as a clean one, and an
+//! **empty plan draws nothing at all**: the run is byte-identical to one
+//! that never heard of faults.
 //!
 //! The episode taxonomy mirrors how a real crowd platform fails under a
 //! live deployment (DESIGN.md "Fault model & degradation ladder"):
@@ -260,6 +261,29 @@ impl FaultPlan {
     pub fn check(&self) -> Result<(), &'static str> {
         self.episodes.iter().try_for_each(FaultEpisode::check)
     }
+
+    /// Whether a [`FaultEpisode::PlatformOutage`] covers `now`: HIT posts
+    /// must be rejected.
+    pub(crate) fn outage_active(&self, now_secs: f64) -> bool {
+        self.episodes
+            .iter()
+            .any(|e| matches!(e, FaultEpisode::PlatformOutage { .. }) && e.active_at(now_secs))
+    }
+
+    /// Delay inflation factor from every [`FaultEpisode::WorkerAttrition`]
+    /// active at `now`: `1.0` at full strength, the product of
+    /// `1 / (1 - fraction)` over active episodes otherwise.
+    pub(crate) fn attrition_factor(&self, now_secs: f64) -> f64 {
+        self.episodes
+            .iter()
+            .filter_map(|e| match e {
+                FaultEpisode::WorkerAttrition { fraction, .. } if e.active_at(now_secs) => {
+                    Some(1.0 / (1.0 - fraction))
+                }
+                _ => None,
+            })
+            .product()
+    }
 }
 
 impl Encode for FaultPlan {
@@ -290,60 +314,28 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The injector the driver consults at event boundaries: the plan plus the
-/// live state of its dedicated RNG stream. Every query is a pure function
-/// of virtual time (and, for loss draws, the stream position), so the
-/// injector snapshots as two words beyond the plan itself.
+/// The live state of a plan's dedicated loss stream, which the driver
+/// draws from when it posts an attempt. The plan itself is the run's
+/// [`crate::RuntimeConfig::faults`]: every other fault query is a pure
+/// function of the plan and virtual time, so the injector snapshots as
+/// the stream position alone.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultInjector {
-    plan: FaultPlan,
+pub(crate) struct FaultInjector {
     rng: u64,
 }
 
 impl FaultInjector {
-    /// Builds an injector; the loss stream starts at the plan's seed.
-    pub fn new(plan: FaultPlan) -> Self {
-        let rng = plan.seed();
-        Self { plan, rng }
+    /// The stream of `plan`, at its seed.
+    pub(crate) fn new(plan: &FaultPlan) -> Self {
+        Self { rng: plan.seed() }
     }
 
-    /// The plan being injected.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Whether a [`FaultEpisode::PlatformOutage`] covers `now`: HIT posts
-    /// must be rejected.
-    pub fn outage_active(&self, now_secs: f64) -> bool {
-        self.plan
-            .episodes
-            .iter()
-            .any(|e| matches!(e, FaultEpisode::PlatformOutage { .. }) && e.active_at(now_secs))
-    }
-
-    /// Delay inflation factor from every [`FaultEpisode::WorkerAttrition`]
-    /// active at `now`: `1.0` at full strength, the product of
-    /// `1 / (1 - fraction)` over active episodes otherwise.
-    pub fn attrition_factor(&self, now_secs: f64) -> f64 {
-        self.plan
-            .episodes
-            .iter()
-            .filter_map(|e| match e {
-                FaultEpisode::WorkerAttrition { fraction, .. } if e.active_at(now_secs) => {
-                    Some(1.0 / (1.0 - fraction))
-                }
-                _ => None,
-            })
-            .product()
-    }
-
-    /// Whether an attempt posted at `now` is lost. Draws from the loss
-    /// stream **only** when at least one [`FaultEpisode::AnswerLoss`] is
-    /// active — a plan without loss episodes never advances the stream, so
-    /// it cannot perturb anything.
-    pub fn answer_lost(&mut self, now_secs: f64) -> bool {
-        let survive: f64 = self
-            .plan
+    /// Whether an attempt posted at `now` under `plan` is lost. Draws from
+    /// the loss stream **only** when at least one
+    /// [`FaultEpisode::AnswerLoss`] is active — a plan without loss
+    /// episodes never advances the stream, so it cannot perturb anything.
+    pub(crate) fn answer_lost(&mut self, plan: &FaultPlan, now_secs: f64) -> bool {
+        let survive: f64 = plan
             .episodes
             .iter()
             .filter_map(|e| match e {
@@ -360,10 +352,9 @@ impl FaultInjector {
     }
 }
 
-// Snapshot codec: the plan plus the live stream position.
+// Snapshot codec: the stream position.
 impl Encode for FaultInjector {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.plan.encode(out);
         self.rng.encode(out);
     }
 }
@@ -371,7 +362,6 @@ impl Encode for FaultInjector {
 impl Decode for FaultInjector {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(Self {
-            plan: FaultPlan::decode(r)?,
             rng: u64::decode(r)?,
         })
     }
@@ -439,12 +429,13 @@ mod tests {
 
     #[test]
     fn empty_plan_answers_nothing_and_never_draws() {
-        let mut injector = FaultInjector::new(FaultPlan::none());
+        let plan = FaultPlan::none();
+        let mut injector = FaultInjector::new(&plan);
         let before = injector.clone();
         for t in [0.0, 1e3, 1e6] {
-            assert!(!injector.outage_active(t));
-            assert_eq!(injector.attrition_factor(t), 1.0);
-            assert!(!injector.answer_lost(t));
+            assert!(!plan.outage_active(t));
+            assert_eq!(plan.attrition_factor(t), 1.0);
+            assert!(!injector.answer_lost(&plan, t));
         }
         // No draw happened: the stream position is untouched.
         assert_eq!(injector, before);
@@ -453,11 +444,10 @@ mod tests {
     #[test]
     fn outage_windows_are_half_open() {
         let plan = FaultPlan::new(1, vec![outage(100.0, 200.0)]);
-        let injector = FaultInjector::new(plan);
-        assert!(!injector.outage_active(99.9));
-        assert!(injector.outage_active(100.0));
-        assert!(injector.outage_active(199.9));
-        assert!(!injector.outage_active(200.0));
+        assert!(!plan.outage_active(99.9));
+        assert!(plan.outage_active(100.0));
+        assert!(plan.outage_active(199.9));
+        assert!(!plan.outage_active(200.0));
     }
 
     #[test]
@@ -477,11 +467,10 @@ mod tests {
                 },
             ],
         );
-        let injector = FaultInjector::new(plan);
-        assert_eq!(injector.attrition_factor(10.0), 2.0);
-        assert_eq!(injector.attrition_factor(75.0), 4.0);
-        assert_eq!(injector.attrition_factor(120.0), 2.0);
-        assert_eq!(injector.attrition_factor(150.0), 1.0);
+        assert_eq!(plan.attrition_factor(10.0), 2.0);
+        assert_eq!(plan.attrition_factor(75.0), 4.0);
+        assert_eq!(plan.attrition_factor(120.0), 2.0);
+        assert_eq!(plan.attrition_factor(150.0), 1.0);
     }
 
     #[test]
@@ -494,11 +483,11 @@ mod tests {
                 until_secs: 200.0,
             }],
         );
-        let mut injector = FaultInjector::new(plan);
+        let mut injector = FaultInjector::new(&plan);
         let before = injector.clone();
-        assert!(!injector.answer_lost(50.0));
+        assert!(!injector.answer_lost(&plan, 50.0));
         assert_eq!(injector, before, "no draw outside the window");
-        assert!(injector.answer_lost(150.0), "prob 1.0 always loses");
+        assert!(injector.answer_lost(&plan, 150.0), "prob 1.0 always loses");
         assert_ne!(injector, before, "the draw advanced the stream");
     }
 
@@ -512,8 +501,10 @@ mod tests {
                 until_secs: 1e9,
             }],
         );
-        let mut injector = FaultInjector::new(plan);
-        let lost = (0..10_000).filter(|_| injector.answer_lost(1.0)).count();
+        let mut injector = FaultInjector::new(&plan);
+        let lost = (0..10_000)
+            .filter(|_| injector.answer_lost(&plan, 1.0))
+            .count();
         assert!(
             (2_700..3_300).contains(&lost),
             "loss rate {lost}/10000 should be near 3000"
@@ -530,10 +521,10 @@ mod tests {
                 until_secs: 1e6,
             }],
         );
-        let mut a = FaultInjector::new(plan.clone());
-        let mut b = FaultInjector::new(plan);
-        let seq_a: Vec<bool> = (0..64).map(|_| a.answer_lost(10.0)).collect();
-        let seq_b: Vec<bool> = (0..64).map(|_| b.answer_lost(10.0)).collect();
+        let mut a = FaultInjector::new(&plan);
+        let mut b = FaultInjector::new(&plan);
+        let seq_a: Vec<bool> = (0..64).map(|_| a.answer_lost(&plan, 10.0)).collect();
+        let seq_b: Vec<bool> = (0..64).map(|_| b.answer_lost(&plan, 10.0)).collect();
         assert_eq!(seq_a, seq_b);
     }
 
@@ -592,8 +583,8 @@ mod tests {
         );
         assert_eq!(FaultPlan::from_bytes(&plan.to_bytes()), Ok(plan.clone()));
 
-        let mut injector = FaultInjector::new(plan);
-        injector.answer_lost(15.0);
+        let mut injector = FaultInjector::new(&plan);
+        injector.answer_lost(&plan, 15.0);
         assert_eq!(
             FaultInjector::from_bytes(&injector.to_bytes()),
             Ok(injector)
@@ -630,13 +621,13 @@ mod tests {
                 until_secs: 1e6,
             }],
         );
-        let mut live = FaultInjector::new(plan);
+        let mut live = FaultInjector::new(&plan);
         for _ in 0..10 {
-            live.answer_lost(1.0);
+            live.answer_lost(&plan, 1.0);
         }
         let mut resumed = FaultInjector::from_bytes(&live.to_bytes()).expect("round trip");
-        let rest_live: Vec<bool> = (0..32).map(|_| live.answer_lost(2.0)).collect();
-        let rest_resumed: Vec<bool> = (0..32).map(|_| resumed.answer_lost(2.0)).collect();
+        let rest_live: Vec<bool> = (0..32).map(|_| live.answer_lost(&plan, 2.0)).collect();
+        let rest_resumed: Vec<bool> = (0..32).map(|_| resumed.answer_lost(&plan, 2.0)).collect();
         assert_eq!(rest_live, rest_resumed);
     }
 }

@@ -36,11 +36,8 @@
 //! state and every shard's runtime payload inline; resume rebuilds the rest
 //! from the config and is byte-identical at any global event boundary.
 
-use crate::frame::{self, FrameError};
-use crate::{
-    MetricsTap, PipelinedSystem, RunBound, RuntimeConfig, RuntimeReport, SnapshotError,
-    SNAPSHOT_FORMAT_VERSION,
-};
+use crate::frame;
+use crate::{MetricsTap, PipelinedSystem, RunBound, RuntimeConfig, RuntimeReport, SnapshotError};
 use crowdlearn::{CrowdLearnConfig, PostedQuery};
 use crowdlearn_crowd::{SubmitterId, SubmitterUsage};
 use crowdlearn_dataset::{Dataset, SensingCycleStream};
@@ -686,8 +683,8 @@ impl FleetOrchestrator {
     pub fn resume(
         snapshot: &FleetSnapshot,
         streams: &[SensingCycleStream],
-    ) -> Result<Self, FleetSnapshotError> {
-        let corrupt = FleetSnapshotError::Corrupt;
+    ) -> Result<Self, SnapshotError> {
+        let corrupt = SnapshotError::Corrupt;
         let mut r = Reader::new(snapshot.payload());
         let config = FleetConfig::decode(&mut r).map_err(corrupt)?;
         let spent_cents = Vec::<u64>::decode(&mut r).map_err(corrupt)?;
@@ -716,15 +713,19 @@ impl FleetOrchestrator {
             return Err(corrupt(DecodeError::Invalid));
         }
         if streams.len() != n {
-            return Err(FleetSnapshotError::ShardCountMismatch {
+            return Err(SnapshotError::ShardCountMismatch {
                 expected: n,
                 found: streams.len(),
             });
         }
         let mut shards = Vec::with_capacity(n);
         for (shard, stream) in streams.iter().enumerate() {
-            let system = PipelinedSystem::decode_payload(&mut r, stream)
-                .map_err(|error| FleetSnapshotError::Shard { shard, error })?;
+            let system = PipelinedSystem::decode_payload(&mut r, stream).map_err(|error| {
+                SnapshotError::Shard {
+                    shard,
+                    error: Box::new(error),
+                }
+            })?;
             // `new` boots every shard at its quota, posting under its own
             // submitter.
             let booted = system.system().config().budget_cents.to_bits()
@@ -752,70 +753,6 @@ impl FleetOrchestrator {
 
 /// Leading bytes of every fleet snapshot.
 const FLEET_MAGIC: [u8; 8] = *b"CLFLEET\x00";
-
-/// Why a fleet snapshot could not be restored.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FleetSnapshotError {
-    /// The bytes do not start with the fleet snapshot magic.
-    BadMagic,
-    /// The snapshot was written by a different format version.
-    VersionMismatch {
-        /// The version recorded in the snapshot.
-        found: u32,
-    },
-    /// The payload checksum does not match — the bytes were corrupted.
-    ChecksumMismatch,
-    /// The fleet-level payload failed to decode or failed an invariant.
-    Corrupt(DecodeError),
-    /// The stream set handed to resume has a different shard count than the
-    /// fleet the snapshot was taken of.
-    ShardCountMismatch {
-        /// Shards the snapshot expects.
-        expected: usize,
-        /// Streams provided.
-        found: usize,
-    },
-    /// One shard's payload failed to decode or restore.
-    Shard {
-        /// The failing shard's index.
-        shard: usize,
-        /// The underlying per-shard payload error.
-        error: SnapshotError,
-    },
-}
-
-impl std::fmt::Display for FleetSnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FleetSnapshotError::BadMagic => write!(f, "not a fleet snapshot (bad magic)"),
-            FleetSnapshotError::VersionMismatch { found } => write!(
-                f,
-                "fleet snapshot format version {found} != supported {SNAPSHOT_FORMAT_VERSION}"
-            ),
-            FleetSnapshotError::ChecksumMismatch => {
-                write!(f, "fleet snapshot payload checksum mismatch")
-            }
-            FleetSnapshotError::Corrupt(e) => write!(f, "fleet snapshot payload corrupt: {e}"),
-            FleetSnapshotError::ShardCountMismatch { expected, found } => write!(
-                f,
-                "fleet snapshot expects {expected} shard streams, got {found}"
-            ),
-            FleetSnapshotError::Shard { shard, error } => {
-                write!(f, "shard {shard} snapshot: {error}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FleetSnapshotError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            FleetSnapshotError::Corrupt(e) => Some(e),
-            FleetSnapshotError::Shard { error, .. } => Some(error),
-            _ => None,
-        }
-    }
-}
 
 /// A sealed fleet snapshot: the [`crate::RuntimeSnapshot`] frame (format
 /// version, payload length, FNV-1a-64 checksum) under its own magic, so a
@@ -848,22 +785,11 @@ impl FleetSnapshot {
     /// Validates the frame (magic, version, length, checksum) and returns
     /// the snapshot; payload *contents* are validated by
     /// [`FleetOrchestrator::resume`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, FleetSnapshotError> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let payload = frame::open(&FLEET_MAGIC, bytes)?;
         Ok(Self {
             payload: payload.to_vec(),
         })
-    }
-}
-
-impl From<FrameError> for FleetSnapshotError {
-    fn from(e: FrameError) -> Self {
-        match e {
-            FrameError::BadMagic => FleetSnapshotError::BadMagic,
-            FrameError::VersionMismatch { found } => FleetSnapshotError::VersionMismatch { found },
-            FrameError::ChecksumMismatch => FleetSnapshotError::ChecksumMismatch,
-            FrameError::Corrupt(e) => FleetSnapshotError::Corrupt(e),
-        }
     }
 }
 
@@ -1091,14 +1017,14 @@ mod tests {
         bad_magic[0] ^= 0xff;
         assert_eq!(
             FleetSnapshot::from_bytes(&bad_magic),
-            Err(FleetSnapshotError::BadMagic)
+            Err(SnapshotError::BadMagic)
         );
 
         let mut wrong_version = bytes.clone();
         wrong_version[8] ^= 0x40;
         assert!(matches!(
             FleetSnapshot::from_bytes(&wrong_version),
-            Err(FleetSnapshotError::VersionMismatch { .. })
+            Err(SnapshotError::VersionMismatch { .. })
         ));
 
         let mut corrupt = bytes.clone();
@@ -1106,12 +1032,12 @@ mod tests {
         corrupt[last] ^= 0x01;
         assert_eq!(
             FleetSnapshot::from_bytes(&corrupt),
-            Err(FleetSnapshotError::ChecksumMismatch)
+            Err(SnapshotError::ChecksumMismatch)
         );
 
         assert_eq!(
             FleetSnapshot::from_bytes(&bytes[..bytes.len() - 3]),
-            Err(FleetSnapshotError::Corrupt(DecodeError::Truncated))
+            Err(SnapshotError::Corrupt(DecodeError::Truncated))
         );
     }
 
@@ -1194,10 +1120,7 @@ mod tests {
 
     /// Resumes a 1000 ¢ [`paused_fleet`] of `shards` after `edit` rewrote
     /// the parts of its payload.
-    fn resume_respliced(
-        shards: usize,
-        edit: Splice,
-    ) -> Result<FleetOrchestrator, FleetSnapshotError> {
+    fn resume_respliced(shards: usize, edit: Splice) -> Result<FleetOrchestrator, SnapshotError> {
         let (fleet, streams) = paused_fleet(1000.0, shards);
         let mut parts = Parts::split(&fleet.snapshot().expect("checkpointable"), &streams);
         edit(&mut parts);
@@ -1242,7 +1165,7 @@ mod tests {
         for (what, edit) in cases {
             assert_eq!(
                 resume_respliced(1, edit).err(),
-                Some(FleetSnapshotError::Corrupt(DecodeError::Invalid)),
+                Some(SnapshotError::Corrupt(DecodeError::Invalid)),
                 "{what}"
             );
         }
@@ -1259,9 +1182,9 @@ mod tests {
         });
         assert_eq!(
             resumed.err(),
-            Some(FleetSnapshotError::Shard {
+            Some(SnapshotError::Shard {
                 shard: 0,
-                error: SnapshotError::Corrupt(DecodeError::Invalid),
+                error: Box::new(SnapshotError::Corrupt(DecodeError::Invalid)),
             })
         );
     }
@@ -1273,16 +1196,16 @@ mod tests {
         resume_respliced(2, |_| {}).expect("untouched payload resumes");
         assert_eq!(
             resume_respliced(2, |parts| parts.shards.swap(0, 1)).err(),
-            Some(FleetSnapshotError::Corrupt(DecodeError::Invalid))
+            Some(SnapshotError::Corrupt(DecodeError::Invalid))
         );
     }
 
     #[test]
     fn fleet_errors_format_and_chain() {
         use std::error::Error;
-        let e = FleetSnapshotError::Shard {
+        let e = SnapshotError::Shard {
             shard: 2,
-            error: SnapshotError::ChecksumMismatch,
+            error: Box::new(SnapshotError::ChecksumMismatch),
         };
         assert!(e.to_string().contains("shard 2"));
         assert!(e.source().is_some(), "shard errors expose their source");

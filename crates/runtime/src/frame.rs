@@ -9,27 +9,14 @@
 //! ```
 //!
 //! [`crate::RuntimeSnapshot`] and [`crate::FleetSnapshot`] differ only in
-//! their magic: both stamp the one [`SNAPSHOT_FORMAT_VERSION`], and each
-//! maps [`FrameError`] onto its own public error enum.
+//! their magic: both stamp the one [`SNAPSHOT_FORMAT_VERSION`] and report
+//! frame defects as the one [`SnapshotError`].
 
-use crate::SNAPSHOT_FORMAT_VERSION;
+use crate::{SnapshotError, SNAPSHOT_FORMAT_VERSION};
 use serde::binary::DecodeError;
 
 /// Bytes of framing in front of the payload.
 pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 + 8;
-
-/// Why bytes failed to open as a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FrameError {
-    /// The bytes do not start with the expected magic.
-    BadMagic,
-    /// The frame carries another format version.
-    VersionMismatch { found: u32 },
-    /// The payload does not hash to the recorded checksum.
-    ChecksumMismatch,
-    /// The header is cut short, or the payload length disagrees with it.
-    Corrupt(DecodeError),
-}
 
 /// Frames `payload` under `magic` and the current format version.
 pub(crate) fn seal(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
@@ -45,12 +32,12 @@ pub(crate) fn seal(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
 /// Validates the frame (magic, version, length, checksum) and returns the
 /// payload it carries. The payload's *contents* are the caller's to
 /// validate.
-pub(crate) fn open<'a>(magic: &[u8; 8], bytes: &'a [u8]) -> Result<&'a [u8], FrameError> {
+pub(crate) fn open<'a>(magic: &[u8; 8], bytes: &'a [u8]) -> Result<&'a [u8], SnapshotError> {
     if !bytes.starts_with(magic) {
-        return Err(FrameError::BadMagic);
+        return Err(SnapshotError::BadMagic);
     }
     let Some((header, payload)) = bytes.split_at_checked(HEADER_LEN) else {
-        return Err(FrameError::Corrupt(DecodeError::Truncated));
+        return Err(SnapshotError::Corrupt(DecodeError::Truncated));
     };
     let field = |at: usize| -> [u8; 8] {
         header[at..at + 8]
@@ -63,18 +50,18 @@ pub(crate) fn open<'a>(magic: &[u8; 8], bytes: &'a [u8]) -> Result<&'a [u8], Fra
             .expect("invariant: the version field is 4 bytes"),
     );
     if found != SNAPSHOT_FORMAT_VERSION {
-        return Err(FrameError::VersionMismatch { found });
+        return Err(SnapshotError::VersionMismatch { found });
     }
     let len = u64::from_le_bytes(field(12));
     if payload.len() as u64 != len {
-        return Err(FrameError::Corrupt(if (payload.len() as u64) < len {
+        return Err(SnapshotError::Corrupt(if (payload.len() as u64) < len {
             DecodeError::Truncated
         } else {
             DecodeError::Invalid
         }));
     }
     if fnv1a64(payload) != u64::from_le_bytes(field(20)) {
-        return Err(FrameError::ChecksumMismatch);
+        return Err(SnapshotError::ChecksumMismatch);
     }
     Ok(payload)
 }

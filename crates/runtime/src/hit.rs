@@ -11,7 +11,7 @@ pub struct HitId(pub u64);
 /// A HIT the runtime has posted and not yet resolved (answered, expired, or
 /// abandoned).
 #[derive(Debug, Clone)]
-pub struct InFlightHit {
+pub(crate) struct InFlightHit {
     /// The HIT's id.
     pub id: HitId,
     /// Sensing cycle the query belongs to.
@@ -38,7 +38,7 @@ pub struct InFlightHit {
 /// derived from it) is deterministic. The board also tracks its own
 /// high-water mark, which the bounded-window property tests assert against.
 #[derive(Debug, Default)]
-pub struct HitBoard {
+pub(crate) struct HitBoard {
     inflight: BTreeMap<HitId, InFlightHit>,
     next_id: u64,
     peak: usize,
@@ -120,9 +120,14 @@ impl HitBoard {
         self.peak
     }
 
-    /// Total HITs ever posted.
-    pub fn total_posted(&self) -> u64 {
-        self.next_id
+    /// Whether `id` is in flight.
+    pub fn contains(&self, id: HitId) -> bool {
+        self.inflight.contains_key(&id)
+    }
+
+    /// The HITs in flight, in id order.
+    pub fn hits(&self) -> impl Iterator<Item = &InFlightHit> {
+        self.inflight.values()
     }
 }
 
@@ -228,7 +233,6 @@ mod tests {
         board.take(a);
         assert_eq!(board.in_flight(), 1);
         assert_eq!(board.peak_in_flight(), 2);
-        assert_eq!(board.total_posted(), 2);
     }
 
     #[test]
@@ -251,7 +255,6 @@ mod tests {
         let back = board.take(id);
         assert_eq!(back.id, id);
         assert_eq!(back.image_index, 5);
-        assert_eq!(board.total_posted(), 1);
     }
 
     #[test]
@@ -288,7 +291,6 @@ mod tests {
         let back = HitBoard::from_bytes(&board.to_bytes()).expect("round trip");
         assert_eq!(back.in_flight(), board.in_flight());
         assert_eq!(back.peak_in_flight(), board.peak_in_flight());
-        assert_eq!(back.total_posted(), board.total_posted());
         let ids: Vec<HitId> = back.inflight.keys().copied().collect();
         assert_eq!(ids, vec![HitId(0), HitId(2)]);
     }

@@ -30,12 +30,12 @@
 //! - [`VirtualClock`] — monotone virtual seconds; wall time plays no role.
 //! - [`EventQueue`] — a binary-heap queue of typed [`Event`]s ordered by
 //!   `(due time, scheduling order)`, so simultaneous events resolve
-//!   deterministically.
+//!   deterministically; it owns the run's one clock and counts the events
+//!   popped.
 //! - [`EventKind`] — the event vocabulary of the loop: cycle arrivals,
 //!   inference completions, HIT postings/answers/timeouts, late answers
 //!   of waited-out HITs, retrain completions, fault-episode boundaries,
 //!   and breaker probes.
-//! - [`HitBoard`] — the in-flight HIT table with its high-water mark.
 //! - [`PipelinedSystem`] — the CrowdLearn modules (QSS/IPD/CQC/MIC)
 //!   re-driven as event handlers over the reentrant cycle stages the core
 //!   crate exposes, with bounded cycle overlap (backpressure), per-HIT
@@ -63,10 +63,10 @@
 //!   [`SNAPSHOT_FORMAT_VERSION`], carrying each shard's runtime payload
 //!   inline; a 1-shard fleet is byte-identical to the bare pipelined
 //!   runtime (`tests/determinism.rs`).
-//! - [`FaultPlan`] / [`FaultInjector`] — deterministic fault injection: a
-//!   seeded, virtual-time schedule of typed [`FaultEpisode`]s (platform
-//!   outages, worker attrition, answer loss, budget shocks) consulted by
-//!   the driver at event boundaries, answered with a crowd-path circuit
+//! - [`FaultPlan`] — deterministic fault injection: a seeded, virtual-time
+//!   schedule of typed [`FaultEpisode`]s (platform outages, worker
+//!   attrition, answer loss, budget shocks) consulted by the driver at
+//!   event boundaries, answered with a crowd-path circuit
 //!   breaker ([`BreakerState`], probing after one cycle and doubling its
 //!   backoff up to eight) and a
 //!   degradation ladder down to AI-only labeling — an empty plan is
@@ -116,12 +116,12 @@ mod sweep;
 pub use clock::VirtualClock;
 pub use config::{RuntimeConfig, WindowPolicy};
 pub use event::{Event, EventKind};
-pub use faults::{BreakerState, FaultEpisode, FaultInjector, FaultPlan};
+pub use faults::{BreakerState, FaultEpisode, FaultPlan};
 pub use fleet::{
     ArbitrationPolicy, ContentionStats, FleetConfig, FleetLedger, FleetOrchestrator, FleetReport,
-    FleetSnapshot, FleetSnapshotError, ShardSpec,
+    FleetSnapshot, ShardSpec,
 };
-pub use hit::{HitBoard, HitId, InFlightHit};
+pub use hit::HitId;
 pub use metrics::{MetricKind, MetricRecord, MetricsSink, MetricsTap};
 pub use pipeline::{PipelinedSystem, RunBound, RuntimeReport, WindowDecision};
 pub use queue::EventQueue;

@@ -3,9 +3,10 @@
 
 use crate::faults::{BreakerState, FaultEpisode, FaultInjector};
 use crate::fleet::FleetHook;
+use crate::hit::HitBoard;
 use crate::{
-    EventKind, EventQueue, HitBoard, HitId, MetricKind, MetricRecord, MetricsSink, MetricsTap,
-    RuntimeConfig, RuntimeSnapshot, SnapshotError, VirtualClock, WindowPolicy,
+    Event, EventKind, EventQueue, HitId, MetricKind, MetricRecord, MetricsSink, MetricsTap,
+    RuntimeConfig, RuntimeSnapshot, SnapshotError, WindowPolicy,
 };
 use crowdlearn::{
     CrowdLearnConfig, CrowdLearnSystem, CycleOutcome, CycleWork, PostedQuery, SchemeReport,
@@ -198,13 +199,13 @@ impl PipelinedSystem {
     /// Events processed so far in the current execution, or `None` when no
     /// execution is in progress.
     pub fn events_processed(&self) -> Option<u64> {
-        self.exec.as_ref().map(|e| e.events_processed)
+        self.exec.as_ref().map(|e| e.queue.events_popped())
     }
 
     /// The current virtual time, or `None` when no execution is in
     /// progress.
     pub fn virtual_now_secs(&self) -> Option<f64> {
-        self.exec.as_ref().map(|e| e.clock.now_secs())
+        self.exec.as_ref().map(|e| e.queue.now_secs())
     }
 
     /// Begins an execution over `stream` if none is in progress: schedules
@@ -231,7 +232,7 @@ impl PipelinedSystem {
     /// [`PipelinedSystem::run_until`] slices to watch an adaptive
     /// controller move.
     pub fn effective_window(&self) -> Option<usize> {
-        self.exec.as_ref().map(|e| e.window)
+        self.exec.as_ref().map(|e| e.window(&self.config))
     }
 
     /// The window controller's decision at the most recent `CycleClosed`
@@ -292,8 +293,6 @@ impl PipelinedSystem {
         let Some(event) = exec.queue.pop() else {
             return false;
         };
-        exec.events_processed += 1;
-        exec.clock.advance_to(event.at_secs);
         Driver {
             system: &mut self.system,
             config: &self.config,
@@ -394,7 +393,7 @@ impl PipelinedSystem {
             outcomes,
             makespan_secs,
             completed_at_secs: exec.completed_at_secs,
-            events_processed: exec.events_processed,
+            events_processed: exec.queue.events_popped(),
             peak_cycles_in_flight: exec.peak_cycles_in_flight,
             peak_hits_in_flight: exec.board.peak_in_flight(),
             timeouts: exec.timeouts,
@@ -410,7 +409,7 @@ impl PipelinedSystem {
     /// in-progress execution — at the current event boundary. Every
     /// configuration checkpoints; the `Result` never holds an error.
     pub fn snapshot(&self) -> Result<RuntimeSnapshot, Infallible> {
-        let mut payload = Vec::with_capacity(Self::PAYLOAD_RESERVE);
+        let mut payload = Vec::with_capacity(Self::SNAPSHOT_RESERVE);
         self.encode_payload(&mut payload);
         Ok(RuntimeSnapshot::seal(payload))
     }
@@ -437,6 +436,21 @@ impl PipelinedSystem {
     /// fragment the heap.
     pub(crate) const PAYLOAD_RESERVE: usize = 256 * 1024;
 
+    /// Bytes [`Self::snapshot`] reserves: eight systems' worth, so that a
+    /// checkpoint's cost does not turn on the heap's layout. glibc's malloc
+    /// serves the first such request from a fresh mapping and, when that is
+    /// freed, raises its mmap threshold to the mapping's size and its heap
+    /// trim threshold to twice that. With one system's worth the trim
+    /// threshold (about 520 KB) sat just above a checkpoint's payload plus
+    /// its framed copy, so whether the heap handed their pages back to the
+    /// kernel between two checkpoints, and the next one took some 100 page
+    /// faults (+30 % on a paper-sized checkpoint), depended on where
+    /// unrelated allocations had landed. At 2 MiB the checkpoints, resumes
+    /// and runs of a paper-sized stream stay under the trim threshold and
+    /// take no page faults once warm. Reserved pages that are never written
+    /// never become resident.
+    const SNAPSHOT_RESERVE: usize = 8 * Self::PAYLOAD_RESERVE;
+
     /// Appends the checkpoint payload — `RuntimeConfig ‖ system state ‖
     /// execution ‖ tap` — that a [`RuntimeSnapshot`] seals and a fleet
     /// checkpoint carries inline per shard.
@@ -458,11 +472,19 @@ impl PipelinedSystem {
         let exec = Option::<ExecState>::decode(r).map_err(SnapshotError::Corrupt)?;
         let tap = Option::<MetricsTap>::decode(r).map_err(SnapshotError::Corrupt)?;
         if let Some(exec) = &exec {
-            // The controller's state must be one its policy can reach.
+            // The controller's state must be one its policy can reach, and
+            // every queued fault event must name an episode of the plan.
             let windows = config.window_policy.window_range();
-            if !windows.contains(&exec.window)
-                || !exec.window_trajectory.iter().all(|w| windows.contains(w))
+            let episodes = config.faults.episodes().len();
+            let names_an_episode = |event: &Event| match event.kind {
+                EventKind::FaultStart { episode } | EventKind::FaultEnd { episode } => {
+                    episode < episodes
+                }
+                _ => true,
+            };
+            if !exec.window_trajectory.iter().all(|w| windows.contains(w))
                 || exec.window_cooldown > WindowPolicy::COOLDOWN_CYCLES
+                || !exec.queue.iter().all(names_an_episode)
             {
                 return Err(SnapshotError::Corrupt(DecodeError::Invalid));
             }
@@ -483,34 +505,35 @@ impl PipelinedSystem {
 }
 
 /// All the mutable state of one event-loop execution — everything that
-/// must survive a pause/snapshot for the run to continue identically.
+/// must survive a pause/snapshot for the run to continue identically. Each
+/// fact is held once: the queue owns the clock and counts the events
+/// processed, the trajectory's last entry is the effective window, a HIT's
+/// cycle is on its board entry, and the fault plan is the config's.
 struct ExecState {
-    clock: VirtualClock,
+    /// The event queue and the run's virtual clock.
     queue: EventQueue,
     board: HitBoard,
     /// Cycles whose inference has completed and whose queries are live.
     active: BTreeMap<usize, CycleWork>,
     /// Cycles that have arrived but exceed the in-flight window.
     waiting: VecDeque<usize>,
-    /// Cycles admitted (inference scheduled or active) and not yet retired.
+    /// Cycles admitted (inference scheduled or active) and not yet retired:
+    /// the active cycles plus the queued `InferenceDone` events. Kept for
+    /// the admission loop, recounted on resume rather than carried.
     slots_used: usize,
-    /// The window controller's state: the current *effective* in-flight
-    /// window (always `config.initial_window()` under a static policy).
-    window: usize,
     /// `CycleClosed` boundaries left before the controller may move again.
     window_cooldown: u32,
     /// The controller's most recent decision.
     last_window_decision: WindowDecision,
-    /// Effective window after each `CycleClosed` decision, in close order.
+    /// Effective window after each `CycleClosed` decision, in close order;
+    /// its last entry is the current effective window.
     window_trajectory: Vec<usize>,
-    events_processed: u64,
     outcomes: Vec<Option<CycleOutcome>>,
     completed_at_secs: Vec<f64>,
     peak_cycles_in_flight: usize,
     timeouts: u64,
     reposts: u64,
-    /// The run's fault injector: the configured plan plus the live
-    /// position of its dedicated loss stream.
+    /// The live position of the configured fault plan's loss stream.
     injector: FaultInjector,
     /// The crowd-path circuit breaker (see DESIGN.md "Fault model &
     /// degradation ladder"). `Closed` for the whole of a fault-free run.
@@ -548,23 +571,20 @@ impl ExecState {
             }
         }
         Self {
-            clock: VirtualClock::new(),
             queue,
             board: HitBoard::new(),
             active: BTreeMap::new(),
             waiting: VecDeque::new(),
             slots_used: 0,
-            window: config.initial_window(),
             window_cooldown: 0,
             last_window_decision: WindowDecision::Held,
             window_trajectory: Vec::new(),
-            events_processed: 0,
             outcomes: (0..n_cycles).map(|_| None).collect(),
             completed_at_secs: vec![0.0; n_cycles],
             peak_cycles_in_flight: 0,
             timeouts: 0,
             reposts: 0,
-            injector: FaultInjector::new(config.faults.clone()),
+            injector: FaultInjector::new(&config.faults),
             breaker: BreakerState::Closed,
             breaker_backoff_cycles: BreakerState::FIRST_BACKOFF_CYCLES,
             parked: VecDeque::new(),
@@ -572,21 +592,26 @@ impl ExecState {
             degraded_cycles: 0,
         }
     }
+
+    /// The current effective in-flight window: the controller's latest
+    /// decision, or the policy's initial window before the first close.
+    fn window(&self, config: &RuntimeConfig) -> usize {
+        self.window_trajectory
+            .last()
+            .copied()
+            .unwrap_or_else(|| config.initial_window())
+    }
 }
 
 impl Encode for ExecState {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.clock.encode(out);
         self.queue.encode(out);
         self.board.encode(out);
         self.active.encode(out);
         self.waiting.encode(out);
-        self.slots_used.encode(out);
-        self.window.encode(out);
         self.window_cooldown.encode(out);
         self.last_window_decision.encode(out);
         self.window_trajectory.encode(out);
-        self.events_processed.encode(out);
         self.outcomes.encode(out);
         self.completed_at_secs.encode(out);
         self.peak_cycles_in_flight.encode(out);
@@ -603,18 +628,15 @@ impl Encode for ExecState {
 
 impl Decode for ExecState {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let state = Self {
-            clock: VirtualClock::decode(r)?,
+        let mut state = Self {
             queue: EventQueue::decode(r)?,
             board: HitBoard::decode(r)?,
             active: BTreeMap::<usize, CycleWork>::decode(r)?,
             waiting: VecDeque::<usize>::decode(r)?,
-            slots_used: usize::decode(r)?,
-            window: usize::decode(r)?,
+            slots_used: 0,
             window_cooldown: u32::decode(r)?,
             last_window_decision: WindowDecision::decode(r)?,
             window_trajectory: Vec::<usize>::decode(r)?,
-            events_processed: u64::decode(r)?,
             outcomes: Vec::<Option<CycleOutcome>>::decode(r)?,
             completed_at_secs: Vec::<f64>::decode(r)?,
             peak_cycles_in_flight: usize::decode(r)?,
@@ -628,17 +650,30 @@ impl Decode for ExecState {
             degraded_cycles: u64::decode(r)?,
         };
         let n = state.outcomes.len();
+        // Each queued HIT event resolves a HIT on the board, and each HIT
+        // on the board belongs to an active cycle.
+        let hits_resolve = state
+            .queue
+            .iter()
+            .filter_map(|e| e.kind.hit())
+            .all(|hit| state.board.contains(hit))
+            && state
+                .board
+                .hits()
+                .all(|hit| state.active.contains_key(&hit.cycle));
         let cycle_indices_in_range = state.active.keys().all(|&k| k < n)
             && state.waiting.iter().all(|&k| k < n)
             && state.parked.iter().all(|&k| k < n)
             && state.completed_at_secs.len() == n;
-        // The window itself is checked against the policy on resume.
+        // The trajectory (whose last entry is the effective window) is
+        // checked against the policy on resume.
         let window_ok = state.window_trajectory.len() <= n;
         let breaker_ok = (BreakerState::FIRST_BACKOFF_CYCLES..=BreakerState::MAX_BACKOFF_CYCLES)
             .contains(&state.breaker_backoff_cycles)
             && (state.breaker == BreakerState::Closed || state.parked.len() <= n)
             && (state.breaker != BreakerState::Closed || state.parked.is_empty());
-        if !cycle_indices_in_range
+        if !hits_resolve
+            || !cycle_indices_in_range
             || !window_ok
             || !breaker_ok
             || state.peak_cycles_in_flight < state.active.len()
@@ -649,6 +684,12 @@ impl Decode for ExecState {
         {
             return Err(DecodeError::Invalid);
         }
+        let inferring = state
+            .queue
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::InferenceDone { .. }))
+            .count();
+        state.slots_used = state.active.len() + inferring;
         Ok(state)
     }
 }
@@ -678,7 +719,7 @@ impl Driver<'_> {
             return;
         };
         tap.record(&MetricRecord {
-            at_secs: self.exec.clock.now_secs(),
+            at_secs: self.exec.queue.now_secs(),
             queue_depth: self.exec.queue.len(),
             window_occupancy: self.exec.slots_used,
             hits_in_flight: self.exec.board.in_flight(),
@@ -715,9 +756,9 @@ impl Driver<'_> {
             // Informational marker emitted when a HIT goes up; the
             // posting itself happened when it was scheduled.
             EventKind::HitPosted { .. } => {}
-            EventKind::HitAnswered { cycle, hit } => self.on_answered(cycle, hit),
-            EventKind::HitTimedOut { cycle, hit } => self.on_timed_out(cycle, hit),
-            EventKind::LateAnswer { cycle, hit } => self.on_late_answer(cycle, hit),
+            EventKind::HitAnswered { hit } => self.on_answered(hit),
+            EventKind::HitTimedOut { hit } => self.on_timed_out(hit),
+            EventKind::LateAnswer { hit } => self.on_late_answer(hit),
             EventKind::RetrainDone { cycle } => {
                 let work = self
                     .exec
@@ -727,7 +768,7 @@ impl Driver<'_> {
                 let outcome = self
                     .system
                     .finalize_cycle(work, &self.cycles[cycle], self.dataset);
-                self.exec.completed_at_secs[cycle] = self.exec.clock.now_secs();
+                self.exec.completed_at_secs[cycle] = self.exec.queue.now_secs();
                 let spent_cents = outcome.spent_cents;
                 let queries = outcome.images.iter().filter(|i| i.queried).count();
                 self.exec.outcomes[cycle] = Some(outcome);
@@ -737,8 +778,8 @@ impl Driver<'_> {
                     spent_cents,
                     queries,
                 });
-                self.control_window();
-                self.exec.window_trajectory.push(self.exec.window);
+                let window = self.control_window();
+                self.exec.window_trajectory.push(window);
                 self.try_admit();
             }
             EventKind::FaultStart { episode } => self.on_fault_start(episode),
@@ -753,9 +794,8 @@ impl Driver<'_> {
     /// cents back from the incentive ledger.
     fn on_fault_start(&mut self, episode: usize) {
         let kind = *self
-            .exec
-            .injector
-            .plan()
+            .config
+            .faults
             .episodes()
             .get(episode)
             .expect("invariant: fault events only reference plan episodes");
@@ -793,14 +833,14 @@ impl Driver<'_> {
     /// is in flight whenever the breaker is not `Closed`, and every outage
     /// window ends at a finite virtual time, so the machine cannot stall.
     fn on_breaker_probe(&mut self) {
-        let now = self.exec.clock.now_secs();
+        let now = self.exec.queue.now_secs();
         debug_assert_eq!(self.exec.breaker, BreakerState::Open);
         self.exec.breaker = BreakerState::HalfProbe;
         self.emit(MetricKind::BreakerTransition {
             from: BreakerState::Open,
             to: BreakerState::HalfProbe,
         });
-        if self.exec.injector.outage_active(now) {
+        if self.config.faults.outage_active(now) {
             self.exec.breaker = BreakerState::Open;
             self.emit(MetricKind::BreakerTransition {
                 from: BreakerState::HalfProbe,
@@ -846,16 +886,19 @@ impl Driver<'_> {
     ///
     /// The decision is a pure function of the streamed metrics and the
     /// execution state — no wall clock, no RNG — so it preserves the
-    /// runtime's same-seed byte-identity, and its state (window, cooldown,
-    /// last decision) rides inside the snapshot for identical resume.
-    fn control_window(&mut self) {
+    /// runtime's same-seed byte-identity, and its state (trajectory,
+    /// cooldown, last decision) rides inside the snapshot for identical
+    /// resume. Returns the effective window after the decision.
+    fn control_window(&mut self) -> usize {
+        let window = self.exec.window(self.config);
         let WindowPolicy::Adaptive { min, max } = self.config.window_policy else {
-            return;
+            return window;
         };
-        if self.exec.window_cooldown > 0 {
-            self.exec.window_cooldown -= 1;
-            self.exec.last_window_decision = WindowDecision::Held;
-            return;
+        let exec = &mut *self.exec;
+        if exec.window_cooldown > 0 {
+            exec.window_cooldown -= 1;
+            exec.last_window_decision = WindowDecision::Held;
+            return window;
         }
         // No tap (detached mid-run) or no absorbed answer yet: no signal,
         // hold at the current window.
@@ -864,34 +907,33 @@ impl Driver<'_> {
             .as_deref()
             .and_then(|tap| tap.crowd_delay().quantile(WindowPolicy::PERCENTILE))
         else {
-            self.exec.last_window_decision = WindowDecision::Held;
-            return;
+            exec.last_window_decision = WindowDecision::Held;
+            return window;
         };
         let period = RuntimeConfig::CYCLE_PERIOD_SECS;
-        let backlog = !self.exec.waiting.is_empty();
-        if delay_p > WindowPolicy::HIGH_THRESHOLD * period && backlog && self.exec.window < max {
-            self.exec.window += 1;
-            self.exec.window_cooldown = WindowPolicy::COOLDOWN_CYCLES;
-            self.exec.last_window_decision = WindowDecision::Widened;
-        } else if delay_p < WindowPolicy::LOW_THRESHOLD * period
-            && !backlog
-            && self.exec.window > min
-        {
-            // No eviction on narrow: admission simply stops until
-            // occupancy drops below the new window.
-            self.exec.window -= 1;
-            self.exec.window_cooldown = WindowPolicy::COOLDOWN_CYCLES;
-            self.exec.last_window_decision = WindowDecision::Narrowed;
-        } else {
-            self.exec.last_window_decision = WindowDecision::Held;
+        let backlog = !exec.waiting.is_empty();
+        let (decision, next) =
+            if delay_p > WindowPolicy::HIGH_THRESHOLD * period && backlog && window < max {
+                (WindowDecision::Widened, window + 1)
+            } else if delay_p < WindowPolicy::LOW_THRESHOLD * period && !backlog && window > min {
+                // No eviction on narrow: admission simply stops until
+                // occupancy drops below the new window.
+                (WindowDecision::Narrowed, window - 1)
+            } else {
+                (WindowDecision::Held, window)
+            };
+        if decision != WindowDecision::Held {
+            exec.window_cooldown = WindowPolicy::COOLDOWN_CYCLES;
         }
+        exec.last_window_decision = decision;
+        next
     }
 
     /// Admits waiting cycles while the effective pipeline window has room,
     /// scheduling each one's `InferenceDone` after the committee's
     /// execution delay.
     fn try_admit(&mut self) {
-        while self.exec.slots_used < self.exec.window {
+        while self.exec.slots_used < self.exec.window(self.config) {
             let Some(k) = self.exec.waiting.pop_front() else {
                 return;
             };
@@ -899,7 +941,7 @@ impl Driver<'_> {
             let batch = self.cycles[k].image_ids.len();
             let delay = self.system.algorithm_delay_secs(batch, k as u64);
             self.exec.queue.schedule(
-                self.exec.clock.now_secs() + delay,
+                self.exec.queue.now_secs() + delay,
                 EventKind::InferenceDone { cycle: k },
             );
             self.emit(MetricKind::CycleAdmitted { cycle: k });
@@ -912,8 +954,8 @@ impl Driver<'_> {
     /// this instant) the degradation ladder takes over instead:
     /// [`Driver::degrade_or_park`].
     fn post_or_finalize(&mut self, k: usize) {
-        let now = self.exec.clock.now_secs();
-        if self.exec.breaker != BreakerState::Closed || self.exec.injector.outage_active(now) {
+        let now = self.exec.queue.now_secs();
+        if self.exec.breaker != BreakerState::Closed || self.config.faults.outage_active(now) {
             self.degrade_or_park(k, now);
             return;
         }
@@ -942,12 +984,12 @@ impl Driver<'_> {
     /// whether the answer is lost and defers it under attrition, the HIT's
     /// resolution is scheduled, and the post and its spend are emitted.
     fn launch(&mut self, k: usize, mut posted: PostedQuery, attempt: u32) {
-        let now = self.exec.clock.now_secs();
+        let now = self.exec.queue.now_secs();
         if let Some(hook) = self.fleet.as_mut() {
             hook.absorb_post(now, &mut posted);
         }
-        let lost = self.exec.injector.answer_lost(now);
-        let factor = self.exec.injector.attrition_factor(now);
+        let lost = self.exec.injector.answer_lost(&self.config.faults, now);
+        let factor = self.config.faults.attrition_factor(now);
         if factor > 1.0 {
             posted
                 .pending
@@ -964,7 +1006,7 @@ impl Driver<'_> {
             lost,
             posted.pending,
         );
-        self.schedule_hit_events(k, hit, now, delay, lost);
+        self.schedule_hit_events(hit, now, delay, lost);
         self.emit(if attempt == 1 {
             MetricKind::HitPosted {
                 cycle: k,
@@ -1040,43 +1082,28 @@ impl Driver<'_> {
     /// A `lost` attempt ([`FaultEpisode::AnswerLoss`]) never answers at
     /// all, so only its timeout is scheduled. Exactly one resolution event
     /// is scheduled per posted HIT.
-    fn schedule_hit_events(
-        &mut self,
-        k: usize,
-        hit: HitId,
-        posted_at: f64,
-        delay: f64,
-        lost: bool,
-    ) {
-        self.exec
-            .queue
-            .schedule(posted_at, EventKind::HitPosted { cycle: k, hit });
+    fn schedule_hit_events(&mut self, hit: HitId, posted_at: f64, delay: f64, lost: bool) {
+        let queue = &mut self.exec.queue;
+        queue.schedule(posted_at, EventKind::HitPosted { hit });
         if lost {
             let timeout = self
                 .config
                 .hit_timeout_secs
                 .expect("invariant: an AnswerLoss plan requires a configured HIT timeout");
-            self.exec.queue.schedule(
-                posted_at + timeout,
-                EventKind::HitTimedOut { cycle: k, hit },
-            );
+            queue.schedule(posted_at + timeout, EventKind::HitTimedOut { hit });
             return;
         }
         match self.config.hit_timeout_secs {
-            Some(timeout) if delay >= timeout => self.exec.queue.schedule(
-                posted_at + timeout,
-                EventKind::HitTimedOut { cycle: k, hit },
-            ),
-            _ => self
-                .exec
-                .queue
-                .schedule(posted_at + delay, EventKind::HitAnswered { cycle: k, hit }),
+            Some(timeout) if delay >= timeout => {
+                queue.schedule(posted_at + timeout, EventKind::HitTimedOut { hit })
+            }
+            _ => queue.schedule(posted_at + delay, EventKind::HitAnswered { hit }),
         };
     }
 
-    fn on_answered(&mut self, k: usize, hit: HitId) {
+    fn on_answered(&mut self, hit: HitId) {
         let inflight = self.exec.board.take(hit);
-        debug_assert_eq!(inflight.cycle, k);
+        let k = inflight.cycle;
         let context = inflight.pending.context();
         let response = inflight.pending.into_response();
         let timely = self.system.answer_is_timely(&response);
@@ -1110,15 +1137,15 @@ impl Driver<'_> {
     /// live attempt is waited out — its workers still answer at the
     /// attempt's true completion time, so a `LateAnswer` is scheduled
     /// there rather than absorbing the answer at the timeout instant.
-    fn on_timed_out(&mut self, k: usize, hit: HitId) {
+    fn on_timed_out(&mut self, hit: HitId) {
         self.exec.timeouts += 1;
         let timeout = self
             .config
             .hit_timeout_secs
             .expect("invariant: HitTimedOut is only scheduled when a timeout is configured");
         let inflight = self.exec.board.take(hit);
-        debug_assert_eq!(inflight.cycle, k);
-        let now = self.exec.clock.now_secs();
+        let k = inflight.cycle;
+        let now = self.exec.queue.now_secs();
         self.system
             .observe_crowd_delay(inflight.pending.context(), inflight.incentive, timeout);
         self.emit(MetricKind::HitTimedOut {
@@ -1130,7 +1157,7 @@ impl Driver<'_> {
 
         if inflight.attempt < self.config.max_post_attempts {
             let crowd_available =
-                self.exec.breaker == BreakerState::Closed && !self.exec.injector.outage_active(now);
+                self.exec.breaker == BreakerState::Closed && !self.config.faults.outage_active(now);
             if crowd_available {
                 let level = if self.config.escalate_on_repost {
                     escalate(inflight.incentive)
@@ -1196,15 +1223,15 @@ impl Driver<'_> {
         self.exec.board.reinstate(inflight);
         self.exec
             .queue
-            .schedule(due, EventKind::LateAnswer { cycle: k, hit: id });
+            .schedule(due, EventKind::LateAnswer { hit: id });
     }
 
     /// A waited-out HIT's workers finally answered: absorb the late answer
     /// at its true completion time. IPD already got this attempt's censored
     /// observation at the timeout, so the late absorb skips the IPD report.
-    fn on_late_answer(&mut self, k: usize, hit: HitId) {
+    fn on_late_answer(&mut self, hit: HitId) {
         let inflight = self.exec.board.take(hit);
-        debug_assert_eq!(inflight.cycle, k);
+        let k = inflight.cycle;
         let context = inflight.pending.context();
         let response = inflight.pending.into_response();
         let delay_secs = response.completion_delay_secs;
@@ -1249,10 +1276,11 @@ fn splice_exec(snapshot: &RuntimeSnapshot, edit: impl FnOnce(&mut ExecState)) ->
     RuntimeSnapshot::seal(spliced)
 }
 
-/// Re-seals `snapshot` with its effective window set to `window`.
+/// Re-seals `snapshot` with its effective window set to `window`: a
+/// controller decision appended to the trajectory.
 #[cfg(test)]
 pub(crate) fn splice_window(snapshot: &RuntimeSnapshot, window: usize) -> RuntimeSnapshot {
-    splice_exec(snapshot, |exec| exec.window = window)
+    splice_exec(snapshot, |exec| exec.window_trajectory.push(window))
 }
 
 #[cfg(test)]
@@ -1288,15 +1316,30 @@ mod tests {
         let adaptive = WindowPolicy::adaptive(1, 8);
         let cases: [(&str, WindowPolicy, Splice, bool); 10] = [
             ("untouched", adaptive, |_| {}, true),
-            ("window at max", adaptive, |e| e.window = 8, true),
+            (
+                "window at max",
+                adaptive,
+                |e| e.window_trajectory = vec![8],
+                true,
+            ),
             (
                 "cooldown at the constant",
                 adaptive,
                 |e| e.window_cooldown = 1,
                 true,
             ),
-            ("window above max", adaptive, |e| e.window = 50, false),
-            ("window below min", adaptive, |e| e.window = 0, false),
+            (
+                "window above max",
+                adaptive,
+                |e| e.window_trajectory = vec![50],
+                false,
+            ),
+            (
+                "window below min",
+                adaptive,
+                |e| e.window_trajectory = vec![0],
+                false,
+            ),
             (
                 "trajectory above max",
                 adaptive,
@@ -1318,7 +1361,7 @@ mod tests {
             (
                 "static window moved",
                 WindowPolicy::Static(4),
-                |e| e.window = 3,
+                |e| e.window_trajectory = vec![3],
                 false,
             ),
             (
@@ -1336,6 +1379,44 @@ mod tests {
                     assert_eq!(e, SnapshotError::Corrupt(DecodeError::Invalid), "{what}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn resume_holds_queued_events_and_the_board_to_what_they_name() {
+        let untouched = resume_respliced(WindowPolicy::Static(4), |_| {}).expect("resumes");
+        let exec = untouched.exec.as_ref().expect("a running execution");
+        assert!(
+            exec.board.in_flight() > 0,
+            "the pause has a HIT on the board"
+        );
+        let cases: [(&str, Splice); 4] = [
+            ("a fault start the config's plan lacks", |e| {
+                let at = e.queue.now_secs() + 1.0;
+                e.queue.schedule(at, EventKind::FaultStart { episode: 0 });
+            }),
+            ("a fault end the config's plan lacks", |e| {
+                let at = e.queue.now_secs() + 1.0;
+                e.queue.schedule(at, EventKind::FaultEnd { episode: 3 });
+            }),
+            ("an answer for a HIT not on the board", |e| {
+                let at = e.queue.now_secs() + 1.0;
+                e.queue
+                    .schedule(at, EventKind::HitAnswered { hit: HitId(999) });
+            }),
+            ("a HIT of a cycle that is not active", |e| {
+                let id = e.board.hits().next().expect("a HIT in flight").id;
+                let hit = e.board.take(id);
+                e.board
+                    .reinstate(crate::hit::InFlightHit { cycle: 5, ..hit });
+            }),
+        ];
+        for (what, edit) in cases {
+            assert_eq!(
+                resume_respliced(WindowPolicy::Static(4), edit).err(),
+                Some(SnapshotError::Corrupt(DecodeError::Invalid)),
+                "{what}"
+            );
         }
     }
 

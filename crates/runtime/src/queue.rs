@@ -1,38 +1,30 @@
 //! The deterministic event queue.
 
-use crate::{Event, EventKind};
+use crate::{Event, EventKind, VirtualClock};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A priority queue of [`Event`]s ordered by `(due time, scheduling
-/// order)`.
+/// order)`, and the run's one [`VirtualClock`].
 ///
 /// Determinism contract: for a fixed sequence of [`EventQueue::schedule`]
 /// calls, [`EventQueue::pop`] yields a fixed sequence of events —
 /// simultaneous events break ties by scheduling order, never by heap
-/// layout. `pop` also asserts that due times never run backwards, which
-/// (together with [`crate::VirtualClock::advance_to`]) pins the simulation
-/// to causal order.
+/// layout. `pop` advances the clock to each event's due time, and
+/// `schedule` refuses a time before it, which pins the simulation to
+/// causal order.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Reverse<Event>>,
     next_seq: u64,
-    scheduled: u64,
-    popped: u64,
-    last_popped_secs: f64,
+    clock: VirtualClock,
 }
 
 impl EventQueue {
-    /// An empty queue.
+    /// An empty queue at virtual time zero.
     pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            scheduled: 0,
-            popped: 0,
-            last_popped_secs: 0.0,
-        }
+        Self::default()
     }
 
     /// Schedules `kind` at virtual time `at_secs`; returns the event's
@@ -40,18 +32,17 @@ impl EventQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `at_secs` is NaN or earlier than the last popped event —
-    /// scheduling into the past would break causality.
+    /// Panics if `at_secs` is NaN or earlier than the clock — scheduling
+    /// into the past would break causality.
     pub fn schedule(&mut self, at_secs: f64, kind: EventKind) -> u64 {
         assert!(!at_secs.is_nan(), "event time must not be NaN");
         assert!(
-            at_secs >= self.last_popped_secs,
+            at_secs >= self.clock.now_secs(),
             "cannot schedule into the past: {at_secs} < {}",
-            self.last_popped_secs
+            self.clock.now_secs()
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled += 1;
         self.heap.push(Reverse(Event { at_secs, seq, kind }));
         seq
     }
@@ -63,17 +54,17 @@ impl EventQueue {
         self.heap.peek().map(|Reverse(event)| event)
     }
 
-    /// Removes and returns the earliest event, or `None` when the queue is
-    /// empty.
+    /// Removes and returns the earliest event, advancing the clock to its
+    /// due time, or `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<Event> {
         let Reverse(event) = self.heap.pop()?;
-        debug_assert!(
-            event.at_secs >= self.last_popped_secs,
-            "event queue emitted time out of order"
-        );
-        self.last_popped_secs = event.at_secs;
-        self.popped += 1;
+        self.clock.advance_to(event.at_secs);
         Some(event)
+    }
+
+    /// The current virtual time: the due time of the last popped event.
+    pub fn now_secs(&self) -> f64 {
+        self.clock.now_secs()
     }
 
     /// Events currently waiting.
@@ -86,33 +77,31 @@ impl EventQueue {
         self.heap.is_empty()
     }
 
-    /// Total events scheduled over the queue's lifetime.
-    pub fn scheduled(&self) -> u64 {
-        self.scheduled
+    /// Events popped over the queue's lifetime: every event ever scheduled
+    /// has a sequence number below the counter and is either waiting or
+    /// popped.
+    pub fn events_popped(&self) -> u64 {
+        self.next_seq - self.heap.len() as u64
     }
 
-    /// Total events popped over the queue's lifetime. Together with
-    /// [`EventQueue::scheduled`] and [`EventQueue::len`] this gives the
-    /// conservation invariant `scheduled == popped + len`.
-    pub fn popped(&self) -> u64 {
-        self.popped
+    /// The waiting events, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Event> {
+        self.heap.iter().map(|Reverse(event)| event)
     }
 }
 
 // Snapshot codec: the heap serializes as its events in sorted pop order —
-// a canonical form independent of heap layout — plus the counters. Decode
-// re-checks the queue's standing invariants (conservation, causality, seq
-// numbers below the counter) so a corrupt snapshot surfaces as `Invalid`
-// instead of a mid-run panic.
+// a canonical form independent of heap layout — then the sequence counter
+// and the clock. Decode re-checks the queue's standing invariants
+// (causality, distinct seq numbers below the counter) so a corrupt snapshot
+// surfaces as `Invalid` instead of a mid-run panic.
 impl Encode for EventQueue {
     fn encode(&self, out: &mut Vec<u8>) {
-        let mut events: Vec<Event> = self.heap.iter().map(|Reverse(e)| *e).collect();
+        let mut events: Vec<Event> = self.iter().copied().collect();
         events.sort_unstable();
         events.encode(out);
         self.next_seq.encode(out);
-        self.scheduled.encode(out);
-        self.popped.encode(out);
-        self.last_popped_secs.encode(out);
+        self.clock.encode(out);
     }
 }
 
@@ -120,23 +109,10 @@ impl Decode for EventQueue {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let events = Vec::<Event>::decode(r)?;
         let next_seq = u64::decode(r)?;
-        let scheduled = u64::decode(r)?;
-        let popped = u64::decode(r)?;
-        let last_popped_secs = f64::decode(r)?;
-        // Checked arithmetic: on a corrupt frame `popped` can sit near
-        // u64::MAX, and `popped + len` must surface as `Invalid`, not as a
-        // debug-build overflow panic.
-        let len = u64::try_from(events.len()).map_err(|_| DecodeError::Invalid)?;
-        if last_popped_secs.is_nan()
-            || last_popped_secs < 0.0
-            || popped.checked_add(len) != Some(scheduled)
-            || scheduled > next_seq
-        {
-            return Err(DecodeError::Invalid);
-        }
+        let clock = VirtualClock::decode(r)?;
         let mut seen = std::collections::BTreeSet::new();
         for event in &events {
-            if event.at_secs < last_popped_secs || event.seq >= next_seq || !seen.insert(event.seq)
+            if event.at_secs < clock.now_secs() || event.seq >= next_seq || !seen.insert(event.seq)
             {
                 return Err(DecodeError::Invalid);
             }
@@ -144,9 +120,7 @@ impl Decode for EventQueue {
         Ok(Self {
             heap: events.into_iter().map(Reverse).collect(),
             next_seq,
-            scheduled,
-            popped,
-            last_popped_secs,
+            clock,
         })
     }
 }
@@ -168,14 +142,16 @@ mod tests {
     }
 
     #[test]
-    fn conserves_events() {
+    fn counts_pops_and_advances_the_clock() {
         let mut q = EventQueue::new();
         for i in 0..10 {
             q.schedule(i as f64, EventKind::CycleArrival { cycle: i });
         }
         q.pop();
         q.pop();
-        assert_eq!(q.scheduled(), q.popped() + q.len() as u64);
+        assert_eq!(q.events_popped(), 2);
+        assert_eq!(q.len(), 8);
+        assert_eq!(q.now_secs(), 1.0);
     }
 
     #[test]
@@ -207,47 +183,31 @@ mod tests {
         q.pop();
         q.pop();
         let mut back = EventQueue::from_bytes(&q.to_bytes()).expect("round trip");
-        assert_eq!(back.scheduled(), q.scheduled());
-        assert_eq!(back.popped(), q.popped());
+        assert_eq!(back.events_popped(), q.events_popped());
+        assert_eq!(back.now_secs(), q.now_secs());
         let expect: Vec<Event> = std::iter::from_fn(|| q.pop()).collect();
         let got: Vec<Event> = std::iter::from_fn(|| back.pop()).collect();
         assert_eq!(got, expect);
     }
 
     #[test]
-    fn codec_rejects_broken_conservation() {
+    fn codec_rejects_an_event_before_the_clock_or_a_reused_seq() {
         let mut q = EventQueue::new();
         q.schedule(1.0, EventKind::CycleArrival { cycle: 0 });
-        let mut bytes = q.to_bytes();
-        // The `scheduled` counter sits right after the events and next_seq;
-        // corrupt it by re-encoding with popped bumped.
-        let events_and_next_seq = bytes.len() - 24;
-        bytes.truncate(events_and_next_seq);
-        2u64.encode(&mut bytes); // scheduled
-        0u64.encode(&mut bytes); // popped
-        0.0f64.encode(&mut bytes); // last_popped_secs
-        assert!(matches!(
-            EventQueue::from_bytes(&bytes),
-            Err(DecodeError::Invalid)
-        ));
-    }
-
-    #[test]
-    fn codec_rejects_counter_overflow_without_panicking() {
-        // A corrupt frame whose `popped` sits at u64::MAX must fail the
-        // conservation check as `Invalid`; the former `popped + len`
-        // arithmetic overflowed (a panic in debug builds) before reaching it.
-        let mut q = EventQueue::new();
-        q.schedule(1.0, EventKind::CycleArrival { cycle: 0 });
-        let mut bytes = q.to_bytes();
-        let events_and_next_seq = bytes.len() - 24;
-        bytes.truncate(events_and_next_seq);
-        u64::MAX.encode(&mut bytes); // scheduled
-        u64::MAX.encode(&mut bytes); // popped (+ 1 live event would overflow)
-        0.0f64.encode(&mut bytes); // last_popped_secs
-        assert!(matches!(
-            EventQueue::from_bytes(&bytes),
-            Err(DecodeError::Invalid)
-        ));
+        q.schedule(5.0, EventKind::CycleArrival { cycle: 1 });
+        let bytes = q.to_bytes();
+        // The clock ends the encoding: move it past the first event.
+        let mut ahead = bytes[..bytes.len() - 8].to_vec();
+        2.0f64.encode(&mut ahead);
+        // The counter precedes it: lower it onto the second event's seq.
+        let mut reused = bytes[..bytes.len() - 16].to_vec();
+        1u64.encode(&mut reused);
+        0.0f64.encode(&mut reused);
+        for bad in [ahead, reused] {
+            assert!(matches!(
+                EventQueue::from_bytes(&bad),
+                Err(DecodeError::Invalid)
+            ));
+        }
     }
 }

@@ -20,7 +20,7 @@
 //! [`crate::FleetSnapshot`] carries the same payload inline for each of
 //! its shards, under its own single frame.
 
-use crate::frame::{self, FrameError};
+use crate::frame;
 use serde::binary::DecodeError;
 
 /// Leading bytes of every snapshot.
@@ -75,13 +75,24 @@ const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 /// carries its members' learned states, the SAMME alphas and its
 /// validation buffer (each sample's image id and visual block means, then
 /// the labels). `UcbAlp` lost its exploration scale, now a constant; the
-/// other members' bytes are unchanged.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 12;
+/// other members' bytes are unchanged;
+/// 13 — each fact travels once, and what the configuration fixes is
+/// rebuilt on resume: the incentive policy is its learner's learned state
+/// (no kind tag, `BanditConfig`, ε or pinned action) and the observation
+/// count, the Hedge learner is its weights and round count (no η), the
+/// fault injector is its loss-stream position (the plan is the
+/// `RuntimeConfig`'s), the event queue carries the one virtual clock and
+/// its sequence counter (the execution state lost its clock, event count,
+/// effective window and admission slots, and the queue its scheduled and
+/// popped counters), and the HIT events carry no cycle (a HIT's cycle is
+/// its board entry's).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 13;
 
-/// Why a snapshot could not be restored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Why a runtime or fleet snapshot could not be restored.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The bytes do not start with the snapshot magic.
+    /// The bytes do not start with the magic of the snapshot kind asked
+    /// for (runtime or fleet).
     BadMagic,
     /// The snapshot was written by a different format version.
     VersionMismatch {
@@ -100,12 +111,28 @@ pub enum SnapshotError {
         /// Cycles the provided stream has.
         found: usize,
     },
+    /// The stream set handed to a fleet resume has a different shard count
+    /// than the fleet the snapshot was taken of.
+    ShardCountMismatch {
+        /// Shards the snapshot expects.
+        expected: usize,
+        /// Streams provided.
+        found: usize,
+    },
+    /// One shard's payload inside a fleet snapshot failed to decode or
+    /// restore.
+    Shard {
+        /// The failing shard's index.
+        shard: usize,
+        /// The shard payload's own error.
+        error: Box<SnapshotError>,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not a runtime snapshot (bad magic)"),
+            SnapshotError::BadMagic => write!(f, "not a snapshot of the expected kind (bad magic)"),
             SnapshotError::VersionMismatch { found } => write!(
                 f,
                 "snapshot format version {found} != supported {SNAPSHOT_FORMAT_VERSION}"
@@ -116,11 +143,24 @@ impl std::fmt::Display for SnapshotError {
                 f,
                 "snapshot expects a {expected}-cycle stream, got {found} cycles"
             ),
+            SnapshotError::ShardCountMismatch { expected, found } => write!(
+                f,
+                "fleet snapshot expects {expected} shard streams, got {found}"
+            ),
+            SnapshotError::Shard { shard, error } => write!(f, "shard {shard} snapshot: {error}"),
         }
     }
 }
 
-impl std::error::Error for SnapshotError {}
+impl std::error::Error for SnapshotError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SnapshotError::Corrupt(e) => Some(e),
+            SnapshotError::Shard { error, .. } => Some(error),
+            _ => None,
+        }
+    }
+}
 
 /// A sealed snapshot: an opaque payload plus the framing that lets a later
 /// process validate it before trusting a single byte.
@@ -160,17 +200,6 @@ impl RuntimeSnapshot {
         Ok(Self {
             payload: payload.to_vec(),
         })
-    }
-}
-
-impl From<FrameError> for SnapshotError {
-    fn from(e: FrameError) -> Self {
-        match e {
-            FrameError::BadMagic => SnapshotError::BadMagic,
-            FrameError::VersionMismatch { found } => SnapshotError::VersionMismatch { found },
-            FrameError::ChecksumMismatch => SnapshotError::ChecksumMismatch,
-            FrameError::Corrupt(e) => SnapshotError::Corrupt(e),
-        }
     }
 }
 

@@ -1,10 +1,10 @@
 //! Wire pins for the snapshot frame: the exact bytes a fixed payload is
 //! framed into under the runtime and fleet magics, and the typed errors
 //! (with their `Display` texts) each frame defect decodes to. Both
-//! snapshot types share one frame codec and one format version; these pins
-//! hold it to the format already on disk.
+//! snapshot types share one frame codec, one format version and one error
+//! type; these pins hold them to the format already on disk.
 
-use crowdlearn_runtime::{FleetSnapshot, FleetSnapshotError, RuntimeSnapshot, SnapshotError};
+use crowdlearn_runtime::{FleetSnapshot, RuntimeSnapshot, SnapshotError};
 use serde::binary::DecodeError;
 
 const PAYLOAD: &[u8] = b"frame pin";
@@ -27,20 +27,20 @@ fn framed(magic: &[u8; 8], version: u32) -> Vec<u8> {
 
 #[test]
 fn runtime_frame_bytes_are_pinned() {
-    let bytes = framed(b"CLSNAP\x00\x01", 12);
+    let bytes = framed(b"CLSNAP\x00\x01", 13);
     let snap = RuntimeSnapshot::from_bytes(&bytes).expect("pinned frame opens");
     assert_eq!(snap.to_bytes(), bytes);
     assert_eq!(snap.serialized_len(), bytes.len());
     // A frame of the previous format is refused by version, not misread.
     assert_eq!(
-        RuntimeSnapshot::from_bytes(&framed(b"CLSNAP\x00\x01", 11)),
-        Err(SnapshotError::VersionMismatch { found: 11 })
+        RuntimeSnapshot::from_bytes(&framed(b"CLSNAP\x00\x01", 12)),
+        Err(SnapshotError::VersionMismatch { found: 12 })
     );
 }
 
 #[test]
 fn fleet_frame_bytes_are_pinned() {
-    let bytes = framed(b"CLFLEET\x00", 12);
+    let bytes = framed(b"CLFLEET\x00", 13);
     let snap = FleetSnapshot::from_bytes(&bytes).expect("pinned frame opens");
     assert_eq!(snap.to_bytes(), bytes);
     assert_eq!(snap.serialized_len(), bytes.len());
@@ -48,14 +48,14 @@ fn fleet_frame_bytes_are_pinned() {
     // shard snapshots and is refused by version.
     assert_eq!(
         FleetSnapshot::from_bytes(&framed(b"CLFLEET\x00", 2)),
-        Err(FleetSnapshotError::VersionMismatch { found: 2 })
+        Err(SnapshotError::VersionMismatch { found: 2 })
     );
 }
 
 #[test]
 fn frame_defects_decode_to_the_same_typed_errors() {
-    let runtime = framed(b"CLSNAP\x00\x01", 12);
-    let fleet = framed(b"CLFLEET\x00", 12);
+    let runtime = framed(b"CLSNAP\x00\x01", 13);
+    let fleet = framed(b"CLFLEET\x00", 13);
     let defects: [(&str, Defect); 5] = [
         ("magic", |b| b[0] ^= 0xff),
         ("version", |b| b[8] = 0xfe),
@@ -63,14 +63,14 @@ fn frame_defects_decode_to_the_same_typed_errors() {
         ("truncated", |b| b.truncate(b.len() - 3)),
         ("trailing", |b| b.push(0)),
     ];
-    let runtime_expected = [
+    let expected = [
         (
             SnapshotError::BadMagic,
-            "not a runtime snapshot (bad magic)",
+            "not a snapshot of the expected kind (bad magic)",
         ),
         (
             SnapshotError::VersionMismatch { found: 0xfe },
-            "snapshot format version 254 != supported 12",
+            "snapshot format version 254 != supported 13",
         ),
         (
             SnapshotError::ChecksumMismatch,
@@ -85,40 +85,15 @@ fn frame_defects_decode_to_the_same_typed_errors() {
             "snapshot payload corrupt: invalid tag or length",
         ),
     ];
-    let fleet_expected = [
-        (
-            FleetSnapshotError::BadMagic,
-            "not a fleet snapshot (bad magic)",
-        ),
-        (
-            FleetSnapshotError::VersionMismatch { found: 0xfe },
-            "fleet snapshot format version 254 != supported 12",
-        ),
-        (
-            FleetSnapshotError::ChecksumMismatch,
-            "fleet snapshot payload checksum mismatch",
-        ),
-        (
-            FleetSnapshotError::Corrupt(DecodeError::Truncated),
-            "fleet snapshot payload corrupt: input truncated mid-value",
-        ),
-        (
-            FleetSnapshotError::Corrupt(DecodeError::Invalid),
-            "fleet snapshot payload corrupt: invalid tag or length",
-        ),
-    ];
-    for (((defect, edit), (r_err, r_text)), (f_err, f_text)) in
-        defects.iter().zip(runtime_expected).zip(fleet_expected)
-    {
+    for ((defect, edit), (error, text)) in defects.iter().zip(expected) {
         let mut r = runtime.clone();
         edit(&mut r);
         let err = RuntimeSnapshot::from_bytes(&r).expect_err(defect);
-        assert_eq!((err, err.to_string().as_str()), (r_err, r_text), "{defect}");
+        assert_eq!(err.to_string(), text, "{defect}");
+        assert_eq!(err, error, "{defect}");
         let mut f = fleet.clone();
         edit(&mut f);
-        let err = FleetSnapshot::from_bytes(&f).expect_err(defect);
-        assert_eq!(err.to_string(), f_text, "{defect}");
-        assert_eq!(err, f_err, "{defect}");
+        assert_eq!(FleetSnapshot::from_bytes(&f).err(), Some(error), "{defect}");
     }
     // A header cut short of its fixed 28 bytes is truncation, not a bad
     // length field.
@@ -128,6 +103,16 @@ fn frame_defects_decode_to_the_same_typed_errors() {
     );
     assert_eq!(
         FleetSnapshot::from_bytes(&fleet[..10]),
-        Err(FleetSnapshotError::Corrupt(DecodeError::Truncated))
+        Err(SnapshotError::Corrupt(DecodeError::Truncated))
+    );
+    // A fleet resume wraps a shard payload's own error with the shard's
+    // index.
+    let shard = SnapshotError::Shard {
+        shard: 2,
+        error: Box::new(SnapshotError::Corrupt(DecodeError::Invalid)),
+    };
+    assert_eq!(
+        shard.to_string(),
+        "shard 2 snapshot: snapshot payload corrupt: invalid tag or length"
     );
 }

@@ -9,7 +9,7 @@
 use crowdlearn::{
     CalibratorConfig, CrowdLearnConfig, CrowdLearnSystem, CycleOutcome, IncentivePolicyKind, Model,
 };
-use crowdlearn_crowd::{DelayModel, IncentiveLevel, PlatformConfig};
+use crowdlearn_crowd::{DelayModel, IncentiveLevel, Platform, PlatformConfig};
 use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
 use crowdlearn_runtime::{MetricsTap, PipelinedSystem, RuntimeConfig, RuntimeReport};
 
@@ -173,10 +173,10 @@ fn cases() -> Vec<Case> {
 fn window_one_reproduces_the_reference_loop_byte_for_byte() {
     for case in cases() {
         let boot = || {
-            CrowdLearnSystem::with_platform_config(
+            CrowdLearnSystem::with_platform(
                 &case.dataset,
                 case.config.clone(),
-                case.platform.clone(),
+                Platform::new(case.platform.clone()),
             )
         };
         let name = case.name;

@@ -27,8 +27,9 @@ fn small_config(seed: u64, budget_cents: f64) -> CrowdLearnConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Popping any schedule of events advances a clock monotonically, and
-    /// `scheduled == popped + pending` holds at every step.
+    /// Popping any schedule of events advances the queue's clock
+    /// monotonically to each due time, and every scheduled event is either
+    /// waiting or counted as popped at every step.
     #[test]
     fn clock_is_monotone_and_no_event_is_lost(
         times in vec((0.0f64..1e6, 0usize..64), 1..128)
@@ -38,15 +39,17 @@ proptest! {
         for &(at, cycle) in &times {
             queue.schedule(at, EventKind::CycleArrival { cycle });
         }
-        prop_assert_eq!(queue.scheduled(), times.len() as u64);
+        prop_assert_eq!(queue.len(), times.len());
         let mut popped = 0u64;
         let mut last = f64::NEG_INFINITY;
         while let Some(event) = queue.pop() {
             clock.advance_to(event.at_secs); // panics if non-monotone
             prop_assert!(event.at_secs >= last);
+            prop_assert_eq!(queue.now_secs(), event.at_secs);
             last = event.at_secs;
             popped += 1;
-            prop_assert_eq!(queue.scheduled(), popped + queue.len() as u64);
+            prop_assert_eq!(queue.events_popped(), popped);
+            prop_assert_eq!(popped + queue.len() as u64, times.len() as u64);
         }
         prop_assert_eq!(popped, times.len() as u64);
         prop_assert_eq!(clock.now_secs(), last);

@@ -15,7 +15,7 @@
 //! backlog drains.
 
 use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem};
-use crowdlearn_crowd::{DelayModel, IncentiveLevel, PlatformConfig};
+use crowdlearn_crowd::{DelayModel, IncentiveLevel, Platform, PlatformConfig};
 use crowdlearn_dataset::TemporalContext;
 use crowdlearn_runtime::{PipelinedSystem, RunBound, RuntimeConfig, WindowPolicy};
 use crowdlearn_suite::scenarios;
@@ -38,8 +38,11 @@ fn main() {
     let policy = WindowPolicy::adaptive(1, 6);
     println!("policy: {policy:?}\n");
 
-    let system =
-        CrowdLearnSystem::with_platform_config(&dataset, CrowdLearnConfig::paper(), platform);
+    let system = CrowdLearnSystem::with_platform(
+        &dataset,
+        CrowdLearnConfig::paper(),
+        Platform::new(platform),
+    );
     let mut system =
         PipelinedSystem::from_system(system, RuntimeConfig::paper().with_window_policy(policy));
 

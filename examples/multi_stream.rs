@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Interrupted run: pause at the halfway event boundary, serialize the
     // whole fleet (every shard + pool + ledger), restore from bytes — the
-    // `?`s thread `FleetSnapshotError` through `Box<dyn Error>`.
+    // `?`s thread `SnapshotError` through `Box<dyn Error>`.
     let mut fleet = FleetOrchestrator::new(specs, fleet_config, &datasets);
     fleet.attach_metrics_taps();
     let half = expected.events_processed / 2;

@@ -8,9 +8,9 @@
 use crowdlearn::{CrowdLearnConfig, Model};
 use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
 use crowdlearn_runtime::{
-    FleetConfig, FleetOrchestrator, FleetSnapshot, FleetSnapshotError, MetricsTap, PipelinedSystem,
-    RunBound, RuntimeConfig, RuntimeReport, RuntimeSnapshot, ShardSpec, SnapshotError,
-    WindowPolicy, SNAPSHOT_FORMAT_VERSION,
+    FleetConfig, FleetOrchestrator, FleetSnapshot, MetricsTap, PipelinedSystem, RunBound,
+    RuntimeConfig, RuntimeReport, RuntimeSnapshot, ShardSpec, SnapshotError, WindowPolicy,
+    SNAPSHOT_FORMAT_VERSION,
 };
 
 fn dataset(seed: u64) -> Dataset {
@@ -523,7 +523,7 @@ fn fleet_snapshot_rejects_tampering_and_mismatched_shard_sets() {
     wrong_version[8] ^= 0x40;
     assert!(matches!(
         FleetSnapshot::from_bytes(&wrong_version),
-        Err(FleetSnapshotError::VersionMismatch { .. })
+        Err(SnapshotError::VersionMismatch { .. })
     ));
 
     let mut corrupt = bytes.clone();
@@ -531,7 +531,7 @@ fn fleet_snapshot_rejects_tampering_and_mismatched_shard_sets() {
     corrupt[last] ^= 0x01;
     assert_eq!(
         FleetSnapshot::from_bytes(&corrupt),
-        Err(FleetSnapshotError::ChecksumMismatch)
+        Err(SnapshotError::ChecksumMismatch)
     );
 
     // Resuming a 2-shard fleet against one stream is refused before any
@@ -539,7 +539,7 @@ fn fleet_snapshot_rejects_tampering_and_mismatched_shard_sets() {
     let snapshot = FleetSnapshot::from_bytes(&bytes).expect("untampered frame validates");
     assert!(matches!(
         FleetOrchestrator::resume(&snapshot, &streams[..1]),
-        Err(FleetSnapshotError::ShardCountMismatch {
+        Err(SnapshotError::ShardCountMismatch {
             expected: 2,
             found: 1
         })
@@ -587,8 +587,8 @@ fn snapshot_rejects_tampering_and_mismatched_streams() {
 
 /// Forward and backward compatibility: a frame stamped with a *future*
 /// format version — one written by a newer build whose payload layout this
-/// build cannot know — or with the previous one (v11, whose incentive
-/// learner carried its exploration scale) must come back as a typed
+/// build cannot know — or with the previous one (v12, whose incentive
+/// learner carried its kind tag and bandit config) must come back as a typed
 /// `VersionMismatch` carrying the found version, refused by the frame
 /// before any payload decoder runs: never a panic or a silent misparse.
 /// Both frames stamp the one `SNAPSHOT_FORMAT_VERSION`.
@@ -603,7 +603,7 @@ fn snapshots_reject_future_format_versions_with_typed_errors() {
     let bytes = system.snapshot().expect("checkpointable").to_bytes();
     for (found, stamped) in [
         (SNAPSHOT_FORMAT_VERSION + 1, SNAPSHOT_FORMAT_VERSION + 1),
-        (11, SNAPSHOT_FORMAT_VERSION - 1),
+        (12, SNAPSHOT_FORMAT_VERSION - 1),
     ] {
         let mut bytes = bytes.clone();
         // The u32 version field sits right after the 8-byte magic.
@@ -623,7 +623,7 @@ fn snapshots_reject_future_format_versions_with_typed_errors() {
     bytes[8..12].copy_from_slice(&future.to_le_bytes());
     assert!(matches!(
         FleetSnapshot::from_bytes(&bytes),
-        Err(FleetSnapshotError::VersionMismatch { found }) if found == future
+        Err(SnapshotError::VersionMismatch { found }) if found == future
     ));
 }
 
@@ -1150,12 +1150,12 @@ fn fleet_snapshot_decode_survives_a_seeded_corruption_sweep() {
         let sum = fnv1a64(&evil[HEADER..]);
         evil[20..28].copy_from_slice(&sum.to_le_bytes());
         let snapshot = FleetSnapshot::from_bytes(&evil).expect("repaired frame validates");
-        if let Err(FleetSnapshotError::Shard {
-            error: SnapshotError::Corrupt(_),
-            ..
-        }) = FleetOrchestrator::resume(&snapshot, &streams)
+        if let Err(SnapshotError::Shard { error, .. }) =
+            FleetOrchestrator::resume(&snapshot, &streams)
         {
-            shard_rejected += 1;
+            if matches!(*error, SnapshotError::Corrupt(_)) {
+                shard_rejected += 1;
+            }
         }
     }
     assert!(
