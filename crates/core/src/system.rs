@@ -9,9 +9,7 @@ use crowdlearn_bandit::BanditConfig;
 use crowdlearn_classifiers::{
     profiles, BoostedEnsemble, ClassDistribution, Classifier, SimulatedExpert,
 };
-use crowdlearn_crowd::{
-    IncentiveLevel, PendingHit, Platform, PlatformConfig, PlatformStats, QueryResponse, SubmitterId,
-};
+use crowdlearn_crowd::{IncentiveLevel, PendingHit, Platform, PlatformConfig, QueryResponse};
 use crowdlearn_dataset::{Dataset, LabeledImage, SensingCycle, TemporalContext};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 use serde::{Deserialize, Serialize};
@@ -414,7 +412,6 @@ pub struct PostedQuery {
 /// to, so interleavings stay deterministic for a fixed event order.
 #[derive(Debug, Clone)]
 pub struct CycleWork {
-    cycle_index: usize,
     context: TemporalContext,
     member_votes: Vec<Vec<ClassDistribution>>,
     picked: Vec<usize>,
@@ -428,9 +425,9 @@ pub struct CycleWork {
 }
 
 impl CycleWork {
-    /// The sensing cycle this work belongs to.
-    pub fn cycle_index(&self) -> usize {
-        self.cycle_index
+    /// Images in the cycle: one cached set of committee votes each.
+    pub fn images(&self) -> usize {
+        self.member_votes.len()
     }
 
     /// The cycle's temporal context.
@@ -464,7 +461,6 @@ impl CycleWork {
 // can park in-flight cycles mid-crowd-wait and resume them byte-identically.
 impl Encode for CycleWork {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.cycle_index.encode(out);
         self.context.encode(out);
         self.member_votes.encode(out);
         self.picked.encode(out);
@@ -481,7 +477,6 @@ impl Encode for CycleWork {
 impl Decode for CycleWork {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let work = Self {
-            cycle_index: usize::decode(r)?,
             context: TemporalContext::decode(r)?,
             member_votes: Vec::<Vec<ClassDistribution>>::decode(r)?,
             picked: Vec::<usize>::decode(r)?,
@@ -658,26 +653,6 @@ impl CrowdLearnSystem {
         self.ipd.observations()
     }
 
-    /// Declares the [`SubmitterId`] the platform books subsequent posts
-    /// against — a fleet orchestrator tags each shard's system with the
-    /// shard index at boot so [`CrowdLearnSystem::platform_stats`] exposes
-    /// per-shard worker-seconds attribution. Attribution only; no RNG draw
-    /// or behavioral change.
-    pub fn set_platform_submitter(&mut self, submitter: SubmitterId) {
-        self.platform.set_submitter(submitter);
-    }
-
-    /// The [`SubmitterId`] the platform books posts against.
-    pub fn platform_submitter(&self) -> SubmitterId {
-        self.platform.submitter()
-    }
-
-    /// The platform's accounting breakdown (queries vs reposts per
-    /// context/incentive cell, per-submitter worker-seconds and spend).
-    pub fn platform_stats(&self) -> &PlatformStats {
-        self.platform.stats()
-    }
-
     /// Appends the system's complete learning state to `out`: the config,
     /// what each committee member has learned and the Hedge weights, the QSS
     /// and platform RNGs, what the incentive bandit has learned with its
@@ -761,7 +736,6 @@ impl CrowdLearnSystem {
         );
 
         CycleWork {
-            cycle_index: cycle.index,
             context: cycle.context,
             member_votes,
             picked,
@@ -785,7 +759,6 @@ impl CrowdLearnSystem {
         cycle: &SensingCycle,
         dataset: &Dataset,
     ) -> Option<PostedQuery> {
-        assert_eq!(work.cycle_index, cycle.index, "cycle/work mismatch");
         if work.budget_exhausted || work.next_pick >= work.picked.len() {
             return None;
         }
@@ -820,17 +793,12 @@ impl CrowdLearnSystem {
         image_index: usize,
         level: IncentiveLevel,
     ) -> Option<PostedQuery> {
-        assert_eq!(work.cycle_index, cycle.index, "cycle/work mismatch");
         assert!(work.outstanding > 0, "no outstanding query to repost");
         if !self.ipd.try_charge(level) {
             return None;
         }
         let images = cycle.images(dataset);
-        // Booked as a repost: the platform draws the identical worker
-        // outcome but keeps the retry out of the logical query tally.
-        let pending = self
-            .platform
-            .repost(images[image_index], level, work.context);
+        let pending = self.platform.post(images[image_index], level, work.context);
         work.spent_cents += u64::from(level.cents());
         Some(PostedQuery {
             image_index,
@@ -941,7 +909,6 @@ impl CrowdLearnSystem {
         cycle: &SensingCycle,
         dataset: &Dataset,
     ) -> CycleOutcome {
-        assert_eq!(work.cycle_index, cycle.index, "cycle/work mismatch");
         assert_eq!(
             work.outstanding, 0,
             "cannot finalize a cycle with outstanding queries"

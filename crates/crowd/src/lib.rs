@@ -69,10 +69,7 @@ mod worker;
 pub use delay::DelayModel;
 pub use incentive::IncentiveLevel;
 pub use pilot::{PilotCell, PilotConfig, PilotReport, PilotStudy};
-pub use platform::{
-    PendingHit, Platform, PlatformConfig, PlatformStats, QueryResponse, SubmitterId,
-    SubmitterUsage, WorkerResponse,
-};
+pub use platform::{PendingHit, Platform, PlatformConfig, QueryResponse, WorkerResponse};
 pub use quality::QualityModel;
 pub use questionnaire::QuestionnaireAnswers;
 pub use worker::{Worker, WorkerPool};

@@ -208,154 +208,6 @@ impl PendingHit {
     }
 }
 
-/// Identity of the requester (a fleet shard, a tenant) a platform's posts
-/// are booked against. Single-stream runs never set one and everything is
-/// attributed to `SubmitterId::DEFAULT`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct SubmitterId(pub u32);
-
-impl SubmitterId {
-    /// The implicit submitter of every post when none was declared.
-    pub const DEFAULT: SubmitterId = SubmitterId(0);
-}
-
-/// One submitter's share of the platform's traffic — the attribution a
-/// fleet orchestrator audits contention with.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct SubmitterUsage {
-    /// First-attempt queries this submitter posted.
-    pub queries: u64,
-    /// Repost attempts (retries of timed-out HITs) this submitter posted.
-    /// Kept apart from `queries` so a retried query is still *one* logical
-    /// query in the submitter's ledger.
-    pub reposts: u64,
-    /// Worker-seconds this submitter consumed: the sum of every sampled
-    /// worker's service time across all of its posts (reposts included) —
-    /// the quantity that makes cross-stream pool contention observable.
-    pub worker_seconds: f64,
-    /// Cents this submitter was charged (reposts included).
-    pub spent_cents: u64,
-}
-
-/// Per-context / per-incentive accounting of a platform's query traffic —
-/// the receipt the requester can audit its spending with.
-///
-/// First-attempt queries and reposts are booked in *separate* grids:
-/// [`PlatformStats::queries_at`] counts logical queries, so a query whose
-/// HIT timed out and was retried is not double-counted, while the money and
-/// worker time of every attempt still reconcile with the ledger through
-/// [`PlatformStats::spent_in_cents`] and [`SubmitterUsage`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PlatformStats {
-    /// `queries[context][incentive]` first-attempt counts.
-    queries: [[u64; IncentiveLevel::COUNT]; TemporalContext::COUNT],
-    /// `reposts[context][incentive]` retry counts.
-    reposts: [[u64; IncentiveLevel::COUNT]; TemporalContext::COUNT],
-    /// Per-submitter usage, indexed by `SubmitterId.0` (dense: fleet shards
-    /// are numbered from zero).
-    by_submitter: Vec<SubmitterUsage>,
-}
-
-impl Default for PlatformStats {
-    fn default() -> Self {
-        Self {
-            queries: [[0; IncentiveLevel::COUNT]; TemporalContext::COUNT],
-            reposts: [[0; IncentiveLevel::COUNT]; TemporalContext::COUNT],
-            by_submitter: Vec::new(),
-        }
-    }
-}
-
-impl PlatformStats {
-    fn record(
-        &mut self,
-        context: TemporalContext,
-        incentive: IncentiveLevel,
-        submitter: SubmitterId,
-        is_repost: bool,
-        worker_seconds: f64,
-    ) {
-        let grid = if is_repost {
-            &mut self.reposts
-        } else {
-            &mut self.queries
-        };
-        grid[context.index()][incentive.index()] += 1;
-        let slot = submitter.0 as usize;
-        if slot >= self.by_submitter.len() {
-            self.by_submitter
-                .resize(slot + 1, SubmitterUsage::default());
-        }
-        let usage = &mut self.by_submitter[slot];
-        if is_repost {
-            usage.reposts += 1;
-        } else {
-            usage.queries += 1;
-        }
-        usage.worker_seconds += worker_seconds;
-        usage.spent_cents += u64::from(incentive.cents());
-    }
-
-    /// First-attempt queries submitted at a specific (context, incentive)
-    /// cell. Reposts are booked separately ([`PlatformStats::reposts_at`]),
-    /// so a retried query counts once here.
-    pub fn queries_at(&self, context: TemporalContext, incentive: IncentiveLevel) -> u64 {
-        self.queries[context.index()][incentive.index()]
-    }
-
-    /// Total first-attempt queries submitted in a context.
-    pub fn queries_in(&self, context: TemporalContext) -> u64 {
-        self.queries[context.index()].iter().sum()
-    }
-
-    /// Repost attempts at a specific (context, incentive) cell.
-    pub fn reposts_at(&self, context: TemporalContext, incentive: IncentiveLevel) -> u64 {
-        self.reposts[context.index()][incentive.index()]
-    }
-
-    /// Total repost attempts in a context.
-    pub fn reposts_in(&self, context: TemporalContext) -> u64 {
-        self.reposts[context.index()].iter().sum()
-    }
-
-    /// Every posted attempt in a context: first attempts plus reposts.
-    pub fn attempts_in(&self, context: TemporalContext) -> u64 {
-        self.queries_in(context) + self.reposts_in(context)
-    }
-
-    /// Cents spent in a context, across first attempts *and* reposts (every
-    /// attempt is paid for, so this reconciles with the platform ledger).
-    pub fn spent_in_cents(&self, context: TemporalContext) -> u64 {
-        IncentiveLevel::ALL
-            .iter()
-            .map(|&l| {
-                (self.queries_at(context, l) + self.reposts_at(context, l)) * u64::from(l.cents())
-            })
-            .sum()
-    }
-
-    /// Mean incentive (in cents) paid per posted attempt in a context;
-    /// `None` before any attempt.
-    pub fn mean_incentive_cents(&self, context: TemporalContext) -> Option<f64> {
-        let n = self.attempts_in(context);
-        (n > 0).then(|| self.spent_in_cents(context) as f64 / n as f64)
-    }
-
-    /// Number of submitter slots with recorded usage (one past the highest
-    /// submitter id seen).
-    pub fn submitters(&self) -> usize {
-        self.by_submitter.len()
-    }
-
-    /// What `submitter` consumed so far (zeroes for an unseen submitter).
-    pub fn usage(&self, submitter: SubmitterId) -> SubmitterUsage {
-        self.by_submitter
-            .get(submitter.0 as usize)
-            .copied()
-            .unwrap_or_default()
-    }
-}
-
 /// The simulated black-box crowdsourcing platform.
 ///
 /// The requester-visible API is intentionally narrow — submit a query with
@@ -370,8 +222,6 @@ pub struct Platform {
     spent_cents: u64,
     queries_served: u64,
     next_worker_id: u32,
-    submitter: SubmitterId,
-    stats: PlatformStats,
 }
 
 impl Platform {
@@ -406,24 +256,8 @@ impl Platform {
             rng: StdRng::seed_from_u64(config.seed),
             spent_cents: 0,
             queries_served: 0,
-            submitter: SubmitterId::DEFAULT,
-            stats: PlatformStats::default(),
             config,
         }
-    }
-
-    /// Declares who subsequent posts are booked against in
-    /// [`PlatformStats`]. A fleet orchestrator sets each shard's platform to
-    /// the shard's id at boot; standalone platforms stay on
-    /// [`SubmitterId::DEFAULT`]. Attribution only — no RNG draw, no charge,
-    /// no behavioral change.
-    pub fn set_submitter(&mut self, submitter: SubmitterId) {
-        self.submitter = submitter;
-    }
-
-    /// The submitter posts are currently booked against.
-    pub fn submitter(&self) -> SubmitterId {
-        self.submitter
     }
 
     /// Total cents charged so far.
@@ -440,11 +274,6 @@ impl Platform {
     /// the requester-facing black-box surface).
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
-    }
-
-    /// Accounting breakdown of everything submitted so far.
-    pub fn stats(&self) -> &PlatformStats {
-        &self.stats
     }
 
     /// Submits one image query at `incentive` under `context` and blocks
@@ -473,30 +302,6 @@ impl Platform {
         incentive: IncentiveLevel,
         context: TemporalContext,
     ) -> PendingHit {
-        self.post_attempt(image, incentive, context, false)
-    }
-
-    /// Reposts a query whose earlier HIT expired: crowd-facing behavior —
-    /// charging, worker sampling, RNG draws — is *identical* to
-    /// [`Platform::post`], but the attempt is booked into the stats' repost
-    /// grid instead of the query grid, so the retried query is not
-    /// double-counted against its submitter's logical query tally.
-    pub fn repost(
-        &mut self,
-        image: &SyntheticImage,
-        incentive: IncentiveLevel,
-        context: TemporalContext,
-    ) -> PendingHit {
-        self.post_attempt(image, incentive, context, true)
-    }
-
-    fn post_attempt(
-        &mut self,
-        image: &SyntheticImage,
-        incentive: IncentiveLevel,
-        context: TemporalContext,
-        is_repost: bool,
-    ) -> PendingHit {
         self.spent_cents += u64::from(incentive.cents());
         self.queries_served += 1;
 
@@ -521,14 +326,12 @@ impl Platform {
 
         let mut responses = Vec::with_capacity(traits.len());
         let mut completion = 0.0f64;
-        let mut worker_seconds = 0.0f64;
         for (id, reliability, speed) in traits {
             let delay =
                 self.config
                     .delay_model
                     .sample_secs(context, incentive, speed, &mut self.rng);
             completion = completion.max(delay);
-            worker_seconds += delay;
 
             let p_correct =
                 QualityModel::PAPER.correct_probability(reliability, incentive, context);
@@ -541,14 +344,6 @@ impl Platform {
                 delay_secs: delay,
             });
         }
-
-        self.stats.record(
-            context,
-            incentive,
-            self.submitter,
-            is_repost,
-            worker_seconds,
-        );
 
         PendingHit {
             response: QueryResponse {
@@ -733,48 +528,6 @@ impl Decode for PendingHit {
     }
 }
 
-impl Encode for SubmitterUsage {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.queries.encode(out);
-        self.reposts.encode(out);
-        self.worker_seconds.encode(out);
-        self.spent_cents.encode(out);
-    }
-}
-
-impl Decode for SubmitterUsage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let usage = Self {
-            queries: u64::decode(r)?,
-            reposts: u64::decode(r)?,
-            worker_seconds: f64::decode(r)?,
-            spent_cents: u64::decode(r)?,
-        };
-        if !usage.worker_seconds.is_finite() || usage.worker_seconds < 0.0 {
-            return Err(DecodeError::Invalid);
-        }
-        Ok(usage)
-    }
-}
-
-impl Encode for PlatformStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.queries.encode(out);
-        self.reposts.encode(out);
-        self.by_submitter.encode(out);
-    }
-}
-
-impl Decode for PlatformStats {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Self {
-            queries: Decode::decode(r)?,
-            reposts: Decode::decode(r)?,
-            by_submitter: Vec::<SubmitterUsage>::decode(r)?,
-        })
-    }
-}
-
 impl Encode for Platform {
     fn encode(&self, out: &mut Vec<u8>) {
         self.pool.encode(out);
@@ -783,8 +536,6 @@ impl Encode for Platform {
         self.spent_cents.encode(out);
         self.queries_served.encode(out);
         self.next_worker_id.encode(out);
-        self.submitter.0.encode(out);
-        self.stats.encode(out);
     }
 }
 
@@ -796,8 +547,6 @@ impl Decode for Platform {
         let spent_cents = u64::decode(r)?;
         let queries_served = u64::decode(r)?;
         let next_worker_id = u32::decode(r)?;
-        let submitter = SubmitterId(u32::decode(r)?);
-        let stats = PlatformStats::decode(r)?;
         if pool.len() < PlatformConfig::WORKERS_PER_QUERY {
             return Err(DecodeError::Invalid);
         }
@@ -808,8 +557,6 @@ impl Decode for Platform {
             spent_cents,
             queries_served,
             next_worker_id,
-            submitter,
-            stats,
         })
     }
 }
@@ -992,84 +739,6 @@ mod tests {
         let ra = a.submit(&ds.test()[3], IncentiveLevel::C8, TemporalContext::Evening);
         let rb = b.submit(&ds.test()[3], IncentiveLevel::C8, TemporalContext::Evening);
         assert_eq!(ra, rb);
-    }
-
-    #[test]
-    fn stats_reconcile_with_the_ledger() {
-        let ds = dataset();
-        let mut p = platform(14);
-        for (i, img) in ds.train().iter().take(30).enumerate() {
-            let level = IncentiveLevel::from_index(i % IncentiveLevel::COUNT);
-            let ctx = TemporalContext::from_index(i % TemporalContext::COUNT);
-            let _ = p.submit(img, level, ctx);
-        }
-        let stats = p.stats();
-        let total_queries: u64 = TemporalContext::ALL
-            .iter()
-            .map(|&c| stats.queries_in(c))
-            .sum();
-        let total_spend: u64 = TemporalContext::ALL
-            .iter()
-            .map(|&c| stats.spent_in_cents(c))
-            .sum();
-        assert_eq!(total_queries, p.queries_served());
-        assert_eq!(total_spend, p.spent_cents());
-        assert!(stats
-            .mean_incentive_cents(TemporalContext::Morning)
-            .is_some());
-    }
-
-    #[test]
-    fn reposts_are_not_double_counted_but_still_paid_for() {
-        let ds = dataset();
-        let mut p = platform(15);
-        let ctx = TemporalContext::Evening;
-        let _ = p.post(&ds.train()[0], IncentiveLevel::C4, ctx);
-        let _ = p.repost(&ds.train()[0], IncentiveLevel::C8, ctx);
-        let stats = p.stats();
-        // One logical query, one retry — not two queries.
-        assert_eq!(stats.queries_in(ctx), 1);
-        assert_eq!(stats.reposts_in(ctx), 1);
-        assert_eq!(stats.attempts_in(ctx), 2);
-        assert_eq!(stats.reposts_at(ctx, IncentiveLevel::C8), 1);
-        // Both attempts reconcile with the money ledger.
-        assert_eq!(stats.spent_in_cents(ctx), 4 + 8);
-        assert_eq!(p.spent_cents(), 4 + 8);
-        let usage = stats.usage(SubmitterId::DEFAULT);
-        assert_eq!((usage.queries, usage.reposts), (1, 1));
-        assert_eq!(usage.spent_cents, 12);
-        assert!(usage.worker_seconds > 0.0);
-    }
-
-    #[test]
-    fn repost_consumes_the_same_rng_stream_as_post() {
-        let ds = dataset();
-        let mut a = platform(16);
-        let mut b = platform(16);
-        let ra = a.post(&ds.train()[3], IncentiveLevel::C6, TemporalContext::Morning);
-        let rb = b.repost(&ds.train()[3], IncentiveLevel::C6, TemporalContext::Morning);
-        // Identical worker outcomes — only the stats booking differs.
-        assert_eq!(ra, rb);
-    }
-
-    #[test]
-    fn submitter_attribution_tracks_worker_seconds_per_shard() {
-        let ds = dataset();
-        let mut p = platform(17);
-        p.set_submitter(SubmitterId(2));
-        let hit = p.post(&ds.train()[0], IncentiveLevel::C6, TemporalContext::Morning);
-        let drawn: f64 = hit.response().responses.iter().map(|r| r.delay_secs).sum();
-        p.set_submitter(SubmitterId(0));
-        let _ = p.post(&ds.train()[1], IncentiveLevel::C2, TemporalContext::Morning);
-        let stats = p.stats();
-        assert_eq!(stats.submitters(), 3);
-        assert_eq!(stats.usage(SubmitterId(2)).queries, 1);
-        assert_eq!(
-            stats.usage(SubmitterId(2)).worker_seconds.to_bits(),
-            drawn.to_bits()
-        );
-        assert_eq!(stats.usage(SubmitterId(1)), SubmitterUsage::default());
-        assert_eq!(stats.usage(SubmitterId(0)).spent_cents, 2);
     }
 
     #[test]

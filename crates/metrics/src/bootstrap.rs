@@ -29,24 +29,11 @@ impl ConfidenceInterval {
 /// Deterministic in `seed` (SplitMix64 resampling, no external RNG crate
 /// needed at this layer).
 ///
-/// # Example
-///
-/// ```
-/// use crowdlearn_metrics::bootstrap_ci;
-///
-/// let delays = [300.0, 310.0, 295.0, 305.0, 320.0, 290.0, 315.0, 298.0];
-/// let ci = bootstrap_ci(&delays, 0.95, 2000, 7, |xs| {
-///     xs.iter().sum::<f64>() / xs.len() as f64
-/// });
-/// assert!(ci.lower <= ci.point && ci.point <= ci.upper);
-/// assert!(ci.excludes(0.0));
-/// ```
-///
 /// # Panics
 ///
 /// Panics if `samples` is empty, `level` is outside `(0, 1)`, or
 /// `resamples == 0`.
-pub fn bootstrap_ci<F>(
+fn bootstrap_ci<F>(
     samples: &[f64],
     level: f64,
     resamples: usize,
@@ -95,11 +82,25 @@ where
 
 /// Bootstrap CI for the difference of means between paired samples
 /// (`a[i] - b[i]`) — the right tool for same-seed scheme comparisons.
+/// Deterministic in `seed` (SplitMix64 resampling, no external RNG crate
+/// needed at this layer).
+///
+/// # Example
+///
+/// ```
+/// use crowdlearn_metrics::bootstrap_paired_diff_ci;
+///
+/// let slow = [330.0, 340.0, 325.0, 335.0, 350.0, 320.0, 345.0, 328.0];
+/// let fast = [300.0, 310.0, 295.0, 305.0, 320.0, 290.0, 315.0, 298.0];
+/// let ci = bootstrap_paired_diff_ci(&slow, &fast, 0.95, 2000, 7);
+/// assert!(ci.lower <= ci.point && ci.point <= ci.upper);
+/// assert!(ci.excludes(0.0));
+/// ```
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`bootstrap_ci`], or if the slices
-/// have different lengths.
+/// Panics if the slices are empty or have different lengths, `level` is
+/// outside `(0, 1)`, or `resamples == 0`.
 pub fn bootstrap_paired_diff_ci(
     a: &[f64],
     b: &[f64],

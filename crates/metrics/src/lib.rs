@@ -18,9 +18,9 @@
 //! * [`brier_score`] / [`CalibrationReport`] — probabilistic-forecast
 //!   quality (Brier, reliability diagrams, ECE) for the schemes'
 //!   class-probability outputs.
-//! * [`bootstrap_ci`] / [`bootstrap_paired_diff_ci`] — percentile-bootstrap
-//!   confidence intervals to separate real scheme differences from
-//!   run-to-run noise.
+//! * [`bootstrap_paired_diff_ci`] — percentile-bootstrap confidence
+//!   intervals on paired differences, to separate real scheme differences
+//!   from run-to-run noise.
 //! * [`mcnemar_test`] — paired-classifier significance on shared test items
 //!   (the right test for Table II-style accuracy-gap claims).
 //!
@@ -53,11 +53,11 @@ mod sketch;
 mod stats;
 mod wilcoxon;
 
-pub use bootstrap::{bootstrap_ci, bootstrap_paired_diff_ci, ConfidenceInterval};
+pub use bootstrap::{bootstrap_paired_diff_ci, ConfidenceInterval};
 pub use confusion::{ClassReport, ConfusionMatrix};
 pub use mcnemar::{mcnemar_test, McNemarOutcome};
 pub use probabilistic::{brier_score, CalibrationBin, CalibrationReport};
-pub use roc::{macro_average_roc, pooled_roc, RocCurve, RocPoint};
+pub use roc::{macro_average_roc, RocCurve, RocPoint};
 pub use sketch::QuantileSketch;
 pub use stats::SummaryStats;
 pub use wilcoxon::{wilcoxon_signed_rank, WilcoxonOutcome};

@@ -170,9 +170,6 @@ fn trapezoid_area(points: &[RocPoint]) -> f64 {
 /// shared FPR grid and averages their TPRs, which is the standard
 /// "macro-average ROC" construction.
 ///
-/// Returns the macro curve; per-class curves are available via [`pooled_roc`]
-/// composition if needed.
-///
 /// # Panics
 ///
 /// Panics if inputs are empty, lengths mismatch, or any truth index is out of
@@ -217,28 +214,6 @@ pub fn macro_average_roc(scores: &[Vec<f64>], truths: &[usize], classes: usize) 
         .collect();
     let auc = trapezoid_area(&points);
     RocCurve { points, auc }
-}
-
-/// Pooled (micro) one-vs-rest ROC: every (sample, class) pair becomes one
-/// binary decision. A useful companion diagnostic to [`macro_average_roc`].
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`macro_average_roc`].
-pub fn pooled_roc(scores: &[Vec<f64>], truths: &[usize], classes: usize) -> RocCurve {
-    assert!(!scores.is_empty(), "need at least one sample");
-    assert_eq!(scores.len(), truths.len(), "scores/truths length mismatch");
-    let mut flat_scores = Vec::with_capacity(scores.len() * classes);
-    let mut flat_labels = Vec::with_capacity(scores.len() * classes);
-    for (s, &t) in scores.iter().zip(truths) {
-        assert_eq!(s.len(), classes, "every score vector must have K entries");
-        assert!(t < classes, "truth label out of range");
-        for (c, &v) in s.iter().enumerate() {
-            flat_scores.push(v);
-            flat_labels.push(c == t);
-        }
-    }
-    RocCurve::from_binary_scores(&flat_scores, &flat_labels)
 }
 
 #[cfg(test)]
@@ -346,14 +321,6 @@ mod tests {
         let auc_sharp = macro_average_roc(&sharp, &truths, 3).auc();
         let auc_noisy = macro_average_roc(&noisy, &truths, 3).auc();
         assert!(auc_sharp > auc_noisy);
-    }
-
-    #[test]
-    fn pooled_roc_runs_and_is_bounded() {
-        let scores = vec![vec![0.6, 0.3, 0.1], vec![0.2, 0.5, 0.3]];
-        let truths = vec![0, 1];
-        let roc = pooled_roc(&scores, &truths, 3);
-        assert!(roc.auc() >= 0.0 && roc.auc() <= 1.0);
     }
 
     #[test]

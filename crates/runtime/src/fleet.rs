@@ -20,7 +20,8 @@
 //! * **Shared budget ledger.** The fleet's crowd budget is split into
 //!   per-shard quotas by an [`ArbitrationPolicy`] (fair-share or priority
 //!   weights) at boot; each shard's incentive bandit plans against its
-//!   quota, and the [`FleetLedger`] audits per-shard spend against it.
+//!   quota, and the [`FleetLedger`] books every posted attempt as its
+//!   shard's [`ShardUsage`] and audits the spend against the quota.
 //!
 //! Global determinism: each shard's `ExecState` keeps its own event queue;
 //! the orchestrator always steps the shard whose next event is due
@@ -32,14 +33,14 @@
 //!
 //! The whole fleet checkpoints into a [`FleetSnapshot`]: one frame (own
 //! magic, the shared [`crate::SNAPSHOT_FORMAT_VERSION`], one FNV-1a-64
-//! checksum) over the fleet config, the ledger's spend, the pool's live
-//! state and every shard's runtime payload inline; resume rebuilds the rest
-//! from the config and is byte-identical at any global event boundary.
+//! checksum) over the fleet config, the ledger's per-shard usage, the
+//! pool's live state and every shard's runtime payload inline; resume
+//! rebuilds the rest from the config and is byte-identical at any global
+//! event boundary.
 
 use crate::frame;
 use crate::{MetricsTap, PipelinedSystem, RunBound, RuntimeConfig, RuntimeReport, SnapshotError};
 use crowdlearn::{CrowdLearnConfig, PostedQuery};
-use crowdlearn_crowd::{SubmitterId, SubmitterUsage};
 use crowdlearn_dataset::{Dataset, SensingCycleStream};
 use crowdlearn_metrics::QuantileSketch;
 use serde::binary::{Decode, DecodeError, Encode, Reader};
@@ -294,8 +295,24 @@ impl ContentionStats {
 // ---------------------------------------------------------------------------
 // Budget ledger
 
+/// One shard's share of the crowd's traffic during its sensing cycles,
+/// booked by the [`FleetLedger`] on every posted attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ShardUsage {
+    /// First-attempt queries the shard posted.
+    pub queries: u64,
+    /// Reposts (retries of timed-out HITs) the shard posted, kept apart
+    /// from `queries` so a retried query is still one logical query.
+    pub reposts: u64,
+    /// Worker-seconds the shard consumed: every sampled worker's drawn
+    /// service time across its attempts, before any queue wait.
+    pub worker_seconds: f64,
+    /// Cents the shard was charged, reposts included.
+    pub spent_cents: u64,
+}
+
 /// The fleet's budget book: per-shard quotas (set once, by the arbitration
-/// policy) and per-shard spend (booked on every posted attempt).
+/// policy) and per-shard [`ShardUsage`] (booked on every posted attempt).
 ///
 /// Enforcement is delegated: each shard's incentive bandit is booted with
 /// its quota as its whole budget, so a shard can never outspend its share —
@@ -304,7 +321,7 @@ impl ContentionStats {
 pub struct FleetLedger {
     fleet_budget_cents: f64,
     quotas_cents: Vec<f64>,
-    spent_cents: Vec<u64>,
+    usage: Vec<ShardUsage>,
 }
 
 impl FleetLedger {
@@ -312,14 +329,23 @@ impl FleetLedger {
         Self {
             fleet_budget_cents,
             quotas_cents: arbitration.quotas_cents(fleet_budget_cents, shards),
-            spent_cents: vec![0; shards],
+            usage: vec![ShardUsage::default(); shards],
         }
     }
 
-    fn charge(&mut self, shard: usize, cents: u64) {
-        self.spent_cents[shard] += cents;
+    /// Books one posted attempt (`attempt` 1 is the first post, later ones
+    /// are reposts) of `worker_seconds` drawn service time at `cents`.
+    fn charge(&mut self, shard: usize, attempt: u32, cents: u64, worker_seconds: f64) {
+        let usage = &mut self.usage[shard];
+        if attempt == 1 {
+            usage.queries += 1;
+        } else {
+            usage.reposts += 1;
+        }
+        usage.worker_seconds += worker_seconds;
+        usage.spent_cents += cents;
         debug_assert!(
-            (self.spent_cents[shard] as f64) <= self.quotas_cents[shard] + 1e-9,
+            (usage.spent_cents as f64) <= self.quotas_cents[shard] + 1e-9,
             "shard {shard} outspent its quota"
         );
     }
@@ -341,17 +367,17 @@ impl FleetLedger {
 
     /// Cents shard `i` has spent on evaluation posts so far.
     pub fn spent_cents(&self, shard: usize) -> u64 {
-        self.spent_cents[shard]
+        self.usage[shard].spent_cents
     }
 
     /// Cents shard `i` still has under its quota.
     pub fn remaining_cents(&self, shard: usize) -> f64 {
-        (self.quotas_cents[shard] - self.spent_cents[shard] as f64).max(0.0)
+        (self.quotas_cents[shard] - self.spent_cents(shard) as f64).max(0.0)
     }
 
     /// Total evaluation cents spent across the fleet.
     pub fn total_spent_cents(&self) -> u64 {
-        self.spent_cents.iter().sum()
+        self.usage.iter().map(|u| u.spent_cents).sum()
     }
 }
 
@@ -370,8 +396,10 @@ impl FleetHook<'_> {
     /// Applies the shared pool to a freshly posted HIT: compute the queue
     /// wait from *other* shards' busy workers, defer the HIT's worker
     /// responses by it, claim this HIT's workers until its (deferred)
-    /// completion, and book the spend against the shard.
-    pub(crate) fn absorb_post(&mut self, now_secs: f64, posted: &mut PostedQuery) {
+    /// completion, and book the attempt against the shard.
+    pub(crate) fn absorb_post(&mut self, now_secs: f64, posted: &mut PostedQuery, attempt: u32) {
+        let responses = &posted.pending.response().responses;
+        let worker_seconds: f64 = responses.iter().map(|r| r.delay_secs).sum();
         let base = posted.pending.completion_delay_secs();
         let wait = self.pool.queue_wait_secs(self.shard, base, now_secs);
         posted.pending.defer_by(wait);
@@ -381,8 +409,9 @@ impl FleetHook<'_> {
             workers,
             now_secs + posted.pending.completion_delay_secs(),
         );
+        let cents = u64::from(posted.incentive.cents());
         self.ledger
-            .charge(self.shard, u64::from(posted.incentive.cents()));
+            .charge(self.shard, attempt, cents, worker_seconds);
     }
 }
 
@@ -430,8 +459,7 @@ pub struct FleetOrchestrator {
 impl FleetOrchestrator {
     /// Boots one [`PipelinedSystem`] per spec (committee training, CQC fit,
     /// bandit warm-up — each on its shard's private platform), overriding
-    /// each spec's `budget_cents` with the shard's fleet quota and tagging
-    /// each platform with its shard id for attribution.
+    /// each spec's `budget_cents` with the shard's fleet quota.
     ///
     /// # Panics
     ///
@@ -452,13 +480,7 @@ impl FleetOrchestrator {
             .enumerate()
             .map(|(i, spec)| {
                 let shard_config = spec.config.with_budget_cents(ledger.quota_cents(i));
-                let mut shard = PipelinedSystem::new(&datasets[i], shard_config, spec.runtime);
-                // Shard ids start at 1: boot-time characterization (the
-                // committee/CQC/bandit warm-up `new` just ran) is already
-                // booked under `SubmitterId::DEFAULT`, so offsetting keeps
-                // shard 0's cycle-time attribution separate from its boot.
-                shard.set_platform_submitter(Self::submitter_for(i));
-                shard
+                PipelinedSystem::new(&datasets[i], shard_config, spec.runtime)
             })
             .collect();
         let pool = SharedWorkerPool::new(config.pool_capacity);
@@ -480,20 +502,12 @@ impl FleetOrchestrator {
         &self.shards[i]
     }
 
-    /// The submitter id shard `i` posts under.
-    pub fn submitter_for(i: usize) -> SubmitterId {
-        SubmitterId(i as u32 + 1)
-    }
-
-    /// Shard `i`'s platform-side resource attribution — queries, reposts,
-    /// worker-seconds, spend — booked under its fleet submitter id during
-    /// sensing cycles. Boot-time characterization stays under
-    /// `SubmitterId::DEFAULT`, so this is cycle-time work only.
-    pub fn shard_usage(&self, i: usize) -> SubmitterUsage {
-        self.shards[i]
-            .system()
-            .platform_stats()
-            .usage(Self::submitter_for(i))
+    /// Shard `i`'s crowd usage — queries, reposts, worker-seconds, spend —
+    /// as the ledger booked it on every attempt the shard posted. Boot-time
+    /// characterization posts on the shard's platform before the fleet
+    /// runs, so this is cycle-time work only.
+    pub fn shard_usage(&self, i: usize) -> ShardUsage {
+        self.ledger.usage[i]
     }
 
     /// The fleet configuration.
@@ -659,14 +673,14 @@ impl FleetOrchestrator {
     }
 
     /// Serializes the whole fleet at the current global event boundary:
-    /// `FleetConfig ‖ per-shard spend ‖ pool live state ‖ shard payloads`,
+    /// `FleetConfig ‖ per-shard usage ‖ pool live state ‖ shard payloads`,
     /// each shard payload exactly the bytes its own
     /// [`PipelinedSystem::snapshot`] would seal. Every fleet checkpoints;
     /// the `Result` never holds an error.
     pub fn snapshot(&self) -> Result<FleetSnapshot, Infallible> {
         let mut payload = Vec::with_capacity(self.shards.len() * PipelinedSystem::PAYLOAD_RESERVE);
         self.config.encode(&mut payload);
-        self.ledger.spent_cents.encode(&mut payload);
+        self.ledger.usage.encode(&mut payload);
         self.pool.encode_live(&mut payload);
         for system in &self.shards {
             system.encode_payload(&mut payload);
@@ -678,7 +692,7 @@ impl FleetOrchestrator {
     /// the snapshotted fleet was processing (streams regenerate
     /// deterministically from dataset + seed; resume cross-checks shard and
     /// cycle counts). The ledger and pool are the ones [`Self::new`] boots
-    /// from the decoded config, with the spend and live pool state restored
+    /// from the decoded config, with the usage and live pool state restored
     /// onto them.
     pub fn resume(
         snapshot: &FleetSnapshot,
@@ -687,8 +701,8 @@ impl FleetOrchestrator {
         let corrupt = SnapshotError::Corrupt;
         let mut r = Reader::new(snapshot.payload());
         let config = FleetConfig::decode(&mut r).map_err(corrupt)?;
-        let spent_cents = Vec::<u64>::decode(&mut r).map_err(corrupt)?;
-        let n = spent_cents.len();
+        let usage = Vec::<ShardUsage>::decode(&mut r).map_err(corrupt)?;
+        let n = usage.len();
         let weights_fit = match &config.arbitration {
             ArbitrationPolicy::Priority(weights) => weights.len() == n,
             ArbitrationPolicy::FairShare => true,
@@ -698,18 +712,22 @@ impl FleetOrchestrator {
         }
         let mut ledger = FleetLedger::new(config.fleet_budget_cents, &config.arbitration, n);
         // `charge` holds every shard to its quota.
-        let over_quota = spent_cents
+        let over_quota = usage
             .iter()
             .zip(&ledger.quotas_cents)
-            .any(|(&spent, &quota)| spent as f64 > quota + 1e-9);
+            .any(|(u, &quota)| u.spent_cents as f64 > quota + 1e-9);
         if over_quota {
             return Err(corrupt(DecodeError::Invalid));
         }
-        ledger.spent_cents = spent_cents;
+        ledger.usage = usage;
         let pool = SharedWorkerPool::new(config.pool_capacity)
             .decode_live(&mut r)
             .map_err(corrupt)?;
-        if pool.busy.iter().any(|b| b.shard >= n) {
+        // Every attempt the ledger booked went through the pool.
+        let attempts = ledger.usage.iter().try_fold(0u64, |sum, u| {
+            sum.checked_add(u.queries)?.checked_add(u.reposts)
+        });
+        if pool.busy.iter().any(|b| b.shard >= n) || attempts != Some(pool.posts) {
             return Err(corrupt(DecodeError::Invalid));
         }
         if streams.len() != n {
@@ -726,11 +744,11 @@ impl FleetOrchestrator {
                     error: Box::new(error),
                 }
             })?;
-            // `new` boots every shard at its quota, posting under its own
-            // submitter.
+            // `new` boots every shard at its quota, and the ledger booked
+            // every cent the shard has spent since.
             let booted = system.system().config().budget_cents.to_bits()
                 == ledger.quota_cents(shard).to_bits()
-                && system.system().platform_submitter() == Self::submitter_for(shard);
+                && ledger.spent_cents(shard) == system.system().evaluation_spent_cents();
             if !booted {
                 return Err(corrupt(DecodeError::Invalid));
             }
@@ -865,6 +883,30 @@ impl Decode for BusyInterval {
     }
 }
 
+impl Encode for ShardUsage {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.queries.encode(out);
+        self.reposts.encode(out);
+        self.worker_seconds.encode(out);
+        self.spent_cents.encode(out);
+    }
+}
+
+impl Decode for ShardUsage {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let usage = Self {
+            queries: u64::decode(r)?,
+            reposts: u64::decode(r)?,
+            worker_seconds: f64::decode(r)?,
+            spent_cents: u64::decode(r)?,
+        };
+        if !usage.worker_seconds.is_finite() || usage.worker_seconds < 0.0 {
+            return Err(DecodeError::Invalid);
+        }
+        Ok(usage)
+    }
+}
+
 impl SharedWorkerPool {
     /// Writes the pool's live state — busy claims and contention counters;
     /// the capacity is the `FleetConfig`'s.
@@ -972,13 +1014,20 @@ mod tests {
     #[test]
     fn ledger_books_spend_per_shard() {
         let mut ledger = FleetLedger::new(100.0, &ArbitrationPolicy::FairShare, 2);
-        ledger.charge(0, 6);
-        ledger.charge(0, 4);
-        ledger.charge(1, 20);
+        ledger.charge(0, 1, 6, 30.5);
+        ledger.charge(0, 2, 4, 12.25);
+        ledger.charge(1, 1, 20, 8.0);
         assert_eq!(ledger.spent_cents(0), 10);
         assert_eq!(ledger.spent_cents(1), 20);
         assert_eq!(ledger.total_spent_cents(), 30);
         assert!((ledger.remaining_cents(0) - 40.0).abs() < 1e-9);
+        // The repost is its own tally; its cents and worker time add up.
+        let shard0 = ledger.usage[0];
+        assert_eq!((shard0.queries, shard0.reposts), (1, 1));
+        assert_eq!(shard0.worker_seconds, 42.75);
+        let shard1 = ledger.usage[1];
+        assert_eq!((shard1.queries, shard1.reposts), (1, 0));
+        assert_eq!(shard1.worker_seconds, 8.0);
     }
 
     #[test]
@@ -1062,11 +1111,11 @@ mod tests {
         (fleet, streams)
     }
 
-    /// A fleet snapshot payload taken apart: config, per-shard spend, pool
+    /// A fleet snapshot payload taken apart: config, per-shard usage, pool
     /// live state, and each shard's runtime payload.
     struct Parts {
         config: FleetConfig,
-        spent: Vec<u64>,
+        usage: Vec<ShardUsage>,
         pool: SharedWorkerPool,
         shards: Vec<Vec<u8>>,
     }
@@ -1076,7 +1125,7 @@ mod tests {
             let payload = snapshot.payload();
             let mut r = Reader::new(payload);
             let config = FleetConfig::decode(&mut r).expect("config");
-            let spent = Vec::<u64>::decode(&mut r).expect("spend");
+            let usage = Vec::<ShardUsage>::decode(&mut r).expect("usage");
             let pool = SharedWorkerPool::new(config.pool_capacity)
                 .decode_live(&mut r)
                 .expect("pool");
@@ -1091,7 +1140,7 @@ mod tests {
             assert!(r.is_empty(), "the shard payloads end the fleet payload");
             Self {
                 config,
-                spent,
+                usage,
                 pool,
                 shards,
             }
@@ -1100,7 +1149,7 @@ mod tests {
         fn seal(&self) -> FleetSnapshot {
             let mut payload = Vec::new();
             self.config.encode(&mut payload);
-            self.spent.encode(&mut payload);
+            self.usage.encode(&mut payload);
             self.pool.encode_live(&mut payload);
             for shard in &self.shards {
                 payload.extend_from_slice(shard);
@@ -1133,22 +1182,28 @@ mod tests {
         let parts = Parts::split(&fleet.snapshot().expect("checkpointable"), &streams);
         let own = fleet.shard(0).snapshot().expect("checkpointable");
         assert_eq!(parts.shards, [own.payload().to_vec()]);
-        assert_eq!(parts.spent, [fleet.ledger().spent_cents(0)]);
+        assert_eq!(parts.usage, [fleet.shard_usage(0)]);
     }
 
     #[test]
     fn resume_rejects_pool_and_ledger_state_its_config_never_booted() {
         let resumed = resume_respliced(1, |_| {}).expect("untouched payload resumes");
         assert_eq!(resumed.fleet_config(), &FleetConfig::new(1000.0));
-        let cases: [(&str, Splice); 6] = [
+        let cases: [(&str, Splice); 8] = [
             ("busy interval of a shard the fleet lacks", |parts| {
                 parts.pool.occupy(1, 3, 1e6);
             }),
             ("spend above the shard's quota", |parts| {
-                parts.spent[0] = 1001;
+                parts.usage[0].spent_cents = 1001;
+            }),
+            ("spend under quota the shard never charged", |parts| {
+                parts.usage[0].spent_cents += 1;
+            }),
+            ("an attempt the pool never saw", |parts| {
+                parts.usage[0].reposts += 1;
             }),
             ("no shards", |parts| {
-                parts.spent.clear();
+                parts.usage.clear();
                 parts.shards.clear();
             }),
             ("priority weights for two shards", |parts| {
@@ -1186,17 +1241,6 @@ mod tests {
                 shard: 0,
                 error: Box::new(SnapshotError::Corrupt(DecodeError::Invalid)),
             })
-        );
-    }
-
-    #[test]
-    fn resume_refuses_shard_payloads_in_each_others_slots() {
-        // Same config, same fair-share quota: only the submitter each
-        // shard's platform books under tells the two payloads apart.
-        resume_respliced(2, |_| {}).expect("untouched payload resumes");
-        assert_eq!(
-            resume_respliced(2, |parts| parts.shards.swap(0, 1)).err(),
-            Some(SnapshotError::Corrupt(DecodeError::Invalid))
         );
     }
 

@@ -58,7 +58,8 @@
 //!   per disaster stream) multiplexed into a single deterministic global
 //!   event order over a shared worker pool (cross-stream contention defers
 //!   HIT completions) and a shared budget ledger ([`FleetLedger`], split
-//!   into per-shard quotas by an [`ArbitrationPolicy`]). The whole fleet
+//!   into per-shard quotas by an [`ArbitrationPolicy`], booking each
+//!   shard's [`ShardUsage`] on every attempt it posts). The whole fleet
 //!   checkpoints into a [`FleetSnapshot`]: one frame under the same
 //!   [`SNAPSHOT_FORMAT_VERSION`], carrying each shard's runtime payload
 //!   inline; a 1-shard fleet is byte-identical to the bare pipelined
@@ -119,7 +120,7 @@ pub use event::{Event, EventKind};
 pub use faults::{BreakerState, FaultEpisode, FaultPlan};
 pub use fleet::{
     ArbitrationPolicy, ContentionStats, FleetConfig, FleetLedger, FleetOrchestrator, FleetReport,
-    FleetSnapshot, ShardSpec,
+    FleetSnapshot, ShardSpec, ShardUsage,
 };
 pub use hit::HitId;
 pub use metrics::{MetricKind, MetricRecord, MetricsSink, MetricsTap};

@@ -11,7 +11,7 @@ use crate::{
 use crowdlearn::{
     CrowdLearnConfig, CrowdLearnSystem, CycleOutcome, CycleWork, PostedQuery, SchemeReport,
 };
-use crowdlearn_crowd::{IncentiveLevel, SubmitterId};
+use crowdlearn_crowd::IncentiveLevel;
 use crowdlearn_dataset::{Dataset, SensingCycle, SensingCycleStream};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 use std::collections::{BTreeMap, VecDeque};
@@ -313,12 +313,6 @@ impl PipelinedSystem {
         self.exec.as_ref()?.queue.peek().map(|e| e.at_secs)
     }
 
-    /// Tags the underlying platform with the shard's identity so
-    /// `PlatformStats` attributes worker-seconds per shard.
-    pub(crate) fn set_platform_submitter(&mut self, submitter: SubmitterId) {
-        self.system.set_platform_submitter(submitter);
-    }
-
     /// Drives the event loop until `bound` is exhausted or the queue
     /// drains. Returns the report when the execution completes, `None` when
     /// it pauses at an event boundary — ready for more `run_until` calls or
@@ -494,6 +488,14 @@ impl PipelinedSystem {
                     found: stream.cycles().len(),
                 });
             }
+            // Finalize reads one cached vote set per image of the cycle.
+            let votes_fit = exec
+                .active
+                .iter()
+                .all(|(&k, work)| work.images() == stream.cycles()[k].image_ids.len());
+            if !votes_fit {
+                return Err(SnapshotError::Corrupt(DecodeError::Invalid));
+            }
         }
         Ok(Self {
             system,
@@ -665,9 +667,10 @@ impl Decode for ExecState {
             && state.waiting.iter().all(|&k| k < n)
             && state.parked.iter().all(|&k| k < n)
             && state.completed_at_secs.len() == n;
-        // The trajectory (whose last entry is the effective window) is
-        // checked against the policy on resume.
-        let window_ok = state.window_trajectory.len() <= n;
+        // The controller decides once per closed cycle; the trajectory
+        // (whose last entry is the effective window) is checked against
+        // the policy on resume.
+        let window_ok = state.window_trajectory.len() == state.outcomes.iter().flatten().count();
         let breaker_ok = (BreakerState::FIRST_BACKOFF_CYCLES..=BreakerState::MAX_BACKOFF_CYCLES)
             .contains(&state.breaker_backoff_cycles)
             && (state.breaker == BreakerState::Closed || state.parked.len() <= n)
@@ -986,7 +989,7 @@ impl Driver<'_> {
     fn launch(&mut self, k: usize, mut posted: PostedQuery, attempt: u32) {
         let now = self.exec.queue.now_secs();
         if let Some(hook) = self.fleet.as_mut() {
-            hook.absorb_post(now, &mut posted);
+            hook.absorb_post(now, &mut posted, attempt);
         }
         let lost = self.exec.injector.answer_lost(&self.config.faults, now);
         let factor = self.config.faults.attrition_factor(now);
@@ -1291,9 +1294,11 @@ mod tests {
     /// An edit to the execution state inside a runtime snapshot payload.
     type Splice = fn(&mut ExecState);
 
-    /// Resumes a 6-cycle run under `policy`, paused after 5 events, after
+    /// Resumes a 6-cycle run under `policy`, paused at the first event
+    /// boundary past 5 events at which `closed` cycles have closed, after
     /// `edit` rewrote the execution state in its payload.
     fn resume_respliced(
+        closed: usize,
         policy: WindowPolicy,
         edit: Splice,
     ) -> Result<PipelinedSystem, SnapshotError> {
@@ -1307,6 +1312,16 @@ mod tests {
         assert!(system
             .run_until(&dataset, &stream, RunBound::Events(5))
             .is_none());
+        let closes = |system: &PipelinedSystem| {
+            let exec = system.exec.as_ref().expect("a running execution");
+            exec.outcomes.iter().flatten().count()
+        };
+        while closes(&system) < closed {
+            assert!(system
+                .run_until(&dataset, &stream, RunBound::Events(1))
+                .is_none());
+        }
+        assert_eq!(closes(&system), closed, "paused after {closed} closes");
         let snapshot = system.snapshot().expect("checkpointable");
         PipelinedSystem::resume(&splice_exec(&snapshot, edit), &stream)
     }
@@ -1314,65 +1329,90 @@ mod tests {
     #[test]
     fn resume_holds_the_window_controller_to_its_policy() {
         let adaptive = WindowPolicy::adaptive(1, 8);
-        let cases: [(&str, WindowPolicy, Splice, bool); 10] = [
-            ("untouched", adaptive, |_| {}, true),
+        // (what, cycles closed at the pause, policy, edit, resumes)
+        let cases: [(&str, usize, WindowPolicy, Splice, bool); 13] = [
+            ("untouched", 0, adaptive, |_| {}, true),
+            ("untouched after two closes", 2, adaptive, |_| {}, true),
             (
                 "window at max",
+                2,
                 adaptive,
-                |e| e.window_trajectory = vec![8],
+                |e| e.window_trajectory = vec![1, 8],
                 true,
             ),
             (
                 "cooldown at the constant",
+                0,
                 adaptive,
                 |e| e.window_cooldown = 1,
                 true,
             ),
             (
                 "window above max",
+                2,
                 adaptive,
-                |e| e.window_trajectory = vec![50],
+                |e| e.window_trajectory = vec![1, 50],
                 false,
             ),
             (
                 "window below min",
+                2,
                 adaptive,
-                |e| e.window_trajectory = vec![0],
+                |e| e.window_trajectory = vec![1, 0],
                 false,
             ),
             (
                 "trajectory above max",
+                2,
                 adaptive,
-                |e| e.window_trajectory = vec![1, 9],
+                |e| e.window_trajectory = vec![9, 1],
+                false,
+            ),
+            (
+                "a decision before any close",
+                0,
+                adaptive,
+                |e| e.window_trajectory = vec![8],
+                false,
+            ),
+            (
+                "a decision more than the closes",
+                2,
+                adaptive,
+                |e| e.window_trajectory.push(8),
                 false,
             ),
             (
                 "cooldown above the constant",
+                0,
                 adaptive,
                 |e| e.window_cooldown = 2,
                 false,
             ),
             (
                 "frozen controller",
+                0,
                 adaptive,
                 |e| e.window_cooldown = u32::MAX,
                 false,
             ),
             (
                 "static window moved",
+                2,
                 WindowPolicy::Static(4),
-                |e| e.window_trajectory = vec![3],
+                |e| e.window_trajectory = vec![4, 3],
                 false,
             ),
             (
                 "static trajectory moved",
+                2,
                 WindowPolicy::Static(4),
-                |e| e.window_trajectory = vec![4, 5],
+                |e| e.window_trajectory = vec![5, 4],
                 false,
             ),
         ];
-        for (what, policy, edit, valid) in cases {
-            match resume_respliced(policy, edit) {
+        for (what, closed, policy, edit, valid) in cases {
+            match resume_respliced(closed, policy, edit) {
                 Ok(_) => assert!(valid, "{what}: resumed"),
                 Err(e) => {
                     assert!(!valid, "{what}: refused with {e:?}");
@@ -1384,13 +1424,13 @@ mod tests {
 
     #[test]
     fn resume_holds_queued_events_and_the_board_to_what_they_name() {
-        let untouched = resume_respliced(WindowPolicy::Static(4), |_| {}).expect("resumes");
+        let untouched = resume_respliced(0, WindowPolicy::Static(4), |_| {}).expect("resumes");
         let exec = untouched.exec.as_ref().expect("a running execution");
         assert!(
             exec.board.in_flight() > 0,
             "the pause has a HIT on the board"
         );
-        let cases: [(&str, Splice); 4] = [
+        let cases: [(&str, Splice); 5] = [
             ("a fault start the config's plan lacks", |e| {
                 let at = e.queue.now_secs() + 1.0;
                 e.queue.schedule(at, EventKind::FaultStart { episode: 0 });
@@ -1410,14 +1450,33 @@ mod tests {
                 e.board
                     .reinstate(crate::hit::InFlightHit { cycle: 5, ..hit });
             }),
+            ("votes for an image its cycle lacks", |e| {
+                let work = e.active.values_mut().next().expect("an active cycle");
+                *work = with_an_extra_vote_set(work);
+            }),
         ];
         for (what, edit) in cases {
             assert_eq!(
-                resume_respliced(WindowPolicy::Static(4), edit).err(),
+                resume_respliced(0, WindowPolicy::Static(4), edit).err(),
                 Some(SnapshotError::Corrupt(DecodeError::Invalid)),
                 "{what}"
             );
         }
+    }
+
+    /// `work` with its first image's cached votes repeated after its last
+    /// image's, spliced on the wire (the votes are private to the core).
+    fn with_an_extra_vote_set(work: &CycleWork) -> CycleWork {
+        use crowdlearn_classifiers::ClassDistribution;
+        let bytes = work.to_bytes();
+        let mut r = Reader::new(&bytes);
+        let context = crowdlearn_dataset::TemporalContext::decode(&mut r).expect("context");
+        let mut votes = Vec::<Vec<ClassDistribution>>::decode(&mut r).expect("votes");
+        votes.push(votes[0].clone());
+        let mut spliced = context.to_bytes();
+        votes.encode(&mut spliced);
+        spliced.extend_from_slice(&bytes[bytes.len() - r.remaining()..]);
+        CycleWork::from_bytes(&spliced).expect("the work decodes on its own")
     }
 
     #[test]

@@ -31,8 +31,9 @@ const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 ///
 /// Version history: 1 — initial format; 2 — `CycleOutcome` gained exact
 /// per-query delays and the payload gained the optional metrics tap;
-/// 3 — the `Platform` codec gained the submitter id and `PlatformStats`
-/// gained the repost grid and per-submitter usage (fleet attribution);
+/// 3 — the `Platform` codec gained the submitter id, and its query
+/// accounting gained the repost grid and per-submitter usage (fleet
+/// attribution);
 /// 4 — `RuntimeConfig` encodes a tagged `WindowPolicy` where the static
 /// window used to sit, and the execution state carries the window
 /// controller (effective window, cooldown counter, last decision, window
@@ -85,8 +86,13 @@ const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 /// its sequence counter (the execution state lost its clock, event count,
 /// effective window and admission slots, and the queue its scheduled and
 /// popped counters), and the HIT events carry no cycle (a HIT's cycle is
-/// its board entry's).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 13;
+/// its board entry's);
+/// 14 — the platform books nothing: the `Platform` codec lost the
+/// submitter id and its query accounting, a `CycleWork` lost its cycle index
+/// (its `active` key names the cycle), and the fleet payload carries each
+/// shard's `ShardUsage` (queries, reposts, worker-seconds, spend) where it
+/// carried the shard's spend alone.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 14;
 
 /// Why a runtime or fleet snapshot could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .is_none());
     let bytes = fleet.snapshot()?.to_bytes();
     println!(
-        "\ncheckpoint at event {half}: {} bytes (one frame: config, spend, pool, 3 shard payloads)",
+        "\ncheckpoint at event {half}: {} bytes (one frame: config, usage, pool, 3 shard payloads)",
         bytes.len()
     );
     drop(fleet);
@@ -77,17 +77,19 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     println!("resume is byte-identical to the uninterrupted fleet run ✓");
 
-    // Per-shard attribution: each shard's platform books its own usage
-    // under its submitter id, and the fleet ledger audits the quotas.
+    // Per-shard attribution: the fleet ledger books every attempt a shard
+    // posts (queries, reposts, worker-seconds, spend) against its quota.
     println!("\nshard  accuracy  queries  reposts  worker-s   spent ¢   quota ¢  makespan s");
+    let mut attempts = 0;
     for (i, shard) in report.shards.iter().enumerate() {
-        let platform_usage = resumed.shard_usage(i);
+        let usage = resumed.shard_usage(i);
+        attempts += usage.queries + usage.reposts;
         println!(
             "{i:>5}  {:>8.3}  {:>7}  {:>7}  {:>8.0}  {:>8}  {:>8.0}  {:>10.0}",
             shard.report.accuracy(),
-            platform_usage.queries,
-            platform_usage.reposts,
-            platform_usage.worker_seconds,
+            usage.queries,
+            usage.reposts,
+            usage.worker_seconds,
             report.ledger.spent_cents(i),
             report.ledger.quota_cents(i),
             shard.makespan_secs,
@@ -95,6 +97,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     let contention = report.contention;
+    assert_eq!(
+        attempts, contention.posts,
+        "every posted attempt is attributed to one shard"
+    );
     println!(
         "\ncontention: {} of {} posts queued, {:.0} s total wait ({:.1} s mean), peak {} busy workers",
         contention.waits_applied,

@@ -390,13 +390,21 @@ fn fleet_same_seeds_twice_is_byte_identical_and_contention_is_real() {
             "shard {i} ledger spend diverged from its outcomes"
         );
         assert_eq!(
-            a.ledger.spent_cents(i),
             fleet_a.shard_usage(i).spent_cents,
-            "shard {i} ledger spend diverged from its platform attribution"
+            fleet_a.shard(i).system().evaluation_spent_cents(),
+            "shard {i} attributed spend diverged from its own platform's"
         );
         assert!(fleet_a.shard_usage(i).worker_seconds > 0.0);
         assert!(a.ledger.spent_cents(i) as f64 <= a.ledger.quota_cents(i));
     }
+    let attempts: u64 = (0..fleet_a.shards())
+        .map(|i| fleet_a.shard_usage(i))
+        .map(|u| u.queries + u.reposts)
+        .sum();
+    assert_eq!(
+        attempts, a.contention.posts,
+        "every posted attempt is attributed to one shard"
+    );
     let rollup = a.rollup_crowd_delay.as_ref().expect("taps were attached");
     let per_shard: u64 = a
         .shards
@@ -587,8 +595,8 @@ fn snapshot_rejects_tampering_and_mismatched_streams() {
 
 /// Forward and backward compatibility: a frame stamped with a *future*
 /// format version — one written by a newer build whose payload layout this
-/// build cannot know — or with the previous one (v12, whose incentive
-/// learner carried its kind tag and bandit config) must come back as a typed
+/// build cannot know — or with the previous one (v13, whose platform carried
+/// a submitter id and its own query accounting) must come back as a typed
 /// `VersionMismatch` carrying the found version, refused by the frame
 /// before any payload decoder runs: never a panic or a silent misparse.
 /// Both frames stamp the one `SNAPSHOT_FORMAT_VERSION`.
@@ -603,7 +611,7 @@ fn snapshots_reject_future_format_versions_with_typed_errors() {
     let bytes = system.snapshot().expect("checkpointable").to_bytes();
     for (found, stamped) in [
         (SNAPSHOT_FORMAT_VERSION + 1, SNAPSHOT_FORMAT_VERSION + 1),
-        (12, SNAPSHOT_FORMAT_VERSION - 1),
+        (13, SNAPSHOT_FORMAT_VERSION - 1),
     ] {
         let mut bytes = bytes.clone();
         // The u32 version field sits right after the 8-byte magic.
