@@ -80,7 +80,7 @@ pub fn makespan(fixture: &Fixture) -> RuntimeReport {
     println!(
         "\ntap (window 4): {} records, p50 crowd delay {:.0} s",
         tap.records(),
-        tap.crowd_delay().median().unwrap_or(f64::NAN),
+        tapped.crowd_delay().median().unwrap_or(f64::NAN),
     );
 
     println!();
@@ -126,9 +126,7 @@ fn contended_run(n: usize, arbitration: ArbitrationPolicy, window: usize) -> Fle
         .collect();
     let config = FleetConfig::new(CrowdLearnConfig::paper().budget_cents * n as f64)
         .with_arbitration(arbitration);
-    let mut fleet = FleetOrchestrator::new(specs, config, &datasets);
-    fleet.attach_metrics_taps();
-    fleet.run(&datasets, &streams)
+    FleetOrchestrator::new(specs, config, &datasets).run(&datasets, &streams)
 }
 
 /// Fleet contention versus shard count, and a window × budget-split sweep
@@ -155,11 +153,7 @@ pub fn fleet() {
         (n, contended_run(n, ArbitrationPolicy::FairShare, 4))
     });
     for (n, report) in reports {
-        let mean_delay = report
-            .rollup_crowd_delay
-            .as_ref()
-            .expect("taps attached fleet-wide")
-            .mean();
+        let mean_delay = report.rollup_crowd_delay.mean();
         println!(
             "{:<8} {:>10} {:>12.1} {:>14.1} {:>12.0} {:>10}",
             n,
@@ -298,7 +292,7 @@ fn window_sweep(
     measured
 }
 
-/// Makespan under static windows versus the metrics-driven
+/// Makespan under static windows versus the delay-driven
 /// [`WindowPolicy::Adaptive`] controller, across two crowd-delay profiles.
 ///
 /// * **stable**: every cell answers in ~15 s, the window never binds, and

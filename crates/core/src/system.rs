@@ -451,6 +451,12 @@ impl CycleWork {
         self.truthful.len()
     }
 
+    /// Completion delay of every answer absorbed so far, in absorb order:
+    /// what [`CycleOutcome::query_delay_secs`] reports once the cycle closes.
+    pub fn query_delays(&self) -> &[f64] {
+        &self.query_delays
+    }
+
     /// Cents spent on this cycle's posts (including reposts) so far.
     pub fn spent_cents(&self) -> u64 {
         self.spent_cents

@@ -13,8 +13,8 @@
 //! * [`SummaryStats`] — streaming mean/variance/percentile summaries used for
 //!   every delay measurement (Table III, Figures 5, 8, 11).
 //! * [`QuantileSketch`] — a deterministic fixed-grid streaming quantile
-//!   estimator (O(1) memory in the trace length) for live metric taps that
-//!   cannot afford to retain raw samples.
+//!   estimator (O(1) memory in the sample count), under the runtime's
+//!   live crowd-delay views.
 //! * [`brier_score`] / [`CalibrationReport`] — probabilistic-forecast
 //!   quality (Brier, reliability diagrams, ECE) for the schemes'
 //!   class-probability outputs.

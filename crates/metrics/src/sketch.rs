@@ -1,7 +1,5 @@
-//! Streaming quantile estimation for live metric taps.
+//! Streaming quantile estimation for live delay views.
 
-use serde::binary::{Decode, DecodeError, Encode, Reader};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A deterministic fixed-grid streaming quantile estimator.
@@ -42,7 +40,7 @@ use std::fmt;
 /// let median = sketch.quantile(0.5).unwrap();
 /// assert!((median - 49.5).abs() <= sketch.bin_width());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
     lo: f64,
     hi: f64,
@@ -275,55 +273,6 @@ impl fmt::Display for QuantileSketch {
     }
 }
 
-// Snapshot codec: the sketch is part of a checkpointed metrics tap, so it
-// round-trips bit-exactly (f64 via IEEE bits) and decoding re-checks every
-// structural invariant instead of trusting the bytes.
-impl Encode for QuantileSketch {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.lo.encode(out);
-        self.hi.encode(out);
-        self.bins.encode(out);
-        self.count.encode(out);
-        self.clamped.encode(out);
-        self.min.encode(out);
-        self.max.encode(out);
-        self.mean.encode(out);
-    }
-}
-
-impl Decode for QuantileSketch {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let sketch = Self {
-            lo: f64::decode(r)?,
-            hi: f64::decode(r)?,
-            bins: Vec::<u64>::decode(r)?,
-            count: u64::decode(r)?,
-            clamped: u64::decode(r)?,
-            min: f64::decode(r)?,
-            max: f64::decode(r)?,
-            mean: f64::decode(r)?,
-        };
-        let grid_ok = sketch.lo.is_finite()
-            && sketch.hi.is_finite()
-            && sketch.lo < sketch.hi
-            && !sketch.bins.is_empty();
-        let totals_ok =
-            sketch.bins.iter().sum::<u64>() == sketch.count && sketch.clamped <= sketch.count;
-        let stats_ok = if sketch.count == 0 {
-            sketch.min == f64::INFINITY && sketch.max == f64::NEG_INFINITY && sketch.mean == 0.0
-        } else {
-            sketch.min.is_finite()
-                && sketch.max.is_finite()
-                && sketch.min <= sketch.max
-                && sketch.mean.is_finite()
-        };
-        if !grid_ok || !totals_ok || !stats_ok {
-            return Err(DecodeError::Invalid);
-        }
-        Ok(sketch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,31 +395,6 @@ mod tests {
         b.push(150.0);
         assert!(!a.same_grid(&b));
         a.merge(&b);
-    }
-
-    #[test]
-    fn codec_round_trips_and_rejects_corruption() {
-        let (sketch, _) = filled(&[1.0, 2.5, 99.0, 42.0]);
-        let mut bytes = Vec::new();
-        sketch.encode(&mut bytes);
-        let back = QuantileSketch::decode(&mut Reader::new(&bytes)).expect("round trip");
-        assert_eq!(back, sketch);
-
-        // An empty sketch round-trips too (infinite sentinels travel as bits).
-        let empty = QuantileSketch::new(0.0, 1.0, 2);
-        let mut bytes = Vec::new();
-        empty.encode(&mut bytes);
-        assert_eq!(QuantileSketch::decode(&mut Reader::new(&bytes)), Ok(empty));
-
-        // A count that disagrees with the bin totals is rejected.
-        let mut tampered = sketch.clone();
-        tampered.count += 1;
-        let mut bytes = Vec::new();
-        tampered.encode(&mut bytes);
-        assert_eq!(
-            QuantileSketch::decode(&mut Reader::new(&bytes)),
-            Err(DecodeError::Invalid)
-        );
     }
 
     #[test]

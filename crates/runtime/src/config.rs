@@ -69,11 +69,6 @@ impl WindowPolicy {
         }
     }
 
-    /// Whether this policy adapts at runtime.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, WindowPolicy::Adaptive { .. })
-    }
-
     /// The effective windows this policy can run at: `n..=n` under
     /// `Static(n)`, `min..=max` under `Adaptive`. Resume refuses an
     /// execution whose window or trajectory leaves it.
@@ -299,8 +294,6 @@ mod tests {
             Ok(())
         );
         assert_eq!(policy.initial_window(), 2);
-        assert!(policy.is_adaptive());
-        assert!(!WindowPolicy::Static(3).is_adaptive());
     }
 
     #[test]

@@ -431,10 +431,9 @@ pub struct FleetReport {
     pub ledger: FleetLedger,
     /// Cross-stream contention telemetry.
     pub contention: ContentionStats,
-    /// Fleet-level crowd-delay rollup: the per-shard [`MetricsTap`] delay
-    /// sketches merged into one, when taps were attached fleet-wide
-    /// ([`FleetOrchestrator::attach_metrics_taps`]).
-    pub rollup_crowd_delay: Option<QuantileSketch>,
+    /// Fleet-level crowd-delay rollup: every shard report's
+    /// [`RuntimeReport::crowd_delay`] merged into one.
+    pub rollup_crowd_delay: QuantileSketch,
 }
 
 /// N concurrent [`PipelinedSystem`] shards over one shared worker pool and
@@ -542,9 +541,9 @@ impl FleetOrchestrator {
             .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.max(t))))
     }
 
-    /// Attaches a fresh [`MetricsTap`] to every shard, enabling the
-    /// fleet-level rollup sketch on [`FleetReport::rollup_crowd_delay`].
-    /// Attach before the first step to observe whole runs.
+    /// Attaches a fresh [`MetricsTap`] to every shard. Attach before the
+    /// first step to count whole runs; the crowd-delay rollup covers the
+    /// whole run with or without taps.
     pub fn attach_metrics_taps(&mut self) {
         for shard in &mut self.shards {
             shard.attach_metrics_tap(MetricsTap::new());
@@ -649,19 +648,12 @@ impl FleetOrchestrator {
         let reports: Vec<RuntimeReport> = self.shards.iter_mut().map(|s| s.finish()).collect();
         let makespan_secs = reports.iter().map(|r| r.makespan_secs).fold(0.0, f64::max);
         let events_processed = reports.iter().map(|r| r.events_processed).sum();
-        // Every tap sketches delays on `MetricsTap::DELAY_GRID` (the tap
-        // decoder refuses any other), so the merges line up.
-        let rollup_crowd_delay = reports
-            .iter()
-            .map(|r| r.metrics.as_ref())
-            .collect::<Option<Vec<&MetricsTap>>>()
-            .map(|taps| {
-                let mut rollup = taps[0].crowd_delay().clone();
-                for tap in &taps[1..] {
-                    rollup.merge(tap.crowd_delay());
-                }
-                rollup
-            });
+        // Every shard sketches its delays on `DELAY_GRID`, so the merges
+        // line up; `new` refuses a fleet without shards.
+        let mut rollup_crowd_delay = reports[0].crowd_delay();
+        for report in &reports[1..] {
+            rollup_crowd_delay.merge(&report.crowd_delay());
+        }
         FleetReport {
             shards: reports,
             makespan_secs,

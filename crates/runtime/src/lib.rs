@@ -43,7 +43,7 @@
 //!   The overlap bound is governed by a [`WindowPolicy`]: a static window,
 //!   or an adaptive one over `[min, max]` whose deterministic controller
 //!   widens/narrows the effective window at `CycleClosed` boundaries from
-//!   the metrics tap's rolling p90 crowd delay, at one constant tuning
+//!   the run's p90 crowd delay, at one constant tuning
 //!   ([`WindowPolicy::PERCENTILE`] and its siblings; [`WindowDecision`] is
 //!   its vocabulary, [`RuntimeReport::window_trajectory`] its audit trail).
 //!   Execution is reentrant ([`PipelinedSystem::step`] /
@@ -74,14 +74,17 @@
 //!   byte-identical to a run with no fault machinery at all (DESIGN.md
 //!   "Fault model & degradation ladder").
 //! - [`MetricsTap`] — a deterministic streaming-metrics sink fed by the
-//!   driver at every event boundary: rolling crowd-delay quantiles (overall
-//!   and per temporal context), spend pacing against the budget ledger,
-//!   window occupancy and queue depth with high-water marks. Every tap
-//!   sketches delays on the one [`MetricsTap::DELAY_GRID`], so a fleet
-//!   merges its shards' sketches without a grid check. The tap rides
-//!   inside [`RuntimeSnapshot`], so a resumed run replays the identical
-//!   metric stream ([`MetricsSink`] is the extension point for custom
-//!   consumers).
+//!   driver at every event boundary: per-kind counters, spend pacing
+//!   against the budget ledger, window occupancy and queue depth with
+//!   high-water marks. The tap observes and never steers: attaching,
+//!   replacing or detaching it leaves the run unchanged. It rides inside
+//!   [`RuntimeSnapshot`], so a resumed run replays the identical metric
+//!   stream ([`MetricsSink`] is the extension point for custom consumers).
+//!   Crowd-delay quantiles are a view of the run, not of the tap:
+//!   [`PipelinedSystem::crowd_delay`] (live) and
+//!   [`RuntimeReport::crowd_delay`] sketch every absorbed answer's delay on
+//!   the one [`DELAY_GRID`], so a fleet merges its shards' views without a
+//!   grid check.
 //!
 //! ## The blocking loop is a window of one
 //!
@@ -124,7 +127,7 @@ pub use fleet::{
 };
 pub use hit::HitId;
 pub use metrics::{MetricKind, MetricRecord, MetricsSink, MetricsTap};
-pub use pipeline::{PipelinedSystem, RunBound, RuntimeReport, WindowDecision};
+pub use pipeline::{PipelinedSystem, RunBound, RuntimeReport, WindowDecision, DELAY_GRID};
 pub use queue::EventQueue;
 pub use snapshot::{RuntimeSnapshot, SnapshotError, SNAPSHOT_FORMAT_VERSION};
 pub use sweep::ParallelSweep;

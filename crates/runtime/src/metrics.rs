@@ -6,18 +6,17 @@
 //! transition the [`crate::PipelinedSystem`] driver makes — HIT posted,
 //! answered, timed out, reposted, cycle admitted/closed, budget charged —
 //! emits one typed [`MetricRecord`] into a [`MetricsSink`]. The bundled
-//! [`MetricsTap`] sink folds those records into rolling crowd-delay
-//! quantiles (per context and overall), spend pacing against the budget
-//! ledger, window occupancy, and queue depth — all in O(1) memory via
-//! [`QuantileSketch`], all deterministically, and all checkpointable: the
+//! [`MetricsTap`] sink folds those records into per-kind counters, spend
+//! pacing against the budget ledger, window occupancy, and queue depth —
+//! all in O(1) memory, all deterministically, and all checkpointable: the
 //! tap state has `Encode`/`Decode` codecs and rides inside the runtime
-//! snapshot, so a resumed run replays the identical metric stream.
+//! snapshot, so a resumed run replays the identical metric stream. Crowd
+//! delay quantiles are a view of the run's own state, not of the tap:
+//! [`crate::PipelinedSystem::crowd_delay`].
 
 use crate::faults::BreakerState;
 use crate::HitId;
 use crowdlearn_crowd::IncentiveLevel;
-use crowdlearn_dataset::TemporalContext;
-use crowdlearn_metrics::QuantileSketch;
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 /// One event-boundary observation from the runtime driver.
@@ -73,8 +72,6 @@ pub enum MetricKind {
         cycle: usize,
         /// The HIT.
         hit: HitId,
-        /// Temporal context of the cycle.
-        context: TemporalContext,
         /// Observed completion delay, in seconds.
         delay_secs: f64,
         /// Whether the answer beat the offload deadline.
@@ -110,8 +107,6 @@ pub enum MetricKind {
         cycle: usize,
         /// The HIT.
         hit: HitId,
-        /// Temporal context of the cycle.
-        context: TemporalContext,
         /// True completion delay, in seconds.
         delay_secs: f64,
     },
@@ -183,11 +178,6 @@ impl MetricsSink for Vec<MetricRecord> {
 ///
 /// Folds the record stream into:
 ///
-/// * rolling crowd-delay quantiles, overall and per temporal context
-///   ([`QuantileSketch`] — O(1) memory, one-bin-width accuracy). Only
-///   *absorbed* answers feed the sketches (the same samples a cycle's
-///   `query_delay_secs` reports); censored timeout observations do not,
-///   since their true delay is unknown at the timeout instant.
 /// * spend pacing: cumulative cents, the ledger's remaining budget after
 ///   the latest charge, and cents per virtual hour.
 /// * occupancy gauges with high-water marks: pipeline-window occupancy,
@@ -211,7 +201,6 @@ pub struct MetricsTap {
     hits_reposted: u64,
     late_answers: u64,
     timely_answers: u64,
-    spend_events: u64,
     spent_cents: u64,
     remaining_budget_cents: Option<f64>,
     queue_depth: usize,
@@ -220,8 +209,6 @@ pub struct MetricsTap {
     peak_queue_depth: usize,
     peak_window_occupancy: usize,
     peak_hits_in_flight: usize,
-    delay_all: QuantileSketch,
-    delay_by_context: Vec<QuantileSketch>,
     hits_abandoned: u64,
     faults_started: u64,
     faults_ended: u64,
@@ -230,18 +217,8 @@ pub struct MetricsTap {
 }
 
 impl MetricsTap {
-    /// The `(lo, hi, bins)` grid every delay sketch is built over:
-    /// `[0, 7200)` seconds in 1024 bins, ≈ 7 s quantile resolution. The
-    /// paper's delay surface tops out around 1400 s mean × worker speed ×
-    /// log-normal noise, so the ceiling leaves generous headroom before any
-    /// sample clamps. One grid for every tap is what lets a fleet merge its
-    /// shards' sketches.
-    pub const DELAY_GRID: (f64, f64, usize) = (0.0, 7200.0, 1024);
-
     /// An empty tap.
     pub fn new() -> Self {
-        let (lo, hi, bins) = Self::DELAY_GRID;
-        let sketch = || QuantileSketch::new(lo, hi, bins);
         Self {
             records: 0,
             last_at_secs: 0.0,
@@ -253,7 +230,6 @@ impl MetricsTap {
             hits_reposted: 0,
             late_answers: 0,
             timely_answers: 0,
-            spend_events: 0,
             spent_cents: 0,
             remaining_budget_cents: None,
             queue_depth: 0,
@@ -262,8 +238,6 @@ impl MetricsTap {
             peak_queue_depth: 0,
             peak_window_occupancy: 0,
             peak_hits_in_flight: 0,
-            delay_all: sketch(),
-            delay_by_context: (0..TemporalContext::COUNT).map(|_| sketch()).collect(),
             hits_abandoned: 0,
             faults_started: 0,
             faults_ended: 0,
@@ -280,17 +254,6 @@ impl MetricsTap {
     /// Virtual time of the latest record, in seconds (0 before any record).
     pub fn last_at_secs(&self) -> f64 {
         self.last_at_secs
-    }
-
-    /// Rolling quantile sketch over every absorbed crowd delay.
-    pub fn crowd_delay(&self) -> &QuantileSketch {
-        &self.delay_all
-    }
-
-    /// Rolling quantile sketch over one temporal context's crowd delays
-    /// (the Figure 8 series, live).
-    pub fn crowd_delay_in(&self, context: TemporalContext) -> &QuantileSketch {
-        &self.delay_by_context[context.index()]
     }
 
     /// Cycles admitted to the pipeline window so far.
@@ -428,34 +391,18 @@ impl MetricsSink for MetricsTap {
             MetricKind::CycleAdmitted { .. } => self.cycles_admitted += 1,
             MetricKind::CycleClosed { .. } => self.cycles_closed += 1,
             MetricKind::HitPosted { .. } => self.hits_posted += 1,
-            MetricKind::HitAnswered {
-                context,
-                delay_secs,
-                timely,
-                ..
-            } => {
+            MetricKind::HitAnswered { timely, .. } => {
                 self.hits_answered += 1;
                 self.timely_answers += u64::from(timely);
-                self.delay_all.push(delay_secs);
-                self.delay_by_context[context.index()].push(delay_secs);
             }
             MetricKind::HitTimedOut { .. } => self.hits_timed_out += 1,
             MetricKind::HitReposted { .. } => self.hits_reposted += 1,
-            MetricKind::LateAnswerAbsorbed {
-                context,
-                delay_secs,
-                ..
-            } => {
-                self.late_answers += 1;
-                self.delay_all.push(delay_secs);
-                self.delay_by_context[context.index()].push(delay_secs);
-            }
+            MetricKind::LateAnswerAbsorbed { .. } => self.late_answers += 1,
             MetricKind::SpendCharged {
                 cents,
                 remaining_budget_cents,
                 ..
             } => {
-                self.spend_events += 1;
                 self.spent_cents += u64::from(cents);
                 self.remaining_budget_cents = Some(remaining_budget_cents);
             }
@@ -482,7 +429,6 @@ impl Encode for MetricsTap {
         self.hits_reposted.encode(out);
         self.late_answers.encode(out);
         self.timely_answers.encode(out);
-        self.spend_events.encode(out);
         self.spent_cents.encode(out);
         self.remaining_budget_cents.encode(out);
         self.queue_depth.encode(out);
@@ -491,8 +437,6 @@ impl Encode for MetricsTap {
         self.peak_queue_depth.encode(out);
         self.peak_window_occupancy.encode(out);
         self.peak_hits_in_flight.encode(out);
-        self.delay_all.encode(out);
-        self.delay_by_context.encode(out);
         self.hits_abandoned.encode(out);
         self.faults_started.encode(out);
         self.faults_ended.encode(out);
@@ -514,7 +458,6 @@ impl Decode for MetricsTap {
             hits_reposted: u64::decode(r)?,
             late_answers: u64::decode(r)?,
             timely_answers: u64::decode(r)?,
-            spend_events: u64::decode(r)?,
             spent_cents: u64::decode(r)?,
             remaining_budget_cents: Option::<f64>::decode(r)?,
             queue_depth: usize::decode(r)?,
@@ -523,8 +466,6 @@ impl Decode for MetricsTap {
             peak_queue_depth: usize::decode(r)?,
             peak_window_occupancy: usize::decode(r)?,
             peak_hits_in_flight: usize::decode(r)?,
-            delay_all: QuantileSketch::decode(r)?,
-            delay_by_context: Vec::<QuantileSketch>::decode(r)?,
             hits_abandoned: u64::decode(r)?,
             faults_started: u64::decode(r)?,
             faults_ended: u64::decode(r)?,
@@ -539,26 +480,13 @@ impl Decode for MetricsTap {
             && tap
                 .remaining_budget_cents
                 .is_none_or(|b| b.is_finite() && b >= 0.0);
-        // Every sketch must sit on the one delay grid (the `new`
-        // invariant), or a fleet rollup could not merge it.
-        let grid = Self::DELAY_GRID;
-        let sketches_ok = tap.delay_by_context.len() == TemporalContext::COUNT
-            && tap.delay_all.grid() == grid
-            && tap.delay_by_context.iter().all(|s| s.grid() == grid)
-            && tap.delay_all.len() == tap.hits_answered + tap.late_answers
-            && tap
-                .delay_by_context
-                .iter()
-                .map(QuantileSketch::len)
-                .sum::<u64>()
-                == tap.delay_all.len();
         let counters_ok = tap.timely_answers <= tap.hits_answered
             && tap.hits_reposted <= tap.hits_timed_out
             && tap.cycles_closed <= tap.cycles_admitted
             && tap.hits_abandoned <= tap.hits_timed_out
             && tap.faults_ended <= tap.faults_started
             && tap.degraded_cycles <= tap.cycles_admitted;
-        if !gauges_ok || !sketches_ok || !counters_ok {
+        if !gauges_ok || !counters_ok {
             return Err(DecodeError::Invalid);
         }
         Ok(tap)
@@ -579,13 +507,12 @@ mod tests {
         }
     }
 
-    fn answered(at: f64, delay: f64, context: TemporalContext) -> MetricRecord {
+    fn answered(at: f64, delay: f64) -> MetricRecord {
         record(
             at,
             MetricKind::HitAnswered {
                 cycle: 0,
                 hit: HitId(1),
-                context,
                 delay_secs: delay,
                 timely: true,
             },
@@ -593,10 +520,10 @@ mod tests {
     }
 
     #[test]
-    fn tap_folds_delays_and_spend() {
+    fn tap_folds_answers_and_spend() {
         let mut tap = MetricsTap::new();
-        tap.record(&answered(100.0, 250.0, TemporalContext::Morning));
-        tap.record(&answered(200.0, 350.0, TemporalContext::Evening));
+        tap.record(&answered(100.0, 250.0));
+        tap.record(&answered(200.0, 350.0));
         tap.record(&record(
             250.0,
             MetricKind::SpendCharged {
@@ -607,9 +534,7 @@ mod tests {
         ));
         assert_eq!(tap.records(), 3);
         assert_eq!(tap.hits_answered(), 2);
-        assert_eq!(tap.crowd_delay().len(), 2);
-        assert_eq!(tap.crowd_delay_in(TemporalContext::Morning).len(), 1);
-        assert_eq!(tap.crowd_delay_in(TemporalContext::Afternoon).len(), 0);
+        assert_eq!(tap.timely_answers(), 2);
         assert_eq!(tap.spent_cents(), 8);
         assert_eq!(tap.remaining_budget_cents(), Some(992.0));
         // 8 cents over 250 virtual seconds.
@@ -619,25 +544,8 @@ mod tests {
     }
 
     #[test]
-    fn censored_timeouts_do_not_feed_the_delay_sketch() {
-        let mut tap = MetricsTap::new();
-        tap.record(&record(
-            50.0,
-            MetricKind::HitTimedOut {
-                cycle: 0,
-                hit: HitId(9),
-                incentive: IncentiveLevel::C4,
-                censored_delay_secs: 150.0,
-            },
-        ));
-        assert_eq!(tap.hits_timed_out(), 1);
-        assert!(tap.crowd_delay().is_empty());
-    }
-
-    #[test]
     fn empty_tap_matches_the_empty_stats_contract() {
         let tap = MetricsTap::new();
-        assert_eq!(tap.crowd_delay().quantile(0.5), None);
         assert_eq!(tap.remaining_budget_cents(), None);
         assert_eq!(tap.spend_rate_cents_per_hour(), None);
     }
@@ -645,22 +553,15 @@ mod tests {
     #[test]
     fn codec_round_trips_and_validates() {
         let mut tap = MetricsTap::new();
-        tap.record(&answered(10.0, 300.0, TemporalContext::Midnight));
+        tap.record(&answered(10.0, 300.0));
         tap.record(&record(20.0, MetricKind::CycleAdmitted { cycle: 1 }));
-        let mut bytes = Vec::new();
-        tap.encode(&mut bytes);
-        let back = MetricsTap::decode(&mut Reader::new(&bytes)).expect("round trip");
-        assert_eq!(back, tap);
+        assert_eq!(MetricsTap::from_bytes(&tap.to_bytes()), Ok(tap.clone()));
 
-        // A delay-count/counter mismatch is rejected.
-        let mut tampered = tap.clone();
-        tampered.hits_answered += 1;
-        let mut bytes = Vec::new();
-        tampered.encode(&mut bytes);
-        assert_eq!(
-            MetricsTap::decode(&mut Reader::new(&bytes)),
-            Err(DecodeError::Invalid)
-        );
+        // More timely answers than answers is rejected.
+        let mut tampered = tap;
+        tampered.timely_answers = tampered.hits_answered + 1;
+        let decoded = MetricsTap::from_bytes(&tampered.to_bytes());
+        assert_eq!(decoded, Err(DecodeError::Invalid));
     }
 
     #[test]
@@ -720,34 +621,9 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_sketches_off_the_config_grid() {
-        let mut tap = MetricsTap::new();
-        tap.record(&answered(5.0, 100.0, TemporalContext::Morning));
-        assert_eq!(tap.crowd_delay().grid(), MetricsTap::DELAY_GRID);
-        assert_eq!(MetricsTap::from_bytes(&tap.to_bytes()), Ok(tap.clone()));
-
-        // The overall sketch on a {3600 s, 512} grid, its sample kept.
-        let mut tampered = tap.clone();
-        tampered.delay_all = QuantileSketch::new(0.0, 3600.0, 512);
-        tampered.delay_all.push(100.0);
-        assert_eq!(
-            MetricsTap::from_bytes(&tampered.to_bytes()),
-            Err(DecodeError::Invalid)
-        );
-
-        // One per-context sketch off the grid is enough.
-        let mut tampered = tap;
-        tampered.delay_by_context[2] = QuantileSketch::new(0.0, 3600.0, 512);
-        assert_eq!(
-            MetricsTap::from_bytes(&tampered.to_bytes()),
-            Err(DecodeError::Invalid)
-        );
-    }
-
-    #[test]
     fn vec_sink_keeps_the_raw_stream() {
         let mut sink: Vec<MetricRecord> = Vec::new();
-        let r = answered(5.0, 100.0, TemporalContext::Morning);
+        let r = answered(5.0, 100.0);
         sink.record(&r);
         assert_eq!(sink, vec![r]);
     }

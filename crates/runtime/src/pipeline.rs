@@ -12,9 +12,10 @@ use crowdlearn::{
     CrowdLearnConfig, CrowdLearnSystem, CycleOutcome, CycleWork, PostedQuery, SchemeReport,
 };
 use crowdlearn_crowd::IncentiveLevel;
-use crowdlearn_dataset::{Dataset, SensingCycle, SensingCycleStream};
+use crowdlearn_dataset::{Dataset, SensingCycle, SensingCycleStream, TemporalContext};
+use crowdlearn_metrics::QuantileSketch;
 use serde::binary::{Decode, DecodeError, Encode, Reader};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::convert::Infallible;
 
 /// What a pipelined run produced, beyond the usual quality report: the
@@ -50,14 +51,56 @@ pub struct RuntimeReport {
     /// run.
     pub degraded_cycles: u64,
     /// The run's streaming metrics, when a [`MetricsTap`] was attached
-    /// (via [`PipelinedSystem::attach_metrics_tap`]) for the whole run.
-    /// Always `Some` under an adaptive window policy — the controller
-    /// needs the tap, so [`PipelinedSystem::start`] attaches one.
+    /// (via [`PipelinedSystem::attach_metrics_tap`]): the counters and gauges
+    /// of the records it saw while attached. The crowd-delay view,
+    /// [`RuntimeReport::crowd_delay`], covers the whole run either way.
     pub metrics: Option<MetricsTap>,
     /// The effective in-flight window after each `CycleClosed` decision,
     /// in cycle-close order — the window controller's trajectory. Constant
     /// under [`WindowPolicy::Static`].
     pub window_trajectory: Vec<usize>,
+}
+
+impl RuntimeReport {
+    /// Every absorbed crowd answer's delay, sketched on [`DELAY_GRID`].
+    pub fn crowd_delay(&self) -> QuantileSketch {
+        sketch_delays(&self.outcomes, [], None)
+    }
+
+    /// One temporal context's crowd delays (the Figure 8 series).
+    pub fn crowd_delay_in(&self, context: TemporalContext) -> QuantileSketch {
+        sketch_delays(&self.outcomes, [], Some(context))
+    }
+}
+
+/// The `(lo, hi, bins)` grid every crowd-delay view is sketched on:
+/// `[0, 7200)` seconds in 1024 bins, ≈ 7 s quantile resolution. The paper's
+/// delay surface tops out around 1400 s mean × worker speed × log-normal
+/// noise, so the ceiling leaves generous headroom before any sample clamps.
+/// One grid for every view is what lets a fleet merge its shards' views.
+pub const DELAY_GRID: (f64, f64, usize) = (0.0, 7200.0, 1024);
+
+/// Sketches the absorbed answers' delays of the `closed` cycles, then of
+/// the `active` ones, on [`DELAY_GRID`]; with `only` set, that context's
+/// cycles alone. A sketch's bins, count, clamped count and extremes do not
+/// depend on push order, so neither does any quantile.
+fn sketch_delays<'a>(
+    closed: impl IntoIterator<Item = &'a CycleOutcome>,
+    active: impl IntoIterator<Item = &'a CycleWork>,
+    only: Option<TemporalContext>,
+) -> QuantileSketch {
+    let (lo, hi, bins) = DELAY_GRID;
+    let mut sketch = QuantileSketch::new(lo, hi, bins);
+    let closed = closed
+        .into_iter()
+        .map(|o| (o.context, &o.query_delay_secs[..]));
+    let active = active.into_iter().map(|w| (w.context(), w.query_delays()));
+    for (context, delays) in closed.chain(active) {
+        if only.is_none_or(|c| c == context) {
+            delays.iter().for_each(|&d| sketch.push(d));
+        }
+    }
+    sketch
 }
 
 /// The window controller's most recent move at a `CycleClosed` boundary.
@@ -113,9 +156,10 @@ pub enum RunBound {
 /// queries. With `WindowPolicy::Static(1)` ([`RuntimeConfig::sequential`])
 /// cycles run strictly one after another, every crowd answer waited out
 /// before the next query posts — the paper's blocking loop, and what the
-/// golden test pins against a plain stage-by-stage reference loop. Under [`WindowPolicy::Adaptive`] the effective window
-/// itself moves at `CycleClosed` boundaries, steered by the metrics tap
-/// (see [`RuntimeConfig`] and DESIGN.md "Adaptive window control").
+/// golden test pins against a plain stage-by-stage reference loop. Under
+/// [`WindowPolicy::Adaptive`] the effective window itself moves at
+/// `CycleClosed` boundaries, steered by the run's crowd delays (see
+/// [`RuntimeConfig`] and DESIGN.md "Adaptive window control").
 ///
 /// Execution is reentrant: [`PipelinedSystem::run`] is a convenience over
 /// [`PipelinedSystem::step`]/[`PipelinedSystem::run_until`], which pause at
@@ -167,10 +211,13 @@ impl PipelinedSystem {
 
     /// Attaches a streaming [`MetricsTap`]: from here on the driver feeds
     /// it one [`MetricRecord`] per event-boundary transition. Attach
-    /// *before* the first [`PipelinedSystem::step`] to observe the whole
+    /// *before* the first [`PipelinedSystem::step`] to count the whole
     /// run. The tap is part of the runtime state — it rides inside
     /// [`PipelinedSystem::snapshot`], and [`PipelinedSystem::run`] hands it
     /// back on [`RuntimeReport::metrics`]. Replaces any previous tap.
+    /// Attaching, replacing or detaching a tap never changes the run, and
+    /// the crowd-delay views ([`PipelinedSystem::crowd_delay`]) cover the
+    /// whole execution whenever a tap was attached.
     pub fn attach_metrics_tap(&mut self, tap: MetricsTap) {
         self.tap = Some(tap);
     }
@@ -210,20 +257,24 @@ impl PipelinedSystem {
 
     /// Begins an execution over `stream` if none is in progress: schedules
     /// every cycle's arrival on the sensing cadence. Idempotent while an
-    /// execution is running.
-    ///
-    /// An adaptive window policy is driven by the metrics tap, so when the
-    /// caller did not attach one, `start` attaches the default
-    /// [`MetricsTap::new`] — adaptive runs therefore always report
-    /// `Some` on [`RuntimeReport::metrics`]. (Detaching the tap mid-run
-    /// freezes the controller at its current window.)
+    /// execution is running. It attaches no tap.
     pub fn start(&mut self, stream: &SensingCycleStream) {
         if self.exec.is_none() {
-            if self.config.window_policy.is_adaptive() && self.tap.is_none() {
-                self.tap = Some(MetricsTap::new());
-            }
             self.exec = Some(ExecState::start(&self.config, stream.cycles().len()));
         }
+    }
+
+    /// Every crowd answer absorbed so far in the current execution, sketched
+    /// on [`DELAY_GRID`] (the adaptive controller watches its
+    /// [`WindowPolicy::PERCENTILE`]); `None` when no execution is running.
+    pub fn crowd_delay(&self) -> Option<QuantileSketch> {
+        self.exec.as_ref().map(|e| e.crowd_delay(None))
+    }
+
+    /// [`PipelinedSystem::crowd_delay`] over one temporal context's cycles
+    /// (the Figure 8 series, live).
+    pub fn crowd_delay_in(&self, context: TemporalContext) -> Option<QuantileSketch> {
+        self.exec.as_ref().map(|e| e.crowd_delay(Some(context)))
     }
 
     /// The controller's current effective in-flight window, or `None` when
@@ -425,7 +476,7 @@ impl PipelinedSystem {
     }
 
     /// Bytes a checkpoint payload reserves per system. A paper-sized
-    /// payload is about 240 KB: reserving it up front spares it some 18
+    /// payload is about 200 KB: reserving it up front spares it some 18
     /// doubling reallocations, which copy up to twice its final size and
     /// fragment the heap.
     pub(crate) const PAYLOAD_RESERVE: usize = 256 * 1024;
@@ -603,6 +654,42 @@ impl ExecState {
             .copied()
             .unwrap_or_else(|| config.initial_window())
     }
+
+    /// Whether each cycle is in exactly one lifecycle state — arriving (a
+    /// queued `CycleArrival`), waiting, inferring (a queued
+    /// `InferenceDone`), active or closed — every queued `RetrainDone`
+    /// retires an active cycle, and the parked cycles are distinct active
+    /// ones. In any other state the driver would re-run a closed cycle,
+    /// index past the stream, or never finalize an admitted cycle.
+    fn lifecycle_ok(&self) -> bool {
+        let n = self.outcomes.len();
+        let queued = self.queue.iter().filter_map(|e| match e.kind {
+            EventKind::CycleArrival { cycle } | EventKind::InferenceDone { cycle } => Some(cycle),
+            _ => None,
+        });
+        let held = self.waiting.iter().chain(self.active.keys()).copied();
+        let closed = (0..n).filter(|&k| self.outcomes[k].is_some());
+        let mut states = vec![0u8; n];
+        let entered = queued.chain(held).chain(closed).all(|k| {
+            let state = states.get_mut(k);
+            state.map(|s| *s = s.saturating_add(1)).is_some()
+        });
+        let retrains_active = self.queue.iter().all(|e| match e.kind {
+            EventKind::RetrainDone { cycle } => self.active.contains_key(&cycle),
+            _ => true,
+        });
+        let mut parked = BTreeSet::new();
+        let parked_active = self
+            .parked
+            .iter()
+            .all(|&k| self.active.contains_key(&k) && parked.insert(k));
+        entered && states.iter().all(|&s| s == 1) && retrains_active && parked_active
+    }
+
+    /// Every answer absorbed so far (of `only`'s cycles, when set).
+    fn crowd_delay(&self, only: Option<TemporalContext>) -> QuantileSketch {
+        sketch_delays(self.outcomes.iter().flatten(), self.active.values(), only)
+    }
 }
 
 impl Encode for ExecState {
@@ -651,7 +738,6 @@ impl Decode for ExecState {
             posts_rejected: u64::decode(r)?,
             degraded_cycles: u64::decode(r)?,
         };
-        let n = state.outcomes.len();
         // Each queued HIT event resolves a HIT on the board, and each HIT
         // on the board belongs to an active cycle.
         let hits_resolve = state
@@ -663,20 +749,16 @@ impl Decode for ExecState {
                 .board
                 .hits()
                 .all(|hit| state.active.contains_key(&hit.cycle));
-        let cycle_indices_in_range = state.active.keys().all(|&k| k < n)
-            && state.waiting.iter().all(|&k| k < n)
-            && state.parked.iter().all(|&k| k < n)
-            && state.completed_at_secs.len() == n;
         // The controller decides once per closed cycle; the trajectory
         // (whose last entry is the effective window) is checked against
         // the policy on resume.
         let window_ok = state.window_trajectory.len() == state.outcomes.iter().flatten().count();
         let breaker_ok = (BreakerState::FIRST_BACKOFF_CYCLES..=BreakerState::MAX_BACKOFF_CYCLES)
             .contains(&state.breaker_backoff_cycles)
-            && (state.breaker == BreakerState::Closed || state.parked.len() <= n)
             && (state.breaker != BreakerState::Closed || state.parked.is_empty());
         if !hits_resolve
-            || !cycle_indices_in_range
+            || !state.lifecycle_ok()
+            || state.completed_at_secs.len() != state.outcomes.len()
             || !window_ok
             || !breaker_ok
             || state.peak_cycles_in_flight < state.active.len()
@@ -870,8 +952,9 @@ impl Driver<'_> {
 
     /// The adaptive window controller, consulted at every `CycleClosed`
     /// boundary (after the close was emitted, before admission). Under
-    /// [`WindowPolicy::Adaptive`] it compares the tap's rolling crowd-delay
-    /// [`WindowPolicy::PERCENTILE`] against the low/high thresholds
+    /// [`WindowPolicy::Adaptive`] it compares the run's crowd-delay
+    /// [`WindowPolicy::PERCENTILE`] (every answer absorbed so far, closed
+    /// and active cycles alike) against the low/high thresholds
     /// (multiples of the cycle period) and moves the effective window one
     /// step within `[min, max]`:
     ///
@@ -887,11 +970,11 @@ impl Driver<'_> {
     ///   thresholds), and always for [`WindowPolicy::COOLDOWN_CYCLES`] closes
     ///   after a move.
     ///
-    /// The decision is a pure function of the streamed metrics and the
-    /// execution state — no wall clock, no RNG — so it preserves the
-    /// runtime's same-seed byte-identity, and its state (trajectory,
-    /// cooldown, last decision) rides inside the snapshot for identical
-    /// resume. Returns the effective window after the decision.
+    /// The decision is a pure function of the execution state — no wall
+    /// clock, no RNG, no tap — so it preserves the runtime's same-seed
+    /// byte-identity whether or not a tap is attached, and its state
+    /// (trajectory, cooldown, last decision) rides inside the snapshot for
+    /// identical resume. Returns the effective window after the decision.
     fn control_window(&mut self) -> usize {
         let window = self.exec.window(self.config);
         let WindowPolicy::Adaptive { min, max } = self.config.window_policy else {
@@ -903,13 +986,8 @@ impl Driver<'_> {
             exec.last_window_decision = WindowDecision::Held;
             return window;
         }
-        // No tap (detached mid-run) or no absorbed answer yet: no signal,
-        // hold at the current window.
-        let Some(delay_p) = self
-            .tap
-            .as_deref()
-            .and_then(|tap| tap.crowd_delay().quantile(WindowPolicy::PERCENTILE))
-        else {
+        // No absorbed answer yet: no signal, hold at the current window.
+        let Some(delay_p) = exec.crowd_delay(None).quantile(WindowPolicy::PERCENTILE) else {
             exec.last_window_decision = WindowDecision::Held;
             return window;
         };
@@ -1107,7 +1185,6 @@ impl Driver<'_> {
     fn on_answered(&mut self, hit: HitId) {
         let inflight = self.exec.board.take(hit);
         let k = inflight.cycle;
-        let context = inflight.pending.context();
         let response = inflight.pending.into_response();
         let timely = self.system.answer_is_timely(&response);
         let delay_secs = response.completion_delay_secs;
@@ -1121,7 +1198,6 @@ impl Driver<'_> {
         self.emit(MetricKind::HitAnswered {
             cycle: k,
             hit,
-            context,
             delay_secs,
             timely,
         });
@@ -1235,7 +1311,6 @@ impl Driver<'_> {
     fn on_late_answer(&mut self, hit: HitId) {
         let inflight = self.exec.board.take(hit);
         let k = inflight.cycle;
-        let context = inflight.pending.context();
         let response = inflight.pending.into_response();
         let delay_secs = response.completion_delay_secs;
         let work = self
@@ -1248,7 +1323,6 @@ impl Driver<'_> {
         self.emit(MetricKind::LateAnswerAbsorbed {
             cycle: k,
             hit,
-            context,
             delay_secs,
         });
         self.post_or_finalize(k);
@@ -1461,6 +1535,64 @@ mod tests {
                 Some(SnapshotError::Corrupt(DecodeError::Invalid)),
                 "{what}"
             );
+        }
+    }
+
+    #[test]
+    fn resume_holds_every_cycle_to_one_lifecycle_state() {
+        use EventKind::{BreakerProbe, CycleArrival, InferenceDone, RetrainDone};
+        fn queue(e: &mut ExecState, kind: EventKind) {
+            let at = e.queue.now_secs() + 1.0;
+            e.queue.schedule(at, kind);
+        }
+        fn arrive(e: &mut ExecState, cycle: usize) {
+            queue(e, CycleArrival { cycle });
+        }
+        fn infer(e: &mut ExecState, cycle: usize) {
+            queue(e, InferenceDone { cycle });
+        }
+        fn retrain(e: &mut ExecState, cycle: usize) {
+            queue(e, RetrainDone { cycle });
+        }
+        /// Un-closes cycle 0 and queues `waiting` for admission.
+        fn unclose(e: &mut ExecState, waiting: &[usize]) {
+            e.outcomes[0] = None;
+            e.window_trajectory.pop();
+            e.waiting.extend(waiting);
+        }
+        fn park(e: &mut ExecState, cycles: &[usize]) {
+            e.breaker = BreakerState::Open;
+            e.parked.extend(cycles);
+            queue(e, BreakerProbe);
+        }
+        fn reopen(e: &mut ExecState) {
+            let work = e.active.values().next().expect("an active cycle").clone();
+            e.active.insert(0, work);
+        }
+        // (the edited cycle's states, cycles closed at the pause, edit,
+        // resumes). Cycle 0 is active before any close and closed after
+        // one; cycle 5 is still to arrive; 6 is past the stream's end.
+        let cases: [(&str, usize, Splice, bool); 15] = [
+            ("untouched", 1, |_| {}, true),
+            ("rewound to waiting", 1, |e| unclose(e, &[0]), true),
+            ("active and parked", 0, |e| park(e, &[0]), true),
+            ("active and waiting", 0, |e| e.waiting.push_back(0), false),
+            ("un-closed", 1, |e| unclose(e, &[]), false),
+            ("closed and waiting", 1, |e| e.waiting.push_back(0), false),
+            ("closed and active", 1, reopen, false),
+            ("waiting twice", 1, |e| unclose(e, &[0, 0]), false),
+            ("waiting past the end", 0, |e| e.waiting.push_back(6), false),
+            ("arriving twice", 0, |e| arrive(e, 5), false),
+            ("arriving past the end", 0, |e| arrive(e, 6), false),
+            ("active and inferring", 0, |e| infer(e, 0), false),
+            ("retrained, not active", 0, |e| retrain(e, 5), false),
+            ("parked, not active", 0, |e| park(e, &[5]), false),
+            ("parked twice", 0, |e| park(e, &[0, 0]), false),
+        ];
+        for (what, closed, edit, valid) in cases {
+            let refused = (!valid).then_some(SnapshotError::Corrupt(DecodeError::Invalid));
+            let resumed = resume_respliced(closed, WindowPolicy::Static(4), edit);
+            assert_eq!(resumed.err(), refused, "{what}");
         }
     }
 

@@ -91,8 +91,14 @@ const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 /// submitter id and its query accounting, a `CycleWork` lost its cycle index
 /// (its `active` key names the cycle), and the fleet payload carries each
 /// shard's `ShardUsage` (queries, reposts, worker-seconds, spend) where it
-/// carried the shard's spend alone.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 14;
+/// carried the shard's spend alone;
+/// 15 — the metrics tap lost its five crowd-delay sketches (41 288 B per
+/// tap) and its spend-event counter (posts plus reposts): the delays are
+/// the outcomes' and the active cycles' own, and the views are sketched
+/// from them. `QuantileSketch` has no codec any more, and the execution
+/// state must hold each cycle in exactly one lifecycle state (arriving,
+/// waiting, inferring, active or closed).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 15;
 
 /// Why a runtime or fleet snapshot could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -102,10 +102,10 @@ fn controller_widens_under_backlog_and_narrows_when_the_crowd_speeds_up() {
         run.window_trajectory
     );
 
-    // The adaptive policy always reports its tap (auto-attached at start).
+    // The controller reads the run's own delays: nothing attaches a tap.
     assert!(
-        run.metrics.is_some(),
-        "adaptive runs must hand the controlling tap back on the report"
+        run.metrics.is_none(),
+        "an adaptive run without an attached tap reports no metrics"
     );
 }
 

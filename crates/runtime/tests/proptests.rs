@@ -207,3 +207,60 @@ proptest! {
         prop_assert!(run.degraded_cycles <= 8);
     }
 }
+
+proptest! {
+    // Each case boots one small system and runs it twice.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Taps observe and never steer: attaching, replacing or detaching one
+    /// at any event boundary leaves the `RuntimeReport` byte-identical to
+    /// the untapped run's, its `metrics` aside — under static and adaptive
+    /// windows, with and without HIT timeouts.
+    #[test]
+    fn moving_the_tap_never_changes_the_run(
+        seed in 0u64..512,
+        adaptive in any::<bool>(),
+        window in 1usize..5,
+        with_timeout in any::<bool>(),
+        boundary in 0.0f64..1.0,
+        // At the boundary the tap is taken (0), swapped for a fresh one
+        // (1), or first attached (2).
+        tap_move in 0u8..3,
+    ) {
+        use crowdlearn_runtime::{MetricsTap, RunBound, WindowPolicy};
+
+        let dataset = Dataset::generate(&DatasetConfig::paper().with_seed(seed ^ 0x7a));
+        let stream = SensingCycleStream::new(&dataset, 8, 5);
+        let policy = if adaptive {
+            WindowPolicy::adaptive(1, window + 1)
+        } else {
+            WindowPolicy::Static(window)
+        };
+        let runtime = RuntimeConfig::paper()
+            .with_window_policy(policy)
+            .with_hit_timeout(with_timeout.then_some(300.0), 2);
+        // One boot, restored twice: a checkpoint taken before the run.
+        let boot = PipelinedSystem::new(&dataset, small_config(seed, 120.0), runtime);
+        let Ok(booted) = boot.snapshot();
+        let restore = || PipelinedSystem::resume(&booted, &stream).expect("resumes");
+
+        let mut untapped = restore().run(&dataset, &stream);
+        prop_assert!(untapped.metrics.is_none());
+
+        let mut system = restore();
+        if tap_move < 2 {
+            system.attach_metrics_tap(MetricsTap::new());
+        }
+        let cut = (untapped.events_processed as f64 * boundary) as u64;
+        prop_assert!(system.run_until(&dataset, &stream, RunBound::Events(cut)).is_none());
+        if tap_move == 0 {
+            prop_assert!(system.take_metrics_tap().is_some());
+        } else {
+            system.attach_metrics_tap(MetricsTap::new());
+        }
+        let mut tapped = system.run(&dataset, &stream);
+        untapped.metrics = None;
+        tapped.metrics = None;
+        prop_assert_eq!(format!("{tapped:?}"), format!("{untapped:?}"));
+    }
+}

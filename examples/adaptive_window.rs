@@ -8,16 +8,17 @@
 //! The crowd here is bimodal: morning/afternoon HITs take ~40 minutes,
 //! evening/midnight HITs ~1 minute, and contexts rotate cycle by cycle.
 //! A static window is the wrong bet half the day. With
-//! `WindowPolicy::Adaptive` the driver consults the metrics tap at every
-//! cycle close — no wall clock, no RNG — widening when the watched delay
-//! percentile blows past the sensing cadence with cycles queued, and
+//! `WindowPolicy::Adaptive` the driver consults the run's crowd delays at
+//! every cycle close — no wall clock, no RNG — widening when the watched
+//! delay percentile blows past the sensing cadence with cycles queued, and
 //! narrowing back once fast contexts pull the percentile down and the
-//! backlog drains.
+//! backlog drains. The metrics tap only watches: a rerun that takes the
+//! tap away mid-run must move the window exactly as the tapped run did.
 
 use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem};
 use crowdlearn_crowd::{DelayModel, IncentiveLevel, Platform, PlatformConfig};
 use crowdlearn_dataset::TemporalContext;
-use crowdlearn_runtime::{PipelinedSystem, RunBound, RuntimeConfig, WindowPolicy};
+use crowdlearn_runtime::{MetricsTap, PipelinedSystem, RunBound, RuntimeConfig, WindowPolicy};
 use crowdlearn_suite::scenarios;
 
 fn main() {
@@ -45,10 +46,12 @@ fn main() {
     );
     let mut system =
         PipelinedSystem::from_system(system, RuntimeConfig::paper().with_window_policy(policy));
+    // The booted system, kept for a rerun below.
+    let Ok(booted) = system.snapshot();
 
-    // Drive the run in slices, polling the controller between them. The
-    // adaptive policy auto-attaches a tap at start, so the quantiles it
-    // watches are also ours to read.
+    // Drive the run in slices, polling the controller between them, next
+    // to the live crowd-delay quantiles it watches and the tap's counters.
+    system.attach_metrics_tap(MetricsTap::new());
     println!("    events |  virtual s | window | decision | p50 delay | p90 delay | in-flight");
     println!("   --------+------------+--------+----------+-----------+-----------+----------");
     let mut report = None;
@@ -57,8 +60,12 @@ fn main() {
         let tap = system
             .metrics_tap()
             .or_else(|| report.as_ref().and_then(|r| r.metrics.as_ref()))
-            .expect("adaptive runs attach a tap at start");
-        let fmt_q = |q: f64| match tap.crowd_delay().quantile(q) {
+            .expect("tap attached for the whole run");
+        let delay = system
+            .crowd_delay()
+            .or_else(|| report.as_ref().map(|r| r.crowd_delay()))
+            .expect("a running or finished execution");
+        let fmt_q = |q: f64| match delay.quantile(q) {
             Some(v) => format!("{v:7.0} s"),
             None => "      — ".to_string(),
         };
@@ -91,10 +98,9 @@ fn main() {
         report.window_trajectory.len(),
     );
 
-    let tap = report.metrics.as_ref().expect("tap rides the report");
     println!("\ncrowd delay by temporal context (what the controller saw):");
     for context in TemporalContext::ALL {
-        let sketch = tap.crowd_delay_in(context);
+        let sketch = report.crowd_delay_in(context);
         match sketch.quantile(0.9) {
             Some(p90) => println!("   {context:?}: n={}, p90 {p90:.0} s", sketch.len()),
             None => println!("   {context:?}: no queries"),
@@ -105,4 +111,17 @@ fn main() {
     assert_eq!(report.window_trajectory.len(), stream.cycles().len());
     assert!(peak > 1, "the bimodal crowd must drive the window open");
     println!("\ncontroller moved and the trajectory covers every cycle ✓");
+
+    // The tap observes and never steers: taken away halfway through a
+    // rerun, the run moves its window exactly as the tapped one did.
+    let half = report.events_processed / 2;
+    let mut rerun = PipelinedSystem::resume(&booted, &stream).expect("the booted system resumes");
+    rerun.attach_metrics_tap(MetricsTap::new());
+    let paused = rerun.run_until(&dataset, &stream, RunBound::Events(half));
+    assert!(paused.is_none());
+    assert!(rerun.take_metrics_tap().is_some());
+    let rerun = rerun.run(&dataset, &stream);
+    assert_eq!(rerun.window_trajectory, report.window_trajectory);
+    assert_eq!(rerun.makespan_secs, report.makespan_secs);
+    println!("tap taken at event {half}: same trajectory and makespan ✓");
 }

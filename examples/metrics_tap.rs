@@ -1,6 +1,6 @@
 //! Streaming metrics tap: watch the pipelined runtime live, between
 //! `run_until` slices, and render a text dashboard from the tap's rolling
-//! state.
+//! state and the run's crowd delays.
 //!
 //! ```text
 //! cargo run --release --example metrics_tap
@@ -9,10 +9,10 @@
 //! The end-of-run `RuntimeReport` shows delay and spend only after the
 //! fact. The tap streams the same quantities *during* the run: the driver
 //! feeds it one record per event-boundary transition, and the tap folds
-//! them into rolling crowd-delay quantiles (overall and per temporal
-//! context), spend pacing against the budget ledger, and occupancy gauges
-//! — all deterministic, all O(1) memory, and all carried inside runtime
-//! snapshots.
+//! them into counters, spend pacing against the budget ledger, and
+//! occupancy gauges — all deterministic, all O(1) memory, and all carried
+//! inside runtime snapshots. The crowd-delay quantiles are the run's own:
+//! `PipelinedSystem::crowd_delay` live, `RuntimeReport::crowd_delay` after.
 
 use crowdlearn::CrowdLearnConfig;
 use crowdlearn_dataset::TemporalContext;
@@ -37,7 +37,11 @@ fn main() {
             .metrics_tap()
             .or_else(|| report.as_ref().and_then(|r| r.metrics.as_ref()))
             .expect("tap attached for the whole run");
-        let fmt_q = |q: f64| match tap.crowd_delay().quantile(q) {
+        let delay = system
+            .crowd_delay()
+            .or_else(|| report.as_ref().map(|r| r.crowd_delay()))
+            .expect("a running or finished execution");
+        let fmt_q = |q: f64| match delay.quantile(q) {
             Some(v) => format!("{v:7.0} s"),
             None => "      — ".to_string(),
         };
@@ -55,10 +59,10 @@ fn main() {
     let report = report.expect("loop exits with the report");
     let tap = report.metrics.as_ref().expect("tap rides the report");
 
-    // End-of-run dashboard: the streamed state, per temporal context.
-    println!("\ncrowd delay by temporal context (streamed quantiles):");
+    // End-of-run dashboard: the run's crowd delays, per temporal context.
+    println!("\ncrowd delay by temporal context (sketched quantiles):");
     for context in TemporalContext::ALL {
-        let sketch = tap.crowd_delay_in(context);
+        let sketch = report.crowd_delay_in(context);
         match (sketch.quantile(0.5), sketch.quantile(0.9)) {
             (Some(p50), Some(p90)) => println!(
                 "   {context:?}: n={}, p50 {p50:.0} s, p90 {p90:.0} s",
@@ -85,7 +89,7 @@ fn main() {
     assert_eq!(tap.spent_cents(), report.report.spent_cents);
     assert_eq!(tap.hits_timed_out(), report.timeouts);
     assert_eq!(
-        tap.crowd_delay().len(),
+        tap.hits_answered() + tap.late_answers(),
         report.report.query_delay.len() as u64
     );
     println!("\nstreamed totals match the end-of-run report ✓");

@@ -109,13 +109,12 @@ fn main() -> Result<(), Box<dyn Error>> {
         contention.mean_wait_secs(),
         contention.peak_busy_workers,
     );
-    if let Some(rollup) = &report.rollup_crowd_delay {
-        println!(
-            "fleet crowd delay: n={}, p50 {:.0} s, p90 {:.0} s",
-            rollup.len(),
-            rollup.quantile(0.5).unwrap_or(f64::NAN),
-            rollup.quantile(0.9).unwrap_or(f64::NAN),
-        );
-    }
+    let rollup = &report.rollup_crowd_delay;
+    println!(
+        "fleet crowd delay: n={}, p50 {:.0} s, p90 {:.0} s",
+        rollup.len(),
+        rollup.quantile(0.5).unwrap_or(f64::NAN),
+        rollup.quantile(0.9).unwrap_or(f64::NAN),
+    );
     Ok(())
 }

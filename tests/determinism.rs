@@ -10,7 +10,7 @@ use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
 use crowdlearn_runtime::{
     FleetConfig, FleetOrchestrator, FleetSnapshot, MetricsTap, PipelinedSystem, RunBound,
     RuntimeConfig, RuntimeReport, RuntimeSnapshot, ShardSpec, SnapshotError, WindowPolicy,
-    SNAPSHOT_FORMAT_VERSION,
+    DELAY_GRID, SNAPSHOT_FORMAT_VERSION,
 };
 
 fn dataset(seed: u64) -> Dataset {
@@ -171,7 +171,7 @@ fn metrics_tap_replays_byte_identically_across_checkpoint_resume() {
     let baseline = system.run(&dataset, &stream);
     let baseline_tap = baseline.metrics.as_ref().expect("tap rides the report");
     assert!(
-        baseline_tap.records() > 0 && !baseline_tap.crowd_delay().is_empty(),
+        baseline_tap.records() > 0 && !baseline.crowd_delay().is_empty(),
         "fixture must actually stream metrics"
     );
     // Attaching a tap must observe the run, not perturb it.
@@ -253,8 +253,8 @@ fn adaptive_same_seed_twice_is_byte_identical_and_the_window_moves() {
         "the controller must move on this fixture"
     );
     assert!(
-        a.metrics.is_some(),
-        "adaptive runs always hand back the controlling tap"
+        a.metrics.is_none(),
+        "the controller needs no tap, so an untapped adaptive run has none"
     );
     // The decisions are part of the deterministic surface too.
     assert_eq!(a.window_trajectory, b.window_trajectory);
@@ -405,24 +405,14 @@ fn fleet_same_seeds_twice_is_byte_identical_and_contention_is_real() {
         attempts, a.contention.posts,
         "every posted attempt is attributed to one shard"
     );
-    let rollup = a.rollup_crowd_delay.as_ref().expect("taps were attached");
-    let per_shard: u64 = a
-        .shards
-        .iter()
-        .map(|s| {
-            s.metrics
-                .as_ref()
-                .expect("tap rides the report")
-                .crowd_delay()
-                .len()
-        })
-        .sum();
+    let rollup = &a.rollup_crowd_delay;
+    let per_shard: u64 = a.shards.iter().map(|s| s.crowd_delay().len()).sum();
     assert_eq!(
         rollup.len(),
         per_shard,
         "rollup must merge every shard's sketch"
     );
-    assert_eq!(rollup.grid(), MetricsTap::DELAY_GRID);
+    assert_eq!(rollup.grid(), DELAY_GRID);
     assert!(!rollup.is_empty(), "rollup must absorb real delay samples");
 }
 
@@ -595,8 +585,8 @@ fn snapshot_rejects_tampering_and_mismatched_streams() {
 
 /// Forward and backward compatibility: a frame stamped with a *future*
 /// format version — one written by a newer build whose payload layout this
-/// build cannot know — or with the previous one (v13, whose platform carried
-/// a submitter id and its own query accounting) must come back as a typed
+/// build cannot know — or with the previous one (v14, whose metrics tap
+/// carried five crowd-delay sketches) must come back as a typed
 /// `VersionMismatch` carrying the found version, refused by the frame
 /// before any payload decoder runs: never a panic or a silent misparse.
 /// Both frames stamp the one `SNAPSHOT_FORMAT_VERSION`.
@@ -611,7 +601,7 @@ fn snapshots_reject_future_format_versions_with_typed_errors() {
     let bytes = system.snapshot().expect("checkpointable").to_bytes();
     for (found, stamped) in [
         (SNAPSHOT_FORMAT_VERSION + 1, SNAPSHOT_FORMAT_VERSION + 1),
-        (13, SNAPSHOT_FORMAT_VERSION - 1),
+        (14, SNAPSHOT_FORMAT_VERSION - 1),
     ] {
         let mut bytes = bytes.clone();
         // The u32 version field sits right after the 8-byte magic.

@@ -295,26 +295,28 @@ proptest! {
 
         // Counters: the streamed view and the end-of-run report must agree
         // exactly — same spend, same timeout/repost telemetry, same number
-        // of absorbed answers (the report's per-query delay samples).
+        // of absorbed answers (the report's per-query delay samples; a
+        // censored timeout is not one).
         let report = &run.report;
+        let delay = run.crowd_delay();
         prop_assert_eq!(tap.spent_cents(), report.spent_cents);
         prop_assert_eq!(tap.hits_timed_out(), run.timeouts);
         prop_assert_eq!(tap.hits_reposted(), run.reposts);
         prop_assert_eq!(tap.cycles_closed(), run.outcomes.len() as u64);
-        prop_assert_eq!(tap.crowd_delay().len(), report.query_delay.len() as u64);
+        prop_assert_eq!(delay.len(), report.query_delay.len() as u64);
         prop_assert_eq!(
             tap.hits_answered() + tap.late_answers(),
             report.query_delay.len() as u64
         );
 
-        // Quantiles: the streaming sketch must converge on the exact
+        // Quantiles: the run's delay sketch must converge on the exact
         // order statistics within its grid resolution (no sample clamped,
         // so every estimate is at most one bin width off).
         if !report.query_delay.is_empty() {
-            prop_assert_eq!(tap.crowd_delay().clamped(), 0);
-            let tolerance = tap.crowd_delay().bin_width();
+            prop_assert_eq!(delay.clamped(), 0);
+            let tolerance = delay.bin_width();
             for q in [0.1, 0.5, 0.9] {
-                let streamed = tap.crowd_delay().quantile(q).expect("non-empty");
+                let streamed = delay.quantile(q).expect("non-empty");
                 let exact = report.query_delay.quantile(q).expect("non-empty");
                 prop_assert!(
                     (streamed - exact).abs() <= tolerance,
