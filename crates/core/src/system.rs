@@ -446,6 +446,11 @@ impl CycleWork {
         self.budget_exhausted || self.next_pick >= self.picked.len()
     }
 
+    /// Images posted so far, in post order (reposts not repeated).
+    pub fn posted(&self) -> &[usize] {
+        &self.picked[..self.next_pick]
+    }
+
     /// Crowd answers absorbed so far.
     pub fn answers_absorbed(&self) -> usize {
         self.truthful.len()

@@ -11,8 +11,7 @@ use serde::binary::{Decode, DecodeError, Encode, Reader};
 /// slow relative to the sensing cadence, too wide floods the HIT board (and
 /// the budget) when it is fast. The adaptive policy lets the runtime's
 /// window controller re-make that bet at every `CycleClosed` boundary from
-/// the metrics tap's rolling crowd-delay quantiles (see DESIGN.md
-/// "Adaptive window control").
+/// the run's own crowd delays (see DESIGN.md "Adaptive window control").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WindowPolicy {
     /// A fixed window of `n` cycles. `Static(1)` runs cycles strictly one
@@ -21,13 +20,13 @@ pub enum WindowPolicy {
     /// every window size.
     Static(usize),
     /// Widen/narrow the *effective* window one step at a time within
-    /// `[min, max]`, driven by the attached metrics tap (one is attached
-    /// automatically at start when missing). At each `CycleClosed`
-    /// boundary the controller compares the tap's rolling crowd-delay
-    /// [`WindowPolicy::PERCENTILE`] against two thresholds expressed as
-    /// multiples of the cycle period — the gap between them plus the
-    /// cooldown is the hysteresis that keeps the controller from
-    /// thrashing. The decision is a pure function of streamed metrics: no
+    /// `[min, max]`, driven by the run's crowd delays. At each
+    /// `CycleClosed` boundary the controller compares the
+    /// [`WindowPolicy::PERCENTILE`] of every answer absorbed so far
+    /// against two thresholds expressed as multiples of the cycle period —
+    /// the gap between them plus the cooldown is the hysteresis that keeps
+    /// the controller from thrashing. The decision is a pure function of
+    /// the execution state, whether or not a metrics tap is attached: no
     /// wall clock, no RNG, so same-seed runs stay byte-identical.
     Adaptive {
         /// Smallest effective window (also the starting window). At least 1.

@@ -6,14 +6,14 @@ use std::cmp::Ordering;
 
 /// What happens at a virtual instant.
 ///
-/// Seven event kinds cover the whole CrowdLearn loop once crowd waits are
+/// Five event kinds cover the whole CrowdLearn loop once crowd waits are
 /// asynchronous: cycles arrive on the sensing cadence, AI inference
-/// completes after the committee's execution delay, HITs are posted /
-/// answered / expired on the platform (with a late-answer completion for
-/// expired HITs that are waited out), and retraining closes a cycle out.
-/// Three more carry the fault-injection machinery: scheduled fault episodes
-/// start and end ([`crate::FaultPlan`]), and the crowd-path circuit breaker
-/// probes the platform after backing off.
+/// completes after the committee's execution delay, a posted HIT is
+/// answered or expires on the platform (an expired HIT that is waited out
+/// is answered late, by the same `HitAnswered` kind), and retraining
+/// closes a cycle out. Three more carry the fault-injection machinery:
+/// scheduled fault episodes start and end ([`crate::FaultPlan`]), and the
+/// crowd-path circuit breaker probes the platform after backing off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A sensing cycle's imagery arrived (paper Definition 1: one batch
@@ -28,12 +28,9 @@ pub enum EventKind {
         /// Index of the inferred cycle.
         cycle: usize,
     },
-    /// A HIT went up on the platform.
-    HitPosted {
-        /// The posted HIT.
-        hit: HitId,
-    },
-    /// Every worker on a HIT has answered; the response is observable.
+    /// Every worker on a HIT has answered; the response is observable. The
+    /// answer of a HIT that timed out and was waited out lands here too, at
+    /// its true completion time.
     HitAnswered {
         /// The answered HIT.
         hit: HitId,
@@ -42,13 +39,6 @@ pub enum EventKind {
     /// may repost it at an escalated incentive.
     HitTimedOut {
         /// The expired HIT.
-        hit: HitId,
-    },
-    /// A HIT that already timed out (and was out of repost attempts) has
-    /// finally been answered by its workers; the late answer is absorbed at
-    /// its true completion time, not the timeout instant.
-    LateAnswer {
-        /// The waited-out HIT.
         hit: HitId,
     },
     /// MIC finished the cycle's weight update + retrain; the cycle's
@@ -86,13 +76,10 @@ impl EventKind {
         }
     }
 
-    /// The HIT a HIT event resolves or announces.
+    /// The HIT a HIT event resolves.
     pub fn hit(&self) -> Option<HitId> {
         match *self {
-            EventKind::HitPosted { hit }
-            | EventKind::HitAnswered { hit }
-            | EventKind::HitTimedOut { hit }
-            | EventKind::LateAnswer { hit } => Some(hit),
+            EventKind::HitAnswered { hit } | EventKind::HitTimedOut { hit } => Some(hit),
             _ => None,
         }
     }
@@ -132,8 +119,8 @@ impl PartialOrd for Event {
 }
 
 // Snapshot codec: each kind is a stable u8 tag followed by its fields.
-// `LateAnswer` takes tag 6 (added after `RetrainDone`) so the five original
-// payload-bearing tags stay what they were in format version 1.
+// Tags 2 and 6 belonged to the retired `HitPosted` marker and `LateAnswer`
+// event and stay unused, so every surviving kind keeps its tag.
 impl Encode for EventKind {
     fn encode(&self, out: &mut Vec<u8>) {
         match *self {
@@ -144,10 +131,6 @@ impl Encode for EventKind {
             EventKind::InferenceDone { cycle } => {
                 1u8.encode(out);
                 cycle.encode(out);
-            }
-            EventKind::HitPosted { hit } => {
-                2u8.encode(out);
-                hit.encode(out);
             }
             EventKind::HitAnswered { hit } => {
                 3u8.encode(out);
@@ -160,10 +143,6 @@ impl Encode for EventKind {
             EventKind::RetrainDone { cycle } => {
                 5u8.encode(out);
                 cycle.encode(out);
-            }
-            EventKind::LateAnswer { hit } => {
-                6u8.encode(out);
-                hit.encode(out);
             }
             EventKind::FaultStart { episode } => {
                 7u8.encode(out);
@@ -187,9 +166,6 @@ impl Decode for EventKind {
             1 => Ok(EventKind::InferenceDone {
                 cycle: usize::decode(r)?,
             }),
-            2 => Ok(EventKind::HitPosted {
-                hit: HitId::decode(r)?,
-            }),
             3 => Ok(EventKind::HitAnswered {
                 hit: HitId::decode(r)?,
             }),
@@ -198,9 +174,6 @@ impl Decode for EventKind {
             }),
             5 => Ok(EventKind::RetrainDone {
                 cycle: usize::decode(r)?,
-            }),
-            6 => Ok(EventKind::LateAnswer {
-                hit: HitId::decode(r)?,
             }),
             7 => Ok(EventKind::FaultStart {
                 episode: usize::decode(r)?,
@@ -263,7 +236,7 @@ mod tests {
         assert_eq!(EventKind::RetrainDone { cycle: 7 }.cycle(), Some(7));
         assert_eq!(EventKind::HitAnswered { hit: HitId(9) }.cycle(), None);
         assert_eq!(
-            EventKind::LateAnswer { hit: HitId(2) }.hit(),
+            EventKind::HitTimedOut { hit: HitId(2) }.hit(),
             Some(HitId(2))
         );
         assert_eq!(EventKind::RetrainDone { cycle: 7 }.hit(), None);
@@ -277,11 +250,9 @@ mod tests {
         let kinds = [
             EventKind::CycleArrival { cycle: 1 },
             EventKind::InferenceDone { cycle: 2 },
-            EventKind::HitPosted { hit: HitId(10) },
             EventKind::HitAnswered { hit: HitId(11) },
             EventKind::HitTimedOut { hit: HitId(12) },
             EventKind::RetrainDone { cycle: 6 },
-            EventKind::LateAnswer { hit: HitId(13) },
             EventKind::FaultStart { episode: 0 },
             EventKind::FaultEnd { episode: 1 },
             EventKind::BreakerProbe,
@@ -295,11 +266,19 @@ mod tests {
             assert_eq!(Event::from_bytes(&event.to_bytes()), Ok(event));
         }
         assert_eq!(Event::from_bytes(&[7u8]), Err(DecodeError::Truncated));
-        // The first unused tag decodes to a typed error, not a panic.
-        let mut bad = Vec::new();
-        1.5f64.encode(&mut bad);
-        0u64.encode(&mut bad);
-        10u8.encode(&mut bad);
-        assert_eq!(Event::from_bytes(&bad), Err(DecodeError::Invalid));
+        // The retired tags and the first unused one decode to a typed
+        // error, not a panic.
+        for tag in [2u8, 6, 10] {
+            let mut bad = Vec::new();
+            1.5f64.encode(&mut bad);
+            0u64.encode(&mut bad);
+            tag.encode(&mut bad);
+            HitId(10).encode(&mut bad);
+            assert_eq!(
+                Event::from_bytes(&bad),
+                Err(DecodeError::Invalid),
+                "tag {tag}"
+            );
+        }
     }
 }

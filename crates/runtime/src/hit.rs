@@ -1,6 +1,6 @@
 //! In-flight HIT tracking.
 
-use crowdlearn_crowd::{IncentiveLevel, PendingHit};
+use crowdlearn_crowd::PendingHit;
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 use std::collections::BTreeMap;
 
@@ -8,8 +8,9 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HitId(pub u64);
 
-/// A HIT the runtime has posted and not yet resolved (answered, expired, or
-/// abandoned).
+/// A HIT the runtime has posted and not yet resolved: its one queued
+/// resolution (`HitAnswered` or `HitTimedOut`) names it. A timed-out HIT
+/// that is waited out stays here until its answer lands.
 #[derive(Debug, Clone)]
 pub(crate) struct InFlightHit {
     /// The HIT's id.
@@ -18,8 +19,6 @@ pub(crate) struct InFlightHit {
     pub cycle: usize,
     /// Index of the queried image within its cycle.
     pub image_index: usize,
-    /// Incentive paid for this attempt.
-    pub incentive: IncentiveLevel,
     /// Virtual time the HIT was posted.
     pub posted_at_secs: f64,
     /// 1 for the original post, +1 per repost.
@@ -28,7 +27,7 @@ pub(crate) struct InFlightHit {
     /// answer, and only the timeout path can retire the HIT (see
     /// [`crate::FaultEpisode::AnswerLoss`]).
     pub lost: bool,
-    /// The platform's pending answer.
+    /// The platform's pending answer; it carries the attempt's incentive.
     pub pending: PendingHit,
 }
 
@@ -51,15 +50,10 @@ impl HitBoard {
     }
 
     /// Registers a newly posted HIT and returns its id.
-    // Eight arguments: the full identity of a posted attempt (the `lost`
-    // flag pushed it past clippy's limit); a builder would move the same
-    // fields one call away without making any of them optional.
-    #[allow(clippy::too_many_arguments)]
     pub fn post(
         &mut self,
         cycle: usize,
         image_index: usize,
-        incentive: IncentiveLevel,
         posted_at_secs: f64,
         attempt: u32,
         lost: bool,
@@ -73,7 +67,6 @@ impl HitBoard {
                 id,
                 cycle,
                 image_index,
-                incentive,
                 posted_at_secs,
                 attempt,
                 lost,
@@ -84,30 +77,24 @@ impl HitBoard {
         id
     }
 
-    /// Removes and returns a HIT.
+    /// A HIT in flight, left on the board; `None` if `id` is not in flight.
+    pub fn get(&self, id: HitId) -> Option<&InFlightHit> {
+        self.inflight.get(&id)
+    }
+
+    /// Removes and returns a HIT: when it is answered, reposted, or
+    /// abandoned as lost.
     ///
     /// # Panics
     ///
-    /// Panics if the id is not in flight — every scheduled
-    /// `HitAnswered`/`HitTimedOut` event must resolve exactly one HIT, so a
-    /// miss means an event was duplicated or lost.
+    /// Panics if the id is not in flight — each HIT on the board has
+    /// exactly one queued `HitAnswered` or `HitTimedOut`, and a waited-out
+    /// timeout queues the `HitAnswered` that takes it, so a miss means an
+    /// event was duplicated or lost.
     pub fn take(&mut self, id: HitId) -> InFlightHit {
         self.inflight
             .remove(&id)
             .expect("invariant: a HIT is resolved twice or was never posted")
-    }
-
-    /// Puts a previously taken HIT back in flight under its original id —
-    /// the waited-out-timeout path, where the expired HIT stays on the board
-    /// until its `LateAnswer` event fires.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is already in flight.
-    pub fn reinstate(&mut self, hit: InFlightHit) {
-        let prior = self.inflight.insert(hit.id, hit);
-        assert!(prior.is_none(), "cannot reinstate a HIT already in flight");
-        self.peak = self.peak.max(self.inflight.len());
     }
 
     /// HITs currently in flight.
@@ -118,11 +105,6 @@ impl HitBoard {
     /// The most HITs ever simultaneously in flight.
     pub fn peak_in_flight(&self) -> usize {
         self.peak
-    }
-
-    /// Whether `id` is in flight.
-    pub fn contains(&self, id: HitId) -> bool {
-        self.inflight.contains_key(&id)
     }
 
     /// The HITs in flight, in id order.
@@ -148,7 +130,6 @@ impl Encode for InFlightHit {
         self.id.encode(out);
         self.cycle.encode(out);
         self.image_index.encode(out);
-        self.incentive.encode(out);
         self.posted_at_secs.encode(out);
         self.attempt.encode(out);
         self.lost.encode(out);
@@ -162,7 +143,6 @@ impl Decode for InFlightHit {
             id: HitId::decode(r)?,
             cycle: usize::decode(r)?,
             image_index: usize::decode(r)?,
-            incentive: IncentiveLevel::decode(r)?,
             posted_at_secs: f64::decode(r)?,
             attempt: u32::decode(r)?,
             lost: bool::decode(r)?,
@@ -214,7 +194,7 @@ impl Decode for HitBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdlearn_crowd::{Platform, PlatformConfig};
+    use crowdlearn_crowd::{IncentiveLevel, Platform, PlatformConfig};
     use crowdlearn_dataset::{Dataset, DatasetConfig, TemporalContext};
 
     fn pending() -> PendingHit {
@@ -226,8 +206,8 @@ mod tests {
     #[test]
     fn ids_are_sequential_and_peak_tracks() {
         let mut board = HitBoard::new();
-        let a = board.post(0, 1, IncentiveLevel::C6, 0.0, 1, false, pending());
-        let b = board.post(0, 2, IncentiveLevel::C6, 1.0, 1, false, pending());
+        let a = board.post(0, 1, 0.0, 1, false, pending());
+        let b = board.post(0, 2, 1.0, 1, false, pending());
         assert_eq!((a, b), (HitId(0), HitId(1)));
         assert_eq!(board.in_flight(), 2);
         board.take(a);
@@ -239,53 +219,17 @@ mod tests {
     #[should_panic(expected = "resolved twice")]
     fn double_take_panics() {
         let mut board = HitBoard::new();
-        let id = board.post(0, 0, IncentiveLevel::C1, 0.0, 1, false, pending());
+        let id = board.post(0, 0, 0.0, 1, false, pending());
         board.take(id);
         board.take(id);
-    }
-
-    #[test]
-    fn reinstate_restores_the_same_id() {
-        let mut board = HitBoard::new();
-        let id = board.post(2, 5, IncentiveLevel::C8, 30.0, 1, false, pending());
-        let hit = board.take(id);
-        assert_eq!(board.in_flight(), 0);
-        board.reinstate(hit);
-        assert_eq!(board.in_flight(), 1);
-        let back = board.take(id);
-        assert_eq!(back.id, id);
-        assert_eq!(back.image_index, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "already in flight")]
-    fn reinstate_of_live_hit_panics() {
-        let mut board = HitBoard::new();
-        let id = board.post(0, 0, IncentiveLevel::C1, 0.0, 1, false, pending());
-        let copy = InFlightHit {
-            pending: pending(),
-            ..board.take(id)
-        };
-        board.reinstate(copy);
-        let dup = InFlightHit {
-            pending: pending(),
-            id,
-            cycle: 0,
-            image_index: 0,
-            incentive: IncentiveLevel::C1,
-            posted_at_secs: 0.0,
-            attempt: 1,
-            lost: false,
-        };
-        board.reinstate(dup);
     }
 
     #[test]
     fn codec_round_trips_the_board() {
         let mut board = HitBoard::new();
-        board.post(0, 1, IncentiveLevel::C6, 0.0, 1, false, pending());
-        let gone = board.post(1, 2, IncentiveLevel::C10, 12.5, 2, false, pending());
-        board.post(2, 3, IncentiveLevel::C2, 40.0, 1, false, pending());
+        board.post(0, 1, 0.0, 1, false, pending());
+        let gone = board.post(1, 2, 12.5, 2, false, pending());
+        board.post(2, 3, 40.0, 1, false, pending());
         board.take(gone);
 
         let back = HitBoard::from_bytes(&board.to_bytes()).expect("round trip");

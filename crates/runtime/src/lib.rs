@@ -33,9 +33,9 @@
 //!   deterministically; it owns the run's one clock and counts the events
 //!   popped.
 //! - [`EventKind`] — the event vocabulary of the loop: cycle arrivals,
-//!   inference completions, HIT postings/answers/timeouts, late answers
-//!   of waited-out HITs, retrain completions, fault-episode boundaries,
-//!   and breaker probes.
+//!   inference completions, HIT answers (late ones of waited-out HITs
+//!   too) and timeouts, one of which resolves each posted HIT, retrain
+//!   completions, fault-episode boundaries, and breaker probes.
 //! - [`PipelinedSystem`] — the CrowdLearn modules (QSS/IPD/CQC/MIC)
 //!   re-driven as event handlers over the reentrant cycle stages the core
 //!   crate exposes, with bounded cycle overlap (backpressure), per-HIT

@@ -3,7 +3,7 @@
 
 use crate::faults::{BreakerState, FaultEpisode, FaultInjector};
 use crate::fleet::FleetHook;
-use crate::hit::HitBoard;
+use crate::hit::{HitBoard, InFlightHit};
 use crate::{
     Event, EventKind, EventQueue, HitId, MetricKind, MetricRecord, MetricsSink, MetricsTap,
     RuntimeConfig, RuntimeSnapshot, SnapshotError, WindowPolicy,
@@ -517,36 +517,14 @@ impl PipelinedSystem {
         let exec = Option::<ExecState>::decode(r).map_err(SnapshotError::Corrupt)?;
         let tap = Option::<MetricsTap>::decode(r).map_err(SnapshotError::Corrupt)?;
         if let Some(exec) = &exec {
-            // The controller's state must be one its policy can reach, and
-            // every queued fault event must name an episode of the plan.
-            let windows = config.window_policy.window_range();
-            let episodes = config.faults.episodes().len();
-            let names_an_episode = |event: &Event| match event.kind {
-                EventKind::FaultStart { episode } | EventKind::FaultEnd { episode } => {
-                    episode < episodes
-                }
-                _ => true,
-            };
-            if !exec.window_trajectory.iter().all(|w| windows.contains(w))
-                || exec.window_cooldown > WindowPolicy::COOLDOWN_CYCLES
-                || !exec.queue.iter().all(names_an_episode)
-            {
-                return Err(SnapshotError::Corrupt(DecodeError::Invalid));
-            }
             if exec.outcomes.len() != stream.cycles().len() {
                 return Err(SnapshotError::CycleCountMismatch {
                     expected: exec.outcomes.len(),
                     found: stream.cycles().len(),
                 });
             }
-            // Finalize reads one cached vote set per image of the cycle.
-            let votes_fit = exec
-                .active
-                .iter()
-                .all(|(&k, work)| work.images() == stream.cycles()[k].image_ids.len());
-            if !votes_fit {
-                return Err(SnapshotError::Corrupt(DecodeError::Invalid));
-            }
+            exec.check(&config, stream.cycles())
+                .map_err(SnapshotError::Corrupt)?;
         }
         Ok(Self {
             system,
@@ -655,6 +633,54 @@ impl ExecState {
             .unwrap_or_else(|| config.initial_window())
     }
 
+    /// Holds the execution to every law the driver keeps between events,
+    /// against the configuration and the stream's `cycles` (one per
+    /// outcome; the caller checks the count first), so that an execution
+    /// that passes runs to its end. Among them: the breaker is `Closed`
+    /// with no probe queued and no cycle parked, or `Open` with one probe
+    /// queued (`HalfProbe` lasts only inside the probe's handler).
+    fn check(&self, config: &RuntimeConfig, cycles: &[SensingCycle]) -> Result<(), DecodeError> {
+        let windows = config.window_policy.window_range();
+        let episodes = config.faults.episodes().len();
+        let mut probes = 0;
+        let events_ok = self.queue.iter().all(|e| match e.kind {
+            EventKind::FaultStart { episode } | EventKind::FaultEnd { episode } => {
+                episode < episodes
+            }
+            EventKind::BreakerProbe => {
+                probes += 1;
+                true
+            }
+            _ => true,
+        });
+        let breaker_ok = match self.breaker {
+            BreakerState::Closed => probes == 0 && self.parked.is_empty(),
+            BreakerState::Open => probes == 1,
+            BreakerState::HalfProbe => false,
+        };
+        let backoffs = BreakerState::FIRST_BACKOFF_CYCLES..=BreakerState::MAX_BACKOFF_CYCLES;
+        // The lifecycle law bounds the cycle indices that the later laws read.
+        let lawful = self.lifecycle_ok()
+            && self.hits_ok(config)
+            && events_ok
+            && breaker_ok
+            && backoffs.contains(&self.breaker_backoff_cycles)
+            && self.window_trajectory.len() == self.outcomes.iter().flatten().count()
+            && self.window_trajectory.iter().all(|w| windows.contains(w))
+            && self.window_cooldown <= WindowPolicy::COOLDOWN_CYCLES
+            && self.peak_cycles_in_flight >= self.active.len()
+            && self.completed_at_secs.len() == self.outcomes.len()
+            && self
+                .completed_at_secs
+                .iter()
+                .all(|t| t.is_finite() && *t >= 0.0)
+            && self
+                .active
+                .iter()
+                .all(|(&k, w)| w.images() == cycles[k].image_ids.len());
+        lawful.then_some(()).ok_or(DecodeError::Invalid)
+    }
+
     /// Whether each cycle is in exactly one lifecycle state — arriving (a
     /// queued `CycleArrival`), waiting, inferring (a queued
     /// `InferenceDone`), active or closed — every queued `RetrainDone`
@@ -684,6 +710,35 @@ impl ExecState {
             .iter()
             .all(|&k| self.active.contains_key(&k) && parked.insert(k));
         entered && states.iter().all(|&s| s == 1) && retrains_active && parked_active
+    }
+
+    /// Whether the queued HIT events and the board HITs pair one to one,
+    /// each event the resolution the driver queues for its HIT; each HIT
+    /// an attempt the configuration allows at an image its active cycle
+    /// has posted; and each active cycle's outstanding queries exactly its
+    /// HITs.
+    fn hits_ok(&self, config: &RuntimeConfig) -> bool {
+        let mut resolved = BTreeSet::new();
+        let paired = self.queue.iter().all(|event| {
+            let Some(id) = event.kind.hit() else {
+                return true;
+            };
+            let hit = self.board.get(id);
+            hit.is_some_and(|hit| resolves(config, hit, event)) && resolved.insert(id)
+        });
+        let mut on_board = BTreeMap::<usize, usize>::new();
+        let posted = self.board.hits().all(|hit| {
+            *on_board.entry(hit.cycle).or_default() += 1;
+            let work = self.active.get(&hit.cycle);
+            hit.attempt <= config.max_post_attempts
+                && work.is_some_and(|w| w.posted().contains(&hit.image_index))
+        });
+        let outstanding =
+            |(k, w): (&usize, &CycleWork)| w.outstanding() == on_board.get(k).map_or(0, |n| *n);
+        paired
+            && resolved.len() == self.board.in_flight()
+            && posted
+            && self.active.iter().all(outstanding)
     }
 
     /// Every answer absorbed so far (of `only`'s cycles, when set).
@@ -738,37 +793,8 @@ impl Decode for ExecState {
             posts_rejected: u64::decode(r)?,
             degraded_cycles: u64::decode(r)?,
         };
-        // Each queued HIT event resolves a HIT on the board, and each HIT
-        // on the board belongs to an active cycle.
-        let hits_resolve = state
-            .queue
-            .iter()
-            .filter_map(|e| e.kind.hit())
-            .all(|hit| state.board.contains(hit))
-            && state
-                .board
-                .hits()
-                .all(|hit| state.active.contains_key(&hit.cycle));
-        // The controller decides once per closed cycle; the trajectory
-        // (whose last entry is the effective window) is checked against
-        // the policy on resume.
-        let window_ok = state.window_trajectory.len() == state.outcomes.iter().flatten().count();
-        let breaker_ok = (BreakerState::FIRST_BACKOFF_CYCLES..=BreakerState::MAX_BACKOFF_CYCLES)
-            .contains(&state.breaker_backoff_cycles)
-            && (state.breaker != BreakerState::Closed || state.parked.is_empty());
-        if !hits_resolve
-            || !state.lifecycle_ok()
-            || state.completed_at_secs.len() != state.outcomes.len()
-            || !window_ok
-            || !breaker_ok
-            || state.peak_cycles_in_flight < state.active.len()
-            || state
-                .completed_at_secs
-                .iter()
-                .any(|t| !t.is_finite() || *t < 0.0)
-        {
-            return Err(DecodeError::Invalid);
-        }
+        // The laws are `ExecState::check`'s, which resume runs against the
+        // configuration and the stream.
         let inferring = state
             .queue
             .iter()
@@ -838,12 +864,8 @@ impl Driver<'_> {
                     self.exec.peak_cycles_in_flight.max(self.exec.active.len());
                 self.post_or_finalize(cycle);
             }
-            // Informational marker emitted when a HIT goes up; the
-            // posting itself happened when it was scheduled.
-            EventKind::HitPosted { .. } => {}
             EventKind::HitAnswered { hit } => self.on_answered(hit),
             EventKind::HitTimedOut { hit } => self.on_timed_out(hit),
-            EventKind::LateAnswer { hit } => self.on_late_answer(hit),
             EventKind::RetrainDone { cycle } => {
                 let work = self
                     .exec
@@ -1078,15 +1100,10 @@ impl Driver<'_> {
         }
         let delay = posted.pending.completion_delay_secs();
         let incentive = posted.incentive;
-        let hit = self.exec.board.post(
-            k,
-            posted.image_index,
-            incentive,
-            now,
-            attempt,
-            lost,
-            posted.pending,
-        );
+        let hit = self
+            .exec
+            .board
+            .post(k, posted.image_index, now, attempt, lost, posted.pending);
         self.schedule_hit_events(hit, now, delay, lost);
         self.emit(if attempt == 1 {
             MetricKind::HitPosted {
@@ -1155,52 +1172,46 @@ impl Driver<'_> {
         self.exec.parked.push_back(k);
     }
 
-    /// Emits the `HitPosted` marker and schedules the HIT's resolution:
-    /// `HitAnswered` when every worker *beats* the timeout (`delay <
-    /// timeout`), `HitTimedOut` otherwise — an answer landing exactly at
-    /// the timeout instant is censored, matching the IPD contract's
-    /// "delay >= timeout" (`CrowdLearnSystem::observe_crowd_delay`).
-    /// A `lost` attempt ([`FaultEpisode::AnswerLoss`]) never answers at
-    /// all, so only its timeout is scheduled. Exactly one resolution event
-    /// is scheduled per posted HIT.
+    /// Schedules a just-posted HIT's one [`resolution`].
     fn schedule_hit_events(&mut self, hit: HitId, posted_at: f64, delay: f64, lost: bool) {
-        let queue = &mut self.exec.queue;
-        queue.schedule(posted_at, EventKind::HitPosted { hit });
-        if lost {
-            let timeout = self
-                .config
-                .hit_timeout_secs
-                .expect("invariant: an AnswerLoss plan requires a configured HIT timeout");
-            queue.schedule(posted_at + timeout, EventKind::HitTimedOut { hit });
-            return;
-        }
-        match self.config.hit_timeout_secs {
-            Some(timeout) if delay >= timeout => {
-                queue.schedule(posted_at + timeout, EventKind::HitTimedOut { hit })
-            }
-            _ => queue.schedule(posted_at + delay, EventKind::HitAnswered { hit }),
-        };
+        let (at, kind) = resolution(self.config, hit, posted_at, delay, lost)
+            .expect("invariant: an AnswerLoss plan requires a configured HIT timeout");
+        self.exec.queue.schedule(at, kind);
     }
 
+    /// A HIT's workers answered. An answer that beat the timeout is
+    /// absorbed in full; one that did not was waited out past its
+    /// `HitTimedOut`, which already fed IPD the censored observation, so
+    /// it is absorbed late: no IPD report, and it never offloads.
     fn on_answered(&mut self, hit: HitId) {
         let inflight = self.exec.board.take(hit);
         let k = inflight.cycle;
         let response = inflight.pending.into_response();
-        let timely = self.system.answer_is_timely(&response);
         let delay_secs = response.completion_delay_secs;
         let work = self
             .exec
             .active
             .get_mut(&k)
             .expect("invariant: HIT events only target active cycles");
-        self.system
-            .absorb_answer(work, inflight.image_index, &response, timely);
-        self.emit(MetricKind::HitAnswered {
-            cycle: k,
-            hit,
-            delay_secs,
-            timely,
-        });
+        if answers_late(self.config, delay_secs) {
+            self.system
+                .absorb_late_answer(work, inflight.image_index, &response);
+            self.emit(MetricKind::LateAnswerAbsorbed {
+                cycle: k,
+                hit,
+                delay_secs,
+            });
+        } else {
+            let timely = self.system.answer_is_timely(&response);
+            self.system
+                .absorb_answer(work, inflight.image_index, &response, timely);
+            self.emit(MetricKind::HitAnswered {
+                cycle: k,
+                hit,
+                delay_secs,
+                timely,
+            });
+        }
         self.post_or_finalize(k);
     }
 
@@ -1211,26 +1222,28 @@ impl Driver<'_> {
     /// produces exactly one IPD observation. When the HIT is not reposted
     /// it is abandoned (emitting [`MetricKind::HitAbandoned`] with the
     /// attempt count) and one of two things happens: a *lost* attempt
-    /// ([`FaultEpisode::AnswerLoss`]) has no answer coming, so its
-    /// outstanding slot is released and posting resumes immediately; a
-    /// live attempt is waited out — its workers still answer at the
-    /// attempt's true completion time, so a `LateAnswer` is scheduled
-    /// there rather than absorbing the answer at the timeout instant.
+    /// ([`FaultEpisode::AnswerLoss`]) has no answer coming, so it leaves
+    /// the board, its outstanding slot is released and posting resumes
+    /// immediately; a live attempt is waited out — it stays on the board,
+    /// and its `HitAnswered` is queued at the attempt's true completion
+    /// time, where [`Driver::on_answered`] absorbs it late.
     fn on_timed_out(&mut self, hit: HitId) {
         self.exec.timeouts += 1;
         let timeout = self
             .config
             .hit_timeout_secs
             .expect("invariant: HitTimedOut is only scheduled when a timeout is configured");
-        let inflight = self.exec.board.take(hit);
-        let k = inflight.cycle;
+        // A copy: the entry leaves the board only if it is reposted or lost.
+        let inflight = self.exec.board.get(hit).cloned();
+        let inflight = inflight.expect("invariant: a HIT is resolved twice or was never posted");
+        let (k, incentive) = (inflight.cycle, inflight.pending.incentive());
         let now = self.exec.queue.now_secs();
         self.system
-            .observe_crowd_delay(inflight.pending.context(), inflight.incentive, timeout);
+            .observe_crowd_delay(inflight.pending.context(), incentive, timeout);
         self.emit(MetricKind::HitTimedOut {
             cycle: k,
             hit,
-            incentive: inflight.incentive,
+            incentive,
             censored_delay_secs: timeout,
         });
 
@@ -1239,9 +1252,9 @@ impl Driver<'_> {
                 self.exec.breaker == BreakerState::Closed && !self.config.faults.outage_active(now);
             if crowd_available {
                 let level = if self.config.escalate_on_repost {
-                    escalate(inflight.incentive)
+                    escalate(incentive)
                 } else {
-                    inflight.incentive
+                    incentive
                 };
                 let work = self
                     .exec
@@ -1255,6 +1268,7 @@ impl Driver<'_> {
                     inflight.image_index,
                     level,
                 ) {
+                    self.exec.board.take(hit);
                     self.exec.reposts += 1;
                     self.launch(k, posted, inflight.attempt + 1);
                     return;
@@ -1269,16 +1283,20 @@ impl Driver<'_> {
         }
 
         // Out of attempts, budget, or crowd path: the requester gives up
-        // on this query.
+        // on this query. A lost attempt has no answer coming — ever — so
+        // it leaves the board; a live one stays, to be waited out.
+        if inflight.lost {
+            self.exec.board.take(hit);
+        }
         self.emit(MetricKind::HitAbandoned {
             cycle: k,
             hit,
             attempts: inflight.attempt,
         });
         if inflight.lost {
-            // A lost attempt has no answer coming — ever. Release its
-            // outstanding slot so the cycle's query chain moves on; the
-            // unanswered image falls back to its AI label at finalize.
+            // Release its outstanding slot so the cycle's query chain
+            // moves on; the unanswered image falls back to its AI label at
+            // finalize.
             let work = self
                 .exec
                 .active
@@ -1291,42 +1309,60 @@ impl Driver<'_> {
 
         // A live attempt is waited out after all. Its answer completes at
         // `posted_at + delay` — at or after the timeout, since
-        // `HitTimedOut` is scheduled when the delay reaches the timeout —
-        // so absorption is deferred to a `LateAnswer` there instead of
-        // happening inside the timeout handler. At the exact boundary
-        // (`delay == timeout`) both events share a due time and the
-        // queue's scheduling-order tiebreak absorbs the late answer after
-        // this timeout, keeping the censor-then-absorb order.
+        // `HitTimedOut` is scheduled when the delay reaches the timeout.
+        // At the exact boundary (`delay == timeout`) both events share a
+        // due time and the queue's scheduling-order tiebreak absorbs the
+        // answer after this timeout, keeping the censor-then-absorb order.
         let due = inflight.posted_at_secs + inflight.pending.completion_delay_secs();
-        let id = inflight.id;
-        self.exec.board.reinstate(inflight);
         self.exec
             .queue
-            .schedule(due, EventKind::LateAnswer { hit: id });
+            .schedule(due, EventKind::HitAnswered { hit });
     }
+}
 
-    /// A waited-out HIT's workers finally answered: absorb the late answer
-    /// at its true completion time. IPD already got this attempt's censored
-    /// observation at the timeout, so the late absorb skips the IPD report.
-    fn on_late_answer(&mut self, hit: HitId) {
-        let inflight = self.exec.board.take(hit);
-        let k = inflight.cycle;
-        let response = inflight.pending.into_response();
-        let delay_secs = response.completion_delay_secs;
-        let work = self
-            .exec
-            .active
-            .get_mut(&k)
-            .expect("invariant: HIT events only target active cycles");
-        self.system
-            .absorb_late_answer(work, inflight.image_index, &response);
-        self.emit(MetricKind::LateAnswerAbsorbed {
-            cycle: k,
-            hit,
-            delay_secs,
-        });
-        self.post_or_finalize(k);
+/// Whether an attempt whose workers take `delay_secs` answers too late:
+/// at or past the configured HIT timeout. Such an attempt is resolved by a
+/// `HitTimedOut` first, and its answer, if it is waited out, is absorbed
+/// late.
+fn answers_late(config: &RuntimeConfig, delay_secs: f64) -> bool {
+    config.hit_timeout_secs.is_some_and(|t| delay_secs >= t)
+}
+
+/// The one resolution a post queues: `HitAnswered` at the completion time
+/// when every worker *beats* the timeout, else `HitTimedOut` at the timeout:
+/// the answer is late ([`answers_late`]; one landing exactly at the timeout
+/// instant is censored, matching the IPD contract's "delay >= timeout" in
+/// `CrowdLearnSystem::observe_crowd_delay`) or `lost`
+/// ([`FaultEpisode::AnswerLoss`]) and never comes. `None` for a lost
+/// attempt without a timeout, which no valid configuration posts.
+fn resolution(
+    config: &RuntimeConfig,
+    hit: HitId,
+    posted_at: f64,
+    delay: f64,
+    lost: bool,
+) -> Option<(f64, EventKind)> {
+    if lost || answers_late(config, delay) {
+        let timeout = config.hit_timeout_secs?;
+        Some((posted_at + timeout, EventKind::HitTimedOut { hit }))
+    } else {
+        Some((posted_at + delay, EventKind::HitAnswered { hit }))
     }
+}
+
+/// Whether `event` is a resolution the driver queues for `hit`: the one its
+/// post queued, or, once the timeout of a late answer waited it out, its
+/// `HitAnswered` at the completion time.
+fn resolves(config: &RuntimeConfig, hit: &InFlightHit, event: &Event) -> bool {
+    let delay = hit.pending.completion_delay_secs();
+    let queued = Some((event.at_secs, event.kind));
+    let posted = resolution(config, hit.id, hit.posted_at_secs, delay, hit.lost);
+    let answered = (
+        hit.posted_at_secs + delay,
+        EventKind::HitAnswered { hit: hit.id },
+    );
+    let waited_out = !hit.lost && answers_late(config, delay);
+    posted == queued || (waited_out && Some(answered) == queued)
 }
 
 /// One incentive level up, saturating at the most generous.
@@ -1368,12 +1404,12 @@ mod tests {
     /// An edit to the execution state inside a runtime snapshot payload.
     type Splice = fn(&mut ExecState);
 
-    /// Resumes a 6-cycle run under `policy`, paused at the first event
+    /// Resumes a 6-cycle run under `runtime`, paused at the first event
     /// boundary past 5 events at which `closed` cycles have closed, after
     /// `edit` rewrote the execution state in its payload.
     fn resume_respliced(
         closed: usize,
-        policy: WindowPolicy,
+        runtime: RuntimeConfig,
         edit: Splice,
     ) -> Result<PipelinedSystem, SnapshotError> {
         let dataset = Dataset::generate(&DatasetConfig::paper().with_seed(7));
@@ -1381,7 +1417,6 @@ mod tests {
         let mut config = CrowdLearnConfig::paper();
         config.cqc_training_queries = 200;
         config.warmup_per_cell = 2;
-        let runtime = RuntimeConfig::paper().with_window_policy(policy);
         let mut system = PipelinedSystem::new(&dataset, config, runtime);
         assert!(system
             .run_until(&dataset, &stream, RunBound::Events(5))
@@ -1486,7 +1521,8 @@ mod tests {
             ),
         ];
         for (what, closed, policy, edit, valid) in cases {
-            match resume_respliced(closed, policy, edit) {
+            let runtime = RuntimeConfig::paper().with_window_policy(policy);
+            match resume_respliced(closed, runtime, edit) {
                 Ok(_) => assert!(valid, "{what}: resumed"),
                 Err(e) => {
                     assert!(!valid, "{what}: refused with {e:?}");
@@ -1498,53 +1534,154 @@ mod tests {
 
     #[test]
     fn resume_holds_queued_events_and_the_board_to_what_they_name() {
-        let untouched = resume_respliced(0, WindowPolicy::Static(4), |_| {}).expect("resumes");
+        let untouched = resume_respliced(0, RuntimeConfig::paper(), |_| {}).expect("resumes");
         let exec = untouched.exec.as_ref().expect("a running execution");
         assert!(
             exec.board.in_flight() > 0,
             "the pause has a HIT on the board"
         );
-        let cases: [(&str, Splice); 5] = [
+        fn first_hit(e: &ExecState) -> &InFlightHit {
+            e.board.hits().next().expect("a HIT in flight")
+        }
+        /// Rewrites the first board HIT's queued resolutions.
+        fn resolution(e: &mut ExecState, edit: impl FnOnce(&mut Vec<Event>, HitId)) {
+            let hit = first_hit(e).id;
+            rewrite_queue(e, |events| edit(events, hit));
+        }
+        let cases: [(&str, Splice); 15] = [
             ("a fault start the config's plan lacks", |e| {
-                let at = e.queue.now_secs() + 1.0;
-                e.queue.schedule(at, EventKind::FaultStart { episode: 0 });
+                queue(e, EventKind::FaultStart { episode: 0 })
             }),
             ("a fault end the config's plan lacks", |e| {
-                let at = e.queue.now_secs() + 1.0;
-                e.queue.schedule(at, EventKind::FaultEnd { episode: 3 });
+                queue(e, EventKind::FaultEnd { episode: 3 })
             }),
             ("an answer for a HIT not on the board", |e| {
-                let at = e.queue.now_secs() + 1.0;
-                e.queue
-                    .schedule(at, EventKind::HitAnswered { hit: HitId(999) });
+                queue(e, EventKind::HitAnswered { hit: HitId(999) })
+            }),
+            ("a second answer queued for a board HIT", |e| {
+                let hit = first_hit(e);
+                let at = hit.posted_at_secs + hit.pending.completion_delay_secs();
+                let hit = hit.id;
+                e.queue.schedule(at, EventKind::HitAnswered { hit });
+            }),
+            ("a board HIT with no resolution queued", |e| {
+                resolution(e, |events, hit| {
+                    events.retain(|ev| ev.kind.hit() != Some(hit))
+                })
+            }),
+            ("an answer queued off its completion time", |e| {
+                resolution(e, |events, hit| {
+                    for ev in events.iter_mut().filter(|ev| ev.kind.hit() == Some(hit)) {
+                        ev.at_secs += 1.0;
+                    }
+                })
+            }),
+            ("a timeout the config does not set", |e| {
+                resolution(e, |events, hit| {
+                    for ev in events.iter_mut().filter(|ev| ev.kind.hit() == Some(hit)) {
+                        ev.kind = EventKind::HitTimedOut { hit };
+                    }
+                })
             }),
             ("a HIT of a cycle that is not active", |e| {
-                let id = e.board.hits().next().expect("a HIT in flight").id;
-                let hit = e.board.take(id);
-                e.board
-                    .reinstate(crate::hit::InFlightHit { cycle: 5, ..hit });
+                rewrite_board(e, |hits| hits[0].cycle = 5)
+            }),
+            ("a HIT for an image past its cycle's", |e| {
+                rewrite_board(e, |hits| hits[0].image_index = 999)
+            }),
+            ("a HIT for an image its cycle never posted", |e| {
+                let hit = first_hit(e);
+                let work = &e.active[&hit.cycle];
+                let unposted = (0..work.images()).find(|i| !work.posted().contains(i));
+                let unposted = unposted.expect("an image not yet posted");
+                rewrite_board(e, |hits| hits[0].image_index = unposted);
+            }),
+            ("an attempt past the config's", |e| {
+                rewrite_board(e, |hits| hits[0].attempt = 2)
+            }),
+            ("outstanding one above the board", |e| {
+                let k = first_hit(e).cycle;
+                let work = e.active.get_mut(&k).expect("the HIT's cycle");
+                *work = with_one_more_outstanding(work);
             }),
             ("votes for an image its cycle lacks", |e| {
                 let work = e.active.values_mut().next().expect("an active cycle");
                 *work = with_an_extra_vote_set(work);
             }),
+            ("an open breaker with a cycle parked and no probe", |e| {
+                let k = *e.active.keys().next().expect("an active cycle");
+                e.breaker = BreakerState::Open;
+                e.parked.push_back(k);
+            }),
+            ("a closed breaker with a probe queued", |e| {
+                queue(e, EventKind::BreakerProbe)
+            }),
         ];
         for (what, edit) in cases {
             assert_eq!(
-                resume_respliced(0, WindowPolicy::Static(4), edit).err(),
+                resume_respliced(0, RuntimeConfig::paper(), edit).err(),
                 Some(SnapshotError::Corrupt(DecodeError::Invalid)),
                 "{what}"
             );
         }
+        // A late HIT's timeout queued past its due time: waiting the HIT
+        // out would queue its answer in the past.
+        let timeout = RuntimeConfig::paper().with_hit_timeout(Some(1.0), 1);
+        let late_timeout = resume_respliced(0, timeout, |e| {
+            resolution(e, |events, hit| {
+                for ev in events.iter_mut().filter(|ev| ev.kind.hit() == Some(hit)) {
+                    ev.at_secs += 10_000.0;
+                    ev.kind = EventKind::HitTimedOut { hit };
+                }
+            })
+        });
+        let refused = Some(SnapshotError::Corrupt(DecodeError::Invalid));
+        assert_eq!(late_timeout.err(), refused);
+    }
+
+    /// Queues `kind` a second after the pause.
+    fn queue(e: &mut ExecState, kind: EventKind) {
+        let at = e.queue.now_secs() + 1.0;
+        e.queue.schedule(at, kind);
+    }
+
+    /// `value` with the list its encoding leads with (the queued events,
+    /// or the board's HITs in id order) rewritten by `edit` on the wire.
+    fn with_list<T: Encode + Decode, I: Encode + Decode>(
+        value: &T,
+        edit: impl FnOnce(&mut Vec<I>),
+    ) -> T {
+        let bytes = value.to_bytes();
+        let mut r = Reader::new(&bytes);
+        let mut list = Vec::<I>::decode(&mut r).expect("a leading list");
+        edit(&mut list);
+        let mut spliced = list.to_bytes();
+        spliced.extend_from_slice(&bytes[bytes.len() - r.remaining()..]);
+        T::from_bytes(&spliced).expect("the splice decodes on its own")
+    }
+
+    fn rewrite_queue(e: &mut ExecState, edit: impl FnOnce(&mut Vec<Event>)) {
+        e.queue = with_list(&e.queue, edit);
+    }
+
+    fn rewrite_board(e: &mut ExecState, edit: impl FnOnce(&mut Vec<InFlightHit>)) {
+        e.board = with_list(&e.board, edit);
+    }
+
+    /// `work` with one more outstanding query, spliced on the wire (the
+    /// count is private to the core, and its last field).
+    fn with_one_more_outstanding(work: &CycleWork) -> CycleWork {
+        let mut bytes = work.to_bytes();
+        let at = bytes.len() - 8;
+        let outstanding = usize::from_bytes(&bytes[at..]).expect("outstanding");
+        bytes.truncate(at);
+        (outstanding + 1).encode(&mut bytes);
+        CycleWork::from_bytes(&bytes).expect("the work decodes on its own")
     }
 
     #[test]
     fn resume_holds_every_cycle_to_one_lifecycle_state() {
         use EventKind::{BreakerProbe, CycleArrival, InferenceDone, RetrainDone};
-        fn queue(e: &mut ExecState, kind: EventKind) {
-            let at = e.queue.now_secs() + 1.0;
-            e.queue.schedule(at, kind);
-        }
         fn arrive(e: &mut ExecState, cycle: usize) {
             queue(e, CycleArrival { cycle });
         }
@@ -1591,7 +1728,7 @@ mod tests {
         ];
         for (what, closed, edit, valid) in cases {
             let refused = (!valid).then_some(SnapshotError::Corrupt(DecodeError::Invalid));
-            let resumed = resume_respliced(closed, WindowPolicy::Static(4), edit);
+            let resumed = resume_respliced(closed, RuntimeConfig::paper(), edit);
             assert_eq!(resumed.err(), refused, "{what}");
         }
     }
@@ -1612,12 +1749,13 @@ mod tests {
     }
 
     #[test]
-    fn exec_state_decoder_holds_the_breaker_backoff_to_its_constants() {
-        let mut exec = ExecState::start(&RuntimeConfig::paper(), 2);
+    fn exec_state_check_holds_the_breaker_backoff_to_its_constants() {
+        let config = RuntimeConfig::paper();
+        let mut exec = ExecState::start(&config, 0);
         for (backoff, valid) in [(0, false), (1, true), (8, true), (9, false)] {
             exec.breaker_backoff_cycles = backoff;
-            let decoded = ExecState::from_bytes(&exec.to_bytes());
-            assert_eq!(decoded.is_ok(), valid, "backoff {backoff} cycles");
+            let checked = exec.check(&config, &[]);
+            assert_eq!(checked.is_ok(), valid, "backoff {backoff} cycles");
         }
     }
 }

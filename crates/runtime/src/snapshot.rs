@@ -97,8 +97,13 @@ const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 /// the outcomes' and the active cycles' own, and the views are sketched
 /// from them. `QuantileSketch` has no codec any more, and the execution
 /// state must hold each cycle in exactly one lifecycle state (arriving,
-/// waiting, inferring, active or closed).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 15;
+/// waiting, inferring, active or closed);
+/// 16 — a HIT is one board entry with one queued resolution: the no-op
+/// `HitPosted` marker (tag 2) and the `LateAnswer` event (tag 6) are gone,
+/// a waited-out HIT stays on the board until its `HitAnswered`, an
+/// in-flight HIT lost its incentive (its pending answer carries it), and
+/// resume pairs queued HIT events and board HITs one to one.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 16;
 
 /// Why a runtime or fleet snapshot could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]

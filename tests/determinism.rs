@@ -19,8 +19,8 @@ fn dataset(seed: u64) -> Dataset {
 
 /// A window-3 runtime with a HIT timeout tight enough that timeouts,
 /// escalated reposts, *and* waited-out late answers all occur — so
-/// checkpoints cover the full event vocabulary and the reinstated-HIT
-/// board state.
+/// checkpoints cover the full event vocabulary and timed-out HITs that
+/// stay on the board until their late answer.
 fn runtime_config() -> RuntimeConfig {
     RuntimeConfig::paper()
         .with_inflight_window(3)
@@ -585,8 +585,8 @@ fn snapshot_rejects_tampering_and_mismatched_streams() {
 
 /// Forward and backward compatibility: a frame stamped with a *future*
 /// format version — one written by a newer build whose payload layout this
-/// build cannot know — or with the previous one (v14, whose metrics tap
-/// carried five crowd-delay sketches) must come back as a typed
+/// build cannot know — or with the previous one (v15, whose queue carried a
+/// `HitPosted` marker per post) must come back as a typed
 /// `VersionMismatch` carrying the found version, refused by the frame
 /// before any payload decoder runs: never a panic or a silent misparse.
 /// Both frames stamp the one `SNAPSHOT_FORMAT_VERSION`.
@@ -601,7 +601,7 @@ fn snapshots_reject_future_format_versions_with_typed_errors() {
     let bytes = system.snapshot().expect("checkpointable").to_bytes();
     for (found, stamped) in [
         (SNAPSHOT_FORMAT_VERSION + 1, SNAPSHOT_FORMAT_VERSION + 1),
-        (14, SNAPSHOT_FORMAT_VERSION - 1),
+        (15, SNAPSHOT_FORMAT_VERSION - 1),
     ] {
         let mut bytes = bytes.clone();
         // The u32 version field sits right after the 8-byte magic.
@@ -1113,9 +1113,15 @@ fn fleet_snapshot_decode_survives_a_seeded_corruption_sweep() {
     let budget = CrowdLearnConfig::paper().budget_cents * 2.0;
     let mut fleet = FleetOrchestrator::new(specs, FleetConfig::new(budget), &datasets);
     fleet.attach_metrics_taps();
+    // 196 events reach 8 270.44 virtual s, with crowd answers in flight.
     assert!(fleet
-        .run_until(&datasets, &streams, RunBound::Events(300))
+        .run_until(&datasets, &streams, RunBound::Events(196))
         .is_none());
+    let in_flight = |i: usize| fleet.shard(i).metrics_tap().map(|t| t.hits_in_flight());
+    assert!(
+        in_flight(0).unwrap_or(0) + in_flight(1).unwrap_or(0) > 0,
+        "the pause has a HIT on the board"
+    );
     let bytes = fleet.snapshot().expect("checkpointable").to_bytes();
     const HEADER: usize = 8 + 4 + 8 + 8;
 
