@@ -81,6 +81,14 @@ for workload in paper_stream fleet_contended chaos_checkpoint; do
         --workload "${workload}" --seconds 1 --trace 0
 done
 
+# The traced path once: its own checks (every traced run equals the
+# untraced run, every repetition equals the first) and the per-layer spans,
+# `bandit.select_us` among them. Span dumps go to the git-ignored
+# .bench_trace/.
+echo "==> perfbench traced smoke (paper_stream)"
+cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload paper_stream --seconds 1 --trace 1
+
 # Net line count and the debug `cargo test` step's wall seconds, reported
 # and never gated: every .rs line under crates/, src/, tests/ and
 # examples/, and the non-test share of it (files outside tests/ and

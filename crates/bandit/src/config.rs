@@ -209,9 +209,14 @@ impl BudgetLedger {
         self.remaining
     }
 
+    /// Whether `cost` fits the remaining budget (up to float dust).
+    pub(crate) fn affords(&self, cost: f64) -> bool {
+        cost <= self.remaining + 1e-9
+    }
+
     /// Charges `cost` if affordable; returns whether the charge succeeded.
     pub(crate) fn try_charge(&mut self, cost: f64) -> bool {
-        if cost <= self.remaining + 1e-9 {
+        if self.affords(cost) {
             self.remaining = (self.remaining - cost).max(0.0);
             true
         } else {
@@ -234,14 +239,14 @@ impl BudgetLedger {
         taken
     }
 
-    /// The most expensive affordable action, if any.
+    /// The affordable actions, in index order.
     pub(crate) fn affordable<'a>(
         &self,
         costs: impl IntoIterator<Item = (usize, &'a f64)>,
     ) -> Vec<usize> {
         costs
             .into_iter()
-            .filter(|(_, &c)| c <= self.remaining + 1e-9)
+            .filter(|(_, &c)| self.affords(c))
             .map(|(i, _)| i)
             .collect()
     }

@@ -8,7 +8,8 @@
 //! response delay — is revealed only after the crowd answers. The paper
 //! solves the CCMB "using the adaptive linear programming approach in
 //! [Wu et al., NeurIPS 2015]"; [`UcbAlp`] implements that algorithm
-//! (UCB estimates + per-round adaptive LP via Lagrangian search).
+//! (UCB estimates + a per-round adaptive LP solved exactly over its score
+//! crossings).
 //!
 //! The crate also provides the building blocks the evaluation compares
 //! against and the learner MIC uses:

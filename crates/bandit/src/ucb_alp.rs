@@ -11,20 +11,39 @@
 //!    `rho = B_remaining / tau_remaining`,
 //! 3. solves the adaptive linear program
 //!    `max sum_z pi(z) sum_a p(a|z) UCB(z,a)` subject to
-//!    `sum_z pi(z) sum_a p(a|z) c(a) <= rho` via a Lagrangian bisection
-//!    (the LP has a single coupling constraint, so the optimum is attained
-//!    by per-context argmax of `UCB(z,a) - lambda c(a)` with at most one
-//!    mixed context),
+//!    `sum_z pi(z) sum_a p(a|z) c(a) <= rho` exactly: the LP has a single
+//!    coupling constraint, so the optimum is attained by the per-context
+//!    argmax of `UCB(z,a) - lambda c(a)` with at most one mixed context,
+//!    and that greedy plan changes only where two actions' scores cross —
+//!    at most `Z K (K-1) / 2` values of `lambda`. The solver sorts those
+//!    crossings and binary-searches the segments between them for the
+//!    first plan that fits `rho`, evaluating each segment at its midpoint
+//!    so a floating-point tie at a crossing never decides a choice,
 //! 4. samples the action for the observed context from the LP solution.
 //!
 //! The context distribution `pi` is estimated from the empirical context
 //! frequencies (initialized uniform), as the paper's four temporal contexts
 //! are equally likely by construction.
+//!
+//! The breakpoint search returns what an 80-step Lagrangian bisection over
+//! the same `(0, hi)` interval returns (the tests keep that bisection as an
+//! oracle), except in two cases: two crossings closer together than the
+//! bisection's resolution (about `hi * 2^-80`, or one ulp of `lambda`),
+//! which the bisection cannot tell apart; and, when a lower-indexed action
+//! costs more than a higher-indexed one, two untried actions whose capped
+//! scores `1e12 - lambda c(a)` tie below the ulp of `1e12` at the
+//! bisection's smallest `lambda`. Ascending costs, like the paper's, rule
+//! out the second case.
 
 use crate::config::{tables_match, BanditConfig, BudgetLedger, CostedBandit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
+
+/// The score an untried (context, action) pair plays with: it beats every
+/// tried pair at any multiplier the search visits (forced exploration), yet
+/// stays finite so that costs still break ties between untried actions.
+const UNTRIED_SCORE: f64 = 1e12;
 
 /// The UCB-ALP policy. See the module docs for the algorithm.
 ///
@@ -55,6 +74,13 @@ pub struct UcbAlp {
     context_counts: Vec<u64>,
     rounds_elapsed: u64,
     rng: StdRng,
+    /// Per-pick scratch, sized at construction so a pick allocates nothing
+    /// (none of it is learned state): the UCB table, `K` cells per context;
+    /// the context distribution; the score crossings, at most `Z K (K-1) / 2`
+    /// plus the search's upper end.
+    ucbs: Vec<f64>,
+    pi: Vec<f64>,
+    crossings: Vec<f64>,
 }
 
 impl UcbAlp {
@@ -75,129 +101,183 @@ impl UcbAlp {
             context_counts: vec![0; z],
             rounds_elapsed: 0,
             rng: StdRng::seed_from_u64(seed),
+            ucbs: vec![0.0; z * k],
+            pi: vec![0.0; z],
+            crossings: Vec::with_capacity(z * k * k.saturating_sub(1) / 2 + 1),
             config,
         }
     }
 
-    /// UCB index of a (context, action) pair. Untried pairs get `+inf` so
-    /// they are explored first.
-    fn ucb(&self, z: usize, a: usize) -> f64 {
-        let n = self.counts[z][a];
-        if n == 0 {
-            return f64::INFINITY;
+    /// Fills the pick's UCB table and context distribution. Untried pairs
+    /// get `+inf` so they are explored first. The distribution is the
+    /// declared one when known, otherwise the uniform-smoothed empirical
+    /// estimate.
+    fn refresh_tables(&mut self) {
+        let k = self.config.actions();
+        let ln_t = (self.rounds_elapsed.max(2) as f64).ln();
+        let rows = self.counts.iter().zip(&self.means);
+        for (cells, (counts, means)) in self.ucbs.chunks_exact_mut(k).zip(rows) {
+            for ((cell, &n), &mean) in cells.iter_mut().zip(counts).zip(means) {
+                *cell = if n == 0 {
+                    f64::INFINITY
+                } else {
+                    mean + Self::DEFAULT_EXPLORATION_SCALE * (ln_t / n as f64).sqrt()
+                };
+            }
         }
-        let t = self.rounds_elapsed.max(2) as f64;
-        self.means[z][a] + Self::DEFAULT_EXPLORATION_SCALE * (t.ln() / n as f64).sqrt()
-    }
-
-    /// Context distribution for the LP: the declared one when known,
-    /// otherwise the uniform-smoothed empirical estimate.
-    fn pi(&self) -> Vec<f64> {
-        if let Some(known) = self.config.context_distribution() {
-            return known.to_vec();
+        match self.config.context_distribution() {
+            Some(known) => self.pi.copy_from_slice(known),
+            None => {
+                let z = self.config.contexts();
+                let total: u64 = self.context_counts.iter().sum();
+                for (p, &c) in self.pi.iter_mut().zip(&self.context_counts) {
+                    *p = (c as f64 + 1.0) / (total as f64 + z as f64);
+                }
+            }
         }
-        let z = self.config.contexts();
-        let total: u64 = self.context_counts.iter().sum();
-        self.context_counts
-            .iter()
-            .map(|&c| (c as f64 + 1.0) / (total as f64 + z as f64))
-            .collect()
     }
+}
 
-    /// Expected per-round cost of the greedy policy at Lagrange multiplier
-    /// `lambda`, plus the per-context argmax actions it induces.
-    fn greedy_at_lambda(&self, lambda: f64, ucbs: &[Vec<f64>]) -> (f64, Vec<usize>) {
-        let pi = self.pi();
+/// One pick's adaptive LP: the problem, its UCB table (`K` cells per
+/// context) and its context distribution.
+struct Lp<'a> {
+    config: &'a BanditConfig,
+    ucbs: &'a [f64],
+    pi: &'a [f64],
+}
+
+/// A UCB cell's score before the cost term: untried cells play
+/// [`UNTRIED_SCORE`].
+fn capped(ucb: f64) -> f64 {
+    if ucb.is_infinite() {
+        UNTRIED_SCORE
+    } else {
+        ucb
+    }
+}
+
+impl Lp<'_> {
+    /// Expected per-round cost of the greedy plan at Lagrange multiplier
+    /// `lambda` (each context's first argmax of `UCB - lambda c`), and that
+    /// plan's action at `context`.
+    fn greedy(&self, lambda: f64, context: usize) -> (f64, usize) {
+        let costs = self.config.action_costs();
         let mut expected_cost = 0.0;
-        let mut choices = Vec::with_capacity(self.config.contexts());
-        for z in 0..self.config.contexts() {
+        let mut chosen = 0;
+        for (z, row) in self.ucbs.chunks_exact(costs.len()).enumerate() {
             let mut best = 0;
             let mut best_score = f64::NEG_INFINITY;
-            for (a, &ucb) in ucbs[z].iter().enumerate() {
-                // Untried actions dominate regardless of lambda (forced
-                // exploration), but cap their score so cost-tiebreaks work.
-                let score = if ucb.is_infinite() {
-                    1e12 - lambda * self.config.cost(a)
-                } else {
-                    ucb - lambda * self.config.cost(a)
-                };
+            for (a, (&ucb, &cost)) in row.iter().zip(costs).enumerate() {
+                let score = capped(ucb) - lambda * cost;
                 if score > best_score {
                     best_score = score;
                     best = a;
                 }
             }
-            expected_cost += pi[z] * self.config.cost(best);
-            choices.push(best);
+            expected_cost += self.pi[z] * costs[best];
+            if z == context {
+                chosen = best;
+            }
         }
-        (expected_cost, choices)
+        (expected_cost, chosen)
     }
 
-    /// Solves the adaptive LP: returns the per-context plan of the smallest
-    /// lambda whose greedy policy fits within `rho` expected cost, together
-    /// with the boundary plan just above it and the mixing probability that
-    /// makes the expected cost exactly `rho`.
-    ///
-    /// The LP optimum at a single coupling constraint randomizes between the
-    /// two adjacent deterministic plans; without the mixing, per-round slack
-    /// accumulates and gets burned late in flat (low-marginal-payoff)
-    /// contexts.
-    fn solve_alp(&self, rho: f64) -> (Vec<usize>, Option<(Vec<usize>, f64)>) {
-        let z = self.config.contexts();
-        let k = self.config.actions();
-        let ucbs: Vec<Vec<f64>> = (0..z)
-            .map(|zz| (0..k).map(|aa| self.ucb(zz, aa)).collect())
-            .collect();
-
-        // If the unconstrained greedy fits, take it.
-        let (cost0, choices0) = self.greedy_at_lambda(0.0, &ucbs);
-        if cost0 <= rho {
-            return (choices0, None);
-        }
-
-        // Bisection on lambda. Upper bound: lambda so large the cheapest
-        // action wins everywhere.
-        let max_ucb = ucbs
+    /// The search's upper end: a multiplier meant to let the cheapest
+    /// action win everywhere (with uneven cost gaps an untried action can
+    /// still beat a cheaper tried one there).
+    fn upper_lambda(&self) -> f64 {
+        let max_ucb = self
+            .ucbs
             .iter()
-            .flatten()
             .filter(|u| u.is_finite())
             .fold(1.0f64, |m, &u| m.max(u.abs()));
-        let cost_span = self
+        let (lo, hi) = self
             .config
             .action_costs()
             .iter()
             .fold((f64::INFINITY, 0.0f64), |(lo, hi), &c| {
                 (lo.min(c), hi.max(c))
             });
-        let mut lo = 0.0;
-        let mut hi = (2.0 * max_ucb + 1e12) / (cost_span.1 - cost_span.0).max(1e-9);
+        (2.0 * max_ucb + UNTRIED_SCORE) / (hi - lo).max(1e-9)
+    }
+
+    /// Solves the LP for `rho` and returns, at `context`, the action of the
+    /// smallest-multiplier greedy plan whose expected cost fits `rho`,
+    /// together with the action of the boundary plan just below that
+    /// multiplier and the mixing probability that makes the expected cost
+    /// exactly `rho`. `crossings` is the caller's scratch.
+    ///
+    /// The LP optimum at a single coupling constraint randomizes between the
+    /// two adjacent deterministic plans; without the mixing, per-round slack
+    /// accumulates and gets burned late in flat (low-marginal-payoff)
+    /// contexts.
+    fn solve(
+        &self,
+        rho: f64,
+        context: usize,
+        crossings: &mut Vec<f64>,
+    ) -> (usize, Option<(usize, f64)>) {
+        // If the unconstrained greedy fits, take it.
+        let unconstrained = self.greedy(0.0, context);
+        if unconstrained.0 <= rho {
+            return (unconstrained.1, None);
+        }
+
+        let costs = self.config.action_costs();
+        let upper = self.upper_lambda();
+        crossings.clear();
+        for row in self.ucbs.chunks_exact(costs.len()) {
+            for (a, (&ucb_a, &cost_a)) in row.iter().zip(costs).enumerate() {
+                for (&ucb_b, &cost_b) in row.iter().zip(costs).skip(a + 1) {
+                    if cost_a != cost_b {
+                        let lambda = (capped(ucb_a) - capped(ucb_b)) / (cost_a - cost_b);
+                        if lambda > 0.0 && lambda < upper {
+                            crossings.push(lambda);
+                        }
+                    }
+                }
+            }
+        }
+        crossings.sort_unstable_by(f64::total_cmp);
+        crossings.dedup();
+        crossings.push(upper);
+
+        // Segment `i` runs from the previous crossing (0 for the first) to
+        // `crossings[i]`; the greedy plan is constant inside it and its
+        // cost does not rise with `i`. Find the first segment that fits,
+        // and keep the last one evaluated that does not.
+        let segment = |i: usize| {
+            let from = if i == 0 { 0.0 } else { crossings[i - 1] };
+            self.greedy(0.5 * (from + crossings[i]), context)
+        };
+        let (mut lo, mut hi) = (0, crossings.len());
         let mut feasible = None;
-        let mut infeasible = Some((cost0, choices0));
-        for _ in 0..80 {
-            let mid = 0.5 * (lo + hi);
-            let (cost, choices) = self.greedy_at_lambda(mid, &ucbs);
-            if cost <= rho {
-                feasible = Some((cost, choices));
+        let mut infeasible = unconstrained;
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let plan = segment(mid);
+            if plan.0 <= rho {
+                feasible = Some(plan);
                 hi = mid;
             } else {
-                infeasible = Some((cost, choices));
-                lo = mid;
+                infeasible = plan;
+                lo = mid + 1;
             }
         }
         match feasible {
-            Some((c_f, plan_f)) => {
-                let mix = infeasible.and_then(|(c_i, plan_i)| {
-                    if c_i > c_f + 1e-12 {
-                        let p = ((rho - c_f) / (c_i - c_f)).clamp(0.0, 1.0);
-                        (p > 0.0).then_some((plan_i, p))
-                    } else {
-                        None
-                    }
-                });
-                (plan_f, mix)
+            Some((c_f, action_f)) => {
+                let (c_i, action_i) = infeasible;
+                let mix = if c_i > c_f + 1e-12 {
+                    let p = ((rho - c_f) / (c_i - c_f)).clamp(0.0, 1.0);
+                    (p > 0.0).then_some((action_i, p))
+                } else {
+                    None
+                };
+                (action_f, mix)
             }
-            // Even at huge lambda the cheapest actions may not fit rho (rho
-            // below minimum cost): fall back to cheapest everywhere.
-            None => (vec![self.config.cheapest_action(); z], None),
+            // Even the last segment's plan does not fit rho (rho below
+            // minimum cost): fall back to cheapest everywhere.
+            None => (self.config.cheapest_action(), None),
         }
     }
 }
@@ -218,32 +298,29 @@ impl CostedBandit for UcbAlp {
             .saturating_sub(self.rounds_elapsed - 1)
             .max(1);
         let rho = self.ledger.remaining() / remaining_rounds as f64;
-        let (plan, boundary) = self.solve_alp(rho);
-        let mut action = plan[context];
-        if let Some((upper_plan, p)) = boundary {
+        self.refresh_tables();
+        let lp = Lp {
+            config: &self.config,
+            ucbs: &self.ucbs,
+            pi: &self.pi,
+        };
+        let (mut action, boundary) = lp.solve(rho, context, &mut self.crossings);
+        if let Some((upper_action, p)) = boundary {
             if self.rng.gen::<f64>() < p {
-                action = upper_plan[context];
+                action = upper_action;
             }
         }
 
         if !self.ledger.try_charge(self.config.cost(action)) {
-            // LP answer unaffordable right now: degrade to the most
-            // expensive affordable action below it, preferring exploration
-            // value.
-            let affordable = self
-                .ledger
-                .affordable(self.config.action_costs().iter().enumerate());
-            if affordable.is_empty() {
-                return None;
-            }
-            action = *affordable
-                .iter()
-                .max_by(|&&a, &&b| {
-                    self.ucb(context, a)
-                        .partial_cmp(&self.ucb(context, b))
-                        .expect("UCBs comparable")
-                })
-                .expect("non-empty affordable set");
+            // LP answer unaffordable right now: degrade to the affordable
+            // action with the highest UCB, preferring exploration value.
+            let k = self.config.actions();
+            let row = &self.ucbs[context * k..(context + 1) * k];
+            let costs = self.config.action_costs();
+            let fallback = (0..k)
+                .filter(|&a| self.ledger.affords(costs[a]))
+                .max_by(|&a, &b| row[a].partial_cmp(&row[b]).expect("UCBs comparable"));
+            action = fallback?;
             let charged = self.ledger.try_charge(self.config.cost(action));
             debug_assert!(charged, "affordable action must charge");
         }
@@ -436,5 +513,286 @@ mod tests {
         let (_, a) = run(120.0, 50);
         let (_, b) = run(120.0, 50);
         assert_eq!(a, b);
+    }
+
+    /// The Lagrangian bisection the breakpoint search replaced, kept
+    /// verbatim as its oracle: 80 halvings of `(0, hi)`, the whole greedy
+    /// plan recomputed at each midpoint. Returns the feasible plan and the
+    /// boundary plan with its mixing probability, one action per context.
+    fn bisection(lp: &Lp<'_>, rho: f64) -> (Vec<usize>, Option<(Vec<usize>, f64)>) {
+        let z = lp.config.contexts();
+        let k = lp.config.actions();
+        let ucbs: Vec<Vec<f64>> = lp.ucbs.chunks_exact(k).map(<[f64]>::to_vec).collect();
+        let greedy_at_lambda = |lambda: f64| {
+            let mut expected_cost = 0.0;
+            let mut choices = Vec::with_capacity(z);
+            for (zz, row) in ucbs.iter().enumerate() {
+                let mut best = 0;
+                let mut best_score = f64::NEG_INFINITY;
+                for (a, &ucb) in row.iter().enumerate() {
+                    let score = if ucb.is_infinite() {
+                        1e12 - lambda * lp.config.cost(a)
+                    } else {
+                        ucb - lambda * lp.config.cost(a)
+                    };
+                    if score > best_score {
+                        best_score = score;
+                        best = a;
+                    }
+                }
+                expected_cost += lp.pi[zz] * lp.config.cost(best);
+                choices.push(best);
+            }
+            (expected_cost, choices)
+        };
+
+        let (cost0, choices0) = greedy_at_lambda(0.0);
+        if cost0 <= rho {
+            return (choices0, None);
+        }
+        let max_ucb = ucbs
+            .iter()
+            .flatten()
+            .filter(|u| u.is_finite())
+            .fold(1.0f64, |m, &u| m.max(u.abs()));
+        let cost_span = lp
+            .config
+            .action_costs()
+            .iter()
+            .fold((f64::INFINITY, 0.0f64), |(lo, hi), &c| {
+                (lo.min(c), hi.max(c))
+            });
+        let mut lo = 0.0;
+        let mut hi = (2.0 * max_ucb + 1e12) / (cost_span.1 - cost_span.0).max(1e-9);
+        let mut feasible = None;
+        let mut infeasible = Some((cost0, choices0));
+        for _ in 0..80 {
+            let mid = 0.5 * (lo + hi);
+            let (cost, choices) = greedy_at_lambda(mid);
+            if cost <= rho {
+                feasible = Some((cost, choices));
+                hi = mid;
+            } else {
+                infeasible = Some((cost, choices));
+                lo = mid;
+            }
+        }
+        match feasible {
+            Some((c_f, plan_f)) => {
+                let mix = infeasible.and_then(|(c_i, plan_i)| {
+                    if c_i > c_f + 1e-12 {
+                        let p = ((rho - c_f) / (c_i - c_f)).clamp(0.0, 1.0);
+                        (p > 0.0).then_some((plan_i, p))
+                    } else {
+                        None
+                    }
+                });
+                (plan_f, mix)
+            }
+            None => (vec![lp.config.cheapest_action(); z], None),
+        }
+    }
+
+    /// The breakpoint search's answer at every context, against the
+    /// bisection's: the same feasible action, the same boundary action and
+    /// the bit-identical mix. Returns the first mismatch.
+    fn compare_with_bisection(bandit: &mut UcbAlp, rho: f64) -> Result<(), String> {
+        bandit.refresh_tables();
+        let lp = Lp {
+            config: &bandit.config,
+            ucbs: &bandit.ucbs,
+            pi: &bandit.pi,
+        };
+        let (plan, boundary) = bisection(&lp, rho);
+        for (context, &expected) in plan.iter().enumerate() {
+            let oracle = (
+                expected,
+                boundary
+                    .as_ref()
+                    .map(|(p, mix)| (p[context], mix.to_bits())),
+            );
+            let (action, mix) = lp.solve(rho, context, &mut bandit.crossings);
+            let solved = (action, mix.map(|(a, p)| (a, p.to_bits())));
+            if solved != oracle {
+                return Err(format!(
+                    "context {context} at rho {rho}: search {solved:?}, bisection {oracle:?}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// A policy with a drawn learned state over `costs`: each cell untried
+    /// with probability `untried`, otherwise pulled 1..50 times with a mean
+    /// in `[0, 1)`; drawn context counts and round counter; and, half the
+    /// time, a declared context distribution instead of the empirical one.
+    fn drawn_policy(rng: &mut StdRng, contexts: usize, costs: Vec<f64>, untried: f64) -> UcbAlp {
+        let k = costs.len();
+        let mut config = BanditConfig::new(contexts, costs, 100.0, 200);
+        if rng.gen_bool(0.5) {
+            let weights: Vec<f64> = (0..contexts).map(|_| rng.gen_range(0.05..1.0)).collect();
+            let total: f64 = weights.iter().sum();
+            config = config.with_context_distribution(weights.iter().map(|w| w / total).collect());
+        }
+        let mut bandit = UcbAlp::new(config, 0);
+        for z in 0..contexts {
+            for a in 0..k {
+                if !rng.gen_bool(untried) {
+                    bandit.counts[z][a] = rng.gen_range(1..50);
+                    bandit.means[z][a] = rng.gen_range(0.0..1.0);
+                }
+            }
+            bandit.context_counts[z] = rng.gen_range(0..100);
+        }
+        bandit.rounds_elapsed = rng.gen_range(0..2_000);
+        bandit
+    }
+
+    /// Strictly ascending costs: real-valued steps, or integer steps like
+    /// the paper's `{1, 2, 4, 6, 8, 10, 20}`.
+    fn ascending_costs(rng: &mut StdRng, k: usize) -> Vec<f64> {
+        let integer = rng.gen_bool(0.5);
+        let mut cost = 0.0;
+        (0..k)
+            .map(|_| {
+                cost += if integer {
+                    rng.gen_range(1..=10) as f64
+                } else {
+                    rng.gen_range(0.05..5.0)
+                };
+                cost
+            })
+            .collect()
+    }
+
+    /// Whether two of the search's sorted crossings lie within `1e-12` of
+    /// each other, relative: closer than the scores' rounding can place a
+    /// crossing (an untried cell's `1e12 - lambda c` carries an absolute
+    /// error near `1e-4`), so float evaluation, not the LP, decides which
+    /// side of the pair a multiplier is on.
+    fn near_coincident(crossings: &[f64]) -> bool {
+        crossings.windows(2).any(|w| w[1] - w[0] <= 1e-12 * w[1])
+    }
+
+    /// Over drawn problems (1..=6 contexts, 1..=8 strictly ascending costs,
+    /// untried cells, declared or empirical pi, rho from below the cheapest
+    /// cost to above the unconstrained greedy's), the breakpoint search
+    /// answers what the bisection answers at every context. A draw whose
+    /// answers differ is excluded only when it has near-coincident
+    /// crossings, the first disagreement case of the module docs. None of
+    /// these 20 000 draws is; at 400 000 draws, 7 were, and no other draw
+    /// disagreed.
+    #[test]
+    fn breakpoint_search_matches_the_bisection() {
+        let cases = 20_000;
+        let excluded = std::cell::Cell::new(0);
+        let config = proptest::test_runner::ProptestConfig::with_cases(cases);
+        proptest::test_runner::run(&config, "breakpoint_search", |rng| {
+            let contexts = rng.gen_range(1..=6);
+            let k = rng.gen_range(1..=8);
+            let costs = ascending_costs(rng, k);
+            let (cheapest, dearest) = (costs[0], costs[k - 1]);
+            let untried = [0.0, 0.2, 0.6][rng.gen_range(0usize..3)];
+            let mut bandit = drawn_policy(rng, contexts, costs, untried);
+            for _ in 0..8 {
+                let rho = rng.gen_range(0.5 * cheapest..1.2 * dearest);
+                if let Err(mismatch) = compare_with_bisection(&mut bandit, rho) {
+                    if near_coincident(&bandit.crossings) {
+                        excluded.set(excluded.get() + 1);
+                        return Ok(());
+                    }
+                    return Err(proptest::test_runner::TestCaseError::Fail(mismatch));
+                }
+            }
+            Ok(())
+        });
+        eprintln!("{} of {cases} draws excluded", excluded.get());
+        assert!(
+            excluded.get() * 1_000 <= cases,
+            "{} draws excluded",
+            excluded.get()
+        );
+    }
+
+    /// A 2-context policy over `costs` whose tried cells hold `means`
+    /// (`None` for untried), pulled 5 times each, 40 rounds in.
+    fn tabled(costs: Vec<f64>, means: &[Option<f64>]) -> UcbAlp {
+        let k = costs.len();
+        let mut bandit = UcbAlp::new(BanditConfig::new(2, costs, 100.0, 200), 0);
+        for (i, mean) in means.iter().enumerate() {
+            if let Some(mean) = mean {
+                bandit.counts[i / k][i % k] = 5;
+                bandit.means[i / k][i % k] = *mean;
+            }
+        }
+        bandit.context_counts = vec![20, 20];
+        bandit.rounds_elapsed = 40;
+        bandit
+    }
+
+    /// The search's answer at `context`, mix as bits.
+    fn solved(bandit: &mut UcbAlp, rho: f64, context: usize) -> (usize, Option<(usize, u64)>) {
+        bandit.refresh_tables();
+        let lp = Lp {
+            config: &bandit.config,
+            ucbs: &bandit.ucbs,
+            pi: &bandit.pi,
+        };
+        let (action, mix) = lp.solve(rho, context, &mut bandit.crossings);
+        (action, mix.map(|(a, p)| (a, p.to_bits())))
+    }
+
+    #[test]
+    fn every_action_untried_plays_the_cheapest() {
+        let mut bandit = tabled(vec![1.0, 2.0, 4.0], &[None; 6]);
+        for rho in [0.5, 1.0, 3.0, 10.0] {
+            compare_with_bisection(&mut bandit, rho).unwrap();
+            assert_eq!(solved(&mut bandit, rho, 1), (0, None), "rho {rho}");
+        }
+    }
+
+    #[test]
+    fn one_action_is_always_the_answer() {
+        let mut bandit = tabled(vec![3.0], &[Some(0.4), None]);
+        for rho in [0.5, 3.0, 10.0] {
+            compare_with_bisection(&mut bandit, rho).unwrap();
+            for context in 0..2 {
+                assert_eq!(solved(&mut bandit, rho, context), (0, None));
+            }
+        }
+    }
+
+    #[test]
+    fn rho_below_the_cheapest_cost_falls_back_to_it() {
+        // Costs out of order: the cheapest action is index 1.
+        let means = [Some(0.2), Some(0.5), Some(0.9), Some(0.3), None, Some(0.1)];
+        let mut bandit = tabled(vec![2.0, 1.0, 4.0], &means);
+        compare_with_bisection(&mut bandit, 0.5).unwrap();
+        for context in 0..2 {
+            assert_eq!(solved(&mut bandit, 0.5, context), (1, None));
+        }
+    }
+
+    #[test]
+    fn equal_cost_pairs_never_cross() {
+        // Actions 1 and 2 cost the same: the higher UCB wins at every
+        // multiplier, and a tie goes to the lower index.
+        let means = [
+            Some(0.1),
+            Some(0.5),
+            Some(0.7),
+            Some(0.9),
+            Some(0.2),
+            Some(0.6),
+            Some(0.6),
+            Some(0.95),
+        ];
+        let mut bandit = tabled(vec![1.0, 2.0, 2.0, 4.0], &means);
+        for rho in [0.5, 1.5, 2.0, 2.5, 3.0, 5.0] {
+            compare_with_bisection(&mut bandit, rho).unwrap();
+        }
+        // At rho 2 both contexts can afford a cost-2 action and no more.
+        assert_eq!(solved(&mut bandit, 2.0, 0), (2, None));
+        assert_eq!(solved(&mut bandit, 2.0, 1), (1, None));
     }
 }

@@ -444,6 +444,20 @@ mod tests {
                     .with_arbitration(ArbitrationPolicy::Priority(vec![1.0, x])),
             ]);
         }
+        // Episodes that reach the fault horizon, and ones past it.
+        let horizon = FaultEpisode::HORIZON_SECS;
+        for until_secs in [horizon, horizon * (1.0 + f64::EPSILON), 1.26e114] {
+            episodes.extend([
+                FaultEpisode::PlatformOutage {
+                    from_secs: 0.0,
+                    until_secs,
+                },
+                FaultEpisode::BudgetShock {
+                    at_secs: until_secs,
+                    cents: 100.0,
+                },
+            ]);
+        }
         fleets.push(FleetConfig::new(1000.0).with_arbitration(ArbitrationPolicy::Priority(vec![])));
         for config in &configs {
             assert_agrees(config, config.check());

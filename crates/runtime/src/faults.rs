@@ -102,12 +102,19 @@ impl FaultEpisode {
         }
     }
 
+    /// The latest virtual second an episode may reach: every window ends,
+    /// and every shock lands, by it (about eleven and a half days; the
+    /// longest fault scenario in the workspace ends by it). The breaker
+    /// probes an outage every few cycles until the outage ends, so an
+    /// unbounded window could keep a run, or a resumed one, probing for
+    /// practically ever.
+    pub const HORIZON_SECS: f64 = 1e6;
+
     /// The one validity rule: [`FaultPlan::new`] panics with its message,
     /// the snapshot decoder reports `Invalid`.
     pub fn check(&self) -> Result<(), &'static str> {
-        let window_ok = |from: f64, until: f64| {
-            from.is_finite() && from >= 0.0 && until.is_finite() && until > from
-        };
+        let window_ok =
+            |from: f64, until: f64| (0.0..until).contains(&from) && until <= Self::HORIZON_SECS;
         let ok = match *self {
             FaultEpisode::PlatformOutage {
                 from_secs,
@@ -124,13 +131,13 @@ impl FaultEpisode {
                 until_secs,
             } => window_ok(from_secs, until_secs) && (0.0..=1.0).contains(&prob),
             FaultEpisode::BudgetShock { at_secs, cents } => {
-                at_secs.is_finite() && at_secs >= 0.0 && cents.is_finite() && cents >= 0.0
+                (0.0..=Self::HORIZON_SECS).contains(&at_secs) && cents.is_finite() && cents >= 0.0
             }
         };
         if ok {
             Ok(())
         } else {
-            Err("fault episode is malformed: bad time window, fraction, prob or cents")
+            Err("fault episode is malformed: bad time window (or one past the horizon), fraction, prob or cents")
         }
     }
 }
@@ -498,7 +505,7 @@ mod tests {
             vec![FaultEpisode::AnswerLoss {
                 prob: 0.3,
                 from_secs: 0.0,
-                until_secs: 1e9,
+                until_secs: FaultEpisode::HORIZON_SECS,
             }],
         );
         let mut injector = FaultInjector::new(&plan);
@@ -543,6 +550,30 @@ mod tests {
     #[should_panic(expected = "malformed")]
     fn inverted_window_rejected() {
         FaultPlan::new(0, vec![outage(200.0, 100.0)]);
+    }
+
+    #[test]
+    fn episodes_past_the_horizon_are_refused() {
+        let horizon = FaultEpisode::HORIZON_SECS;
+        assert_eq!(outage(0.0, horizon).check(), Ok(()));
+        let shock = |at_secs| FaultEpisode::BudgetShock {
+            at_secs,
+            cents: 1.0,
+        };
+        assert_eq!(shock(horizon).check(), Ok(()));
+        // The breaker would probe an outage ending at 1.26e114 s for
+        // ~10^110 cycles.
+        for late in [
+            outage(0.0, 1.26e114),
+            outage(900.0, 2.0 * horizon),
+            shock(2.0 * horizon),
+        ] {
+            assert!(late.check().is_err(), "{late:?}");
+            assert_eq!(
+                FaultEpisode::from_bytes(&late.to_bytes()),
+                Err(DecodeError::Invalid)
+            );
+        }
     }
 
     #[test]

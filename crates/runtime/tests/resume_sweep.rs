@@ -1,11 +1,13 @@
 //! Resume is total: a checkpoint that decodes runs to its end. Each mutant
 //! XORs one payload byte, at a drawn offset (every offset can be drawn),
 //! with a drawn non-zero value and re-seals the checksum; resume may refuse
-//! it, and one it accepts may run to a different report, but never panics.
-//! A run stops at `MAX_EVENTS` (a paper-sized run takes a few hundred):
-//! a mutated outage end can leave the breaker probing for ~10^110 cycles.
-//! The fixtures are `tests/determinism.rs`'s faulted 8 × 5 runtime paused
-//! mid-outage and its 2-shard fleet paused with HITs on the board.
+//! it, and one it accepts may run to a different report, but it runs until
+//! its event queue drains, and never panics. There is no event cap: every
+//! fault episode ends by `FaultEpisode::HORIZON_SECS`, so no mutated window
+//! keeps the breaker probing past it, and a mutant that did not drain would
+//! hang the test. The fixtures are `tests/determinism.rs`'s faulted 8 × 5
+//! runtime paused mid-outage and its 2-shard fleet paused with HITs on the
+//! board.
 
 use crowdlearn::CrowdLearnConfig;
 use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
@@ -16,7 +18,6 @@ use crowdlearn_runtime::{
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const MUTANTS: usize = 3_000;
-const MAX_EVENTS: RunBound = RunBound::Events(100_000);
 
 /// The frame header both snapshot kinds share; its last 8 bytes are the
 /// FNV-1a-64 checksum of the payload.
@@ -110,7 +111,7 @@ fn every_runtime_mutant_that_resumes_runs_to_the_end() {
         let snapshot = RuntimeSnapshot::from_bytes(mutant).expect("a re-sealed frame opens");
         let resumed = PipelinedSystem::resume(&snapshot, &stream);
         resumed
-            .map(|mut system| system.run_until(&dataset, &stream, MAX_EVENTS))
+            .map(|mut system| system.run(&dataset, &stream))
             .is_ok()
     });
 }
@@ -133,7 +134,7 @@ fn every_fleet_mutant_that_resumes_runs_to_the_end() {
         let snapshot = FleetSnapshot::from_bytes(mutant).expect("a re-sealed frame opens");
         let resumed = FleetOrchestrator::resume(&snapshot, &streams);
         resumed
-            .map(|mut fleet| fleet.run_until(&datasets, &streams, MAX_EVENTS))
+            .map(|mut fleet| fleet.run(&datasets, &streams))
             .is_ok()
     });
 }
