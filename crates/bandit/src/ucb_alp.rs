@@ -25,6 +25,12 @@
 //! frequencies (initialized uniform), as the paper's four temporal contexts
 //! are equally likely by construction.
 //!
+//! The last segment ends at `hi`, twice the largest crossing (1 when
+//! there is none), so its plan is the one every larger multiplier gives:
+//! a cheapest action in each context. An untried action keeps its place
+//! in the search however far its crossing lies, so the solve still mixes
+//! it in when the budget affords part of it.
+//!
 //! The breakpoint search returns what an 80-step Lagrangian bisection over
 //! the same `(0, hi)` interval returns (the tests keep that bisection as an
 //! oracle), except in two cases: two crossings closer together than the
@@ -41,8 +47,9 @@ use rand::{Rng, SeedableRng};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 /// The score an untried (context, action) pair plays with: it beats every
-/// tried pair at any multiplier the search visits (forced exploration), yet
-/// stays finite so that costs still break ties between untried actions.
+/// tried pair until the multiplier prices it out, far past any crossing of
+/// two tried pairs (forced exploration), yet stays finite so that costs
+/// still break ties between untried actions.
 const UNTRIED_SCORE: f64 = 1e12;
 
 /// The UCB-ALP policy. See the module docs for the algorithm.
@@ -182,25 +189,6 @@ impl Lp<'_> {
         (expected_cost, chosen)
     }
 
-    /// The search's upper end: a multiplier meant to let the cheapest
-    /// action win everywhere (with uneven cost gaps an untried action can
-    /// still beat a cheaper tried one there).
-    fn upper_lambda(&self) -> f64 {
-        let max_ucb = self
-            .ucbs
-            .iter()
-            .filter(|u| u.is_finite())
-            .fold(1.0f64, |m, &u| m.max(u.abs()));
-        let (lo, hi) = self
-            .config
-            .action_costs()
-            .iter()
-            .fold((f64::INFINITY, 0.0f64), |(lo, hi), &c| {
-                (lo.min(c), hi.max(c))
-            });
-        (2.0 * max_ucb + UNTRIED_SCORE) / (hi - lo).max(1e-9)
-    }
-
     /// Solves the LP for `rho` and returns, at `context`, the action of the
     /// smallest-multiplier greedy plan whose expected cost fits `rho`,
     /// together with the action of the boundary plan just below that
@@ -224,14 +212,13 @@ impl Lp<'_> {
         }
 
         let costs = self.config.action_costs();
-        let upper = self.upper_lambda();
         crossings.clear();
         for row in self.ucbs.chunks_exact(costs.len()) {
             for (a, (&ucb_a, &cost_a)) in row.iter().zip(costs).enumerate() {
                 for (&ucb_b, &cost_b) in row.iter().zip(costs).skip(a + 1) {
                     if cost_a != cost_b {
                         let lambda = (capped(ucb_a) - capped(ucb_b)) / (cost_a - cost_b);
-                        if lambda > 0.0 && lambda < upper {
+                        if lambda > 0.0 {
                             crossings.push(lambda);
                         }
                     }
@@ -240,7 +227,9 @@ impl Lp<'_> {
         }
         crossings.sort_unstable_by(f64::total_cmp);
         crossings.dedup();
-        crossings.push(upper);
+        // Past the largest crossing the plan no longer changes: close the
+        // last segment at twice it, so its midpoint lies beyond them all.
+        crossings.push(crossings.last().map_or(1.0, |&top| 2.0 * top));
 
         // Segment `i` runs from the previous crossing (0 for the first) to
         // `crossings[i]`; the greedy plan is constant inside it and its
@@ -515,11 +504,12 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The Lagrangian bisection the breakpoint search replaced, kept
-    /// verbatim as its oracle: 80 halvings of `(0, hi)`, the whole greedy
-    /// plan recomputed at each midpoint. Returns the feasible plan and the
-    /// boundary plan with its mixing probability, one action per context.
-    fn bisection(lp: &Lp<'_>, rho: f64) -> (Vec<usize>, Option<(Vec<usize>, f64)>) {
+    /// The Lagrangian bisection the breakpoint search replaced, kept as its
+    /// oracle: 80 halvings of `(0, hi)`, the search's own upper end, the
+    /// whole greedy plan recomputed at each midpoint. Returns the feasible
+    /// plan and the boundary plan with its mixing probability, one action
+    /// per context.
+    fn bisection(lp: &Lp<'_>, rho: f64, mut hi: f64) -> (Vec<usize>, Option<(Vec<usize>, f64)>) {
         let z = lp.config.contexts();
         let k = lp.config.actions();
         let ucbs: Vec<Vec<f64>> = lp.ucbs.chunks_exact(k).map(<[f64]>::to_vec).collect();
@@ -550,20 +540,7 @@ mod tests {
         if cost0 <= rho {
             return (choices0, None);
         }
-        let max_ucb = ucbs
-            .iter()
-            .flatten()
-            .filter(|u| u.is_finite())
-            .fold(1.0f64, |m, &u| m.max(u.abs()));
-        let cost_span = lp
-            .config
-            .action_costs()
-            .iter()
-            .fold((f64::INFINITY, 0.0f64), |(lo, hi), &c| {
-                (lo.min(c), hi.max(c))
-            });
         let mut lo = 0.0;
-        let mut hi = (2.0 * max_ucb + 1e12) / (cost_span.1 - cost_span.0).max(1e-9);
         let mut feasible = None;
         let mut infeasible = Some((cost0, choices0));
         for _ in 0..80 {
@@ -603,7 +580,11 @@ mod tests {
             ucbs: &bandit.ucbs,
             pi: &bandit.pi,
         };
-        let (plan, boundary) = bisection(&lp, rho);
+        // The search's upper end: solving once fills the crossings. When
+        // the unconstrained plan fits, neither side searches.
+        lp.solve(rho, 0, &mut bandit.crossings);
+        let hi = bandit.crossings.last().copied().unwrap_or(1.0);
+        let (plan, boundary) = bisection(&lp, rho, hi);
         for (context, &expected) in plan.iter().enumerate() {
             let oracle = (
                 expected,
@@ -794,5 +775,27 @@ mod tests {
         // At rho 2 both contexts can afford a cost-2 action and no more.
         assert_eq!(solved(&mut bandit, 2.0, 0), (2, None));
         assert_eq!(solved(&mut bandit, 2.0, 1), (1, None));
+    }
+
+    #[test]
+    fn an_untried_action_past_the_cost_span_is_still_mixed_in() {
+        // Action 1 is untried and only 0.5 dearer than action 0, so it
+        // beats action 0 until lambda ~2e12, far past the tried crossing.
+        // Between the two costs the LP mixes it in with the cheap action.
+        let config = BanditConfig::new(1, vec![1.0, 1.5, 10.0], 100.0, 200);
+        let mut bandit = UcbAlp::new(config, 0);
+        for (action, mean) in [(0, 0.5), (2, 0.9)] {
+            bandit.counts[0][action] = 5;
+            bandit.means[0][action] = mean;
+        }
+        bandit.context_counts = vec![40];
+        bandit.rounds_elapsed = 40;
+        for (rho, p) in [(1.2, 0.4), (1.4, 0.8)] {
+            compare_with_bisection(&mut bandit, rho).unwrap();
+            let (action, mix) = solved(&mut bandit, rho, 0);
+            let (boundary, mixed) = mix.expect("the budget affords part of action 1");
+            assert_eq!((action, boundary), (0, 1), "rho {rho}");
+            assert!((f64::from_bits(mixed) - p).abs() < 1e-12, "rho {rho}");
+        }
     }
 }

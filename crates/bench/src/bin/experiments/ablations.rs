@@ -2,8 +2,8 @@
 //! beyond the paper: domain drift, worker churn and incentive-policy regret.
 
 use crowdlearn::{
-    CalibratorConfig, CrowdLearnConfig, IncentivePolicyKind, Offload, QualityController,
-    QueryFeatures, Retrain, SchemeReport,
+    CalibratorConfig, CrowdLearnConfig, IncentivePolicyKind, Offload, PayoffNormalizer,
+    QualityController, QueryFeatures, Retrain, SchemeReport,
 };
 use crowdlearn_bandit::{
     BanditConfig, CostedBandit, EpsilonGreedy, Exp3, FixedPolicy, RandomPolicy, RegretTracker,
@@ -359,11 +359,6 @@ pub fn churn(fixture: &Fixture) {
 
 const BUDGET: f64 = 1000.0;
 const ROUNDS: u64 = 200;
-const PAYOFF_CEILING: f64 = 1800.0;
-
-fn payoff(delay: f64) -> f64 {
-    (1.0 - delay / PAYOFF_CEILING).clamp(0.0, 1.0)
-}
 
 /// Extension: regret comparison of every incentive policy.
 ///
@@ -379,6 +374,7 @@ pub fn policies(fixture: &Fixture) {
     );
 
     let images: Vec<&SyntheticImage> = fixture.dataset.train().iter().take(60).collect();
+    let normalizer = PayoffNormalizer::paper();
 
     // Estimate the true expected payoff of every (context, incentive) cell
     // from a large sample — the oracle the regret is measured against.
@@ -390,7 +386,7 @@ pub fn policies(fixture: &Fixture) {
             const PROBES: usize = 150;
             for i in 0..PROBES {
                 let r = probe.submit(images[i % images.len()], level, ctx);
-                sum += payoff(r.completion_delay_secs);
+                sum += normalizer.payoff(r.completion_delay_secs);
             }
             expected[z][a] = sum / PROBES as f64;
         }
@@ -427,7 +423,11 @@ pub fn policies(fixture: &Fixture) {
                 for level in IncentiveLevel::ALL {
                     let img = images[(pass + level.index()) % images.len()];
                     let r = platform.submit(img, level, ctx);
-                    policy.observe(ctx.index(), level.index(), payoff(r.completion_delay_secs));
+                    policy.observe(
+                        ctx.index(),
+                        level.index(),
+                        normalizer.payoff(r.completion_delay_secs),
+                    );
                 }
             }
         }
@@ -444,7 +444,7 @@ pub fn policies(fixture: &Fixture) {
             tracker.record(ctx.index(), a);
             let level = IncentiveLevel::from_index(a);
             let r = platform.submit(images[round as usize % images.len()], level, ctx);
-            policy.observe(ctx.index(), a, payoff(r.completion_delay_secs));
+            policy.observe(ctx.index(), a, normalizer.payoff(r.completion_delay_secs));
             delay_sum += r.completion_delay_secs;
             answered += 1;
             spent += f64::from(level.cents());

@@ -80,7 +80,7 @@ pub fn makespan(fixture: &Fixture) -> RuntimeReport {
     println!(
         "\ntap (window 4): {} records, p50 crowd delay {:.0} s",
         tap.records(),
-        tapped.crowd_delay().median().unwrap_or(f64::NAN),
+        tapped.report.query_delay.median().unwrap_or(f64::NAN),
     );
 
     println!();

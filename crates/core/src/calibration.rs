@@ -250,46 +250,6 @@ impl Calibrator {
             Offload::Complex => ai_vote.entropy() > Offload::COMPLEX_ENTROPY,
         }
     }
-
-    /// Runs one MIC round after CQC has produced truthful distributions for
-    /// the cycle's query set: Hedge weight update, committee retraining, and
-    /// the set of overrides the caller should apply to the cycle's output
-    /// labels (crowd offloading).
-    ///
-    /// Returns, for each queried image, `Some(truthful distribution)` when
-    /// [`Calibrator::offloads`] lets the crowd label it, `None` otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any entry's vote count differs from the committee size.
-    pub fn calibrate(
-        &self,
-        committee: &mut Committee,
-        queried: &[QueriedImage<'_>],
-    ) -> Vec<Option<ClassDistribution>> {
-        if queried.is_empty() {
-            return Vec::new();
-        }
-
-        if self.config.update_weights {
-            let losses = self.expert_losses(committee, queried);
-            committee.update_weights(&losses);
-        }
-
-        let overrides = queried
-            .iter()
-            .map(|q| {
-                self.offloads(&committee.mix(q.member_votes))
-                    .then(|| q.truthful.clone())
-            })
-            .collect();
-
-        let samples = self.retrain_samples(queried.iter().map(|q| (q.image, &q.truthful)));
-        if !samples.is_empty() {
-            committee.retrain(&samples);
-        }
-        overrides
-    }
 }
 
 #[cfg(test)]
@@ -369,11 +329,15 @@ mod tests {
         let calibrator = Calibrator::new(CalibratorConfig::paper());
         for chunk in ds.test().chunks(20).take(5) {
             let images: Vec<_> = chunk.iter().collect();
-            // Votes are cached before each calibration round, as in a
-            // sensing cycle: `calibrate` retrains the committee, so the next
-            // round re-caches from the updated members.
+            // One MIC round as a sensing cycle runs it: votes cached first,
+            // then the Hedge update and the retrain, so the next round
+            // re-caches from the updated members.
             let votes = committee.votes_batch(&images);
-            calibrator.calibrate(&mut committee, &queried(&images, &votes));
+            let entries = queried(&images, &votes);
+            let losses = calibrator.expert_losses(&committee, &entries);
+            committee.update_weights(&losses);
+            let answers = entries.iter().map(|q| (q.image, &q.truthful));
+            committee.retrain(&calibrator.retrain_samples(answers));
         }
         let w = committee.weights();
         assert!(
@@ -385,48 +349,29 @@ mod tests {
     }
 
     #[test]
-    fn offloading_returns_truthful_distributions() {
+    fn paper_calibrator_offloads_and_retrains_on_every_answer() {
         let ds = Dataset::generate(&DatasetConfig::paper());
-        let mut committee = committee(&ds);
+        let committee = committee(&ds);
         let calibrator = Calibrator::new(CalibratorConfig::paper());
+        let image = &ds.test()[0];
         let truthful = ClassDistribution::delta(DamageLabel::Severe);
-        let votes = committee.votes(&ds.test()[0]);
-        let entries = vec![QueriedImage {
-            image: &ds.test()[0],
-            member_votes: &votes,
-            truthful: truthful.clone(),
-        }];
-        let overrides = calibrator.calibrate(&mut committee, &entries);
-        assert_eq!(overrides.len(), 1);
-        assert_eq!(overrides[0], Some(truthful));
+        assert!(calibrator.offloads(&committee.committee_vote(image)));
+        let samples = calibrator.retrain_samples([(image, &truthful)]);
+        assert_eq!(samples.len(), 1);
+        assert_eq!(samples[0].image.id(), image.id());
+        assert_eq!(samples[0].label, DamageLabel::Severe);
     }
 
     #[test]
     fn disabled_calibrator_changes_nothing() {
         let ds = Dataset::generate(&DatasetConfig::paper());
-        let mut committee = committee(&ds);
-        let weights_before = committee.weights().to_vec();
-        let vote_before = committee.committee_vote(&ds.test()[3]);
+        let committee = committee(&ds);
         let calibrator = Calibrator::new(CalibratorConfig::disabled());
-        let votes = committee.votes(&ds.test()[0]);
-        let entries = vec![QueriedImage {
-            image: &ds.test()[0],
-            member_votes: &votes,
-            truthful: ClassDistribution::delta(DamageLabel::NoDamage),
-        }];
-        let overrides = calibrator.calibrate(&mut committee, &entries);
-        assert_eq!(overrides, vec![None]);
-        assert_eq!(committee.weights(), &weights_before[..]);
-        assert_eq!(committee.committee_vote(&ds.test()[3]), vote_before);
-    }
-
-    #[test]
-    fn empty_query_set_is_a_no_op() {
-        let ds = Dataset::generate(&DatasetConfig::paper());
-        let mut committee = committee(&ds);
-        let calibrator = Calibrator::new(CalibratorConfig::paper());
-        let overrides = calibrator.calibrate(&mut committee, &[]);
-        assert!(overrides.is_empty());
+        let image = &ds.test()[0];
+        let truthful = ClassDistribution::delta(DamageLabel::NoDamage);
+        assert!(!calibrator.config().update_weights);
+        assert!(!calibrator.offloads(&committee.committee_vote(image)));
+        assert!(calibrator.retrain_samples([(image, &truthful)]).is_empty());
     }
 
     #[test]

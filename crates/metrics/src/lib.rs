@@ -12,9 +12,6 @@
 //!   significantly different label quality (Figure 6).
 //! * [`SummaryStats`] — streaming mean/variance/percentile summaries used for
 //!   every delay measurement (Table III, Figures 5, 8, 11).
-//! * [`QuantileSketch`] — a deterministic fixed-grid streaming quantile
-//!   estimator (O(1) memory in the sample count), under the runtime's
-//!   live crowd-delay views.
 //! * [`brier_score`] / [`CalibrationReport`] — probabilistic-forecast
 //!   quality (Brier, reliability diagrams, ECE) for the schemes'
 //!   class-probability outputs.
@@ -49,7 +46,6 @@ mod confusion;
 mod mcnemar;
 mod probabilistic;
 mod roc;
-mod sketch;
 mod stats;
 mod wilcoxon;
 
@@ -58,6 +54,5 @@ pub use confusion::{ClassReport, ConfusionMatrix};
 pub use mcnemar::{mcnemar_test, McNemarOutcome};
 pub use probabilistic::{brier_score, CalibrationBin, CalibrationReport};
 pub use roc::{macro_average_roc, RocCurve, RocPoint};
-pub use sketch::QuantileSketch;
 pub use stats::SummaryStats;
 pub use wilcoxon::{wilcoxon_signed_rank, WilcoxonOutcome};

@@ -25,9 +25,6 @@ use std::fmt;
 ///   [`try_std_dev`](Self::try_std_dev) where "no data" must stay
 ///   distinguishable from "measured zero".
 ///
-/// [`QuantileSketch`](crate::QuantileSketch), the streaming counterpart,
-/// follows the same contract.
-///
 /// # Example
 ///
 /// ```

@@ -42,7 +42,7 @@ use crate::frame;
 use crate::{MetricsTap, PipelinedSystem, RunBound, RuntimeConfig, RuntimeReport, SnapshotError};
 use crowdlearn::{CrowdLearnConfig, PostedQuery};
 use crowdlearn_dataset::{Dataset, SensingCycleStream};
-use crowdlearn_metrics::QuantileSketch;
+use crowdlearn_metrics::SummaryStats;
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 use std::convert::Infallible;
 
@@ -432,8 +432,9 @@ pub struct FleetReport {
     /// Cross-stream contention telemetry.
     pub contention: ContentionStats,
     /// Fleet-level crowd-delay rollup: every shard report's
-    /// [`RuntimeReport::crowd_delay`] merged into one.
-    pub rollup_crowd_delay: QuantileSketch,
+    /// [`query_delay`](crowdlearn::SchemeReport::query_delay), merged in
+    /// shard order.
+    pub rollup_crowd_delay: SummaryStats,
 }
 
 /// N concurrent [`PipelinedSystem`] shards over one shared worker pool and
@@ -648,11 +649,9 @@ impl FleetOrchestrator {
         let reports: Vec<RuntimeReport> = self.shards.iter_mut().map(|s| s.finish()).collect();
         let makespan_secs = reports.iter().map(|r| r.makespan_secs).fold(0.0, f64::max);
         let events_processed = reports.iter().map(|r| r.events_processed).sum();
-        // Every shard sketches its delays on `DELAY_GRID`, so the merges
-        // line up; `new` refuses a fleet without shards.
-        let mut rollup_crowd_delay = reports[0].crowd_delay();
-        for report in &reports[1..] {
-            rollup_crowd_delay.merge(&report.crowd_delay());
+        let mut rollup_crowd_delay = SummaryStats::new();
+        for report in &reports {
+            rollup_crowd_delay.merge(&report.report.query_delay);
         }
         FleetReport {
             shards: reports,

@@ -81,10 +81,9 @@
 //!   [`RuntimeSnapshot`], so a resumed run replays the identical metric
 //!   stream ([`MetricsSink`] is the extension point for custom consumers).
 //!   Crowd-delay quantiles are a view of the run, not of the tap:
-//!   [`PipelinedSystem::crowd_delay`] (live) and
-//!   [`RuntimeReport::crowd_delay`] sketch every absorbed answer's delay on
-//!   the one [`DELAY_GRID`], so a fleet merges its shards' views without a
-//!   grid check.
+//!   [`PipelinedSystem::crowd_delay`] (live) and the finished report's
+//!   [`query_delay`](crowdlearn::SchemeReport::query_delay) are exact
+//!   summaries of every absorbed answer's delay.
 //!
 //! ## The blocking loop is a window of one
 //!
@@ -127,7 +126,7 @@ pub use fleet::{
 };
 pub use hit::HitId;
 pub use metrics::{MetricKind, MetricRecord, MetricsSink, MetricsTap};
-pub use pipeline::{PipelinedSystem, RunBound, RuntimeReport, WindowDecision, DELAY_GRID};
+pub use pipeline::{PipelinedSystem, RunBound, RuntimeReport, WindowDecision};
 pub use queue::EventQueue;
 pub use snapshot::{RuntimeSnapshot, SnapshotError, SNAPSHOT_FORMAT_VERSION};
 pub use sweep::ParallelSweep;

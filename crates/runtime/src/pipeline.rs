@@ -13,7 +13,7 @@ use crowdlearn::{
 };
 use crowdlearn_crowd::IncentiveLevel;
 use crowdlearn_dataset::{Dataset, SensingCycle, SensingCycleStream, TemporalContext};
-use crowdlearn_metrics::QuantileSketch;
+use crowdlearn_metrics::SummaryStats;
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::convert::Infallible;
@@ -52,8 +52,9 @@ pub struct RuntimeReport {
     pub degraded_cycles: u64,
     /// The run's streaming metrics, when a [`MetricsTap`] was attached
     /// (via [`PipelinedSystem::attach_metrics_tap`]): the counters and gauges
-    /// of the records it saw while attached. The crowd-delay view,
-    /// [`RuntimeReport::crowd_delay`], covers the whole run either way.
+    /// of the records it saw while attached. The crowd-delay views,
+    /// [`SchemeReport::query_delay`] and [`RuntimeReport::crowd_delay_in`],
+    /// cover the whole run either way.
     pub metrics: Option<MetricsTap>,
     /// The effective in-flight window after each `CycleClosed` decision,
     /// in cycle-close order — the window controller's trajectory. Constant
@@ -62,45 +63,30 @@ pub struct RuntimeReport {
 }
 
 impl RuntimeReport {
-    /// Every absorbed crowd answer's delay, sketched on [`DELAY_GRID`].
-    pub fn crowd_delay(&self) -> QuantileSketch {
-        sketch_delays(&self.outcomes, [], None)
-    }
-
-    /// One temporal context's crowd delays (the Figure 8 series).
-    pub fn crowd_delay_in(&self, context: TemporalContext) -> QuantileSketch {
-        sketch_delays(&self.outcomes, [], Some(context))
+    /// One temporal context's crowd delays (the Figure 8 series), one
+    /// sample per absorbed answer; [`SchemeReport::query_delay`] holds
+    /// every context's.
+    pub fn crowd_delay_in(&self, context: TemporalContext) -> SummaryStats {
+        collect_delays(&self.outcomes, [], Some(context))
     }
 }
 
-/// The `(lo, hi, bins)` grid every crowd-delay view is sketched on:
-/// `[0, 7200)` seconds in 1024 bins, ≈ 7 s quantile resolution. The paper's
-/// delay surface tops out around 1400 s mean × worker speed × log-normal
-/// noise, so the ceiling leaves generous headroom before any sample clamps.
-/// One grid for every view is what lets a fleet merge its shards' views.
-pub const DELAY_GRID: (f64, f64, usize) = (0.0, 7200.0, 1024);
-
-/// Sketches the absorbed answers' delays of the `closed` cycles, then of
-/// the `active` ones, on [`DELAY_GRID`]; with `only` set, that context's
-/// cycles alone. A sketch's bins, count, clamped count and extremes do not
-/// depend on push order, so neither does any quantile.
-fn sketch_delays<'a>(
+/// The absorbed answers' delays of the `closed` cycles, then of the
+/// `active` ones; with `only` set, that context's cycles alone.
+fn collect_delays<'a>(
     closed: impl IntoIterator<Item = &'a CycleOutcome>,
     active: impl IntoIterator<Item = &'a CycleWork>,
     only: Option<TemporalContext>,
-) -> QuantileSketch {
-    let (lo, hi, bins) = DELAY_GRID;
-    let mut sketch = QuantileSketch::new(lo, hi, bins);
+) -> SummaryStats {
     let closed = closed
         .into_iter()
         .map(|o| (o.context, &o.query_delay_secs[..]));
     let active = active.into_iter().map(|w| (w.context(), w.query_delays()));
-    for (context, delays) in closed.chain(active) {
-        if only.is_none_or(|c| c == context) {
-            delays.iter().for_each(|&d| sketch.push(d));
-        }
-    }
-    sketch
+    closed
+        .chain(active)
+        .filter(|(context, _)| only.is_none_or(|c| c == *context))
+        .flat_map(|(_, delays)| delays.iter().copied())
+        .collect()
 }
 
 /// The window controller's most recent move at a `CycleClosed` boundary.
@@ -264,16 +250,16 @@ impl PipelinedSystem {
         }
     }
 
-    /// Every crowd answer absorbed so far in the current execution, sketched
-    /// on [`DELAY_GRID`] (the adaptive controller watches its
+    /// The delay of every crowd answer absorbed so far in the current
+    /// execution (the adaptive controller watches its
     /// [`WindowPolicy::PERCENTILE`]); `None` when no execution is running.
-    pub fn crowd_delay(&self) -> Option<QuantileSketch> {
+    pub fn crowd_delay(&self) -> Option<SummaryStats> {
         self.exec.as_ref().map(|e| e.crowd_delay(None))
     }
 
     /// [`PipelinedSystem::crowd_delay`] over one temporal context's cycles
     /// (the Figure 8 series, live).
-    pub fn crowd_delay_in(&self, context: TemporalContext) -> Option<QuantileSketch> {
+    pub fn crowd_delay_in(&self, context: TemporalContext) -> Option<SummaryStats> {
         self.exec.as_ref().map(|e| e.crowd_delay(Some(context)))
     }
 
@@ -742,8 +728,8 @@ impl ExecState {
     }
 
     /// Every answer absorbed so far (of `only`'s cycles, when set).
-    fn crowd_delay(&self, only: Option<TemporalContext>) -> QuantileSketch {
-        sketch_delays(self.outcomes.iter().flatten(), self.active.values(), only)
+    fn crowd_delay(&self, only: Option<TemporalContext>) -> SummaryStats {
+        collect_delays(self.outcomes.iter().flatten(), self.active.values(), only)
     }
 }
 

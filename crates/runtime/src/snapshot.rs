@@ -94,8 +94,8 @@ const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 /// carried the shard's spend alone;
 /// 15 — the metrics tap lost its five crowd-delay sketches (41 288 B per
 /// tap) and its spend-event counter (posts plus reposts): the delays are
-/// the outcomes' and the active cycles' own, and the views are sketched
-/// from them. `QuantileSketch` has no codec any more, and the execution
+/// the outcomes' and the active cycles' own, and the views are built from
+/// them. The delay sketch has no codec any more, and the execution
 /// state must hold each cycle in exactly one lifecycle state (arriving,
 /// waiting, inferring, active or closed);
 /// 16 — a HIT is one board entry with one queued resolution: the no-op

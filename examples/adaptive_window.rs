@@ -63,7 +63,7 @@ fn main() {
             .expect("tap attached for the whole run");
         let delay = system
             .crowd_delay()
-            .or_else(|| report.as_ref().map(|r| r.crowd_delay()))
+            .or_else(|| report.as_ref().map(|r| r.report.query_delay.clone()))
             .expect("a running or finished execution");
         let fmt_q = |q: f64| match delay.quantile(q) {
             Some(v) => format!("{v:7.0} s"),
@@ -100,9 +100,9 @@ fn main() {
 
     println!("\ncrowd delay by temporal context (what the controller saw):");
     for context in TemporalContext::ALL {
-        let sketch = report.crowd_delay_in(context);
-        match sketch.quantile(0.9) {
-            Some(p90) => println!("   {context:?}: n={}, p90 {p90:.0} s", sketch.len()),
+        let delay = report.crowd_delay_in(context);
+        match delay.quantile(0.9) {
+            Some(p90) => println!("   {context:?}: n={}, p90 {p90:.0} s", delay.len()),
             None => println!("   {context:?}: no queries"),
         }
     }

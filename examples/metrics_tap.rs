@@ -12,7 +12,7 @@
 //! them into counters, spend pacing against the budget ledger, and
 //! occupancy gauges — all deterministic, all O(1) memory, and all carried
 //! inside runtime snapshots. The crowd-delay quantiles are the run's own:
-//! `PipelinedSystem::crowd_delay` live, `RuntimeReport::crowd_delay` after.
+//! `PipelinedSystem::crowd_delay` live, the report's `query_delay` after.
 
 use crowdlearn::CrowdLearnConfig;
 use crowdlearn_dataset::TemporalContext;
@@ -39,7 +39,7 @@ fn main() {
             .expect("tap attached for the whole run");
         let delay = system
             .crowd_delay()
-            .or_else(|| report.as_ref().map(|r| r.crowd_delay()))
+            .or_else(|| report.as_ref().map(|r| r.report.query_delay.clone()))
             .expect("a running or finished execution");
         let fmt_q = |q: f64| match delay.quantile(q) {
             Some(v) => format!("{v:7.0} s"),
@@ -60,13 +60,13 @@ fn main() {
     let tap = report.metrics.as_ref().expect("tap rides the report");
 
     // End-of-run dashboard: the run's crowd delays, per temporal context.
-    println!("\ncrowd delay by temporal context (sketched quantiles):");
+    println!("\ncrowd delay by temporal context (exact quantiles):");
     for context in TemporalContext::ALL {
-        let sketch = report.crowd_delay_in(context);
-        match (sketch.quantile(0.5), sketch.quantile(0.9)) {
+        let delay = report.crowd_delay_in(context);
+        match (delay.quantile(0.5), delay.quantile(0.9)) {
             (Some(p50), Some(p90)) => println!(
                 "   {context:?}: n={}, p50 {p50:.0} s, p90 {p90:.0} s",
-                sketch.len()
+                delay.len()
             ),
             _ => println!("   {context:?}: no queries"),
         }

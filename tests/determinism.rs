@@ -10,7 +10,7 @@ use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
 use crowdlearn_runtime::{
     FleetConfig, FleetOrchestrator, FleetSnapshot, MetricsTap, PipelinedSystem, RunBound,
     RuntimeConfig, RuntimeReport, RuntimeSnapshot, ShardSpec, SnapshotError, WindowPolicy,
-    DELAY_GRID, SNAPSHOT_FORMAT_VERSION,
+    SNAPSHOT_FORMAT_VERSION,
 };
 
 fn dataset(seed: u64) -> Dataset {
@@ -171,7 +171,7 @@ fn metrics_tap_replays_byte_identically_across_checkpoint_resume() {
     let baseline = system.run(&dataset, &stream);
     let baseline_tap = baseline.metrics.as_ref().expect("tap rides the report");
     assert!(
-        baseline_tap.records() > 0 && !baseline.crowd_delay().is_empty(),
+        baseline_tap.records() > 0 && !baseline.report.query_delay.is_empty(),
         "fixture must actually stream metrics"
     );
     // Attaching a tap must observe the run, not perturb it.
@@ -382,7 +382,7 @@ fn fleet_same_seeds_twice_is_byte_identical_and_contention_is_real() {
         "a contended shard must not match its uncontended solo run"
     );
 
-    // Per-shard attribution and the rollup sketch cover the whole fleet.
+    // Per-shard attribution and the delay rollup cover the whole fleet.
     for (i, shard) in a.shards.iter().enumerate() {
         assert_eq!(
             a.ledger.spent_cents(i),
@@ -406,13 +406,16 @@ fn fleet_same_seeds_twice_is_byte_identical_and_contention_is_real() {
         "every posted attempt is attributed to one shard"
     );
     let rollup = &a.rollup_crowd_delay;
-    let per_shard: u64 = a.shards.iter().map(|s| s.crowd_delay().len()).sum();
+    let per_shard: Vec<f64> = a
+        .shards
+        .iter()
+        .flat_map(|s| s.report.query_delay.samples().iter().copied())
+        .collect();
     assert_eq!(
-        rollup.len(),
-        per_shard,
-        "rollup must merge every shard's sketch"
+        rollup.samples(),
+        &per_shard[..],
+        "rollup must merge every shard's delays"
     );
-    assert_eq!(rollup.grid(), DELAY_GRID);
     assert!(!rollup.is_empty(), "rollup must absorb real delay samples");
 }
 
