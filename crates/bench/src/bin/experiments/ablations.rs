@@ -119,7 +119,7 @@ fn cqc_feature_ablation(fixture: &Fixture) {
 
     let full_rows: Vec<Vec<f64>> = train
         .iter()
-        .map(|(r, _)| QueryFeatures::extract(r))
+        .map(|(r, _)| QueryFeatures::extract(r).to_vec())
         .collect();
     let labels: Vec<usize> = train.iter().map(|(_, l)| l.index()).collect();
     // Labels-only: keep the vote fractions + entropy + top share, drop the

@@ -30,7 +30,7 @@ impl QueryFeatures {
     /// # Panics
     ///
     /// Panics if the response has no worker responses.
-    pub fn extract(response: &QueryResponse) -> Vec<f64> {
+    pub fn extract(response: &QueryResponse) -> [f64; Self::DIM] {
         assert!(
             !response.responses.is_empty(),
             "cannot extract features from an empty response"
@@ -62,12 +62,15 @@ impl QueryFeatures {
             .sum::<f64>();
         let top_share = votes.iter().copied().fold(0.0, f64::max);
 
-        let mut features = Vec::with_capacity(Self::DIM);
-        features.extend_from_slice(&votes);
-        features.extend_from_slice(&questions);
-        features.push(entropy);
-        features.push(top_share);
-        features.push(f64::from(response.incentive.cents()) / 20.0);
+        let incentive = f64::from(response.incentive.cents()) / 20.0;
+        let tail = [entropy, top_share, incentive];
+        let mut features = [0.0; Self::DIM];
+        for (slot, &value) in features
+            .iter_mut()
+            .zip(votes.iter().chain(&questions).chain(&tail))
+        {
+            *slot = value;
+        }
         features
     }
 }
@@ -119,7 +122,7 @@ impl QualityController {
         );
         let rows: Vec<Vec<f64>> = examples
             .iter()
-            .map(|(resp, _)| QueryFeatures::extract(resp))
+            .map(|(resp, _)| QueryFeatures::extract(resp).to_vec())
             .collect();
         let labels: Vec<usize> = examples.iter().map(|(_, l)| l.index()).collect();
         self.model = Some(GbdtClassifier::fit(
@@ -132,7 +135,7 @@ impl QualityController {
 
     /// The truthful-label distribution for a live response. Untrained
     /// controllers fall back to the normalized vote histogram (majority
-    /// voting).
+    /// voting). Allocates nothing.
     ///
     /// # Panics
     ///
@@ -140,8 +143,9 @@ impl QualityController {
     pub fn infer(&self, response: &QueryResponse) -> ClassDistribution {
         match &self.model {
             Some(model) => {
-                let probs = model.predict_proba(&QueryFeatures::extract(response));
-                ClassDistribution::from_weights([probs[0], probs[1], probs[2]])
+                let mut probs = [0.0; DamageLabel::COUNT];
+                model.predict_proba_into(&QueryFeatures::extract(response), &mut probs);
+                ClassDistribution::from_weights(probs)
             }
             None => {
                 let mut votes = [0.0f64; DamageLabel::COUNT];
@@ -160,7 +164,8 @@ impl QualityController {
 }
 
 // Snapshot codec: the (optionally trained) model, already validated by its
-// own decoder. The boosting configuration is the constant.
+// own decoder and held to CQC's shape: one score per label over
+// `QueryFeatures`. The boosting configuration is the constant.
 impl Encode for QualityController {
     fn encode(&self, out: &mut Vec<u8>) {
         self.model.encode(out);
@@ -169,9 +174,14 @@ impl Encode for QualityController {
 
 impl Decode for QualityController {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Self {
-            model: Option::<GbdtClassifier>::decode(r)?,
-        })
+        let model = Option::<GbdtClassifier>::decode(r)?;
+        let shaped = |m: &GbdtClassifier| {
+            m.classes() == DamageLabel::COUNT && m.features() == QueryFeatures::DIM
+        };
+        if !model.as_ref().is_none_or(shaped) {
+            return Err(DecodeError::Invalid);
+        }
+        Ok(Self { model })
     }
 }
 
@@ -289,7 +299,7 @@ mod tests {
         cqc.train(&examples);
         let rows = examples
             .iter()
-            .map(|(resp, _)| QueryFeatures::extract(resp))
+            .map(|(resp, _)| QueryFeatures::extract(resp).to_vec())
             .collect();
         (cqc.model.expect("trained"), rows)
     }
@@ -305,7 +315,7 @@ mod tests {
     fn boot_cqc_model_bytes_match_the_pinned_digest() {
         let digest = fnv1a64(&boot_model().0.to_bytes());
         assert_eq!(
-            digest, 0xd327_440d_5a29_bad8,
+            digest, 0x675a_820c_d4de_efbf,
             "CQC model digest {digest:#018x}"
         );
     }
@@ -343,6 +353,16 @@ mod tests {
     #[should_panic(expected = "at least one training example")]
     fn empty_training_rejected() {
         QualityController::paper().train(&[]);
+    }
+
+    #[test]
+    fn a_model_of_another_shape_is_refused() {
+        let rows = vec![vec![0.0], vec![1.0], vec![0.0], vec![1.0]];
+        let model = GbdtClassifier::fit(&rows, &[0, 1, 0, 1], 2, &GbdtConfig::small());
+        assert_eq!(
+            QualityController::from_bytes(&Some(model).to_bytes()).map(|c| c.is_trained()),
+            Err(DecodeError::Invalid)
+        );
     }
 
     #[test]

@@ -1,167 +1,363 @@
-//! The compiled inference form of a fitted model: every tree in one flat
-//! array, walked a fixed number of steps without branching.
+//! The compiled inference form of a fitted model: per-feature prefix leaf
+//! masks in the manner of QuickScorer (Lucchese et al., SIGIR 2015).
+//!
+//! Every split compares one feature with one of that feature's *cuts*, the
+//! sorted distinct thresholds the model splits it at; the wire form names a
+//! split by its feature and the cut's rank. A row goes right at a split
+//! exactly when the split's threshold is at or below the row's value (or
+//! the value is NaN), and going right rules out every leaf of the split's
+//! left subtree. Each tree has a bit mask of its leaves, bit `i` for its
+//! `i`-th leaf from the left, and a row's exit leaf is the leftmost leaf
+//! that no right-going split rules out. So the table holds, for each
+//! feature and each number `q` of its cuts at or below a value, a *prefix
+//! row*: the AND of the "left subtree gone" masks of every split on that
+//! feature at one of those `q` cuts. Scoring a row ANDs one prefix row per
+//! feature and reads each tree's lowest set bit.
+//!
+//! The rows are laid out per block of trees, as many as fill
+//! [`BLOCK_WORDS`] mask words, with rows only for the cuts that block
+//! splits on, so the table is at most two rows of 256 bytes a split however
+//! many distinct thresholds the model has.
 
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 /// The wire form's feature id of a leaf.
 pub(crate) const LEAF: u16 = u16::MAX;
 
-/// Trees walked side by side, so their independent loads overlap.
-const LANES: usize = 16;
+/// Mask words in one table row: a block holds `BLOCK_WORDS / words` trees
+/// of `words` words each.
+const BLOCK_WORDS: usize = 64;
 
-/// One node of the flat array, 16 bytes. A split holds its threshold in
-/// `value`, `left == 1` (its left child follows it in preorder) and in
-/// `right` the offset from it to its right child. A leaf holds its weight
-/// in `value` and `left == right == 0`, so a walk that reaches it stays
-/// there; its `feature` is 0, which every row has.
+/// The most leaves a tree may have: one row holds its mask.
+pub(crate) const MAX_LEAVES: usize = 32 * BLOCK_WORDS;
+
+/// One table row: the leaf masks of a block's trees, side by side.
+type Row = [u32; BLOCK_WORDS];
+
+/// The trees `trees.0..trees.1`, whose rows are the groups
+/// `groups.0..groups.1`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct FlatNode {
-    value: f64,
-    right: u32,
-    feature: u16,
-    left: u16,
+struct Block {
+    trees: (usize, usize),
+    groups: (usize, usize),
 }
 
-/// Where a tree's root sits in the array, and the steps its deepest leaf
-/// is from the root.
+/// One feature's rows in one block. The block splits the feature at the
+/// `len` values `thresholds[cuts..cuts + len]`, ascending; row `rows + q`
+/// is the AND of the masks of the block's splits at the first `q` of them,
+/// so row `rows` is all ones.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct TreeSpan {
-    root: u32,
-    depth: u32,
+struct Group {
+    feature: usize,
+    cuts: usize,
+    len: usize,
+    rows: usize,
 }
 
-/// A model's trees, round-major and class-minor, each in preorder in one
-/// array.
+/// A split as the table is built from it: its global cut id (its
+/// feature's first id plus its rank) and the leaves `lo..hi` of its left
+/// subtree.
+#[derive(Debug, Clone, Copy)]
+struct Split {
+    cut: u32,
+    lo: u16,
+    hi: u16,
+}
+
+/// A model's trees, round-major and class-minor: their wire form and the
+/// mask table built from it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Forest {
-    nodes: Vec<FlatNode>,
-    trees: Vec<TreeSpan>,
+    /// Each feature's cuts, strictly ascending.
+    cuts: Vec<Vec<f64>>,
+    /// Every node's feature in preorder, [`LEAF`] for a leaf.
+    nodes: Vec<u16>,
+    /// Every split's rank among its feature's cuts, in preorder.
+    ranks: Vec<u16>,
+    /// Every leaf's weight in preorder: tree by tree, left to right.
+    leaves: Vec<f64>,
+    /// Where each tree's leaves start in `leaves`, then their end.
+    leaf_starts: Vec<usize>,
+    /// Mask words a tree: the most leaves a tree has over 32, rounded up.
+    words: usize,
+    blocks: Vec<Block>,
+    groups: Vec<Group>,
+    /// Every group's threshold values, group by group.
+    thresholds: Vec<f64>,
+    rows: Vec<Row>,
 }
 
 impl Forest {
-    /// Rebuilds `trees` trees from their preorder `(feature, value)` nodes,
-    /// a leaf's feature being [`LEAF`]: the right-child offsets and depths
-    /// follow from the order. `Invalid` if a split lacks a subtree, nodes
-    /// are left over after the last tree, a leaf weight is not finite, or
-    /// the array outgrows `u32` offsets.
+    /// Compiles `trees` trees from their preorder `(feature, value)` nodes,
+    /// a split's value being its threshold and a leaf's feature [`LEAF`]
+    /// with its weight in `value`. Each of the `features` features' cuts
+    /// are its distinct thresholds. `Invalid` where [`Forest::decode`]
+    /// would refuse the result, or where a feature has more cuts than a
+    /// `u16` rank reaches.
     pub(crate) fn from_preorder(
         preorder: &[(u16, f64)],
         trees: usize,
+        features: usize,
     ) -> Result<Self, DecodeError> {
-        u32::try_from(preorder.len()).map_err(|_| DecodeError::Invalid)?;
-        let mut nodes = Vec::with_capacity(preorder.len());
-        let mut spans = Vec::with_capacity(trees.min(preorder.len()));
-        // Splits whose right subtree is still to come, with their depths.
-        let mut open: Vec<(usize, u32)> = Vec::new();
-        for _ in 0..trees {
-            let root = nodes.len();
-            let (mut depth, mut deepest) = (0u32, 0u32);
-            loop {
-                let &(feature, value) = preorder.get(nodes.len()).ok_or(DecodeError::Invalid)?;
-                if feature != LEAF {
-                    open.push((nodes.len(), depth));
-                    nodes.push(FlatNode {
-                        value,
-                        right: 0,
-                        feature,
-                        left: 1,
-                    });
-                    depth += 1;
-                    continue;
-                }
-                if !value.is_finite() {
-                    return Err(DecodeError::Invalid);
-                }
-                nodes.push(FlatNode {
-                    value,
-                    right: 0,
-                    feature: 0,
-                    left: 0,
-                });
-                deepest = deepest.max(depth);
-                let Some((split, split_depth)) = open.pop() else {
-                    break;
-                };
-                // The next node starts the split's right subtree.
-                nodes[split].right = u32::try_from(nodes.len() - split).expect("length checked");
-                depth = split_depth + 1;
+        let mut cuts = vec![Vec::new(); features];
+        for &(feature, value) in preorder.iter().filter(|node| node.0 != LEAF) {
+            let cuts = cuts.get_mut(usize::from(feature));
+            cuts.ok_or(DecodeError::Invalid)?.push(value);
+        }
+        for cuts in &mut cuts {
+            cuts.sort_unstable_by(f64::total_cmp);
+            cuts.dedup_by(|later, earlier| later == earlier);
+        }
+        let nodes = preorder.iter().map(|node| node.0).collect();
+        let mut ranks = Vec::new();
+        let mut leaves = Vec::new();
+        for &(feature, value) in preorder {
+            if feature == LEAF {
+                leaves.push(value);
+            } else {
+                let rank = cuts[usize::from(feature)].partition_point(|&t| t < value);
+                ranks.push(u16::try_from(rank).map_err(|_| DecodeError::Invalid)?);
             }
-            spans.push(TreeSpan {
-                root: u32::try_from(root).expect("length checked"),
-                depth: deepest,
-            });
         }
-        if nodes.len() != preorder.len() {
-            return Err(DecodeError::Invalid);
-        }
-        Ok(Self {
-            nodes,
-            trees: spans,
-        })
+        Self::build(trees, cuts, nodes, ranks, leaves)
     }
 
-    /// The nodes in preorder as `(feature, value)`, a leaf's feature being
-    /// [`LEAF`]: the inverse of [`Forest::from_preorder`].
-    fn preorder(&self) -> impl Iterator<Item = (u16, f64)> + '_ {
-        self.nodes.iter().map(|node| match node.left {
-            0 => (LEAF, node.value),
-            _ => (node.feature, node.value),
-        })
+    /// Checks a wire form and builds its table. `Invalid` if a feature's
+    /// cuts are not finite and strictly ascending, there are more than
+    /// 65 535 features, a split's feature or rank is out of range, a cut
+    /// is used by no split, a split lacks a subtree, a tree has more than
+    /// [`MAX_LEAVES`] leaves, nodes are left over after the last tree,
+    /// there are more or fewer ranks than splits or weights than leaves, or
+    /// a leaf weight is not finite.
+    fn build(
+        trees: usize,
+        cuts: Vec<Vec<f64>>,
+        nodes: Vec<u16>,
+        ranks: Vec<u16>,
+        leaves: Vec<f64>,
+    ) -> Result<Self, DecodeError> {
+        let ascending = |cuts: &Vec<f64>| {
+            cuts.iter().all(|c| c.is_finite()) && cuts.windows(2).all(|w| w[0] < w[1])
+        };
+        if cuts.len() > usize::from(LEAF)
+            || !cuts.iter().all(ascending)
+            || !leaves.iter().all(|leaf| leaf.is_finite())
+        {
+            return Err(DecodeError::Invalid);
+        }
+        // At most 65 535 features of at most 65 536 cuts each fit `u32` ids.
+        let mut first_cut = Vec::with_capacity(cuts.len() + 1);
+        first_cut.push(0u32);
+        for cuts in &cuts {
+            let len = u32::try_from(cuts.len()).map_err(|_| DecodeError::Invalid)?;
+            let next = first_cut[first_cut.len() - 1].checked_add(len);
+            first_cut.push(next.ok_or(DecodeError::Invalid)?);
+        }
+        let mut used = vec![false; first_cut[cuts.len()] as usize];
+
+        let mut splits = Vec::with_capacity(ranks.len().min(nodes.len()));
+        let mut leaf_starts = Vec::with_capacity(trees.min(nodes.len()) + 1);
+        leaf_starts.push(0);
+        // Splits whose left subtree is still growing, as `splits` indices.
+        let mut open = Vec::new();
+        let (mut at, mut most_leaves) = (0, 1);
+        for tree in 0..trees {
+            let mut count = 0u16;
+            loop {
+                let &feature = nodes.get(at).ok_or(DecodeError::Invalid)?;
+                at += 1;
+                if feature != LEAF {
+                    let &rank = ranks.get(splits.len()).ok_or(DecodeError::Invalid)?;
+                    let feature = usize::from(feature);
+                    if usize::from(rank) >= cuts.get(feature).map_or(0, Vec::len) {
+                        return Err(DecodeError::Invalid);
+                    }
+                    let cut = first_cut[feature] + u32::from(rank);
+                    used[cut as usize] = true;
+                    open.push(splits.len());
+                    splits.push(Split {
+                        cut,
+                        lo: count,
+                        hi: count,
+                    });
+                    continue;
+                }
+                count += 1;
+                if usize::from(count) > MAX_LEAVES {
+                    return Err(DecodeError::Invalid);
+                }
+                // The split's left subtree ends here; its right one follows.
+                let Some(split) = open.pop() else {
+                    break;
+                };
+                splits[split].hi = count;
+            }
+            most_leaves = most_leaves.max(usize::from(count));
+            leaf_starts.push(leaf_starts[tree] + usize::from(count));
+        }
+        if at != nodes.len()
+            || splits.len() != ranks.len()
+            || leaf_starts[trees] != leaves.len()
+            || used.contains(&false)
+        {
+            return Err(DecodeError::Invalid);
+        }
+
+        let words = most_leaves.div_ceil(32);
+        let per_block = BLOCK_WORDS / words;
+        let mut forest = Self {
+            cuts,
+            nodes,
+            ranks,
+            leaves,
+            leaf_starts,
+            words,
+            blocks: Vec::with_capacity(trees.div_ceil(per_block)),
+            groups: Vec::new(),
+            thresholds: Vec::new(),
+            rows: Vec::new(),
+        };
+        let mut scratch = BlockScratch {
+            row_of: vec![usize::MAX; used.len()],
+            cuts: Vec::new(),
+        };
+        for first in (0..trees).step_by(per_block) {
+            let end = trees.min(first + per_block);
+            forest.add_block((first, end), &splits, &first_cut, &mut scratch);
+        }
+        Ok(forest)
+    }
+
+    /// Appends the block of trees `trees.0..trees.1`, whose splits are
+    /// among `splits` (every split of the forest, in preorder).
+    fn add_block(
+        &mut self,
+        trees: (usize, usize),
+        splits: &[Split],
+        first_cut: &[u32],
+        scratch: &mut BlockScratch,
+    ) {
+        // A tree of `n` leaves has `n - 1` splits.
+        let split_start = |tree: usize| self.leaf_starts[tree] - tree;
+        let block = &splits[split_start(trees.0)..split_start(trees.1)];
+        let BlockScratch { row_of, cuts } = scratch;
+        cuts.clear();
+        for split in block {
+            if row_of[split.cut as usize] == usize::MAX {
+                row_of[split.cut as usize] = 0;
+                cuts.push(split.cut);
+            }
+        }
+        // Cut ids order by feature, then by rank.
+        cuts.sort_unstable();
+        let first_group = self.groups.len();
+        let mut rows = self.rows.len();
+        for &cut in cuts.iter() {
+            let feature = first_cut.partition_point(|&first| first <= cut) - 1;
+            let block_groups = &self.groups[first_group..];
+            if block_groups
+                .last()
+                .is_none_or(|group| group.feature != feature)
+            {
+                self.groups.push(Group {
+                    feature,
+                    cuts: self.thresholds.len(),
+                    len: 0,
+                    rows,
+                });
+                rows += 1;
+            }
+            let group = self.groups.len() - 1;
+            self.groups[group].len += 1;
+            self.thresholds
+                .push(self.cuts[feature][(cut - first_cut[feature]) as usize]);
+            row_of[cut as usize] = rows;
+            rows += 1;
+        }
+        self.rows.resize(rows, [u32::MAX; BLOCK_WORDS]);
+        let bits = 32 * self.words;
+        for tree in trees.0..trees.1 {
+            let offset = (tree - trees.0) * bits;
+            for split in &splits[split_start(tree)..split_start(tree + 1)] {
+                let row = &mut self.rows[row_of[split.cut as usize]];
+                clear_bits(
+                    row,
+                    offset + usize::from(split.lo),
+                    offset + usize::from(split.hi),
+                );
+            }
+        }
+        for group in &self.groups[first_group..] {
+            for row in group.rows + 2..=group.rows + group.len {
+                let previous = self.rows[row - 1];
+                for (word, previous) in self.rows[row].iter_mut().zip(previous) {
+                    *word &= previous;
+                }
+            }
+        }
+        for &cut in cuts.iter() {
+            row_of[cut as usize] = usize::MAX;
+        }
+        self.blocks.push(Block {
+            trees,
+            groups: (first_group, self.groups.len()),
+        });
     }
 
     /// Number of trees.
     pub(crate) fn trees(&self) -> usize {
-        self.trees.len()
+        self.leaf_starts.len() - 1
     }
 
-    /// Whether every split reads a feature below `features`.
-    pub(crate) fn features_below(&self, features: usize) -> bool {
-        self.nodes
-            .iter()
-            .all(|node| node.left == 0 || usize::from(node.feature) < features)
+    /// Number of features the cuts are listed for.
+    pub(crate) fn features(&self) -> usize {
+        self.cuts.len()
     }
 
     /// The largest leaf magnitude of each tree, in tree order.
     pub(crate) fn leaf_bounds(&self) -> impl Iterator<Item = f64> + '_ {
-        let ends = self.trees.iter().skip(1).map(|t| t.root as usize);
-        let ends = ends.chain(std::iter::once(self.nodes.len()));
-        self.trees.iter().zip(ends).map(|(tree, end)| {
-            self.nodes[tree.root as usize..end]
+        self.leaf_starts.windows(2).map(|span| {
+            self.leaves[span[0]..span[1]]
                 .iter()
-                .filter(|node| node.left == 0)
-                .fold(0.0, |bound: f64, node| bound.max(node.value.abs()))
+                .fold(0.0, |bound: f64, leaf| bound.max(leaf.abs()))
         })
     }
 
     /// Adds `scale * leaf` of every tree on `row` to
     /// `scores[tree % scores.len()]`, in tree order, which keeps each
-    /// class's sum in round order. `LANES` trees walk side by side for
-    /// their joint maximum depth; a leaf loops onto itself, so the extra
-    /// steps are harmless and no step branches on the row.
+    /// class's sum in round order. Per block, each feature the block splits
+    /// on picks the prefix row of the block's cuts at or below its value;
+    /// the AND of those rows leaves each tree's exit leaf as its lowest set
+    /// bit.
     ///
     /// # Panics
     ///
     /// Panics if `row` is shorter than a feature index used by a tree.
     pub(crate) fn add_leaves(&self, row: &[f64], scale: f64, scores: &mut [f64]) {
-        let nodes = &self.nodes[..];
         let mut class = 0;
-        for chunk in self.trees.chunks(LANES) {
-            // Idle lanes of the last chunk walk node 0, a valid root.
-            let mut at = [0usize; LANES];
-            let mut depth = 0;
-            for (at, tree) in at.iter_mut().zip(chunk) {
-                *at = tree.root as usize;
-                depth = depth.max(tree.depth);
-            }
-            for _ in 0..depth {
-                for at in &mut at {
-                    let node = nodes[*at];
-                    let l = usize::from(row[usize::from(node.feature)] < node.value);
-                    *at += (l * usize::from(node.left)) | ((1 - l) * node.right as usize);
+        for block in &self.blocks {
+            let mut mask: Row = [u32::MAX; BLOCK_WORDS];
+            for group in &self.groups[block.groups.0..block.groups.1] {
+                let x = row[group.feature];
+                let cuts = &self.thresholds[group.cuts..group.cuts + group.len];
+                // Cuts at or below `x`: all of them when `x` is NaN.
+                let above: usize = cuts.iter().map(|&t| usize::from(x < t)).sum();
+                let below = group.len - above;
+                for (word, prefix) in mask.iter_mut().zip(&self.rows[group.rows + below]) {
+                    *word &= prefix;
                 }
             }
-            for &at in &at[..chunk.len()] {
-                scores[class] += scale * nodes[at].value;
+            let trees = block.trees.0..block.trees.1;
+            for (tree, words) in trees.zip(mask.chunks_exact(self.words)) {
+                let mut leaf = self.leaf_starts[tree];
+                for &word in words {
+                    if word != 0 {
+                        leaf += word.trailing_zeros() as usize;
+                        break;
+                    }
+                    leaf += 32;
+                }
+                scores[class] += scale * self.leaves[leaf];
                 class = if class + 1 == scores.len() {
                     0
                 } else {
@@ -172,27 +368,97 @@ impl Forest {
     }
 }
 
-/// The wire form: the tree count, then every node in preorder as a `u16`
-/// feature id ([`LEAF`] for a leaf) and its threshold or weight — ten
-/// bytes a node. Offsets and depths are rebuilt on decode.
+/// What building one block needs beside the forest: each cut's row in the
+/// block (`usize::MAX` for a cut it does not split at, as every entry is
+/// between blocks), and the cuts it splits at.
+struct BlockScratch {
+    row_of: Vec<usize>,
+    cuts: Vec<u32>,
+}
+
+/// Clears bits `from..to` of `row`.
+fn clear_bits(row: &mut Row, from: usize, to: usize) {
+    let first = from / 32;
+    for (base, word) in (32 * first..)
+        .step_by(32)
+        .zip(&mut row[first..to.div_ceil(32)])
+    {
+        let (lo, hi) = (from.max(base) - base, to.min(base + 32) - base);
+        // Bits `lo..hi` of the word, through `u64` so that `hi` may be 32.
+        let bits = (u64::MAX << lo) & !(u64::MAX << hi);
+        *word &= !u32::try_from(bits).unwrap_or(u32::MAX);
+    }
+}
+
+/// The next `len` items of `N` bytes each, in one take.
+fn take_items<'a, const N: usize>(
+    r: &mut Reader<'a>,
+    len: usize,
+) -> Result<&'a [[u8; N]], DecodeError> {
+    let bytes = r.take(len.checked_mul(N).ok_or(DecodeError::Truncated)?)?;
+    Ok(bytes.as_chunks::<N>().0)
+}
+
+/// The wire form: the tree count, each feature's cuts, then in preorder
+/// every node's `u16` feature ([`LEAF`] for a leaf), every split's `u16`
+/// rank and every leaf's `f64` weight, as three arrays: four bytes a split
+/// and ten a leaf. The table is rebuilt on decode.
 impl Encode for Forest {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.trees.len().encode(out);
-        self.preorder().collect::<Vec<_>>().encode(out);
+        self.trees().encode(out);
+        self.cuts.encode(out);
+        self.nodes.encode(out);
+        self.ranks.encode(out);
+        self.leaves.encode(out);
     }
 }
 
 impl Decode for Forest {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let trees = usize::decode(r)?;
-        let preorder = Vec::<(u16, f64)>::decode(r)?;
-        Self::from_preorder(&preorder, trees)
+        let cuts = Vec::<Vec<f64>>::decode(r)?;
+        // Each array is a `Vec`'s wire form, read in one take.
+        let nodes = usize::decode(r).and_then(|len| take_items(r, len))?;
+        let ranks = usize::decode(r).and_then(|len| take_items(r, len))?;
+        let leaves = usize::decode(r).and_then(|len| take_items(r, len))?;
+        Self::build(
+            trees,
+            cuts,
+            nodes.iter().map(|b| u16::from_le_bytes(*b)).collect(),
+            ranks.iter().map(|b| u16::from_le_bytes(*b)).collect(),
+            leaves.iter().map(|b| f64::from_le_bytes(*b)).collect(),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A wire-form node: a split's feature and rank, or a leaf's weight.
+    enum N {
+        S(u16, u16),
+        L(f64),
+    }
+
+    fn build(trees: usize, cuts: &[&[f64]], nodes: &[N]) -> Result<Forest, DecodeError> {
+        let (mut ranks, mut leaves) = (Vec::new(), Vec::new());
+        let nodes = nodes
+            .iter()
+            .map(|node| match *node {
+                N::S(feature, rank) => {
+                    ranks.push(rank);
+                    feature
+                }
+                N::L(weight) => {
+                    leaves.push(weight);
+                    LEAF
+                }
+            })
+            .collect();
+        let cuts = cuts.iter().map(|cuts| cuts.to_vec()).collect();
+        Forest::build(trees, cuts, nodes, ranks, leaves)
+    }
 
     /// Two trees: a depth-2 split `x0 < 0.5 ? (x1 < 1.0 ? -1 : -2) : 3`
     /// and a single leaf 7.
@@ -206,42 +472,201 @@ mod tests {
     ];
 
     #[test]
-    fn preorder_rebuilds_offsets_and_depths() {
-        let forest = Forest::from_preorder(&PREORDER, 2).expect("well formed");
-        let rights: Vec<u32> = forest.nodes.iter().map(|n| n.right).collect();
-        assert_eq!(rights, [4, 2, 0, 0, 0, 0]);
-        assert_eq!(
-            forest.trees,
-            [
-                TreeSpan { root: 0, depth: 2 },
-                TreeSpan { root: 5, depth: 0 }
-            ]
-        );
-        assert_eq!(forest.preorder().collect::<Vec<_>>(), PREORDER);
+    fn preorder_compiles_to_cuts_ranks_and_prefix_rows() {
+        let forest = Forest::from_preorder(&PREORDER, 2, 2).expect("well formed");
+        assert_eq!(forest.cuts, [vec![0.5], vec![1.0]]);
+        assert_eq!(forest.nodes, [0, 1, LEAF, LEAF, LEAF, LEAF]);
+        assert_eq!(forest.ranks, [0, 0]);
+        assert_eq!(forest.leaves, [-1.0, -2.0, 3.0, 7.0]);
+        assert_eq!(forest.leaf_starts, [0, 3, 4]);
+        assert_eq!((forest.words, forest.blocks.len()), (1, 1));
+        // Going right at `x0 < 0.5` rules out leaves 0 and 1 of tree 0, at
+        // `x1 < 1.0` leaf 0; tree 1's mask sits in word 1.
+        let row = |group: usize, q: usize| forest.rows[forest.groups[group].rows + q];
+        assert_eq!((row(0, 0)[0], row(0, 1)[0]), (u32::MAX, !0b11));
+        assert_eq!((row(1, 0)[0], row(1, 1)[0]), (u32::MAX, !0b1));
         assert_eq!(forest.leaf_bounds().collect::<Vec<_>>(), [3.0, 7.0]);
-        for (row, expected) in [([0.0, 0.0], -1.0), ([0.0, 1.0], -2.0), ([0.5, 0.0], 3.0)] {
+        let cases = [
+            ([0.0, 0.0], -1.0),
+            ([0.0, 1.0], -2.0),
+            ([0.5, 0.0], 3.0),
+            ([0.0, f64::NAN], -2.0),
+            ([f64::NEG_INFINITY, f64::INFINITY], -2.0),
+            ([f64::NAN, f64::NEG_INFINITY], 3.0),
+        ];
+        for (row, expected) in cases {
             let mut scores = [0.0, 0.0];
             forest.add_leaves(&row, 1.0, &mut scores);
-            assert_eq!(scores, [expected, 7.0]);
+            assert_eq!(scores, [expected, 7.0], "{row:?}");
         }
+        let bytes = forest.to_bytes();
+        assert_eq!(Forest::from_bytes(&bytes), Ok(forest));
     }
 
     #[test]
-    fn malformed_preorders_are_invalid() {
-        let cases: [(&[(u16, f64)], usize); 5] = [
-            (&PREORDER[..4], 1),           // a split with no right subtree
-            (&PREORDER, 1),                // a node after the last tree
-            (&PREORDER, 3),                // fewer trees than claimed
-            (&[(LEAF, f64::NAN)], 1),      // a non-finite leaf
-            (&[(LEAF, f64::INFINITY)], 1), // a non-finite leaf
+    fn equal_thresholds_share_one_cut() {
+        // `-0.0` and `0.0` compare equal, so they are one cut.
+        let preorder = [
+            (0, 0.0),
+            (LEAF, 1.0),
+            (LEAF, 2.0),
+            (0, -0.0),
+            (LEAF, 3.0),
+            (LEAF, 4.0),
         ];
-        for (preorder, trees) in cases {
+        let forest = Forest::from_preorder(&preorder, 2, 1).expect("well formed");
+        assert_eq!(forest.cuts[0].len(), 1);
+        assert_eq!(forest.ranks, [0, 0]);
+    }
+
+    /// `(name, trees, cuts, nodes)`.
+    type Case<'a> = (&'a str, usize, &'a [&'a [f64]], &'a [N]);
+
+    #[test]
+    fn malformed_forests_are_invalid() {
+        use N::{L, S};
+        let stump = [S(0, 0), L(1.0), L(2.0)];
+        let cases: [Case; 16] = [
+            (
+                "unsorted cuts",
+                1,
+                &[&[1.0, 0.5]],
+                &[S(0, 0), L(1.0), S(0, 1), L(2.0), L(3.0)],
+            ),
+            (
+                "a duplicated cut",
+                1,
+                &[&[0.5, 0.5]],
+                &[S(0, 0), L(1.0), S(0, 1), L(2.0), L(3.0)],
+            ),
+            ("a NaN cut", 1, &[&[f64::NAN]], &stump),
+            ("an infinite cut", 1, &[&[f64::INFINITY]], &stump),
+            ("an unused cut", 1, &[&[0.5, 1.0]], &stump),
+            (
+                "a cut of a feature split nowhere",
+                1,
+                &[&[0.5], &[1.0]],
+                &stump,
+            ),
+            (
+                "a rank out of range",
+                1,
+                &[&[0.5]],
+                &[S(0, 1), L(1.0), L(2.0)],
+            ),
+            (
+                "a feature out of range",
+                1,
+                &[&[0.5]],
+                &[S(1, 0), L(1.0), L(2.0)],
+            ),
+            (
+                "a split with no right subtree",
+                1,
+                &[&[0.5]],
+                &[S(0, 0), L(1.0)],
+            ),
+            (
+                "a node after the last tree",
+                1,
+                &[&[0.5]],
+                &[S(0, 0), L(1.0), L(2.0), L(3.0)],
+            ),
+            ("fewer trees than claimed", 2, &[&[0.5]], &stump),
+            ("a NaN leaf", 1, &[&[0.5]], &[S(0, 0), L(f64::NAN), L(2.0)]),
+            (
+                "an infinite leaf",
+                1,
+                &[&[0.5]],
+                &[S(0, 0), L(1.0), L(f64::INFINITY)],
+            ),
+            ("no nodes", 1, &[], &[]),
+            (
+                "a leaf that names a split feature",
+                1,
+                &[],
+                &[S(LEAF - 1, 0)],
+            ),
+            ("a truncated tree", 2, &[&[0.5]], &[L(0.0), S(0, 0), L(1.0)]),
+        ];
+        for (name, trees, cuts, nodes) in cases {
             assert_eq!(
-                Forest::from_preorder(preorder, trees),
+                build(trees, cuts, nodes),
                 Err(DecodeError::Invalid),
-                "{preorder:?} as {trees} trees"
+                "{name}"
             );
         }
-        assert!(Forest::from_preorder(&[], 0).is_ok());
+        let arrays = |ranks: Vec<u16>, leaves: Vec<f64>| {
+            Forest::build(1, vec![vec![0.5]], vec![0, LEAF, LEAF], ranks, leaves)
+        };
+        assert!(arrays(vec![0], vec![1.0, 2.0]).is_ok());
+        for (ranks, leaves) in [
+            (vec![], vec![1.0, 2.0]),
+            (vec![0, 0], vec![1.0, 2.0]),
+            (vec![0], vec![1.0]),
+            (vec![0], vec![1.0, 2.0, 3.0]),
+        ] {
+            let name = format!("ranks {ranks:?}, weights {leaves:?}");
+            assert_eq!(arrays(ranks, leaves), Err(DecodeError::Invalid), "{name}");
+        }
+        assert!(build(0, &[], &[]).is_ok());
+        assert!(build(1, &[&[0.5]], &stump).is_ok());
+    }
+
+    /// A left-leaning chain of `leaves - 1` splits on feature 0, rank `i`
+    /// at depth `i`, with leaf weights `0..leaves` from the left.
+    fn chain(leaves: usize) -> (Vec<f64>, Vec<N>) {
+        let splits = leaves - 1;
+        let cuts = (0..splits).map(|i| i as f64).collect();
+        let mut nodes: Vec<N> = (0..splits).map(|i| N::S(0, i as u16)).collect();
+        nodes.extend((0..leaves).map(|i| N::L(i as f64)));
+        (cuts, nodes)
+    }
+
+    #[test]
+    fn a_tree_over_the_leaf_width_is_invalid() {
+        let (cuts, nodes) = chain(MAX_LEAVES);
+        let forest = build(1, &[&cuts], &nodes).expect("as wide as a row");
+        assert_eq!((forest.words, forest.blocks.len()), (BLOCK_WORDS, 1));
+        // Left all the way down is leaf 0; right at the root is the last
+        // leaf, bit 31 of word 63.
+        for (x, leaf) in [(-1.0, 0), (0.5, MAX_LEAVES - 1), (f64::NAN, MAX_LEAVES - 1)] {
+            let mut score = [0.0];
+            forest.add_leaves(&[x], 1.0, &mut score);
+            assert_eq!(score, [leaf as f64], "x = {x}");
+        }
+
+        let (cuts, nodes) = chain(MAX_LEAVES + 1);
+        assert_eq!(build(1, &[&cuts], &nodes), Err(DecodeError::Invalid));
+    }
+
+    /// However many distinct thresholds the trees split at, the table holds
+    /// at most two rows a split: each split's own and its group's first.
+    #[test]
+    fn the_table_is_linear_in_the_splits() {
+        for (trees, depth) in [(300, 5), (40, 7), (3, 11)] {
+            // Full trees of `depth`, every split at a distinct threshold.
+            let mut preorder = Vec::new();
+            let mut next = 0.0;
+            for _ in 0..trees {
+                let mut stack = vec![0];
+                while let Some(level) = stack.pop() {
+                    if level == depth {
+                        preorder.push((LEAF, next));
+                    } else {
+                        preorder.push(((level % 3) as u16, next));
+                        stack.extend([level + 1, level + 1]);
+                    }
+                    next += 1.0;
+                }
+            }
+            let splits = preorder.iter().filter(|n| n.0 != LEAF).count();
+            let forest = Forest::from_preorder(&preorder, trees, 3).expect("well formed");
+            assert!(
+                forest.rows.len() <= 2 * splits,
+                "{trees} trees of depth {depth}"
+            );
+            assert_eq!(forest.words, (1usize << depth).div_ceil(32));
+        }
     }
 }

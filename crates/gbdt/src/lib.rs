@@ -33,14 +33,19 @@
 //! the trees are kept in class order: the model is the same bytes whatever
 //! the thread count.
 //!
-//! A fitted model is compiled once: its trees live in one flat preorder
-//! array of 16-byte nodes whose leaves loop onto themselves, and inference
-//! walks sixteen trees at a time a fixed number of steps with no
-//! data-dependent branch, adding the leaves in the order the trees were
-//! grown, so predictions are bit-identical to walking the fit-time trees.
-//! The snapshot codec writes each node as a `u16` feature id and one `f64`,
-//! with no split gains or child indices; the decoder rebuilds the layout
-//! and rejects malformed structure with `DecodeError::Invalid`.
+//! A fitted model is compiled once into a table of per-feature prefix leaf
+//! masks (QuickScorer; Lucchese et al., SIGIR 2015): each tree keeps a bit
+//! per leaf, and for each feature and each count of that feature's split
+//! thresholds at or below a value the table holds the AND of the "left
+//! subtree gone" masks of those splits. Inference ANDs one such row per
+//! feature, per block of 64 mask words, takes each tree's lowest set bit as
+//! its exit leaf and adds the leaves in the order the trees were grown, so
+//! predictions are bit-identical to walking the fit-time trees, and
+//! [`GbdtClassifier::predict_proba_into`] allocates nothing. The snapshot
+//! codec writes each feature's distinct thresholds once and each split as
+//! a `u16` feature and a `u16` threshold rank, with no split gains or child
+//! indices; the decoder rebuilds the table and rejects malformed structure
+//! with `DecodeError::Invalid`.
 //!
 //! # Example
 //!

@@ -1,6 +1,6 @@
 //! The boosting loop: softmax objective over per-class regression trees.
 
-use crate::compiled::{Forest, LEAF};
+use crate::compiled::{Forest, LEAF, MAX_LEAVES};
 use crate::tree::{Presorted, RegressionTree, TreeGrower, TreeParams};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -34,6 +34,11 @@ pub struct GbdtConfig {
 }
 
 impl GbdtConfig {
+    /// The deepest tree [`GbdtClassifier::fit`] grows: its `2^11` leaves
+    /// fill the compiled form's widest leaf mask (DESIGN.md §6 "Compiled
+    /// inference layout").
+    pub const MAX_DEPTH: usize = MAX_LEAVES.ilog2() as usize;
+
     /// A compact configuration suited to CQC's small tabular inputs.
     pub const fn small() -> Self {
         Self {
@@ -58,6 +63,8 @@ impl GbdtConfig {
         let fraction = |x: f64| x > 0.0 && x <= 1.0;
         if self.rounds == 0 {
             Err("need at least one boosting round")
+        } else if self.max_depth > Self::MAX_DEPTH {
+            Err("max_depth must be at most 11")
         } else if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
             Err("learning rate must be positive and finite")
         } else if !(non_negative(self.lambda) && non_negative(self.gamma)) {
@@ -84,8 +91,8 @@ impl Default for GbdtConfig {
 ///
 /// See the crate docs for the objective; use [`GbdtClassifier::fit`] to train
 /// and [`GbdtClassifier::predict_proba`] / [`GbdtClassifier::predict`] for
-/// inference. The trees are held compiled, in one flat array (DESIGN.md §6
-/// "Compiled inference layout").
+/// inference. The trees are held compiled, as a table of per-feature prefix
+/// leaf masks (DESIGN.md §6 "Compiled inference layout").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GbdtClassifier {
     /// Tree `round * classes + class` adds to class `class`.
@@ -118,8 +125,10 @@ impl Boosted {
             .flat_map(RegressionTree::preorder)
             .collect();
         GbdtClassifier {
-            forest: Forest::from_preorder(&preorder, self.trees.len())
-                .expect("fitted trees are complete preorders with finite leaves"),
+            forest: Forest::from_preorder(&preorder, self.trees.len(), self.features).expect(
+                "fitted trees are complete preorders with finite leaves, within MAX_DEPTH, \
+                 and split a feature at most 65 536 ways",
+            ),
             importance: importance(&self.trees, self.features),
             base_scores: self.base_scores,
             classes: self.classes,
@@ -138,9 +147,10 @@ impl GbdtClassifier {
     /// # Panics
     ///
     /// Panics if inputs are empty or ragged, rows have more than 65 535
-    /// features, a label is `>= classes`, a feature is not finite, or
+    /// features, a label is `>= classes`, a feature is not finite,
     /// [`GbdtConfig::check`] rejects the configuration (the panic message
-    /// is the check's).
+    /// is the check's), or the trees split one feature at more than 65 536
+    /// distinct thresholds (possible only on more than 65 537 rows).
     pub fn fit(rows: &[Vec<f64>], labels: &[usize], classes: usize, config: &GbdtConfig) -> Self {
         let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         Self::fit_trees(rows, labels, classes, config, workers.min(classes)).compile()
@@ -290,15 +300,36 @@ impl GbdtClassifier {
     ///
     /// Panics if `row.len() != self.features()`.
     pub fn decision_scores(&self, row: &[f64]) -> Vec<f64> {
-        assert_eq!(row.len(), self.features, "feature arity mismatch");
-        let mut scores = self.base_scores.clone();
-        self.forest.add_leaves(row, self.learning_rate, &mut scores);
+        let mut scores = vec![0.0; self.classes];
+        self.decision_scores_into(row, &mut scores);
         scores
+    }
+
+    /// [`GbdtClassifier::decision_scores`] written into `scores`, one a
+    /// class.
+    fn decision_scores_into(&self, row: &[f64], scores: &mut [f64]) {
+        assert_eq!(row.len(), self.features, "feature arity mismatch");
+        scores.copy_from_slice(&self.base_scores);
+        self.forest.add_leaves(row, self.learning_rate, scores);
     }
 
     /// Class-probability vector (softmax of the decision scores).
     pub fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
-        softmax(&self.decision_scores(row))
+        let mut probs = vec![0.0; self.classes];
+        self.predict_proba_into(row, &mut probs);
+        probs
+    }
+
+    /// [`GbdtClassifier::predict_proba`] written into `probs`, with no
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != self.features()` or
+    /// `probs.len() != self.classes()`.
+    pub fn predict_proba_into(&self, row: &[f64], probs: &mut [f64]) {
+        self.decision_scores_into(row, probs);
+        softmax_in_place(probs);
     }
 
     /// The most probable class.
@@ -370,7 +401,7 @@ impl Decode for GbdtClassifier {
             && learning_rate.is_finite()
             && learning_rate > 0.0
             && forest.trees() % classes == 0
-            && forest.features_below(features);
+            && forest.features() == features;
         if !valid {
             return Err(DecodeError::Invalid);
         }
@@ -606,12 +637,6 @@ fn importance(trees: &[RegressionTree], features: usize) -> Vec<f64> {
         tree.accumulate_importance(&mut importance);
     }
     importance
-}
-
-fn softmax(scores: &[f64]) -> Vec<f64> {
-    let mut probs = scores.to_vec();
-    softmax_in_place(&mut probs);
-    probs
 }
 
 fn softmax_in_place(scores: &mut [f64]) {
@@ -854,6 +879,10 @@ mod tests {
                 ..GbdtConfig::small()
             },
             GbdtConfig {
+                max_depth: GbdtConfig::MAX_DEPTH + 1,
+                ..GbdtConfig::small()
+            },
+            GbdtConfig {
                 learning_rate: f64::INFINITY,
                 ..GbdtConfig::small()
             },
@@ -963,10 +992,12 @@ mod tests {
             prop_assert_eq!(fitted.compile().to_bytes(), oracle.compile().to_bytes());
         }
 
-        /// The compiled walk scores every row bit for bit as the fit-time
-        /// trees do, summed in (round, class) order, on training rows,
-        /// rows with signed zeros, rows sitting on thresholds and rows
-        /// with NaN features.
+        /// The compiled mask table, and its copy through the wire form,
+        /// score every row bit for bit as the fit-time trees do, summed in
+        /// (round, class) order, on training rows, rows with signed zeros,
+        /// rows sitting on thresholds and rows with NaN or infinite
+        /// features, over forests of up to 160 trees, several blocks of
+        /// the table.
         #[test]
         fn compiled_scores_match_the_fit_time_trees(
             seed in 0u64..u64::MAX,
@@ -980,7 +1011,7 @@ mod tests {
             let rows = s.features(n, width, levels);
             let labels: Vec<usize> = (0..n).map(|_| s.below(classes)).collect();
             let config = GbdtConfig {
-                rounds: 1 + s.below(12),
+                rounds: 1 + s.below(40),
                 max_depth,
                 ..GbdtConfig::small()
             };
@@ -998,19 +1029,22 @@ mod tests {
             probes.extend(s.features(n, width, levels + 2));
             probes.extend(rows.iter().map(|row| {
                 row.iter()
-                    .map(|&v| match s.below(4) {
+                    .map(|&v| match s.below(6) {
                         0 => f64::NAN,
                         1 => v + 0.5,
+                        2 => f64::INFINITY,
+                        3 => f64::NEG_INFINITY,
                         _ => v,
                     })
                     .collect()
             }));
             let want: Vec<Vec<f64>> = probes.iter().map(|row| expected(row)).collect();
             let model = boosted.compile();
+            let copy = GbdtClassifier::from_bytes(&model.to_bytes()).expect("round trip");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for (row, want) in probes.iter().zip(want) {
-                let got = model.decision_scores(row);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(bits(&got), bits(&want), "row {:?}", row);
+                prop_assert_eq!(bits(&model.decision_scores(row)), bits(&want), "row {:?}", row);
+                prop_assert_eq!(bits(&copy.decision_scores(row)), bits(&want), "copy, row {:?}", row);
             }
         }
     }

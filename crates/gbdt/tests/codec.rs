@@ -1,6 +1,7 @@
 //! The model's wire form: its layout, the structures the decoder rejects,
 //! and a sweep over every truncation and single-byte change of an encoded
-//! model, none of which may panic or yield non-finite probabilities.
+//! model, none of which may panic, yield non-finite probabilities or decode
+//! to a model that re-encodes differently.
 
 use crowdlearn_gbdt::{GbdtClassifier, GbdtConfig};
 use serde::binary::{Decode, DecodeError, Encode};
@@ -8,10 +9,21 @@ use serde::binary::{Decode, DecodeError, Encode};
 /// The wire form's feature id of a leaf.
 const LEAF: u16 = u16::MAX;
 
+/// A node in preorder: a split's feature and cut rank, or a leaf's weight.
+/// The wire carries every node's feature ([`LEAF`] for a leaf), then every
+/// split's rank, then every leaf's weight.
+#[derive(Clone, Copy)]
+enum Node {
+    Split(u16, u16),
+    Leaf(f64),
+}
+use Node::{Leaf, Split};
+
 /// A model's wire fields, in wire order.
 struct Wire {
     trees: usize,
-    preorder: Vec<(u16, f64)>,
+    cuts: Vec<Vec<f64>>,
+    nodes: Vec<Node>,
     base_scores: Vec<f64>,
     classes: usize,
     features: usize,
@@ -25,7 +37,8 @@ impl Wire {
     fn stump() -> Self {
         Self {
             trees: 2,
-            preorder: vec![(1, 0.5), (LEAF, -1.0), (LEAF, 1.0), (LEAF, 0.25)],
+            cuts: vec![vec![], vec![0.5]],
+            nodes: vec![Split(1, 0), Leaf(-1.0), Leaf(1.0), Leaf(0.25)],
             base_scores: vec![-0.75, -0.625],
             classes: 2,
             features: 2,
@@ -37,7 +50,23 @@ impl Wire {
     fn bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.trees.encode(&mut out);
-        self.preorder.encode(&mut out);
+        self.cuts.encode(&mut out);
+        let (mut features, mut ranks, mut leaves) = (Vec::new(), Vec::new(), Vec::new());
+        for node in &self.nodes {
+            match *node {
+                Split(feature, rank) => {
+                    features.push(feature);
+                    ranks.push(rank);
+                }
+                Leaf(weight) => {
+                    features.push(LEAF);
+                    leaves.push(weight);
+                }
+            }
+        }
+        features.encode(&mut out);
+        ranks.encode(&mut out);
+        leaves.encode(&mut out);
         self.base_scores.encode(&mut out);
         self.classes.encode(&mut out);
         self.features.encode(&mut out);
@@ -48,12 +77,21 @@ impl Wire {
 }
 
 #[test]
-fn the_wire_form_is_a_tree_count_then_preorder_nodes() {
+fn the_wire_form_is_cuts_then_ranked_splits_and_weighted_leaves() {
     let bytes = Wire::stump().bytes();
-    // Counts and lengths are 8 bytes, a node 2 + 8, a float 8.
+    // Counts and lengths are 8 bytes, a feature id or rank 2, a float 8:
+    // a split costs 2 + 2 bytes and a leaf 2 + 8.
     assert_eq!(
         bytes.len(),
-        8 + (8 + 4 * 10) + (8 + 16) + 8 + 8 + 8 + (8 + 16)
+        8 + (8 + 8 + (8 + 8))
+            + (8 + 4 * 2)
+            + (8 + 2)
+            + (8 + 3 * 8)
+            + (8 + 16)
+            + 8
+            + 8
+            + 8
+            + (8 + 16)
     );
     let model = GbdtClassifier::from_bytes(&bytes).expect("well formed");
     assert_eq!(model.to_bytes(), bytes);
@@ -65,6 +103,10 @@ fn the_wire_form_is_a_tree_count_then_preorder_nodes() {
     assert_eq!(model.decision_scores(&[9.0, 0.0]), [-1.25, -0.5]);
     assert_eq!(model.decision_scores(&[9.0, 0.5]), [-0.25, -0.5]);
     assert_eq!(model.decision_scores(&[9.0, f64::NAN]), [-0.25, -0.5]);
+    assert_eq!(
+        model.decision_scores(&[9.0, f64::NEG_INFINITY]),
+        [-1.25, -0.5]
+    );
 }
 
 #[test]
@@ -74,13 +116,14 @@ fn malformed_models_are_rejected() {
         (
             "a split with no right subtree",
             Wire {
-                preorder: vec![(1, 0.5), (LEAF, -1.0), (LEAF, 1.0), (0, 0.5), (LEAF, 0.25)],
+                cuts: vec![vec![0.5], vec![0.5]],
+                nodes: vec![Split(1, 0), Leaf(-1.0), Leaf(1.0), Split(0, 0), Leaf(0.25)],
                 ..stump()
             },
         ),
         ("nodes left over after the last tree", {
             let mut wire = stump();
-            wire.preorder.push((LEAF, 0.0));
+            wire.nodes.push(Leaf(0.0));
             wire
         }),
         (
@@ -90,15 +133,71 @@ fn malformed_models_are_rejected() {
                 ..stump()
             },
         ),
+        (
+            "cuts for more features than the model has",
+            Wire {
+                cuts: vec![vec![], vec![0.5], vec![]],
+                ..stump()
+            },
+        ),
         ("feature >= features", {
             let mut wire = stump();
-            wire.preorder[0].0 = 2;
+            wire.nodes[0] = Split(2, 0);
             wire
         }),
+        ("a rank out of range", {
+            let mut wire = stump();
+            wire.nodes[0] = Split(1, 1);
+            wire
+        }),
+        (
+            "unsorted cuts",
+            Wire {
+                cuts: vec![vec![], vec![0.5, 0.25]],
+                nodes: vec![
+                    Split(1, 0),
+                    Leaf(-1.0),
+                    Split(1, 1),
+                    Leaf(1.0),
+                    Leaf(2.0),
+                    Leaf(0.25),
+                ],
+                ..stump()
+            },
+        ),
+        (
+            "a duplicated cut",
+            Wire {
+                cuts: vec![vec![], vec![0.5, 0.5]],
+                nodes: vec![
+                    Split(1, 0),
+                    Leaf(-1.0),
+                    Split(1, 1),
+                    Leaf(1.0),
+                    Leaf(2.0),
+                    Leaf(0.25),
+                ],
+                ..stump()
+            },
+        ),
+        (
+            "a non-finite cut",
+            Wire {
+                cuts: vec![vec![], vec![f64::INFINITY]],
+                ..stump()
+            },
+        ),
+        (
+            "an unused cut",
+            Wire {
+                cuts: vec![vec![0.5], vec![0.5]],
+                ..stump()
+            },
+        ),
         ("tree count not a multiple of classes", {
             let mut wire = stump();
             wire.trees = 3;
-            wire.preorder.push((LEAF, 0.0));
+            wire.nodes.push(Leaf(0.0));
             wire
         }),
         (
@@ -124,13 +223,13 @@ fn malformed_models_are_rejected() {
         ),
         ("a non-finite leaf", {
             let mut wire = stump();
-            wire.preorder[3].1 = f64::NAN;
+            wire.nodes[3] = Leaf(f64::NAN);
             wire
         }),
         ("scores that can overflow", {
             let mut wire = stump();
             wire.learning_rate = f64::MAX;
-            wire.preorder[2].1 = 2.0;
+            wire.nodes[2] = Leaf(2.0);
             wire
         }),
         (
@@ -200,6 +299,8 @@ fn every_truncation_and_byte_change_is_refused_or_predicts_finitely() {
                 // `features` must equal the importance vector's length, so
                 // one changed byte cannot change the arity.
                 assert_eq!(model.features(), 2, "byte {at} = {value:#04x}");
+                // The wire form is canonical: what decodes re-encodes as is.
+                assert_eq!(model.to_bytes(), corrupt, "byte {at} = {value:#04x}");
                 for row in &probes {
                     let probs = model.predict_proba(row);
                     assert!(

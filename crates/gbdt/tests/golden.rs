@@ -114,7 +114,7 @@ fn cases() -> [Case; 5] {
             synthetic(1, 160, 4, 3, Some(3)),
             3,
             GbdtConfig::small(),
-            0xd17a_1664_9d65_8460,
+            0xf97b_5d0d_5714_46d6,
             0x9a2b_fc44_addd_f9fc,
         ),
         (
@@ -128,7 +128,7 @@ fn cases() -> [Case; 5] {
                 colsample: 1.0,
                 ..GbdtConfig::small()
             },
-            0x6cc8_2bd5_fa07_a85e,
+            0xc532_e7d0_385e_fbcc,
             0x7b45_2c11_b8e8_faba,
         ),
         (
@@ -142,7 +142,7 @@ fn cases() -> [Case; 5] {
                 seed: 99,
                 ..GbdtConfig::small()
             },
-            0x58a8_fcbd_3d8a_9924,
+            0x3cd5_1348_98ed_ceaf,
             0x6a26_d0c2_1bfc_6a1a,
         ),
         (
@@ -154,7 +154,7 @@ fn cases() -> [Case; 5] {
                 rounds: 10,
                 ..GbdtConfig::small()
             },
-            0xebc5_407c_a85e_ff37,
+            0x343b_3c56_023f_630c,
             0xa0fd_f341_51b0_106d,
         ),
         (
@@ -168,7 +168,7 @@ fn cases() -> [Case; 5] {
                 rounds: 20,
                 ..GbdtConfig::small()
             },
-            0x2c69_54a3_088d_cf47,
+            0x01f6_b8ec_80f7_da9d,
             0xbe47_7af9_adf5_6ee3,
         ),
     ]

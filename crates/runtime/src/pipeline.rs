@@ -254,13 +254,7 @@ impl PipelinedSystem {
     /// execution (the adaptive controller watches its
     /// [`WindowPolicy::PERCENTILE`]); `None` when no execution is running.
     pub fn crowd_delay(&self) -> Option<SummaryStats> {
-        self.exec.as_ref().map(|e| e.crowd_delay(None))
-    }
-
-    /// [`PipelinedSystem::crowd_delay`] over one temporal context's cycles
-    /// (the Figure 8 series, live).
-    pub fn crowd_delay_in(&self, context: TemporalContext) -> Option<SummaryStats> {
-        self.exec.as_ref().map(|e| e.crowd_delay(Some(context)))
+        self.exec.as_ref().map(ExecState::crowd_delay)
     }
 
     /// The controller's current effective in-flight window, or `None` when
@@ -727,9 +721,9 @@ impl ExecState {
             && self.active.iter().all(outstanding)
     }
 
-    /// Every answer absorbed so far (of `only`'s cycles, when set).
-    fn crowd_delay(&self, only: Option<TemporalContext>) -> SummaryStats {
-        collect_delays(self.outcomes.iter().flatten(), self.active.values(), only)
+    /// Every answer absorbed so far.
+    fn crowd_delay(&self) -> SummaryStats {
+        collect_delays(self.outcomes.iter().flatten(), self.active.values(), None)
     }
 }
 
@@ -995,7 +989,7 @@ impl Driver<'_> {
             return window;
         }
         // No absorbed answer yet: no signal, hold at the current window.
-        let Some(delay_p) = exec.crowd_delay(None).quantile(WindowPolicy::PERCENTILE) else {
+        let Some(delay_p) = exec.crowd_delay().quantile(WindowPolicy::PERCENTILE) else {
             exec.last_window_decision = WindowDecision::Held;
             return window;
         };

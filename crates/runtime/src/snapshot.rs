@@ -102,8 +102,12 @@ const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 /// `HitPosted` marker (tag 2) and the `LateAnswer` event (tag 6) are gone,
 /// a waited-out HIT stays on the board until its `HitAnswered`, an
 /// in-flight HIT lost its incentive (its pending answer carries it), and
-/// resume pairs queued HIT events and board HITs one to one.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 16;
+/// resume pairs queued HIT events and board HITs one to one;
+/// 17 — the CQC model's trees travel as each feature's cuts (its distinct
+/// split thresholds) and, in preorder, every node's `u16` feature, every
+/// split's `u16` cut rank and every leaf's weight: four bytes a split where
+/// there were ten, and the decoder rebuilds the compiled leaf-mask table.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 17;
 
 /// Why a runtime or fleet snapshot could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]

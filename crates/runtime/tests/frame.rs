@@ -27,20 +27,20 @@ fn framed(magic: &[u8; 8], version: u32) -> Vec<u8> {
 
 #[test]
 fn runtime_frame_bytes_are_pinned() {
-    let bytes = framed(b"CLSNAP\x00\x01", 16);
+    let bytes = framed(b"CLSNAP\x00\x01", 17);
     let snap = RuntimeSnapshot::from_bytes(&bytes).expect("pinned frame opens");
     assert_eq!(snap.to_bytes(), bytes);
     assert_eq!(snap.serialized_len(), bytes.len());
     // A frame of the previous format is refused by version, not misread.
     assert_eq!(
-        RuntimeSnapshot::from_bytes(&framed(b"CLSNAP\x00\x01", 15)),
-        Err(SnapshotError::VersionMismatch { found: 15 })
+        RuntimeSnapshot::from_bytes(&framed(b"CLSNAP\x00\x01", 16)),
+        Err(SnapshotError::VersionMismatch { found: 16 })
     );
 }
 
 #[test]
 fn fleet_frame_bytes_are_pinned() {
-    let bytes = framed(b"CLFLEET\x00", 16);
+    let bytes = framed(b"CLFLEET\x00", 17);
     let snap = FleetSnapshot::from_bytes(&bytes).expect("pinned frame opens");
     assert_eq!(snap.to_bytes(), bytes);
     assert_eq!(snap.serialized_len(), bytes.len());
@@ -54,8 +54,8 @@ fn fleet_frame_bytes_are_pinned() {
 
 #[test]
 fn frame_defects_decode_to_the_same_typed_errors() {
-    let runtime = framed(b"CLSNAP\x00\x01", 16);
-    let fleet = framed(b"CLFLEET\x00", 16);
+    let runtime = framed(b"CLSNAP\x00\x01", 17);
+    let fleet = framed(b"CLFLEET\x00", 17);
     let defects: [(&str, Defect); 5] = [
         ("magic", |b| b[0] ^= 0xff),
         ("version", |b| b[8] = 0xfe),
@@ -70,7 +70,7 @@ fn frame_defects_decode_to_the_same_typed_errors() {
         ),
         (
             SnapshotError::VersionMismatch { found: 0xfe },
-            "snapshot format version 254 != supported 16",
+            "snapshot format version 254 != supported 17",
         ),
         (
             SnapshotError::ChecksumMismatch,

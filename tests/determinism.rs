@@ -604,7 +604,7 @@ fn snapshots_reject_future_format_versions_with_typed_errors() {
     let bytes = system.snapshot().expect("checkpointable").to_bytes();
     for (found, stamped) in [
         (SNAPSHOT_FORMAT_VERSION + 1, SNAPSHOT_FORMAT_VERSION + 1),
-        (15, SNAPSHOT_FORMAT_VERSION - 1),
+        (16, SNAPSHOT_FORMAT_VERSION - 1),
     ] {
         let mut bytes = bytes.clone();
         // The u32 version field sits right after the 8-byte magic.
