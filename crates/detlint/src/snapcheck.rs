@@ -656,7 +656,8 @@ fn compare_pair(enc: &CodecFn, dec: &CodecFn, push: &mut Push<'_>) {
 // D8 schema fingerprints + lockfile.
 // ---------------------------------------------------------------------------
 
-/// FNV-1a-64 — the same hash the snapshot frames use for their checksums.
+/// FNV-1a-64 over a codec pair's canonical form. The lock's fingerprints
+/// are pinned to it; the snapshot frames checksum with XXH64 instead.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

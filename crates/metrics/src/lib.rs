@@ -54,5 +54,5 @@ pub use confusion::{ClassReport, ConfusionMatrix};
 pub use mcnemar::{mcnemar_test, McNemarOutcome};
 pub use probabilistic::{brier_score, CalibrationBin, CalibrationReport};
 pub use roc::{macro_average_roc, RocCurve, RocPoint};
-pub use stats::SummaryStats;
+pub use stats::{quantile_in_place, SummaryStats};
 pub use wilcoxon::{wilcoxon_signed_rank, WilcoxonOutcome};

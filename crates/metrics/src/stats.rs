@@ -123,25 +123,7 @@ impl SummaryStats {
     ///
     /// Panics if `q` is outside `[0, 1]` or NaN.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!(
-            (0.0..=1.0).contains(&q),
-            "quantile must lie in [0, 1], got {q}"
-        );
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut samples = self.samples.clone();
-        let pos = q * (samples.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let (_, &mut at_lo, above) = samples.select_nth_unstable_by(lo, f64::total_cmp);
-        if lo == hi {
-            return Some(at_lo);
-        }
-        // `hi == lo + 1`: the smallest sample above `lo`'s.
-        let at_hi = above.iter().copied().min_by(f64::total_cmp)?;
-        let t = pos - lo as f64;
-        Some(at_lo * (1.0 - t) + at_hi * t)
+        quantile_in_place(&mut self.samples.clone(), q)
     }
 
     /// Median (0.5 quantile); `None` when empty.
@@ -160,6 +142,35 @@ impl SummaryStats {
             self.push(s);
         }
     }
+}
+
+/// The `q`-th quantile of `samples`, as [`SummaryStats::quantile`] reads
+/// it (nearest-rank with linear interpolation, [`f64::total_cmp`] order),
+/// selected in the caller's buffer: it reorders `samples` and allocates
+/// nothing. Returns `None` when `samples` is empty.
+///
+/// # Panics
+///
+/// Panics if `q` is outside `[0, 1]` or NaN.
+pub fn quantile_in_place(samples: &mut [f64], q: f64) -> Option<f64> {
+    assert!(
+        (0.0..=1.0).contains(&q),
+        "quantile must lie in [0, 1], got {q}"
+    );
+    if samples.is_empty() {
+        return None;
+    }
+    let pos = q * (samples.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    let (_, &mut at_lo, above) = samples.select_nth_unstable_by(lo, f64::total_cmp);
+    if lo == hi {
+        return Some(at_lo);
+    }
+    // `hi == lo + 1`: the smallest sample above `lo`'s.
+    let at_hi = above.iter().copied().min_by(f64::total_cmp)?;
+    let t = pos - lo as f64;
+    Some(at_lo * (1.0 - t) + at_hi * t)
 }
 
 impl FromIterator<f64> for SummaryStats {
@@ -280,6 +291,25 @@ mod tests {
                 };
                 let got = stats.quantile(q).expect("non-empty");
                 proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "q {}", q);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Selecting in a caller's buffer reads the same bits as the
+        /// summary's own quantile, on samples with ties and both zeros.
+        #[test]
+        fn quantile_in_place_agrees_with_the_summary(
+            picks in proptest::collection::vec(0usize..7, 0..80),
+            q in 0.0f64..1.0,
+        ) {
+            const VALUES: [f64; 7] = [-0.0, 0.0, 0.0, 3.5, 3.5, 600.0, -2.25];
+            let mut samples: Vec<f64> = picks.iter().map(|&i| VALUES[i]).collect();
+            let stats: SummaryStats = samples.iter().copied().collect();
+            for q in [q, 0.0, 0.9, 1.0] {
+                let want = stats.quantile(q).map(f64::to_bits);
+                let got = quantile_in_place(&mut samples, q).map(f64::to_bits);
+                proptest::prop_assert_eq!(got, want, "q {}", q);
             }
         }
     }

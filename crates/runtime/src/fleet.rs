@@ -32,7 +32,7 @@
 //! fleet report.
 //!
 //! The whole fleet checkpoints into a [`FleetSnapshot`]: one frame (own
-//! magic, the shared [`crate::SNAPSHOT_FORMAT_VERSION`], one FNV-1a-64
+//! magic, the shared [`crate::SNAPSHOT_FORMAT_VERSION`], one XXH64
 //! checksum) over the fleet config, the ledger's per-shard usage, the
 //! pool's live state and every shard's runtime payload inline; resume
 //! rebuilds the rest from the config and is byte-identical at any global
@@ -764,7 +764,7 @@ impl FleetOrchestrator {
 const FLEET_MAGIC: [u8; 8] = *b"CLFLEET\x00";
 
 /// A sealed fleet snapshot: the [`crate::RuntimeSnapshot`] frame (format
-/// version, payload length, FNV-1a-64 checksum) under its own magic, so a
+/// version, payload length, XXH64 checksum) under its own magic, so a
 /// later process can validate the bytes before trusting them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetSnapshot {

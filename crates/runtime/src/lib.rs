@@ -124,6 +124,7 @@ pub use fleet::{
     ArbitrationPolicy, ContentionStats, FleetConfig, FleetLedger, FleetOrchestrator, FleetReport,
     FleetSnapshot, ShardSpec, ShardUsage,
 };
+pub use frame::frame_checksum;
 pub use hit::HitId;
 pub use metrics::{MetricKind, MetricRecord, MetricsSink, MetricsTap};
 pub use pipeline::{PipelinedSystem, RunBound, RuntimeReport, WindowDecision};

@@ -13,7 +13,7 @@ use crowdlearn::{
 };
 use crowdlearn_crowd::IncentiveLevel;
 use crowdlearn_dataset::{Dataset, SensingCycle, SensingCycleStream, TemporalContext};
-use crowdlearn_metrics::SummaryStats;
+use crowdlearn_metrics::{quantile_in_place, SummaryStats};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::convert::Infallible;
@@ -67,26 +67,23 @@ impl RuntimeReport {
     /// sample per absorbed answer; [`SchemeReport::query_delay`] holds
     /// every context's.
     pub fn crowd_delay_in(&self, context: TemporalContext) -> SummaryStats {
-        collect_delays(&self.outcomes, [], Some(context))
+        delays(self.outcomes.iter(), std::iter::empty(), Some(context)).collect()
     }
 }
 
 /// The absorbed answers' delays of the `closed` cycles, then of the
 /// `active` ones; with `only` set, that context's cycles alone.
-fn collect_delays<'a>(
-    closed: impl IntoIterator<Item = &'a CycleOutcome>,
-    active: impl IntoIterator<Item = &'a CycleWork>,
+fn delays<'a>(
+    closed: impl Iterator<Item = &'a CycleOutcome> + 'a,
+    active: impl Iterator<Item = &'a CycleWork> + 'a,
     only: Option<TemporalContext>,
-) -> SummaryStats {
-    let closed = closed
-        .into_iter()
-        .map(|o| (o.context, &o.query_delay_secs[..]));
-    let active = active.into_iter().map(|w| (w.context(), w.query_delays()));
+) -> impl Iterator<Item = f64> + 'a {
+    let closed = closed.map(|o| (o.context, &o.query_delay_secs[..]));
+    let active = active.map(|w| (w.context(), w.query_delays()));
     closed
         .chain(active)
-        .filter(|(context, _)| only.is_none_or(|c| c == *context))
+        .filter(move |(context, _)| only.is_none_or(|c| c == *context))
         .flat_map(|(_, delays)| delays.iter().copied())
-        .collect()
 }
 
 /// The window controller's most recent move at a `CycleClosed` boundary.
@@ -254,7 +251,7 @@ impl PipelinedSystem {
     /// execution (the adaptive controller watches its
     /// [`WindowPolicy::PERCENTILE`]); `None` when no execution is running.
     pub fn crowd_delay(&self) -> Option<SummaryStats> {
-        self.exec.as_ref().map(ExecState::crowd_delay)
+        self.exec.as_ref().map(|e| e.crowd_delays().collect())
     }
 
     /// The controller's current effective in-flight window, or `None` when
@@ -560,6 +557,9 @@ struct ExecState {
     posts_rejected: u64,
     /// Cycles that degraded to AI-only labeling.
     degraded_cycles: u64,
+    /// The window controller's buffer, refilled with every absorbed delay
+    /// at each adaptive close; reused, never carried.
+    delay_scratch: Vec<f64>,
 }
 
 impl ExecState {
@@ -601,6 +601,7 @@ impl ExecState {
             parked: VecDeque::new(),
             posts_rejected: 0,
             degraded_cycles: 0,
+            delay_scratch: Vec::new(),
         }
     }
 
@@ -722,8 +723,17 @@ impl ExecState {
     }
 
     /// Every answer absorbed so far.
-    fn crowd_delay(&self) -> SummaryStats {
-        collect_delays(self.outcomes.iter().flatten(), self.active.values(), None)
+    fn crowd_delays(&self) -> impl Iterator<Item = f64> + '_ {
+        delays(self.outcomes.iter().flatten(), self.active.values(), None)
+    }
+
+    /// The `q`-th quantile of every delay absorbed so far, selected in
+    /// `delay_scratch`; `None` before the first answer.
+    fn crowd_delay_quantile(&mut self, q: f64) -> Option<f64> {
+        let absorbed = delays(self.outcomes.iter().flatten(), self.active.values(), None);
+        self.delay_scratch.clear();
+        self.delay_scratch.extend(absorbed);
+        quantile_in_place(&mut self.delay_scratch, q)
     }
 }
 
@@ -772,6 +782,7 @@ impl Decode for ExecState {
             parked: VecDeque::<usize>::decode(r)?,
             posts_rejected: u64::decode(r)?,
             degraded_cycles: u64::decode(r)?,
+            delay_scratch: Vec::new(),
         };
         // The laws are `ExecState::check`'s, which resume runs against the
         // configuration and the stream.
@@ -989,7 +1000,7 @@ impl Driver<'_> {
             return window;
         }
         // No absorbed answer yet: no signal, hold at the current window.
-        let Some(delay_p) = exec.crowd_delay().quantile(WindowPolicy::PERCENTILE) else {
+        let Some(delay_p) = exec.crowd_delay_quantile(WindowPolicy::PERCENTILE) else {
             exec.last_window_decision = WindowDecision::Held;
             return window;
         };

@@ -7,8 +7,9 @@
 //! the final [`crate::RuntimeReport`] is byte-identical.
 //!
 //! The wire format frames the payload against corruption and format drift
-//! (magic `b"CLSNAP\x00\x01"`, format version, payload length, FNV-1a-64
-//! checksum — the frame shared with [`crate::FleetSnapshot`]).
+//! (magic `b"CLSNAP\x00\x01"`, format version, payload length, XXH64
+//! checksum with seed 0, [`crate::frame_checksum`] — the frame shared with
+//! [`crate::FleetSnapshot`]).
 //!
 //! The payload itself is the vendored binary codec's output:
 //! `RuntimeConfig`, then the core system state
@@ -106,8 +107,10 @@ const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 /// 17 — the CQC model's trees travel as each feature's cuts (its distinct
 /// split thresholds) and, in preorder, every node's `u16` feature, every
 /// split's `u16` cut rank and every leaf's weight: four bytes a split where
-/// there were ten, and the decoder rebuilds the compiled leaf-mask table.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 17;
+/// there were ten, and the decoder rebuilds the compiled leaf-mask table;
+/// 18 — the frame checksum is XXH64, seed 0 ([`crate::frame_checksum`]),
+/// where it was FNV-1a-64; the payload is unchanged.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 18;
 
 /// Why a runtime or fleet snapshot could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]

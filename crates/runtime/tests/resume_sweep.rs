@@ -12,15 +12,15 @@
 use crowdlearn::CrowdLearnConfig;
 use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
 use crowdlearn_runtime::{
-    FaultEpisode, FaultPlan, FleetConfig, FleetOrchestrator, FleetSnapshot, MetricsTap,
-    PipelinedSystem, RunBound, RuntimeConfig, RuntimeSnapshot, ShardSpec,
+    frame_checksum, FaultEpisode, FaultPlan, FleetConfig, FleetOrchestrator, FleetSnapshot,
+    MetricsTap, PipelinedSystem, RunBound, RuntimeConfig, RuntimeSnapshot, ShardSpec,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const MUTANTS: usize = 3_000;
 
 /// The frame header both snapshot kinds share; its last 8 bytes are the
-/// FNV-1a-64 checksum of the payload.
+/// payload's [`frame_checksum`].
 const HEADER: usize = 8 + 4 + 8 + 8;
 
 fn streamed(seed: u64) -> (Dataset, SensingCycleStream) {
@@ -79,11 +79,7 @@ fn sweep(bytes: &[u8], mut rng: u64, resume_and_run: impl Fn(&[u8]) -> bool) {
         let xor = 1 + (draw() % 255) as u8;
         let mut mutant = bytes.to_vec();
         mutant[offset] ^= xor;
-        let checksum = mutant[HEADER..]
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            });
+        let checksum = frame_checksum(&mutant[HEADER..]);
         mutant[HEADER - 8..HEADER].copy_from_slice(&checksum.to_le_bytes());
         match catch_unwind(AssertUnwindSafe(|| resume_and_run(&mutant))) {
             Ok(true) => ran += 1,

@@ -8,9 +8,9 @@
 use crowdlearn::{CrowdLearnConfig, Model};
 use crowdlearn_dataset::{Dataset, DatasetConfig, SensingCycleStream};
 use crowdlearn_runtime::{
-    FleetConfig, FleetOrchestrator, FleetSnapshot, MetricsTap, PipelinedSystem, RunBound,
-    RuntimeConfig, RuntimeReport, RuntimeSnapshot, ShardSpec, SnapshotError, WindowPolicy,
-    SNAPSHOT_FORMAT_VERSION,
+    frame_checksum, FleetConfig, FleetOrchestrator, FleetSnapshot, MetricsTap, PipelinedSystem,
+    RunBound, RuntimeConfig, RuntimeReport, RuntimeSnapshot, ShardSpec, SnapshotError,
+    WindowPolicy, SNAPSHOT_FORMAT_VERSION,
 };
 
 fn dataset(seed: u64) -> Dataset {
@@ -602,13 +602,10 @@ fn snapshots_reject_future_format_versions_with_typed_errors() {
         .run_until(&dataset, &stream, RunBound::Events(40))
         .is_none());
     let bytes = system.snapshot().expect("checkpointable").to_bytes();
-    for (found, stamped) in [
-        (SNAPSHOT_FORMAT_VERSION + 1, SNAPSHOT_FORMAT_VERSION + 1),
-        (16, SNAPSHOT_FORMAT_VERSION - 1),
-    ] {
+    for found in [SNAPSHOT_FORMAT_VERSION + 1, SNAPSHOT_FORMAT_VERSION - 1] {
         let mut bytes = bytes.clone();
         // The u32 version field sits right after the 8-byte magic.
-        bytes[8..12].copy_from_slice(&stamped.to_le_bytes());
+        bytes[8..12].copy_from_slice(&found.to_le_bytes());
         assert_eq!(
             RuntimeSnapshot::from_bytes(&bytes),
             Err(SnapshotError::VersionMismatch { found })
@@ -1028,17 +1025,6 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a-64, re-derived in the test so the sweep can forge valid
-/// checksums over corrupted payloads (mirrors the runtime's frame hash).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[test]
 fn snapshot_decode_survives_a_seeded_corruption_sweep() {
     // A mid-faulted-run checkpoint covers the richest payload: in-flight
@@ -1088,7 +1074,7 @@ fn snapshot_decode_survives_a_seeded_corruption_sweep() {
         let bit = (splitmix64(&mut rng) % 8) as u32;
         let mut evil = bytes.clone();
         evil[pos] ^= 1 << bit;
-        let sum = fnv1a64(&evil[HEADER..]);
+        let sum = frame_checksum(&evil[HEADER..]);
         evil[20..28].copy_from_slice(&sum.to_le_bytes());
         let snapshot = RuntimeSnapshot::from_bytes(&evil).expect("repaired frame validates");
         if PipelinedSystem::resume(&snapshot, &stream).is_err() {
@@ -1154,7 +1140,7 @@ fn fleet_snapshot_decode_survives_a_seeded_corruption_sweep() {
         let bit = (splitmix64(&mut rng) % 8) as u32;
         let mut evil = bytes.clone();
         evil[pos] ^= 1 << bit;
-        let sum = fnv1a64(&evil[HEADER..]);
+        let sum = frame_checksum(&evil[HEADER..]);
         evil[20..28].copy_from_slice(&sum.to_le_bytes());
         let snapshot = FleetSnapshot::from_bytes(&evil).expect("repaired frame validates");
         if let Err(SnapshotError::Shard { error, .. }) =
