@@ -81,13 +81,17 @@ for workload in paper_stream fleet_contended chaos_checkpoint; do
         --workload "${workload}" --seconds 1 --trace 0
 done
 
-# The traced path once: its own checks (every traced run equals the
-# untraced run, every repetition equals the first) and the per-layer spans,
-# `bandit.select_us` among them. Span dumps go to the git-ignored
-# .bench_trace/.
-echo "==> perfbench traced smoke (paper_stream)"
-cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload paper_stream --seconds 1 --trace 1
+# The traced path: its own checks (every traced run equals the untraced
+# run, every repetition equals the first) and the per-layer spans,
+# `bandit.select_us` among them, on the paper stream; and on the checkpoint
+# drill, whose traced runs resume through bytes 20 times and must still
+# equal the untraced run, with the `snapshot.*` spans. Span dumps go to the
+# git-ignored .bench_trace/.
+for workload in paper_stream chaos_checkpoint; do
+    echo "==> perfbench traced smoke (${workload})"
+    cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "${workload}" --seconds 1 --trace 1
+done
 
 # Net line count and the debug `cargo test` step's wall seconds, reported
 # and never gated: every .rs line under crates/, src/, tests/ and

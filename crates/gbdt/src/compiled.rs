@@ -129,6 +129,12 @@ impl Forest {
     /// [`MAX_LEAVES`] leaves, nodes are left over after the last tree,
     /// there are more or fewer ranks than splits or weights than leaves, or
     /// a leaf weight is not finite.
+    ///
+    /// The lengths are checked once, up front. One pass over the nodes
+    /// then finds every split's cut and left subtree ([`walk`]), one pass
+    /// over the splits finds each block's cuts ([`Forest::block_cuts`]),
+    /// and the table, allocated at its exact size, is written once, row
+    /// after row ([`Forest::write_table`]).
     fn build(
         trees: usize,
         cuts: Vec<Vec<f64>>,
@@ -139,10 +145,10 @@ impl Forest {
         let ascending = |cuts: &Vec<f64>| {
             cuts.iter().all(|c| c.is_finite()) && cuts.windows(2).all(|w| w[0] < w[1])
         };
-        if cuts.len() > usize::from(LEAF)
-            || !cuts.iter().all(ascending)
-            || !leaves.iter().all(|leaf| leaf.is_finite())
-        {
+        let finite = leaves
+            .iter()
+            .fold(true, |finite, leaf| finite & leaf.is_finite());
+        if cuts.len() > usize::from(LEAF) || !cuts.iter().all(ascending) || !finite {
             return Err(DecodeError::Invalid);
         }
         // At most 65 535 features of at most 65 536 cuts each fit `u32` ids.
@@ -153,58 +159,29 @@ impl Forest {
             let next = first_cut[first_cut.len() - 1].checked_add(len);
             first_cut.push(next.ok_or(DecodeError::Invalid)?);
         }
-        let mut used = vec![false; first_cut[cuts.len()] as usize];
-
-        let mut splits = Vec::with_capacity(ranks.len().min(nodes.len()));
-        let mut leaf_starts = Vec::with_capacity(trees.min(nodes.len()) + 1);
-        leaf_starts.push(0);
-        // Splits whose left subtree is still growing, as `splits` indices.
-        let mut open = Vec::new();
-        let (mut at, mut most_leaves) = (0, 1);
-        for tree in 0..trees {
-            let mut count = 0u16;
-            loop {
-                let &feature = nodes.get(at).ok_or(DecodeError::Invalid)?;
-                at += 1;
-                if feature != LEAF {
-                    let &rank = ranks.get(splits.len()).ok_or(DecodeError::Invalid)?;
-                    let feature = usize::from(feature);
-                    if usize::from(rank) >= cuts.get(feature).map_or(0, Vec::len) {
-                        return Err(DecodeError::Invalid);
-                    }
-                    let cut = first_cut[feature] + u32::from(rank);
-                    used[cut as usize] = true;
-                    open.push(splits.len());
-                    splits.push(Split {
-                        cut,
-                        lo: count,
-                        hi: count,
-                    });
-                    continue;
-                }
-                count += 1;
-                if usize::from(count) > MAX_LEAVES {
-                    return Err(DecodeError::Invalid);
-                }
-                // The split's left subtree ends here; its right one follows.
-                let Some(split) = open.pop() else {
-                    break;
-                };
-                splits[split].hi = count;
+        // Every node is a leaf or splits a listed feature (`LEAF + 1`
+        // wraps to 0), each split has a rank and each leaf a weight, and
+        // each tree has a leaf. Counting in `u16` lanes, a chunk at a time,
+        // vectorizes.
+        let (mut leaf_nodes, mut top) = (0, 0u16);
+        for chunk in nodes.chunks(usize::from(u16::MAX)) {
+            let mut chunk_leaves = 0u16;
+            for &feature in chunk {
+                chunk_leaves += u16::from(feature == LEAF);
+                top = top.max(feature.wrapping_add(1));
             }
-            most_leaves = most_leaves.max(usize::from(count));
-            leaf_starts.push(leaf_starts[tree] + usize::from(count));
+            leaf_nodes += usize::from(chunk_leaves);
         }
-        if at != nodes.len()
-            || splits.len() != ranks.len()
-            || leaf_starts[trees] != leaves.len()
-            || used.contains(&false)
+        if usize::from(top) > cuts.len()
+            || nodes.len() - leaf_nodes != ranks.len()
+            || leaf_nodes != leaves.len()
+            || trees > leaf_nodes
         {
             return Err(DecodeError::Invalid);
         }
+        let (splits, leaf_starts, most_leaves) = walk(trees, &nodes, &ranks, &first_cut)?;
 
-        let words = most_leaves.div_ceil(32);
-        let per_block = BLOCK_WORDS / words;
+        let words = usize::from(most_leaves.div_ceil(32));
         let mut forest = Self {
             cuts,
             nodes,
@@ -212,96 +189,125 @@ impl Forest {
             leaves,
             leaf_starts,
             words,
-            blocks: Vec::with_capacity(trees.div_ceil(per_block)),
+            blocks: Vec::new(),
             groups: Vec::new(),
             thresholds: Vec::new(),
             rows: Vec::new(),
         };
-        let mut scratch = BlockScratch {
-            row_of: vec![usize::MAX; used.len()],
-            cuts: Vec::new(),
-        };
-        for first in (0..trees).step_by(per_block) {
-            let end = trees.min(first + per_block);
-            forest.add_block((first, end), &splits, &first_cut, &mut scratch);
-        }
+        let block_cuts = forest.block_cuts(&splits, &first_cut)?;
+        forest.write_table(&splits, &block_cuts, &first_cut);
         Ok(forest)
     }
 
-    /// Appends the block of trees `trees.0..trees.1`, whose splits are
-    /// among `splits` (every split of the forest, in preorder).
-    fn add_block(
-        &mut self,
-        trees: (usize, usize),
-        splits: &[Split],
-        first_cut: &[u32],
-        scratch: &mut BlockScratch,
-    ) {
-        // A tree of `n` leaves has `n - 1` splits.
-        let split_start = |tree: usize| self.leaf_starts[tree] - tree;
-        let block = &splits[split_start(trees.0)..split_start(trees.1)];
-        let BlockScratch { row_of, cuts } = scratch;
-        cuts.clear();
-        for split in block {
-            if row_of[split.cut as usize] == usize::MAX {
-                row_of[split.cut as usize] = 0;
-                cuts.push(split.cut);
-            }
-        }
-        // Cut ids order by feature, then by rank.
-        cuts.sort_unstable();
-        let first_group = self.groups.len();
-        let mut rows = self.rows.len();
-        for &cut in cuts.iter() {
-            let feature = first_cut.partition_point(|&first| first <= cut) - 1;
-            let block_groups = &self.groups[first_group..];
-            if block_groups
-                .last()
-                .is_none_or(|group| group.feature != feature)
-            {
-                self.groups.push(Group {
-                    feature,
-                    cuts: self.thresholds.len(),
-                    len: 0,
-                    rows,
-                });
-                rows += 1;
-            }
-            let group = self.groups.len() - 1;
-            self.groups[group].len += 1;
-            self.thresholds
-                .push(self.cuts[feature][(cut - first_cut[feature]) as usize]);
-            row_of[cut as usize] = rows;
-            rows += 1;
-        }
-        self.rows.resize(rows, [u32::MAX; BLOCK_WORDS]);
-        let bits = 32 * self.words;
-        for tree in trees.0..trees.1 {
-            let offset = (tree - trees.0) * bits;
-            for split in &splits[split_start(tree)..split_start(tree + 1)] {
-                let row = &mut self.rows[row_of[split.cut as usize]];
-                clear_bits(
-                    row,
-                    offset + usize::from(split.lo),
-                    offset + usize::from(split.hi),
-                );
-            }
-        }
-        for group in &self.groups[first_group..] {
-            for row in group.rows + 2..=group.rows + group.len {
-                let previous = self.rows[row - 1];
-                for (word, previous) in self.rows[row].iter_mut().zip(previous) {
-                    *word &= previous;
+    /// Each block's cuts, ascending, with their features. `Invalid` if a
+    /// cut is used by no split.
+    fn block_cuts(&self, splits: &[Split], first_cut: &[u32]) -> Result<BlockCuts, DecodeError> {
+        let cut_count = first_cut[first_cut.len() - 1] as usize;
+        let mut block_cuts = BlockCuts {
+            cuts: Vec::new(),
+            ends: Vec::new(),
+            groups: 0,
+            widest: 0,
+        };
+        // Whether the block at hand splits at each cut: false between blocks.
+        let mut seen = vec![false; cut_count];
+        let mut used = vec![false; cut_count];
+        for trees in block_trees(self.trees(), self.words) {
+            let start = block_cuts.cuts.len();
+            for split in &splits[self.split_start(trees.0)..self.split_start(trees.1)] {
+                if !std::mem::replace(&mut seen[split.cut as usize], true) {
+                    block_cuts.cuts.push((split.cut, 0));
                 }
             }
+            let block = &mut block_cuts.cuts[start..];
+            block.sort_unstable();
+            let mut last = usize::MAX;
+            for (cut, feature) in block {
+                seen[*cut as usize] = false;
+                used[*cut as usize] = true;
+                *feature = first_cut.partition_point(|&first| first <= *cut) - 1;
+                block_cuts.groups += usize::from(*feature != last);
+                last = *feature;
+            }
+            block_cuts.widest = block_cuts.widest.max(block_cuts.cuts.len() - start);
+            block_cuts.ends.push(block_cuts.cuts.len());
         }
-        for &cut in cuts.iter() {
-            row_of[cut as usize] = usize::MAX;
+        if used.contains(&false) {
+            return Err(DecodeError::Invalid);
         }
-        self.blocks.push(Block {
-            trees,
-            groups: (first_group, self.groups.len()),
-        });
+        Ok(block_cuts)
+    }
+
+    /// Writes the table of `block_cuts`, each part allocated at its exact
+    /// size. Per block, each cut first gets a row of its own, the AND of
+    /// the masks of the block's splits at it; then the prefix rows are
+    /// written once, in order: a group's first row is all ones, and each
+    /// further row is its predecessor ANDed with its cut's own row.
+    fn write_table(&mut self, splits: &[Split], block_cuts: &BlockCuts, first_cut: &[u32]) {
+        self.blocks.reserve_exact(block_cuts.ends.len());
+        self.groups.reserve_exact(block_cuts.groups);
+        self.thresholds.reserve_exact(block_cuts.cuts.len());
+        self.rows
+            .reserve_exact(block_cuts.groups + block_cuts.cuts.len());
+        // Each cut's own row in the block at hand, by its place there.
+        let mut row_of = vec![0; first_cut[first_cut.len() - 1] as usize];
+        let mut own = vec![[u32::MAX; BLOCK_WORDS]; block_cuts.widest];
+        let bits = 32 * self.words;
+        let mut start = 0;
+        for (trees, &end) in block_trees(self.trees(), self.words).zip(&block_cuts.ends) {
+            let block = &block_cuts.cuts[start..end];
+            for (row, &(cut, _)) in block.iter().enumerate() {
+                row_of[cut as usize] = row;
+                own[row] = [u32::MAX; BLOCK_WORDS];
+            }
+            for tree in trees.0..trees.1 {
+                let offset = (tree - trees.0) * bits;
+                for split in &splits[self.split_start(tree)..self.split_start(tree + 1)] {
+                    let (lo, hi) = (usize::from(split.lo), usize::from(split.hi));
+                    clear_bits(
+                        &mut own[row_of[split.cut as usize]],
+                        offset + lo,
+                        offset + hi,
+                    );
+                }
+            }
+            let first_group = self.groups.len();
+            for (own, &(cut, feature)) in own.iter().zip(block) {
+                let block_groups = &self.groups[first_group..];
+                if block_groups
+                    .last()
+                    .is_none_or(|group| group.feature != feature)
+                {
+                    self.groups.push(Group {
+                        feature,
+                        cuts: self.thresholds.len(),
+                        len: 0,
+                        rows: self.rows.len(),
+                    });
+                    self.rows.push([u32::MAX; BLOCK_WORDS]);
+                }
+                let mut prefix = *own;
+                for (word, previous) in prefix.iter_mut().zip(&self.rows[self.rows.len() - 1]) {
+                    *word &= previous;
+                }
+                self.rows.push(prefix);
+                let group = self.groups.len() - 1;
+                self.groups[group].len += 1;
+                let rank = (cut - first_cut[feature]) as usize;
+                self.thresholds.push(self.cuts[feature][rank]);
+            }
+            self.blocks.push(Block {
+                trees,
+                groups: (first_group, self.groups.len()),
+            });
+            start = end;
+        }
+    }
+
+    /// Where tree `tree`'s splits start in preorder: a tree of `n` leaves
+    /// has `n - 1` splits.
+    fn split_start(&self, tree: usize) -> usize {
+        self.leaf_starts[tree] - tree
     }
 
     /// Number of trees.
@@ -368,25 +374,102 @@ impl Forest {
     }
 }
 
-/// What building one block needs beside the forest: each cut's row in the
-/// block (`usize::MAX` for a cut it does not split at, as every entry is
-/// between blocks), and the cuts it splits at.
-struct BlockScratch {
-    row_of: Vec<usize>,
-    cuts: Vec<u32>,
+/// Every split of `trees` trees in the preorder `nodes`, whose lengths
+/// [`Forest::build`] has checked against `ranks`, with its cut id (see
+/// `first_cut`, each feature's first id, then their end) and its left
+/// subtree; where each tree's leaves start, then their end; and the most
+/// leaves a tree has. `Invalid` if a rank is out of its feature's range, a
+/// tree has more than [`MAX_LEAVES`] leaves, or the nodes are not exactly
+/// `trees` whole trees.
+fn walk(
+    trees: usize,
+    nodes: &[u16],
+    ranks: &[u16],
+    first_cut: &[u32],
+) -> Result<(Vec<Split>, Vec<usize>, u16), DecodeError> {
+    let blank = Split {
+        cut: 0,
+        lo: 0,
+        hi: 0,
+    };
+    let mut splits = vec![blank; ranks.len()];
+    let mut leaf_starts = Vec::with_capacity(trees + 1);
+    leaf_starts.push(0);
+    // The splits whose left subtree is still growing, `open` of them, as
+    // `splits` indices. A tree with `MAX_LEAVES` open splits has too many
+    // leaves, so the index wraps only in a tree that is refused.
+    let mut stack = [0; MAX_LEAVES];
+    let (mut open, mut split, mut count, mut most_leaves) = (0, 0, 0u16, 1);
+    let mut invalid = false;
+    for &feature in nodes {
+        if feature != LEAF {
+            let feature = usize::from(feature);
+            let (first, end) = (first_cut[feature], first_cut[feature + 1]);
+            let rank = u32::from(ranks[split]);
+            invalid |= rank >= end - first;
+            stack[open % MAX_LEAVES] = split;
+            splits[split] = Split {
+                cut: first.wrapping_add(rank),
+                lo: count,
+                hi: count,
+            };
+            split += 1;
+            open += 1;
+            continue;
+        }
+        // Past `MAX_LEAVES` the count may wrap, but the tree is refused.
+        count = count.wrapping_add(1);
+        invalid |= usize::from(count) > MAX_LEAVES;
+        if open == 0 {
+            leaf_starts.push(leaf_starts[leaf_starts.len() - 1] + usize::from(count));
+            most_leaves = most_leaves.max(count);
+            count = 0;
+            continue;
+        }
+        // The split's left subtree ends here; its right one follows.
+        open -= 1;
+        splits[stack[open % MAX_LEAVES]].hi = count;
+    }
+    if invalid || leaf_starts.len() != trees + 1 || count != 0 || open != 0 {
+        return Err(DecodeError::Invalid);
+    }
+    Ok((splits, leaf_starts, most_leaves))
 }
 
-/// Clears bits `from..to` of `row`.
+/// The trees of each block, `first..end`: as many as fill
+/// [`BLOCK_WORDS`] mask words of `words` words a tree.
+fn block_trees(trees: usize, words: usize) -> impl Iterator<Item = (usize, usize)> {
+    let per_block = BLOCK_WORDS / words;
+    (0..trees)
+        .step_by(per_block)
+        .map(move |first| (first, trees.min(first + per_block)))
+}
+
+/// Each block's cuts, as [`Forest::block_cuts`] finds them.
+struct BlockCuts {
+    /// Every block's cuts with their features, block by block, each
+    /// block's ascending.
+    cuts: Vec<(u32, usize)>,
+    /// Where each block's cuts end in `cuts`.
+    ends: Vec<usize>,
+    /// The table's groups: one per feature each block splits on.
+    groups: usize,
+    /// The most cuts one block splits at.
+    widest: usize,
+}
+
+/// Clears bits `from..to` of `row`, where `from < to`: within one word for
+/// a tree of one word, as every CQC tree is.
 fn clear_bits(row: &mut Row, from: usize, to: usize) {
-    let first = from / 32;
-    for (base, word) in (32 * first..)
-        .step_by(32)
-        .zip(&mut row[first..to.div_ceil(32)])
-    {
-        let (lo, hi) = (from.max(base) - base, to.min(base + 32) - base);
-        // Bits `lo..hi` of the word, through `u64` so that `hi` may be 32.
-        let bits = (u64::MAX << lo) & !(u64::MAX << hi);
-        *word &= !u32::try_from(bits).unwrap_or(u32::MAX);
+    let (first, last) = (from / 32, (to - 1) / 32);
+    let head = u32::MAX << (from % 32);
+    let tail = u32::MAX >> (31 - (to - 1) % 32);
+    if first == last {
+        row[first] &= !(head & tail);
+    } else {
+        row[first] &= !head;
+        row[first + 1..last].fill(0);
+        row[last] &= !tail;
     }
 }
 
@@ -422,6 +505,262 @@ impl Decode for Forest {
         let ranks = usize::decode(r).and_then(|len| take_items(r, len))?;
         let leaves = usize::decode(r).and_then(|len| take_items(r, len))?;
         Self::build(
+            trees,
+            cuts,
+            nodes.iter().map(|b| u16::from_le_bytes(*b)).collect(),
+            ranks.iter().map(|b| u16::from_le_bytes(*b)).collect(),
+            leaves.iter().map(|b| f64::from_le_bytes(*b)).collect(),
+        )
+    }
+}
+
+/// The table builder this module used before the one-pass build, kept
+/// verbatim (only its method names changed) as a test oracle: the one-pass
+/// build must compile every wire form to an equal [`Forest`] and refuse
+/// exactly the ones this refuses.
+#[cfg(test)]
+pub(crate) mod previous {
+    use super::{Block, Forest, Group, Row, BLOCK_WORDS, LEAF, MAX_LEAVES};
+    use serde::binary::{Decode, DecodeError, Reader};
+
+    /// A split as the table is built from it: its global cut id (its
+    /// feature's first id plus its rank) and the leaves `lo..hi` of its left
+    /// subtree.
+    #[derive(Debug, Clone, Copy)]
+    struct Split {
+        cut: u32,
+        lo: u16,
+        hi: u16,
+    }
+
+    impl Forest {
+        /// Checks a wire form and builds its table. `Invalid` if a feature's
+        /// cuts are not finite and strictly ascending, there are more than
+        /// 65 535 features, a split's feature or rank is out of range, a cut
+        /// is used by no split, a split lacks a subtree, a tree has more than
+        /// [`MAX_LEAVES`] leaves, nodes are left over after the last tree,
+        /// there are more or fewer ranks than splits or weights than leaves, or
+        /// a leaf weight is not finite.
+        pub(crate) fn previous_build(
+            trees: usize,
+            cuts: Vec<Vec<f64>>,
+            nodes: Vec<u16>,
+            ranks: Vec<u16>,
+            leaves: Vec<f64>,
+        ) -> Result<Self, DecodeError> {
+            let ascending = |cuts: &Vec<f64>| {
+                cuts.iter().all(|c| c.is_finite()) && cuts.windows(2).all(|w| w[0] < w[1])
+            };
+            if cuts.len() > usize::from(LEAF)
+                || !cuts.iter().all(ascending)
+                || !leaves.iter().all(|leaf| leaf.is_finite())
+            {
+                return Err(DecodeError::Invalid);
+            }
+            // At most 65 535 features of at most 65 536 cuts each fit `u32` ids.
+            let mut first_cut = Vec::with_capacity(cuts.len() + 1);
+            first_cut.push(0u32);
+            for cuts in &cuts {
+                let len = u32::try_from(cuts.len()).map_err(|_| DecodeError::Invalid)?;
+                let next = first_cut[first_cut.len() - 1].checked_add(len);
+                first_cut.push(next.ok_or(DecodeError::Invalid)?);
+            }
+            let mut used = vec![false; first_cut[cuts.len()] as usize];
+
+            let mut splits = Vec::with_capacity(ranks.len().min(nodes.len()));
+            let mut leaf_starts = Vec::with_capacity(trees.min(nodes.len()) + 1);
+            leaf_starts.push(0);
+            // Splits whose left subtree is still growing, as `splits` indices.
+            let mut open = Vec::new();
+            let (mut at, mut most_leaves) = (0, 1);
+            for tree in 0..trees {
+                let mut count = 0u16;
+                loop {
+                    let &feature = nodes.get(at).ok_or(DecodeError::Invalid)?;
+                    at += 1;
+                    if feature != LEAF {
+                        let &rank = ranks.get(splits.len()).ok_or(DecodeError::Invalid)?;
+                        let feature = usize::from(feature);
+                        if usize::from(rank) >= cuts.get(feature).map_or(0, Vec::len) {
+                            return Err(DecodeError::Invalid);
+                        }
+                        let cut = first_cut[feature] + u32::from(rank);
+                        used[cut as usize] = true;
+                        open.push(splits.len());
+                        splits.push(Split {
+                            cut,
+                            lo: count,
+                            hi: count,
+                        });
+                        continue;
+                    }
+                    count += 1;
+                    if usize::from(count) > MAX_LEAVES {
+                        return Err(DecodeError::Invalid);
+                    }
+                    // The split's left subtree ends here; its right one follows.
+                    let Some(split) = open.pop() else {
+                        break;
+                    };
+                    splits[split].hi = count;
+                }
+                most_leaves = most_leaves.max(usize::from(count));
+                leaf_starts.push(leaf_starts[tree] + usize::from(count));
+            }
+            if at != nodes.len()
+                || splits.len() != ranks.len()
+                || leaf_starts[trees] != leaves.len()
+                || used.contains(&false)
+            {
+                return Err(DecodeError::Invalid);
+            }
+
+            let words = most_leaves.div_ceil(32);
+            let per_block = BLOCK_WORDS / words;
+            let mut forest = Self {
+                cuts,
+                nodes,
+                ranks,
+                leaves,
+                leaf_starts,
+                words,
+                blocks: Vec::with_capacity(trees.div_ceil(per_block)),
+                groups: Vec::new(),
+                thresholds: Vec::new(),
+                rows: Vec::new(),
+            };
+            let mut scratch = BlockScratch {
+                row_of: vec![usize::MAX; used.len()],
+                cuts: Vec::new(),
+            };
+            for first in (0..trees).step_by(per_block) {
+                let end = trees.min(first + per_block);
+                forest.previous_add_block((first, end), &splits, &first_cut, &mut scratch);
+            }
+            Ok(forest)
+        }
+
+        /// Appends the block of trees `trees.0..trees.1`, whose splits are
+        /// among `splits` (every split of the forest, in preorder).
+        fn previous_add_block(
+            &mut self,
+            trees: (usize, usize),
+            splits: &[Split],
+            first_cut: &[u32],
+            scratch: &mut BlockScratch,
+        ) {
+            // A tree of `n` leaves has `n - 1` splits.
+            let split_start = |tree: usize| self.leaf_starts[tree] - tree;
+            let block = &splits[split_start(trees.0)..split_start(trees.1)];
+            let BlockScratch { row_of, cuts } = scratch;
+            cuts.clear();
+            for split in block {
+                if row_of[split.cut as usize] == usize::MAX {
+                    row_of[split.cut as usize] = 0;
+                    cuts.push(split.cut);
+                }
+            }
+            // Cut ids order by feature, then by rank.
+            cuts.sort_unstable();
+            let first_group = self.groups.len();
+            let mut rows = self.rows.len();
+            for &cut in cuts.iter() {
+                let feature = first_cut.partition_point(|&first| first <= cut) - 1;
+                let block_groups = &self.groups[first_group..];
+                if block_groups
+                    .last()
+                    .is_none_or(|group| group.feature != feature)
+                {
+                    self.groups.push(Group {
+                        feature,
+                        cuts: self.thresholds.len(),
+                        len: 0,
+                        rows,
+                    });
+                    rows += 1;
+                }
+                let group = self.groups.len() - 1;
+                self.groups[group].len += 1;
+                self.thresholds
+                    .push(self.cuts[feature][(cut - first_cut[feature]) as usize]);
+                row_of[cut as usize] = rows;
+                rows += 1;
+            }
+            self.rows.resize(rows, [u32::MAX; BLOCK_WORDS]);
+            let bits = 32 * self.words;
+            for tree in trees.0..trees.1 {
+                let offset = (tree - trees.0) * bits;
+                for split in &splits[split_start(tree)..split_start(tree + 1)] {
+                    let row = &mut self.rows[row_of[split.cut as usize]];
+                    clear_bits(
+                        row,
+                        offset + usize::from(split.lo),
+                        offset + usize::from(split.hi),
+                    );
+                }
+            }
+            for group in &self.groups[first_group..] {
+                for row in group.rows + 2..=group.rows + group.len {
+                    let previous = self.rows[row - 1];
+                    for (word, previous) in self.rows[row].iter_mut().zip(previous) {
+                        *word &= previous;
+                    }
+                }
+            }
+            for &cut in cuts.iter() {
+                row_of[cut as usize] = usize::MAX;
+            }
+            self.blocks.push(Block {
+                trees,
+                groups: (first_group, self.groups.len()),
+            });
+        }
+    }
+
+    /// What building one block needs beside the forest: each cut's row in the
+    /// block (`usize::MAX` for a cut it does not split at, as every entry is
+    /// between blocks), and the cuts it splits at.
+    struct BlockScratch {
+        row_of: Vec<usize>,
+        cuts: Vec<u32>,
+    }
+
+    /// Clears bits `from..to` of `row`.
+    fn clear_bits(row: &mut Row, from: usize, to: usize) {
+        let first = from / 32;
+        for (base, word) in (32 * first..)
+            .step_by(32)
+            .zip(&mut row[first..to.div_ceil(32)])
+        {
+            let (lo, hi) = (from.max(base) - base, to.min(base + 32) - base);
+            // Bits `lo..hi` of the word, through `u64` so that `hi` may be 32.
+            let bits = (u64::MAX << lo) & !(u64::MAX << hi);
+            *word &= !u32::try_from(bits).unwrap_or(u32::MAX);
+        }
+    }
+
+    impl Forest {
+        /// The forest the previous builder compiles from this one's wire
+        /// form.
+        pub(crate) fn previous_rebuild(&self) -> Result<Forest, DecodeError> {
+            Forest::previous_build(
+                self.trees(),
+                self.cuts.clone(),
+                self.nodes.clone(),
+                self.ranks.clone(),
+                self.leaves.clone(),
+            )
+        }
+    }
+
+    /// [`Forest::decode`] through the previous builder.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Forest, DecodeError> {
+        let trees = usize::decode(r)?;
+        let cuts = Vec::<Vec<f64>>::decode(r)?;
+        let nodes = usize::decode(r).and_then(|len| super::take_items(r, len))?;
+        let ranks = usize::decode(r).and_then(|len| super::take_items(r, len))?;
+        let leaves = usize::decode(r).and_then(|len| super::take_items(r, len))?;
+        Forest::previous_build(
             trees,
             cuts,
             nodes.iter().map(|b| u16::from_le_bytes(*b)).collect(),
@@ -638,6 +977,68 @@ mod tests {
 
         let (cuts, nodes) = chain(MAX_LEAVES + 1);
         assert_eq!(build(1, &[&cuts], &nodes), Err(DecodeError::Invalid));
+    }
+
+    /// Both builders on `bytes`: what each decodes, and how many bytes each
+    /// leaves unread.
+    fn both(bytes: &[u8]) -> [(Result<Forest, DecodeError>, usize); 2] {
+        let mut now = Reader::new(bytes);
+        let mut before = Reader::new(bytes);
+        let now = (Forest::decode(&mut now), now.remaining());
+        let before = (previous::decode(&mut before), before.remaining());
+        [now, before]
+    }
+
+    /// The one-pass build and the builder it replaced accept and refuse the
+    /// same wire forms, and compile what they accept to equal tables: on
+    /// every truncation and every single-byte change of small forests of
+    /// one and of two mask words, of several blocks, and of every tree
+    /// shape [`PREORDER`] and [`chain`] cover.
+    #[test]
+    fn the_one_pass_build_matches_the_previous_builder_on_every_mutant() {
+        let (chain_cuts, chain_nodes) = chain(40);
+        let forests = [
+            Forest::from_preorder(&PREORDER, 2, 2).expect("well formed"),
+            build(1, &[&chain_cuts], &chain_nodes).expect("two words a tree"),
+            // 70 stumps, two blocks of one-word trees, over two features.
+            Forest::from_preorder(
+                &(0..70)
+                    .flat_map(|i| {
+                        [
+                            ((i % 2) as u16, f64::from(i % 5)),
+                            (LEAF, 1.0),
+                            (LEAF, -1.0),
+                        ]
+                    })
+                    .collect::<Vec<_>>(),
+                70,
+                2,
+            )
+            .expect("well formed"),
+        ];
+        let mut accepted = 0;
+        for forest in forests {
+            let bytes = forest.to_bytes();
+            let [now, before] = both(&bytes);
+            assert_eq!(now, (Ok(forest), 0));
+            assert_eq!(before, now);
+            for end in 0..bytes.len() {
+                let [now, before] = both(&bytes[..end]);
+                assert_eq!(now, before, "prefix of {end} bytes");
+            }
+            let mut mutant = bytes.clone();
+            for at in 0..bytes.len() {
+                for value in (0..=u8::MAX).filter(|&v| v != bytes[at]) {
+                    mutant[at] = value;
+                    let [now, before] = both(&mutant);
+                    accepted += usize::from(now.0.is_ok());
+                    assert_eq!(now, before, "byte {at} = {value:#04x}");
+                }
+                mutant[at] = bytes[at];
+            }
+        }
+        // The sweep reaches accepted forests other than the originals.
+        assert!(accepted > 100, "{accepted} mutants accepted");
     }
 
     /// However many distinct thresholds the trees split at, the table holds

@@ -957,6 +957,29 @@ mod tests {
         model.predict(&[1.0, 2.0, 3.0]);
     }
 
+    /// Fits shaped like CQC's boot fit (150 rounds of three classes at
+    /// depth 5 over eleven few-valued features, and the same at depth 6,
+    /// two mask words a tree) compile to the table the previous builder
+    /// compiles.
+    #[test]
+    fn boot_shaped_fits_compile_as_the_previous_builder_did() {
+        for (seed, max_depth) in [(1, 5), (2, 5), (3, 6)] {
+            let mut s = Stream(seed);
+            let rows = s.features(300, 11, 5);
+            let labels: Vec<usize> = (0..300).map(|_| s.below(3)).collect();
+            let config = GbdtConfig {
+                rounds: 150,
+                max_depth,
+                learning_rate: 0.12,
+                ..GbdtConfig::small()
+            };
+            let model = GbdtClassifier::fit(&rows, &labels, 3, &config);
+            assert_eq!(model.forest.trees(), 450);
+            let rebuilt = model.forest.previous_rebuild();
+            assert_eq!(rebuilt, Ok(model.forest.clone()), "seed {seed}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -997,7 +1020,8 @@ mod tests {
         /// (round, class) order, on training rows, rows with signed zeros,
         /// rows sitting on thresholds and rows with NaN or infinite
         /// features, over forests of up to 160 trees, several blocks of
-        /// the table.
+        /// the table; and the table equals the one the previous builder
+        /// compiles.
         #[test]
         fn compiled_scores_match_the_fit_time_trees(
             seed in 0u64..u64::MAX,
@@ -1040,6 +1064,7 @@ mod tests {
             }));
             let want: Vec<Vec<f64>> = probes.iter().map(|row| expected(row)).collect();
             let model = boosted.compile();
+            prop_assert_eq!(model.forest.previous_rebuild(), Ok(model.forest.clone()));
             let copy = GbdtClassifier::from_bytes(&model.to_bytes()).expect("round trip");
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for (row, want) in probes.iter().zip(want) {

@@ -258,6 +258,35 @@ impl SharedWorkerPool {
         self.peak_busy_workers = self.peak_busy_workers.max(busy_now);
     }
 
+    /// Whether each shard's claims include the ones its board says it must
+    /// hold ([`PipelinedSystem::pool_claims`]) at the fleet's clock, the
+    /// latest of the shards': each such HIT matched to a claim of its own
+    /// with its worker count and completion instant. A claim can outlive
+    /// its HIT (a reposted or lost attempt leaves the board at its
+    /// timeout), so the pool may hold more.
+    fn holds_claims_of(&self, shards: &[PipelinedSystem]) -> bool {
+        let now = shards
+            .iter()
+            .filter_map(PipelinedSystem::virtual_now_secs)
+            .fold(0.0, f64::max);
+        shards.iter().enumerate().all(|(shard, system)| {
+            let mut held: Vec<(usize, u64)> = (self.busy.iter())
+                .filter(|b| b.shard == shard)
+                .map(|b| (b.workers, b.until_secs.to_bits()))
+                .collect();
+            let mut owed: Vec<(usize, u64)> = (system.pool_claims(now))
+                .map(|(workers, until)| (workers, until.to_bits()))
+                .collect();
+            held.sort_unstable();
+            owed.sort_unstable();
+            let mut held = held.into_iter().peekable();
+            owed.into_iter().all(|claim| {
+                while held.next_if(|&other| other < claim).is_some() {}
+                held.next_if_eq(&claim).is_some()
+            })
+        })
+    }
+
     fn contention(&self) -> ContentionStats {
         ContentionStats {
             posts: self.posts,
@@ -745,7 +774,7 @@ impl FleetOrchestrator {
             }
             shards.push(system);
         }
-        if !r.is_empty() {
+        if !r.is_empty() || !pool.holds_claims_of(&shards) {
             return Err(corrupt(DecodeError::Invalid));
         }
         Ok(Self {
@@ -1180,7 +1209,7 @@ mod tests {
     fn resume_rejects_pool_and_ledger_state_its_config_never_booted() {
         let resumed = resume_respliced(1, |_| {}).expect("untouched payload resumes");
         assert_eq!(resumed.fleet_config(), &FleetConfig::new(1000.0));
-        let cases: [(&str, Splice); 8] = [
+        let cases: [(&str, Splice); 9] = [
             ("busy interval of a shard the fleet lacks", |parts| {
                 parts.pool.occupy(1, 3, 1e6);
             }),
@@ -1207,6 +1236,12 @@ mod tests {
             ("fleet budget its shard was not booted at", |parts| {
                 parts.config.fleet_budget_cents = 999.0;
             }),
+            (
+                "a claim its shard's HIT holds, gone from the pool",
+                |parts| {
+                    parts.pool.busy.clear();
+                },
+            ),
         ];
         for (what, edit) in cases {
             assert_eq!(
@@ -1215,6 +1250,28 @@ mod tests {
                 "{what}"
             );
         }
+    }
+
+    /// Two shards of one config and quota that have spent the same, with
+    /// different HITs in flight, cannot trade payloads: each board's HITs
+    /// must match the pool's claims of its own slot.
+    #[test]
+    fn resume_rejects_shards_that_swapped_payloads() {
+        let (fleet, streams) = paused_fleet(1000.0, 2);
+        let parts = Parts::split(&fleet.snapshot().expect("checkpointable"), &streams);
+        assert_eq!(parts.usage[0].spent_cents, parts.usage[1].spent_cents);
+        assert_ne!(parts.shards[0], parts.shards[1]);
+        let owed = |shard: usize| fleet.shard(shard).pool_claims(0.0).count();
+        assert!(
+            owed(0) > 0 && owed(1) > 0,
+            "both shards have HITs in flight"
+        );
+        let resumed = resume_respliced(2, |_| {}).expect("untouched payload resumes");
+        assert_eq!(resumed.shard_usage(1), fleet.shard_usage(1));
+        assert_eq!(
+            resume_respliced(2, |parts| parts.shards.swap(0, 1)).err(),
+            Some(SnapshotError::Corrupt(DecodeError::Invalid))
+        );
     }
 
     #[test]

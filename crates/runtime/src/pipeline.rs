@@ -238,6 +238,23 @@ impl PipelinedSystem {
         self.exec.as_ref().map(|e| e.queue.now_secs())
     }
 
+    /// The worker claims a fleet's pool must still hold for this system's
+    /// HITs on the board at `now_secs`: the worker count and completion
+    /// instant of each HIT posted outside worker attrition whose answer is
+    /// due after `now_secs`. [`crate::fleet::FleetHook::absorb_post`] books
+    /// a post's workers until its completion, and only a post at or after
+    /// that instant expires the claim. Attrition defers a HIT's answer
+    /// after the booking, so the claim of a HIT posted under it ends first.
+    pub(crate) fn pool_claims(&self, now_secs: f64) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let faults = &self.config.faults;
+        let hits = self.exec.iter().flat_map(|exec| exec.board.hits());
+        hits.filter_map(move |hit| {
+            let until = hit.posted_at_secs + hit.pending.completion_delay_secs();
+            let booked = faults.attrition_factor(hit.posted_at_secs) <= 1.0 && until > now_secs;
+            booked.then(|| (hit.pending.response().responses.len(), until))
+        })
+    }
+
     /// Begins an execution over `stream` if none is in progress: schedules
     /// every cycle's arrival on the sensing cadence. Idempotent while an
     /// execution is running. It attaches no tap.
