@@ -46,10 +46,11 @@ cargo test --workspace --release --exclude crowdlearn-suite -q --offline
 
 # The GBDT fit grows each round's class trees on up to one thread per
 # class. Pinned to one CPU (an affinity for this process only), the fit
-# takes its one-worker path, which must meet the same digests.
-echo "==> CQC boot pins and GBDT goldens on one CPU"
+# takes its one-worker path, which must meet the same digests, the
+# per-node-sort oracle proptests and the fit's allocation bounds.
+echo "==> CQC boot pins and the GBDT suite on one CPU"
 taskset -c 0 cargo test --release -q --offline -p crowdlearn --lib cqc::tests::boot_cqc
-taskset -c 0 cargo test --release -q --offline -p crowdlearn-gbdt --test golden
+taskset -c 0 cargo test --release -q --offline -p crowdlearn-gbdt
 
 # Every paper table and figure and the runtime sections (pipelining, fleet
 # contention, adaptive window, outage degradation): the binary asserts each

@@ -20,16 +20,19 @@
 //! values are ranked once per fit, each round's row sample is counting-sorted
 //! by rank once per feature, and every node is a segment of those sorted
 //! buffers that a split partitions in place — a linear scan per feature per
-//! node, with no per-node sorting or allocation. The scan visits rows in the
-//! same order a per-node stable sort would, so every gradient sum, gain and
-//! tie-break, and hence every tree, is bit-identical to sorting at each node.
+//! node, with no per-node sorting or allocation. The scan walks two columns
+//! at a time in lockstep and finds value boundaries by rank. It visits each
+//! column's rows in the same order a per-node stable sort would, so every
+//! gradient sum, gain and tie-break, and hence every tree, is bit-identical
+//! to sorting at each node.
 //!
 //! A round's per-class trees depend only on the scores the earlier rounds
 //! left, so `fit` grows them concurrently: the calling thread and up to one
 //! scoped helper per further class (capped by the available parallelism)
 //! take classes from a cursor, each tree in a scratch of its own. The
-//! calling thread draws every row and column sample up front in the serial
-//! order and sizes every buffer, so helpers neither draw nor allocate, and
+//! calling thread draws every row and column sample in the serial order,
+//! presorting the next round's sample while the helpers grow this round's
+//! trees, and sizes every buffer, so helpers neither draw nor allocate, and
 //! the trees are kept in class order: the model is the same bytes whatever
 //! the thread count.
 //!

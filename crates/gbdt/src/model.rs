@@ -199,11 +199,14 @@ impl GbdtClassifier {
     /// and each round's per-class trees are shared out among `workers`
     /// threads, the calling one and `workers - 1` scoped helpers.
     ///
-    /// The calling thread draws the round's row sample and then every
+    /// The calling thread draws each round's row sample and then every
     /// class's columns, in the order of growing the trees one by one, and
     /// allocates every buffer the workers fill; trees are kept in class
     /// order. So the model does not depend on `workers` or on which thread
-    /// grows which tree.
+    /// grows which tree. The draws are the fit's only use of the RNG, so
+    /// the calling thread makes round `r + 1`'s, and presorts its sample,
+    /// once it has grown a tree of round `r`, while the other workers grow
+    /// the rest.
     fn boost<G: TreeGrower>(
         rows: &[Vec<f64>],
         labels: &[usize],
@@ -233,38 +236,50 @@ impl GbdtClassifier {
         let mut scratches: Vec<G::Scratch> = (0..workers).map(|_| grower.scratch()).collect();
         let fits = base_scores.iter().map(|&base| ClassFit {
             columns: Vec::with_capacity(n_features),
-            grad: vec![0.0; n],
-            hess: vec![0.0; n],
+            gh: vec![[0.0; 2]; n],
             scores: vec![base; n],
             tree: RegressionTree::default(),
         });
-        let pool = &Pool::new(grower, fits.collect(), config);
+        let mut next = Draws {
+            sample: grower.sample(),
+            columns: vec![Vec::with_capacity(n_features); classes],
+        };
+        let pool = &Pool::new(grower, fits.collect(), config, take_rows);
 
         let mut trees = Vec::with_capacity(config.rounds * classes);
         let mut rows_used: Vec<usize> = Vec::with_capacity(n);
+        // The row sample, then each class's columns in class order: the
+        // draws of growing the trees one by one.
+        let mut draw = |next: &mut Draws<G::Sample>| {
+            rows_used.clear();
+            rows_used.extend(0..n);
+            if config.subsample < 1.0 {
+                rows_used.shuffle(&mut rng);
+                rows_used.truncate(take_rows);
+            }
+            pool.grower.presort(&mut next.sample, &rows_used);
+            for columns in &mut next.columns {
+                columns.clear();
+                columns.extend(0..n_features);
+                if config.colsample < 1.0 {
+                    columns.shuffle(&mut rng);
+                    columns.truncate(take_cols);
+                }
+            }
+        };
         std::thread::scope(|scope| {
             let _close = Close(pool);
             let mut scratch = scratches.pop().expect("at least one worker");
             for helper in scratches {
                 scope.spawn(move || pool.help(helper));
             }
-            for _ in 0..config.rounds {
-                // The row sample, then each class's columns in class order:
-                // the draws of growing the trees one by one.
-                rows_used.clear();
-                rows_used.extend(0..n);
-                if config.subsample < 1.0 {
-                    rows_used.shuffle(&mut rng);
-                    rows_used.truncate(take_rows);
+            draw(&mut next);
+            for round in 1..=config.rounds {
+                pool.open(&mut next, labels);
+                pool.work_one(&mut scratch);
+                if round < config.rounds {
+                    draw(&mut next);
                 }
-                pool.open(&rows_used, labels, |columns| {
-                    columns.clear();
-                    columns.extend(0..n_features);
-                    if config.colsample < 1.0 {
-                        columns.shuffle(&mut rng);
-                        columns.truncate(take_cols);
-                    }
-                });
                 pool.work(&mut scratch);
                 pool.finish(&mut trees);
             }
@@ -425,9 +440,10 @@ impl Decode for GbdtClassifier {
 
 /// What the threads of one fit share.
 struct Pool<G: TreeGrower> {
-    /// Written by the calling thread between rounds, read by the workers
-    /// during one.
-    grower: RwLock<G>,
+    grower: G,
+    /// The sample of the round in progress: swapped in by the calling
+    /// thread between rounds, read by the workers during one.
+    sample: RwLock<G::Sample>,
     round: Mutex<Round>,
     /// Helpers wait here for a round to open or the fit to close.
     opened: Condvar,
@@ -435,6 +451,8 @@ struct Pool<G: TreeGrower> {
     finished: Condvar,
     learning_rate: f64,
     max_depth: usize,
+    /// The rows a round samples.
+    take_rows: usize,
 }
 
 /// The round in progress.
@@ -452,20 +470,28 @@ struct Round {
 }
 
 /// One class's share of the fit: its score on every training row and, for
-/// the round in progress, its columns, gradients and tree.
+/// the round in progress, its columns, `[gradient, hessian]` pairs and
+/// tree.
 struct ClassFit {
     columns: Vec<usize>,
-    grad: Vec<f64>,
-    hess: Vec<f64>,
+    gh: Vec<[f64; 2]>,
     scores: Vec<f64>,
     tree: RegressionTree,
 }
 
+/// A round's draws, made before it opens: its presorted row sample and
+/// each class's columns.
+struct Draws<S> {
+    sample: S,
+    columns: Vec<Vec<usize>>,
+}
+
 impl<G: TreeGrower> Pool<G> {
-    fn new(grower: G, classes: Vec<ClassFit>, config: &GbdtConfig) -> Self {
+    fn new(grower: G, classes: Vec<ClassFit>, config: &GbdtConfig, take_rows: usize) -> Self {
         let (next, done) = (classes.len(), classes.len());
         Self {
-            grower: RwLock::new(grower),
+            sample: RwLock::new(grower.sample()),
+            grower,
             round: Mutex::new(Round {
                 classes: classes.into_iter().map(Some).collect(),
                 next,
@@ -477,6 +503,7 @@ impl<G: TreeGrower> Pool<G> {
             finished: Condvar::new(),
             learning_rate: config.learning_rate,
             max_depth: config.max_depth,
+            take_rows,
         }
     }
 
@@ -486,21 +513,17 @@ impl<G: TreeGrower> Pool<G> {
         self.round.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Opens a round on the row sample `rows_used`, on the calling thread:
-    /// presorts it, draws each class's columns with `draw_columns` in class
-    /// order, reserves each class's tree, takes the softmax gradients of
-    /// the scores the earlier rounds left, and wakes the helpers.
-    fn open(
-        &self,
-        rows_used: &[usize],
-        labels: &[usize],
-        mut draw_columns: impl FnMut(&mut Vec<usize>),
-    ) {
+    /// Opens the round `draws` holds, on the calling thread: swaps its
+    /// sample and columns in (leaving the last round's buffers in `draws`
+    /// to draw the next round into), reserves each class's tree, takes the
+    /// softmax gradients of the scores the earlier rounds left, and wakes
+    /// the helpers.
+    fn open(&self, draws: &mut Draws<G::Sample>, labels: &[usize]) {
         let mut round = self.lock();
-        self.grower
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .start_round(rows_used);
+        std::mem::swap(
+            &mut *self.sample.write().unwrap_or_else(PoisonError::into_inner),
+            &mut draws.sample,
+        );
         let mut fits: Vec<&mut ClassFit> = round
             .classes
             .iter_mut()
@@ -509,9 +532,9 @@ impl<G: TreeGrower> Pool<G> {
                     .expect("invariant: every class is in between rounds")
             })
             .collect();
-        for fit in &mut fits {
-            draw_columns(&mut fit.columns);
-            fit.tree = RegressionTree::with_room(self.max_depth, rows_used.len());
+        for (fit, columns) in fits.iter_mut().zip(&mut draws.columns) {
+            std::mem::swap(&mut fit.columns, columns);
+            fit.tree = RegressionTree::with_room(self.max_depth, self.take_rows);
         }
         let mut probs = vec![0.0; fits.len()];
         for (i, &label) in labels.iter().enumerate() {
@@ -520,8 +543,10 @@ impl<G: TreeGrower> Pool<G> {
             }
             softmax_in_place(&mut probs);
             for (class, (&p, fit)) in probs.iter().zip(&mut fits).enumerate() {
-                fit.grad[i] = p - if label == class { 1.0 } else { 0.0 };
-                fit.hess[i] = (p * (1.0 - p)).max(1e-6);
+                fit.gh[i] = [
+                    p - if label == class { 1.0 } else { 0.0 },
+                    (p * (1.0 - p)).max(1e-6),
+                ];
             }
         }
         round.next = 0;
@@ -531,34 +556,45 @@ impl<G: TreeGrower> Pool<G> {
         self.opened.notify_all();
     }
 
-    /// Grows and credits classes' trees in `scratch`, taking them from the
-    /// cursor until the round has none left. Allocates nothing: the calling
-    /// thread sized every buffer.
-    fn work(&self, scratch: &mut G::Scratch) {
-        loop {
-            let mut round = self.lock();
-            if round.next == round.classes.len() {
-                return;
-            }
-            let class = round.next;
-            round.next += 1;
-            let mut fit = round.classes[class]
-                .take()
-                .expect("invariant: the cursor hands out each class once a round");
-            drop(round);
-
-            let grower = self.grower.read().unwrap_or_else(PoisonError::into_inner);
-            grower.grow(scratch, &mut fit.tree, &fit.grad, &fit.hess, &fit.columns);
-            grower.credit(scratch, &fit.tree, self.learning_rate, &mut fit.scores);
-            drop(grower);
-
-            let mut round = self.lock();
-            round.classes[class] = Some(fit);
-            round.done += 1;
-            if round.done == round.classes.len() {
-                self.finished.notify_one();
-            }
+    /// Grows and credits the next class's tree in `scratch`, if the round
+    /// has one left, and says whether it had. Allocates nothing: the
+    /// calling thread sized every buffer.
+    fn work_one(&self, scratch: &mut G::Scratch) -> bool {
+        let mut round = self.lock();
+        if round.next == round.classes.len() {
+            return false;
         }
+        let class = round.next;
+        round.next += 1;
+        let mut fit = round.classes[class]
+            .take()
+            .expect("invariant: the cursor hands out each class once a round");
+        drop(round);
+
+        let sample = self.sample.read().unwrap_or_else(PoisonError::into_inner);
+        let grower = &self.grower;
+        grower.grow(&sample, scratch, &mut fit.tree, &fit.gh, &fit.columns);
+        grower.credit(
+            &sample,
+            scratch,
+            &fit.tree,
+            self.learning_rate,
+            &mut fit.scores,
+        );
+        drop(sample);
+
+        let mut round = self.lock();
+        round.classes[class] = Some(fit);
+        round.done += 1;
+        if round.done == round.classes.len() {
+            self.finished.notify_one();
+        }
+        true
+    }
+
+    /// [`Pool::work_one`] until the round has no class left.
+    fn work(&self, scratch: &mut G::Scratch) {
+        while self.work_one(scratch) {}
     }
 
     /// A helper thread's life: it blocks until a round opens, works it,
@@ -817,12 +853,15 @@ mod tests {
 
     impl TreeGrower for PanickingHelper {
         type Scratch = ();
+        type Sample = ();
 
         fn scratch(&self) {}
 
-        fn start_round(&mut self, _: &[usize]) {}
+        fn sample(&self) {}
 
-        fn grow(&self, _: &mut (), _: &mut RegressionTree, _: &[f64], _: &[f64], _: &[usize]) {
+        fn presort(&self, _: &mut (), _: &[usize]) {}
+
+        fn grow(&self, _: &(), _: &mut (), _: &mut RegressionTree, _: &[[f64; 2]], _: &[usize]) {
             use std::sync::atomic::Ordering;
             // Scoped helpers are unnamed; the test thread is not.
             if std::thread::current().name().is_none() {
@@ -834,7 +873,7 @@ mod tests {
             }
         }
 
-        fn credit(&self, _: &(), _: &RegressionTree, _: f64, _: &mut [f64]) {}
+        fn credit(&self, _: &(), _: &(), _: &RegressionTree, _: f64, _: &mut [f64]) {}
     }
 
     #[test]

@@ -13,48 +13,69 @@ pub(crate) struct TreeParams {
     pub min_child_weight: f64,
 }
 
-/// Grows a fit's trees round by round: `start_round` sets the row sample
-/// that the round's per-class trees share, then `grow` fits each class's
-/// tree on it and `credit` adds that tree to the class's scores. `grow`
-/// and `credit` take `&self` and a scratch of their own, so one round's
-/// trees can grow on several threads at once.
-pub(crate) trait TreeGrower: Send + Sync {
+/// Grows a fit's trees round by round: `presort` prepares a round's row
+/// sample, which the round's per-class trees share, then `grow` fits each
+/// class's tree on it and `credit` adds that tree to the class's scores.
+/// Every method takes `&self`: `grow` and `credit` work in a scratch of
+/// their own and only read the round's [`TreeGrower::Sample`], so one
+/// round's trees can grow on several threads at once while the next
+/// round's sample is presorted into another.
+pub(crate) trait TreeGrower: Sync {
     /// One tree's working buffers.
     type Scratch: Send;
+    /// One round's row sample, presorted.
+    type Sample: Send + Sync;
 
     /// Buffers for one tree, sized for any round's sample, so that `grow`
     /// and `credit` allocate nothing.
     fn scratch(&self) -> Self::Scratch;
 
-    /// Sets the round's row sample: indices into the training rows, in
-    /// subsample order.
-    fn start_round(&mut self, rows_used: &[usize]);
+    /// An empty sample, sized for any round's.
+    fn sample(&self) -> Self::Sample;
 
-    /// Fits one tree to `(grad, hess)` on the round's sample into `tree`
-    /// (empty, its room reserved by [`RegressionTree::with_room`]).
-    /// `columns` restricts the candidate split features (column
-    /// subsampling).
+    /// Sets `sample` to the round's row sample: indices into the training
+    /// rows, in subsample order.
+    fn presort(&self, sample: &mut Self::Sample, rows_used: &[usize]);
+
+    /// Fits one tree on `sample` to the `[gradient, hessian]` pairs `gh`,
+    /// one per training row, into `tree` (empty, its room reserved by
+    /// [`RegressionTree::with_room`]). `columns` restricts the candidate
+    /// split features (column subsampling).
     fn grow(
         &self,
+        sample: &Self::Sample,
         scratch: &mut Self::Scratch,
         tree: &mut RegressionTree,
-        grad: &[f64],
-        hess: &[f64],
+        gh: &[[f64; 2]],
         columns: &[usize],
     );
 
     /// Adds `rate` times `tree`'s prediction to every training row's entry
-    /// of `scores`; `tree` is the one `grow` just fit in `scratch`.
-    fn credit(&self, scratch: &Self::Scratch, tree: &RegressionTree, rate: f64, scores: &mut [f64]);
+    /// of `scores`; `tree` is the one `grow` just fit on `sample` in
+    /// `scratch`.
+    fn credit(
+        &self,
+        sample: &Self::Sample,
+        scratch: &Self::Scratch,
+        tree: &RegressionTree,
+        rate: f64,
+        scores: &mut [f64],
+    );
 }
+
+/// How many columns the split scan walks in lockstep. Each column's
+/// gradient sums are one chain of dependent adds; walking several columns
+/// at once overlaps their latencies. Wider groups measured no faster on
+/// CQC's fits (DESIGN.md §6 "Presorted exact split search").
+const LANES: usize = 2;
 
 /// The exact split search of one fit: every boundary between distinct
 /// values of each feature is a candidate. Rows are presorted, one counting
 /// sort per feature per boosting round, after which each node scans and
 /// partitions its features' sorted segments in `O(n)` per feature. The
-/// training features are laid out once per fit, the round's presort once
-/// per round; both are read-only while the round's trees grow, each in its
-/// own [`Scratch`].
+/// training features are laid out once per fit and are read-only from
+/// then on; each round's presort is a [`Sample`] of its own, and each tree
+/// grows in a [`Scratch`] of its own.
 pub(crate) struct Presorted {
     params: TreeParams,
     /// `values[feature][row]`: a column-major copy of the features.
@@ -65,13 +86,21 @@ pub(crate) struct Presorted {
     ranks: Vec<Vec<u32>>,
     /// Distinct values per feature.
     distinct: Vec<usize>,
-    /// The round's row sample in subsample order.
-    sample: Vec<u32>,
-    /// Per feature, the round's sample in `(value, subsample position)`
-    /// order.
-    sample_sorted: Vec<Vec<u32>>,
-    /// The rows outside the round's sample, ascending.
+}
+
+/// One round's row sample, presorted.
+pub(crate) struct Sample {
+    /// The row sample in subsample order.
+    rows: Vec<u32>,
+    /// Per feature, the sample in `(value, subsample position)` order.
+    sorted: Vec<Vec<u32>>,
+    /// The rows outside the sample, ascending.
     unsampled: Vec<u32>,
+    /// The counting sort's bucket cursors, one per distinct value and one
+    /// more, for the feature with the most.
+    cursors: Vec<usize>,
+    /// Whether each training row is in the sample.
+    sampled: Vec<bool>,
 }
 
 /// One tree's working buffers. Every node is a segment `[lo, hi)` of `rows`
@@ -120,21 +149,24 @@ impl Presorted {
         }
         Self {
             params,
-            sample_sorted: vec![Vec::new(); ranks.len()],
             values,
             ranks,
             distinct,
-            sample: Vec::new(),
-            unsampled: Vec::new(),
         }
+    }
+
+    /// The number of training rows.
+    fn rows(&self) -> usize {
+        self.values[0].len()
     }
 }
 
 impl TreeGrower for Presorted {
     type Scratch = Scratch;
+    type Sample = Sample;
 
     fn scratch(&self) -> Scratch {
-        let n = self.values[0].len();
+        let n = self.rows();
         Scratch {
             rows: Vec::with_capacity(n),
             sorted: Vec::with_capacity(n * self.values.len()),
@@ -144,59 +176,72 @@ impl TreeGrower for Presorted {
         }
     }
 
+    fn sample(&self) -> Sample {
+        let n = self.rows();
+        let most = self.distinct.iter().copied().max().unwrap_or(0);
+        Sample {
+            rows: Vec::with_capacity(n),
+            sorted: self.values.iter().map(|_| Vec::with_capacity(n)).collect(),
+            unsampled: Vec::with_capacity(n),
+            cursors: vec![0; most + 1],
+            sampled: vec![false; n],
+        }
+    }
+
     /// Counting-sorts the sample by rank, once per feature. The sort is
     /// stable, so rows with equal values keep their subsample order.
-    fn start_round(&mut self, rows_used: &[usize]) {
-        self.sample.clear();
-        self.sample.extend(rows_used.iter().map(|&r| r as u32));
+    fn presort(&self, sample: &mut Sample, rows_used: &[usize]) {
+        sample.rows.clear();
+        sample.rows.extend(rows_used.iter().map(|&r| r as u32));
         let ranked = self.ranks.iter().zip(&self.distinct);
-        for ((rank, &distinct), order) in ranked.zip(&mut self.sample_sorted) {
-            let mut next = vec![0usize; distinct + 1];
-            for &r in &self.sample {
+        for ((rank, &distinct), order) in ranked.zip(&mut sample.sorted) {
+            let next = &mut sample.cursors[..=distinct];
+            next.fill(0);
+            for &r in &sample.rows {
                 next[rank[r as usize] as usize + 1] += 1;
             }
             for v in 1..distinct {
                 next[v] += next[v - 1];
             }
-            order.resize(self.sample.len(), 0);
-            for &r in &self.sample {
+            order.resize(sample.rows.len(), 0);
+            for &r in &sample.rows {
                 let slot = &mut next[rank[r as usize] as usize];
                 order[*slot] = r;
                 *slot += 1;
             }
         }
-        let mut sampled = vec![false; self.values[0].len()];
-        for &r in &self.sample {
-            sampled[r as usize] = true;
+        sample.sampled.fill(false);
+        for &r in &sample.rows {
+            sample.sampled[r as usize] = true;
         }
-        self.unsampled.clear();
-        self.unsampled
+        let sampled = &sample.sampled;
+        sample.unsampled.clear();
+        sample
+            .unsampled
             .extend((0..sampled.len() as u32).filter(|&r| !sampled[r as usize]));
     }
 
     fn grow(
         &self,
+        sample: &Sample,
         scratch: &mut Scratch,
         tree: &mut RegressionTree,
-        grad: &[f64],
-        hess: &[f64],
+        gh: &[[f64; 2]],
         columns: &[usize],
     ) {
-        let n = self.sample.len();
+        let n = sample.rows.len();
         assert!(n > 0, "tree needs at least one row");
         scratch.rows.clear();
-        scratch.rows.extend_from_slice(&self.sample);
+        scratch.rows.extend_from_slice(&sample.rows);
         scratch.sorted.clear();
         for &f in columns {
-            scratch.sorted.extend_from_slice(&self.sample_sorted[f]);
+            scratch.sorted.extend_from_slice(&sample.sorted[f]);
         }
         scratch.leaves.clear();
         let mut builder = Builder {
-            values: &self.values,
-            grad,
-            hess,
+            presorted: self,
+            gh,
             columns,
-            params: &self.params,
             scratch,
             nodes: &mut tree.nodes,
         };
@@ -205,13 +250,20 @@ impl TreeGrower for Presorted {
 
     /// A sampled row's leaf is the segment it was partitioned into; only
     /// the rows outside the sample walk the tree.
-    fn credit(&self, scratch: &Scratch, tree: &RegressionTree, rate: f64, scores: &mut [f64]) {
+    fn credit(
+        &self,
+        sample: &Sample,
+        scratch: &Scratch,
+        tree: &RegressionTree,
+        rate: f64,
+        scores: &mut [f64],
+    ) {
         for &(lo, hi, weight) in &scratch.leaves {
             for &r in &scratch.rows[lo..hi] {
                 scores[r as usize] += rate * weight;
             }
         }
-        for &r in &self.unsampled {
+        for &r in &sample.unsampled {
             let r = r as usize;
             scores[r] += rate * tree.walk(|f| self.values[f][r]);
         }
@@ -248,32 +300,41 @@ pub(crate) struct RegressionTree {
     nodes: Vec<Node>,
 }
 
-/// The best split found so far at one node: `(feature, threshold, gain)`.
-struct BestSplit<'a> {
+/// What scoring a split at one node needs: the node's sums and the
+/// parameters.
+struct NodeSums<'a> {
     params: &'a TreeParams,
     g_sum: f64,
     h_sum: f64,
     parent_score: f64,
-    best: Option<(usize, f64, f64)>,
 }
 
-impl BestSplit<'_> {
-    /// Scores the split sending hessian mass `hl` and gradient `gl` left,
-    /// and keeps it if it strictly beats the best so far.
-    fn consider(&mut self, feature: usize, threshold: f64, gl: f64, hl: f64) {
+impl NodeSums<'_> {
+    /// The gain of the split sending hessian mass `hl` and gradient `gl`
+    /// left, or `-inf` when a child carries less than `min_child_weight`.
+    fn gain(&self, gl: f64, hl: f64) -> f64 {
         let params = self.params;
         let gr = self.g_sum - gl;
         let hr = self.h_sum - hl;
         if hl < params.min_child_weight || hr < params.min_child_weight {
-            return;
+            return f64::NEG_INFINITY;
         }
-        let gain = 0.5
-            * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda) - self.parent_score)
-            - params.gamma;
-        if gain > 0.0 && self.best.is_none_or(|(_, _, bg)| gain > bg) {
-            self.best = Some((feature, threshold, gain));
-        }
+        0.5 * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda) - self.parent_score)
+            - params.gamma
     }
+}
+
+/// One column's best split at a node: its gain, and the position in the
+/// column's segment of the last row that goes left. A gain of `0.0` means
+/// none yet, since only a positive gain splits.
+#[derive(Debug, Clone, Copy)]
+struct ColumnBest {
+    gain: f64,
+    at: usize,
+}
+
+impl ColumnBest {
+    const NONE: Self = Self { gain: 0.0, at: 0 };
 }
 
 impl RegressionTree {
@@ -353,11 +414,9 @@ impl RegressionTree {
 
 /// Grows one tree in a [`Scratch`].
 struct Builder<'a> {
-    values: &'a [Vec<f64>],
-    grad: &'a [f64],
-    hess: &'a [f64],
+    presorted: &'a Presorted,
+    gh: &'a [[f64; 2]],
     columns: &'a [usize],
-    params: &'a TreeParams,
     scratch: &'a mut Scratch,
     nodes: &'a mut Vec<Node>,
 }
@@ -365,11 +424,16 @@ struct Builder<'a> {
 impl Builder<'_> {
     /// Builds the subtree over segment `[lo, hi)`, returning its node index.
     fn build(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
-        let (grad, hess) = (self.grad, self.hess);
-        let segment = &self.scratch.rows[lo..hi];
-        let g_sum: f64 = segment.iter().map(|&r| grad[r as usize]).sum();
-        let h_sum: f64 = segment.iter().map(|&r| hess[r as usize]).sum();
-        let lambda = self.params.lambda;
+        let params = &self.presorted.params;
+        // One pass in subsample order; `-0.0` is the start `f64`'s `Sum`
+        // adds from, so each sum has the bits a `.sum()` over it has.
+        let (mut g_sum, mut h_sum) = (-0.0, -0.0);
+        for &r in &self.scratch.rows[lo..hi] {
+            let [g, h] = self.gh[r as usize];
+            g_sum += g;
+            h_sum += h;
+        }
+        let lambda = params.lambda;
         let leaf = |builder: &mut Self| {
             let weight = -g_sum / (h_sum + lambda);
             builder.scratch.leaves.push((lo, hi, weight));
@@ -377,48 +441,57 @@ impl Builder<'_> {
             builder.nodes.len() - 1
         };
 
-        if depth >= self.params.max_depth || hi - lo < 2 {
+        if depth >= params.max_depth || hi - lo < 2 {
             return leaf(self);
         }
 
-        let mut best = BestSplit {
-            params: self.params,
+        let sums = NodeSums {
+            params,
             g_sum,
             h_sum,
             parent_score: g_sum * g_sum / (h_sum + lambda),
-            best: None,
         };
-        self.scan_sorted(lo, hi, &mut best);
-        let Some((feature, threshold, gain)) = best.best else {
+        let Some((k, best)) = self.scan_sorted(lo, hi, &sums) else {
             return leaf(self);
         };
 
-        let values = &self.values[feature];
-        let mut n_left = 0;
-        for &r in &self.scratch.rows[lo..hi] {
-            let left = values[r as usize] < threshold;
-            self.scratch.goes_left[r as usize] = left;
-            n_left += usize::from(left);
-        }
+        // The split column's own block orders the segment by value, so the
+        // rows that go left are a prefix of it.
+        let n = self.scratch.rows.len();
+        let feature = self.columns[k];
+        let values = &self.presorted.values[feature];
+        let own = &self.scratch.sorted[k * n + lo..k * n + hi];
+        let value = |i: usize| values[own[i] as usize];
+        let threshold = 0.5 * (value(best.at) + value(best.at + 1));
+        let n_left = own.partition_point(|&r| values[r as usize] < threshold);
         if n_left == 0 || n_left == hi - lo {
             // Possible when `0.5 * (va + vb)` rounds onto `va`: fall back to
             // a leaf.
             return leaf(self);
+        }
+        let (left_rows, right_rows) = own.split_at(n_left);
+        for &r in left_rows {
+            self.scratch.goes_left[r as usize] = true;
+        }
+        for &r in right_rows {
+            self.scratch.goes_left[r as usize] = false;
         }
         partition(
             &mut self.scratch.rows[lo..hi],
             &self.scratch.goes_left,
             &mut self.scratch.spill,
         );
-        // Children at the depth limit are leaves and never scan.
-        if depth + 1 < self.params.max_depth {
-            let n = self.scratch.rows.len();
-            for block in self.scratch.sorted.chunks_exact_mut(n) {
-                partition(
-                    &mut block[lo..hi],
-                    &self.scratch.goes_left,
-                    &mut self.scratch.spill,
-                );
+        // Children at the depth limit are leaves and never scan. Partitioning
+        // the split column's own block would leave it as it is.
+        if depth + 1 < params.max_depth {
+            for (j, block) in self.scratch.sorted.chunks_exact_mut(n).enumerate() {
+                if j != k {
+                    partition(
+                        &mut block[lo..hi],
+                        &self.scratch.goes_left,
+                        &mut self.scratch.spill,
+                    );
+                }
             }
         }
 
@@ -431,32 +504,89 @@ impl Builder<'_> {
         self.nodes[index] = Node::Split {
             feature,
             threshold,
-            gain,
+            gain: best.gain,
             left,
             right,
         };
         index
     }
 
-    /// Exact search: walks each column's sorted segment once, so `gl`/`hl`
-    /// accumulate in `(value, subsample position)` order.
-    fn scan_sorted(&self, lo: usize, hi: usize, best: &mut BestSplit<'_>) {
-        let n = self.scratch.rows.len();
-        for (k, &f) in self.columns.iter().enumerate() {
-            let values = &self.values[f];
-            let mut gl = 0.0;
-            let mut hl = 0.0;
-            for w in self.scratch.sorted[k * n + lo..k * n + hi].windows(2) {
-                let (a, b) = (w[0] as usize, w[1] as usize);
-                gl += self.grad[a];
-                hl += self.hess[a];
-                let (va, vb) = (values[a], values[b]);
-                if va == vb {
-                    continue; // cannot split between equal values
-                }
-                best.consider(f, 0.5 * (va + vb), gl, hl);
+    /// Exact search: the best split over the columns, as `(k, best)` for
+    /// `columns[k]`. Columns are walked [`LANES`] at a time, then one at a
+    /// time for the rest. Each keeps its first best, and the first column
+    /// whose best is strictly greater than the earlier ones' wins: the
+    /// split a one-by-one walk of every column keeps.
+    fn scan_sorted(
+        &self,
+        lo: usize,
+        hi: usize,
+        sums: &NodeSums<'_>,
+    ) -> Option<(usize, ColumnBest)> {
+        let width = self.columns.len();
+        let mut winner: Option<(usize, ColumnBest)> = None;
+        let mut keep = |k: usize, best: ColumnBest| {
+            if best.gain > winner.map_or(0.0, |(_, w)| w.gain) {
+                winner = Some((k, best));
+            }
+        };
+        let lockstep = width - width % LANES;
+        for first in (0..lockstep).step_by(LANES) {
+            let bests = self.scan_columns::<LANES>(first, lo, hi, sums);
+            for (j, best) in bests.into_iter().enumerate() {
+                keep(first + j, best);
             }
         }
+        for k in lockstep..width {
+            let [best] = self.scan_columns::<1>(k, lo, hi, sums);
+            keep(k, best);
+        }
+        winner
+    }
+
+    /// Walks the segments of the `W` columns from `columns[first]` in
+    /// lockstep, so each column's `gl`/`hl` accumulate in its
+    /// `(value, subsample position)` order. A boundary between distinct
+    /// values is where the rank changes; each column keeps its first
+    /// strictly best one.
+    // Position `i` and lane `j` index several arrays in step.
+    #[allow(clippy::needless_range_loop)]
+    fn scan_columns<const W: usize>(
+        &self,
+        first: usize,
+        lo: usize,
+        hi: usize,
+        sums: &NodeSums<'_>,
+    ) -> [ColumnBest; W] {
+        let n = self.scratch.rows.len();
+        let gh = self.gh;
+        let blocks: [&[u32]; W] = std::array::from_fn(|j| {
+            let k = first + j;
+            &self.scratch.sorted[k * n + lo..k * n + hi]
+        });
+        let ranks: [&[u32]; W] =
+            std::array::from_fn(|j| &self.presorted.ranks[self.columns[first + j]][..]);
+        let mut row: [usize; W] = std::array::from_fn(|j| blocks[j][0] as usize);
+        let mut rank: [u32; W] = std::array::from_fn(|j| ranks[j][row[j]]);
+        let mut left = [[0.0f64; 2]; W];
+        let mut best = [ColumnBest::NONE; W];
+        for i in 1..hi - lo {
+            for j in 0..W {
+                let [g, h] = gh[row[j]];
+                left[j][0] += g;
+                left[j][1] += h;
+                let next = blocks[j][i] as usize;
+                let next_rank = ranks[j][next];
+                if next_rank != rank[j] {
+                    let gain = sums.gain(left[j][0], left[j][1]);
+                    if gain > best[j].gain {
+                        best[j] = ColumnBest { gain, at: i - 1 };
+                    }
+                }
+                row[j] = next;
+                rank[j] = next_rank;
+            }
+        }
+        best
     }
 }
 
@@ -522,41 +652,51 @@ pub(crate) mod per_node_sort {
     pub(crate) struct Oracle<'a> {
         features: &'a [Vec<f64>],
         params: TreeParams,
-        rows: Vec<usize>,
     }
 
     impl<'a> Oracle<'a> {
         pub(crate) fn new(features: &'a [Vec<f64>], params: TreeParams) -> Self {
-            Self {
-                features,
-                params,
-                rows: Vec::new(),
-            }
+            Self { features, params }
         }
     }
 
-    /// Grows with no scratch and credits by walking every row.
+    /// Samples by copying the row sample, grows with no scratch and
+    /// credits by walking every row.
     impl TreeGrower for Oracle<'_> {
         type Scratch = ();
+        type Sample = Vec<usize>;
 
         fn scratch(&self) {}
 
-        fn start_round(&mut self, rows_used: &[usize]) {
-            self.rows = rows_used.to_vec();
+        fn sample(&self) -> Vec<usize> {
+            Vec::new()
+        }
+
+        fn presort(&self, sample: &mut Vec<usize>, rows_used: &[usize]) {
+            sample.clear();
+            sample.extend_from_slice(rows_used);
         }
 
         fn grow(
             &self,
+            rows: &Vec<usize>,
             _: &mut (),
             tree: &mut RegressionTree,
-            grad: &[f64],
-            hess: &[f64],
+            gh: &[[f64; 2]],
             columns: &[usize],
         ) {
-            *tree = fit(self.features, grad, hess, &self.rows, columns, &self.params);
+            let (grad, hess): (Vec<f64>, Vec<f64>) = gh.iter().map(|&[g, h]| (g, h)).unzip();
+            *tree = fit(self.features, &grad, &hess, rows, columns, &self.params);
         }
 
-        fn credit(&self, _: &(), tree: &RegressionTree, rate: f64, scores: &mut [f64]) {
+        fn credit(
+            &self,
+            _: &Vec<usize>,
+            _: &(),
+            tree: &RegressionTree,
+            rate: f64,
+            scores: &mut [f64],
+        ) {
             for (score, row) in scores.iter_mut().zip(self.features) {
                 *score += rate * tree.predict(row);
             }
@@ -764,6 +904,11 @@ mod tests {
         fit_rows(features, &grad, &hess, &rows, &cols, params)
     }
 
+    /// `[grad[i], hess[i]]` pairs.
+    fn interleave(grad: &[f64], hess: &[f64]) -> Vec<[f64; 2]> {
+        grad.iter().zip(hess).map(|(&g, &h)| [g, h]).collect()
+    }
+
     fn leaves(tree: &RegressionTree) -> usize {
         let is_leaf = |node: &&Node| matches!(node, Node::Leaf { .. });
         tree.nodes.iter().filter(is_leaf).count()
@@ -779,11 +924,13 @@ mod tests {
         columns: &[usize],
         params: &TreeParams,
     ) -> RegressionTree {
-        let mut grower = Presorted::new(features, *params);
-        grower.start_round(rows);
+        let grower = Presorted::new(features, *params);
+        let mut sample = grower.sample();
+        grower.presort(&mut sample, rows);
         let mut tree = RegressionTree::with_room(params.max_depth, rows.len());
         let room = tree.nodes.capacity();
-        grower.grow(&mut grower.scratch(), &mut tree, grad, hess, columns);
+        let gh = interleave(grad, hess);
+        grower.grow(&sample, &mut grower.scratch(), &mut tree, &gh, columns);
         assert_eq!(tree.nodes.capacity(), room, "grow reallocated the nodes");
         tree
     }
@@ -909,14 +1056,17 @@ mod tests {
     #[test]
     fn ranks_are_dense_and_treat_signed_zeros_as_equal() {
         let features = vec![vec![2.5], vec![-0.0], vec![-1.0], vec![0.0], vec![2.5]];
-        let mut grower = Presorted::new(&features, PARAMS);
+        let grower = Presorted::new(&features, PARAMS);
         assert_eq!(grower.ranks, vec![vec![2, 1, 0, 1, 2]]);
         assert_eq!(grower.distinct, vec![3]);
         // Ties keep their subsample order.
-        grower.start_round(&[4, 3, 0, 1, 2]);
-        assert_eq!(grower.sample_sorted, vec![vec![2, 3, 1, 4, 0]]);
-        grower.start_round(&[3, 0]);
-        assert_eq!(grower.unsampled, vec![1, 2, 4]);
+        let mut sample = grower.sample();
+        grower.presort(&mut sample, &[4, 3, 0, 1, 2]);
+        assert_eq!(sample.sorted, vec![vec![2, 3, 1, 4, 0]]);
+        assert_eq!(sample.unsampled, Vec::<u32>::new());
+        grower.presort(&mut sample, &[3, 0]);
+        assert_eq!(sample.sorted, vec![vec![3, 0]]);
+        assert_eq!(sample.unsampled, vec![1, 2, 4]);
     }
 
     #[test]
@@ -938,6 +1088,42 @@ mod tests {
         assert_eq!(segment, [5, 2, 0, 4, 3, 1]);
     }
 
+    /// Two identical columns tie on every gain, so the one earlier in
+    /// `columns` must split, wherever the lockstep groups put the two: in
+    /// one group, in two, or one of them in the remainder.
+    #[test]
+    fn the_earlier_of_two_identical_columns_wins_the_tie() {
+        let features: Vec<Vec<f64>> = (0..40)
+            .map(|i| {
+                let step = f64::from(u8::from(i >= 20)) + (i % 3) as f64 * 0.1;
+                vec![(i * 7 % 5) as f64, step, 1.0, step, (i % 2) as f64]
+            })
+            .collect();
+        let grad: Vec<f64> = (0..40).map(|i| if i < 20 { 1.0 } else { -1.0 }).collect();
+        let hess = vec![1.0; 40];
+        let rows: Vec<usize> = (0..40).collect();
+        let mut s = per_node_sort::Stream(7);
+        for width in 2..=5 {
+            for _ in 0..12 {
+                let mut columns = s.sample(5, 5);
+                // Keep both copies, features 1 and 3, among the first `width`.
+                columns.retain(|&f| f == 1 || f == 3);
+                columns.extend(s.sample(5, 5).into_iter().filter(|&f| f != 1 && f != 3));
+                columns.truncate(width);
+                let order = s.sample(width, width);
+                let columns: Vec<usize> = order.iter().map(|&i| columns[i]).collect();
+                let first = *columns.iter().find(|&&f| f == 1 || f == 3).expect("a copy");
+                let tree = fit_rows(&features, &grad, &hess, &rows, &columns, &PARAMS);
+                let Node::Split { feature, .. } = tree.nodes[0] else {
+                    panic!("the step splits the root: {columns:?}");
+                };
+                assert_eq!(feature, first, "columns {columns:?}");
+                let oracle = per_node_sort::fit(&features, &grad, &hess, &rows, &columns, &PARAMS);
+                assert_eq!(tree.bits(), oracle.bits(), "columns {columns:?}");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
@@ -949,7 +1135,7 @@ mod tests {
         fn presorted_trees_match_the_per_node_sort_oracle(
             seed in 0u64..u64::MAX,
             n in 1usize..300,
-            width in 1usize..10,
+            width in 1usize..17,
             levels in 0usize..12,
             max_depth in 0usize..7,
         ) {
@@ -967,18 +1153,19 @@ mod tests {
                 gamma: if s.below(3) == 0 { s.unit() * 0.05 } else { 0.0 },
                 min_child_weight: if s.below(2) == 0 { s.unit() * 3.0 } else { 1e-6 },
             };
-            let mut grower = Presorted::new(&features, params);
-            grower.start_round(&rows);
+            let grower = Presorted::new(&features, params);
+            let mut sample = grower.sample();
+            grower.presort(&mut sample, &rows);
             let mut scratch = grower.scratch();
             let mut new = RegressionTree::with_room(max_depth, rows.len());
             let room = new.nodes.capacity();
-            grower.grow(&mut scratch, &mut new, &grad, &hess, &columns);
+            grower.grow(&sample, &mut scratch, &mut new, &interleave(&grad, &hess), &columns);
             prop_assert_eq!(new.nodes.capacity(), room);
             let old = per_node_sort::fit(&features, &grad, &hess, &rows, &columns, &params);
             prop_assert_eq!(new.bits(), old.bits());
 
             let mut credited = grad.clone();
-            grower.credit(&scratch, &new, 0.3, &mut credited);
+            grower.credit(&sample, &scratch, &new, 0.3, &mut credited);
             let credited: Vec<u64> = credited.iter().map(|x| x.to_bits()).collect();
             let walked: Vec<u64> = grad
                 .iter()

@@ -424,23 +424,24 @@ pub(crate) struct FleetHook<'a> {
 impl FleetHook<'_> {
     /// Applies the shared pool to a freshly posted HIT: compute the queue
     /// wait from *other* shards' busy workers, defer the HIT's worker
-    /// responses by it, claim this HIT's workers until its (deferred)
-    /// completion, and book the attempt against the shard.
+    /// responses by it, and book the attempt against the shard. The wait
+    /// scales the completion the HIT has before fault injection defers it;
+    /// [`FleetHook::claim_workers`] then books the workers.
     pub(crate) fn absorb_post(&mut self, now_secs: f64, posted: &mut PostedQuery, attempt: u32) {
         let responses = &posted.pending.response().responses;
         let worker_seconds: f64 = responses.iter().map(|r| r.delay_secs).sum();
         let base = posted.pending.completion_delay_secs();
         let wait = self.pool.queue_wait_secs(self.shard, base, now_secs);
         posted.pending.defer_by(wait);
-        let workers = posted.pending.response().responses.len();
-        self.pool.occupy(
-            self.shard,
-            workers,
-            now_secs + posted.pending.completion_delay_secs(),
-        );
         let cents = u64::from(posted.incentive.cents());
         self.ledger
             .charge(self.shard, attempt, cents, worker_seconds);
+    }
+
+    /// Claims a posted HIT's `workers` until `until_secs`, its completion
+    /// after every deferral, worker attrition's included.
+    pub(crate) fn claim_workers(&mut self, workers: usize, until_secs: f64) {
+        self.pool.occupy(self.shard, workers, until_secs);
     }
 }
 
@@ -1116,6 +1117,30 @@ mod tests {
         budget_cents: f64,
         shards: usize,
     ) -> (FleetOrchestrator, Vec<SensingCycleStream>) {
+        paused_fleet_under(RuntimeConfig::paper(), budget_cents, shards, 5)
+    }
+
+    /// The paper runtime with half the worker pool gone for the whole run,
+    /// so every answer takes twice as long, and the events after which
+    /// each of two shards has posted under it.
+    fn under_attrition() -> (RuntimeConfig, u64) {
+        let attrition = crate::FaultEpisode::WorkerAttrition {
+            fraction: 0.5,
+            from_secs: 0.0,
+            until_secs: 1e5,
+        };
+        let plan = crate::FaultPlan::new(3, vec![attrition]);
+        (RuntimeConfig::paper().with_faults(plan), 8)
+    }
+
+    /// [`paused_fleet`] with each shard on `runtime`, paused after
+    /// `events` events.
+    fn paused_fleet_under(
+        runtime: RuntimeConfig,
+        budget_cents: f64,
+        shards: usize,
+        events: u64,
+    ) -> (FleetOrchestrator, Vec<SensingCycleStream>) {
         use crowdlearn_dataset::DatasetConfig;
         let dataset = Dataset::generate(&DatasetConfig::paper().with_seed(7));
         let streams = vec![SensingCycleStream::new(&dataset, 6, 4); shards];
@@ -1123,10 +1148,10 @@ mod tests {
         config.cqc_training_queries = 200;
         config.warmup_per_cell = 2;
         let datasets = vec![dataset; shards];
-        let specs = vec![ShardSpec::new(config, RuntimeConfig::paper()); shards];
+        let specs = vec![ShardSpec::new(config, runtime); shards];
         let mut fleet = FleetOrchestrator::new(specs, FleetConfig::new(budget_cents), &datasets);
         assert!(fleet
-            .run_until(&datasets, &streams, RunBound::Events(5))
+            .run_until(&datasets, &streams, RunBound::Events(events))
             .is_none());
         (fleet, streams)
     }
@@ -1190,7 +1215,17 @@ mod tests {
     /// Resumes a 1000 ¢ [`paused_fleet`] of `shards` after `edit` rewrote
     /// the parts of its payload.
     fn resume_respliced(shards: usize, edit: Splice) -> Result<FleetOrchestrator, SnapshotError> {
-        let (fleet, streams) = paused_fleet(1000.0, shards);
+        resume_respliced_under((RuntimeConfig::paper(), 5), shards, edit)
+    }
+
+    /// [`resume_respliced`] with each shard on `runtime`, paused after
+    /// `events` events.
+    fn resume_respliced_under(
+        (runtime, events): (RuntimeConfig, u64),
+        shards: usize,
+        edit: Splice,
+    ) -> Result<FleetOrchestrator, SnapshotError> {
+        let (fleet, streams) = paused_fleet_under(runtime, 1000.0, shards, events);
         let mut parts = Parts::split(&fleet.snapshot().expect("checkpointable"), &streams);
         edit(&mut parts);
         FleetOrchestrator::resume(&parts.seal(), &streams)
@@ -1254,24 +1289,57 @@ mod tests {
 
     /// Two shards of one config and quota that have spent the same, with
     /// different HITs in flight, cannot trade payloads: each board's HITs
-    /// must match the pool's claims of its own slot.
+    /// must match the pool's claims of its own slot, at full strength and
+    /// under worker attrition alike.
     #[test]
     fn resume_rejects_shards_that_swapped_payloads() {
-        let (fleet, streams) = paused_fleet(1000.0, 2);
-        let parts = Parts::split(&fleet.snapshot().expect("checkpointable"), &streams);
-        assert_eq!(parts.usage[0].spent_cents, parts.usage[1].spent_cents);
-        assert_ne!(parts.shards[0], parts.shards[1]);
-        let owed = |shard: usize| fleet.shard(shard).pool_claims(0.0).count();
-        assert!(
-            owed(0) > 0 && owed(1) > 0,
-            "both shards have HITs in flight"
-        );
-        let resumed = resume_respliced(2, |_| {}).expect("untouched payload resumes");
-        assert_eq!(resumed.shard_usage(1), fleet.shard_usage(1));
-        assert_eq!(
-            resume_respliced(2, |parts| parts.shards.swap(0, 1)).err(),
-            Some(SnapshotError::Corrupt(DecodeError::Invalid))
-        );
+        for (what, (runtime, events)) in [
+            ("full strength", (RuntimeConfig::paper(), 5)),
+            ("attrition", under_attrition()),
+        ] {
+            let (fleet, streams) = paused_fleet_under(runtime.clone(), 1000.0, 2, events);
+            let parts = Parts::split(&fleet.snapshot().expect("checkpointable"), &streams);
+            assert_eq!(
+                parts.usage[0].spent_cents, parts.usage[1].spent_cents,
+                "{what}"
+            );
+            assert_ne!(parts.shards[0], parts.shards[1], "{what}");
+            let owed = |shard: usize| fleet.shard(shard).pool_claims(0.0).count();
+            assert!(
+                owed(0) > 0 && owed(1) > 0,
+                "{what}: both shards have HITs in flight"
+            );
+            let resumed = resume_respliced_under((runtime.clone(), events), 2, |_| {})
+                .expect("untouched payload resumes");
+            assert_eq!(resumed.shard_usage(1), fleet.shard_usage(1), "{what}");
+            assert_eq!(
+                resume_respliced_under((runtime, events), 2, |parts| parts.shards.swap(0, 1)).err(),
+                Some(SnapshotError::Corrupt(DecodeError::Invalid)),
+                "{what}"
+            );
+        }
+    }
+
+    /// A HIT posted during worker attrition keeps its workers claimed in
+    /// the shared pool until its deferred completion, not until the
+    /// instant it would have completed at full strength.
+    #[test]
+    fn a_post_under_attrition_claims_its_workers_until_its_deferred_completion() {
+        let (runtime, events) = under_attrition();
+        let (fleet, _) = paused_fleet_under(runtime, 1000.0, 2, events);
+        for shard in 0..2 {
+            // Each board HIT's workers and deferred completion instant.
+            let board: Vec<(usize, f64)> = fleet.shard(shard).pool_claims(0.0).collect();
+            assert!(!board.is_empty(), "shard {shard} has HITs in flight");
+            for (workers, until) in board {
+                let claimed = (fleet.pool.busy.iter())
+                    .any(|b| b.shard == shard && b.workers == workers && b.until_secs == until);
+                assert!(
+                    claimed,
+                    "shard {shard}: {workers} workers busy until {until}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -240,18 +240,15 @@ impl PipelinedSystem {
 
     /// The worker claims a fleet's pool must still hold for this system's
     /// HITs on the board at `now_secs`: the worker count and completion
-    /// instant of each HIT posted outside worker attrition whose answer is
-    /// due after `now_secs`. [`crate::fleet::FleetHook::absorb_post`] books
-    /// a post's workers until its completion, and only a post at or after
-    /// that instant expires the claim. Attrition defers a HIT's answer
-    /// after the booking, so the claim of a HIT posted under it ends first.
+    /// instant of each HIT whose answer is due after `now_secs`.
+    /// [`crate::fleet::FleetHook::claim_workers`] books a post's workers
+    /// until its completion, deferred by any attrition, and only a post at
+    /// or after that instant expires the claim.
     pub(crate) fn pool_claims(&self, now_secs: f64) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let faults = &self.config.faults;
         let hits = self.exec.iter().flat_map(|exec| exec.board.hits());
         hits.filter_map(move |hit| {
             let until = hit.posted_at_secs + hit.pending.completion_delay_secs();
-            let booked = faults.attrition_factor(hit.posted_at_secs) <= 1.0 && until > now_secs;
-            booked.then(|| (hit.pending.response().responses.len(), until))
+            (until > now_secs).then(|| (hit.pending.response().responses.len(), until))
         })
     }
 
@@ -1091,9 +1088,11 @@ impl Driver<'_> {
     }
 
     /// Puts a posted (`attempt` 1) or reposted query on the board at the
-    /// current instant: the fleet hook sees the post, fault injection draws
-    /// whether the answer is lost and defers it under attrition, the HIT's
-    /// resolution is scheduled, and the post and its spend are emitted.
+    /// current instant: the fleet hook defers it by the pool's queue wait,
+    /// fault injection draws whether the answer is lost and defers it under
+    /// attrition, the fleet pool claims its workers until that deferred
+    /// completion, the HIT's resolution is scheduled, and the post and its
+    /// spend are emitted.
     fn launch(&mut self, k: usize, mut posted: PostedQuery, attempt: u32) {
         let now = self.exec.queue.now_secs();
         if let Some(hook) = self.fleet.as_mut() {
@@ -1107,6 +1106,9 @@ impl Driver<'_> {
                 .defer_by(posted.pending.completion_delay_secs() * (factor - 1.0));
         }
         let delay = posted.pending.completion_delay_secs();
+        if let Some(hook) = self.fleet.as_mut() {
+            hook.claim_workers(posted.pending.response().responses.len(), now + delay);
+        }
         let incentive = posted.incentive;
         let hit = self
             .exec
