@@ -47,10 +47,13 @@ cargo test --workspace --release --exclude crowdlearn-suite -q --offline
 # The GBDT fit grows each round's class trees on up to one thread per
 # class. Pinned to one CPU (an affinity for this process only), the fit
 # takes its one-worker path, which must meet the same digests, the
-# per-node-sort oracle proptests and the fit's allocation bounds.
-echo "==> CQC boot pins and the GBDT suite on one CPU"
+# per-node-sort oracle proptests and the fit's allocation bounds; the
+# fleet's boot takes the one-worker path of its batch of CQC fits, whose
+# shards must still equal lone boots.
+echo "==> CQC boot pins, the GBDT suite and the fleet boot on one CPU"
 taskset -c 0 cargo test --release -q --offline -p crowdlearn --lib cqc::tests::boot_cqc
 taskset -c 0 cargo test --release -q --offline -p crowdlearn-gbdt
+taskset -c 0 cargo test --release -q --offline -p crowdlearn-runtime --test fleet_boot
 
 # Every paper table and figure and the runtime sections (pipelining, fleet
 # contention, adaptive window, outage degradation): the binary asserts each

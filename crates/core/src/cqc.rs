@@ -4,7 +4,7 @@
 use crowdlearn_classifiers::ClassDistribution;
 use crowdlearn_crowd::{QueryResponse, QuestionnaireAnswers};
 use crowdlearn_dataset::DamageLabel;
-use crowdlearn_gbdt::{GbdtClassifier, GbdtConfig};
+use crowdlearn_gbdt::{FitJob, GbdtClassifier, GbdtConfig};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 
 /// Feature extraction from one crowd query response.
@@ -116,21 +116,51 @@ impl QualityController {
     ///
     /// Panics if `examples` is empty or any response is empty.
     pub fn train(&mut self, examples: &[(QueryResponse, DamageLabel)]) {
+        let set = Self::training_set(examples);
+        let mut trained = Self::fit_batch(&[(&set.0, &set.1)]);
+        *self = trained
+            .pop()
+            .expect("invariant: the batch trains one controller per set");
+    }
+
+    /// The boosting rows and labels of `examples`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `examples` is empty or any response is empty.
+    pub(crate) fn training_set(
+        examples: &[(QueryResponse, DamageLabel)],
+    ) -> (Vec<Vec<f64>>, Vec<usize>) {
         assert!(
             !examples.is_empty(),
             "CQC needs at least one training example"
         );
-        let rows: Vec<Vec<f64>> = examples
+        let rows = examples
             .iter()
             .map(|(resp, _)| QueryFeatures::extract(resp).to_vec())
             .collect();
-        let labels: Vec<usize> = examples.iter().map(|(_, l)| l.index()).collect();
-        self.model = Some(GbdtClassifier::fit(
-            &rows,
-            &labels,
-            DamageLabel::COUNT,
-            &Self::CONFIG,
-        ));
+        let labels = examples.iter().map(|(_, l)| l.index()).collect();
+        (rows, labels)
+    }
+
+    /// One trained controller per [`QualityController::training_set`], in
+    /// order, their models fitted in one [`GbdtClassifier::fit_batch`]: each
+    /// is the controller [`QualityController::train`] fits on its set.
+    pub(crate) fn fit_batch(sets: &[(&[Vec<f64>], &[usize])]) -> Vec<Self> {
+        let jobs: Vec<FitJob<'_>> = sets
+            .iter()
+            .map(|&(rows, labels)| FitJob {
+                rows,
+                labels,
+                classes: DamageLabel::COUNT,
+                config: &Self::CONFIG,
+            })
+            .collect();
+        let models = GbdtClassifier::fit_batch(&jobs);
+        models
+            .into_iter()
+            .map(|model| Self { model: Some(model) })
+            .collect()
     }
 
     /// The truthful-label distribution for a live response. Untrained

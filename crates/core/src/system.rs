@@ -526,38 +526,36 @@ pub struct CrowdLearnSystem {
     bootstrap_spent_cents: u64,
 }
 
-impl CrowdLearnSystem {
-    /// Boots the system: trains `config.model` on the training split, fits
-    /// CQC on training-split crowd responses, and warms up the incentive
-    /// bandit — exactly the three uses the paper assigns to its training
-    /// set (§V-B).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the message of [`CrowdLearnConfig::check`] if it rejects
-    /// the configuration, or if the dataset's training split is empty.
-    pub fn new(dataset: &Dataset, config: CrowdLearnConfig) -> Self {
-        let platform = Platform::new(PlatformConfig::paper().with_seed(config.platform_seed));
-        Self::with_platform(dataset, config, platform)
-    }
+/// The paper platform [`CrowdLearnSystem::new`] boots on, seeded with
+/// `config.platform_seed`.
+fn paper_platform(config: &CrowdLearnConfig) -> Platform {
+    Platform::new(PlatformConfig::paper().with_seed(config.platform_seed))
+}
 
-    /// [`CrowdLearnSystem::new`] over an already-booted [`Platform`] — a
-    /// custom delay surface or churn rate (`Platform::new` of a
-    /// [`PlatformConfig`]; `new` passes the paper platform seeded with
-    /// `config.platform_seed`), or an explicit worker pool
-    /// ([`Platform::with_pool`]), e.g. uniform-speed populations that make
-    /// crowd delays exactly equal to the delay-table means in boundary
-    /// tests.
+/// A system booted up to its CQC fit: the committee trained, the CQC
+/// training set sampled from the platform, and the incentive bandit warmed
+/// up. The warm-up never reads CQC, so it runs before the fit and moves no
+/// platform draw.
+struct Unfitted {
+    config: CrowdLearnConfig,
+    committee: Committee,
+    platform: Platform,
+    ipd: IncentivePolicy,
+    /// CQC's boosting rows and labels, `None` when the configuration asks
+    /// for no training queries.
+    cqc_set: Option<(Vec<Vec<f64>>, Vec<usize>)>,
+    bootstrap_spent_cents: u64,
+}
+
+impl Unfitted {
+    /// The three uses the paper assigns to the training set (§V-B), short
+    /// of the CQC fit itself.
     ///
     /// # Panics
     ///
     /// Panics with the message of [`CrowdLearnConfig::check`] if it rejects
     /// the configuration, or if the dataset's training split is empty.
-    pub fn with_platform(
-        dataset: &Dataset,
-        config: CrowdLearnConfig,
-        mut platform: Platform,
-    ) -> Self {
+    fn boot(dataset: &Dataset, config: CrowdLearnConfig, mut platform: Platform) -> Self {
         config.check().unwrap_or_else(|e| panic!("{e}"));
         assert!(
             !dataset.train().is_empty(),
@@ -574,8 +572,8 @@ impl CrowdLearnSystem {
         let mut committee = Committee::new(config.model.members(config.seed), config.hedge_eta);
         committee.retrain(&train);
 
-        // 2. Fit CQC on crowd responses over training images (truth known).
-        let mut cqc = QualityController::paper();
+        // 2. Sample CQC's training set: crowd responses over training
+        //    images (truth known).
         let mut cqc_examples = Vec::with_capacity(config.cqc_training_queries);
         for i in 0..config.cqc_training_queries {
             let img = &dataset.train()[i % dataset.train().len()];
@@ -584,9 +582,8 @@ impl CrowdLearnSystem {
             let resp = platform.submit(img, level, context);
             cqc_examples.push((resp, img.truth()));
         }
-        if !cqc_examples.is_empty() {
-            cqc.train(&cqc_examples);
-        }
+        let cqc_set =
+            (!cqc_examples.is_empty()).then(|| QualityController::training_set(&cqc_examples));
 
         // 3. Build the incentive bandit and warm it up with observed delays
         //    from the training split (observations are free of budget).
@@ -603,17 +600,109 @@ impl CrowdLearnSystem {
             }
         }
 
-        let bootstrap_spent_cents = platform.spent_cents();
         Self {
-            qss: QuerySetSelector::new(config.seed ^ config.selection.seed_salt()),
-            calibrator: Calibrator::new(config.calibration),
-            committee,
-            ipd,
-            cqc,
-            platform,
-            bootstrap_spent_cents,
+            bootstrap_spent_cents: platform.spent_cents(),
             config,
+            committee,
+            platform,
+            ipd,
+            cqc_set,
         }
+    }
+
+    /// The booted system, with `cqc` fitted on `cqc_set`.
+    fn with_cqc(self, cqc: QualityController) -> CrowdLearnSystem {
+        CrowdLearnSystem {
+            qss: QuerySetSelector::new(self.config.seed ^ self.config.selection.seed_salt()),
+            calibrator: Calibrator::new(self.config.calibration),
+            committee: self.committee,
+            ipd: self.ipd,
+            cqc,
+            platform: self.platform,
+            bootstrap_spent_cents: self.bootstrap_spent_cents,
+            config: self.config,
+        }
+    }
+}
+
+impl CrowdLearnSystem {
+    /// Boots the system: trains `config.model` on the training split, fits
+    /// CQC on training-split crowd responses, and warms up the incentive
+    /// bandit — exactly the three uses the paper assigns to its training
+    /// set (§V-B).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the message of [`CrowdLearnConfig::check`] if it rejects
+    /// the configuration, or if the dataset's training split is empty.
+    pub fn new(dataset: &Dataset, config: CrowdLearnConfig) -> Self {
+        let platform = paper_platform(&config);
+        Self::with_platform(dataset, config, platform)
+    }
+
+    /// One [`CrowdLearnSystem::new`] per `(dataset, config)` pair, in
+    /// order, with every system's CQC model fitted in one
+    /// [`GbdtClassifier::fit_batch`](crowdlearn_gbdt::GbdtClassifier::fit_batch):
+    /// each system is the one `new` boots alone, byte for byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`CrowdLearnSystem::new`] does on any pair.
+    pub fn new_batch<'a>(
+        boots: impl IntoIterator<Item = (&'a Dataset, CrowdLearnConfig)>,
+    ) -> Vec<Self> {
+        Self::boot_batch(boots.into_iter().map(|(dataset, config)| {
+            let platform = paper_platform(&config);
+            (dataset, config, platform)
+        }))
+    }
+
+    /// [`CrowdLearnSystem::new`] over an already-booted [`Platform`] — a
+    /// custom delay surface or churn rate (`Platform::new` of a
+    /// [`PlatformConfig`]; `new` passes the paper platform seeded with
+    /// `config.platform_seed`), or an explicit worker pool
+    /// ([`Platform::with_pool`]), e.g. uniform-speed populations that make
+    /// crowd delays exactly equal to the delay-table means in boundary
+    /// tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the message of [`CrowdLearnConfig::check`] if it rejects
+    /// the configuration, or if the dataset's training split is empty.
+    pub fn with_platform(dataset: &Dataset, config: CrowdLearnConfig, platform: Platform) -> Self {
+        let mut systems = Self::boot_batch([(dataset, config, platform)]);
+        systems
+            .pop()
+            .expect("invariant: the batch boots one system per boot")
+    }
+
+    /// Boots each `(dataset, config, platform)` up to its CQC fit, on the
+    /// calling thread, then fits every CQC model in one batch.
+    fn boot_batch<'a>(
+        boots: impl IntoIterator<Item = (&'a Dataset, CrowdLearnConfig, Platform)>,
+    ) -> Vec<Self> {
+        let prepared: Vec<Unfitted> = boots
+            .into_iter()
+            .map(|(dataset, config, platform)| Unfitted::boot(dataset, config, platform))
+            .collect();
+        let sets: Vec<(&[Vec<f64>], &[usize])> = prepared
+            .iter()
+            .filter_map(|system| system.cqc_set.as_ref())
+            .map(|(rows, labels)| (rows.as_slice(), labels.as_slice()))
+            .collect();
+        let mut fitted = QualityController::fit_batch(&sets).into_iter();
+        prepared
+            .into_iter()
+            .map(|system| {
+                let cqc = match system.cqc_set {
+                    Some(_) => fitted
+                        .next()
+                        .expect("invariant: the batch trains one controller per set"),
+                    None => QualityController::paper(),
+                };
+                system.with_cqc(cqc)
+            })
+            .collect()
     }
 
     /// Labeled samples the AI has been trained on so far: the training

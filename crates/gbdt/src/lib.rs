@@ -27,14 +27,16 @@
 //! to sorting at each node.
 //!
 //! A round's per-class trees depend only on the scores the earlier rounds
-//! left, so `fit` grows them concurrently: the calling thread and up to one
-//! scoped helper per further class (capped by the available parallelism)
-//! take classes from a cursor, each tree in a scratch of its own. The
-//! calling thread draws every row and column sample in the serial order,
-//! presorting the next round's sample while the helpers grow this round's
-//! trees, and sizes every buffer, so helpers neither draw nor allocate, and
-//! the trees are kept in class order: the model is the same bytes whatever
-//! the thread count.
+//! left, and separate fits share nothing, so [`GbdtClassifier::fit_batch`]
+//! grows the trees of several fits on one pool: the calling thread and up
+//! to one scoped helper per further available CPU take trees from a queue,
+//! each in its class's own scratch, with up to that many fits open at once.
+//! `fit` is a batch of one. The calling thread draws every fit's row and
+//! column samples in that fit's serial order, presorts them and takes the
+//! softmax gradients, opening one fit's round while the helpers grow
+//! another's, and sizes every buffer, so helpers neither draw nor allocate,
+//! and each fit's trees are kept in class order: each model is the same
+//! bytes whatever the thread count or the rest of the batch.
 //!
 //! A fitted model is compiled once into a table of per-feature prefix leaf
 //! masks (QuickScorer; Lucchese et al., SIGIR 2015): each tree keeps a bit
@@ -74,4 +76,4 @@ mod compiled;
 mod model;
 mod tree;
 
-pub use model::{GbdtClassifier, GbdtConfig};
+pub use model::{FitJob, GbdtClassifier, GbdtConfig};

@@ -7,6 +7,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::binary::{Decode, DecodeError, Encode, Reader};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
@@ -138,33 +139,29 @@ impl Boosted {
     }
 }
 
-impl GbdtClassifier {
-    /// Trains a model on dense rows. Each round's per-class trees grow
-    /// concurrently on up to one thread per class; the model is the same,
-    /// bit for bit, whatever the thread count (DESIGN.md §6 "Parallel
-    /// class trees").
-    ///
-    /// # Panics
-    ///
-    /// Panics if inputs are empty or ragged, rows have more than 65 535
-    /// features, a label is `>= classes`, a feature is not finite,
-    /// [`GbdtConfig::check`] rejects the configuration (the panic message
-    /// is the check's), or the trees split one feature at more than 65 536
-    /// distinct thresholds (possible only on more than 65 537 rows).
-    pub fn fit(rows: &[Vec<f64>], labels: &[usize], classes: usize, config: &GbdtConfig) -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        Self::fit_trees(rows, labels, classes, config, workers.min(classes)).compile()
-    }
+/// One training set of [`GbdtClassifier::fit_batch`]: dense rows, a label
+/// per row, the class count and the hyperparameters.
+#[derive(Debug, Clone, Copy)]
+pub struct FitJob<'a> {
+    /// Feature rows, all of one width.
+    pub rows: &'a [Vec<f64>],
+    /// One label per row, each `< classes`.
+    pub labels: &'a [usize],
+    /// Number of classes.
+    pub classes: usize,
+    /// Hyperparameters.
+    pub config: &'a GbdtConfig,
+}
 
-    /// [`GbdtClassifier::fit`] up to the fit-time trees, on `workers`
-    /// threads.
-    fn fit_trees(
-        rows: &[Vec<f64>],
-        labels: &[usize],
-        classes: usize,
-        config: &GbdtConfig,
-        workers: usize,
-    ) -> Boosted {
+impl FitJob<'_> {
+    /// Panics unless the job is one [`GbdtClassifier::fit`] accepts.
+    fn check(&self) {
+        let Self {
+            rows,
+            labels,
+            classes,
+            config,
+        } = *self;
         config.check().unwrap_or_else(|e| panic!("{e}"));
         assert!(!rows.is_empty(), "training set must be non-empty");
         assert_eq!(rows.len(), labels.len(), "one label per row");
@@ -184,114 +181,127 @@ impl GbdtClassifier {
             labels.iter().all(|&l| l < classes),
             "labels must be < classes"
         );
+    }
+}
 
-        Self::boost(
+impl GbdtClassifier {
+    /// Trains a model on dense rows: [`GbdtClassifier::fit_batch`] of one
+    /// job.
+    ///
+    /// # Panics
+    ///
+    /// Panics if inputs are empty or ragged, rows have more than 65 535
+    /// features, a label is `>= classes`, a feature is not finite,
+    /// [`GbdtConfig::check`] rejects the configuration (the panic message
+    /// is the check's), or the trees split one feature at more than 65 536
+    /// distinct thresholds (possible only on more than 65 537 rows).
+    pub fn fit(rows: &[Vec<f64>], labels: &[usize], classes: usize, config: &GbdtConfig) -> Self {
+        let job = FitJob {
             rows,
             labels,
             classes,
             config,
-            Presorted::new(rows, tree_params(config)),
-            workers,
-        )
+        };
+        let mut models = Self::fit_batch(&[job]);
+        models.pop().expect("one model per job")
     }
 
-    /// The boosting loop over validated inputs: `grower` fits the trees,
-    /// and each round's per-class trees are shared out among `workers`
-    /// threads, the calling one and `workers - 1` scoped helpers.
+    /// Trains one model per job, in job order. The jobs' per-class trees
+    /// grow on one pool of up to one thread per available CPU, with up to
+    /// that many fits open at once; each model is the same, bit for bit,
+    /// as [`GbdtClassifier::fit`] of its job alone, whatever the thread
+    /// count or the other jobs (DESIGN.md §6 "Parallel class trees").
     ///
-    /// The calling thread draws each round's row sample and then every
-    /// class's columns, in the order of growing the trees one by one, and
-    /// allocates every buffer the workers fill; trees are kept in class
-    /// order. So the model does not depend on `workers` or on which thread
-    /// grows which tree. The draws are the fit's only use of the RNG, so
-    /// the calling thread makes round `r + 1`'s, and presorts its sample,
-    /// once it has grown a tree of round `r`, while the other workers grow
-    /// the rest.
-    fn boost<G: TreeGrower>(
-        rows: &[Vec<f64>],
-        labels: &[usize],
-        classes: usize,
-        config: &GbdtConfig,
-        grower: G,
-        workers: usize,
-    ) -> Boosted {
-        assert!(workers > 0, "need at least one worker");
-        let n = rows.len();
-        let n_features = rows[0].len();
-        let mut rng = StdRng::seed_from_u64(config.seed);
-
-        // Prior log-odds from class frequencies (Laplace smoothed).
-        let mut counts = vec![1.0f64; classes];
-        for &l in labels {
-            counts[l] += 1.0;
-        }
-        let total: f64 = counts.iter().sum();
-        let base_scores: Vec<f64> = counts.iter().map(|c| (c / total).ln()).collect();
-
-        let take_rows = ((n as f64 * config.subsample).round() as usize).clamp(1, n);
-        let take_cols =
-            ((n_features as f64 * config.colsample).round() as usize).clamp(1, n_features);
-        // One scratch per worker: a tree's buffers are free again once the
-        // tree is credited.
-        let mut scratches: Vec<G::Scratch> = (0..workers).map(|_| grower.scratch()).collect();
-        let fits = base_scores.iter().map(|&base| ClassFit {
-            columns: Vec::with_capacity(n_features),
-            gh: vec![[0.0; 2]; n],
-            scores: vec![base; n],
-            tree: RegressionTree::default(),
+    /// # Panics
+    ///
+    /// Panics, before any tree grows, if [`GbdtClassifier::fit`] would
+    /// panic on a job.
+    pub fn fit_batch(jobs: &[FitJob<'_>]) -> Vec<Self> {
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let mut models = vec![None; jobs.len()];
+        Self::fit_trees(jobs, workers, |job, boosted| {
+            models[job] = Some(boosted.compile());
         });
-        let mut next = Draws {
-            sample: grower.sample(),
-            columns: vec![Vec::with_capacity(n_features); classes],
-        };
-        let pool = &Pool::new(grower, fits.collect(), config, take_rows);
+        models
+            .into_iter()
+            .map(|model| model.expect("invariant: the batch fits every job"))
+            .collect()
+    }
 
-        let mut trees = Vec::with_capacity(config.rounds * classes);
-        let mut rows_used: Vec<usize> = Vec::with_capacity(n);
-        // The row sample, then each class's columns in class order: the
-        // draws of growing the trees one by one.
-        let mut draw = |next: &mut Draws<G::Sample>| {
-            rows_used.clear();
-            rows_used.extend(0..n);
-            if config.subsample < 1.0 {
-                rows_used.shuffle(&mut rng);
-                rows_used.truncate(take_rows);
-            }
-            pool.grower.presort(&mut next.sample, &rows_used);
-            for columns in &mut next.columns {
-                columns.clear();
-                columns.extend(0..n_features);
-                if config.colsample < 1.0 {
-                    columns.shuffle(&mut rng);
-                    columns.truncate(take_cols);
-                }
-            }
-        };
+    /// [`GbdtClassifier::fit_batch`] up to the fit-time trees, on at most
+    /// `workers` threads: hands each job's trees to `done` as its fit ends.
+    fn fit_trees<'a>(jobs: &[FitJob<'a>], workers: usize, done: impl FnMut(usize, Boosted)) {
+        for job in jobs {
+            job.check();
+        }
+        // No more workers than trees a round; one for an empty batch.
+        let classes: usize = jobs.iter().map(|job| job.classes).sum();
+        let grower = |job: &FitJob<'a>| Presorted::new(job.rows, tree_params(job.config));
+        Self::boost(jobs, grower, workers.min(classes).max(1), done);
+    }
+
+    /// The boosting loop over validated jobs: `grower` fits each job's
+    /// trees, and the trees of up to `workers` open fits are shared out
+    /// among `workers` threads, the calling one and `workers - 1` scoped
+    /// helpers. Each job's trees go to `done` as its fit ends, so that a
+    /// batch holds at most `workers` fits' trees uncompiled.
+    ///
+    /// The calling thread does everything but grow and credit trees: it
+    /// builds each fit's grower and buffers, draws each fit's row and
+    /// column samples in the order of growing its trees one by one,
+    /// presorts them, takes the softmax gradients that open each round,
+    /// and moves each round's trees out in class order. So a model does
+    /// not depend on `workers`, on the other jobs or on which thread grows
+    /// which tree. Besides growing trees, the calling thread opens one
+    /// fit's round and draws the next while the helpers grow another's.
+    fn boost<'a, G: TreeGrower>(
+        jobs: &[FitJob<'a>],
+        grower: impl Fn(&FitJob<'a>) -> G,
+        workers: usize,
+        mut done: impl FnMut(usize, Boosted),
+    ) {
+        assert!(workers > 0, "need at least one worker");
+        let slots = workers.min(jobs.len());
+        let most_classes = jobs.iter().map(|job| job.classes).max().unwrap_or(0);
+        let pool = &Pool::new(slots, slots * most_classes);
         std::thread::scope(|scope| {
             let _close = Close(pool);
-            let mut scratch = scratches.pop().expect("at least one worker");
-            for helper in scratches {
-                scope.spawn(move || pool.help(helper));
+            for _ in 1..workers {
+                scope.spawn(|| pool.help());
             }
-            draw(&mut next);
-            for round in 1..=config.rounds {
-                pool.open(&mut next, labels);
-                pool.work_one(&mut scratch);
-                if round < config.rounds {
-                    draw(&mut next);
+            let mut pending = jobs.iter().enumerate();
+            let mut start = |slot: usize| {
+                pending
+                    .next()
+                    .map(|(index, job)| Fit::start(pool, slot, index, job, grower(job)))
+            };
+            let mut fits: Vec<Option<Fit<'a, G>>> = (0..slots).map(&mut start).collect();
+            loop {
+                pool.collect(false, &mut fits);
+                if let Some(fit) = fits.iter_mut().flatten().find(|fit| fit.round_back()) {
+                    fit.finish_round();
+                    if fit.opened < fit.config.rounds {
+                        fit.open(pool);
+                    } else {
+                        let slot = fit.slot;
+                        let fit = fits[slot].take().expect("the fit just finished");
+                        done(fit.job, fit.into_boosted());
+                        fits[slot] = start(slot);
+                        if fits[slot].is_none() {
+                            *pool.fits[slot]
+                                .write()
+                                .unwrap_or_else(PoisonError::into_inner) = None;
+                        }
+                    }
+                } else if let Some(fit) = fits.iter_mut().flatten().find(|fit| fit.due_draw()) {
+                    fit.draw(pool);
+                } else if fits.iter().all(Option::is_none) {
+                    break;
+                } else if !pool.work_one() {
+                    pool.collect(true, &mut fits);
                 }
-                pool.work(&mut scratch);
-                pool.finish(&mut trees);
             }
         });
-
-        Boosted {
-            trees,
-            base_scores,
-            classes,
-            features: n_features,
-            learning_rate: config.learning_rate,
-        }
     }
 
     /// Number of classes.
@@ -438,45 +448,48 @@ impl Decode for GbdtClassifier {
     }
 }
 
-/// What the threads of one fit share.
+/// What the threads of one batch share.
 struct Pool<G: TreeGrower> {
-    grower: G,
-    /// The sample of the round in progress: swapped in by the calling
-    /// thread between rounds, read by the workers during one.
-    sample: RwLock<G::Sample>,
-    round: Mutex<Round>,
-    /// Helpers wait here for a round to open or the fit to close.
+    /// Each slot's open fit, if any: the calling thread sets it between
+    /// that fit's rounds, and the workers read it during one.
+    fits: Vec<RwLock<Option<Shared<G>>>>,
+    queue: Mutex<Queue<G::Scratch>>,
+    /// Helpers wait here for a tree to grow or the batch to close.
     opened: Condvar,
-    /// The calling thread waits here for a round's last tree.
-    finished: Condvar,
-    learning_rate: f64,
-    max_depth: usize,
-    /// The rows a round samples.
-    take_rows: usize,
+    /// The calling thread waits here for a grown tree.
+    returned: Condvar,
 }
 
-/// The round in progress.
-struct Round {
-    /// One per class, `None` while a worker has it out.
-    classes: Vec<Option<ClassFit>>,
-    /// The cursor: the next class to hand out.
-    next: usize,
-    /// Classes whose round is grown and credited.
-    done: usize,
-    /// Rounds opened so far.
-    opened: usize,
-    /// Set when the fit ends, or when a helper panics.
+/// What the workers read of an open fit.
+struct Shared<G: TreeGrower> {
+    grower: G,
+    /// The sample of the round in progress.
+    sample: G::Sample,
+    learning_rate: f64,
+}
+
+/// The trees between the calling thread and the workers. Both lists have
+/// room for every class of every open fit, so no worker allocates.
+struct Queue<S> {
+    /// Trees no worker has taken yet, in the order their rounds opened.
+    waiting: VecDeque<ClassFit<S>>,
+    /// Trees grown and credited, for the calling thread to collect.
+    grown: Vec<ClassFit<S>>,
+    /// Set when the batch ends, or when a helper panics.
     closed: bool,
 }
 
-/// One class's share of the fit: its score on every training row and, for
-/// the round in progress, its columns, `[gradient, hessian]` pairs and
-/// tree.
-struct ClassFit {
+/// One class of an open fit: its score on every training row and, for the
+/// round in progress, its columns, `[gradient, hessian]` pairs, tree and
+/// the buffers the tree grows in.
+struct ClassFit<S> {
+    slot: usize,
+    class: usize,
     columns: Vec<usize>,
     gh: Vec<[f64; 2]>,
     scores: Vec<f64>,
     tree: RegressionTree,
+    scratch: S,
 }
 
 /// A round's draws, made before it opens: its presorted row sample and
@@ -486,164 +499,306 @@ struct Draws<S> {
     columns: Vec<Vec<usize>>,
 }
 
-impl<G: TreeGrower> Pool<G> {
-    fn new(grower: G, classes: Vec<ClassFit>, config: &GbdtConfig, take_rows: usize) -> Self {
-        let (next, done) = (classes.len(), classes.len());
-        Self {
-            sample: RwLock::new(grower.sample()),
+/// An open fit as the calling thread keeps it.
+struct Fit<'a, G: TreeGrower> {
+    slot: usize,
+    /// The job's index in the batch.
+    job: usize,
+    labels: &'a [usize],
+    config: &'a GbdtConfig,
+    features: usize,
+    take_rows: usize,
+    take_cols: usize,
+    rng: StdRng,
+    base_scores: Vec<f64>,
+    /// Every class between rounds, in class order; during a round, the
+    /// classes collected so far.
+    classes: Vec<ClassFit<G::Scratch>>,
+    /// The next round's draws, once `drawn`.
+    next: Draws<G::Sample>,
+    drawn: bool,
+    rows_used: Vec<usize>,
+    /// One row's class probabilities.
+    probs: Vec<f64>,
+    /// Rounds opened so far.
+    opened: usize,
+    /// Tree `round * classes + class` adds to class `class`.
+    trees: Vec<RegressionTree>,
+}
+
+impl<'a, G: TreeGrower> Fit<'a, G> {
+    /// Opens job `job` in `slot` on the calling thread: sizes every buffer
+    /// the fit needs, draws its first round and opens it.
+    fn start(pool: &Pool<G>, slot: usize, job: usize, spec: &FitJob<'a>, grower: G) -> Self {
+        let FitJob {
+            rows,
+            labels,
+            classes,
+            config,
+        } = *spec;
+        let n = rows.len();
+        let features = rows[0].len();
+        // Prior log-odds from class frequencies (Laplace smoothed).
+        let mut counts = vec![1.0f64; classes];
+        for &l in labels {
+            counts[l] += 1.0;
+        }
+        let total: f64 = counts.iter().sum();
+        let base_scores: Vec<f64> = counts.iter().map(|c| (c / total).ln()).collect();
+        let fits = base_scores
+            .iter()
+            .enumerate()
+            .map(|(class, &base)| ClassFit {
+                slot,
+                class,
+                columns: Vec::with_capacity(features),
+                gh: vec![[0.0; 2]; n],
+                scores: vec![base; n],
+                tree: RegressionTree::default(),
+                scratch: grower.scratch(),
+            });
+        let mut fit = Self {
+            slot,
+            job,
+            labels,
+            config,
+            features,
+            take_rows: ((n as f64 * config.subsample).round() as usize).clamp(1, n),
+            take_cols: ((features as f64 * config.colsample).round() as usize).clamp(1, features),
+            rng: StdRng::seed_from_u64(config.seed),
+            classes: fits.collect(),
+            base_scores,
+            next: Draws {
+                sample: grower.sample(),
+                columns: vec![Vec::with_capacity(features); classes],
+            },
+            drawn: false,
+            rows_used: Vec::with_capacity(n),
+            probs: vec![0.0; classes],
+            opened: 0,
+            trees: Vec::with_capacity(config.rounds * classes),
+        };
+        *pool.fits[slot]
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) = Some(Shared {
+            sample: grower.sample(),
             grower,
-            round: Mutex::new(Round {
-                classes: classes.into_iter().map(Some).collect(),
-                next,
-                done,
-                opened: 0,
-                closed: false,
-            }),
-            opened: Condvar::new(),
-            finished: Condvar::new(),
             learning_rate: config.learning_rate,
-            max_depth: config.max_depth,
-            take_rows,
+        });
+        fit.open(pool);
+        fit
+    }
+
+    /// Whether the round in progress has every class back.
+    fn round_back(&self) -> bool {
+        self.classes.len() == self.base_scores.len()
+    }
+
+    /// Whether the next round is still to draw.
+    fn due_draw(&self) -> bool {
+        !self.drawn && self.opened < self.config.rounds
+    }
+
+    /// Draws the next round: its row sample, presorted, then each class's
+    /// columns in class order, the draws of growing the trees one by one.
+    /// The draws are the fit's only use of its RNG.
+    fn draw(&mut self, pool: &Pool<G>) {
+        let config = self.config;
+        self.rows_used.clear();
+        self.rows_used.extend(0..self.labels.len());
+        if config.subsample < 1.0 {
+            self.rows_used.shuffle(&mut self.rng);
+            self.rows_used.truncate(self.take_rows);
         }
+        let shared = pool.fits[self.slot]
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        let shared = shared
+            .as_ref()
+            .expect("invariant: an open fit's slot is set");
+        shared
+            .grower
+            .presort(&mut self.next.sample, &self.rows_used);
+        for columns in &mut self.next.columns {
+            columns.clear();
+            columns.extend(0..self.features);
+            if config.colsample < 1.0 {
+                columns.shuffle(&mut self.rng);
+                columns.truncate(self.take_cols);
+            }
+        }
+        self.drawn = true;
     }
 
-    /// A panicking worker leaves `closed` set; the lock's poison adds
-    /// nothing to that.
-    fn lock(&self) -> MutexGuard<'_, Round> {
-        self.round.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Opens the round `draws` holds, on the calling thread: swaps its
-    /// sample and columns in (leaving the last round's buffers in `draws`
+    /// Opens the next round, drawing it first if it is not drawn yet:
+    /// swaps its sample and columns in (leaving the last round's buffers
     /// to draw the next round into), reserves each class's tree, takes the
-    /// softmax gradients of the scores the earlier rounds left, and wakes
-    /// the helpers.
-    fn open(&self, draws: &mut Draws<G::Sample>, labels: &[usize]) {
-        let mut round = self.lock();
-        std::mem::swap(
-            &mut *self.sample.write().unwrap_or_else(PoisonError::into_inner),
-            &mut draws.sample,
-        );
-        let mut fits: Vec<&mut ClassFit> = round
-            .classes
-            .iter_mut()
-            .map(|fit| {
-                fit.as_mut()
-                    .expect("invariant: every class is in between rounds")
-            })
-            .collect();
-        for (fit, columns) in fits.iter_mut().zip(&mut draws.columns) {
-            std::mem::swap(&mut fit.columns, columns);
-            fit.tree = RegressionTree::with_room(self.max_depth, self.take_rows);
+    /// softmax gradients of the scores the earlier rounds left, and queues
+    /// every class for the workers.
+    fn open(&mut self, pool: &Pool<G>) {
+        if !self.drawn {
+            self.draw(pool);
         }
-        let mut probs = vec![0.0; fits.len()];
-        for (i, &label) in labels.iter().enumerate() {
-            for (p, fit) in probs.iter_mut().zip(&fits) {
+        {
+            let mut shared = pool.fits[self.slot]
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            let shared = shared
+                .as_mut()
+                .expect("invariant: an open fit's slot is set");
+            std::mem::swap(&mut shared.sample, &mut self.next.sample);
+        }
+        for (fit, columns) in self.classes.iter_mut().zip(&mut self.next.columns) {
+            std::mem::swap(&mut fit.columns, columns);
+            fit.tree = RegressionTree::with_room(self.config.max_depth, self.take_rows);
+        }
+        let probs = &mut self.probs;
+        for (i, &label) in self.labels.iter().enumerate() {
+            for (p, fit) in probs.iter_mut().zip(&self.classes) {
                 *p = fit.scores[i];
             }
-            softmax_in_place(&mut probs);
-            for (class, (&p, fit)) in probs.iter().zip(&mut fits).enumerate() {
+            softmax_in_place(probs);
+            for (class, (&p, fit)) in probs.iter().zip(&mut self.classes).enumerate() {
                 fit.gh[i] = [
                     p - if label == class { 1.0 } else { 0.0 },
                     (p * (1.0 - p)).max(1e-6),
                 ];
             }
         }
-        round.next = 0;
-        round.done = 0;
-        round.opened += 1;
-        drop(round);
-        self.opened.notify_all();
+        self.drawn = false;
+        self.opened += 1;
+        pool.lock().waiting.extend(self.classes.drain(..));
+        pool.opened.notify_all();
     }
 
-    /// Grows and credits the next class's tree in `scratch`, if the round
-    /// has one left, and says whether it had. Allocates nothing: the
-    /// calling thread sized every buffer.
-    fn work_one(&self, scratch: &mut G::Scratch) -> bool {
-        let mut round = self.lock();
-        if round.next == round.classes.len() {
-            return false;
-        }
-        let class = round.next;
-        round.next += 1;
-        let mut fit = round.classes[class]
-            .take()
-            .expect("invariant: the cursor hands out each class once a round");
-        drop(round);
-
-        let sample = self.sample.read().unwrap_or_else(PoisonError::into_inner);
-        let grower = &self.grower;
-        grower.grow(&sample, scratch, &mut fit.tree, &fit.gh, &fit.columns);
-        grower.credit(
-            &sample,
-            scratch,
-            &fit.tree,
-            self.learning_rate,
-            &mut fit.scores,
-        );
-        drop(sample);
-
-        let mut round = self.lock();
-        round.classes[class] = Some(fit);
-        round.done += 1;
-        if round.done == round.classes.len() {
-            self.finished.notify_one();
-        }
-        true
+    /// Moves the round's trees, back from the workers, to `trees` in class
+    /// order.
+    fn finish_round(&mut self) {
+        self.classes.sort_unstable_by_key(|fit| fit.class);
+        let trees = self
+            .classes
+            .iter_mut()
+            .map(|fit| std::mem::take(&mut fit.tree));
+        self.trees.extend(trees);
     }
 
-    /// [`Pool::work_one`] until the round has no class left.
-    fn work(&self, scratch: &mut G::Scratch) {
-        while self.work_one(scratch) {}
-    }
-
-    /// A helper thread's life: it blocks until a round opens, works it,
-    /// and returns once the fit closes.
-    fn help(&self, mut scratch: G::Scratch) {
-        let _close = Close(self);
-        let mut seen = 0;
-        loop {
-            let mut round = self.lock();
-            while round.opened == seen && !round.closed {
-                round = self
-                    .opened
-                    .wait(round)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            if round.closed {
-                return;
-            }
-            seen = round.opened;
-            drop(round);
-            self.work(&mut scratch);
+    fn into_boosted(self) -> Boosted {
+        Boosted {
+            trees: self.trees,
+            classes: self.base_scores.len(),
+            base_scores: self.base_scores,
+            features: self.features,
+            learning_rate: self.config.learning_rate,
         }
-    }
-
-    /// Waits until every class of the round is grown and credited, then
-    /// moves the round's trees to `trees` in class order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a helper panicked.
-    fn finish(&self, trees: &mut Vec<RegressionTree>) {
-        let mut round = self.lock();
-        while round.done < round.classes.len() {
-            assert!(!round.closed, "a tree-growing helper panicked");
-            round = self
-                .finished
-                .wait(round)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        trees.extend(round.classes.iter_mut().map(|fit| {
-            let fit = fit
-                .as_mut()
-                .expect("invariant: every class is in after a round");
-            std::mem::take(&mut fit.tree)
-        }));
     }
 }
 
-/// Closes the fit when dropped, on return or on a panic, and wakes every
+impl<G: TreeGrower> Pool<G> {
+    /// A pool for `slots` open fits of at most `trees` classes in all.
+    fn new(slots: usize, trees: usize) -> Self {
+        Self {
+            fits: (0..slots).map(|_| RwLock::new(None)).collect(),
+            queue: Mutex::new(Queue {
+                waiting: VecDeque::with_capacity(trees),
+                grown: Vec::with_capacity(trees),
+                closed: false,
+            }),
+            opened: Condvar::new(),
+            returned: Condvar::new(),
+        }
+    }
+
+    /// A panicking worker leaves `closed` set; the lock's poison adds
+    /// nothing to that.
+    fn lock(&self) -> MutexGuard<'_, Queue<G::Scratch>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Grows and credits `fit`'s tree, then returns it to the calling
+    /// thread. Allocates nothing: the calling thread sized every buffer.
+    fn grow(&self, mut fit: ClassFit<G::Scratch>) {
+        {
+            let shared = self.fits[fit.slot]
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
+            let shared = shared
+                .as_ref()
+                .expect("invariant: a queued tree's fit is open");
+            let grower = &shared.grower;
+            grower.grow(
+                &shared.sample,
+                &mut fit.scratch,
+                &mut fit.tree,
+                &fit.gh,
+                &fit.columns,
+            );
+            grower.credit(
+                &shared.sample,
+                &fit.scratch,
+                &fit.tree,
+                shared.learning_rate,
+                &mut fit.scores,
+            );
+        }
+        self.lock().grown.push(fit);
+        self.returned.notify_one();
+    }
+
+    /// Grows the first waiting tree, if any, and says whether there was
+    /// one.
+    fn work_one(&self) -> bool {
+        let fit = self.lock().waiting.pop_front();
+        fit.map(|fit| self.grow(fit)).is_some()
+    }
+
+    /// A helper thread's life: it blocks until a tree waits, grows it, and
+    /// returns once the batch closes.
+    fn help(&self) {
+        let _close = Close(self);
+        loop {
+            let mut queue = self.lock();
+            let fit = loop {
+                if queue.closed {
+                    return;
+                }
+                if let Some(fit) = queue.waiting.pop_front() {
+                    break fit;
+                }
+                queue = self
+                    .opened
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
+            };
+            drop(queue);
+            self.grow(fit);
+        }
+    }
+
+    /// Moves every grown tree back to its fit; with `wait`, first waits
+    /// until there is one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a helper panicked while the calling thread waits.
+    fn collect(&self, wait: bool, fits: &mut [Option<Fit<'_, G>>]) {
+        let mut queue = self.lock();
+        while wait && queue.grown.is_empty() {
+            assert!(!queue.closed, "a tree-growing helper panicked");
+            queue = self
+                .returned
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        for fit in queue.grown.drain(..) {
+            let open = fits[fit.slot].as_mut();
+            open.expect("invariant: a grown tree's fit is open")
+                .classes
+                .push(fit);
+        }
+    }
+}
+
+/// Closes the batch when dropped, on return or on a panic, and wakes every
 /// waiting thread, so that none waits forever for one that is gone.
 struct Close<'a, G: TreeGrower>(&'a Pool<G>);
 
@@ -651,7 +806,7 @@ impl<G: TreeGrower> Drop for Close<'_, G> {
     fn drop(&mut self) {
         self.0.lock().closed = true;
         self.0.opened.notify_all();
-        self.0.finished.notify_all();
+        self.0.returned.notify_all();
     }
 }
 
@@ -700,6 +855,31 @@ mod tests {
             let base = self.base_scores.iter().map(|b| b.to_bits());
             (trees.collect(), base.collect())
         }
+    }
+
+    /// Each job's fit-time trees, in job order, from one batch on
+    /// `workers` threads.
+    fn batch(jobs: &[FitJob<'_>], workers: usize) -> Vec<Boosted> {
+        let mut fits: Vec<Option<Boosted>> = jobs.iter().map(|_| None).collect();
+        GbdtClassifier::fit_trees(jobs, workers, |job, boosted| fits[job] = Some(boosted));
+        fits.into_iter().map(|fit| fit.expect("fitted")).collect()
+    }
+
+    /// One job's fit-time trees alone on `workers` threads.
+    fn lone(
+        rows: &[Vec<f64>],
+        labels: &[usize],
+        classes: usize,
+        config: &GbdtConfig,
+        workers: usize,
+    ) -> Boosted {
+        let job = FitJob {
+            rows,
+            labels,
+            classes,
+            config,
+        };
+        batch(&[job], workers).pop().expect("one job")
     }
 
     /// Three Gaussian-ish blobs on a line, deterministic construction.
@@ -836,7 +1016,7 @@ mod tests {
                 ..GbdtConfig::small()
             };
             let bytes = |workers| {
-                GbdtClassifier::fit_trees(&rows, &labels, classes, &config, workers)
+                lone(&rows, &labels, classes, &config, workers)
                     .compile()
                     .to_bytes()
             };
@@ -880,8 +1060,14 @@ mod tests {
     #[should_panic(expected = "a tree-growing helper panicked")]
     fn a_panicking_helper_fails_the_fit_instead_of_hanging() {
         let (rows, labels) = blobs(5);
-        let grower = PanickingHelper(false.into());
-        GbdtClassifier::boost(&rows, &labels, 3, &GbdtConfig::small(), grower, 2);
+        let job = FitJob {
+            rows: &rows,
+            labels: &labels,
+            classes: 3,
+            config: &GbdtConfig::small(),
+        };
+        let grower = |_: &FitJob<'_>| PanickingHelper(false.into());
+        GbdtClassifier::boost(&[job], grower, 2, |_, _| {});
     }
 
     #[test]
@@ -1046,12 +1232,59 @@ mod tests {
                 seed: s.next(),
                 ..GbdtConfig::small()
             };
-            let fitted = GbdtClassifier::fit_trees(&rows, &labels, classes, &config, 1 + s.below(4));
-            let oracle = per_node_sort::Oracle::new(&rows, tree_params(&config));
-            let oracle =
-                GbdtClassifier::boost(&rows, &labels, classes, &config, oracle, 1 + s.below(4));
+            let fitted = lone(&rows, &labels, classes, &config, 1 + s.below(4));
+            let job = FitJob { rows: &rows, labels: &labels, classes, config: &config };
+            let oracle = |_: &FitJob<'_>| per_node_sort::Oracle::new(&rows, tree_params(&config));
+            let mut oracle_fit = None;
+            GbdtClassifier::boost(&[job], oracle, 1 + s.below(4), |_, boosted| oracle_fit = Some(boosted));
+            let oracle = oracle_fit.expect("fitted");
             prop_assert_eq!(fitted.bits(), oracle.bits());
             prop_assert_eq!(fitted.compile().to_bytes(), oracle.compile().to_bytes());
+        }
+
+        /// A batch of jobs of different row counts, widths, class counts,
+        /// samplings and seeds, on any worker count, fits each job the
+        /// bytes it fits alone on one worker.
+        #[test]
+        fn a_batch_fits_each_job_as_it_fits_alone(
+            seed in 0u64..u64::MAX,
+            jobs in 1usize..5,
+            workers in 1usize..5,
+        ) {
+            let mut s = Stream(seed);
+            let sets: Vec<_> = (0..jobs)
+                .map(|_| {
+                    let n = 5 + s.below(300);
+                    let classes = 2 + s.below(3);
+                    let (width, levels) = (1 + s.below(8), s.below(8));
+                    let rows = s.features(n, width, levels);
+                    let labels: Vec<usize> = (0..n).map(|_| s.below(classes)).collect();
+                    let config = GbdtConfig {
+                        rounds: 1 + s.below(12),
+                        max_depth: s.below(6),
+                        subsample: 0.5 + 0.49 * s.unit(),
+                        colsample: 0.3 + 0.69 * s.unit(),
+                        seed: s.next(),
+                        ..GbdtConfig::small()
+                    };
+                    (rows, labels, classes, config)
+                })
+                .collect();
+            let jobs: Vec<FitJob<'_>> = sets
+                .iter()
+                .map(|(rows, labels, classes, config)| FitJob {
+                    rows,
+                    labels,
+                    classes: *classes,
+                    config,
+                })
+                .collect();
+            let fits = batch(&jobs, workers);
+            for (fit, job) in fits.into_iter().zip(&jobs) {
+                let alone = lone(job.rows, job.labels, job.classes, job.config, 1);
+                prop_assert_eq!(fit.bits(), alone.bits());
+                prop_assert_eq!(fit.compile().to_bytes(), alone.compile().to_bytes());
+            }
         }
 
         /// The compiled mask table, and its copy through the wire form,
@@ -1078,7 +1311,7 @@ mod tests {
                 max_depth,
                 ..GbdtConfig::small()
             };
-            let boosted = GbdtClassifier::fit_trees(&rows, &labels, classes, &config, 1);
+            let boosted = lone(&rows, &labels, classes, &config, 1);
             let expected = |row: &[f64]| {
                 let mut scores = boosted.base_scores.clone();
                 for round in boosted.trees.chunks(classes) {

@@ -19,8 +19,10 @@ pub(crate) struct TreeParams {
 /// Every method takes `&self`: `grow` and `credit` work in a scratch of
 /// their own and only read the round's [`TreeGrower::Sample`], so one
 /// round's trees can grow on several threads at once while the next
-/// round's sample is presorted into another.
-pub(crate) trait TreeGrower: Sync {
+/// round's sample is presorted into another. A grower is `Send` so that a
+/// batch's pool can hold each open fit's grower where every thread reads
+/// it.
+pub(crate) trait TreeGrower: Send + Sync {
     /// One tree's working buffers.
     type Scratch: Send;
     /// One round's row sample, presorted.

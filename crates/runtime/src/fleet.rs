@@ -40,7 +40,7 @@
 
 use crate::frame;
 use crate::{MetricsTap, PipelinedSystem, RunBound, RuntimeConfig, RuntimeReport, SnapshotError};
-use crowdlearn::{CrowdLearnConfig, PostedQuery};
+use crowdlearn::{CrowdLearnConfig, CrowdLearnSystem, PostedQuery};
 use crowdlearn_dataset::{Dataset, SensingCycleStream};
 use crowdlearn_metrics::SummaryStats;
 use serde::binary::{Decode, DecodeError, Encode, Reader};
@@ -489,7 +489,10 @@ pub struct FleetOrchestrator {
 impl FleetOrchestrator {
     /// Boots one [`PipelinedSystem`] per spec (committee training, CQC fit,
     /// bandit warm-up — each on its shard's private platform), overriding
-    /// each spec's `budget_cents` with the shard's fleet quota.
+    /// each spec's `budget_cents` with the shard's fleet quota. The shards
+    /// boot through one [`CrowdLearnSystem::new_batch`], which fits their
+    /// CQC models on one pool of threads; each shard is the system
+    /// [`PipelinedSystem::new`] would boot alone.
     ///
     /// # Panics
     ///
@@ -505,13 +508,19 @@ impl FleetOrchestrator {
             "one dataset per shard required"
         );
         let ledger = FleetLedger::new(config.fleet_budget_cents, &config.arbitration, specs.len());
-        let shards: Vec<PipelinedSystem> = specs
-            .into_iter()
+        let boots = specs
+            .iter()
+            .zip(datasets)
             .enumerate()
-            .map(|(i, spec)| {
-                let shard_config = spec.config.with_budget_cents(ledger.quota_cents(i));
-                PipelinedSystem::new(&datasets[i], shard_config, spec.runtime)
-            })
+            .map(|(i, (spec, dataset))| {
+                let shard_config = spec.config.clone().with_budget_cents(ledger.quota_cents(i));
+                (dataset, shard_config)
+            });
+        let systems = CrowdLearnSystem::new_batch(boots);
+        let shards: Vec<PipelinedSystem> = systems
+            .into_iter()
+            .zip(specs)
+            .map(|(system, spec)| PipelinedSystem::from_system(system, spec.runtime))
             .collect();
         let pool = SharedWorkerPool::new(config.pool_capacity);
         Self {
@@ -593,10 +602,10 @@ impl FleetOrchestrator {
         }
     }
 
-    /// The shard holding the globally next-due event: earliest virtual due
-    /// time, ties broken by shard index. `None` when every queue has
-    /// drained.
-    fn next_shard(&self) -> Option<usize> {
+    /// The shard holding the globally next-due event, with its due time:
+    /// earliest virtual due time, ties broken by shard index. `None` when
+    /// every queue has drained.
+    fn next_shard(&self) -> Option<(f64, usize)> {
         let mut best: Option<(f64, usize)> = None;
         for (i, shard) in self.shards.iter().enumerate() {
             let Some(due) = shard.next_event_due_secs() else {
@@ -607,18 +616,12 @@ impl FleetOrchestrator {
                 best = Some((due, i));
             }
         }
-        best.map(|(_, i)| i)
+        best
     }
 
-    /// Processes the globally next event (the earliest-due shard steps
-    /// once, under the fleet hook). Returns `false` when every shard's
-    /// queue has drained — the next [`FleetOrchestrator::run_until`] (or
-    /// [`FleetOrchestrator::run`]) call produces the report.
-    pub fn step(&mut self, datasets: &[Dataset], streams: &[SensingCycleStream]) -> bool {
-        self.start(streams);
-        let Some(i) = self.next_shard() else {
-            return false;
-        };
+    /// Steps shard `i`, which holds the globally next event, once under
+    /// the fleet hook.
+    fn step_shard(&mut self, i: usize, datasets: &[Dataset], streams: &[SensingCycleStream]) {
         let stepped = self.shards[i].step_with(
             &datasets[i],
             &streams[i],
@@ -629,6 +632,18 @@ impl FleetOrchestrator {
             }),
         );
         debug_assert!(stepped, "peeked shard must pop an event");
+    }
+
+    /// Processes the globally next event (the earliest-due shard steps
+    /// once, under the fleet hook). Returns `false` when every shard's
+    /// queue has drained — the next [`FleetOrchestrator::run_until`] (or
+    /// [`FleetOrchestrator::run`]) call produces the report.
+    pub fn step(&mut self, datasets: &[Dataset], streams: &[SensingCycleStream]) -> bool {
+        self.start(streams);
+        let Some((_, i)) = self.next_shard() else {
+            return false;
+        };
+        self.step_shard(i, datasets, streams);
         true
     }
 
@@ -649,20 +664,16 @@ impl FleetOrchestrator {
             RunBound::Events(n) => n,
             RunBound::VirtualTime(_) => u64::MAX,
         };
-        while let Some(i) = self.next_shard() {
+        while let Some((due, i)) = self.next_shard() {
             if remaining == 0 {
                 return None;
             }
             if let RunBound::VirtualTime(t) = bound {
-                let due = self.shards[i]
-                    .next_event_due_secs()
-                    .expect("invariant: next_shard() only returns shards with pending events");
                 if due > t {
                     return None;
                 }
             }
-            let stepped = self.step(datasets, streams);
-            debug_assert!(stepped, "a pending event must step");
+            self.step_shard(i, datasets, streams);
             remaining -= 1;
         }
         Some(self.finish())
