@@ -97,10 +97,11 @@ for workload in paper_stream chaos_checkpoint; do
         --workload "${workload}" --seconds 1 --trace 1
 done
 
-# Net line count and the debug `cargo test` step's wall seconds, reported
-# and never gated: every .rs line under crates/, src/, tests/ and
-# examples/, and the non-test share of it (files outside tests/ and
-# benches/ directories, up to their first `#[cfg(test)]`).
+# Net line count, the debug `cargo test` step's wall seconds and the run
+# path's allocation counts, reported and never gated here: every .rs line
+# under crates/, src/, tests/ and examples/, and the non-test share of it
+# (files outside tests/ and benches/ directories, up to their first
+# `#[cfg(test)]`).
 echo "==> rust line count"
 rs_total=$(find crates src tests examples -name '*.rs' -not -path '*/vendor/*' \
     -not -path '*/perfbench/*' -exec cat {} + | wc -l | tr -d ' ')
@@ -110,6 +111,10 @@ rs_non_test=$(find crates src examples -name '*.rs' -not -path '*/tests/*' \
         { n++ }
         END { print n }' {} + | awk '{ s += $1 } END { print s }')
 echo "rust lines: ${rs_total} (non-test: ${rs_non_test}); debug cargo test: ${test_secs} s"
+# Beside them, the allocations and bytes of the paper and chaos runs after
+# boot (the workspace test step above holds each stage to its bound).
+cargo test -q --release --offline -p crowdlearn-runtime --test run_allocations -- \
+    --nocapture --test-threads 1 | grep -oE '(paper|chaos) run: .*'
 
 # The one wall-clock gate, run last so host noise cannot hide the steps
 # above: batched committee inference must beat the per-image loop by the

@@ -2,10 +2,83 @@
 //! worker responses using labels *plus* questionnaire evidence.
 
 use crowdlearn_classifiers::ClassDistribution;
-use crowdlearn_crowd::{QueryResponse, QuestionnaireAnswers};
+use crowdlearn_crowd::{IncentiveLevel, QueryResponse, QuestionnaireAnswers};
 use crowdlearn_dataset::DamageLabel;
 use crowdlearn_gbdt::{FitJob, GbdtClassifier, GbdtConfig};
 use serde::binary::{Decode, DecodeError, Encode, Reader};
+
+/// One crowd answer as CQC reads it: the workers' votes per label, their
+/// "yes" answers per question and the incentive paid. Every
+/// [`QueryFeatures`] slot is a function of these counts, so a cycle keeps
+/// its answers as tallies until CQC scores them at the cycle's close.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AnswerTally {
+    votes: [u8; DamageLabel::COUNT],
+    yes: [u8; QuestionnaireAnswers::COUNT],
+    incentive: IncentiveLevel,
+}
+
+impl AnswerTally {
+    /// Tallies a response.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the response has no worker responses, or more than 255.
+    pub fn of(response: &QueryResponse) -> Self {
+        assert!(
+            !response.responses.is_empty(),
+            "cannot extract features from an empty response"
+        );
+        assert!(
+            response.responses.len() <= usize::from(u8::MAX),
+            "a tally counts at most 255 workers"
+        );
+        let mut votes = [0u8; DamageLabel::COUNT];
+        let mut yes = [0u8; QuestionnaireAnswers::COUNT];
+        for r in &response.responses {
+            votes[r.label.index()] += 1;
+            for (yes, answer) in yes.iter_mut().zip(r.questionnaire.answers()) {
+                *yes += u8::from(answer);
+            }
+        }
+        Self {
+            votes,
+            yes,
+            incentive: response.incentive,
+        }
+    }
+
+    /// Workers who answered: the votes' sum.
+    fn workers(&self) -> u32 {
+        self.votes.iter().map(|&v| u32::from(v)).sum()
+    }
+}
+
+// Snapshot codec: the counts, then the incentive's level index. The decoder
+// refuses a tally no response has: no workers, or more "yes" answers to a
+// question than workers (the level decoder refuses an unknown incentive).
+impl Encode for AnswerTally {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.votes.encode(out);
+        self.yes.encode(out);
+        self.incentive.encode(out);
+    }
+}
+
+impl Decode for AnswerTally {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let tally = Self {
+            votes: <[u8; DamageLabel::COUNT]>::decode(r)?,
+            yes: <[u8; QuestionnaireAnswers::COUNT]>::decode(r)?,
+            incentive: IncentiveLevel::decode(r)?,
+        };
+        let workers = tally.workers();
+        if workers == 0 || tally.yes.iter().any(|&y| u32::from(y) > workers) {
+            return Err(DecodeError::Invalid);
+        }
+        Ok(tally)
+    }
+}
 
 /// Feature extraction from one crowd query response.
 ///
@@ -25,35 +98,22 @@ impl QueryFeatures {
     /// Dimensionality of the extracted feature vector.
     pub const DIM: usize = DamageLabel::COUNT + QuestionnaireAnswers::COUNT + 3;
 
-    /// Extracts the CQC feature vector from a response.
+    /// Extracts the CQC feature vector from a response: the features of
+    /// its [`AnswerTally`].
     ///
     /// # Panics
     ///
     /// Panics if the response has no worker responses.
     pub fn extract(response: &QueryResponse) -> [f64; Self::DIM] {
-        assert!(
-            !response.responses.is_empty(),
-            "cannot extract features from an empty response"
-        );
-        let n = response.responses.len() as f64;
+        Self::of(&AnswerTally::of(response))
+    }
 
-        let mut votes = [0.0f64; DamageLabel::COUNT];
-        for r in &response.responses {
-            votes[r.label.index()] += 1.0;
-        }
-        for v in &mut votes {
-            *v /= n;
-        }
-
-        let mut questions = [0.0f64; QuestionnaireAnswers::COUNT];
-        for r in &response.responses {
-            for (q, a) in questions.iter_mut().zip(r.questionnaire.as_features()) {
-                *q += a;
-            }
-        }
-        for q in &mut questions {
-            *q /= n;
-        }
+    /// The CQC feature vector of a tallied answer. Counts of 0/1 values
+    /// divide by the worker count to the same bits as their means.
+    pub(crate) fn of(tally: &AnswerTally) -> [f64; Self::DIM] {
+        let n = f64::from(tally.workers());
+        let votes = tally.votes.map(|v| f64::from(v) / n);
+        let questions = tally.yes.map(|y| f64::from(y) / n);
 
         let entropy: f64 = -votes
             .iter()
@@ -62,7 +122,7 @@ impl QueryFeatures {
             .sum::<f64>();
         let top_share = votes.iter().copied().fold(0.0, f64::max);
 
-        let incentive = f64::from(response.incentive.cents()) / 20.0;
+        let incentive = f64::from(tally.incentive.cents()) / 20.0;
         let tail = [entropy, top_share, incentive];
         let mut features = [0.0; Self::DIM];
         for (slot, &value) in features
@@ -163,26 +223,53 @@ impl QualityController {
             .collect()
     }
 
-    /// The truthful-label distribution for a live response. Untrained
-    /// controllers fall back to the normalized vote histogram (majority
-    /// voting). Allocates nothing.
+    /// The truthful-label distribution for a live response: a batch of one
+    /// (see [`QualityController::infer_batch`]). Allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if the response has no worker responses.
     pub fn infer(&self, response: &QueryResponse) -> ClassDistribution {
-        match &self.model {
-            Some(model) => {
-                let mut probs = [0.0; DamageLabel::COUNT];
-                model.predict_proba_into(&QueryFeatures::extract(response), &mut probs);
-                ClassDistribution::from_weights(probs)
+        let mut truthful = [ClassDistribution::uniform()];
+        self.infer_batch([&AnswerTally::of(response)], &mut truthful);
+        let [truthful] = truthful;
+        truthful
+    }
+
+    /// The truthful-label distribution of each tallied answer, written to
+    /// `out` in order. A trained controller scores the answers in batched
+    /// passes over its trees, each distribution bit for bit the one the
+    /// answer gets alone; an untrained one falls back to the normalized
+    /// vote histogram (majority voting). Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `answers` and `out` differ in length.
+    pub fn infer_batch<'a>(
+        &self,
+        answers: impl IntoIterator<Item = &'a AnswerTally, IntoIter: ExactSizeIterator>,
+        out: &mut [ClassDistribution],
+    ) {
+        let mut answers = answers.into_iter();
+        assert_eq!(answers.len(), out.len(), "one distribution per tally");
+        let Some(model) = &self.model else {
+            for (out, answer) in out.iter_mut().zip(answers) {
+                *out = ClassDistribution::from_weights(answer.votes.map(f64::from));
             }
-            None => {
-                let mut votes = [0.0f64; DamageLabel::COUNT];
-                for r in &response.responses {
-                    votes[r.label.index()] += 1.0;
-                }
-                ClassDistribution::from_weights(votes)
+            return;
+        };
+        // One pass of the model's width at a time, its buffers on the stack.
+        const PASS: usize = GbdtClassifier::BATCH;
+        for out in out.chunks_mut(PASS) {
+            let n = out.len();
+            let mut rows = [[0.0; QueryFeatures::DIM]; PASS];
+            for (row, answer) in rows[..n].iter_mut().zip(answers.by_ref()) {
+                *row = QueryFeatures::of(answer);
+            }
+            let mut probs = [[0.0; DamageLabel::COUNT]; PASS];
+            model.predict_proba_batch_into(rows[..n].as_flattened(), probs[..n].as_flattened_mut());
+            for (out, probs) in out.iter_mut().zip(probs) {
+                *out = ClassDistribution::from_weights(probs);
             }
         }
     }
@@ -233,6 +320,127 @@ mod tests {
                 (platform.submit(img, IncentiveLevel::C6, ctx), img.truth())
             })
             .collect()
+    }
+
+    /// The features as they were computed before tallies: per-response
+    /// sums of 0/1 floats, divided by the response count.
+    fn summed_features(response: &QueryResponse) -> [f64; QueryFeatures::DIM] {
+        let n = response.responses.len() as f64;
+        let mut votes = [0.0f64; DamageLabel::COUNT];
+        let mut questions = [0.0f64; QuestionnaireAnswers::COUNT];
+        for r in &response.responses {
+            votes[r.label.index()] += 1.0;
+            for (q, a) in questions.iter_mut().zip(r.questionnaire.as_features()) {
+                *q += a;
+            }
+        }
+        for v in votes.iter_mut().chain(&mut questions) {
+            *v /= n;
+        }
+        let entropy: f64 = -votes
+            .iter()
+            .filter(|&&p| p > 0.0)
+            .map(|&p| p * p.ln())
+            .sum::<f64>();
+        let top_share = votes.iter().copied().fold(0.0, f64::max);
+        let incentive = f64::from(response.incentive.cents()) / 20.0;
+        let mut features = [0.0; QueryFeatures::DIM];
+        let tail = [entropy, top_share, incentive];
+        for (slot, &value) in features
+            .iter_mut()
+            .zip(votes.iter().chain(&questions).chain(&tail))
+        {
+            *slot = value;
+        }
+        features
+    }
+
+    /// `count` responses to train-split images at every incentive level
+    /// and context, from a platform seeded `seed`.
+    fn responses(seed: u64, count: usize) -> Vec<QueryResponse> {
+        let ds = Dataset::generate(&DatasetConfig::paper());
+        let mut platform = Platform::new(PlatformConfig::paper().with_seed(seed));
+        let train = ds.train();
+        (0..count)
+            .map(|i| {
+                let img = &train[(i * 7 + seed as usize) % train.len()];
+                let context = TemporalContext::from_index(i % TemporalContext::COUNT);
+                let level = IncentiveLevel::from_index(i % IncentiveLevel::COUNT);
+                platform.submit(img, level, context)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tallied_features_are_the_summed_features_bit_for_bit() {
+        let bits = |f: [f64; QueryFeatures::DIM]| f.map(f64::to_bits);
+        for response in responses(36, 600) {
+            assert_eq!(
+                bits(QueryFeatures::extract(&response)),
+                bits(summed_features(&response)),
+                "{response:?}"
+            );
+        }
+    }
+
+    /// A controller trained on 150 responses, once for the tests.
+    fn trained() -> &'static QualityController {
+        static TRAINED: std::sync::OnceLock<QualityController> = std::sync::OnceLock::new();
+        TRAINED.get_or_init(|| {
+            let ds = Dataset::generate(&DatasetConfig::paper());
+            let mut platform = Platform::new(PlatformConfig::paper().with_seed(37));
+            let mut cqc = QualityController::paper();
+            cqc.train(&gather(&mut platform, &ds.train()[..150]));
+            cqc
+        })
+    }
+
+    proptest::proptest! {
+        /// `infer_batch` gives every tallied answer bit for bit the
+        /// distribution `infer` gives its response alone, at every batch
+        /// size from one to past the model's pass width, for a trained
+        /// controller and for the untrained one's majority vote.
+        #[test]
+        fn a_batch_infers_each_answer_as_it_infers_alone(
+            seed in 0u64..u64::MAX,
+            size in 1usize..2 * GbdtClassifier::BATCH + 2,
+        ) {
+            let live = responses(seed, 3 * size);
+            let tallies: Vec<AnswerTally> = live.iter().map(AnswerTally::of).collect();
+            let bits = |d: &ClassDistribution| d.probs().map(f64::to_bits);
+            for cqc in [trained(), &QualityController::paper()] {
+                for (batch, tallies) in live.chunks(size).zip(tallies.chunks(size)) {
+                    let mut out = vec![ClassDistribution::uniform(); batch.len()];
+                    cqc.infer_batch(tallies, &mut out);
+                    for (response, got) in batch.iter().zip(&out) {
+                        proptest::prop_assert_eq!(bits(got), bits(&cqc.infer(response)));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn untrained_batches_are_the_normalized_vote_histogram() {
+        let live = responses(38, 40);
+        let tallies: Vec<AnswerTally> = live.iter().map(AnswerTally::of).collect();
+        let mut out = vec![ClassDistribution::uniform(); live.len()];
+        QualityController::paper().infer_batch(&tallies, &mut out);
+        for (response, got) in live.iter().zip(&out) {
+            let mut votes = [0.0; DamageLabel::COUNT];
+            for r in &response.responses {
+                votes[r.label.index()] += 1.0;
+            }
+            assert_eq!(*got, ClassDistribution::from_weights(votes));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one distribution per tally")]
+    fn a_batch_needs_one_slot_per_answer() {
+        let tallies: Vec<AnswerTally> = responses(39, 3).iter().map(AnswerTally::of).collect();
+        let mut out = vec![ClassDistribution::uniform(); 2];
+        QualityController::paper().infer_batch(&tallies, &mut out);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! 3. [`QualityController`] (**CQC**, §IV-C) — a gradient-boosting model
 //!    over worker labels *and* questionnaire evidence distills truthful
 //!    labels from noisy crowd responses. It is fit once, with the one
-//!    [`QualityController::CONFIG`].
+//!    [`QualityController::CONFIG`], and scores a cycle's answers, kept as
+//!    [`AnswerTally`]s, in one batched pass when the cycle closes.
 //! 4. [`Calibrator`] (**MIC**, §IV-D) — the truthful labels drive three
 //!    simultaneous calibration strategies: Hedge expert-weight updates from
 //!    the symmetric-KL loss (Eq. 5), committee retraining, and crowd
@@ -49,7 +50,7 @@ pub use calibration::{
     normalized_symmetric_kl, Calibrator, CalibratorConfig, Offload, QueriedImage, Retrain,
 };
 pub use committee::Committee;
-pub use cqc::{QualityController, QueryFeatures};
+pub use cqc::{AnswerTally, QualityController, QueryFeatures};
 pub use ipd::{IncentivePolicy, PayoffNormalizer};
 pub use qss::{QuerySetSelector, Selection};
 pub use report::{CycleOutcome, SchemeReport};

@@ -2,8 +2,8 @@
 
 use crate::report::{CycleOutcome, ImageOutcome};
 use crate::{
-    Calibrator, CalibratorConfig, Committee, IncentivePolicy, Offload, QualityController,
-    QueriedImage, QuerySetSelector, Retrain, Selection,
+    AnswerTally, Calibrator, CalibratorConfig, Committee, IncentivePolicy, Offload,
+    QualityController, QueriedImage, QuerySetSelector, Retrain, Selection,
 };
 use crowdlearn_bandit::BanditConfig;
 use crowdlearn_classifiers::{
@@ -417,8 +417,9 @@ pub struct CycleWork {
     picked: Vec<usize>,
     next_pick: usize,
     budget_exhausted: bool,
-    truthful: Vec<(usize, ClassDistribution)>,
-    in_time: Vec<bool>,
+    /// Every absorbed answer, in absorb order; its completion delay is in
+    /// `query_delays` at the same place.
+    answers: Vec<Answer>,
     query_delays: Vec<f64>,
     spent_cents: u64,
     outstanding: usize,
@@ -453,7 +454,7 @@ impl CycleWork {
 
     /// Crowd answers absorbed so far.
     pub fn answers_absorbed(&self) -> usize {
-        self.truthful.len()
+        self.answers.len()
     }
 
     /// Completion delay of every answer absorbed so far, in absorb order:
@@ -468,6 +469,34 @@ impl CycleWork {
     }
 }
 
+/// One absorbed crowd answer of a live cycle: the image it labels, its
+/// tally, which CQC scores with the cycle's other answers at
+/// [`CrowdLearnSystem::finalize_cycle`], and whether it may offload.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Answer {
+    image: usize,
+    tally: AnswerTally,
+    timely: bool,
+}
+
+impl Encode for Answer {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.image.encode(out);
+        self.tally.encode(out);
+        self.timely.encode(out);
+    }
+}
+
+impl Decode for Answer {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(Self {
+            image: usize::decode(r)?,
+            tally: AnswerTally::decode(r)?,
+            timely: bool::decode(r)?,
+        })
+    }
+}
+
 // Snapshot codec: everything a live cycle carries, so a checkpointed runtime
 // can park in-flight cycles mid-crowd-wait and resume them byte-identically.
 impl Encode for CycleWork {
@@ -477,8 +506,7 @@ impl Encode for CycleWork {
         self.picked.encode(out);
         self.next_pick.encode(out);
         self.budget_exhausted.encode(out);
-        self.truthful.encode(out);
-        self.in_time.encode(out);
+        self.answers.encode(out);
         self.query_delays.encode(out);
         self.spent_cents.encode(out);
         self.outstanding.encode(out);
@@ -493,8 +521,7 @@ impl Decode for CycleWork {
             picked: Vec::<usize>::decode(r)?,
             next_pick: usize::decode(r)?,
             budget_exhausted: bool::decode(r)?,
-            truthful: Vec::<(usize, ClassDistribution)>::decode(r)?,
-            in_time: Vec::<bool>::decode(r)?,
+            answers: Vec::<Answer>::decode(r)?,
             query_delays: Vec::<f64>::decode(r)?,
             spent_cents: u64::decode(r)?,
             outstanding: usize::decode(r)?,
@@ -502,9 +529,8 @@ impl Decode for CycleWork {
         let images = work.member_votes.len();
         let valid = work.next_pick <= work.picked.len()
             && work.picked.iter().all(|&i| i < images)
-            && work.truthful.iter().all(|(i, _)| *i < images)
-            && work.in_time.len() == work.truthful.len()
-            && work.query_delays.len() == work.truthful.len()
+            && work.answers.iter().all(|a| a.image < images)
+            && work.query_delays.len() == work.answers.len()
             && work.query_delays.iter().all(|d| d.is_finite() && *d >= 0.0);
         if !valid {
             return Err(DecodeError::Invalid);
@@ -835,15 +861,17 @@ impl CrowdLearnSystem {
             self.config.queries_per_cycle,
         );
 
+        // One answer comes back per posted pick at most, so absorbing one
+        // allocates nothing.
+        let answers = picked.len();
         CycleWork {
             context: cycle.context,
             member_votes,
             picked,
             next_pick: 0,
             budget_exhausted: false,
-            truthful: Vec::new(),
-            in_time: Vec::new(),
-            query_delays: Vec::new(),
+            answers: Vec::with_capacity(answers),
+            query_delays: Vec::with_capacity(answers),
             spent_cents: 0,
             outstanding: 0,
         }
@@ -915,9 +943,11 @@ impl CrowdLearnSystem {
             .is_none_or(|d| response.completion_delay_secs <= d)
     }
 
-    /// ③ Absorbs one crowd answer: IPD learns the observed delay and CQC
-    /// distills the truthful label distribution. `timely` gates whether the
-    /// answer may offload its image at finalization — a late answer still
+    /// ③ Absorbs one crowd answer: IPD learns the observed delay and the
+    /// answer is kept as its [`AnswerTally`], which CQC distills into a
+    /// truthful label distribution with the cycle's other answers when
+    /// [`CrowdLearnSystem::finalize_cycle`] closes it. `timely` gates whether
+    /// the answer may offload its image at finalization — a late answer still
     /// feeds weight updates and retraining (see
     /// [`CrowdLearnConfig::offload_deadline_secs`]).
     pub fn absorb_answer(
@@ -935,8 +965,11 @@ impl CrowdLearnSystem {
             response.completion_delay_secs,
         );
         work.query_delays.push(response.completion_delay_secs);
-        work.in_time.push(timely);
-        work.truthful.push((image_index, self.cqc.infer(response)));
+        work.answers.push(Answer {
+            image: image_index,
+            tally: AnswerTally::of(response),
+            timely,
+        });
     }
 
     /// ③ (late variant) Absorbs the answer of a HIT whose censored delay
@@ -945,7 +978,7 @@ impl CrowdLearnSystem {
     /// the runtime's out-of-attempts path. Everything except the IPD report
     /// happens as in [`CrowdLearnSystem::absorb_answer`]: the cycle's delay
     /// statistics record the *true* completion delay, and the answer still
-    /// feeds CQC/MIC, but it never offloads (`in_time = false`).
+    /// feeds CQC/MIC, but it never offloads (it is not timely).
     pub fn absorb_late_answer(
         &mut self,
         work: &mut CycleWork,
@@ -955,8 +988,11 @@ impl CrowdLearnSystem {
         assert!(work.outstanding > 0, "no outstanding query to absorb");
         work.outstanding -= 1;
         work.query_delays.push(response.completion_delay_secs);
-        work.in_time.push(false);
-        work.truthful.push((image_index, self.cqc.infer(response)));
+        work.answers.push(Answer {
+            image: image_index,
+            tally: AnswerTally::of(response),
+            timely: false,
+        });
     }
 
     /// ③ (abandon variant) Retires one outstanding query *without* an
@@ -995,10 +1031,11 @@ impl CrowdLearnSystem {
         self.committee.execution_delay_secs(batch, cycle_index) + self.config.module_overhead_secs
     }
 
-    /// ④ Finalizes a drained cycle: MIC updates the Hedge weights from the
-    /// Eq. 5 losses, final labels are assembled (crowd answers offloading
-    /// the timely-answered queries), and the committee retrains for the next
-    /// cycle.
+    /// ④ Finalizes a drained cycle: CQC scores every absorbed answer's
+    /// tally in one batched pass ([`QualityController::infer_batch`]), MIC
+    /// updates the Hedge weights from the Eq. 5 losses, final labels are
+    /// assembled (crowd answers offloading the timely-answered queries), and
+    /// the committee retrains for the next cycle.
     ///
     /// # Panics
     ///
@@ -1016,24 +1053,29 @@ impl CrowdLearnSystem {
         let images = cycle.images(dataset);
         let CycleWork {
             member_votes,
-            truthful,
-            in_time,
+            answers,
             query_delays,
             spent_cents,
             ..
         } = work;
+
+        // ③ CQC: the truthful-label distribution of every answer, in absorb
+        // order, scored together.
+        let mut distributions = vec![ClassDistribution::uniform(); answers.len()];
+        let tallies = answers.iter().map(|answer| &answer.tally);
+        self.cqc.infer_batch(tallies, &mut distributions);
+        let truthful = || answers.iter().zip(&distributions);
 
         // ④ MIC: Hedge weight update from the Eq. 5 losses, scored on the
         // votes cached at `start_cycle` — under an inflight window > 1 an
         // overlapping cycle's retrain may already have landed, and the
         // committee must be judged on the votes that produced this cycle's
         // labels, not on re-predictions from a newer model.
-        if self.calibrator.config().update_weights && !truthful.is_empty() {
-            let queried: Vec<QueriedImage<'_>> = truthful
-                .iter()
-                .map(|(idx, dist)| QueriedImage {
-                    image: images[*idx],
-                    member_votes: &member_votes[*idx],
+        if self.calibrator.config().update_weights && !answers.is_empty() {
+            let queried: Vec<QueriedImage<'_>> = truthful()
+                .map(|(answer, dist)| QueriedImage {
+                    image: images[answer.image],
+                    member_votes: &member_votes[answer.image],
                     truthful: dist.clone(),
                 })
                 .collect();
@@ -1046,26 +1088,24 @@ impl CrowdLearnSystem {
         let mut outcomes = Vec::with_capacity(images.len());
         for (i, img) in images.iter().enumerate() {
             let ai_vote = self.committee.mix(&member_votes[i]);
-            let offloaded = truthful
-                .iter()
-                .zip(&in_time)
-                .find(|((idx, _), _)| *idx == i)
-                .filter(|(_, &timely)| timely && self.calibrator.offloads(&ai_vote))
-                .map(|((_, dist), _)| dist);
+            let offloaded = truthful()
+                .find(|(answer, _)| answer.image == i)
+                .filter(|(answer, _)| answer.timely && self.calibrator.offloads(&ai_vote))
+                .map(|(_, dist)| dist);
             let distribution = offloaded.cloned().unwrap_or(ai_vote);
             outcomes.push(ImageOutcome {
                 image: img.id(),
                 truth: img.truth(),
                 predicted: distribution.argmax(),
                 distribution,
-                queried: truthful.iter().any(|(idx, _)| *idx == i),
+                queried: answers.iter().any(|answer| answer.image == i),
             });
         }
 
         // ④ (continued) MIC: retrain the committee for the next cycle.
         let samples = self
             .calibrator
-            .retrain_samples(truthful.iter().map(|(idx, dist)| (images[*idx], dist)));
+            .retrain_samples(truthful().map(|(answer, dist)| (images[answer.image], dist)));
         if !samples.is_empty() {
             self.committee.retrain(&samples);
         }
@@ -1145,6 +1185,65 @@ mod tests {
                     assert_eq!(pc.to_bits(), ps.to_bits());
                 }
             }
+        }
+    }
+
+    /// A live cycle whose answers are absorbed decodes to itself, and its
+    /// decoder refuses a tally no response has: the answer's bytes are
+    /// found on the wire as its image index followed by its tally.
+    #[test]
+    fn cycle_work_decode_refuses_a_tally_no_answer_has() {
+        let dataset = Dataset::generate(&DatasetConfig::paper());
+        let stream = SensingCycleStream::paper(&dataset);
+        let mut config = CrowdLearnConfig::paper();
+        config.cqc_training_queries = 50;
+        config.warmup_per_cell = 1;
+        let mut system = CrowdLearnSystem::new(&dataset, config);
+        let cycle = stream.iter().next().expect("paper stream has cycles");
+        let mut work = system.start_cycle(cycle, &dataset);
+        while let Some(posted) = system.post_next_query(&mut work, cycle, &dataset) {
+            let response = posted.pending.into_response();
+            system.absorb_answer(&mut work, posted.image_index, &response, true);
+        }
+        assert_eq!(work.answers_absorbed(), 5);
+        let bytes = work.to_bytes();
+        let decoded = CycleWork::from_bytes(&bytes).expect("round trip");
+        assert_eq!(decoded.answers, work.answers);
+        assert_eq!(decoded.to_bytes(), bytes);
+
+        let answer = work.answers[2];
+        let needle = [
+            (answer.image as u64).to_le_bytes().as_slice(),
+            &answer.tally.to_bytes(),
+        ]
+        .concat();
+        let at = bytes
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("the answer is on the wire")
+            + 8;
+        // The tally's wire form: three vote counts, five "yes" counts, the
+        // incentive level's index.
+        let workers: u8 = bytes[at..at + 3].iter().sum();
+        let cases: [(&str, usize, u8); 5] = [
+            ("no workers: no votes", at, 0),
+            ("a yes count above the workers", at + 3, workers + 1),
+            ("the last yes count above the workers", at + 7, u8::MAX),
+            ("an incentive level past the last", at + 8, 7),
+            ("an incentive level far out of range", at + 8, u8::MAX),
+        ];
+        for (name, offset, value) in cases {
+            let mut corrupt = bytes.clone();
+            if offset == at {
+                corrupt[at..at + 3].fill(value);
+            } else {
+                corrupt[offset] = value;
+            }
+            assert_eq!(
+                CycleWork::from_bytes(&corrupt).map(|w| w.answers_absorbed()),
+                Err(DecodeError::Invalid),
+                "{name}"
+            );
         }
     }
 

@@ -1,10 +1,12 @@
 //! CQC inference allocates nothing: after a warm-up, 1 000
-//! `QualityController::infer` calls on live crowd responses make no heap
-//! allocation, counted per thread by a wrapping global allocator, for a
-//! trained controller (the boosting model's mask table) and an untrained
-//! one (majority voting).
+//! `QualityController::infer` calls on live crowd responses, and batched
+//! `QualityController::infer_batch` calls over the same answers' tallies,
+//! make no heap allocation, counted per thread by a wrapping global
+//! allocator, for a trained controller (the boosting model's mask table)
+//! and an untrained one (majority voting).
 
-use crowdlearn::QualityController;
+use crowdlearn::{AnswerTally, QualityController};
+use crowdlearn_classifiers::ClassDistribution;
 use crowdlearn_crowd::{IncentiveLevel, Platform, PlatformConfig, QueryResponse};
 use crowdlearn_dataset::{DamageLabel, Dataset, DatasetConfig, TemporalContext};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -84,6 +86,27 @@ fn allocations(cqc: &QualityController, live: &[(QueryResponse, DamageLabel)]) -
     ALLOCATIONS.with(Cell::get) - before
 }
 
+/// The allocations of `infer_batch` over the tallies of `live`, five answers
+/// (a paper cycle's) then `GbdtClassifier::BATCH + 3` a call, after as many
+/// calls to warm up.
+fn batch_allocations(cqc: &QualityController, live: &[(QueryResponse, DamageLabel)]) -> u64 {
+    let tallies: Vec<AnswerTally> = live.iter().map(|(r, _)| AnswerTally::of(r)).collect();
+    let mut out = vec![ClassDistribution::uniform(); tallies.len()];
+    let mut before = 0;
+    for warm in [true, false] {
+        if !warm {
+            before = ALLOCATIONS.with(Cell::get);
+        }
+        for size in [5, crowdlearn_gbdt::GbdtClassifier::BATCH + 3] {
+            for (tallies, out) in tallies.chunks(size).zip(out.chunks_mut(size)) {
+                cqc.infer_batch(tallies, out);
+            }
+        }
+        std::hint::black_box(&out);
+    }
+    ALLOCATIONS.with(Cell::get) - before
+}
+
 #[test]
 fn cqc_inference_allocates_nothing() {
     let dataset = Dataset::generate(&DatasetConfig::paper());
@@ -96,10 +119,20 @@ fn cqc_inference_allocates_nothing() {
         0,
         "majority voting"
     );
+    assert_eq!(
+        batch_allocations(&QualityController::paper(), &live),
+        0,
+        "majority voting, batched"
+    );
 
     let mut cqc = QualityController::paper();
     cqc.train(&train);
     assert_eq!(allocations(&cqc, &live), 0, "the trained model");
+    assert_eq!(
+        batch_allocations(&cqc, &live),
+        0,
+        "the trained model, batched"
+    );
     // The model does score: it agrees with the truth on most live answers.
     let right = live
         .iter()

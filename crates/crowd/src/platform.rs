@@ -500,7 +500,11 @@ impl Decode for QueryResponse {
         let incentive = IncentiveLevel::decode(r)?;
         let responses = Vec::<WorkerResponse>::decode(r)?;
         let completion_delay_secs = f64::decode(r)?;
-        if !completion_delay_secs.is_finite() || completion_delay_secs < 0.0 {
+        // The platform asks exactly a query's fan-out of workers.
+        if !completion_delay_secs.is_finite()
+            || completion_delay_secs < 0.0
+            || responses.len() != PlatformConfig::WORKERS_PER_QUERY
+        {
             return Err(DecodeError::Invalid);
         }
         Ok(Self {
@@ -873,6 +877,27 @@ mod tests {
             Platform::from_bytes(&bytes[..bytes.len() - 1]),
             Err(DecodeError::Truncated)
         ));
+
+        // A response of other than a query's fan-out of workers.
+        let response = platform(23).submit(
+            &Dataset::generate(&DatasetConfig::paper()).test()[0],
+            IncentiveLevel::C6,
+            TemporalContext::Morning,
+        );
+        assert_eq!(
+            QueryResponse::from_bytes(&response.to_bytes()),
+            Ok(response.clone())
+        );
+        for workers in [0, PlatformConfig::WORKERS_PER_QUERY - 1] {
+            let mut short = response.clone();
+            short.responses.truncate(workers);
+            let refused = QueryResponse::from_bytes(&short.to_bytes());
+            assert_eq!(refused, Err(DecodeError::Invalid), "{workers} workers");
+        }
+        let mut long = response.clone();
+        long.responses.push(response.responses[0].clone());
+        let refused = QueryResponse::from_bytes(&long.to_bytes());
+        assert_eq!(refused, Err(DecodeError::Invalid), "one worker too many");
 
         // A pool smaller than a query's fan-out, spliced in on the wire.
         let fanout = WorkerPool::generate(PlatformConfig::WORKERS_PER_QUERY, 1);

@@ -64,15 +64,20 @@ impl QuestionnaireAnswers {
         }
     }
 
+    /// The answers in declaration order, `true` for "yes".
+    pub fn answers(&self) -> [bool; Self::COUNT] {
+        [
+            self.photoshopped,
+            self.close_up,
+            self.low_resolution,
+            self.structural_damage,
+            self.people_affected,
+        ]
+    }
+
     /// Encodes the answers as 0/1 features in declaration order.
     pub fn as_features(&self) -> [f64; Self::COUNT] {
-        [
-            f64::from(self.photoshopped),
-            f64::from(self.close_up),
-            f64::from(self.low_resolution),
-            f64::from(self.structural_damage),
-            f64::from(self.people_affected),
-        ]
+        self.answers().map(f64::from)
     }
 
     /// Flips answer `index` (used to inject per-question worker noise).

@@ -28,6 +28,10 @@ pub(crate) const LEAF: u16 = u16::MAX;
 /// of `words` words each.
 const BLOCK_WORDS: usize = 64;
 
+/// Rows one scoring pass takes: [`Forest::add_leaves`] scores a longer
+/// batch in passes of at most this many.
+pub(crate) const BATCH: usize = 8;
+
 /// The most leaves a tree may have: one row holds its mask.
 pub(crate) const MAX_LEAVES: usize = 32 * BLOCK_WORDS;
 
@@ -329,48 +333,111 @@ impl Forest {
         })
     }
 
-    /// Adds `scale * leaf` of every tree on `row` to
-    /// `scores[tree % scores.len()]`, in tree order, which keeps each
-    /// class's sum in round order. Per block, each feature the block splits
-    /// on picks the prefix row of the block's cuts at or below its value;
-    /// the AND of those rows leaves each tree's exit leaf as its lowest set
-    /// bit.
+    /// Adds `scale * leaf` of every tree on each of a batch of rows to
+    /// that row's scores: `rows` holds the rows back to back,
+    /// [`Forest::features`] values each, and `scores` a run of `classes`
+    /// scores a row, tree `t` adding to class `t % classes`. The batch is
+    /// scored in passes of up to [`BATCH`] rows. Per block, each feature
+    /// the block splits on picks, for each row, the prefix row of the
+    /// block's cuts at or below the row's value, and the AND of a row's
+    /// picks leaves each tree's exit leaf as its lowest set bit; then each
+    /// tree's leaves are read once for all the pass's rows. So a block's
+    /// table and leaves are fetched once a pass, not once a row. The rows'
+    /// sums interleave, but each row's class sums run in tree order, so in
+    /// round order, with the same multiply-then-add as the row alone: every
+    /// score is bit for bit the row's own.
     ///
     /// # Panics
     ///
-    /// Panics if `row` is shorter than a feature index used by a tree.
-    pub(crate) fn add_leaves(&self, row: &[f64], scale: f64, scores: &mut [f64]) {
-        let mut class = 0;
-        for block in &self.blocks {
-            let mut mask: Row = [u32::MAX; BLOCK_WORDS];
-            for group in &self.groups[block.groups.0..block.groups.1] {
-                let x = row[group.feature];
-                let cuts = &self.thresholds[group.cuts..group.cuts + group.len];
-                // Cuts at or below `x`: all of them when `x` is NaN.
-                let above: usize = cuts.iter().map(|&t| usize::from(x < t)).sum();
-                let below = group.len - above;
-                for (word, prefix) in mask.iter_mut().zip(&self.rows[group.rows + below]) {
-                    *word &= prefix;
-                }
+    /// Panics if `rows` is not whole rows or `scores` not one run of
+    /// `classes` per row.
+    pub(crate) fn add_leaves(&self, rows: &[f64], classes: usize, scale: f64, scores: &mut [f64]) {
+        let width = self.features();
+        let batch = rows.len() / width;
+        assert!(
+            batch * width == rows.len() && batch * classes == scores.len(),
+            "one run of scores per whole row"
+        );
+        for at in (0..batch).step_by(BATCH) {
+            let n = BATCH.min(batch - at);
+            let rows = &rows[at * width..(at + n) * width];
+            let scores = &mut scores[at * classes..(at + n) * classes];
+            match n {
+                1 => self.pass::<1>(rows, classes, scale, scores),
+                2 => self.pass::<2>(rows, classes, scale, scores),
+                3 => self.pass::<3>(rows, classes, scale, scores),
+                4 => self.pass::<4>(rows, classes, scale, scores),
+                5 => self.pass::<5>(rows, classes, scale, scores),
+                6 => self.pass::<6>(rows, classes, scale, scores),
+                7 => self.pass::<7>(rows, classes, scale, scores),
+                _ => self.pass::<BATCH>(rows, classes, scale, scores),
             }
-            let trees = block.trees.0..block.trees.1;
-            for (tree, words) in trees.zip(mask.chunks_exact(self.words)) {
-                let mut leaf = self.leaf_starts[tree];
-                for &word in words {
+        }
+    }
+
+    /// One pass of [`Forest::add_leaves`] over its `N` rows, `N` at most
+    /// [`BATCH`]: per block, each row's mask, then
+    /// [`Forest::add_block_leaves`]. Both are kept out of line, so that a
+    /// batch of one compiles to loops as tight as a kernel for one row.
+    #[inline(never)]
+    fn pass<const N: usize>(&self, rows: &[f64], classes: usize, scale: f64, scores: &mut [f64]) {
+        let width = self.features();
+        let mut masks = [[0u32; BLOCK_WORDS]; N];
+        // The class of the block's first tree.
+        let mut first = 0;
+        for block in &self.blocks {
+            let groups = &self.groups[block.groups.0..block.groups.1];
+            for (at, mask) in masks.iter_mut().enumerate() {
+                let row = &rows[at * width..(at + 1) * width];
+                let mut own: Row = [u32::MAX; BLOCK_WORDS];
+                for group in groups {
+                    let x = row[group.feature];
+                    let cuts = &self.thresholds[group.cuts..group.cuts + group.len];
+                    // Cuts at or below `x`: all of them when `x` is NaN.
+                    let above: usize = cuts.iter().map(|&t| usize::from(x < t)).sum();
+                    let prefix = &self.rows[group.rows + group.len - above];
+                    for (word, prefix) in own.iter_mut().zip(prefix) {
+                        *word &= prefix;
+                    }
+                }
+                *mask = own;
+            }
+            first = self.add_block_leaves(block, &masks, first, classes, scale, scores);
+        }
+    }
+
+    /// Adds the exit leaf of each of `block`'s trees on each of the `N`
+    /// rows `masks` holds, tree by tree and, per tree, row by row; `first`
+    /// is the class of the block's first tree, and the class after its last
+    /// is returned.
+    #[inline(never)]
+    fn add_block_leaves<const N: usize>(
+        &self,
+        block: &Block,
+        masks: &[Row; N],
+        first: usize,
+        classes: usize,
+        scale: f64,
+        scores: &mut [f64],
+    ) -> usize {
+        let mut class = first;
+        let mut words: [_; N] = std::array::from_fn(|at| masks[at].chunks_exact(self.words));
+        for tree in block.trees.0..block.trees.1 {
+            let start = self.leaf_starts[tree];
+            for (at, words) in words.iter_mut().enumerate() {
+                let mut leaf = start;
+                for &word in words.next().expect("a tree's words") {
                     if word != 0 {
                         leaf += word.trailing_zeros() as usize;
                         break;
                     }
                     leaf += 32;
                 }
-                scores[class] += scale * self.leaves[leaf];
-                class = if class + 1 == scores.len() {
-                    0
-                } else {
-                    class + 1
-                };
+                scores[at * classes + class] += scale * self.leaves[leaf];
             }
+            class = if class + 1 == classes { 0 } else { class + 1 };
         }
+        class
     }
 }
 
@@ -835,7 +902,7 @@ mod tests {
         ];
         for (row, expected) in cases {
             let mut scores = [0.0, 0.0];
-            forest.add_leaves(&row, 1.0, &mut scores);
+            forest.add_leaves(&row, 2, 1.0, &mut scores);
             assert_eq!(scores, [expected, 7.0], "{row:?}");
         }
         let bytes = forest.to_bytes();
@@ -971,12 +1038,52 @@ mod tests {
         // leaf, bit 31 of word 63.
         for (x, leaf) in [(-1.0, 0), (0.5, MAX_LEAVES - 1), (f64::NAN, MAX_LEAVES - 1)] {
             let mut score = [0.0];
-            forest.add_leaves(&[x], 1.0, &mut score);
+            forest.add_leaves(&[x], 1, 1.0, &mut score);
             assert_eq!(score, [leaf as f64], "x = {x}");
         }
 
         let (cuts, nodes) = chain(MAX_LEAVES + 1);
         assert_eq!(build(1, &[&cuts], &nodes), Err(DecodeError::Invalid));
+    }
+
+    /// A batch scores each of its rows bit for bit as the row scores alone,
+    /// at every batch size up to past [`BATCH`]: over 70 trees of two mask
+    /// words, three blocks, whose classes wrap mid-block.
+    #[test]
+    fn a_batch_scores_each_row_as_it_scores_alone() {
+        let tree = |t: usize| {
+            let splits = (0..39).map(|i| (0, f64::from(i)));
+            let leaves = (0..40).map(move |i| (LEAF, f64::from(i) + 0.25 * t as f64));
+            splits.chain(leaves)
+        };
+        let preorder: Vec<(u16, f64)> = (0..70).flat_map(tree).collect();
+        let forest = Forest::from_preorder(&preorder, 70, 1).expect("well formed");
+        assert_eq!((forest.words, forest.blocks.len()), (2, 3));
+        let rows = [
+            -1.0,
+            0.0,
+            -0.0,
+            0.5,
+            38.0,
+            39.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            3.0,
+            -2.5,
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for size in 1..=BATCH + 3 {
+            for batch in rows.chunks(size) {
+                let mut scores = vec![1.0; batch.len() * 3];
+                forest.add_leaves(batch, 3, 0.5, &mut scores);
+                for (&x, scores) in batch.iter().zip(scores.chunks(3)) {
+                    let mut alone = [1.0; 3];
+                    forest.add_leaves(&[x], 3, 0.5, &mut alone);
+                    assert_eq!(bits(scores), bits(&alone), "size {size}, x = {x}");
+                }
+            }
+        }
     }
 
     /// Both builders on `bytes`: what each decodes, and how many bytes each

@@ -45,8 +45,12 @@
 //! subtree gone" masks of those splits. Inference ANDs one such row per
 //! feature, per block of 64 mask words, takes each tree's lowest set bit as
 //! its exit leaf and adds the leaves in the order the trees were grown, so
-//! predictions are bit-identical to walking the fit-time trees, and
-//! [`GbdtClassifier::predict_proba_into`] allocates nothing. The snapshot
+//! predictions are bit-identical to walking the fit-time trees.
+//! [`GbdtClassifier::predict_proba_batch_into`] scores a batch of rows in
+//! passes that fetch each block's table and leaves once for all their rows,
+//! each row's scores bit for bit its own;
+//! [`GbdtClassifier::predict_proba_into`] is a batch of one. Neither
+//! allocates. The snapshot
 //! codec writes each feature's distinct thresholds once and each split as
 //! a `u16` feature and a `u16` threshold rank, with no split gains or child
 //! indices; the decoder rebuilds the table and rejects malformed structure

@@ -1,6 +1,6 @@
 //! The boosting loop: softmax objective over per-class regression trees.
 
-use crate::compiled::{Forest, LEAF, MAX_LEAVES};
+use crate::compiled::{self, Forest, LEAF, MAX_LEAVES};
 use crate::tree::{Presorted, RegressionTree, TreeGrower, TreeParams};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -319,23 +319,32 @@ impl GbdtClassifier {
         self.forest.trees() / self.classes
     }
 
+    /// Rows one scoring pass takes: [`GbdtClassifier::predict_proba_batch_into`]
+    /// scores a longer batch in passes of this many rows.
+    pub const BATCH: usize = compiled::BATCH;
+
     /// Raw (pre-softmax) scores for one row.
     ///
     /// # Panics
     ///
     /// Panics if `row.len() != self.features()`.
     pub fn decision_scores(&self, row: &[f64]) -> Vec<f64> {
+        assert_eq!(row.len(), self.features, "feature arity mismatch");
         let mut scores = vec![0.0; self.classes];
         self.decision_scores_into(row, &mut scores);
         scores
     }
 
-    /// [`GbdtClassifier::decision_scores`] written into `scores`, one a
-    /// class.
-    fn decision_scores_into(&self, row: &[f64], scores: &mut [f64]) {
-        assert_eq!(row.len(), self.features, "feature arity mismatch");
-        scores.copy_from_slice(&self.base_scores);
-        self.forest.add_leaves(row, self.learning_rate, scores);
+    /// The decision scores of the whole rows `rows` holds back to back,
+    /// written into `scores`, one run of [`GbdtClassifier::classes`] a row.
+    fn decision_scores_into(&self, rows: &[f64], scores: &mut [f64]) {
+        // `chunks_mut`, not `chunks_exact_mut`: no division on a batch of
+        // one, and the kernel checks the runs are whole.
+        for run in scores.chunks_mut(self.classes) {
+            run.copy_from_slice(&self.base_scores);
+        }
+        self.forest
+            .add_leaves(rows, self.classes, self.learning_rate, scores);
     }
 
     /// Class-probability vector (softmax of the decision scores).
@@ -346,15 +355,34 @@ impl GbdtClassifier {
     }
 
     /// [`GbdtClassifier::predict_proba`] written into `probs`, with no
-    /// allocation.
+    /// allocation: a batch of one.
     ///
     /// # Panics
     ///
     /// Panics if `row.len() != self.features()` or
     /// `probs.len() != self.classes()`.
     pub fn predict_proba_into(&self, row: &[f64], probs: &mut [f64]) {
-        self.decision_scores_into(row, probs);
-        softmax_in_place(probs);
+        assert_eq!(row.len(), self.features, "feature arity mismatch");
+        self.predict_proba_batch_into(row, probs);
+    }
+
+    /// [`GbdtClassifier::predict_proba`] of every row of a batch, with no
+    /// allocation: `rows` holds the rows back to back,
+    /// [`GbdtClassifier::features`] values each, and `probs` receives one
+    /// run of [`GbdtClassifier::classes`] probabilities a row, in order.
+    /// Each row's probabilities are bit for bit those it gets alone; the
+    /// batch shares the passes over the trees, [`GbdtClassifier::BATCH`]
+    /// rows a pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is not whole rows or `probs` is not one run of
+    /// probabilities a row.
+    pub fn predict_proba_batch_into(&self, rows: &[f64], probs: &mut [f64]) {
+        self.decision_scores_into(rows, probs);
+        for run in probs.chunks_mut(self.classes) {
+            softmax_in_place(run);
+        }
     }
 
     /// The most probable class.
@@ -1342,6 +1370,83 @@ mod tests {
             for (row, want) in probes.iter().zip(want) {
                 prop_assert_eq!(bits(&model.decision_scores(row)), bits(&want), "row {:?}", row);
                 prop_assert_eq!(bits(&copy.decision_scores(row)), bits(&want), "copy, row {:?}", row);
+            }
+        }
+
+        /// The batched kernel scores each row of a batch bit for bit as the
+        /// fit-time trees score it alone, for every batch size from one to
+        /// past [`GbdtClassifier::BATCH`] (so a pass of every width and a
+        /// batch of several passes), over forests built as
+        /// `compiled_scores_match_the_fit_time_trees` builds them but up to
+        /// depth 8, so that some trees' masks take more than one word, on
+        /// rows with NaN, signed-zero and infinite features; and its
+        /// probabilities are those `predict_proba` gives each row alone.
+        #[test]
+        fn batched_scores_match_the_fit_time_trees_row_by_row(
+            seed in 0u64..u64::MAX,
+            n in 5usize..200,
+            width in 1usize..8,
+            classes in 2usize..5,
+            levels in 0usize..6,
+            max_depth in 0usize..9,
+        ) {
+            let mut s = Stream(seed);
+            let rows = s.features(n, width, levels);
+            let labels: Vec<usize> = (0..n).map(|_| s.below(classes)).collect();
+            let config = GbdtConfig {
+                rounds: 1 + s.below(40),
+                max_depth,
+                min_child_weight: 0.0,
+                ..GbdtConfig::small()
+            };
+            let boosted = lone(&rows, &labels, classes, &config, 1);
+            let expected = |row: &[f64]| {
+                let mut scores = boosted.base_scores.clone();
+                for round in boosted.trees.chunks(classes) {
+                    for (class, tree) in round.iter().enumerate() {
+                        scores[class] += boosted.learning_rate * tree.predict(row);
+                    }
+                }
+                scores
+            };
+            let mut probes: Vec<Vec<f64>> = rows
+                .iter()
+                .map(|row| {
+                    row.iter()
+                        .map(|&v| match s.below(8) {
+                            0 => f64::NAN,
+                            1 => 0.0,
+                            2 => -0.0,
+                            3 => f64::INFINITY,
+                            4 => f64::NEG_INFINITY,
+                            _ => v,
+                        })
+                        .collect()
+                })
+                .collect();
+            probes.extend(rows);
+            let want: Vec<Vec<f64>> = probes.iter().map(|row| expected(row)).collect();
+            let model = boosted.compile();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for size in 1..=GbdtClassifier::BATCH * 2 + 1 {
+                for (batch, want) in probes.chunks(size).zip(want.chunks(size)) {
+                    let flat = batch.concat();
+                    let mut scores = vec![0.0; batch.len() * classes];
+                    model.decision_scores_into(&flat, &mut scores);
+                    let mut probs = vec![0.0; batch.len() * classes];
+                    model.predict_proba_batch_into(&flat, &mut probs);
+                    let runs = scores.chunks(classes).zip(probs.chunks(classes));
+                    for ((row, want), (scores, probs)) in batch.iter().zip(want).zip(runs) {
+                        prop_assert_eq!(bits(scores), bits(want), "size {}, row {:?}", size, row);
+                        prop_assert_eq!(
+                            bits(probs),
+                            bits(&model.predict_proba(row)),
+                            "size {}, row {:?}",
+                            size,
+                            row
+                        );
+                    }
+                }
             }
         }
     }

@@ -109,8 +109,14 @@ const MAGIC: [u8; 8] = *b"CLSNAP\x00\x01";
 /// split's `u16` cut rank and every leaf's weight: four bytes a split where
 /// there were ten, and the decoder rebuilds the compiled leaf-mask table;
 /// 18 — the frame checksum is XXH64, seed 0 ([`crate::frame_checksum`]),
-/// where it was FNV-1a-64; the payload is unchanged.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 18;
+/// where it was FNV-1a-64; the payload is unchanged;
+/// 19 — a live cycle keeps each absorbed answer as one entry: its image, its
+/// tally (votes per label, "yes" answers per question and the incentive
+/// level, nine bytes) and whether it may offload, where it held the image
+/// with CQC's 24-byte distribution and a separate list of the flags, since
+/// CQC now scores a cycle's answers together when the cycle closes; a
+/// HIT's response decodes only with a query's fan-out of workers.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 19;
 
 /// Why a runtime or fleet snapshot could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -34,15 +34,18 @@ fn frame(magic: &[u8; 8], version: u32, checksum: u64, payload: &[u8]) -> Vec<u8
 
 #[test]
 fn runtime_frame_bytes_are_pinned() {
-    let bytes = framed(b"CLSNAP\x00\x01", 18);
+    let bytes = framed(b"CLSNAP\x00\x01", 19);
     let snap = RuntimeSnapshot::from_bytes(&bytes).expect("pinned frame opens");
     assert_eq!(snap.to_bytes(), bytes);
     assert_eq!(snap.serialized_len(), bytes.len());
-    // A frame of the previous format is refused by version, not misread.
-    assert_eq!(
-        RuntimeSnapshot::from_bytes(&framed(b"CLSNAP\x00\x01", 16)),
-        Err(SnapshotError::VersionMismatch { found: 16 })
-    );
+    // Frames of earlier formats are refused by version, not misread: a v18
+    // frame is sealed as a v19 one is, only its payload's layout differs.
+    for version in [16, 18] {
+        assert_eq!(
+            RuntimeSnapshot::from_bytes(&framed(b"CLSNAP\x00\x01", version)),
+            Err(SnapshotError::VersionMismatch { found: version })
+        );
+    }
     // A v17 frame carries an FNV-1a-64 checksum; it is refused by version
     // before its checksum is read, not misreported as a checksum mismatch.
     let v17 = frame(b"CLSNAP\x00\x01", 17, 0x581c_b88f_0c02_4f09, PAYLOAD);
@@ -54,7 +57,7 @@ fn runtime_frame_bytes_are_pinned() {
 
 #[test]
 fn fleet_frame_bytes_are_pinned() {
-    let bytes = framed(b"CLFLEET\x00", 18);
+    let bytes = framed(b"CLFLEET\x00", 19);
     let snap = FleetSnapshot::from_bytes(&bytes).expect("pinned frame opens");
     assert_eq!(snap.to_bytes(), bytes);
     assert_eq!(snap.serialized_len(), bytes.len());
@@ -68,8 +71,8 @@ fn fleet_frame_bytes_are_pinned() {
 
 #[test]
 fn frame_defects_decode_to_the_same_typed_errors() {
-    let runtime = framed(b"CLSNAP\x00\x01", 18);
-    let fleet = framed(b"CLFLEET\x00", 18);
+    let runtime = framed(b"CLSNAP\x00\x01", 19);
+    let fleet = framed(b"CLFLEET\x00", 19);
     let defects: [(&str, Defect); 5] = [
         ("magic", |b| b[0] ^= 0xff),
         ("version", |b| b[8] = 0xfe),
@@ -84,7 +87,7 @@ fn frame_defects_decode_to_the_same_typed_errors() {
         ),
         (
             SnapshotError::VersionMismatch { found: 0xfe },
-            "snapshot format version 254 != supported 18",
+            "snapshot format version 254 != supported 19",
         ),
         (
             SnapshotError::ChecksumMismatch,
